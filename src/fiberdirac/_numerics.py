@@ -1,6 +1,7 @@
 """Shared numerical kernels: fixed-step RK4, composite Simpson, Halton
-sampling with seeded jitter, small-subspace linear algebra, and the
-WORKER_THREADS-aware map helper.
+sampling with seeded jitter, small dense linear algebra (dot products,
+determinants, antisymmetric matrices, subspace angles), and the
+NaN-propagating residual reduction every check uses.
 
 The RK4 and Simpson routines operate on plain Python lists so that
 dual-number states flow through unchanged (differentials of flows are
@@ -10,12 +11,12 @@ for float-valued linear algebra.
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import dual as dm
 from .dual import value_of
 
 DEFAULT_RK4_STEP = 1e-3
@@ -48,7 +49,6 @@ def rk4_integrate(f, y0, t0, t1, step=DEFAULT_RK4_STEP, observer=None):
         if observer is not None:
             observer(t0, y0)
         return list(y0)
-    direction = 1.0 if t1 > t0 else -1.0
     n = max(1, int(math.ceil(abs(t1 - t0) / step - 1e-12)))
     h = (t1 - t0) / n
     t, y = t0, list(y0)
@@ -59,7 +59,6 @@ def rk4_integrate(f, y0, t0, t1, step=DEFAULT_RK4_STEP, observer=None):
         t += h
         if observer is not None:
             observer(t, y)
-    del direction
     return y
 
 
@@ -68,7 +67,6 @@ def rk4_integrate(f, y0, t0, t1, step=DEFAULT_RK4_STEP, observer=None):
 def smoothstep(u):
     """Monotone [0,1] → [0,1] warp with vanishing derivative at both ends:
     s(u) = u − sin(2πu)/2π.  Dual-compatible."""
-    from . import dual as dm
     return u - dm.sin(2.0 * math.pi * u) / (2.0 * math.pi)
 
 
@@ -129,6 +127,62 @@ def sample_unit_cube(count, dim, seed=0, jitter=0.25):
     return pts
 
 
+# -- small dense linear algebra (generic over float / Dual) --------------------
+
+def dot(a, b):
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc = acc + x * y
+    return acc
+
+
+def matvec(m, v):
+    return [dot(row, v) for row in m]
+
+
+def det(rows):
+    """Determinant by cofactor expansion along the first row (1.0 for the
+    empty matrix); entries may be duals."""
+    n = len(rows)
+    if n == 0:
+        return 1.0
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = 0.0
+    for j in range(n):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * det(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def skew_matrix(n, vals):
+    """Full n×n antisymmetric matrix from its independent entries, listed
+    over the sorted index pairs i < j in lexicographic order."""
+    mat = [[0.0] * n for _ in range(n)]
+    for idx, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        mat[i][j] = vals[idx]
+        mat[j][i] = -vals[idx]
+    return mat
+
+
+# -- residual reduction --------------------------------------------------------
+
+def worst(residuals):
+    """Largest residual, 0.0 when there are none.  A NaN anywhere is
+    returned as NaN (``max`` would drop it or keep it depending on its
+    position), so a non-finite residual can never read as a pass."""
+    out = 0.0
+    for r in residuals:
+        if r != r:   # NaN
+            return r
+        if r > out:
+            out = r
+    return out
+
+
 # -- linear algebra on small subspaces -----------------------------------------
 
 def as_float_matrix(rows):
@@ -184,30 +238,9 @@ def lstsq_residual(basis_rows, vector):
     return float(np.linalg.norm(a @ sol - b))
 
 
-# -- worker pool ----------------------------------------------------------------
-
-def worker_count():
-    """Thread count from WORKER_THREADS (default: hardware parallelism)."""
-    raw = os.environ.get("WORKER_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
+# -- ordered map ---------------------------------------------------------------
 
 def parallel_map(fn, items):
-    """Map preserving input order; honors WORKER_THREADS.
-
-    Reductions downstream stay deterministic because results are returned in
-    input order regardless of scheduling.
-    """
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(x) for x in items]``: the one map site of the per-point and
+    per-slice loops, so a trace can count them."""
+    return [fn(x) for x in items]

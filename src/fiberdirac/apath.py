@@ -33,19 +33,9 @@ from __future__ import annotations
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import DEFAULT_RK4_STEP, rk4_integrate, smoothstep
+from ._numerics import (DEFAULT_RK4_STEP, dot, matvec, rk4_integrate,
+                        smoothstep, worst)
 from .fibration import BasePath, parallel_transport
-
-
-def _dot(a, b):
-    acc = 0.0
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
-
-
-def _matvec(m, v):
-    return [_dot(row, v) for row in m]
 
 
 class AlgebroidPath:
@@ -62,24 +52,22 @@ class AlgebroidPath:
         return self.geom.space.join(self.base_path(t), self.fiber_path(t))
 
     def fiber_velocity(self, t):
-        out = self.fiber_path(Dual(t, 1.0))
-        return [c.eps if isinstance(c, Dual) else 0.0 for c in out]
+        return dm.tangent(self.fiber_path(Dual(t, 1.0)))
 
     def anchor_residual(self, n_nodes=33):
         """max |dγ_F/dt − A(γ) γ̇_B − P(γ) a_V| over a uniform t-grid."""
-        worst = 0.0
-        for k in range(n_nodes):
-            t = k / (n_nodes - 1)
+        def defects(t):
             pt = self.point(t)
             a_mat = self.geom.conn_matrix(pt)
             p_mat = self.geom.pi_matrix(pt)
             u = self.base_path.velocity(t)
-            rhs = [x + y for x, y in zip(_matvec(a_mat, u),
-                                         _matvec(p_mat, self.covector_path(t)))]
-            lhs = self.fiber_velocity(t)
-            worst = max(worst, max((abs(dm.value_of(l) - dm.value_of(r))
-                                    for l, r in zip(lhs, rhs)), default=0.0))
-        return worst
+            rhs = [x + y for x, y in zip(matvec(a_mat, u),
+                                         matvec(p_mat, self.covector_path(t)))]
+            return [abs(dm.value_of(l) - dm.value_of(r))
+                    for l, r in zip(self.fiber_velocity(t), rhs)]
+
+        return worst(d for k in range(n_nodes)
+                     for d in defects(k / (n_nodes - 1)))
 
     def inverse(self):
         """Path-space inverse: reversed base, a⁻¹(t) = −a(1−t)."""
@@ -103,8 +91,8 @@ def build_apath(geom, base_path, x0, covector_path, step=DEFAULT_RK4_STEP,
     def rhs(t, x):
         pt = space.join(base_path(t), x)
         u = base_path.velocity(t)
-        return [p + q for p, q in zip(_matvec(geom.conn_matrix(pt), u),
-                                      _matvec(geom.pi_matrix(pt),
+        return [p + q for p, q in zip(matvec(geom.conn_matrix(pt), u),
+                                      matvec(geom.pi_matrix(pt),
                                               covector_path(t)))]
 
     cache = {0.0: list(x0)}
@@ -130,14 +118,12 @@ def build_apath(geom, base_path, x0, covector_path, step=DEFAULT_RK4_STEP,
 
 class SplitPath:
     """Split data over the fiber at the base path's start: a point curve
-    x̃(t) and a covector curve ã(t) in that single fiber.
+    x̃(t), a covector curve ã(t) in that single fiber, and the exact rate
+    dx̃/dt as `rate_fn`.  The split point curve obeys its own ODE,
+    x̃˙ = dφ_{0,t}(P a_V), so each constructor in this module builds the
+    rate from one transport differential, never from finite differences."""
 
-    `rate_fn`, when supplied, is the exact dx̃/dt.  Every constructor in
-    this module supplies it (the split point curve obeys its own ODE,
-    x̃˙ = dφ_{0,t}(P a_V), so the rate comes from one transport
-    differential, never from finite differences)."""
-
-    def __init__(self, geom, base_path, point_fn, covector_fn, rate_fn=None,
+    def __init__(self, geom, base_path, point_fn, covector_fn, rate_fn,
                  name=""):
         self.geom = geom
         self.base_path = base_path
@@ -153,23 +139,8 @@ class SplitPath:
         return self.covector_fn(t)
 
     def rate(self, t):
-        """dx̃/dt; falls back to a second-order difference of `point` when
-        no analytic rate curve was attached."""
-        if self.rate_fn is not None:
-            return self.rate_fn(t)
-        h = 1e-4
-        tv = dm.value_of(t)
-        if tv < h:                      # one-sided at the left endpoint
-            x0, x1, x2 = (self.point_fn(tv + k * h) for k in range(3))
-            return [(-3.0 * a + 4.0 * b - c) / (2.0 * h)
-                    for a, b, c in zip(x0, x1, x2)]
-        if tv > 1.0 - h:                # one-sided at the right endpoint
-            x0, x1, x2 = (self.point_fn(tv - k * h) for k in range(3))
-            return [(3.0 * a - 4.0 * b + c) / (2.0 * h)
-                    for a, b, c in zip(x0, x1, x2)]
-        xp = self.point_fn(tv + h)
-        xm = self.point_fn(tv - h)
-        return [(a - b) / (2.0 * h) for a, b in zip(xp, xm)]
+        """dx̃/dt."""
+        return self.rate_fn(t)
 
 
 def _transport_differential(conn, base_path, x_from, t0, t1, step):
@@ -181,14 +152,14 @@ def _transport_differential(conn, base_path, x_from, t0, t1, step):
                   for m, c in enumerate(x_from)]
         out = parallel_transport(conn, base_path, seeded, t0=t0, t1=t1,
                                  step=step)
-        cols.append([c.eps if isinstance(c, Dual) else 0.0 for c in out])
+        cols.append(dm.tangent(out))
     return cols   # cols[k][i] = ∂(φ x)_i / ∂x_k
 
 
 def _push_vector(cols, w):
     """Pushforward of a fiber vector through a transport differential."""
     nf = len(cols)
-    return [_dot([cols[k][i] for k in range(nf)], w) for i in range(nf)]
+    return [dot([cols[k][i] for k in range(nf)], w) for i in range(nf)]
 
 
 def split_apath(apath, step=DEFAULT_RK4_STEP):
@@ -206,14 +177,14 @@ def split_apath(apath, step=DEFAULT_RK4_STEP):
         cols = _transport_differential(conn, bp, xt, 0.0, t, step)
         a_v = apath.covector_path(t)
         # precomposition: ã_k = Σ_i (a_V)_i ∂(φ_{t,0})_i/∂x_k
-        return [_dot(cols[k], a_v) for k in range(len(cols))]
+        return matvec(cols, a_v)
 
     def rate_fn(t):
         # x̃˙(t) = dφ_{0,t}(γ̇_F − A γ̇_B) = dφ_{0,t}(P a_V) by the anchor
         # condition, so the rate needs one transport differential.
         xf = [dm.value_of(c) for c in apath.fiber_path(t)]
         pt = geom.space.join(bp(t), xf)
-        w = _matvec(geom.pi_matrix(pt), apath.covector_path(t))
+        w = matvec(geom.pi_matrix(pt), apath.covector_path(t))
         cols = _transport_differential(conn, bp, xf, t, 0.0, step)
         return _push_vector(cols, w)
 
@@ -239,7 +210,7 @@ def unsplit_apath(split, step=DEFAULT_RK4_STEP):
         u = bp.velocity(tv)
         cols = _transport_differential(conn, bp, xt, 0.0, tv, step)
         pushed = _push_vector(cols, split.rate(tv))
-        vel = [p + q for p, q in zip(_matvec(geom.conn_matrix(pt), u),
+        vel = [p + q for p, q in zip(matvec(geom.conn_matrix(pt), u),
                                      pushed)]
         return [Dual(dm.value_of(b), v * t.eps) for b, v in zip(x, vel)]
 
@@ -248,7 +219,7 @@ def unsplit_apath(split, step=DEFAULT_RK4_STEP):
         x_end = parallel_transport(conn, bp, xt, 0.0, t, step=step)
         cols = _transport_differential(conn, bp, x_end, t, 0.0, step)
         a_t = split.covector(t)
-        return [_dot(cols[k], a_t) for k in range(len(cols))]
+        return matvec(cols, a_t)
 
     return AlgebroidPath(geom, bp, fiber_path, covector_path,
                          name=f"unsplit({split.name})")
@@ -269,7 +240,7 @@ def inverse_split(split, step=DEFAULT_RK4_STEP):
         y = point_fn(t)
         cols = _transport_differential(conn, bp, y, 1.0, 0.0, step)
         a = split.covector(1.0 - t)
-        return [-_dot(cols[k], a) for k in range(len(cols))]
+        return [-dot(cols[k], a) for k in range(len(cols))]
 
     def rate_fn(t):
         x_from = split.point(1.0 - t)
@@ -286,7 +257,7 @@ def reparameterized(apath, s_fn=smoothstep):
 
     def s_and_rate(u):
         val = s_fn(Dual(u, 1.0))
-        return dm.value_of(val), (val.eps if isinstance(val, Dual) else 1.0)
+        return dm.value_of(val), dm.tangent(val)
 
     def cov(u):
         s, rate = s_and_rate(u)
@@ -308,7 +279,7 @@ def _half_curves(fn_point, fn_cov, fn_rate, half):
     def warp(t):
         u = 2.0 * t - (0.0 if half == 0 else 1.0)
         s = smoothstep(Dual(u, 1.0))
-        return dm.value_of(s), 2.0 * (s.eps if isinstance(s, Dual) else 1.0)
+        return dm.value_of(s), 2.0 * dm.tangent(s)
 
     def pt(t):
         return fn_point(warp(t)[0])
@@ -354,7 +325,7 @@ def concat_split(second, first, step=DEFAULT_RK4_STEP):
         x_back = pulled_point(t)
         cols = _transport_differential(conn, bp1, x_back, 0.0, 1.0, step)
         a = second.covector(t)
-        return [_dot(cols[k], a) for k in range(len(cols))]
+        return matvec(cols, a)
 
     def pulled_rate(t):
         cols = _transport_differential(conn, bp1, second.point(t), 1.0, 0.0,
@@ -407,15 +378,14 @@ def solve_evolution(alpha, eps, generator=None, beta0=None, t1=1.0,
         times = [t1]
 
     def d_eps_alpha(t):
-        out = alpha(t, Dual(eps, 1.0))
-        return [c.eps if isinstance(c, Dual) else 0.0 for c in out]
+        return dm.tangent(alpha(t, Dual(eps, 1.0)))
 
     def rhs(t, b):
         drive = d_eps_alpha(t)
         if generator is None:
             return drive
         g = generator(alpha(t, eps))
-        return [x + y for x, y in zip(_matvec(g, b), drive)]
+        return [x + y for x, y in zip(matvec(g, b), drive)]
 
     out_times, out_beta = [], []
     t_prev = 0.0
@@ -445,15 +415,14 @@ def flow_commutation_residual(fiber, alpha, x0, eps=0.0, t1=1.0,
     evo = solve_evolution(alpha, eps,
                           generator=lambda u: fiber.action_matrix(u),
                           t1=t1, step=step, times=list(times))
-    worst = 0.0
+    defects = []
     state = [Dual(c, 0.0) for c in x0]
     t_prev = 0.0
     for t, beta in zip(evo["times"], evo["beta"]):
         state = rk4_integrate(rhs, state, t_prev, t, step=step)
         t_prev = t
         psi = [dm.value_of(c) for c in state]
-        lhs = [c.eps if isinstance(c, Dual) else 0.0 for c in state]
-        lhs = [dm.value_of(c) for c in lhs]
+        lhs = [dm.value_of(c) for c in dm.tangent(state)]
         rhs_vec = [dm.value_of(c) for c in fiber.action(beta, psi)]
-        worst = max(worst, max(abs(a - b) for a, b in zip(lhs, rhs_vec)))
-    return worst
+        defects += [abs(a - b) for a, b in zip(lhs, rhs_vec)]
+    return worst(defects)

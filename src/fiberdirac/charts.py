@@ -117,12 +117,3 @@ class CoordinateDomain:
         if self.kind != SPHERE_STEREO:
             raise ValueError("operation requires a sphere-stereo domain")
 
-
-def product_bounds(domain_a, domain_b):
-    """Bounds of a product of box-like domains, used for escape checks."""
-    def side(d):
-        if d.kind == BOX:
-            return list(d.bounds)
-        # chart-0 sphere coordinates: generous finite box away from the far pole
-        return [(-1e3, 1e3)] * d.dim
-    return side(domain_a) + side(domain_b)

@@ -24,6 +24,7 @@ import time
 from . import __version__
 from . import dual as dm
 from . import fields
+from ._numerics import worst
 from .charts import CoordinateDomain
 from .coupling import (GeometricData, assemble_dirac,
                        check_coupling_conditions, dirac_closure_residual,
@@ -41,6 +42,9 @@ from .yangmills import EXAMPLES, HamiltonianFiber, gauge_transition_check
 
 KINDS = ("coupling-check", "ymh-build", "transgress", "so3-integrability",
          "apath", "groupoid-check")
+
+COUPLING_CHECKS = ("conditions", "closure", "oracle-agreement", "leaf-form",
+                   "splitting")
 
 EXAMPLE_NOTES = {
     "hopf": "monopole bundle over a sphere chart; one-dimensional fiber, "
@@ -262,6 +266,11 @@ def _run_coupling_check(scenario, seed):
     geom = _example_or_inline(scenario, seed)
     samples = int(scenario.get("samples", 64))
     wanted = scenario.get("checks", ["conditions"])
+    if (not isinstance(wanted, list) or not wanted
+            or any(w not in COUPLING_CHECKS for w in wanted)):
+        raise ScenarioError("checks", f"expected a non-empty list of check "
+                                      f"names from {list(COUPLING_CHECKS)}, "
+                                      f"got {wanted!r}")
     checks, extras = [], {}
     cond = None
     if "conditions" in wanted or "oracle-agreement" in wanted:
@@ -278,7 +287,9 @@ def _run_coupling_check(scenario, seed):
     if "oracle-agreement" in wanted:
         res = dirac_closure_residual(geom, count=min(samples, 16), seed=seed)
         thr = _tol(scenario, "oracle_agreement", 1e-6)
-        agree = (cond["max"] < thr) == (res < thr)
+        # a NaN on either route is a disagreement, never a match
+        agree = ((cond["max"] < thr) == (res < thr)
+                 and not (math.isnan(cond["max"]) or math.isnan(res)))
         checks.append(_check("oracle_agreement", 0.0 if agree else 1.0, 0.5))
         extras["condition_max"] = cond["max"]
         extras["closure_residual"] = res
@@ -299,8 +310,8 @@ def _leaf_residual(geom, scenario, seed):
                                       "one-dimensional-fiber sphere models")
     f_expr = scenario.get("f", "2*x+1")
     f_fn = compile_expression(f_expr, ["x"], field="f")
-    worst = 0.0
-    for pt in geom.sample_points(8, seed=seed):
+
+    def defects(pt):
         _, leaf = leaf_two_form(assemble_dirac(geom, pt))
         u, v, x = pt
         s = 1.0 + u * u + v * v
@@ -309,8 +320,10 @@ def _leaf_residual(geom, scenario, seed):
             for c in range(len(leaf)):
                 want = expected if (r, c) == (0, 1) else \
                     (-expected if (r, c) == (1, 0) else 0.0)
-                worst = max(worst, abs(dm.value_of(leaf[r][c]) - want))
-    return worst
+                yield abs(dm.value_of(leaf[r][c]) - want)
+
+    return worst(d for pt in geom.sample_points(8, seed=seed)
+                 for d in defects(pt))
 
 
 def _run_ymh_build(scenario, seed):
@@ -322,11 +335,9 @@ def _run_ymh_build(scenario, seed):
         checks.append(_check("structure_jacobi",
                              principal.group.jacobi_residual(),
                              _tol(scenario, "structure_jacobi", 1e-12)))
-        worst = 0.0
-        for pt in geom.sample_points(6, seed=seed):
-            b = pt[:geom.space.n_base]
-            worst = max(worst, principal.bianchi_residual(b))
-        checks.append(_check("bianchi", worst,
+        bianchi = worst(principal.bianchi_residual(pt[:geom.space.n_base])
+                        for pt in geom.sample_points(6, seed=seed))
+        checks.append(_check("bianchi", bianchi,
                              _tol(scenario, "bianchi", 1e-10)))
     if fiber_model is not None:
         checks.append(_check("prehamiltonian",
@@ -429,14 +440,14 @@ def _run_so3_integrability(scenario, seed):
                          _tol(scenario, "generator_constancy", 1e-3)))
     if report.has_degenerate_origin:
         checks.append(_check("origin_degenerate",
-                             max(abs(c) for c in report.origin_generator),
+                             worst(abs(c) for c in report.origin_generator),
                              _tol(scenario, "origin_degenerate", 1e-8)))
     if "expected_generator" in scenario:
         expected = compile_expression(str(scenario["expected_generator"]),
                                       [], field="expected_generator")([])
-        worst = max(abs(c - expected) / max(1.0, abs(expected))
-                    for c in report.radial_components)
-        checks.append(_check("generator_value", worst,
+        deviation = worst(abs(c - expected) / max(1.0, abs(expected))
+                          for c in report.radial_components)
+        checks.append(_check("generator_value", deviation,
                              _tol(scenario, "generator_value", 1e-4)))
     try:
         verdict = integrability_verdict(report, scenario.get("exact_slope"))

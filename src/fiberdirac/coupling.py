@@ -33,8 +33,9 @@ import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (RANK_THRESHOLD, intersection_dimension, lstsq_residual,
-                        parallel_map)
+from ._numerics import (RANK_THRESHOLD, dot, intersection_dimension,
+                        lstsq_residual, matvec, parallel_map, skew_matrix,
+                        worst)
 from . import fields
 from .fibration import (HorizontalForm, VerticalBivector, covariant_differential,
                         curvature)
@@ -59,13 +60,7 @@ class GeometricData:
         return self.connection.coeff(b, x)
 
     def omega_matrix(self, point):
-        nb = self.space.n_base
-        vals = self.omega_h(point)
-        mat = [[0.0] * nb for _ in range(nb)]
-        for idx, (a, b) in enumerate(self.omega_h.combos):
-            mat[a][b] = vals[idx]
-            mat[b][a] = -vals[idx]
-        return mat
+        return skew_matrix(self.space.n_base, self.omega_h(point))
 
     def pi_matrix(self, point):
         return self.pi_v.matrix(point)
@@ -88,9 +83,6 @@ class DiracPointFrame:
         self.rows = [list(r) for r in rows]
         self.n = space.dim
 
-    def matrix(self):
-        return [list(r) for r in self.rows]
-
     def vectors(self):
         return [r[:self.n] for r in self.rows]
 
@@ -100,21 +92,13 @@ class DiracPointFrame:
     def isotropy_residual(self):
         """max |⟨row_r, row_s⟩_+| over all row pairs (zero by construction
         for assembled frames; nonzero flags hand-built input)."""
-        worst = 0.0
-        for r in self.rows:
-            for s in self.rows:
-                xr, ar = r[:self.n], r[self.n:]
-                xs, bs = s[:self.n], s[self.n:]
-                val = 0.5 * (_dot(ar, xs) + _dot(bs, xr))
-                worst = max(worst, abs(dm.value_of(val)))
-        return worst
+        n = self.n
 
+        def plus_pairing(r, s):
+            return 0.5 * (dot(r[n:], s[:n]) + dot(s[n:], r[:n]))
 
-def _dot(a, b):
-    acc = 0.0
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
+        return worst(abs(dm.value_of(plus_pairing(r, s)))
+                     for r in self.rows for s in self.rows)
 
 
 def assemble_dirac(geom, point):
@@ -208,8 +192,7 @@ def _fiber_partial(space, fn, point, k):
     """∂/∂x_k (fiber coordinate) of a scalar function on E at a point."""
     seeded = list(point)
     seeded[space.n_base + k] = Dual(point[space.n_base + k], 1.0)
-    out = fn(seeded)
-    return out.eps if isinstance(out, Dual) else 0.0
+    return dm.tangent(fn(seeded))
 
 
 def _vertical_schouten(geom, point):
@@ -218,17 +201,19 @@ def _vertical_schouten(geom, point):
     nf = space.n_fiber
     if nf < 3:
         return 0.0
-    worst = 0.0
-    mat_fn = lambda q: geom.pi_matrix(q)
-    for p, q, r in itertools.combinations(range(nf), 3):
+    p_mat = geom.pi_matrix(point)
+
+    def component(p, q, r):
         acc = 0.0
         for (i, j, k) in ((p, q, r), (q, r, p), (r, p, q)):
             for l in range(nf):
-                pil = geom.pi_matrix(point)[i][l]
-                dj = _fiber_partial(space, lambda pt: mat_fn(pt)[j][k], point, l)
-                acc = acc + pil * dj
-        worst = max(worst, abs(dm.value_of(acc)))
-    return worst
+                dj = _fiber_partial(space, lambda pt: geom.pi_matrix(pt)[j][k],
+                                    point, l)
+                acc = acc + p_mat[i][l] * dj
+        return acc
+
+    return worst(abs(dm.value_of(component(*tri)))
+                 for tri in itertools.combinations(range(nf), 3))
 
 
 def _embedded_pi_field(geom):
@@ -257,14 +242,14 @@ def _transport_invariance(geom, point):
     if space.n_fiber < 2:
         return 0.0
     piv = _embedded_pi_field(geom)
-    worst = 0.0
-    for a in range(nb):
+
+    def lie_at_point(a):
         ha = geom.connection.lift_field(
-            lambda b, a=a: [1.0 if i == a else 0.0 for i in range(nb)])
-        lie = fields.lie_derivative_bivector(ha, piv)
-        worst = max(worst, max((abs(dm.value_of(c)) for c in lie(point)),
-                               default=0.0))
-    return worst
+            lambda b: [1.0 if i == a else 0.0 for i in range(nb)])
+        return fields.lie_derivative_bivector(ha, piv)(point)
+
+    return worst(abs(dm.value_of(c)) for a in range(nb)
+                 for c in lie_at_point(a))
 
 
 def _covariant_closure(geom, point):
@@ -272,8 +257,7 @@ def _covariant_closure(geom, point):
     if geom.space.n_base < 3:
         return 0.0
     d = covariant_differential(geom.connection, geom.omega_h)
-    vals = d(point)
-    return max((abs(dm.value_of(v)) for v in vals), default=0.0)
+    return worst(abs(dm.value_of(v)) for v in d(point))
 
 
 def _curvature_match(geom, point):
@@ -282,18 +266,19 @@ def _curvature_match(geom, point):
     nb, nf = space.n_base, space.n_fiber
     if nf == 0:
         return 0.0
-    worst = 0.0
     p_mat = geom.pi_matrix(point)
-    for idx, (a, b) in enumerate(geom.omega_h.combos):
+
+    def defects(idx, a, b):
         ea = [1.0 if i == a else 0.0 for i in range(nb)]
         eb = [1.0 if i == b else 0.0 for i in range(nb)]
         curv = curvature(geom.connection, point, ea, eb)
-        grad = [_fiber_partial(space, lambda pt, idx=idx: geom.omega_h(pt)[idx],
+        grad = [_fiber_partial(space, lambda pt: geom.omega_h(pt)[idx],
                                point, k) for k in range(nf)]
-        rhs = [_dot(row, grad) for row in p_mat]
-        worst = max(worst, max(abs(dm.value_of(c) - dm.value_of(r))
-                               for c, r in zip(curv, rhs)))
-    return worst
+        return [abs(dm.value_of(c) - dm.value_of(r))
+                for c, r in zip(curv, matvec(p_mat, grad))]
+
+    return worst(d for idx, (a, b) in enumerate(geom.omega_h.combos)
+                 for d in defects(idx, a, b))
 
 
 CONDITION_NAMES = ("vertical_poisson", "transport_invariance",
@@ -316,8 +301,9 @@ def check_coupling_conditions(geom, points=None, count=256, seed=0):
                 _curvature_match(geom, pt))
 
     rows = parallel_map(at_point, points)
-    out = {name: max(r[i] for r in rows) for i, name in enumerate(CONDITION_NAMES)}
-    out["max"] = max(out[name] for name in CONDITION_NAMES)
+    out = {name: worst(r[i] for r in rows)
+           for i, name in enumerate(CONDITION_NAMES)}
+    out["max"] = worst(out[name] for name in CONDITION_NAMES)
     return out
 
 
@@ -368,16 +354,17 @@ def dirac_closure_residual(geom, points=None, count=24, seed=0):
     brackets = {pr: fields.courant_bracket(sections[pr[0]], sections[pr[1]])
                 for pr in pairs}
 
+    def relative_distance(rows, vec):
+        return lstsq_residual(rows, vec) / max(1.0, max(abs(c) for c in vec))
+
     def at_point(pt):
         rows = [[dm.value_of(c) for c in sec.value(pt)] for sec in sections]
-        worst = 0.0
-        for pr in pairs:
-            vec = [dm.value_of(c) for c in brackets[pr].value(pt)]
-            scale = max(1.0, max(abs(c) for c in vec))
-            worst = max(worst, lstsq_residual(rows, vec) / scale)
-        return worst
+        return worst(
+            relative_distance(rows, [dm.value_of(c)
+                                     for c in brackets[pr].value(pt)])
+            for pr in pairs)
 
-    return max(parallel_map(at_point, points))
+    return worst(parallel_map(at_point, points))
 
 
 # -- leaf two-form -------------------------------------------------------------------
@@ -392,7 +379,7 @@ def leaf_two_form(frame):
     n = frame.n
     vecs = frame.vectors()
     covs = frame.covectors()
-    omega = [[_dot(covs[r], vecs[s]) for s in range(len(vecs))]
+    omega = [[dot(covs[r], vecs[s]) for s in range(len(vecs))]
              for r in range(len(vecs))]
     return vecs, omega
 
@@ -407,12 +394,12 @@ def embed_fiber_covector(geom, alpha_fn, name="alpha"):
     def vec(pt):
         p = geom.pi_matrix(pt)
         a = alpha_fn(pt)
-        return [0.0] * nb + [_dot(row, a) for row in p]
+        return [0.0] * nb + matvec(p, a)
 
     def cov(pt):
         amat = geom.conn_matrix(pt)
         a = alpha_fn(pt)
-        base = [-_dot([amat[k][j] for k in range(nf)], a) for j in range(nb)]
+        base = [-dot([amat[k][j] for k in range(nf)], a) for j in range(nb)]
         return base + list(a)
 
     return fields.section_pair(fields.vector_field(n, vec, name=f"sharp({name})"),
@@ -426,11 +413,11 @@ def embed_horizontal(geom, v, name="v"):
 
     def vec(pt):
         a = geom.conn_matrix(pt)
-        return list(v) + [_dot(row, v) for row in a]
+        return list(v) + matvec(a, v)
 
     def cov(pt):
         w = geom.omega_matrix(pt)
-        base = [_dot(v, [w[b][j] for b in range(nb)]) for j in range(nb)]
+        base = [dot(v, [w[b][j] for b in range(nb)]) for j in range(nb)]
         return base + [0.0] * nf
 
     return fields.section_pair(fields.vector_field(n, vec, name=f"h({name})"),
@@ -450,8 +437,8 @@ def vertical_covector_bracket(geom, alpha_fn, beta_fn):
         p = geom.pi_matrix(pt)
         a = alpha_fn(pt)
         b = beta_fn(pt)
-        sha = [_dot(row, a) for row in p]
-        shb = [_dot(row, b) for row in p]
+        sha = matvec(p, a)
+        shb = matvec(p, b)
 
         def lie(sh_src, sh_fn, tgt_fn, k):
             # (L_{♯σ} τ)_k with vertical ♯σ: ♯σ·∂_V τ_k + τ_m ∂_k(♯σ)^m
@@ -466,18 +453,18 @@ def vertical_covector_bracket(geom, alpha_fn, beta_fn):
         def sharp_alpha(q):
             pm = geom.pi_matrix(q)
             av = alpha_fn(q)
-            return [_dot(row, av) for row in pm]
+            return matvec(pm, av)
 
         def sharp_beta(q):
             pm = geom.pi_matrix(q)
             bv = beta_fn(q)
-            return [_dot(row, bv) for row in pm]
+            return matvec(pm, bv)
 
         def pairing_scalar(q):
             # π(α, β) = β(♯α), the slot order compatible with ♯α = P α
             pm = geom.pi_matrix(q)
             av, bv = alpha_fn(q), beta_fn(q)
-            return _dot(bv, [_dot(row, av) for row in pm])
+            return dot(bv, matvec(pm, av))
 
         out = []
         for k in range(nf):
@@ -497,14 +484,12 @@ def horizontal_covector_derivative(geom, v, alpha_fn):
 
     def comps(pt):
         a = geom.conn_matrix(pt)
-        hv = list(v) + [_dot(row, v) for row in a]
+        hv = list(v) + matvec(a, v)
         out = []
         for k in range(nf):
-            seeded = [Dual(p, d) for p, d in zip(pt, hv)]
-            val = alpha_fn(seeded)[k]
-            acc = val.eps if isinstance(val, Dual) else 0.0
+            acc = dm.directional(lambda q: alpha_fn(q)[k], pt, hv)
             for m in range(nf):
-                lift_m = lambda q, m=m: _dot(geom.conn_matrix(q)[m], v)
+                lift_m = lambda q, m=m: dot(geom.conn_matrix(q)[m], v)
                 acc = acc + alpha_fn(pt)[m] * _fiber_partial(space, lift_m, pt, k)
             out.append(acc)
         return out
@@ -551,7 +536,7 @@ def splitting_bracket_residual(geom, points=None, count=12, seed=0,
     def hh_formula(pt):
         def scalar(q):
             wm = geom.omega_matrix(q)
-            return _dot(v, [_dot(row, w) for row in wm])
+            return dot(v, matvec(wm, w))
         return _fiber_gradient(space, scalar, pt)
 
     lhs_vv = fields.courant_bracket(sec_a, sec_b)
@@ -561,21 +546,15 @@ def splitting_bracket_residual(geom, points=None, count=12, seed=0,
     rhs_hv = embed_fiber_covector(geom, hv_formula, name="L_h(v) a")
     rhs_hh = embed_fiber_covector(geom, hh_formula, name="d_V om(hv,hw)")
 
-    def resid(lhs, rhs, pt):
-        lv = [dm.value_of(c) for c in lhs.value(pt)]
-        rv = [dm.value_of(c) for c in rhs.value(pt)]
-        return max(abs(a - b) for a, b in zip(lv, rv))
+    def resid(lhs, rhs):
+        return worst(abs(dm.value_of(a) - dm.value_of(b))
+                     for pt in points
+                     for a, b in zip(lhs.value(pt), rhs.value(pt)))
 
-    out = {"vertical_vertical": 0.0, "horizontal_vertical": 0.0,
-           "horizontal_horizontal": 0.0}
-    for pt in points:
-        out["vertical_vertical"] = max(out["vertical_vertical"],
-                                       resid(lhs_vv, rhs_vv, pt))
-        out["horizontal_vertical"] = max(out["horizontal_vertical"],
-                                         resid(lhs_hv, rhs_hv, pt))
-        out["horizontal_horizontal"] = max(out["horizontal_horizontal"],
-                                           resid(lhs_hh, rhs_hh, pt))
-    out["max"] = max(out.values())
+    out = {"vertical_vertical": resid(lhs_vv, rhs_vv),
+           "horizontal_vertical": resid(lhs_hv, rhs_hv),
+           "horizontal_horizontal": resid(lhs_hh, rhs_hh)}
+    out["max"] = worst(out.values())
     return out
 
 

@@ -218,12 +218,19 @@ FUNCTIONS = {
 
 # -- derivative helpers ------------------------------------------------------
 
+def tangent(out):
+    """The ε-part of a result: of a scalar, or of each entry of a list or
+    tuple; 0.0 for plain numbers (they do not depend on the seed)."""
+    if isinstance(out, (list, tuple)):
+        return [c.eps if isinstance(c, Dual) else 0.0 for c in out]
+    return out.eps if isinstance(out, Dual) else 0.0
+
+
 def partial(f, point, i):
     """∂f/∂x_i at ``point`` (f scalar-valued, point a sequence)."""
     seeded = [Dual(p, 1.0) if k == i else Dual(p, 0.0)
               for k, p in enumerate(point)]
-    out = f(seeded)
-    return out.eps if isinstance(out, Dual) else 0.0
+    return tangent(f(seeded))
 
 
 def gradient(f, point):
@@ -238,19 +245,14 @@ def jacobian(f, point):
     for i in range(n):
         seeded = [Dual(p, 1.0) if k == i else Dual(p, 0.0)
                   for k, p in enumerate(point)]
-        out = f(seeded)
-        cols.append([c.eps if isinstance(c, Dual) else 0.0 for c in out])
+        cols.append(tangent(f(seeded)))
     m = len(cols[0])
     return [[cols[i][a] for i in range(n)] for a in range(m)]
 
 
 def directional(f, point, direction):
     """Derivative of f along ``direction`` (f may be vector-valued)."""
-    seeded = [Dual(p, d) for p, d in zip(point, direction)]
-    out = f(seeded)
-    if isinstance(out, (list, tuple)):
-        return [c.eps if isinstance(c, Dual) else 0.0 for c in out]
-    return out.eps if isinstance(out, Dual) else 0.0
+    return tangent(f([Dual(p, d) for p, d in zip(point, direction)]))
 
 
 def second_partial(f, point, i, j):
@@ -260,10 +262,4 @@ def second_partial(f, point, i, j):
         inner = Dual(p, 1.0 if k == j else 0.0)
         outer_eps = Dual(1.0 if k == i else 0.0, 0.0)
         seeded.append(Dual(inner, outer_eps))
-    out = f(seeded)
-    if not isinstance(out, Dual):
-        return 0.0
-    e = out.eps
-    if isinstance(e, Dual):
-        return e.eps if not isinstance(e.eps, Dual) else value_of(e.eps)
-    return 0.0
+    return value_of(tangent(tangent(f(seeded))))

@@ -17,7 +17,9 @@ import itertools
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import DEFAULT_RK4_STEP, rk4_integrate
+from ._numerics import (DEFAULT_RK4_STEP, det, matvec, rk4_integrate,
+                        sample_unit_cube, skew_matrix, worst)
+from .fields import lie_bracket, vector_field
 
 
 class IncompleteTransportError(RuntimeError):
@@ -52,7 +54,6 @@ class FiberedSpace:
 
     def sample(self, count=256, seed=0):
         """Joint low-discrepancy samples of the total space (b, x)."""
-        from ._numerics import sample_unit_cube
         cube = sample_unit_cube(count, self.dim, seed=seed)
         out = []
         for row in cube:
@@ -76,8 +77,7 @@ class BasePath:
         return self.fn(t)
 
     def velocity(self, t):
-        out = self.fn(Dual(t, 1.0))
-        return [c.eps if isinstance(c, Dual) else 0.0 for c in out]
+        return dm.tangent(self.fn(Dual(t, 1.0)))
 
     def reversed(self):
         return BasePath(lambda t: self.fn(1.0 - t), name=f"{self.name}~")
@@ -99,20 +99,14 @@ class Connection:
     def lift(self, v, point):
         """Horizontal lift h(v) = (v, A(b,x)v) as a full tangent vector."""
         b, x = self.space.split(point)
-        a = self.coeff(b, x)
-        fib = [_dot(row, v) for row in a]
-        return list(v) + fib
+        return list(v) + matvec(self.coeff(b, x), v)
 
     def lift_field(self, v_fn, name=""):
         """h(v) as a vector field on E for a base vector field v(b)."""
-        from .fields import vector_field
-        nb = self.space.n_base
-
         def comps(pt):
             b, x = self.space.split(pt)
             v = v_fn(b)
-            a = self.coeff(b, x)
-            return list(v) + [_dot(row, v) for row in a]
+            return list(v) + matvec(self.coeff(b, x), v)
 
         return vector_field(self.space.dim, comps, name=name or "h(v)")
 
@@ -128,25 +122,9 @@ class FlatConnection(Connection):
         super().__init__(space, zero, name="flat")
 
 
-def _dot(a, b):
-    acc = 0.0
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
-
-
-def horizontal_lift(connection, v, point):
-    return connection.lift(v, point)
-
-
 def directional_on_total(connection, v, fn, point):
     """Derivative of fn (scalar or list valued on E) along h(v) at point."""
-    hv = connection.lift(v, point)
-    seeded = [Dual(p, d) for p, d in zip(point, hv)]
-    out = fn(seeded)
-    if isinstance(out, (list, tuple)):
-        return [c.eps if isinstance(c, Dual) else 0.0 for c in out]
-    return out.eps if isinstance(out, Dual) else 0.0
+    return dm.directional(fn, point, connection.lift(v, point))
 
 
 # -- parallel transport -------------------------------------------------------
@@ -165,9 +143,7 @@ def parallel_transport(connection, path, x0, t0=0.0, t1=1.0,
 
     def rhs(t, x):
         b = path(t)
-        vel = path.velocity(t)
-        a = connection.coeff(b, x)
-        return [_dot(row, vel) for row in a]
+        return matvec(connection.coeff(b, x), path.velocity(t))
 
     def guard(t, x):
         if not space.fiber.contains(x):
@@ -204,8 +180,7 @@ def curvature(connection, point, u=None, v=None):
 
     def col(pt, w):
         b, x = space.split(pt)
-        a = connection.coeff(b, x)
-        return [_dot(row, w) for row in a]
+        return matvec(connection.coeff(b, x), w)
 
     def curv_pair(uu, vv):
         d_u = directional_on_total(connection, uu, lambda pt: col(pt, vv), point)
@@ -227,18 +202,18 @@ def curvature_verticality_residual(connection, point):
     Zero in exact arithmetic for coordinate fields; evaluated through the
     full Lie bracket of the lifted fields as an independent route.
     """
-    from .fields import lie_bracket, vector_field
-    space = connection.space
-    nb = space.n_base
-    worst = 0.0
-    for a, b in space.base_pairs():
-        ha = connection.lift_field(lambda bb, a=a: [1.0 if i == a else 0.0
-                                                    for i in range(nb)])
-        hb = connection.lift_field(lambda bb, b2=b: [1.0 if i == b2 else 0.0
-                                                     for i in range(nb)])
-        br = lie_bracket(ha, hb)(point)
-        worst = max(worst, max(abs(dm.value_of(c)) for c in br[:nb]))
-    return worst
+    nb = connection.space.n_base
+
+    def base_part(a, b):
+        ha = connection.lift_field(lambda bb: [1.0 if i == a else 0.0
+                                               for i in range(nb)])
+        hb = connection.lift_field(lambda bb: [1.0 if i == b else 0.0
+                                               for i in range(nb)])
+        return lie_bracket(ha, hb)(point)[:nb]
+
+    return worst(abs(dm.value_of(c))
+                 for a, b in connection.space.base_pairs()
+                 for c in base_part(a, b))
 
 
 # -- horizontal forms and the covariant differential ----------------------------
@@ -263,24 +238,8 @@ class HorizontalForm:
         acc = 0.0
         for idx, combo in enumerate(self.combos):
             minor = [[vec[i] for i in combo] for vec in base_vectors]
-            acc = acc + vals[idx] * _minor_det(minor)
+            acc = acc + vals[idx] * det(minor)
         return acc
-
-
-def _minor_det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = 0.0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _minor_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
 
 
 class VerticalBivector:
@@ -297,21 +256,10 @@ class VerticalBivector:
         return self.comps(point)
 
     def matrix(self, point):
-        nf = self.space.n_fiber
-        vals = self.comps(point)
-        mat = [[0.0] * nf for _ in range(nf)]
-        for idx, (i, j) in enumerate(self.pairs):
-            mat[i][j] = vals[idx]
-            mat[j][i] = -vals[idx]
-        return mat
+        return skew_matrix(self.space.n_fiber, self.comps(point))
 
     def sharp(self, point, alpha_fiber):
-        mat = self.matrix(point)
-        return [_dot(row, alpha_fiber) for row in mat]
-
-    def is_zero(self, probe_points=()):
-        return all(abs(dm.value_of(c)) == 0.0
-                   for pt in probe_points for c in self.comps(pt))
+        return matvec(self.matrix(point), alpha_fiber)
 
 
 def covariant_differential(connection, form):
@@ -365,12 +313,10 @@ def second_covariant_residual(connection, scalar_fn, point):
     d2 = covariant_differential(connection, d1)
     lhs = d2(point)
     curv = curvature(connection, point)
-    nb, nf = space.n_base, space.n_fiber
-    worst = 0.0
-    for idx, (a, b) in enumerate(space.base_pairs()):
-        vert = [0.0] * nb + list(curv[idx])
-        seeded = [Dual(p, d) for p, d in zip(point, vert)]
-        out = scalar_fn(seeded)
-        rhs = out.eps if isinstance(out, Dual) else 0.0
-        worst = max(worst, abs(dm.value_of(lhs[idx]) - dm.value_of(rhs)))
-    return worst
+    nb = space.n_base
+
+    def along_curvature(idx):
+        return dm.directional(scalar_fn, point, [0.0] * nb + list(curv[idx]))
+
+    return worst(abs(dm.value_of(lhs[idx]) - dm.value_of(along_curvature(idx)))
+                 for idx in range(len(curv)))

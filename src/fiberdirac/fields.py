@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import dual as dm
-from .dual import Dual
+from ._numerics import det, dot, matvec, skew_matrix
 
 SCALAR = "scalar"
 VECTOR = "vector"
@@ -93,11 +93,6 @@ def bivector(dim, fn, name=""):
     return SmoothField(dim, MULTIVECTOR, fn, degree=2, name=name)
 
 
-def constant_field(dim, valence, values, degree=None, name=""):
-    vals = list(values) if not isinstance(values, (int, float)) else values
-    return SmoothField(dim, valence, lambda pt: vals, degree=degree, name=name)
-
-
 @dataclass
 class SectionPair:
     """A vector field together with a covector field (a TM ⊕ T*M section)."""
@@ -124,27 +119,7 @@ def antisym_matrix(field, point):
     """Full antisymmetric matrix of a degree-2 form/bivector at a point."""
     if field.degree != 2:
         raise ValueError("antisym_matrix needs degree 2")
-    n = field.dim
-    vals = field(point)
-    mat = [[0.0] * n for _ in range(n)]
-    for idx, (i, j) in enumerate(combos(n, 2)):
-        mat[i][j] = vals[idx]
-        mat[j][i] = -vals[idx]
-    return mat
-
-
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = 0.0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    return skew_matrix(field.dim, field(point))
 
 
 def evaluate_form(field, point, vectors):
@@ -153,26 +128,18 @@ def evaluate_form(field, point, vectors):
     if field.valence == COVECTOR:
         a = field(point)
         (v,) = vectors
-        return _dot(a, v)
+        return dot(a, v)
     vals = field(point)
     acc = 0.0
     for idx, combo in enumerate(combos(field.dim, k)):
         minor = [[vec[i] for i in combo] for vec in vectors]
-        acc = acc + vals[idx] * _det(minor)
-    return acc
-
-
-def _dot(a, b):
-    acc = 0.0
-    for x, y in zip(a, b):
-        acc = acc + x * y
+        acc = acc + vals[idx] * det(minor)
     return acc
 
 
 def sharp(biv_field, point, alpha):
     """π^♯α at a point: (π^♯α)^i = π^{ij} α_j."""
-    mat = antisym_matrix(biv_field, point)
-    return [_dot(row, alpha) for row in mat]
+    return matvec(antisym_matrix(biv_field, point), alpha)
 
 
 # -- derivations ----------------------------------------------------------------
@@ -185,7 +152,7 @@ def lie_bracket(X, Y):
         xv, yv = X(pt), Y(pt)
         dy = dm.jacobian(Y.comps, pt)
         dx = dm.jacobian(X.comps, pt)
-        return [_dot(dy[i], xv) - _dot(dx[i], yv) for i in range(n)]
+        return [dot(dy[i], xv) - dot(dx[i], yv) for i in range(n)]
 
     return vector_field(n, comps, name=f"[{X.name},{Y.name}]")
 
@@ -228,7 +195,7 @@ def lie_derivative_covector(X, alpha):
         av = alpha(pt)
         da = dm.jacobian(alpha.comps, pt)   # da[i][j] = ∂_j α_i
         dx = dm.jacobian(X.comps, pt)       # dx[j][i] = ∂_i X^j
-        return [_dot(da[i], xv) + sum(av[j] * dx[j][i] for j in range(n))
+        return [dot(da[i], xv) + sum(av[j] * dx[j][i] for j in range(n))
                 for i in range(n)]
 
     return covector_field(n, comps, name=f"L_{X.name}{alpha.name}")
@@ -247,7 +214,7 @@ def lie_derivative_bivector(X, piv):
         dx = dm.jacobian(X.comps, pt)       # dx[i][k] = ∂_k X^i
         out = []
         for idx, (i, j) in enumerate(pairs):
-            adv = _dot(dpi[idx], xv)
+            adv = dot(dpi[idx], xv)
             corr = sum(mat[k][j] * dx[i][k] + mat[i][k] * dx[j][k]
                        for k in range(n))
             out.append(adv - corr)
@@ -260,7 +227,7 @@ def interior_product(X, omega):
     """i_X ω for a form of degree 1 or 2."""
     n = omega.dim
     if omega.valence == COVECTOR:
-        return scalar_field(n, lambda pt: _dot(omega(pt), X(pt)))
+        return scalar_field(n, lambda pt: dot(omega(pt), X(pt)))
     if omega.degree == 2:
         def comps(pt):
             mat = antisym_matrix(omega, pt)
@@ -340,8 +307,8 @@ def pairing(s1, s2, sign=+1):
         raise ValueError("sign must be +1 or -1")
 
     def comps(pt):
-        ay = _dot(s1.covector(pt), s2.vector(pt))
-        bx = _dot(s2.covector(pt), s1.vector(pt))
+        ay = dot(s1.covector(pt), s2.vector(pt))
+        bx = dot(s2.covector(pt), s1.vector(pt))
         return 0.5 * (ay + sign * bx)
 
     return scalar_field(s1.dim, comps)

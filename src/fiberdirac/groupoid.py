@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from . import dual as dm
 from . import fields
-from ._numerics import (intersection_dimension, nullspace, sample_unit_cube)
+from ._numerics import (det, dot, intersection_dimension, matvec, nullspace,
+                        sample_unit_cube, worst)
 
 MULT_TOL = 1e-12
 CLOSED_TOL = 1e-10
@@ -27,19 +28,8 @@ ORTHO_TOL = 1e-10
 IDENTITY_TOL = 1e-8
 
 
-def _dot(a, b):
-    acc = 0.0
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
-
-
-def _matvec(m, v):
-    return [_dot(row, v) for row in m]
-
-
 def _form_value(mat, u, v):
-    return _dot(u, _matvec(mat, v))
+    return dot(u, matvec(mat, v))
 
 
 def _inv_small(mat):
@@ -89,8 +79,8 @@ class PairGroupoid:
         """m(second, first) for second = (z, y), first = (y, x)."""
         mid_a = second[self.dim:]
         mid_b = first[:self.dim]
-        gap = max(abs(a - b) for a, b in zip(mid_a, mid_b))
-        if gap > tol:
+        gap = worst(abs(a - b) for a, b in zip(mid_a, mid_b))
+        if not gap <= tol:
             raise ValueError(f"arrows are not composable (middle points "
                              f"differ by {gap:.3e})")
         return list(second[:self.dim]) + list(first[self.dim:])
@@ -100,27 +90,21 @@ class PairGroupoid:
         structure maps are coordinate projections, so this is exactly 0."""
         pts = [[box * (2.0 * c - 1.0) for c in row]
                for row in sample_unit_cube(4 * count, self.dim, seed=seed)]
-        worst = 0.0
-        for k in range(count):
-            w, z, y, x = pts[4 * k:4 * k + 4]
+
+        def identities(w, z, y, x):
             g, h, f = z + y, y + x, w + z
             gh = self.multiply(g, h)
-            worst = max(worst, max(abs(a - b) for a, b in
-                                   zip(self.source(gh), self.source(h))))
-            worst = max(worst, max(abs(a - b) for a, b in
-                                   zip(self.target(gh), self.target(g))))
-            assoc_l = self.multiply(self.multiply(f, g), h)
-            assoc_r = self.multiply(f, self.multiply(g, h))
-            worst = max(worst, max(abs(a - b) for a, b in
-                                   zip(assoc_l, assoc_r)))
-            worst = max(worst, max(abs(a - b) for a, b in
-                                   zip(self.multiply(h, self.unit(x)), h)))
-            worst = max(worst, max(abs(a - b) for a, b in
-                                   zip(self.multiply(self.unit(y), h), h)))
-            inv = self.multiply(h, self.inverse(h))
-            worst = max(worst, max(abs(a - b) for a, b in
-                                   zip(inv, self.unit(y))))
-        return worst
+            yield self.source(gh), self.source(h)
+            yield self.target(gh), self.target(g)
+            yield (self.multiply(self.multiply(f, g), h),
+                   self.multiply(f, self.multiply(g, h)))
+            yield self.multiply(h, self.unit(x)), h
+            yield self.multiply(self.unit(y), h), h
+            yield self.multiply(h, self.inverse(h)), self.unit(y)
+
+        return worst(abs(a - b) for k in range(count)
+                     for lhs, rhs in identities(*pts[4 * k:4 * k + 4])
+                     for a, b in zip(lhs, rhs))
 
 
 # -- multiplicative two-forms ---------------------------------------------------------
@@ -161,14 +145,11 @@ def pair_form(omega, n_check=6, seed=0, box=1.5, closed_tol=CLOSED_TOL):
     if omega.degree != 2:
         raise ValueError("pair_form needs a degree-2 form")
     d_omega = fields.exterior_derivative(omega)
-    worst = 0.0
-    for row in sample_unit_cube(n_check, omega.dim, seed=seed):
-        pt = [box * (2.0 * c - 1.0) for c in row]
-        vals = d_omega(pt)
-        worst = max(worst, max((abs(dm.value_of(v)) for v in vals),
-                               default=0.0))
-    if worst >= closed_tol:
-        raise ValueError(f"the base form is not closed (|dω| = {worst:.3e} "
+    defect = worst(abs(dm.value_of(v))
+                   for row in sample_unit_cube(n_check, omega.dim, seed=seed)
+                   for v in d_omega([box * (2.0 * c - 1.0) for c in row]))
+    if not defect < closed_tol:
+        raise ValueError(f"the base form is not closed (|dω| = {defect:.3e} "
                          f"on samples, tolerance {closed_tol:.0e})")
     return PairForm(omega)
 
@@ -184,9 +165,8 @@ def multiplicativity_residual(arrow_form, dim, n_samples=12, seed=0,
     """
     rows = sample_unit_cube(7 * n_samples, dim, seed=seed)
     pts = [[box * (2.0 * c - 1.0) for c in row] for row in rows]
-    worst = 0.0
-    for k in range(n_samples):
-        z, y, x, dz, dy, dx, extra = pts[7 * k:7 * k + 7]
+
+    def defect(z, y, x, dz, dy, dx, extra):
         second, first, composed = z + y, y + x, z + x
         # two composable tangent pairs (shared middle components)
         u2, u1, u12 = dz + dy, dy + dx, dz + dx
@@ -194,8 +174,9 @@ def multiplicativity_residual(arrow_form, dim, n_samples=12, seed=0,
         lhs = arrow_form(composed, u12, v12)
         rhs = (arrow_form(second, u2, v2)
                + arrow_form(first, u1, v1))
-        worst = max(worst, abs(dm.value_of(lhs) - dm.value_of(rhs)))
-    return worst
+        return abs(dm.value_of(lhs) - dm.value_of(rhs))
+
+    return worst(defect(*pts[7 * k:7 * k + 7]) for k in range(n_samples))
 
 
 def presymplectic_nondegeneracy(omega, n_samples=8, seed=0, box=1.5,
@@ -246,9 +227,9 @@ def coupling_form(geom):
         w = geom.omega_matrix(pt)
         a = geom.conn_matrix(pt)
         q = _inv_small(geom.pi_matrix(pt))
-        qa = [[_dot(qr, [a[i][b] for i in range(nf)]) for b in range(nb)]
+        qa = [[dot(qr, [a[i][b] for i in range(nf)]) for b in range(nb)]
               for qr in q]
-        atqa = [[_dot([a[i][r] for i in range(nf)],
+        atqa = [[dot([a[i][r] for i in range(nf)],
                       [qa[i][c] for i in range(nf)])
                  for c in range(nb)] for r in range(nb)]
         out = [[0.0] * dim for _ in range(dim)]
@@ -260,7 +241,7 @@ def coupling_form(geom):
                 out[nb + r][nb + c] = q[r][c]
         for r in range(nb):
             for c in range(nf):
-                val = -_dot([a[i][r] for i in range(nf)],
+                val = -dot([a[i][r] for i in range(nf)],
                             [q[i][c] for i in range(nf)])
                 out[r][nb + c] = val
                 out[nb + c][r] = -val
@@ -273,27 +254,10 @@ def coupling_form(geom):
     return fields.two_form(dim, comps, name=f"coupling({geom.name})")
 
 
-def _small_det(mat):
-    vals = [[dm.value_of(c) for c in row] for row in mat]
-    n = len(vals)
-    if n == 1:
-        return vals[0][0]
-    if n == 2:
-        return vals[0][0] * vals[1][1] - vals[0][1] * vals[1][0]
-    if n == 3:
-        return (vals[0][0] * (vals[1][1] * vals[2][2]
-                              - vals[1][2] * vals[2][1])
-                - vals[0][1] * (vals[1][0] * vals[2][2]
-                                - vals[1][2] * vals[2][0])
-                + vals[0][2] * (vals[1][0] * vals[2][1]
-                                - vals[1][1] * vals[2][0]))
-    raise ValueError("determinant implemented for dims 1-3")
-
-
 def _check_pi_invertible(geom, points):
     for pt in points:
-        mat = geom.pi_matrix(pt)
-        if len(mat) == 0 or abs(_small_det(mat)) < 1e-10:
+        mat = [[dm.value_of(c) for c in row] for row in geom.pi_matrix(pt)]
+        if len(mat) == 0 or abs(det(mat)) < 1e-10:
             raise ValueError(
                 "the vertical structure is not invertible at a sampled "
                 "point; the coupling form needs invertible π_V")
@@ -332,12 +296,10 @@ def source_target_orthogonality(geom, form, n_samples=8, seed=0):
     xi = lambda y: [0.1, 0.5 - 0.2 * y[0], -0.3][:geom.space.n_fiber]
     lf = left_lift(geom, eta)
     rf = right_lift(geom, xi)
-    worst = 0.0
-    for k in range(n_samples):
-        arrow = list(pts[2 * k]) + list(pts[2 * k + 1])
-        worst = max(worst, abs(dm.value_of(
-            form.value(arrow, lf(arrow), rf(arrow)))))
-    return worst
+    arrows = [list(pts[2 * k]) + list(pts[2 * k + 1])
+              for k in range(n_samples)]
+    return worst(abs(dm.value_of(form.value(arrow, lf(arrow), rf(arrow))))
+                 for arrow in arrows)
 
 
 def integrated_data_check(geom, count=6, seed=0):
@@ -359,9 +321,7 @@ def integrated_data_check(geom, count=6, seed=0):
     form = PairForm(coupling_form(geom))
 
     vecs = sample_unit_cube(4 * count, nb, seed=seed + 1)
-    worst_b = 0.0
-    worst_proj = 0.0
-    worst_orth = 0.0
+    identity_defects, proj_defects, orth_defects = [], [], []
     max_intersection = 0
 
     for k in range(count):
@@ -396,27 +356,29 @@ def integrated_data_check(geom, count=6, seed=0):
         a_x = geom.conn_matrix(x)
 
         def hor(v, w):
-            return (list(v) + _matvec(a_y, v)
-                    + list(w) + _matvec(a_x, w))
+            return (list(v) + matvec(a_y, v)
+                    + list(w) + matvec(a_x, w))
 
         h1 = hor(v1, w1)
         h2 = hor(v2, w2)
         lhs = _form_value(mat, h1, h2)
         rhs = (geom.omega_h.value(y, [v1, v2])
                - geom.omega_h.value(x, [w1, w2]))
-        worst_b = max(worst_b, abs(dm.value_of(lhs) - dm.value_of(rhs)))
+        identity_defects.append(abs(dm.value_of(lhs) - dm.value_of(rhs)))
 
         proj = h1[:nb] + h1[dim:dim + nb]
         wanted = list(v1) + list(w1)
-        worst_proj = max(worst_proj, max(abs(a - b)
-                                         for a, b in zip(proj, wanted)))
+        proj_defects += [abs(a - b) for a, b in zip(proj, wanted)]
         for blk in (0, 1):
             for i in range(nf):
                 ver = [0.0] * two_d
                 ver[blk * dim + nb + i] = 1.0
-                worst_orth = max(worst_orth,
-                                 abs(dm.value_of(_form_value(mat, h1, ver))))
+                orth_defects.append(
+                    abs(dm.value_of(_form_value(mat, h1, ver))))
 
+    worst_b = worst(identity_defects)
+    worst_proj = worst(proj_defects)
+    worst_orth = worst(orth_defects)
     ok = (max_intersection == 0 and worst_b < IDENTITY_TOL
           and worst_proj < 1e-10 and worst_orth < ORTHO_TOL)
     return {

@@ -33,8 +33,8 @@ from numbers import Rational
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, parallel_map, simpson_weights,
-                        smoothstep)
+from ._numerics import (DEFAULT_RK4_STEP, dot, parallel_map, simpson_weights,
+                        smoothstep, worst)
 from .charts import CoordinateDomain
 from .coupling import GeometricData
 from .fibration import (BasePath, FiberedSpace, FlatConnection,
@@ -42,13 +42,6 @@ from .fibration import (BasePath, FiberedSpace, FlatConnection,
                         transport_samples)
 
 COLLAPSE_TOL = 1e-10
-
-
-def _dot(a, b):
-    acc = 0.0
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
 
 
 class SphereFamily:
@@ -79,14 +72,12 @@ class SphereFamily:
     def d_t(self, t, eps):
         if self._d_t is not None:
             return self._d_t(t, eps)
-        out = self.fn(Dual(t, 1.0), eps)
-        return [c.eps if isinstance(c, Dual) else 0.0 for c in out]
+        return dm.tangent(self.fn(Dual(t, 1.0), eps))
 
     def d_eps(self, t, eps):
         if self._d_eps is not None:
             return self._d_eps(t, eps)
-        out = self.fn(t, Dual(eps, 1.0))
-        return [c.eps if isinstance(c, Dual) else 0.0 for c in out]
+        return dm.tangent(self.fn(t, Dual(eps, 1.0)))
 
     def base_point(self):
         return [dm.value_of(c) for c in self.fn(0.0, 0.0)]
@@ -98,18 +89,13 @@ class SphereFamily:
     def collapse_residual(self, n_probe=33):
         """Max chart distance of the collapsed edges from the base point."""
         b = self.base_point()
-        worst = 0.0
         probes = [k / (n_probe - 1) for k in range(n_probe)]
         edges = [lambda u: (u, 0.0), lambda u: (0.0, u), lambda u: (1.0, u)]
         if self.closed:
             edges.append(lambda u: (u, 1.0))
-        for edge in edges:
-            for u in probes:
-                t, eps = edge(u)
-                p = self.fn(t, eps)
-                worst = max(worst, max(abs(dm.value_of(c) - q)
-                                       for c, q in zip(p, b)))
-        return worst
+        return worst(abs(dm.value_of(c) - q)
+                     for edge in edges for u in probes
+                     for c, q in zip(self.fn(*edge(u)), b))
 
     def signed_area(self, two_form):
         """∫∫ γ*(two_form) over I² by double Simpson on the family grid
@@ -133,7 +119,7 @@ class SphereFamily:
 
 def _collapse_or_raise(family):
     res = family.collapse_residual()
-    if res >= COLLAPSE_TOL:
+    if not res < COLLAPSE_TOL:
         raise ValueError(
             f"boundary collapse violated for {family.name!r}: edge residual "
             f"{res:.3e} exceeds {COLLAPSE_TOL:.0e}")
@@ -234,20 +220,21 @@ class VerStarPath:
         conn = self.geom.connection
         y0 = parallel_transport(conn, self.family.eps_slice(0.0), self.x0,
                                 0.0, 1.0, step=step)
-        worst = 0.0
         m = len(self.eps_grid)
-        for j in range(0, m, max(1, (m - 1) // max(1, n_probe - 1))):
+        stride = max(1, (m - 1) // max(1, n_probe - 1))
+
+        def fresh(j):
             sl = self.family.eps_slice(self.eps_grid[j])
-            fresh = parallel_transport(conn, sl, y0, 1.0, 0.0, step=step)
-            worst = max(worst, max(abs(a - b) for a, b in
-                                   zip(fresh, self.base_points[j])))
-        return worst
+            return parallel_transport(conn, sl, y0, 1.0, 0.0, step=step)
+
+        return worst(abs(a - b) for j in range(0, m, stride)
+                     for a, b in zip(fresh(j), self.base_points[j]))
 
 
 def _slice_nodes(family, eps):
-    """Per-slice cache of (base point, ∂_t γ, ∂_ε γ) at the s-grid — these
-    do not depend on the fiber seed, so the vertical-gradient channels all
-    reuse them."""
+    """(base point, ∂_t γ, ∂_ε γ) at each s-grid node of one ε-slice.
+    They do not depend on the fiber point, so each slice computes them once
+    and every vertical-gradient channel of `transgress` reuses them."""
     out = []
     for k in range(family.n_t):
         s = k / (family.n_t - 1)
@@ -261,8 +248,7 @@ def transgress(geom, family, x0, step=DEFAULT_RK4_STEP):
 
     Per ε-slice: pull the integrand ω_H(h ∂_t γ, h ∂_ε γ) back through the
     slice transports, integrate in s by composite Simpson, and take the
-    vertical differential at the holonomy-carried point γ̃(ε).  Slices are
-    evaluated in parallel; the result is deterministic.
+    vertical differential at the holonomy-carried point γ̃(ε).
     """
     _collapse_or_raise(family)
     space = geom.space
@@ -396,10 +382,10 @@ def so3_lattice(f, radii=(0.5, 1.0, 1.5), grid=(64, 64),
         path = transgress(geom, family, x0, step=step)
         g = path.endpoint()
         generators.append(g)
-        radial.append(_dot(g, _RADIAL_DIR))
+        radial.append(dot(g, _RADIAL_DIR))
 
     mean = sum(radial) / len(radial)
-    deviation = max(abs(c - mean) for c in radial)
+    deviation = worst(abs(c - mean) for c in radial)
     scale = max(1.0, abs(mean))
     return LatticeReport(
         radii=positive,

@@ -32,6 +32,7 @@ import math
 
 from . import dual as dm
 from .dual import Dual
+from ._numerics import matvec, simpson_integrate, skew_matrix, worst
 from .charts import CoordinateDomain
 from . import fields
 from .fibration import Connection, FiberedSpace, FlatConnection, HorizontalForm, \
@@ -62,16 +63,19 @@ class StructureGroupModel:
 
     def jacobi_residual(self):
         """max |[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]|."""
-        worst = 0.0
         basis = [[1.0 if m == i else 0.0 for m in range(self.dim)]
                  for i in range(self.dim)]
-        for i, j, k in itertools.product(range(self.dim), repeat=3):
+
+        def jacobiator(i, j, k):
             acc = [0.0] * self.dim
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                 term = self.bracket(self.bracket(basis[a], basis[b]), basis[c])
                 acc = [x + y for x, y in zip(acc, term)]
-            worst = max(worst, max(abs(x) for x in acc))
-        return worst
+            return acc
+
+        return worst(abs(x)
+                     for ijk in itertools.product(range(self.dim), repeat=3)
+                     for x in jacobiator(*ijk))
 
     @classmethod
     def circle(cls):
@@ -105,8 +109,7 @@ class PrincipalData:
         # eps channel is the inner direction, the old one rides inside .re
         seeded = list(b)
         seeded[a] = Dual(b[a], 1.0)
-        out = self.potential(seeded)[col]
-        return [c.eps if isinstance(c, Dual) else 0.0 for c in out]
+        return dm.tangent(self.potential(seeded)[col])
 
     def _curv_pair(self, b, a, c):
         da = self._potential_partial(b, a, c)
@@ -125,22 +128,24 @@ class PrincipalData:
         nb = self.base.dim
         if nb < 3:
             return 0.0
-        worst = 0.0
         pot = self.potential(b)
-        for tri in itertools.combinations(range(nb), 3):
+
+        def defect(tri):
             acc = [0.0] * self.group.dim
             for pos, a in enumerate(tri):
                 rest = tri[:pos] + tri[pos + 1:]
                 seeded = list(b)
                 seeded[a] = Dual(b[a], 1.0)
-                val = self._curv_pair(seeded, *rest)
-                dterm = [c.eps if isinstance(c, Dual) else 0.0 for c in val]
+                dterm = dm.tangent(self._curv_pair(seeded, *rest))
                 bterm = self.group.bracket(pot[a], self._curv_pair(b, *rest))
                 sgn = 1.0 if pos % 2 == 0 else -1.0
                 acc = [x + sgn * (dm.value_of(d) + bt)
                        for x, d, bt in zip(acc, dterm, bterm)]
-            worst = max(worst, max(abs(dm.value_of(x)) for x in acc))
-        return worst
+            return acc
+
+        return worst(abs(dm.value_of(x))
+                     for tri in itertools.combinations(range(nb), 3)
+                     for x in defect(tri))
 
 
 # -- hamiltonian fiber models ----------------------------------------------------------
@@ -160,16 +165,9 @@ class HamiltonianFiber:
         self.hamiltonian = hamiltonian    # (xi, x) ↦ scalar
         self.action = action              # (xi, x) ↦ fiber vector
         self.name = name or "fiber-model"
-        self.pairs = list(itertools.combinations(range(domain.dim), 2))
 
     def pi_matrix(self, x):
-        nf = self.domain.dim
-        vals = self.pi_comps(x)
-        mat = [[0.0] * nf for _ in range(nf)]
-        for idx, (i, j) in enumerate(self.pairs):
-            mat[i][j] = vals[idx]
-            mat[j][i] = -vals[idx]
-        return mat
+        return skew_matrix(self.domain.dim, self.pi_comps(x))
 
     def hamiltonian_gradient(self, xi, x):
         out = []
@@ -177,28 +175,19 @@ class HamiltonianFiber:
             seeded = list(x)
             seeded[k] = Dual(x[k], 1.0) if not isinstance(x[k], Dual) \
                 else Dual(x[k], Dual(1.0, 0.0))
-            val = self.hamiltonian(xi, seeded)
-            out.append(val.eps if isinstance(val, Dual) else 0.0)
+            out.append(dm.tangent(self.hamiltonian(xi, seeded)))
         return out
 
     def hamiltonian_field(self, xi, x):
         """π_F^♯ d h_ξ at x."""
-        grad = self.hamiltonian_gradient(xi, x)
-        mat = self.pi_matrix(x)
-        return [sum(row[j] * grad[j] for j in range(len(grad))) for row in mat]
+        return matvec(self.pi_matrix(x), self.hamiltonian_gradient(xi, x))
 
     def action_matrix(self, xi, x=None):
         """Jacobian of x ↦ ρ(ξ)(x) (constant for the linear actions the
         evolution solver supports); evaluated at x (default: the origin)."""
-        nf = self.domain.dim
         if x is None:
-            x = [0.0] * nf
-        cols = []
-        for j in range(nf):
-            seeded = [Dual(x[m], 1.0 if m == j else 0.0) for m in range(nf)]
-            out = self.action(xi, seeded)
-            cols.append([c.eps if isinstance(c, Dual) else 0.0 for c in out])
-        return [[cols[j][i] for j in range(nf)] for i in range(nf)]
+            x = [0.0] * self.domain.dim
+        return dm.jacobian(lambda y: self.action(xi, y), x)
 
     def prehamiltonian_residual(self, points=None, count=32, seed=0):
         """max over generators/points of |action − π_F^♯ dh| and of the
@@ -209,21 +198,20 @@ class HamiltonianFiber:
         nf = self.domain.dim
         basis = [[1.0 if m == i else 0.0 for m in range(dim_g)]
                  for i in range(dim_g)]
-        worst = 0.0
         flds = [fields.vector_field(nf, lambda x, xi=xi: self.action(xi, x))
                 for xi in basis]
-        for x in points:
+
+        def defects(x):
             for i, xi in enumerate(basis):
-                act = self.action(xi, x)
-                ham = self.hamiltonian_field(xi, x)
-                worst = max(worst, max(abs(dm.value_of(a) - dm.value_of(h))
-                                       for a, h in zip(act, ham)))
+                yield self.action(xi, x), self.hamiltonian_field(xi, x)
                 for j in range(i + 1, dim_g):
-                    br = fields.lie_bracket(flds[i], flds[j])(x)
-                    rhs = self.action(self.group.bracket(basis[i], basis[j]), x)
-                    worst = max(worst, max(abs(dm.value_of(a) - dm.value_of(h))
-                                           for a, h in zip(br, rhs)))
-        return worst
+                    yield (fields.lie_bracket(flds[i], flds[j])(x),
+                           self.action(self.group.bracket(basis[i], basis[j]),
+                                       x))
+
+        return worst(abs(dm.value_of(a) - dm.value_of(h))
+                     for x in points for lhs, rhs in defects(x)
+                     for a, h in zip(lhs, rhs))
 
     @classmethod
     def coadjoint_so3(cls, bound=2.0):
@@ -407,14 +395,13 @@ EXAMPLES = {
 
 # -- two-chart compatibility ------------------------------------------------------------
 
+def _inversion(w):
+    r2 = w[0] * w[0] + w[1] * w[1]
+    return [w[0] / r2, w[1] / r2]
+
+
 def _transition_jacobian(w):
-    out = []
-    for i in range(2):
-        seeded = [Dual(w[j], 1.0 if j == i else 0.0) for j in range(2)]
-        r2 = seeded[0] * seeded[0] + seeded[1] * seeded[1]
-        img = [seeded[0] / r2, seeded[1] / r2]
-        out.append([c.eps for c in img])
-    return [[out[j][i] for j in range(2)] for i in range(2)]   # J[i][j] = ∂T_i/∂w_j
+    return dm.jacobian(_inversion, w)   # J[i][j] = ∂T_i/∂w_j
 
 
 def gauge_transition_check(radius=1.3, n_ring=129):
@@ -429,29 +416,22 @@ def gauge_transition_check(radius=1.3, n_ring=129):
 
     def diff_cov(w):
         jac = _transition_jacobian(w)
-        r2 = w[0] * w[0] + w[1] * w[1]
-        tw = [w[0] / r2, w[1] / r2]
-        a1 = pot1(tw)          # [[A_u1], [A_v1]]
+        a1 = pot1(_inversion(w))   # [[A_u1], [A_v1]]
         pulled = [jac[0][0] * a1[0][0] + jac[1][0] * a1[1][0],
                   jac[0][1] * a1[0][0] + jac[1][1] * a1[1][0]]
         a0 = pot0(w)
         return [pulled[0] - a0[0][0], pulled[1] - a0[1][0]]
 
     # closedness of D at sample points on the ring (via duals)
-    worst = 0.0
-    for k in range(8):
+    def curl(k):
         phi = 2.0 * math.pi * (k + 0.37) / 8.0
         w = [radius * math.cos(phi), radius * math.sin(phi)]
-        su = [Dual(w[0], 1.0), Dual(w[1], 0.0)]
-        sv = [Dual(w[0], 0.0), Dual(w[1], 1.0)]
-        d_u = diff_cov(su)[1]
-        d_v = diff_cov(sv)[0]
-        du_dv = d_u.eps if isinstance(d_u, Dual) else 0.0
-        dv_du = d_v.eps if isinstance(d_v, Dual) else 0.0
-        worst = max(worst, abs(du_dv - dv_du))
+        return (dm.partial(lambda q: diff_cov(q)[1], w, 0)
+                - dm.partial(lambda q: diff_cov(q)[0], w, 1))
+
+    closedness = worst(abs(curl(k)) for k in range(8))
 
     # winding of D around the ring
-    from ._numerics import simpson_integrate
     samples = []
     for k in range(n_ring):
         t = k / (n_ring - 1)
@@ -462,4 +442,4 @@ def gauge_transition_check(radius=1.3, n_ring=129):
         d = diff_cov(w)
         samples.append(d[0] * dw[0] + d[1] * dw[1])
     winding = simpson_integrate(samples) / (2.0 * math.pi)
-    return {"closedness": worst, "winding": winding}
+    return {"closedness": closedness, "winding": winding}

@@ -145,6 +145,43 @@ def test_failing_scenario_exits_one(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "FAIL"
 
 
+def test_nan_residual_fails(capsys, tmp_path):
+    # inf − inf makes the connection coefficient NaN wherever x1·b2 ≠ 0
+    scenario = {
+        "name": "nan-inline",
+        "kind": "coupling-check",
+        "fields": {
+            "base_bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+            "fiber_bounds": [[-1.0, 1.0]],
+            "connection": [["x1*b2*1e200*1e200 - x1*b2*1e200*1e200", "0"]],
+            "omega": ["0"],
+        },
+        "samples": 8,
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(scenario))
+    code, out, _ = run_main(capsys, ["check", str(path)])
+    report = json.loads(out)
+    assert code == 1 and report["verdict"] == "FAIL"
+    named = {c["name"]: c for c in report["checks"]}
+    assert math.isnan(named["curvature_match"]["residual"])
+    assert named["curvature_match"]["verdict"] == "FAIL"
+
+
+def test_nan_condition_residual_never_agrees_with_the_oracle(monkeypatch):
+    monkeypatch.setattr(cli, "check_coupling_conditions",
+                        lambda geom, count, seed: {"max": float("nan")})
+    monkeypatch.setattr(cli, "dirac_closure_residual",
+                        lambda geom, count, seed: 1.0)
+    report, code = run_scenario({"name": "n", "kind": "coupling-check",
+                                 "example": "hopf",
+                                 "checks": ["oracle-agreement"]})
+    assert code == 1
+    (check,) = report["checks"]
+    assert check["name"] == "oracle_agreement"
+    assert check["verdict"] == "FAIL"
+
+
 def test_malformed_json_exits_two_with_location(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"name": "x",\n  "kind": }\n')
@@ -161,6 +198,10 @@ def test_validation_errors_exit_two(capsys, tmp_path):
          "radii": [0.5], "grid": [8, 8], "exact_slope": 2.0},
         {"name": "x", "kind": "coupling-check", "example": "hopf",
          "f": "2*q+1"},
+        {"name": "c", "kind": "coupling-check", "example": "hopf",
+         "checks": ["conditons"]},
+        {"name": "c", "kind": "coupling-check", "example": "hopf",
+         "checks": []},
     ]
     for k, scenario in enumerate(cases):
         path = tmp_path / f"case{k}.json"

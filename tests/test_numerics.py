@@ -1,19 +1,20 @@
 """Numerical kernels: integrator order, quadrature exactness, sampling
-determinism, subspace helpers, and the worker pool."""
+determinism, subspace helpers, the small dense helpers and the residual
+reduction."""
 
 import math
-import os
-import subprocess
-import sys
 
+import numpy as np
 import pytest
 
-from fiberdirac._numerics import (DEFAULT_RK4_STEP, intersection_dimension,
-                                  lstsq_residual, nullspace,
-                                  orthonormal_basis, parallel_map,
+from fiberdirac import dual as dm
+from fiberdirac._numerics import (DEFAULT_RK4_STEP, det,
+                                  intersection_dimension, lstsq_residual,
+                                  nullspace, orthonormal_basis, parallel_map,
                                   principal_angles, rk4_integrate,
                                   sample_unit_cube, simpson_integrate,
-                                  simpson_weights, smoothstep)
+                                  simpson_weights, skew_matrix, smoothstep,
+                                  worst)
 
 
 def test_rk4_matches_exponential():
@@ -95,11 +96,47 @@ def test_parallel_map_preserves_order():
     assert parallel_map(lambda k: k * k, items) == [k * k for k in items]
 
 
-def test_worker_threads_env_is_honored():
-    code = ("import os; os.environ['WORKER_THREADS'] = '3'; "
-            "from fiberdirac._numerics import worker_count; "
-            "print(worker_count())")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "WORKER_THREADS": "3"})
-    assert out.stdout.strip() == "3"
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_det_matches_numpy(n):
+    rng = np.random.RandomState(n)
+    mat = rng.uniform(-1.0, 1.0, size=(n, n))
+    want = np.linalg.det(mat) if n else 1.0
+    assert det(mat.tolist()) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_det_on_duals_gives_the_derivative():
+    # d/ds det(A + sB) at s = 0 is tr(adj(A) B) = det(A) tr(A⁻¹ B)
+    rng = np.random.RandomState(7)
+    a = rng.uniform(-1.0, 1.0, size=(3, 3))
+    b = rng.uniform(-1.0, 1.0, size=(3, 3))
+    out = det([[dm.Dual(a[i, j], b[i, j]) for j in range(3)]
+               for i in range(3)])
+    assert out.re == pytest.approx(np.linalg.det(a), rel=1e-12)
+    assert out.eps == pytest.approx(
+        np.linalg.det(a) * np.trace(np.linalg.solve(a, b)), rel=1e-10)
+
+
+def test_skew_matrix_places_entries_with_signs():
+    assert skew_matrix(3, [1.0, 2.0, 3.0]) == [[0.0, 1.0, 2.0],
+                                               [-1.0, 0.0, 3.0],
+                                               [-2.0, -3.0, 0.0]]
+    assert skew_matrix(1, []) == [[0.0]]
+
+
+def test_worst_is_zero_when_empty_and_keeps_nan_in_any_position():
+    assert worst([]) == 0.0
+    assert worst([0.5, 2.0, 1.0]) == 2.0
+    assert math.isnan(worst([float("nan"), 0.0, 1.0]))
+    assert math.isnan(worst([0.0, 1.0, float("nan")]))
+
+
+def test_tangent_reads_back_eps_parts():
+    assert dm.tangent(dm.Dual(1.0, 2.5)) == 2.5
+    assert dm.tangent([dm.Dual(1.0, 2.0), 3.0, dm.Dual(0.0, -1.0)]) == \
+        [2.0, 0.0, -1.0]
+    assert dm.tangent(4.0) == 0.0
+    nested = dm.Dual(dm.Dual(1.0, 2.0), dm.Dual(3.0, 4.0))
+    inner = dm.tangent(nested)
+    assert isinstance(inner, dm.Dual)
+    assert (inner.re, inner.eps) == (3.0, 4.0)
+    assert dm.tangent(inner) == 4.0
