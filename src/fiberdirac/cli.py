@@ -8,8 +8,10 @@ pi).  Reports are deterministic for a fixed scenario and seed: identical
 runs produce byte-identical JSON apart from the wall-time field.
 
 Exit codes: 0 when every check passes, 1 when any check fails (including
-numerical escapes, which appear as a named failing check), 2 on input
-errors (parse or validation problems, reported with line/field context).
+numerical escapes and evaluator errors — a domain error, a division by
+zero, an overflow or a failed factorization — which appear as a named
+failing check), 2 on input errors (parse or validation problems, reported
+with line/field context).
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import json
 import math
 import sys
 import time
+
+import numpy as np
 
 from . import __version__
 from . import dual as dm
@@ -149,6 +153,12 @@ def _check(name, residual, tolerance):
         "verdict": "PASS" if (residual is not None
                               and residual < tolerance) else "FAIL",
     }
+
+
+def _failed(name, exc):
+    """The failing check that stands for a run an exception cut short."""
+    return {"name": name, "residual": None, "tolerance": 0.0,
+            "verdict": "FAIL", "error": str(exc)}
 
 
 def _tol(scenario, name, default):
@@ -375,7 +385,10 @@ def _build_family(cfg, field="families"):
         if theta is None:
             raise ScenarioError(f"{field}.theta",
                                 "cap families need an opening angle")
-        return cap(float(theta), int(nodes[0]), int(nodes[1]))
+        try:
+            return cap(float(theta), int(nodes[0]), int(nodes[1]))
+        except ValueError as exc:   # an angle outside (0, π) is bad input
+            raise ScenarioError(f"{field}.theta", str(exc)) from None
     raise ScenarioError(field, f"unknown family {name!r}; registry has "
                                f"{sorted(FAMILIES)}")
 
@@ -454,9 +467,7 @@ def _run_so3_integrability(scenario, seed):
     except TypeError as exc:
         raise ScenarioError("exact_slope", str(exc)) from None
     except ValueError as exc:
-        checks.append({"name": "slope_consistency", "residual": None,
-                       "tolerance": 0.0, "verdict": "FAIL",
-                       "error": str(exc)})
+        checks.append(_failed("slope_consistency", exc))
         verdict = "INCONCLUSIVE"
     extras["integrability"] = verdict
     extras["generators"] = report.radial_components
@@ -568,8 +579,11 @@ def run_scenario(scenario):
     try:
         checks, extras = _RUNNERS[kind](scenario, seed)
     except IncompleteTransportError as exc:
-        checks = [{"name": "numerical-escape", "residual": None,
-                   "tolerance": 0.0, "verdict": "FAIL", "error": str(exc)}]
+        checks = [_failed("numerical-escape", exc)]
+        extras = {}
+    except (ValueError, ZeroDivisionError, OverflowError,
+            np.linalg.LinAlgError) as exc:
+        checks = [_failed("evaluation-error", exc)]
         extras = {}
     wall_ms = int(round(1000.0 * (time.perf_counter() - start)))
     verdict = "PASS" if all(c["verdict"] == "PASS" for c in checks) \

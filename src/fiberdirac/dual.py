@@ -5,17 +5,24 @@ Both slots may themselves hold ``Dual`` instances, which is how second
 derivatives are produced: seed the outer level along direction *i*, the inner
 level along direction *j*, and read ``result.eps.eps``.
 
-All arithmetic is written against plain Python scalars so the same evaluator
-code runs on floats, on duals, and on duals-of-duals.  Finite differences are
-deliberately *not* used anywhere in this module; they exist only as an
-independent cross-check in the test-suite.
+All arithmetic is written against generic scalars so the same evaluator
+code runs on floats, on duals, and on duals-of-duals.  A numpy array counts
+as a scalar too: a ``Dual`` whose slots hold arrays evaluates a function at a
+whole grid of points in one pass (forward mode over arrays).  Every entry of
+``FUNCTIONS`` calls ``math``, and the numpy ufunc when ``math`` refuses an
+array; on arrays numpy returns NaN or ±inf where ``math`` raises.  An array
+Dual has no order: comparisons and ``abs`` on it raise ``TypeError``.
+Finite differences are deliberately *not* used anywhere in this module; they
+exist only as an independent cross-check in the test-suite.
 """
 
 from __future__ import annotations
 
 import math
 
-_SCALARS = (int, float)
+import numpy as np
+
+_SCALARS = (int, float, np.ndarray)
 
 
 def _is_scalar(x):
@@ -26,6 +33,10 @@ class Dual:
     """Value plus one directional derivative: re + eps·ε with ε² = 0."""
 
     __slots__ = ("re", "eps")
+
+    # numpy defers every binary operator to Dual, so ``ndarray ∘ Dual`` runs
+    # the reflected method below instead of building an object array
+    __array_ufunc__ = None
 
     def __init__(self, re, eps=0.0):
         self.re = re
@@ -104,25 +115,25 @@ class Dual:
 
     def __rpow__(self, base):
         if _is_scalar(base):
-            return exp(self * math.log(base))
+            return exp(self * log(base))
         return NotImplemented
 
     # -- comparisons (on primal values; used by escape checks) -------------
 
     def __lt__(self, other):
-        return value_of(self) < value_of(other)
+        return _ordered(self) < _ordered(other)
 
     def __le__(self, other):
-        return value_of(self) <= value_of(other)
+        return _ordered(self) <= _ordered(other)
 
     def __gt__(self, other):
-        return value_of(self) > value_of(other)
+        return _ordered(self) > _ordered(other)
 
     def __ge__(self, other):
-        return value_of(self) >= value_of(other)
+        return _ordered(self) >= _ordered(other)
 
     def __abs__(self):
-        s = 1.0 if value_of(self) >= 0.0 else -1.0
+        s = 1.0 if _ordered(self) >= 0.0 else -1.0
         return Dual(abs(self.re) if not isinstance(self.re, Dual) else self.re * s,
                     self.eps * s)
 
@@ -131,81 +142,122 @@ class Dual:
 
 
 def value_of(x):
-    """Strip all dual layers, returning the underlying float."""
+    """Strip all dual layers, returning the underlying float (or array)."""
     while isinstance(x, Dual):
         x = x.re
     return x
 
 
-# -- elementary functions, generic over float / Dual ------------------------
+def _ordered(x):
+    """The primal value of a comparison operand; arrays have no order."""
+    v = value_of(x)
+    if isinstance(v, np.ndarray):
+        raise TypeError("array-valued Duals have no order")
+    return v
+
+
+# -- elementary functions, generic over float / array / Dual ----------------
 
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.re), cos(x.re) * x.eps)
-    return math.sin(x)
+    try:
+        return math.sin(x)
+    except TypeError:   # an array: math takes scalars only
+        return np.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.re), -sin(x.re) * x.eps)
-    return math.cos(x)
+    try:
+        return math.cos(x)
+    except TypeError:
+        return np.cos(x)
 
 
 def tan(x):
     if isinstance(x, Dual):
         c = cos(x.re)
         return Dual(tan(x.re), x.eps / (c * c))
-    return math.tan(x)
+    try:
+        return math.tan(x)
+    except TypeError:
+        return np.tan(x)
 
 
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.re)
         return Dual(e, e * x.eps)
-    return math.exp(x)
+    try:
+        return math.exp(x)
+    except TypeError:
+        return np.exp(x)
 
 
 def log(x):
     if isinstance(x, Dual):
         return Dual(log(x.re), x.eps / x.re)
-    return math.log(x)
+    try:
+        return math.log(x)
+    except TypeError:
+        return np.log(x)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
         s = sqrt(x.re)
         return Dual(s, x.eps / (2.0 * s))
-    return math.sqrt(x)
+    try:
+        return math.sqrt(x)
+    except TypeError:
+        return np.sqrt(x)
 
 
 def atan(x):
     if isinstance(x, Dual):
         return Dual(atan(x.re), x.eps / (1.0 + x.re * x.re))
-    return math.atan(x)
+    try:
+        return math.atan(x)
+    except TypeError:
+        return np.arctan(x)
 
 
 def asin(x):
     if isinstance(x, Dual):
         return Dual(asin(x.re), x.eps / sqrt(1.0 - x.re * x.re))
-    return math.asin(x)
+    try:
+        return math.asin(x)
+    except TypeError:
+        return np.arcsin(x)
 
 
 def acos(x):
     if isinstance(x, Dual):
         return Dual(acos(x.re), -x.eps / sqrt(1.0 - x.re * x.re))
-    return math.acos(x)
+    try:
+        return math.acos(x)
+    except TypeError:
+        return np.arccos(x)
 
 
 def sinh(x):
     if isinstance(x, Dual):
         return Dual(sinh(x.re), cosh(x.re) * x.eps)
-    return math.sinh(x)
+    try:
+        return math.sinh(x)
+    except TypeError:
+        return np.sinh(x)
 
 
 def cosh(x):
     if isinstance(x, Dual):
         return Dual(cosh(x.re), sinh(x.re) * x.eps)
-    return math.cosh(x)
+    try:
+        return math.cosh(x)
+    except TypeError:
+        return np.cosh(x)
 
 
 #: name → callable, the function namespace shared with the expression grammar

@@ -31,6 +31,8 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
+import numpy as np
+
 from . import dual as dm
 from .dual import Dual
 from ._numerics import (DEFAULT_RK4_STEP, dot, parallel_map, simpson_weights,
@@ -47,36 +49,30 @@ COLLAPSE_TOL = 1e-10
 class SphereFamily:
     """A two-parameter base-point family γ(t, ε) with collapsed boundary.
 
-    `fn(t, ε)` must be dual-compatible in both slots; partial derivatives
-    are exact (dual-seeded) unless explicit evaluators are supplied.
-    `closed` families collapse the whole boundary ∂I² to the base point;
-    based families (closed=False) collapse only the three edges t=0, t=1,
-    ε=0, so they sweep from the constant loop to a final loop at ε=1.
+    `fn(t, ε)` must be dual-compatible in both slots, and accept a numpy
+    array of t values for a scalar ε; partial derivatives are exact
+    (dual-seeded).  `closed` families collapse the whole boundary ∂I² to
+    the base point; based families (closed=False) collapse only the three
+    edges t=0, t=1, ε=0, so they sweep from the constant loop to a final
+    loop at ε=1.
     """
 
-    def __init__(self, fn, n_t=65, n_eps=65, closed=True, d_t=None,
-                 d_eps=None, name=""):
+    def __init__(self, fn, n_t=65, n_eps=65, closed=True, name=""):
         if n_t < 3 or n_t % 2 == 0 or n_eps < 3 or n_eps % 2 == 0:
             raise ValueError("grid resolutions must be odd and >= 3")
         self.fn = fn
         self.n_t = n_t
         self.n_eps = n_eps
         self.closed = closed
-        self._d_t = d_t
-        self._d_eps = d_eps
         self.name = name or "sphere-family"
 
     def point(self, t, eps):
         return self.fn(t, eps)
 
     def d_t(self, t, eps):
-        if self._d_t is not None:
-            return self._d_t(t, eps)
         return dm.tangent(self.fn(Dual(t, 1.0), eps))
 
     def d_eps(self, t, eps):
-        if self._d_eps is not None:
-            return self._d_eps(t, eps)
         return dm.tangent(self.fn(t, Dual(eps, 1.0)))
 
     def base_point(self):
@@ -232,29 +228,55 @@ class VerStarPath:
 
 
 def _slice_nodes(family, eps):
-    """(base point, ∂_t γ, ∂_ε γ) at each s-grid node of one ε-slice.
-    They do not depend on the fiber point, so each slice computes them once
-    and every vertical-gradient channel of `transgress` reuses them."""
-    out = []
-    for k in range(family.n_t):
-        s = k / (family.n_t - 1)
-        out.append((family.point(s, eps), family.d_t(s, eps),
-                    family.d_eps(s, eps)))
-    return out
+    """(base point, ∂_t γ, ∂_ε γ) of one ε-slice, each a coordinate list
+    whose entries are arrays over the slice's s-grid k/(n_t − 1): one call
+    of `family.fn` per quantity, with the array seeded as `Dual(s, 1.0)`
+    for ∂_t and the scalar ε as `Dual(ε, 1.0)` for ∂_ε.  ε stays a scalar,
+    so families that branch on its value work unchanged.  An entry that
+    does not depend on s is a plain number, which broadcasts.  The nodes
+    do not depend on the fiber point, so each slice computes them once and
+    every vertical-gradient channel of `transgress` reuses them."""
+    s = np.arange(family.n_t) / (family.n_t - 1)
+    return (family.fn(s, eps),
+            dm.tangent(family.fn(Dual(s, 1.0), eps)),
+            dm.tangent(family.fn(s, Dual(eps, 1.0))))
+
+
+def _stack(column):
+    """Per-node states of one fiber coordinate (floats or first-order
+    duals) as one array Dual over the nodes."""
+    return Dual(np.array([dm.value_of(c) for c in column]),
+                np.array(dm.tangent(column)))
+
+
+def _simpson_row(w, val):
+    """Σ_k w_k·val_k over the s-nodes, as Python floats.  `val` is an array
+    over the nodes, a plain number (a zero form returns 0.0, a tangent that
+    does not depend on the seed is 0.0) or a Dual of these.  numpy returns
+    NaN where `math` raises, so a non-finite value makes its tangent NaN:
+    the derivative of an undefined integrand must not read as a number."""
+    if isinstance(val, Dual):
+        re = _simpson_row(w, val.re)
+        eps = _simpson_row(w, val.eps) if math.isfinite(re) else math.nan
+        return Dual(re, eps)
+    return float(np.dot(w, np.broadcast_to(val, w.shape)))
 
 
 def transgress(geom, family, x0, step=DEFAULT_RK4_STEP):
     """Evaluate the transgression of a sphere family at a fiber point.
 
-    Per ε-slice: pull the integrand ω_H(h ∂_t γ, h ∂_ε γ) back through the
-    slice transports, integrate in s by composite Simpson, and take the
-    vertical differential at the holonomy-carried point γ̃(ε).
+    Per ε-slice: evaluate the integrand ω_H(h ∂_t γ, h ∂_ε γ) in one array
+    pass over the slice's s-nodes (`_slice_nodes`), at the fiber point
+    carried back through the slice transports (a flat connection leaves
+    it in place; a curved one stacks the `transport_samples` states into
+    per-coordinate array duals), integrate in s by composite Simpson, and
+    take the vertical differential at the holonomy-carried point γ̃(ε).
     """
     _collapse_or_raise(family)
     space = geom.space
     conn = geom.connection
     omega = geom.omega_h
-    w_s = simpson_weights(family.n_t)
+    w_s = np.array(simpson_weights(family.n_t))
     s_nodes = [k / (family.n_t - 1) for k in range(family.n_t)]
     eps_grid = [j / (family.n_eps - 1) for j in range(family.n_eps)]
 
@@ -264,17 +286,14 @@ def transgress(geom, family, x0, step=DEFAULT_RK4_STEP):
     def one_slice(eps):
         sl = family.eps_slice(eps)
         x_tilde = parallel_transport(conn, sl, y0, 1.0, 0.0, step=step)
-        nodes = _slice_nodes(family, eps)
+        b, vt, ve = _slice_nodes(family, eps)
 
         def s_integral(x):
-            if conn.is_flat:
-                states = [x] * family.n_t
-            else:
+            if not conn.is_flat:
                 states = transport_samples(conn, sl, x, s_nodes, step=step)
-            acc = 0.0
-            for wk, (b, vt, ve), xk in zip(w_s, nodes, states):
-                acc = acc + wk * omega.value(space.join(b, xk), [vt, ve])
-            return acc
+                x = [_stack(column) for column in zip(*states)]
+            return _simpson_row(
+                w_s, omega.value(space.join(b, x), [vt, ve]))
 
         cov = dm.gradient(s_integral, x_tilde)
         return cov, x_tilde

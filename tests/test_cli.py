@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fiberdirac import __version__, cli
@@ -114,6 +115,23 @@ def test_escaped_transport_maps_to_failing_check(monkeypatch):
     assert "0.415" in check["error"]
 
 
+@pytest.mark.parametrize("exc", [
+    ValueError("math domain error"), ZeroDivisionError("float division by zero"),
+    OverflowError("math range error"),
+    np.linalg.LinAlgError("SVD did not converge")])
+def test_evaluator_errors_map_to_failing_check(monkeypatch, exc):
+    def boom(scenario, seed):
+        raise exc
+
+    monkeypatch.setitem(cli._RUNNERS, "apath", boom)
+    report, code = run_scenario({"name": "err", "kind": "apath"})
+    assert code == 1 and report["verdict"] == "FAIL"
+    (check,) = report["checks"]
+    assert check["name"] == "evaluation-error"
+    assert check["verdict"] == "FAIL" and check["residual"] is None
+    assert check["error"] == str(exc)
+
+
 # -- command-line front end -----------------------------------------------------------
 
 def test_check_command_passes_and_writes_report(capsys, tmp_path):
@@ -145,19 +163,18 @@ def test_failing_scenario_exits_one(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "FAIL"
 
 
+# inf − inf makes the connection coefficient NaN wherever x1·b2 ≠ 0
+NAN_CONNECTION_FIELDS = {
+    "base_bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+    "fiber_bounds": [[-1.0, 1.0]],
+    "connection": [["x1*b2*1e200*1e200 - x1*b2*1e200*1e200", "0"]],
+    "omega": ["0"],
+}
+
+
 def test_nan_residual_fails(capsys, tmp_path):
-    # inf − inf makes the connection coefficient NaN wherever x1·b2 ≠ 0
-    scenario = {
-        "name": "nan-inline",
-        "kind": "coupling-check",
-        "fields": {
-            "base_bounds": [[-1.0, 1.0], [-1.0, 1.0]],
-            "fiber_bounds": [[-1.0, 1.0]],
-            "connection": [["x1*b2*1e200*1e200 - x1*b2*1e200*1e200", "0"]],
-            "omega": ["0"],
-        },
-        "samples": 8,
-    }
+    scenario = {"name": "nan-inline", "kind": "coupling-check",
+                "fields": NAN_CONNECTION_FIELDS, "samples": 8}
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(scenario))
     code, out, _ = run_main(capsys, ["check", str(path)])
@@ -166,6 +183,28 @@ def test_nan_residual_fails(capsys, tmp_path):
     named = {c["name"]: c for c in report["checks"]}
     assert math.isnan(named["curvature_match"]["residual"])
     assert named["curvature_match"]["verdict"] == "FAIL"
+
+
+@pytest.mark.parametrize("fields,checks", [
+    # math.log of the negative half of the fiber: a domain error
+    ({"base_bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+      "fiber_bounds": [[-1.0, 1.0]], "omega": ["log(x1)"]}, ["conditions"]),
+    # the NaN connection makes the closure oracle's SVD fail to converge
+    (NAN_CONNECTION_FIELDS, ["oracle-agreement"]),
+], ids=["log-domain", "nan-oracle"])
+def test_evaluator_errors_fail_without_traceback(capsys, tmp_path, fields,
+                                                 checks):
+    scenario = {"name": "err-inline", "kind": "coupling-check",
+                "fields": fields, "checks": checks, "samples": 8}
+    path = tmp_path / "err.json"
+    path.write_text(json.dumps(scenario))
+    code, out, _ = run_main(capsys, ["check", str(path)])   # raises nothing
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "FAIL"
+    (check,) = report["checks"]
+    assert check["name"] == "evaluation-error"
+    assert check["verdict"] == "FAIL" and check["error"]
 
 
 def test_nan_condition_residual_never_agrees_with_the_oracle(monkeypatch):
@@ -202,6 +241,8 @@ def test_validation_errors_exit_two(capsys, tmp_path):
          "checks": ["conditons"]},
         {"name": "c", "kind": "coupling-check", "example": "hopf",
          "checks": []},
+        {"name": "t", "kind": "transgress",
+         "families": [{"family": "cap", "theta": 4.0, "nodes": [9, 9]}]},
     ]
     for k, scenario in enumerate(cases):
         path = tmp_path / f"case{k}.json"

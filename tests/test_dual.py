@@ -1,9 +1,11 @@
 """Forward-mode derivative arithmetic: operator algebra, the function
 library, and the seeded partial/gradient/jacobian helpers, all checked
-against central finite differences."""
+against central finite differences, and array-valued duals against the
+scalar ones entry by entry."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,3 +114,114 @@ def test_composite_derivative_matches_finite_difference(a, b):
     out = f(Dual(0.9, 1.0))
     ref = central_diff(lambda t: dm.value_of(f(t)), 0.9)
     assert out.eps == pytest.approx(ref, rel=1e-6, abs=1e-6)
+
+
+# -- array-valued duals ----------------------------------------------------------
+
+RNG = np.random.default_rng(20240611)
+N_ARRAY = 257
+
+BINARY_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+    "**": lambda a, b: a ** b,
+}
+
+
+def array_dual(lo, hi):
+    return Dual(RNG.uniform(lo, hi, N_ARRAY), RNG.uniform(-2.0, 2.0, N_ARRAY))
+
+
+def element(x, k):
+    """Entry k of an array, or of both slots of an array Dual, as floats."""
+    if isinstance(x, Dual):
+        return Dual(element(x.re, k), element(x.eps, k))
+    return float(x[k]) if isinstance(x, np.ndarray) else x
+
+
+def assert_elementwise(out, scalar_results, rel=0.0):
+    assert isinstance(out, Dual)
+    for part in ("re", "eps"):
+        got = np.broadcast_to(getattr(out, part), (N_ARRAY,))
+        want = np.array([getattr(r, part) if isinstance(r, Dual) else 0.0
+                         for r in scalar_results])
+        if rel == 0.0:
+            assert np.array_equal(got, want), part
+        else:
+            np.testing.assert_allclose(got, want, rtol=rel, atol=0.0,
+                                       err_msg=part)
+
+
+def operand_pairs():
+    """(left, right) operand combinations with an array on at least one
+    side; bases are positive so every power is real."""
+    d1, d2 = array_dual(0.2, 3.0), array_dual(0.2, 3.0)
+    a = RNG.uniform(0.2, 3.0, N_ARRAY)
+    return [(d1, d2), (d1, a), (a, d1), (d1, 1.7), (1.7, d1),
+            (Dual(1.3, 0.4), d1), (d1, Dual(1.3, 0.4)), (d1, 3)]
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_array_ring_ops_equal_scalar_ops_bitwise(op):
+    fn = BINARY_OPS[op]
+    for left, right in operand_pairs():
+        out = fn(left, right)
+        assert_elementwise(out, [fn(element(left, k), element(right, k))
+                                 for k in range(N_ARRAY)])
+
+
+def test_array_powers_agree_with_scalar_powers():
+    # numpy's power is not libm's pow (x*x for a square, its own loop
+    # otherwise), so powers agree to an ulp or two rather than bitwise
+    fn = BINARY_OPS["**"]
+    for left, right in operand_pairs():
+        out = fn(left, right)
+        assert_elementwise(out, [fn(element(left, k), element(right, k))
+                                 for k in range(N_ARRAY)], rel=1e-15)
+
+
+@pytest.mark.parametrize("op", sorted(BINARY_OPS))
+def test_ndarray_op_dual_returns_a_dual(op):
+    fn = BINARY_OPS[op]
+    a = np.array([0.5, 1.5, 2.5])
+    for d in (Dual(1.2, 0.3), Dual(np.array([0.7, 1.1, 1.9]), 1.0)):
+        for out in (fn(a, d), fn(np.float64(1.5), d)):
+            assert isinstance(out, Dual), type(out)
+            assert np.asarray(out.re).dtype == np.float64
+
+
+DOMAINS = {"asin": (-0.95, 0.95), "acos": (-0.95, 0.95), "log": (0.05, 4.0),
+           "sqrt": (0.05, 4.0), "tan": (-1.4, 1.4)}
+
+
+@pytest.mark.parametrize("name", sorted(dm.FUNCTIONS))
+def test_function_library_on_arrays_matches_scalars(name):
+    # numpy's tan/exp/log/... may differ from math's by an ulp
+    fn = dm.FUNCTIONS[name]
+    x = array_dual(*DOMAINS.get(name, (-2.0, 2.0)))
+    out = fn(x)
+    assert isinstance(out.re, np.ndarray) and isinstance(out.eps, np.ndarray)
+    assert_elementwise(out, [fn(element(x, k)) for k in range(N_ARRAY)],
+                       rel=1e-15)
+    plain = fn(x.re)
+    assert isinstance(plain, np.ndarray)
+    np.testing.assert_allclose(plain, out.re, rtol=0.0, atol=0.0)
+
+
+def test_array_duals_have_no_order():
+    d = Dual(np.array([0.5, -0.5]), 1.0)
+    for compare in (lambda: d < 0.0, lambda: d <= 0.0, lambda: d > 0.0,
+                    lambda: d >= 0.0, lambda: 0.0 < d, lambda: abs(d)):
+        with pytest.raises(TypeError):
+            compare()
+    assert abs(Dual(-0.5, 1.0)).eps == -1.0
+
+
+def test_domain_errors_on_arrays_are_nan():
+    with np.errstate(invalid="ignore"):
+        out = dm.log(Dual(np.array([-1.0, 2.0]), 1.0))
+    assert math.isnan(out.re[0]) and out.re[1] == math.log(2.0)
+    with pytest.raises(ValueError):
+        dm.log(Dual(-1.0, 1.0))

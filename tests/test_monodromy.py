@@ -4,15 +4,18 @@ and closed-form areas, and the lattice/verdict layer."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fiberdirac import _numerics
 from fiberdirac import dual as dm
-from fiberdirac._numerics import smoothstep
+from fiberdirac._numerics import simpson_weights, smoothstep, worst
 from fiberdirac.charts import CoordinateDomain
 from fiberdirac.coupling import GeometricData, check_coupling_conditions
 from fiberdirac.fibration import (Connection, FiberedSpace, FlatConnection,
                                   HorizontalForm, IncompleteTransportError,
-                                  VerticalBivector)
+                                  VerticalBivector, parallel_transport,
+                                  transport_samples)
 from fiberdirac.monodromy import (FAMILIES, SphereFamily, VerStarPath, cap,
                                   concat_families, integrability_verdict,
                                   lattice_model_data, round_sphere,
@@ -173,6 +176,86 @@ def test_curved_transgression_machinery():
     # recomputing the transports at a different step must reproduce γ̃
     assert path.transport_consistency(step=1e-3) < 1e-6
     assert path.endpoint()[0] != 0.0
+
+
+def per_node_endpoint(geom, family, x0, step):
+    """Reference transgression endpoint by the per-node algorithm: each
+    ε-slice sums ω_H node by node in scalar duals, at the scalar family
+    nodes and the transported fiber points."""
+    space, conn, omega = geom.space, geom.connection, geom.omega_h
+    w_s = simpson_weights(family.n_t)
+    s_nodes = [k / (family.n_t - 1) for k in range(family.n_t)]
+    eps_grid = [j / (family.n_eps - 1) for j in range(family.n_eps)]
+    y0 = parallel_transport(conn, family.eps_slice(0.0), list(x0), 0.0, 1.0,
+                            step=step)
+    covectors = []
+    for eps in eps_grid:
+        sl = family.eps_slice(eps)
+        x_tilde = parallel_transport(conn, sl, y0, 1.0, 0.0, step=step)
+
+        def s_integral(x):
+            states = transport_samples(conn, sl, x, s_nodes, step=step)
+            acc = 0.0
+            for wk, s, xk in zip(w_s, s_nodes, states):
+                vectors = [family.d_t(s, eps), family.d_eps(s, eps)]
+                acc = acc + wk * omega.value(
+                    space.join(family.point(s, eps), xk), vectors)
+            return acc
+
+        covectors.append(dm.gradient(s_integral, x_tilde))
+    return VerStarPath(eps_grid, covectors, [x0] * len(eps_grid)).endpoint()
+
+
+def test_curved_transgression_matches_the_per_node_reference():
+    geom, fam = curved_model(), round_sphere(9, 9)
+    got = transgress(geom, fam, [0.3], step=1e-2).endpoint()
+    want = per_node_endpoint(geom, fam, [0.3], step=1e-2)
+    assert abs(want[0]) > 1e-3
+    assert all(type(c) is float for c in got)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_flat_lattice_evaluates_the_form_once_per_slice_and_channel(
+        monkeypatch):
+    calls = {"value": 0, "rk4": 0}
+    value, rk4_step = HorizontalForm.value, _numerics.rk4_step
+
+    def counted_value(self, point, base_vectors):
+        calls["value"] += 1
+        return value(self, point, base_vectors)
+
+    def counted_rk4_step(*args):
+        calls["rk4"] += 1
+        return rk4_step(*args)
+
+    monkeypatch.setattr(HorizontalForm, "value", counted_value)
+    monkeypatch.setattr(_numerics, "rk4_step", counted_rk4_step)
+    radii, grid = (0.5, 1.0), (8, 8)
+    so3_lattice(lambda r: 2.0 * r + 1.0, radii=radii, grid=grid)
+    n_eps, n_fiber = grid[1] + 1, 3
+    # one array pass per (ε-slice, gradient channel), not one per s-node
+    assert calls["value"] == len(radii) * n_eps * n_fiber
+    assert calls["rk4"] == 0
+
+
+@pytest.mark.parametrize("component", [
+    lambda p: [dm.log(p[0]) * p[2]],     # NaN in value and tangent
+    lambda p: [dm.log(p[0]) + p[2]],     # NaN value, finite tangent
+], ids=["product", "sum"])
+def test_nan_in_an_array_evaluation_reaches_the_endpoint(component):
+    # log of the first base coordinate, which is negative on part of the
+    # round sphere: numpy returns NaN there where math would raise
+    space = FiberedSpace(CoordinateDomain.sphere(),
+                         CoordinateDomain.box([(-2.0, 2.0)], name="line"))
+    geom = GeometricData(space, FlatConnection(space),
+                         VerticalBivector(space, lambda p: [], name="zero"),
+                         HorizontalForm(space, 2, component, name="log-b1"))
+    fam = round_sphere(9, 9)
+    assert min(fam.point(0.5, e / 8)[0] for e in range(9)) < 0.0
+    with np.errstate(invalid="ignore"):
+        end = transgress(geom, fam, [0.3]).endpoint()
+    assert math.isnan(end[0])
+    assert math.isnan(worst(abs(c) for c in end))
 
 
 def test_curved_transgression_escape_propagates():
