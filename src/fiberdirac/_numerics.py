@@ -5,8 +5,10 @@ NaN-propagating residual reduction every check uses.
 
 The RK4 and Simpson routines operate on plain Python lists so that
 dual-number states flow through unchanged (differentials of flows are
-obtained by integrating with dual initial conditions).  numpy is used only
-for float-valued linear algebra.
+obtained by integrating with dual initial conditions).  An RK4 state entry
+may also be a numpy array or an array Dual: one integration then advances
+a whole stack of states at once (every ε-slice of a transgression).
+Otherwise numpy is used only for float-valued linear algebra.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def rk4_integrate(f, y0, t0, t1, step=DEFAULT_RK4_STEP, observer=None):
 
     ``step`` is a magnitude; integration direction follows sign(t1 - t0).
     ``observer(t, y)`` is called after every accepted step (and once at t0).
-    State entries may be floats or duals.
+    State entries may be floats, duals, numpy arrays or array duals.
     """
     if t1 == t0:
         if observer is not None:
@@ -121,7 +123,7 @@ def sample_unit_cube(count, dim, seed=0, jitter=0.25):
     noise = rng.uniform(-1.0, 1.0, size=(count, dim)) * (jitter / max(count, 1))
     pts = []
     for k in range(count):
-        row = [_halton(k + 1, _HALTON_BASES[d]) + noise[k, d]
+        row = [_halton(k + 1, _HALTON_BASES[d]) + float(noise[k, d])
                for d in range(dim)]
         pts.append([min(max(x, 0.0), 1.0 - 1e-12) for x in row])
     return pts
@@ -241,6 +243,6 @@ def lstsq_residual(basis_rows, vector):
 # -- ordered map ---------------------------------------------------------------
 
 def parallel_map(fn, items):
-    """``[fn(x) for x in items]``: the one map site of the per-point and
-    per-slice loops, so a trace can count them."""
+    """``[fn(x) for x in items]``: the one map site of the per-point loops
+    of the coupling checks, so a trace can count them."""
     return [fn(x) for x in items]

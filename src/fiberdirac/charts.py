@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import dual as dm
 from ._numerics import sample_unit_cube
 
@@ -60,13 +62,33 @@ class CoordinateDomain:
     # -- membership / escape ------------------------------------------------
 
     def contains(self, point, slack=1e-9):
+        """Whether every coordinate is finite and, in a box, within the
+        bounds widened by ``slack``.  Coordinates may be floats, duals, or
+        numpy arrays (or array duals) over stacked points; an array point
+        is contained only when every entry is."""
         vals = [dm.value_of(x) for x in point]
-        if any(not math.isfinite(v) for v in vals):
-            return False
+        try:
+            if any(not math.isfinite(v) for v in vals):
+                return False
+        except TypeError:   # an array: math takes scalars only
+            return bool(self.inside(vals, slack).all())
         if self.kind == BOX:
             return all(lo - slack <= v <= hi + slack
                        for v, (lo, hi) in zip(vals, self.bounds))
         return True  # chart 0 covers the sphere minus one pole; any finite point is in
+
+    def inside(self, point, slack=1e-9):
+        """Entrywise `contains` for a point whose coordinates are numpy
+        arrays (or array duals) over stacked points: a boolean array,
+        True where every coordinate is finite and inside the domain."""
+        ok = np.asarray(True)
+        for d, x in enumerate(point):
+            v = dm.value_of(x)
+            ok = ok & np.isfinite(v)
+            if self.kind == BOX:
+                lo, hi = self.bounds[d]
+                ok = ok & (lo - slack <= v) & (v <= hi + slack)
+        return ok
 
     # -- sampling -----------------------------------------------------------
 

@@ -146,6 +146,8 @@ def compile_expression(src, variables, field="expression"):
 # -- scenario plumbing ----------------------------------------------------------------
 
 def _check(name, residual, tolerance):
+    if residual is not None:
+        residual = float(residual)   # numpy reductions give numpy floats
     return {
         "name": name,
         "residual": residual,
@@ -301,8 +303,8 @@ def _run_coupling_check(scenario, seed):
         agree = ((cond["max"] < thr) == (res < thr)
                  and not (math.isnan(cond["max"]) or math.isnan(res)))
         checks.append(_check("oracle_agreement", 0.0 if agree else 1.0, 0.5))
-        extras["condition_max"] = cond["max"]
-        extras["closure_residual"] = res
+        extras["condition_max"] = float(cond["max"])
+        extras["closure_residual"] = float(res)
     if "leaf-form" in wanted:
         checks.append(_check("leaf_form_match",
                              _leaf_residual(geom, scenario, seed),
@@ -470,7 +472,7 @@ def _run_so3_integrability(scenario, seed):
         checks.append(_failed("slope_consistency", exc))
         verdict = "INCONCLUSIVE"
     extras["integrability"] = verdict
-    extras["generators"] = report.radial_components
+    extras["generators"] = [float(g) for g in report.radial_components]
     if "expected_verdict" in scenario:
         match = verdict == scenario["expected_verdict"]
         checks.append(_check("verdict_match", 0.0 if match else 1.0, 0.5))

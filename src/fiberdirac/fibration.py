@@ -8,12 +8,16 @@ linear in the base vector; the horizontal lift is h(v) = (v, A(b,x)v).
 
 Parallel transport integrates dx/dt = A(γ(t), x)·γ̇(t) with fixed-step RK4.
 Because the integrator runs on generic scalars, transporting dual-seeded
-initial conditions yields exact differentials of the transport maps.
+initial conditions yields exact differentials of the transport maps, and a
+path whose coordinates are numpy arrays transports a whole stack of paths
+(the ε-slices of a sphere family) in one integration.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from . import dual as dm
 from .dual import Dual
@@ -137,7 +141,29 @@ def parallel_transport(connection, path, x0, t0=0.0, t1=1.0,
     the state leaves the fiber chart or turns non-finite.  The state may be
     dual-seeded, in which case the result carries the transport differential.
     """
-    space = connection.space
+    return _transport(connection, path, x0, t0, t1, step)
+
+
+def transport_samples(connection, path, x0, times, step=DEFAULT_RK4_STEP):
+    """States of the transport at the given increasing times (t₀ first).
+    Each state entry may also be an array over stacked paths, or an array
+    dual, as in `_transport`."""
+    out = [list(x0)]
+    x = list(x0)
+    for ta, tb in zip(times[:-1], times[1:]):
+        x = _transport(connection, path, x, ta, tb, step)
+        out.append(list(x))
+    return out
+
+
+def _transport(connection, path, x0, t0, t1, step):
+    """The RK4 transport behind `parallel_transport` and
+    `transport_samples`.  State entries may be floats, duals, or numpy
+    arrays (or array duals) holding one entry per stacked path, when `path`
+    evaluates to coordinate arrays.  A stacked state escapes as soon as one
+    entry does; the error then names the point of the lowest-index path
+    that escaped."""
+    fiber = connection.space.fiber
     if connection.is_flat:
         return list(x0)
 
@@ -146,20 +172,21 @@ def parallel_transport(connection, path, x0, t0=0.0, t1=1.0,
         return matvec(connection.coeff(b, x), path.velocity(t))
 
     def guard(t, x):
-        if not space.fiber.contains(x):
-            raise IncompleteTransportError(t, point=[dm.value_of(c) for c in x])
+        if not fiber.contains(x):
+            raise IncompleteTransportError(t, point=_escaped_point(fiber, x))
 
     return rk4_integrate(rhs, list(x0), t0, t1, step=step, observer=guard)
 
 
-def transport_samples(connection, path, x0, times, step=DEFAULT_RK4_STEP):
-    """States of the transport at the given increasing times (t₀ first)."""
-    out = [list(x0)]
-    x = list(x0)
-    for ta, tb in zip(times[:-1], times[1:]):
-        x = parallel_transport(connection, path, x, t0=ta, t1=tb, step=step)
-        out.append(list(x))
-    return out
+def _escaped_point(fiber, x):
+    """The state's primal point, or for a stacked state the point of its
+    lowest-index entry outside the fiber chart, as Python floats."""
+    vals = [dm.value_of(c) for c in x]
+    if not any(isinstance(v, np.ndarray) for v in vals):
+        return vals
+    outside = ~fiber.inside(vals)
+    j = int(np.flatnonzero(outside)[0])
+    return [float(np.broadcast_to(v, outside.shape).flat[j]) for v in vals]
 
 
 def holonomy(connection, loop, x0, step=DEFAULT_RK4_STEP):

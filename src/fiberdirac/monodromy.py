@@ -35,13 +35,13 @@ import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, dot, parallel_map, simpson_weights,
-                        smoothstep, worst)
+from ._numerics import (DEFAULT_RK4_STEP, dot, simpson_weights, smoothstep,
+                        worst)
 from .charts import CoordinateDomain
 from .coupling import GeometricData
 from .fibration import (BasePath, FiberedSpace, FlatConnection,
-                        HorizontalForm, VerticalBivector, parallel_transport,
-                        transport_samples)
+                        HorizontalForm, VerticalBivector, _transport,
+                        parallel_transport, transport_samples)
 
 COLLAPSE_TOL = 1e-10
 
@@ -49,8 +49,9 @@ COLLAPSE_TOL = 1e-10
 class SphereFamily:
     """A two-parameter base-point family γ(t, ε) with collapsed boundary.
 
-    `fn(t, ε)` must be dual-compatible in both slots, and accept a numpy
-    array of t values for a scalar ε; partial derivatives are exact
+    `fn(t, ε)` must be dual-compatible in both slots, and accept numpy
+    arrays in both that broadcast against each other (a column of t values
+    against a row of ε values); partial derivatives are exact
     (dual-seeded).  `closed` families collapse the whole boundary ∂I² to
     the base point; based families (closed=False) collapse only the three
     edges t=0, t=1, ε=0, so they sweep from the constant loop to a final
@@ -165,20 +166,36 @@ def cap(theta, n_t=65, n_eps=65):
 
 def concat_families(first, second):
     """Concatenate two closed families along ε (first on [0,½]); for
-    abelian data the transgression endpoint is additive over this."""
+    abelian data the transgression endpoint is additive over this.  On an
+    ε array each half is evaluated at the entries it keeps and at its end
+    ε = ½ (the collapsed base point) elsewhere, so the entries the other
+    half supplies can raise no numpy warning."""
     if not (first.closed and second.closed):
         raise ValueError("only closed families concatenate along eps")
 
     def fn(t, eps):
         ev = dm.value_of(eps)
-        if ev <= 0.5:
-            return first.fn(t, smoothstep(2.0 * eps))
-        return second.fn(t, smoothstep(2.0 * eps - 1.0))
+        if not isinstance(ev, np.ndarray):
+            if ev <= 0.5:
+                return first.fn(t, smoothstep(2.0 * eps))
+            return second.fn(t, smoothstep(2.0 * eps - 1.0))
+        lower = ev <= 0.5
+        a = first.fn(t, smoothstep(2.0 * _where(lower, eps, 0.5)))
+        b = second.fn(t, smoothstep(2.0 * _where(lower, 0.5, eps) - 1.0))
+        return [_where(lower, p, q) for p, q in zip(a, b)]
 
     return SphereFamily(fn, n_t=max(first.n_t, second.n_t),
                         n_eps=2 * max(first.n_eps, second.n_eps) - 1,
                         closed=True,
                         name=f"{second.name}*{first.name}")
+
+
+def _where(cond, a, b):
+    """`np.where` through Dual layers: a where `cond` holds, else b."""
+    if not (isinstance(a, Dual) or isinstance(b, Dual)):
+        return np.where(cond, a, b)
+    a, b = (x if isinstance(x, Dual) else Dual(x, 0.0) for x in (a, b))
+    return Dual(_where(cond, a.re, b.re), _where(cond, a.eps, b.eps))
 
 
 FAMILIES = {"round-sphere": round_sphere, "cap": cap}
@@ -227,83 +244,119 @@ class VerStarPath:
                      for a, b in zip(fresh(j), self.base_points[j]))
 
 
-def _slice_nodes(family, eps):
-    """(base point, ∂_t γ, ∂_ε γ) of one ε-slice, each a coordinate list
-    whose entries are arrays over the slice's s-grid k/(n_t − 1): one call
-    of `family.fn` per quantity, with the array seeded as `Dual(s, 1.0)`
-    for ∂_t and the scalar ε as `Dual(ε, 1.0)` for ∂_ε.  ε stays a scalar,
-    so families that branch on its value work unchanged.  An entry that
-    does not depend on s is a plain number, which broadcasts.  The nodes
-    do not depend on the fiber point, so each slice computes them once and
-    every vertical-gradient channel of `transgress` reuses them."""
-    s = np.arange(family.n_t) / (family.n_t - 1)
+def _grid_nodes(family, eps):
+    """(base point, ∂_t γ, ∂_ε γ) over the (s, ε) grid of the slices in
+    `eps`, each a coordinate list of arrays of shape (n_t, len(eps)): s runs
+    down the column k/(n_t − 1), ε along the row `eps`.  One call of
+    `family.fn` per quantity, seeded `Dual(s, 1.0)` for ∂_t and
+    `Dual(eps, 1.0)` for ∂_ε.
+    An entry that does not depend on s or ε is a plain number or a row or
+    column, which broadcasts.  The nodes do not depend on the fiber point,
+    so every vertical-gradient channel of `transgress` reuses them."""
+    s = (np.arange(family.n_t) / (family.n_t - 1))[:, None]
     return (family.fn(s, eps),
             dm.tangent(family.fn(Dual(s, 1.0), eps)),
             dm.tangent(family.fn(s, Dual(eps, 1.0))))
 
 
 def _stack(column):
-    """Per-node states of one fiber coordinate (floats or first-order
-    duals) as one array Dual over the nodes."""
-    return Dual(np.array([dm.value_of(c) for c in column]),
-                np.array(dm.tangent(column)))
+    """Per-node states of one fiber coordinate (arrays over the ε-slices,
+    or first-order duals of these) as one array Dual with the s-nodes on
+    the first axis.  A plain-number entry broadcasts."""
+    return Dual(np.stack(np.broadcast_arrays(*map(dm.value_of, column))),
+                np.stack(np.broadcast_arrays(*dm.tangent(column))))
 
 
-def _simpson_row(w, val):
-    """Σ_k w_k·val_k over the s-nodes, as Python floats.  `val` is an array
-    over the nodes, a plain number (a zero form returns 0.0, a tangent that
-    does not depend on the seed is 0.0) or a Dual of these.  numpy returns
-    NaN where `math` raises, so a non-finite value makes its tangent NaN:
-    the derivative of an undefined integrand must not read as a number."""
+def _simpson_row(w, val, n_eps):
+    """Σ_k w_k·val_k over the s-axis of the (s, ε) grid: one value per
+    ε-slice.  `val` is an array over the grid, a plain number (a zero form
+    returns 0.0, a tangent that does not depend on the seed is 0.0) or a
+    Dual of these; either broadcasts to the grid.  numpy returns NaN where
+    `math` raises, so where a slice's value is not finite its tangent is
+    NaN: the derivative of an undefined integrand must not read as a
+    number."""
     if isinstance(val, Dual):
-        re = _simpson_row(w, val.re)
-        eps = _simpson_row(w, val.eps) if math.isfinite(re) else math.nan
-        return Dual(re, eps)
-    return float(np.dot(w, np.broadcast_to(val, w.shape)))
+        re = _simpson_row(w, val.re, n_eps)
+        eps = _simpson_row(w, val.eps, n_eps)
+        return Dual(re, np.where(np.isfinite(re), eps, math.nan))
+    return w @ np.broadcast_to(val, (len(w), n_eps))
+
+
+def _per_slice(columns, n_eps):
+    """Per-slice lists of Python floats from per-coordinate arrays over
+    the ε-slices (a plain number broadcasts)."""
+    rows = [np.broadcast_to(c, (n_eps,)).tolist() for c in columns]
+    return [[row[j] for row in rows] for j in range(n_eps)]
+
+
+#: (s, ε) nodes per array pass of `transgress`.  A pass keeps about a
+#: dozen grid-sized arrays alive at once, so larger grids run in blocks of
+#: whole ε-slices: a 65 × 65 family is one block, a 129 × 129 one three.
+BLOCK_NODES = 8192
 
 
 def transgress(geom, family, x0, step=DEFAULT_RK4_STEP):
     """Evaluate the transgression of a sphere family at a fiber point.
 
-    Per ε-slice: evaluate the integrand ω_H(h ∂_t γ, h ∂_ε γ) in one array
-    pass over the slice's s-nodes (`_slice_nodes`), at the fiber point
-    carried back through the slice transports (a flat connection leaves
-    it in place; a curved one stacks the `transport_samples` states into
-    per-coordinate array duals), integrate in s by composite Simpson, and
-    take the vertical differential at the holonomy-carried point γ̃(ε).
+    y₀ is the scalar transport of x₀ along the ε = 0 slice, and γ̃(ε)
+    carries y₀ back along every slice.  The ε-slices are then processed
+    together, in blocks of at most `BLOCK_NODES` (s, ε) nodes
+    (`_transgress_block`).
     """
     _collapse_or_raise(family)
+    conn = geom.connection
+    y0 = parallel_transport(conn, family.eps_slice(0.0), list(x0),
+                            0.0, 1.0, step=step)
+    n_eps = family.n_eps
+    eps = np.arange(n_eps) / (n_eps - 1)
+    n_blocks = -(-family.n_t * n_eps // BLOCK_NODES)   # ceiling division
+    width = -(-n_eps // n_blocks)
+    covectors, base_points = [], []
+    for lo in range(0, n_eps, width):
+        cov, pts = _transgress_block(geom, family, y0, eps[lo:lo + width],
+                                     step)
+        covectors += cov
+        base_points += pts
+    return VerStarPath(eps.tolist(), covectors, base_points, geom=geom,
+                       family=family, x0=x0,
+                       name=f"transgress({family.name})")
+
+
+def _transgress_block(geom, family, y0, eps, step):
+    """Covectors and γ̃ of the ε-slices in `eps`, as per-slice lists of
+    Python floats.
+
+    The slices are stacked into one base path whose coordinates are arrays
+    over `eps`, so each transport is one RK4 integration with array state.
+    Per vertical-gradient channel, the integrand ω_H(h ∂_t γ, h ∂_ε γ) is
+    one array evaluation over the (s, ε) grid (`_grid_nodes`), at the fiber
+    points carried from γ̃ through the slice transports (a flat connection
+    leaves them in place; a curved one stacks the dual-seeded
+    `transport_samples` states into (n_t, len(eps)) array duals),
+    integrated in s by composite Simpson per slice.
+    """
     space = geom.space
     conn = geom.connection
     omega = geom.omega_h
+    n_eps = len(eps)
     w_s = np.array(simpson_weights(family.n_t))
     s_nodes = [k / (family.n_t - 1) for k in range(family.n_t)]
-    eps_grid = [j / (family.n_eps - 1) for j in range(family.n_eps)]
+    slices = BasePath(lambda t: family.fn(t, eps),
+                      name=f"{family.name}@eps-block")
+    x_tilde = _transport(conn, slices,
+                         [np.full(n_eps, c, dtype=float) for c in y0],
+                         1.0, 0.0, step)
+    b, vt, ve = _grid_nodes(family, eps)
 
-    y0 = parallel_transport(conn, family.eps_slice(0.0), list(x0),
-                            0.0, 1.0, step=step)
+    def s_integral(x):
+        if not conn.is_flat:
+            states = transport_samples(conn, slices, x, s_nodes, step=step)
+            x = [_stack(column) for column in zip(*states)]
+        return _simpson_row(
+            w_s, omega.value(space.join(b, x), [vt, ve]), n_eps)
 
-    def one_slice(eps):
-        sl = family.eps_slice(eps)
-        x_tilde = parallel_transport(conn, sl, y0, 1.0, 0.0, step=step)
-        b, vt, ve = _slice_nodes(family, eps)
-
-        def s_integral(x):
-            if not conn.is_flat:
-                states = transport_samples(conn, sl, x, s_nodes, step=step)
-                x = [_stack(column) for column in zip(*states)]
-            return _simpson_row(
-                w_s, omega.value(space.join(b, x), [vt, ve]))
-
-        cov = dm.gradient(s_integral, x_tilde)
-        return cov, x_tilde
-
-    results = parallel_map(one_slice, eps_grid)
-    covectors = [r[0] for r in results]
-    base_points = [r[1] for r in results]
-    return VerStarPath(eps_grid, covectors, base_points, geom=geom,
-                       family=family, x0=x0,
-                       name=f"transgress({family.name})")
+    covectors = _per_slice(dm.gradient(s_integral, x_tilde), n_eps)
+    return covectors, _per_slice(x_tilde, n_eps)
 
 
 def transgress_flat(geom, family, x0):

@@ -3,9 +3,11 @@ embeddings, and deterministic sampling."""
 
 import math
 
+import numpy as np
 import pytest
 
 from fiberdirac.charts import POLE_MARGIN, CoordinateDomain
+from fiberdirac.dual import Dual
 
 
 def test_box_construction_and_membership():
@@ -14,6 +16,20 @@ def test_box_construction_and_membership():
     assert dom.contains([0.5, 1.9])
     assert not dom.contains([0.5, 2.5])
     assert not dom.contains([float("nan"), 0.0])
+
+
+def test_membership_of_array_points():
+    dom = CoordinateDomain.box([(-1.0, 1.0), (0.0, 2.0)])
+    xs = np.array([-0.5, 0.0, 0.9])
+    assert dom.contains([xs, np.array([0.1, 1.0, 1.9])])
+    assert dom.contains([Dual(xs, 1.0), 1.0])
+    assert not dom.contains([xs, np.array([0.1, 2.5, 1.9])])
+    assert not dom.contains([np.array([-0.5, math.nan, 0.9]), 1.0])
+    assert dom.inside([xs, np.array([0.1, 2.5, 1.9])]).tolist() == \
+        [True, False, True]
+    sphere = CoordinateDomain.sphere()
+    assert sphere.contains([xs, 3.0])
+    assert not sphere.contains([xs, np.array([0.0, math.inf, 0.0])])
 
 
 def test_box_needs_matching_bounds():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,7 +178,11 @@ def test_nan_residual_fails(capsys, tmp_path):
                 "fields": NAN_CONNECTION_FIELDS, "samples": 8}
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(scenario))
-    code, out, _ = run_main(capsys, ["check", str(path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_main(capsys, ["check", str(path)])
+    # Python floats overflow to inf without numpy's RuntimeWarning
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     report = json.loads(out)
     assert code == 1 and report["verdict"] == "FAIL"
     named = {c["name"]: c for c in report["checks"]}
@@ -198,7 +203,10 @@ def test_evaluator_errors_fail_without_traceback(capsys, tmp_path, fields,
                 "fields": fields, "checks": checks, "samples": 8}
     path = tmp_path / "err.json"
     path.write_text(json.dumps(scenario))
-    code, out, _ = run_main(capsys, ["check", str(path)])   # raises nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_main(capsys, ["check", str(path)])  # no raise
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == 1
     report = json.loads(out)
     assert report["verdict"] == "FAIL"
@@ -279,6 +287,37 @@ def test_version_and_bare_invocation(capsys):
 
     code, out, _ = run_main(capsys, [])
     assert code == 2 and "usage" in out.lower()
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _numbers(item)
+    elif node is not None and not isinstance(node, (str, bool)):
+        yield node
+
+
+def test_bundled_reports_hold_only_python_numbers():
+    # run_scenario callers get plain numbers, never numpy scalars
+    for p in sorted(SCENARIOS.glob("*.json")):
+        report, _ = run_scenario(json.loads(p.read_text()))
+        for x in _numbers(report):
+            assert type(x) in (int, float), (p.name, x)
+
+
+def test_numpy_residuals_are_reported_as_python_floats(monkeypatch):
+    monkeypatch.setattr(cli, "check_coupling_conditions",
+                        lambda geom, count, seed: {"max": np.float64(1e-9)})
+    monkeypatch.setattr(cli, "dirac_closure_residual",
+                        lambda geom, count, seed: np.float64(2e-9))
+    report, code = run_scenario({"name": "n", "kind": "coupling-check",
+                                 "example": "hopf",
+                                 "checks": ["oracle-agreement", "closure"]})
+    assert code == 0
+    assert report["closure_residual"] == 2e-9
+    assert all(type(x) in (int, float) for x in _numbers(report))
 
 
 def test_packaged_scenarios_are_well_formed():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fiberdirac import _numerics
+from fiberdirac import _numerics, monodromy
 from fiberdirac import dual as dm
 from fiberdirac._numerics import simpson_weights, smoothstep, worst
 from fiberdirac.charts import CoordinateDomain
@@ -232,10 +232,81 @@ def test_flat_lattice_evaluates_the_form_once_per_slice_and_channel(
     monkeypatch.setattr(_numerics, "rk4_step", counted_rk4_step)
     radii, grid = (0.5, 1.0), (8, 8)
     so3_lattice(lambda r: 2.0 * r + 1.0, radii=radii, grid=grid)
-    n_eps, n_fiber = grid[1] + 1, 3
-    # one array pass per (ε-slice, gradient channel), not one per s-node
-    assert calls["value"] == len(radii) * n_eps * n_fiber
+    n_fiber = 3
+    # one array pass over the whole (s, ε) grid per gradient channel, not
+    # one per ε-slice or per node
+    assert calls["value"] == len(radii) * n_fiber
     assert calls["rk4"] == 0
+
+
+def test_curved_rk4_work_does_not_grow_with_the_slice_count(monkeypatch):
+    # every ε-slice rides in the same array-state integration, so doubling
+    # the slices must not add a single RK4 step
+    steps = []
+    rk4_step = _numerics.rk4_step
+
+    def counted_rk4_step(*args):
+        steps[-1] += 1
+        return rk4_step(*args)
+
+    monkeypatch.setattr(_numerics, "rk4_step", counted_rk4_step)
+    for fam in (round_sphere(9, 9), round_sphere(9, 17)):
+        steps.append(0)
+        transgress(curved_model(), fam, [0.3], step=1e-2)
+    assert steps[0] == steps[1] > 0
+
+
+@pytest.mark.parametrize("geom", [curved_model(), hopf_flat_example(
+    lambda x: 2.0 * x + 1.0)], ids=["curved", "flat"])
+def test_blocks_of_slices_match_the_reference(monkeypatch, geom):
+    # 40 nodes per block split the 9 × 9 grid into ε-blocks of 4, 4 and 1
+    monkeypatch.setattr(monodromy, "BLOCK_NODES", 40)
+    fam = round_sphere(9, 9)
+    got = transgress(geom, fam, [0.3], step=1e-2)
+    want = per_node_endpoint(geom, fam, [0.3], step=1e-2)
+    assert len(got.covectors) == len(got.base_points) == 9
+    assert got.endpoint() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_stacked_state_never_reaches_parallel_transport(monkeypatch):
+    # parallel_transport is the public per-path entry point, and tracing
+    # keys its calls by float(x0); stacked ε-slice state takes the private
+    # integrator instead
+    starts = []
+    original = monodromy.parallel_transport
+
+    def checked(connection, path, x0, *args, **kwargs):
+        starts.append([float(dm.value_of(c)) for c in x0])
+        return original(connection, path, x0, *args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "parallel_transport", checked)
+    path = transgress(curved_model(), round_sphere(9, 9), [0.3], step=1e-2)
+    path.transport_consistency(step=1e-2)
+    assert len(starts) == 1 + 1 + 5   # y0, then transport_consistency
+
+
+def test_concat_families_on_an_eps_array_matches_scalar_evaluation():
+    fam = concat_families(round_sphere(9, 9), round_sphere(9, 9))
+    t = np.linspace(0.0, 1.0, 7)[:, None]
+    eps = np.linspace(0.0, 1.0, 13)
+    got = [fam.fn(t, eps),
+           dm.tangent(fam.fn(dm.Dual(t, 1.0), eps)),
+           dm.tangent(fam.fn(t, dm.Dual(eps, 1.0)))]
+    for k, tk in enumerate(t[:, 0]):
+        for j, ej in enumerate(eps):
+            want = [fam.point(tk, ej), fam.d_t(tk, ej), fam.d_eps(tk, ej)]
+            for g, w in zip(got, want):
+                assert [np.broadcast_to(c, (7, 13))[k, j] for c in g] == \
+                    pytest.approx(w, rel=1e-15, abs=0.0)
+
+
+def test_curved_transgression_of_a_concatenation_matches_the_reference():
+    geom = curved_model()
+    fam = concat_families(round_sphere(9, 9), round_sphere(9, 9))
+    got = transgress(geom, fam, [0.3], step=1e-2).endpoint()
+    want = per_node_endpoint(geom, fam, [0.3], step=1e-2)
+    assert abs(want[0]) > 1e-3
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("component", [
@@ -260,8 +331,14 @@ def test_nan_in_an_array_evaluation_reaches_the_endpoint(component):
 
 def test_curved_transgression_escape_propagates():
     geom = curved_model(strength=(8.0, -6.0), bound=0.45)
-    with pytest.raises(IncompleteTransportError):
+    with pytest.raises(IncompleteTransportError) as info:
         transgress(geom, round_sphere(17, 17), [0.4], step=2e-3)
+    # the escape happens in the stacked transport of all ε-slices, and
+    # still names one slice's point in Python floats
+    err = info.value
+    assert math.isfinite(err.t_escape) and 0.0 <= err.t_escape <= 1.0
+    assert err.point and all(type(c) is float for c in err.point)
+    assert not geom.space.fiber.contains(err.point)
 
 
 def test_ver_star_path_endpoint_is_simpson():

@@ -18,6 +18,13 @@ from fiberdirac.yangmills import (EXAMPLES, HamiltonianFiber, PrincipalData,
 from fiberdirac.charts import CoordinateDomain
 
 
+def test_sampled_points_are_python_floats():
+    # box-chart jitter comes from numpy; numpy scalars in a point would run
+    # every scalar Dual operation of the coupling checks on numpy floats
+    points = hopf_example(lambda x: 2.0 * x + 1.0).space.sample(4)
+    assert all(type(c) is float for p in points for c in p)
+
+
 def test_structure_constants_satisfy_jacobi():
     assert StructureGroupModel.circle().jacobi_residual() == 0.0
     assert StructureGroupModel.rotations().jacobi_residual() < 1e-14
