@@ -144,22 +144,17 @@ class SplitPath:
 
 
 def _transport_differential(conn, base_path, x_from, t0, t1, step):
-    """Columns of dφ_{t1,t0} at x_from (transport differential)."""
-    nf = conn.space.n_fiber
-    cols = []
-    for k in range(nf):
-        seeded = [Dual(dm.value_of(c), 1.0 if m == k else 0.0)
-                  for m, c in enumerate(x_from)]
-        out = parallel_transport(conn, base_path, seeded, t0=t0, t1=t1,
-                                 step=step)
-        cols.append(dm.tangent(out))
-    return cols   # cols[k][i] = ∂(φ x)_i / ∂x_k
+    """dφ_{t1,t0} at x_from (transport differential) as Jacobian rows:
+    J[i][k] = ∂(φ x)_i / ∂x_k."""
+    return dm.jacobian(
+        lambda x: parallel_transport(conn, base_path, x, t0=t0, t1=t1,
+                                     step=step),
+        [dm.value_of(c) for c in x_from])
 
 
-def _push_vector(cols, w):
-    """Pushforward of a fiber vector through a transport differential."""
-    nf = len(cols)
-    return [dot([cols[k][i] for k in range(nf)], w) for i in range(nf)]
+def _pull_covector(jac, a):
+    """Pullback of a fiber covector through a transport differential."""
+    return [dot(col, a) for col in zip(*jac)]
 
 
 def split_apath(apath, step=DEFAULT_RK4_STEP):
@@ -174,10 +169,10 @@ def split_apath(apath, step=DEFAULT_RK4_STEP):
 
     def covector_fn(t):
         xt = point_fn(t)
-        cols = _transport_differential(conn, bp, xt, 0.0, t, step)
+        jac = _transport_differential(conn, bp, xt, 0.0, t, step)
         a_v = apath.covector_path(t)
         # precomposition: ã_k = Σ_i (a_V)_i ∂(φ_{t,0})_i/∂x_k
-        return matvec(cols, a_v)
+        return _pull_covector(jac, a_v)
 
     def rate_fn(t):
         # x̃˙(t) = dφ_{0,t}(γ̇_F − A γ̇_B) = dφ_{0,t}(P a_V) by the anchor
@@ -185,8 +180,7 @@ def split_apath(apath, step=DEFAULT_RK4_STEP):
         xf = [dm.value_of(c) for c in apath.fiber_path(t)]
         pt = geom.space.join(bp(t), xf)
         w = matvec(geom.pi_matrix(pt), apath.covector_path(t))
-        cols = _transport_differential(conn, bp, xf, t, 0.0, step)
-        return _push_vector(cols, w)
+        return matvec(_transport_differential(conn, bp, xf, t, 0.0, step), w)
 
     return SplitPath(geom, bp, point_fn, covector_fn, rate_fn,
                      name=f"split({apath.name})")
@@ -208,8 +202,8 @@ def unsplit_apath(split, step=DEFAULT_RK4_STEP):
         # the family term is the transport generator at the image point.
         pt = geom.space.join(bp(tv), x)
         u = bp.velocity(tv)
-        cols = _transport_differential(conn, bp, xt, 0.0, tv, step)
-        pushed = _push_vector(cols, split.rate(tv))
+        pushed = matvec(_transport_differential(conn, bp, xt, 0.0, tv, step),
+                        split.rate(tv))
         vel = [p + q for p, q in zip(matvec(geom.conn_matrix(pt), u),
                                      pushed)]
         return [Dual(dm.value_of(b), v * t.eps) for b, v in zip(x, vel)]
@@ -217,9 +211,8 @@ def unsplit_apath(split, step=DEFAULT_RK4_STEP):
     def covector_path(t):
         xt = split.point(t)
         x_end = parallel_transport(conn, bp, xt, 0.0, t, step=step)
-        cols = _transport_differential(conn, bp, x_end, t, 0.0, step)
-        a_t = split.covector(t)
-        return matvec(cols, a_t)
+        jac = _transport_differential(conn, bp, x_end, t, 0.0, step)
+        return _pull_covector(jac, split.covector(t))
 
     return AlgebroidPath(geom, bp, fiber_path, covector_path,
                          name=f"unsplit({split.name})")
@@ -238,14 +231,13 @@ def inverse_split(split, step=DEFAULT_RK4_STEP):
 
     def covector_fn(t):
         y = point_fn(t)
-        cols = _transport_differential(conn, bp, y, 1.0, 0.0, step)
-        a = split.covector(1.0 - t)
-        return [-dot(cols[k], a) for k in range(len(cols))]
+        jac = _transport_differential(conn, bp, y, 1.0, 0.0, step)
+        return [-c for c in _pull_covector(jac, split.covector(1.0 - t))]
 
     def rate_fn(t):
         x_from = split.point(1.0 - t)
-        cols = _transport_differential(conn, bp, x_from, 0.0, 1.0, step)
-        return [-c for c in _push_vector(cols, split.rate(1.0 - t))]
+        jac = _transport_differential(conn, bp, x_from, 0.0, 1.0, step)
+        return [-c for c in matvec(jac, split.rate(1.0 - t))]
 
     return SplitPath(geom, bp.reversed(), point_fn, covector_fn, rate_fn,
                      name=f"{split.name}~")
@@ -323,14 +315,13 @@ def concat_split(second, first, step=DEFAULT_RK4_STEP):
 
     def pulled_cov(t):
         x_back = pulled_point(t)
-        cols = _transport_differential(conn, bp1, x_back, 0.0, 1.0, step)
-        a = second.covector(t)
-        return matvec(cols, a)
+        jac = _transport_differential(conn, bp1, x_back, 0.0, 1.0, step)
+        return _pull_covector(jac, second.covector(t))
 
     def pulled_rate(t):
-        cols = _transport_differential(conn, bp1, second.point(t), 1.0, 0.0,
-                                       step)
-        return _push_vector(cols, second.rate(t))
+        jac = _transport_differential(conn, bp1, second.point(t), 1.0, 0.0,
+                                      step)
+        return matvec(jac, second.rate(t))
 
     p1, c1, r1 = _half_curves(first.point_fn, first.covector_fn,
                               first.rate, 0)

@@ -284,20 +284,20 @@ def _run_coupling_check(scenario, seed):
                                       f"names from {list(COUPLING_CHECKS)}, "
                                       f"got {wanted!r}")
     checks, extras = [], {}
-    cond = None
+    cond = res = None
     if "conditions" in wanted or "oracle-agreement" in wanted:
         cond = check_coupling_conditions(geom, count=samples, seed=seed)
+    if "closure" in wanted or "oracle-agreement" in wanted:
+        res = dirac_closure_residual(geom, count=min(samples, 16), seed=seed)
     if "conditions" in wanted:
         for key in ("vertical_poisson", "transport_invariance",
                     "covariant_closure", "curvature_match"):
             checks.append(_check(key, cond[key],
                                  _tol(scenario, key, 1e-8)))
     if "closure" in wanted:
-        res = dirac_closure_residual(geom, count=min(samples, 16), seed=seed)
         checks.append(_check("dirac_closure", res,
                              _tol(scenario, "dirac_closure", 1e-6)))
     if "oracle-agreement" in wanted:
-        res = dirac_closure_residual(geom, count=min(samples, 16), seed=seed)
         thr = _tol(scenario, "oracle_agreement", 1e-6)
         # a NaN on either route is a disagreement, never a match
         agree = ((cond["max"] < thr) == (res < thr)

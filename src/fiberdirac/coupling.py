@@ -32,7 +32,6 @@ import itertools
 import numpy as np
 
 from . import dual as dm
-from .dual import Dual
 from ._numerics import (RANK_THRESHOLD, dot, intersection_dimension,
                         lstsq_residual, matvec, parallel_map, skew_matrix,
                         worst)
@@ -188,17 +187,9 @@ def extract_geometric_data(frame):
 
 # -- the four coupling conditions -------------------------------------------------
 
-def _fiber_partial(space, fn, point, k):
-    """∂/∂x_k (fiber coordinate) of a scalar function on E at a point."""
-    seeded = list(point)
-    seeded[space.n_base + k] = Dual(point[space.n_base + k], 1.0)
-    return dm.tangent(fn(seeded))
-
-
 def _vertical_schouten(geom, point):
     """max |[π_V, π_V]^{pqr}| over fiber index triples (fiber derivatives only)."""
-    space = geom.space
-    nf = space.n_fiber
+    nb, nf = geom.space.n_base, geom.space.n_fiber
     if nf < 3:
         return 0.0
     p_mat = geom.pi_matrix(point)
@@ -207,8 +198,8 @@ def _vertical_schouten(geom, point):
         acc = 0.0
         for (i, j, k) in ((p, q, r), (q, r, p), (r, p, q)):
             for l in range(nf):
-                dj = _fiber_partial(space, lambda pt: geom.pi_matrix(pt)[j][k],
-                                    point, l)
+                dj = dm.partial(lambda pt: geom.pi_matrix(pt)[j][k],
+                                point, nb + l)
                 acc = acc + p_mat[i][l] * dj
         return acc
 
@@ -272,8 +263,8 @@ def _curvature_match(geom, point):
         ea = [1.0 if i == a else 0.0 for i in range(nb)]
         eb = [1.0 if i == b else 0.0 for i in range(nb)]
         curv = curvature(geom.connection, point, ea, eb)
-        grad = [_fiber_partial(space, lambda pt: geom.omega_h(pt)[idx],
-                               point, k) for k in range(nf)]
+        grad = [dm.partial(lambda pt: geom.omega_h(pt)[idx], point, nb + k)
+                for k in range(nf)]
         return [abs(dm.value_of(c) - dm.value_of(r))
                 for c, r in zip(curv, matvec(p_mat, grad))]
 
@@ -424,10 +415,6 @@ def embed_horizontal(geom, v, name="v"):
                                fields.covector_field(n, cov, name=f"hstar({name})"))
 
 
-def _fiber_gradient(space, fn, point):
-    return [_fiber_partial(space, fn, point, k) for k in range(space.n_fiber)]
-
-
 def vertical_covector_bracket(geom, alpha_fn, beta_fn):
     """[α, β]_V = L_{π^♯α} β − L_{π^♯β} α − d_V π(α, β) as a fiber covector field."""
     space = geom.space
@@ -444,10 +431,10 @@ def vertical_covector_bracket(geom, alpha_fn, beta_fn):
             # (L_{♯σ} τ)_k with vertical ♯σ: ♯σ·∂_V τ_k + τ_m ∂_k(♯σ)^m
             acc = 0.0
             for m in range(nf):
-                acc = acc + sh_src[m] * _fiber_partial(
-                    space, lambda q, k=k: tgt_fn(q)[k], pt, m)
-                acc = acc + tgt_fn(pt)[m] * _fiber_partial(
-                    space, lambda q, m=m: sh_fn(q)[m], pt, k)
+                acc = acc + sh_src[m] * dm.partial(
+                    lambda q, k=k: tgt_fn(q)[k], pt, nb + m)
+                acc = acc + tgt_fn(pt)[m] * dm.partial(
+                    lambda q, m=m: sh_fn(q)[m], pt, nb + k)
             return acc
 
         def sharp_alpha(q):
@@ -470,7 +457,7 @@ def vertical_covector_bracket(geom, alpha_fn, beta_fn):
         for k in range(nf):
             t1 = lie(sha, sharp_alpha, beta_fn, k)
             t2 = lie(shb, sharp_beta, alpha_fn, k)
-            t3 = _fiber_partial(space, pairing_scalar, pt, k)
+            t3 = dm.partial(pairing_scalar, pt, nb + k)
             out.append(t1 - t2 - t3)
         return out
 
@@ -490,7 +477,7 @@ def horizontal_covector_derivative(geom, v, alpha_fn):
             acc = dm.directional(lambda q: alpha_fn(q)[k], pt, hv)
             for m in range(nf):
                 lift_m = lambda q, m=m: dot(geom.conn_matrix(q)[m], v)
-                acc = acc + alpha_fn(pt)[m] * _fiber_partial(space, lift_m, pt, k)
+                acc = acc + alpha_fn(pt)[m] * dm.partial(lift_m, pt, nb + k)
             out.append(acc)
         return out
 
@@ -537,7 +524,7 @@ def splitting_bracket_residual(geom, points=None, count=12, seed=0,
         def scalar(q):
             wm = geom.omega_matrix(q)
             return dot(v, matvec(wm, w))
-        return _fiber_gradient(space, scalar, pt)
+        return [dm.partial(scalar, pt, nb + k) for k in range(nf)]
 
     lhs_vv = fields.courant_bracket(sec_a, sec_b)
     lhs_hv = fields.courant_bracket(sec_v, sec_a)

@@ -87,8 +87,8 @@ class Dual:
     def __truediv__(self, other):
         if isinstance(other, Dual):
             inv = 1.0 / other.re
-            return Dual(self.re * inv,
-                        (self.eps - self.re * inv * other.eps) * inv)
+            val = self.re * inv
+            return Dual(val, (self.eps - val * other.eps) * inv)
         if _is_scalar(other):
             return Dual(self.re / other, self.eps / other)
         return NotImplemented
@@ -158,114 +158,47 @@ def _ordered(x):
 
 # -- elementary functions, generic over float / array / Dual ----------------
 
-def sin(x):
-    if isinstance(x, Dual):
-        return Dual(sin(x.re), cos(x.re) * x.eps)
-    try:
-        return math.sin(x)
-    except TypeError:   # an array: math takes scalars only
-        return np.sin(x)
+def _elementary(math_fn, numpy_fn, rule):
+    """One function of the library: `math_fn` on numbers, `numpy_fn` when
+    `math` refuses an array, and on a Dual the chain rule, with
+    ``rule(x, fx, dx)`` giving the tangent of f at x (value fx) along dx."""
+
+    def f(x):
+        if isinstance(x, Dual):
+            fx = f(x.re)
+            return Dual(fx, rule(x.re, fx, x.eps))
+        try:
+            return math_fn(x)
+        except TypeError:   # an array: math takes scalars only
+            return numpy_fn(x)
+
+    f.__name__ = f.__qualname__ = math_fn.__name__
+    return f
 
 
-def cos(x):
-    if isinstance(x, Dual):
-        return Dual(cos(x.re), -sin(x.re) * x.eps)
-    try:
-        return math.cos(x)
-    except TypeError:
-        return np.cos(x)
+def _tan_rule(x, fx, dx):
+    c = cos(x)
+    return dx / (c * c)
 
 
-def tan(x):
-    if isinstance(x, Dual):
-        c = cos(x.re)
-        return Dual(tan(x.re), x.eps / (c * c))
-    try:
-        return math.tan(x)
-    except TypeError:
-        return np.tan(x)
-
-
-def exp(x):
-    if isinstance(x, Dual):
-        e = exp(x.re)
-        return Dual(e, e * x.eps)
-    try:
-        return math.exp(x)
-    except TypeError:
-        return np.exp(x)
-
-
-def log(x):
-    if isinstance(x, Dual):
-        return Dual(log(x.re), x.eps / x.re)
-    try:
-        return math.log(x)
-    except TypeError:
-        return np.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, Dual):
-        s = sqrt(x.re)
-        return Dual(s, x.eps / (2.0 * s))
-    try:
-        return math.sqrt(x)
-    except TypeError:
-        return np.sqrt(x)
-
-
-def atan(x):
-    if isinstance(x, Dual):
-        return Dual(atan(x.re), x.eps / (1.0 + x.re * x.re))
-    try:
-        return math.atan(x)
-    except TypeError:
-        return np.arctan(x)
-
-
-def asin(x):
-    if isinstance(x, Dual):
-        return Dual(asin(x.re), x.eps / sqrt(1.0 - x.re * x.re))
-    try:
-        return math.asin(x)
-    except TypeError:
-        return np.arcsin(x)
-
-
-def acos(x):
-    if isinstance(x, Dual):
-        return Dual(acos(x.re), -x.eps / sqrt(1.0 - x.re * x.re))
-    try:
-        return math.acos(x)
-    except TypeError:
-        return np.arccos(x)
-
-
-def sinh(x):
-    if isinstance(x, Dual):
-        return Dual(sinh(x.re), cosh(x.re) * x.eps)
-    try:
-        return math.sinh(x)
-    except TypeError:
-        return np.sinh(x)
-
-
-def cosh(x):
-    if isinstance(x, Dual):
-        return Dual(cosh(x.re), sinh(x.re) * x.eps)
-    try:
-        return math.cosh(x)
-    except TypeError:
-        return np.cosh(x)
-
+sin = _elementary(math.sin, np.sin, lambda x, fx, dx: cos(x) * dx)
+cos = _elementary(math.cos, np.cos, lambda x, fx, dx: -sin(x) * dx)
+tan = _elementary(math.tan, np.tan, _tan_rule)
+exp = _elementary(math.exp, np.exp, lambda x, fx, dx: fx * dx)
+log = _elementary(math.log, np.log, lambda x, fx, dx: dx / x)
+sqrt = _elementary(math.sqrt, np.sqrt, lambda x, fx, dx: dx / (2.0 * fx))
+atan = _elementary(math.atan, np.arctan,
+                   lambda x, fx, dx: dx / (1.0 + x * x))
+asin = _elementary(math.asin, np.arcsin,
+                   lambda x, fx, dx: dx / sqrt(1.0 - x * x))
+acos = _elementary(math.acos, np.arccos,
+                   lambda x, fx, dx: -dx / sqrt(1.0 - x * x))
+sinh = _elementary(math.sinh, np.sinh, lambda x, fx, dx: cosh(x) * dx)
+cosh = _elementary(math.cosh, np.cosh, lambda x, fx, dx: sinh(x) * dx)
 
 #: name → callable, the function namespace shared with the expression grammar
-FUNCTIONS = {
-    "sin": sin, "cos": cos, "tan": tan, "exp": exp, "log": log,
-    "sqrt": sqrt, "atan": atan, "asin": asin, "acos": acos,
-    "sinh": sinh, "cosh": cosh,
-}
+FUNCTIONS = {f.__name__: f for f in (sin, cos, tan, exp, log, sqrt, atan,
+                                     asin, acos, sinh, cosh)}
 
 
 # -- derivative helpers ------------------------------------------------------
@@ -278,11 +211,20 @@ def tangent(out):
     return out.eps if isinstance(out, Dual) else 0.0
 
 
+def _seeded_pass(f, point, direction):
+    """The tangent of f at ``point`` along ``direction``.  Every coordinate
+    is wrapped in a new Dual level, so a point whose entries are already
+    duals nests correctly: the outer seed rides inside ``.re``."""
+    return tangent(f([Dual(p, d) for p, d in zip(point, direction)]))
+
+
+def _unit(n, i):
+    return [1.0 if k == i else 0.0 for k in range(n)]
+
+
 def partial(f, point, i):
-    """∂f/∂x_i at ``point`` (f scalar-valued, point a sequence)."""
-    seeded = [Dual(p, 1.0) if k == i else Dual(p, 0.0)
-              for k, p in enumerate(point)]
-    return tangent(f(seeded))
+    """∂f/∂x_i at ``point`` (f scalar- or list-valued, point a sequence)."""
+    return _seeded_pass(f, point, _unit(len(point), i))
 
 
 def gradient(f, point):
@@ -293,18 +235,13 @@ def gradient(f, point):
 def jacobian(f, point):
     """Jacobian rows of a vector function: J[a][i] = ∂f_a/∂x_i."""
     n = len(point)
-    cols = []
-    for i in range(n):
-        seeded = [Dual(p, 1.0) if k == i else Dual(p, 0.0)
-                  for k, p in enumerate(point)]
-        cols.append(tangent(f(seeded)))
-    m = len(cols[0])
-    return [[cols[i][a] for i in range(n)] for a in range(m)]
+    cols = [_seeded_pass(f, point, _unit(n, i)) for i in range(n)]
+    return [[col[a] for col in cols] for a in range(len(cols[0]))]
 
 
 def directional(f, point, direction):
     """Derivative of f along ``direction`` (f may be vector-valued)."""
-    return tangent(f([Dual(p, d) for p, d in zip(point, direction)]))
+    return _seeded_pass(f, point, direction)
 
 
 def second_partial(f, point, i, j):

@@ -262,10 +262,11 @@ class HorizontalForm:
     def value(self, point, base_vectors):
         """Evaluate on k base vectors."""
         vals = self.comps(point)
-        acc = 0.0
+        acc = 0.0   # the value of an empty sum; otherwise the first term
         for idx, combo in enumerate(self.combos):
-            minor = [[vec[i] for i in combo] for vec in base_vectors]
-            acc = acc + vals[idx] * det(minor)
+            term = vals[idx] * det([[vec[i] for i in combo]
+                                    for vec in base_vectors])
+            acc = term if idx == 0 else acc + term
         return acc
 
 

@@ -33,24 +33,17 @@ def _form_value(mat, u, v):
 
 
 def _inv_small(mat):
-    """Inverse of a 1–3 dimensional matrix by cofactors; the entries stay
-    dual-compatible, which lets exterior derivatives pass through."""
+    """Inverse by the adjugate, inv[i][j] = (−1)^(i+j)·det(minor(j, i)) /
+    det(mat); the entries stay dual-compatible, which lets exterior
+    derivatives pass through."""
     n = len(mat)
-    if n == 1:
-        return [[1.0 / mat[0][0]]]
-    if n == 2:
-        a, b = mat[0]
-        c, d = mat[1]
-        det = a * d - b * c
-        return [[d / det, -b / det], [-c / det, a / det]]
-    if n == 3:
-        m = mat
-        cof = [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-                - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-                for j in range(3)] for i in range(3)]
-        det = sum(m[0][j] * cof[0][j] for j in range(3))
-        return [[cof[j][i] / det for j in range(3)] for i in range(3)]
-    raise ValueError("cofactor inverse implemented for dims 1-3")
+    d = det(mat)
+
+    def cofactor(r, c):
+        m = det([row[:c] + row[c + 1:] for k, row in enumerate(mat) if k != r])
+        return m if (r + c) % 2 == 0 else -m
+
+    return [[cofactor(j, i) / d for j in range(n)] for i in range(n)]
 
 
 # -- the pair groupoid ----------------------------------------------------------------

@@ -31,7 +31,6 @@ import itertools
 import math
 
 from . import dual as dm
-from .dual import Dual
 from ._numerics import matvec, simpson_integrate, skew_matrix, worst
 from .charts import CoordinateDomain
 from . import fields
@@ -104,16 +103,9 @@ class PrincipalData:
         self.potential = potential
         self.name = name or "principal"
 
-    def _potential_partial(self, b, a, col):
-        # seeding on top of already-dual entries nests correctly: the new
-        # eps channel is the inner direction, the old one rides inside .re
-        seeded = list(b)
-        seeded[a] = Dual(b[a], 1.0)
-        return dm.tangent(self.potential(seeded)[col])
-
     def _curv_pair(self, b, a, c):
-        da = self._potential_partial(b, a, c)
-        dc = self._potential_partial(b, c, a)
+        da = dm.partial(lambda q: self.potential(q)[c], b, a)
+        dc = dm.partial(lambda q: self.potential(q)[a], b, c)
         pot = self.potential(b)
         br = self.group.bracket(pot[a], pot[c])
         return [x - y + z for x, y, z in zip(da, dc, br)]
@@ -134,9 +126,7 @@ class PrincipalData:
             acc = [0.0] * self.group.dim
             for pos, a in enumerate(tri):
                 rest = tri[:pos] + tri[pos + 1:]
-                seeded = list(b)
-                seeded[a] = Dual(b[a], 1.0)
-                dterm = dm.tangent(self._curv_pair(seeded, *rest))
+                dterm = dm.partial(lambda q: self._curv_pair(q, *rest), b, a)
                 bterm = self.group.bracket(pot[a], self._curv_pair(b, *rest))
                 sgn = 1.0 if pos % 2 == 0 else -1.0
                 acc = [x + sgn * (dm.value_of(d) + bt)
@@ -170,13 +160,7 @@ class HamiltonianFiber:
         return skew_matrix(self.domain.dim, self.pi_comps(x))
 
     def hamiltonian_gradient(self, xi, x):
-        out = []
-        for k in range(self.domain.dim):
-            seeded = list(x)
-            seeded[k] = Dual(x[k], 1.0) if not isinstance(x[k], Dual) \
-                else Dual(x[k], Dual(1.0, 0.0))
-            out.append(dm.tangent(self.hamiltonian(xi, seeded)))
-        return out
+        return dm.gradient(lambda y: self.hamiltonian(xi, y), x)
 
     def hamiltonian_field(self, xi, x):
         """π_F^♯ d h_ξ at x."""

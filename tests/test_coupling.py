@@ -17,9 +17,10 @@ from fiberdirac.coupling import (GeometricData, assemble_dirac,
 from fiberdirac.fibration import (Connection, FiberedSpace, FlatConnection,
                                   HorizontalForm, VerticalBivector)
 from fiberdirac.monodromy import lattice_model_data
-from fiberdirac.yangmills import (hopf_example, hopf_flat_example,
-                                  so3_coadjoint_example,
-                                  trivial_torus_example)
+from fiberdirac.yangmills import (HamiltonianFiber, PrincipalData,
+                                  StructureGroupModel, hopf_example,
+                                  hopf_flat_example, so3_coadjoint_example,
+                                  trivial_torus_example, ymh_geometric_data)
 
 CONDITION_TOL = 1e-8
 ORACLE_TOL = 1e-6
@@ -95,6 +96,22 @@ def curvature_mismatch():
         name="broken-curvature")
 
 
+def quadratic_so3_potential(b):
+    """An so(3) potential on a three-dimensional base, quadratic in b, so
+    its field strength varies and d_Γ ω_H has second base derivatives."""
+    return [[0.3 + 0.5 * b[1] * b[2], -0.2 * b[0] * b[0], 0.4 * b[1]],
+            [0.1 * b[2] * b[2], 0.6 + 0.3 * b[0] * b[2], -0.5 * b[0]],
+            [0.2 * b[0] * b[1], -0.1 * b[1], 0.7 * b[1] * b[1]]]
+
+
+def ymh_so3_quadratic():
+    base = CoordinateDomain.box([(-1.0, 1.0)] * 3, name="b3")
+    principal = PrincipalData(StructureGroupModel.rotations(), base,
+                              quadratic_so3_potential, name="so3-quadratic")
+    return ymh_geometric_data(principal, HamiltonianFiber.coadjoint_so3(),
+                              name="ymh-so3-quadratic")
+
+
 INSTANCES = [
     ("hopf-poly", lambda: hopf_example(lambda x: 2.0 * x + 1.0), True),
     ("hopf-const", lambda: hopf_example(lambda x: 1.5), True),
@@ -106,6 +123,7 @@ INSTANCES = [
     ("so3-rotation-transport", so3_fiber_transport, True),
     ("lattice-model", lambda: lattice_model_data(lambda r: 2.0 * r + 1.0),
      True),
+    ("ymh-so3-quadratic", ymh_so3_quadratic, True),
     ("broken-vertical", non_poisson_vertical, False),
     ("broken-transport", lambda: so3_fiber_transport(stretch=True), False),
     ("broken-closure", lambda: fiber_scaled_plane(broken=True), False),

@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fiberdirac import dual as dm
+from fiberdirac.charts import CoordinateDomain
 from fiberdirac.dual import Dual
+from fiberdirac.yangmills import (PrincipalData, StructureGroupModel,
+                                  hopf_example)
+from test_coupling import quadratic_so3_potential
 
 FD_TOL = 1e-7
 FD_H = 1e-6
@@ -104,6 +108,38 @@ def test_second_partials_commute():
     f = lambda p: dm.sin(p[0] * p[1]) + p[0] ** 3
     assert dm.second_partial(f, [0.7, 1.3], 0, 1) == pytest.approx(
         dm.second_partial(f, [0.7, 1.3], 1, 0), rel=1e-9)
+
+
+def _flat_curvature(pd):
+    return lambda q: [c for pair in pd.curvature(q) for c in pair]
+
+
+def _nested_cases():
+    hopf = hopf_example(lambda x: 2.0 * x + 1.0)
+    base = CoordinateDomain.box([(-1.0, 1.0)] * 3, name="b3")
+    so3 = PrincipalData(StructureGroupModel.rotations(), base,
+                        quadratic_so3_potential)
+    return {"hopf-omega": (hopf.omega_h, [0.3, -0.4, 0.5], 2),
+            "hopf-curvature": (_flat_curvature(hopf.principal), [0.3, -0.4],
+                               2),
+            "so3-quadratic-curvature": (_flat_curvature(so3),
+                                        [0.3, -0.4, 0.5], 3)}
+
+
+@pytest.mark.parametrize("case", ["hopf-omega", "hopf-curvature",
+                                  "so3-quadratic-curvature"])
+def test_nested_partials_match_central_differences(case):
+    """dm.partial along each base coordinate of a function that takes
+    partials itself: the outer seed lands on dual points, which the inner
+    seed must wrap in a new level."""
+    fn, point, n_base = _nested_cases()[case]
+    for a in range(n_base):
+        up, down = list(point), list(point)
+        up[a] += FD_H
+        down[a] -= FD_H
+        want = [(u - d) / (2.0 * FD_H) for u, d in zip(fn(up), fn(down))]
+        assert dm.partial(fn, point, a) == pytest.approx(
+            want, rel=FD_TOL, abs=FD_TOL), a
 
 
 @given(st.floats(min_value=-2.0, max_value=2.0),
