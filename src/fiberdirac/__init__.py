@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 from .charts import CoordinateDomain
 from .fibration import (BasePath, Connection, FiberedSpace, FlatConnection,
                         HorizontalForm, IncompleteTransportError,
-                        VerticalBivector, holonomy, parallel_transport)
+                        VerticalBivector, parallel_transport)
 from .coupling import (GeometricData, assemble_dirac,
                        check_coupling_conditions, dirac_closure_residual,
                        leaf_two_form, splitting_bracket_residual)
@@ -37,7 +37,7 @@ __all__ = [
     "CoordinateDomain",
     "BasePath", "Connection", "FiberedSpace", "FlatConnection",
     "HorizontalForm", "IncompleteTransportError", "VerticalBivector",
-    "holonomy", "parallel_transport",
+    "parallel_transport",
     "GeometricData", "assemble_dirac", "check_coupling_conditions",
     "dirac_closure_residual", "leaf_two_form",
     "splitting_bracket_residual",

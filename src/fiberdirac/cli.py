@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from . import dual as dm
-from . import fields
 from ._numerics import worst
 from .charts import CoordinateDomain
 from .coupling import (GeometricData, assemble_dirac,
@@ -37,9 +36,9 @@ from .fibration import (Connection, FiberedSpace, FlatConnection,
                         HorizontalForm, IncompleteTransportError,
                         VerticalBivector)
 from .apath import flow_commutation_residual
-from .groupoid import (PairForm, PairGroupoid, coupling_form,
-                       integrated_data_check, multiplicativity_residual,
-                       pair_form, source_target_orthogonality)
+from .groupoid import (PairGroupoid, coupling_form, integrated_data_check,
+                       multiplicativity_residual, pair_form,
+                       source_target_orthogonality)
 from .monodromy import (FAMILIES, cap, integrability_verdict, round_sphere,
                         so3_lattice, transgress, transgress_flat)
 from .yangmills import EXAMPLES, HamiltonianFiber, gauge_transition_check

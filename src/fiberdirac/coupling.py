@@ -29,11 +29,8 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from . import dual as dm
-from ._numerics import (RANK_THRESHOLD, dot, intersection_dimension,
-                        lstsq_residual, matvec, parallel_map, skew_matrix,
+from ._numerics import (dot, lstsq_residual, matvec, parallel_map, skew_matrix,
                         worst)
 from . import fields
 from .fibration import (HorizontalForm, VerticalBivector, covariant_differential,
@@ -88,101 +85,12 @@ class DiracPointFrame:
     def covectors(self):
         return [r[self.n:] for r in self.rows]
 
-    def isotropy_residual(self):
-        """max |⟨row_r, row_s⟩_+| over all row pairs (zero by construction
-        for assembled frames; nonzero flags hand-built input)."""
-        n = self.n
-
-        def plus_pairing(r, s):
-            return 0.5 * (dot(r[n:], s[:n]) + dot(s[n:], r[:n]))
-
-        return worst(abs(dm.value_of(plus_pairing(r, s)))
-                     for r in self.rows for s in self.rows)
-
 
 def assemble_dirac(geom, point):
-    """The Dirac frame of the coupling triple at a point."""
-    space = geom.space
-    nb, nf = space.n_base, space.n_fiber
-    a_mat = geom.conn_matrix(point)
-    w_mat = geom.omega_matrix(point)
-    p_mat = geom.pi_matrix(point)
-    rows = []
-    for i in range(nb):
-        vec = [1.0 if j == i else 0.0 for j in range(nb)]
-        vec += [a_mat[k][i] for k in range(nf)]
-        cov = list(w_mat[i]) + [0.0] * nf
-        rows.append(vec + cov)
-    for k in range(nf):
-        vec = [0.0] * nb + [p_mat[m][k] for m in range(nf)]
-        cov = [-a for a in a_mat[k]] + [1.0 if m == k else 0.0 for m in range(nf)]
-        rows.append(vec + cov)
-    return DiracPointFrame(space, point, rows)
-
-
-def fiber_nondegeneracy(frame):
-    """Check (Ver ⊕ Ver⁰) ∩ L = {0} at the frame's point.
-
-    Primary route: an element of L with vanishing base-vector and fiber-
-    covector parts is a null combination of the rows restricted to those
-    columns, so the n×n restriction matrix must have full rank.  The
-    secondary route intersects the two subspaces by principal angles.
-    Returns a dict with both answers.
-    """
-    space = frame.space
-    nb, nf, n = space.n_base, space.n_fiber, space.dim
-    cols = list(range(nb)) + list(range(n + nb, 2 * n))
-    sub = np.array([[dm.value_of(r[c]) for c in cols] for r in frame.rows],
-                   dtype=float)
-    svals = np.linalg.svd(sub, compute_uv=False)
-    scale = svals[0] if svals.size and svals[0] > 0 else 1.0
-    min_rel = float(svals[-1] / scale) if svals.size else 0.0
-
-    # principal-angle route on the ambient 2n-dimensional space
-    ver_rows = []
-    for k in range(nf):
-        ver_rows.append([0.0] * nb + [1.0 if m == k else 0.0 for m in range(nf)]
-                        + [0.0] * n)
-    for a in range(nb):
-        ver_rows.append([0.0] * n + [1.0 if j == a else 0.0 for j in range(nb)]
-                        + [0.0] * nf)
-    frame_rows = [[dm.value_of(c) for c in r] for r in frame.rows]
-    inter_dim = intersection_dimension(frame_rows, ver_rows)
-
-    ok = min_rel > RANK_THRESHOLD and inter_dim == 0
-    return {"ok": ok, "min_singular": min_rel, "intersection_dim": inter_dim}
-
-
-def extract_geometric_data(frame):
-    """Recover (A, W, P) point data from a nondegenerate Dirac frame.
-
-    Row-reduces the frame so the (base-vector, fiber-covector) block is the
-    identity; the remaining blocks are then read off.  Returns the three
-    matrices plus a `consistency` residual (the connection coefficient is
-    recovered twice, from the base rows' vectors and the fiber rows'
-    covectors, and must agree) and asymmetry residuals for W and P.
-    """
-    space = frame.space
-    nb, nf, n = space.n_base, space.n_fiber, space.dim
-    g = np.array([[dm.value_of(c) for c in r] for r in frame.rows], dtype=float)
-    cols = list(range(nb)) + list(range(n + nb, 2 * n))
-    sub = g[:, cols]
-    canon = np.linalg.solve(sub, g)
-    a_from_h = canon[:nb, nb:n].T               # base rows, fiber-vector block
-    a_from_v = -canon[nb:, n:n + nb]            # fiber rows, base-covector block
-    w_raw = canon[:nb, n:n + nb]
-    p_raw = canon[nb:, nb:n].T
-    consistency = float(np.max(np.abs(a_from_h - a_from_v))) if a_from_h.size else 0.0
-    w_skew = float(np.max(np.abs(w_raw + w_raw.T))) if w_raw.size else 0.0
-    p_skew = float(np.max(np.abs(p_raw + p_raw.T))) if p_raw.size else 0.0
-    return {
-        "connection": 0.5 * (a_from_h + a_from_v),
-        "omega": 0.5 * (w_raw - w_raw.T),
-        "pi": 0.5 * (p_raw - p_raw.T),
-        "consistency": consistency,
-        "omega_asymmetry": w_skew,
-        "pi_asymmetry": p_skew,
-    }
+    """The Dirac frame of the coupling triple at a point: the values of
+    its `frame_sections`."""
+    return DiracPointFrame(geom.space, point,
+                           [sec.value(point) for sec in frame_sections(geom)])
 
 
 # -- the four coupling conditions -------------------------------------------------
@@ -193,14 +101,15 @@ def _vertical_schouten(geom, point):
     if nf < 3:
         return 0.0
     p_mat = geom.pi_matrix(point)
+    # d_p[l][j][k] = ∂_l P_jk along fiber direction l
+    d_p = [skew_matrix(nf, dm.partial(geom.pi_v.comps, point, nb + l))
+           for l in range(nf)]
 
     def component(p, q, r):
         acc = 0.0
         for (i, j, k) in ((p, q, r), (q, r, p), (r, p, q)):
             for l in range(nf):
-                dj = dm.partial(lambda pt: geom.pi_matrix(pt)[j][k],
-                                point, nb + l)
-                acc = acc + p_mat[i][l] * dj
+                acc = acc + p_mat[i][l] * d_p[l][j][k]
         return acc
 
     return worst(abs(dm.value_of(component(*tri)))
@@ -258,13 +167,14 @@ def _curvature_match(geom, point):
     if nf == 0:
         return 0.0
     p_mat = geom.pi_matrix(point)
+    # d_w[k][idx] = ∂_k ω_idx along fiber direction k
+    d_w = [dm.partial(geom.omega_h.comps, point, nb + k) for k in range(nf)]
 
     def defects(idx, a, b):
         ea = [1.0 if i == a else 0.0 for i in range(nb)]
         eb = [1.0 if i == b else 0.0 for i in range(nb)]
         curv = curvature(geom.connection, point, ea, eb)
-        grad = [dm.partial(lambda pt: geom.omega_h(pt)[idx], point, nb + k)
-                for k in range(nf)]
+        grad = [d_w[k][idx] for k in range(nf)]
         return [abs(dm.value_of(c) - dm.value_of(r))
                 for c, r in zip(curv, matvec(p_mat, grad))]
 
@@ -427,25 +337,20 @@ def vertical_covector_bracket(geom, alpha_fn, beta_fn):
         sha = matvec(p, a)
         shb = matvec(p, b)
 
-        def lie(sh_src, sh_fn, tgt_fn, k):
+        def fiber_partials(fn):
+            # out[m] = ∂_m fn along fiber direction m, one pass each
+            return [dm.partial(fn, pt, nb + m) for m in range(nf)]
+
+        def lie(sh_src, d_sh, tgt, d_tgt, k):
             # (L_{♯σ} τ)_k with vertical ♯σ: ♯σ·∂_V τ_k + τ_m ∂_k(♯σ)^m
             acc = 0.0
             for m in range(nf):
-                acc = acc + sh_src[m] * dm.partial(
-                    lambda q, k=k: tgt_fn(q)[k], pt, nb + m)
-                acc = acc + tgt_fn(pt)[m] * dm.partial(
-                    lambda q, m=m: sh_fn(q)[m], pt, nb + k)
+                acc = acc + sh_src[m] * d_tgt[m][k]
+                acc = acc + tgt[m] * d_sh[k][m]
             return acc
 
-        def sharp_alpha(q):
-            pm = geom.pi_matrix(q)
-            av = alpha_fn(q)
-            return matvec(pm, av)
-
-        def sharp_beta(q):
-            pm = geom.pi_matrix(q)
-            bv = beta_fn(q)
-            return matvec(pm, bv)
+        def sharp(fn):
+            return lambda q: matvec(geom.pi_matrix(q), fn(q))
 
         def pairing_scalar(q):
             # π(α, β) = β(♯α), the slot order compatible with ♯α = P α
@@ -453,12 +358,15 @@ def vertical_covector_bracket(geom, alpha_fn, beta_fn):
             av, bv = alpha_fn(q), beta_fn(q)
             return dot(bv, matvec(pm, av))
 
+        d_a, d_b = fiber_partials(alpha_fn), fiber_partials(beta_fn)
+        d_sha = fiber_partials(sharp(alpha_fn))
+        d_shb = fiber_partials(sharp(beta_fn))
+        d_pair = fiber_partials(pairing_scalar)
         out = []
         for k in range(nf):
-            t1 = lie(sha, sharp_alpha, beta_fn, k)
-            t2 = lie(shb, sharp_beta, alpha_fn, k)
-            t3 = dm.partial(pairing_scalar, pt, nb + k)
-            out.append(t1 - t2 - t3)
+            t1 = lie(sha, d_sha, b, d_b, k)
+            t2 = lie(shb, d_shb, a, d_a, k)
+            out.append(t1 - t2 - d_pair[k])
         return out
 
     return comps
@@ -469,15 +377,18 @@ def horizontal_covector_derivative(geom, v, alpha_fn):
     space = geom.space
     nb, nf = space.n_base, space.n_fiber
 
+    def lift(q):
+        return matvec(geom.conn_matrix(q), v)
+
     def comps(pt):
-        a = geom.conn_matrix(pt)
-        hv = list(v) + matvec(a, v)
+        av = alpha_fn(pt)
+        d_alpha = dm.directional(alpha_fn, pt, list(v) + lift(pt))   # along h(v)
         out = []
         for k in range(nf):
-            acc = dm.directional(lambda q: alpha_fn(q)[k], pt, hv)
+            d_lift = dm.partial(lift, pt, nb + k)
+            acc = d_alpha[k]
             for m in range(nf):
-                lift_m = lambda q, m=m: dot(geom.conn_matrix(q)[m], v)
-                acc = acc + alpha_fn(pt)[m] * dm.partial(lift_m, pt, nb + k)
+                acc = acc + av[m] * d_lift[m]
             out.append(acc)
         return out
 

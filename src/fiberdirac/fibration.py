@@ -22,8 +22,8 @@ import numpy as np
 from . import dual as dm
 from .dual import Dual
 from ._numerics import (DEFAULT_RK4_STEP, det, matvec, rk4_integrate,
-                        sample_unit_cube, skew_matrix, worst)
-from .fields import lie_bracket, vector_field
+                        sample_unit_cube, skew_matrix)
+from .fields import vector_field
 
 
 class IncompleteTransportError(RuntimeError):
@@ -189,11 +189,6 @@ def _escaped_point(fiber, x):
     return [float(np.broadcast_to(v, outside.shape).flat[j]) for v in vals]
 
 
-def holonomy(connection, loop, x0, step=DEFAULT_RK4_STEP):
-    """Transport around a loop (a path with matching endpoints)."""
-    return parallel_transport(connection, loop, x0, 0.0, 1.0, step=step)
-
-
 # -- curvature ------------------------------------------------------------------
 
 def curvature(connection, point, u=None, v=None):
@@ -221,26 +216,6 @@ def curvature(connection, point, u=None, v=None):
 
     basis = [[1.0 if i == a else 0.0 for i in range(nb)] for a in range(nb)]
     return [curv_pair(basis[a], basis[b]) for a, b in space.base_pairs()]
-
-
-def curvature_verticality_residual(connection, point):
-    """Cross-check: base components of [h(e_a), h(e_b)] − h([e_a,e_b]).
-
-    Zero in exact arithmetic for coordinate fields; evaluated through the
-    full Lie bracket of the lifted fields as an independent route.
-    """
-    nb = connection.space.n_base
-
-    def base_part(a, b):
-        ha = connection.lift_field(lambda bb: [1.0 if i == a else 0.0
-                                               for i in range(nb)])
-        hb = connection.lift_field(lambda bb: [1.0 if i == b else 0.0
-                                               for i in range(nb)])
-        return lie_bracket(ha, hb)(point)[:nb]
-
-    return worst(abs(dm.value_of(c))
-                 for a, b in connection.space.base_pairs()
-                 for c in base_part(a, b))
 
 
 # -- horizontal forms and the covariant differential ----------------------------
@@ -318,33 +293,19 @@ def covariant_differential(connection, form):
     dst = list(itertools.combinations(range(nb), k + 1))
 
     def comps(pt):
+        # along[a][idx] = L_{h(e_a)} ω_idx, one pass per base direction
+        along = [directional_on_total(
+                     connection, [1.0 if i == a else 0.0 for i in range(nb)],
+                     form.comps, pt)
+                 for a in range(nb)]
         out = []
         for J in dst:
             acc = 0.0
             for pos, a in enumerate(J):
-                rest = J[:pos] + J[pos + 1:]
-                e = [1.0 if i == a else 0.0 for i in range(nb)]
-                term = directional_on_total(
-                    connection, e,
-                    lambda q, idx=src_index[rest]: form.comps(q)[idx], pt)
+                term = along[a][src_index[J[:pos] + J[pos + 1:]]]
                 acc = acc + (term if pos % 2 == 0 else -term)
             out.append(acc)
         return out
 
     return HorizontalForm(space, k + 1, comps, name=f"dGamma({form.name})")
 
-
-def second_covariant_residual(connection, scalar_fn, point):
-    """Residual of d²_Γ f (e_a, e_b) = L_{Curv(e_a,e_b)} f at a point."""
-    space = connection.space
-    d1 = covariant_differential(connection, scalar_fn)
-    d2 = covariant_differential(connection, d1)
-    lhs = d2(point)
-    curv = curvature(connection, point)
-    nb = space.n_base
-
-    def along_curvature(idx):
-        return dm.directional(scalar_fn, point, [0.0] * nb + list(curv[idx]))
-
-    return worst(abs(dm.value_of(lhs[idx]) - dm.value_of(along_curvature(idx)))
-                 for idx in range(len(curv)))

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import dual as dm
-from ._numerics import det, dot, matvec, skew_matrix
+from ._numerics import dot, skew_matrix
 
 SCALAR = "scalar"
 VECTOR = "vector"
@@ -122,26 +122,6 @@ def antisym_matrix(field, point):
     return skew_matrix(field.dim, field(point))
 
 
-def evaluate_form(field, point, vectors):
-    """Evaluate a k-form (or k-multivector on covectors) on k arguments."""
-    k = field.degree if field.degree is not None else 1
-    if field.valence == COVECTOR:
-        a = field(point)
-        (v,) = vectors
-        return dot(a, v)
-    vals = field(point)
-    acc = 0.0
-    for idx, combo in enumerate(combos(field.dim, k)):
-        minor = [[vec[i] for i in combo] for vec in vectors]
-        acc = acc + vals[idx] * det(minor)
-    return acc
-
-
-def sharp(biv_field, point, alpha):
-    """π^♯α at a point: (π^♯α)^i = π^{ij} α_j."""
-    return matvec(antisym_matrix(biv_field, point), alpha)
-
-
 # -- derivations ----------------------------------------------------------------
 
 def lie_bracket(X, Y):
@@ -171,8 +151,7 @@ def exterior_derivative(omega):
     dst = combos(n, k + 1)
 
     def comps(pt):
-        grads = [dm.gradient(lambda q, i=i: omega.comps(q)[i], pt)
-                 for i in range(len(src))]
+        grads = dm.jacobian(omega.comps, pt)   # grads[i][j] = ∂_j ω_i
         out = []
         for J in dst:
             acc = 0.0
@@ -209,8 +188,7 @@ def lie_derivative_bivector(X, piv):
     def comps(pt):
         xv = X(pt)
         mat = antisym_matrix(piv, pt)
-        dpi = [dm.gradient(lambda q, idx=idx: piv.comps(q)[idx], pt)
-               for idx in range(len(pairs))]
+        dpi = dm.jacobian(piv.comps, pt)    # dpi[idx][k] = ∂_k π_idx
         dx = dm.jacobian(X.comps, pt)       # dx[i][k] = ∂_k X^i
         out = []
         for idx, (i, j) in enumerate(pairs):
@@ -221,82 +199,6 @@ def lie_derivative_bivector(X, piv):
         return out
 
     return bivector(n, comps, name=f"L_{X.name}{piv.name}")
-
-
-def interior_product(X, omega):
-    """i_X ω for a form of degree 1 or 2."""
-    n = omega.dim
-    if omega.valence == COVECTOR:
-        return scalar_field(n, lambda pt: dot(omega(pt), X(pt)))
-    if omega.degree == 2:
-        def comps(pt):
-            mat = antisym_matrix(omega, pt)
-            xv = X(pt)
-            return [sum(xv[i] * mat[i][j] for i in range(n)) for j in range(n)]
-        return covector_field(n, comps, name=f"i_{X.name}{omega.name}")
-    raise ValueError("interior product implemented for degrees 1 and 2")
-
-
-def schouten_square(piv):
-    """Schouten square of a bivector, as the trivector S with
-
-        S^{pqr} = Σ_l ( π^{pl} ∂_l π^{qr} + π^{ql} ∂_l π^{rp} + π^{rl} ∂_l π^{pq} )
-
-    normalized so that S(df, dg, dh) equals the Jacobiator
-    {f,{g,h}} + {g,{h,f}} + {h,{f,g}} of the induced bracket exactly
-    (the second-derivative terms of the nested brackets cancel pairwise, and
-    collecting the coefficient of ∂_p f ∂_q g ∂_r h gives the formula above).
-    π is Poisson iff S vanishes.
-    """
-    n = piv.dim
-    pairs = combos(n, 2)
-    pair_index = {c: i for i, c in enumerate(pairs)}
-
-    def comp(mat, grads, i, j):
-        if i == j:
-            return None
-        sgn = 1.0 if i < j else -1.0
-        return sgn, pair_index[(min(i, j), max(i, j))]
-
-    def comps(pt):
-        mat = antisym_matrix(piv, pt)
-        grads = [dm.gradient(lambda q, idx=idx: piv.comps(q)[idx], pt)
-                 for idx in range(len(pairs))]
-
-        def dpi(l, i, j):
-            if i == j:
-                return 0.0
-            sgn, idx = comp(mat, grads, i, j)
-            return sgn * grads[idx][l]
-
-        out = []
-        for (p, q, r) in combos(n, 3):
-            acc = 0.0
-            for l in range(n):
-                acc = acc + mat[p][l] * dpi(l, q, r)
-                acc = acc + mat[q][l] * dpi(l, r, p)
-                acc = acc + mat[r][l] * dpi(l, p, q)
-            out.append(acc)
-        return out
-
-    return SmoothField(n, MULTIVECTOR, comps, degree=3, name=f"[{piv.name},{piv.name}]")
-
-
-def poisson_bracket(piv, f, g):
-    """{f, g} = π(df, dg)."""
-    n = piv.dim
-
-    def comps(pt):
-        df = dm.gradient(f.comps, pt)
-        dg = dm.gradient(g.comps, pt)
-        mat = antisym_matrix(piv, pt)
-        acc = 0.0
-        for i in range(n):
-            for j in range(n):
-                acc = acc + mat[i][j] * df[i] * dg[j]
-        return acc
-
-    return scalar_field(n, comps, name=f"{{{f.name},{g.name}}}")
 
 
 # -- the split-tangent pairings and the Courant bracket ----------------------
@@ -329,40 +231,3 @@ def courant_bracket(s1, s2):
 
     return SectionPair(bracket, covector_field(s1.dim, cov_comps))
 
-
-# -- shipped field library -----------------------------------------------------
-
-def so3_linear_bivector(sign=+1.0, name="so3"):
-    """Linear bivector on R³ ≅ so(3)*: π^{ij} = sign · ε_{ijk} x_k.
-
-    Both signs have vanishing Schouten square; the Yang–Mills fiber model
-    uses sign = −1 so that its infinitesimal action is hamiltonian for its
-    recorded conventions.
-    """
-    def comps(x):
-        return [sign * x[2], -sign * x[1], sign * x[0]]
-    return bivector(3, comps, name=name)
-
-
-def round_area_form(chart=0, name="round-area"):
-    """The round area form of the unit sphere in stereographic chart 0 or 1.
-
-    In chart 0 the density is +4/(1+ρ²)² (total area +4π); the transition is
-    orientation-reversing, so the chart-1 representative carries a minus.
-    """
-    sgn = 1.0 if chart == 0 else -1.0
-
-    def comps(w):
-        r2 = w[0] * w[0] + w[1] * w[1]
-        den = 1.0 + r2
-        return [sgn * 4.0 / (den * den)]
-
-    return two_form(2, comps, name=name)
-
-
-def constant_symplectic_bivector(n_pairs=1, name="canonical"):
-    """Constant bivector Σ ∂_{2k} ∧ ∂_{2k+1} on R^{2·n_pairs}."""
-    n = 2 * n_pairs
-    pairs = combos(n, 2)
-    vals = [1.0 if (j == i + 1 and i % 2 == 0) else 0.0 for (i, j) in pairs]
-    return bivector(n, lambda pt: vals, name=name)

@@ -379,15 +379,6 @@ EXAMPLES = {
 
 # -- two-chart compatibility ------------------------------------------------------------
 
-def _inversion(w):
-    r2 = w[0] * w[0] + w[1] * w[1]
-    return [w[0] / r2, w[1] / r2]
-
-
-def _transition_jacobian(w):
-    return dm.jacobian(_inversion, w)   # J[i][j] = ∂T_i/∂w_j
-
-
 def gauge_transition_check(radius=1.3, n_ring=129):
     """Compatibility of the two monopole charts on their overlap.
 
@@ -397,10 +388,11 @@ def gauge_transition_check(radius=1.3, n_ring=129):
     """
     pot0 = monopole_potential(0)
     pot1 = monopole_potential(1)
+    transition = CoordinateDomain.sphere().transition
 
     def diff_cov(w):
-        jac = _transition_jacobian(w)
-        a1 = pot1(_inversion(w))   # [[A_u1], [A_v1]]
+        jac = dm.jacobian(transition, w)   # J[i][j] = ∂T_i/∂w_j
+        a1 = pot1(transition(w))   # [[A_u1], [A_v1]]
         pulled = [jac[0][0] * a1[0][0] + jac[1][0] * a1[1][0],
                   jac[0][1] * a1[0][0] + jac[1][1] * a1[1][0]]
         a0 = pot0(w)

@@ -1,19 +1,17 @@
-"""The coupling layer: pointwise frames (isotropy, nondegeneracy,
-extraction), the four structural conditions against the direct closure
-oracle, leaf forms, and the splitting brackets."""
+"""The coupling layer: pointwise frames and their isotropy, the four
+structural conditions against the direct closure oracle, leaf forms, the
+splitting brackets, and how many seeded passes the conditions take."""
 
-import math
-
-import numpy as np
 import pytest
 
 from fiberdirac import dual as dm
 from fiberdirac.charts import CoordinateDomain
+from fiberdirac import coupling
+from fiberdirac._numerics import dot
 from fiberdirac.coupling import (GeometricData, assemble_dirac,
                                  check_coupling_conditions,
-                                 dirac_closure_residual,
-                                 extract_geometric_data, fiber_nondegeneracy,
-                                 leaf_two_form, splitting_bracket_residual)
+                                 dirac_closure_residual, leaf_two_form,
+                                 splitting_bracket_residual)
 from fiberdirac.fibration import (Connection, FiberedSpace, FlatConnection,
                                   HorizontalForm, VerticalBivector)
 from fiberdirac.monodromy import lattice_model_data
@@ -136,40 +134,22 @@ def hopf():
     return hopf_example(lambda x: 2.0 * x + 1.0)
 
 
+def isotropy_residual(frame):
+    """max over row pairs of |⟨row_r, row_s⟩_+| = ½|ξ_r(X_s) + ξ_s(X_r)|."""
+    rows = list(zip(frame.vectors(), frame.covectors()))
+    return max(0.5 * abs(dot(a, y) + dot(b, x))
+               for x, a in rows for y, b in rows)
+
+
 def test_frames_are_isotropic(hopf):
     for pt in hopf.sample_points(12, seed=2):
-        frame = assemble_dirac(hopf, pt)
-        assert frame.isotropy_residual() < 1e-12
+        assert isotropy_residual(assemble_dirac(hopf, pt)) < 1e-12
 
 
 def test_frames_are_isotropic_nonabelian():
     geom = so3_coadjoint_example()
     for pt in geom.sample_points(8, seed=5):
-        assert assemble_dirac(geom, pt).isotropy_residual() < 1e-12
-
-
-def test_nondegeneracy_routes_agree(hopf):
-    for pt in hopf.sample_points(8, seed=1):
-        report = fiber_nondegeneracy(assemble_dirac(hopf, pt))
-        assert report["ok"]
-        assert report["intersection_dim"] == 0
-        assert report["min_singular"] > 1e-8
-
-
-def test_extraction_round_trip():
-    geom = so3_coadjoint_example()
-    for pt in geom.sample_points(6, seed=3):
-        frame = assemble_dirac(geom, pt)
-        out = extract_geometric_data(frame)
-        assert out["consistency"] < 1e-10
-        assert out["omega_asymmetry"] < 1e-10
-        assert out["pi_asymmetry"] < 1e-10
-        np.testing.assert_allclose(out["connection"],
-                                   geom.conn_matrix(pt), atol=1e-10)
-        np.testing.assert_allclose(out["pi"], geom.pi_matrix(pt),
-                                   atol=1e-10)
-        np.testing.assert_allclose(out["omega"], geom.omega_matrix(pt),
-                                   atol=1e-10)
+        assert isotropy_residual(assemble_dirac(geom, pt)) < 1e-12
 
 
 @pytest.mark.parametrize("name,builder,expect",
@@ -194,6 +174,45 @@ def test_broken_instances_fail_the_named_condition():
     assert cond["covariant_closure"] > 1e-2
     cond = check_coupling_conditions(curvature_mismatch(), count=24)
     assert cond["curvature_match"] > 1e-2
+
+
+def test_vertical_schouten_reads_the_jacobiator():
+    # the fiber π = x₂ ∂₀∧∂₁ + x₁ ∂₁∧∂₂ has S^{012} = x₂, which is pt[3]
+    geom = non_poisson_vertical()
+    for pt in ([0.2, 0.3, -0.8, 1.1], [-0.5, 1.2, 0.4, -0.7]):
+        assert coupling._vertical_schouten(geom, pt) == pytest.approx(
+            abs(pt[3]), abs=1e-12)
+
+
+def _vertical_bracket(geom, pt):
+    alpha = coupling._default_fiber_covector(geom.space, salt=0)
+    beta = coupling._default_fiber_covector(geom.space, salt=1)
+    return coupling.vertical_covector_bracket(geom, alpha, beta)(pt)
+
+
+@pytest.mark.parametrize(
+    "fn,passes",
+    [(coupling._vertical_schouten, 3), (coupling._transport_invariance, 20),
+     (_vertical_bracket, 15)],
+    ids=["vertical_schouten", "transport_invariance",
+         "vertical_covector_bracket"])
+def test_each_field_is_differentiated_once_per_direction(monkeypatch, fn,
+                                                         passes):
+    # so(3)* has 2 base and 3 fiber directions, and one seeded pass per
+    # direction gives every component of a field.  Differentiating one
+    # component per pass would take 9, 110 and 39 passes.
+    geom = so3_coadjoint_example()
+    pt = geom.sample_points(1, seed=0)[0]
+    seeded_pass = dm._seeded_pass
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return seeded_pass(*args)
+
+    monkeypatch.setattr(dm, "_seeded_pass", counted)
+    fn(geom, pt)
+    assert len(calls) == passes
 
 
 def test_leaf_two_form_is_scaled_round_form(hopf):

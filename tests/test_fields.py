@@ -1,26 +1,35 @@
 """Exterior calculus and bracket identities for the chart-level fields:
-d² = 0, Cartan's formula, Lie/Schouten/Courant algebra, and the shipped
-field library."""
+d² = 0, Cartan's formula, and the Lie and Courant algebra."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fiberdirac import dual as dm
 from fiberdirac import fields
-from fiberdirac._numerics import dot
-from fiberdirac.fields import (antisym_matrix, combos,
-                               constant_symplectic_bivector, courant_bracket,
-                               covector_field, evaluate_form,
-                               exterior_derivative, interior_product, k_form,
-                               lie_bracket, lie_derivative_bivector,
-                               lie_derivative_covector, pairing,
-                               poisson_bracket, scalar_field, schouten_square,
-                               section_pair, sharp, so3_linear_bivector,
-                               two_form, vector_field)
+from fiberdirac._numerics import dot, matvec
+from fiberdirac.fields import (antisym_matrix, bivector, combos,
+                               courant_bracket, covector_field,
+                               exterior_derivative, k_form, lie_bracket,
+                               lie_derivative_bivector,
+                               lie_derivative_covector, pairing, scalar_field,
+                               section_pair, vector_field)
 
 DDZERO_TOL = 1e-10
 
 SAMPLE_3D = [[0.3, -0.8, 1.1], [1.4, 0.2, -0.5], [-0.9, -0.4, 0.7]]
+
+
+def so3_bivector():
+    """The linear Poisson bivector π^{ij} = ε_{ijk} x_k on R³ ≅ so(3)*."""
+    return bivector(3, lambda x: [x[2], -x[1], x[0]], name="so3")
+
+
+def interior(X, omega):
+    """i_X ω of a one-form (a scalar) or a two-form: (i_X ω)_j = X^i ω_ij."""
+    if omega.degree == 1:
+        return scalar_field(omega.dim, lambda pt: dot(omega(pt), X(pt)))
+    return covector_field(omega.dim, lambda pt: [
+        -c for c in matvec(antisym_matrix(omega, pt), X(pt))])
 
 
 def test_combos_ordering():
@@ -29,34 +38,12 @@ def test_combos_ordering():
 
 
 def test_antisym_matrix_so3():
-    piv = so3_linear_bivector(sign=+1.0)
-    mat = antisym_matrix(piv, [0.3, -0.8, 1.1])
+    mat = antisym_matrix(so3_bivector(), [0.3, -0.8, 1.1])
     assert mat[0][1] == pytest.approx(1.1)
     assert mat[1][0] == pytest.approx(-1.1)
     assert mat[0][2] == pytest.approx(0.8)
     assert mat[1][2] == pytest.approx(0.3)
     assert mat[2][2] == 0.0
-
-
-def test_sharp_of_so3_is_cross_product():
-    # the fiber-model orientation (sign = −1) is the one with ♯α = x × α
-    piv = so3_linear_bivector(sign=-1.0)
-    x = [0.3, -0.8, 1.1]
-    alpha = [0.5, 0.2, -0.9]
-    out = sharp(piv, x, alpha)
-    cross = [x[1] * alpha[2] - x[2] * alpha[1],
-             x[2] * alpha[0] - x[0] * alpha[2],
-             x[0] * alpha[1] - x[1] * alpha[0]]
-    assert out == pytest.approx(cross)
-
-
-def test_evaluate_form_is_alternating():
-    om = two_form(3, lambda p: [p[0], 1.0 + p[2], -p[1]])
-    pt = [0.4, 0.9, -0.2]
-    u, v = [1.0, 2.0, -1.0], [0.5, -0.3, 2.0]
-    assert evaluate_form(om, pt, [u, v]) == pytest.approx(
-        -evaluate_form(om, pt, [v, u]), rel=1e-12)
-    assert evaluate_form(om, pt, [u, u]) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_exterior_derivative_of_scalar_is_gradient():
@@ -132,58 +119,17 @@ def test_cartan_formula_for_one_forms():
     X = vector_field(3, lambda p: [p[1] * p[2], -p[0], 0.3])
     alpha = covector_field(3, lambda p: [p[0] * p[1], p[2], dm.cos(p[0])])
     lhs = lie_derivative_covector(X, alpha)
-    rhs1 = interior_product(X, exterior_derivative(alpha))
-    rhs2 = exterior_derivative(interior_product(X, alpha))
+    rhs1 = interior(X, exterior_derivative(alpha))
+    rhs2 = exterior_derivative(interior(X, alpha))
     for pt in SAMPLE_3D:
         diff = [a - b - c for a, b, c in zip(lhs(pt), rhs1(pt), rhs2(pt))]
         assert max(abs(d) for d in diff) < 1e-9
 
 
-def test_interior_product_agrees_with_evaluation():
-    om = two_form(3, lambda p: [p[0], 1.0, -p[1]])
-    X = vector_field(3, lambda p: [0.4, p[2], -1.0])
-    ix = interior_product(X, om)
-    pt = [0.3, -0.8, 1.1]
-    for v in ([1.0, 0.0, 0.0], [0.2, -0.5, 0.9]):
-        assert dot(ix(pt), v) == pytest.approx(
-            evaluate_form(om, pt, [X(pt), v]), rel=1e-12)
-
-
-@pytest.mark.parametrize("sign", [+1.0, -1.0])
-def test_so3_bivector_is_poisson(sign):
-    sq = schouten_square(so3_linear_bivector(sign=sign))
-    for pt in SAMPLE_3D:
-        assert max(abs(c) for c in sq(pt)) < 1e-12
-
-
-def test_constant_symplectic_is_poisson():
-    sq = schouten_square(constant_symplectic_bivector(n_pairs=2))
-    assert max(abs(c) for c in sq([0.1, 0.2, 0.3, 0.4])) == 0.0
-
-
-def test_schouten_square_detects_non_poisson():
-    # π = x₂ ∂₀∧∂₁ + x₁ ∂₁∧∂₂ has S^{012} = x₂
-    piv = fields.bivector(3, lambda p: [p[2], 0.0, p[1]])
-    sq = schouten_square(piv)
-    out = sq([0.3, -0.8, 1.1])
-    assert out[0] == pytest.approx(1.1, rel=1e-12)
-
-
-def test_poisson_bracket_jacobi_for_so3():
-    piv = so3_linear_bivector(sign=+1.0)
-    f = scalar_field(3, lambda p: p[0] * p[0])
-    g = scalar_field(3, lambda p: p[1] + 0.5 * p[2])
-    h = scalar_field(3, lambda p: p[0] * p[2])
-    cyc1 = poisson_bracket(piv, f, poisson_bracket(piv, g, h))
-    cyc2 = poisson_bracket(piv, g, poisson_bracket(piv, h, f))
-    cyc3 = poisson_bracket(piv, h, poisson_bracket(piv, f, g))
-    for pt in SAMPLE_3D:
-        assert abs(cyc1(pt) + cyc2(pt) + cyc3(pt)) < 1e-9
-
-
 def test_hamiltonian_fields_preserve_the_bivector():
-    piv = so3_linear_bivector(sign=+1.0)
-    X = vector_field(3, lambda p: sharp(piv, p, [1.0, 0.0, 0.0]))
+    piv = so3_bivector()
+    X = vector_field(3, lambda p: matvec(antisym_matrix(piv, p),
+                                         [1.0, 0.0, 0.0]))
     lx = lie_derivative_bivector(X, piv)
     for pt in SAMPLE_3D:
         assert max(abs(c) for c in lx(pt)) < 1e-12
@@ -226,11 +172,6 @@ def test_courant_bracket_is_antisymmetric():
         total = fwd.value(pt)
         back = bwd.value(pt)
         assert max(abs(a + b) for a, b in zip(total, back)) < 1e-9
-
-
-def test_round_area_density_signs():
-    assert fields.round_area_form(0)([0.5, -0.2])[0] > 0
-    assert fields.round_area_form(1)([0.5, -0.2])[0] < 0
 
 
 def test_form_constructors_reject_missing_degree():

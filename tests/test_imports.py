@@ -1,0 +1,36 @@
+"""Every name a package module imports at module level is used in it.
+
+There is no linter in the toolchain, so this parses each module with `ast`.
+`__init__.py` is left out: its imports are the package's public names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fiberdirac"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_the_check_sees_an_unused_import():
+    assert unused_imports("import math\nfrom . import fields as f\n"
+                          "from .x import a, b\nprint(a)\n") == [
+        "math", "f", "b"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
