@@ -167,7 +167,27 @@ def _tol(scenario, name, default):
     if not isinstance(tols, dict):
         raise ScenarioError("tolerances", "must be an object of "
                                           "check-name → tolerance")
-    return float(tols.get(name, default))
+    val = tols.get(name, default)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ScenarioError(f"tolerances.{name}",
+                            f"expected a number, got {val!r}")
+    return float(val)
+
+
+def _count(value, field, minimum):
+    """A count or seed a scenario supplies: an integer at or above
+    `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise ScenarioError(field, f"expected an integer >= {minimum}, "
+                                   f"got {value!r}")
+    return value
+
+
+def _pair_of_counts(value, field, minimum):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ScenarioError(field, f"expected two integers, got {value!r}")
+    return [_count(v, field, minimum) for v in value]
 
 
 def _require(scenario, key, kinds, field=None):
@@ -275,7 +295,7 @@ def _inline_geometry(cfg):
 
 def _run_coupling_check(scenario, seed):
     geom = _example_or_inline(scenario, seed)
-    samples = int(scenario.get("samples", 64))
+    samples = _count(scenario.get("samples", 64), "samples", 1)
     wanted = scenario.get("checks", ["conditions"])
     if (not isinstance(wanted, list) or not wanted
             or any(w not in COUPLING_CHECKS for w in wanted)):
@@ -355,9 +375,9 @@ def _run_ymh_build(scenario, seed):
                              fiber_model.prehamiltonian_residual(count=8,
                                                                  seed=seed),
                              _tol(scenario, "prehamiltonian", 1e-10)))
-    cond = check_coupling_conditions(geom,
-                                     count=int(scenario.get("samples", 32)),
-                                     seed=seed)
+    cond = check_coupling_conditions(
+        geom, count=_count(scenario.get("samples", 32), "samples", 1),
+        seed=seed)
     checks.append(_check("coupling_conditions", cond["max"],
                          _tol(scenario, "coupling_conditions", 1e-8)))
     if scenario.get("example") == "hopf":
@@ -374,20 +394,19 @@ def _build_family(cfg, field="families"):
     if not isinstance(cfg, dict) or "family" not in cfg:
         raise ScenarioError(field, "each family needs a 'family' key")
     name = cfg["family"]
-    nodes = cfg.get("nodes", [65, 65])
-    if (len(nodes) != 2 or any(int(n) < 3 or int(n) % 2 == 0
-                               for n in nodes)):
+    nodes = _pair_of_counts(cfg.get("nodes", [65, 65]), f"{field}.nodes", 3)
+    if any(n % 2 == 0 for n in nodes):
         raise ScenarioError(f"{field}.nodes",
                             "node counts must be odd and >= 3")
     if name == "round-sphere":
-        return round_sphere(int(nodes[0]), int(nodes[1]))
+        return round_sphere(*nodes)
     if name == "cap":
         theta = cfg.get("theta")
         if theta is None:
             raise ScenarioError(f"{field}.theta",
                                 "cap families need an opening angle")
         try:
-            return cap(float(theta), int(nodes[0]), int(nodes[1]))
+            return cap(float(theta), *nodes)
         except ValueError as exc:   # an angle outside (0, π) is bad input
             raise ScenarioError(f"{field}.theta", str(exc)) from None
     raise ScenarioError(field, f"unknown family {name!r}; registry has "
@@ -440,11 +459,8 @@ def _run_so3_integrability(scenario, seed):
                                      "required")
     if scenario.get("include_origin", True) and 0.0 not in radii:
         radii = radii + [0.0]
-    grid = scenario.get("grid", [64, 64])
-    if len(grid) != 2 or any(int(g) <= 0 for g in grid):
-        raise ScenarioError("grid", "grid must be two positive interval "
-                                    "counts")
-    grid = [int(g) + (int(g) % 2) for g in grid]   # Simpson needs even
+    grid = _pair_of_counts(scenario.get("grid", [64, 64]), "grid", 1)
+    grid = [g + g % 2 for g in grid]   # Simpson needs even
     report = so3_lattice(f_fn, radii=radii, grid=tuple(grid),
                          constancy_tol=_tol(scenario, "generator_constancy",
                                             1e-3))
@@ -526,7 +542,7 @@ def _groupoid_instance(name):
 
 def _run_groupoid_check(scenario, seed):
     geom = _groupoid_instance(scenario.get("instance", "split-product"))
-    samples = int(scenario.get("samples", 6))
+    samples = _count(scenario.get("samples", 6), "samples", 1)
     checks, extras = [], {}
     gpd = PairGroupoid(geom.space.dim)
     checks.append(_check("axioms", gpd.axioms_residual(seed=seed),
@@ -575,7 +591,7 @@ def run_scenario(scenario):
     if kind not in KINDS:
         raise ScenarioError("kind", f"unknown scenario kind {kind!r}; one "
                                     f"of {list(KINDS)} expected")
-    seed = int(scenario.get("seed", 0))
+    seed = _count(scenario.get("seed", 0), "seed", 0)
     start = time.perf_counter()
     try:
         checks, extras = _RUNNERS[kind](scenario, seed)

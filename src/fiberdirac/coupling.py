@@ -20,9 +20,13 @@ Courant bracket exactly when the triple satisfies four conditions:
     covariant_closure     d_Γ ω_H = 0
     curvature_match       Curv(u, v) = π_V^♯ d_V ω_H(h(u), h(v))
 
-`check_coupling_conditions` measures all four at sampled points, while
-`dirac_closure_residual` measures Courant closure of the frame sections
-directly; the two routes must agree on every verdict.
+A section of TE ⊕ T*E is a plain callable pt ↦ X ‖ ξ with 2n components,
+and `frame_rows(geom)` is the whole frame as one such function, pt ↦ its n
+rows.  `check_coupling_conditions` measures the four conditions at sampled
+points.  `dirac_closure_residual` measures Courant closure of the frame
+directly and never calls the condition functions: per point it takes one
+Jacobian of the flattened frame and applies `fields.courant_at` to every
+pair of rows.  The two routes must agree on every verdict.
 """
 
 from __future__ import annotations
@@ -86,11 +90,30 @@ class DiracPointFrame:
         return [r[self.n:] for r in self.rows]
 
 
+def frame_rows(geom):
+    """The frame as one function: pt ↦ its n rows X ‖ ξ (base rows, then
+    fiber rows), all built from one evaluation of A, W and P."""
+    nb, nf = geom.space.n_base, geom.space.n_fiber
+
+    def rows(pt):
+        a, w = geom.conn_matrix(pt), geom.omega_matrix(pt)
+        p = geom.pi_matrix(pt)
+        base = [[1.0 if j == i else 0.0 for j in range(nb)]
+                + [a[k][i] for k in range(nf)] + list(w[i]) + [0.0] * nf
+                for i in range(nb)]
+        fiber = [[0.0] * nb + [p[m][k] for m in range(nf)]
+                 + [-c for c in a[k]]
+                 + [1.0 if m == k else 0.0 for m in range(nf)]
+                 for k in range(nf)]
+        return base + fiber
+
+    return rows
+
+
 def assemble_dirac(geom, point):
-    """The Dirac frame of the coupling triple at a point: the values of
-    its `frame_sections`."""
-    return DiracPointFrame(geom.space, point,
-                           [sec.value(point) for sec in frame_sections(geom)])
+    """The Dirac frame of the coupling triple at a point: the value of
+    its `frame_rows`."""
+    return DiracPointFrame(geom.space, point, frame_rows(geom)(point))
 
 
 # -- the four coupling conditions -------------------------------------------------
@@ -210,60 +233,31 @@ def check_coupling_conditions(geom, points=None, count=256, seed=0):
 
 # -- direct Courant-closure route ---------------------------------------------------
 
-def frame_sections(geom):
-    """The frame rows as smooth TE ⊕ T*E sections (base rows, then fiber rows)."""
-    space = geom.space
-    nb, nf, n = space.n_base, space.n_fiber, space.dim
-    sections = []
-    for i in range(nb):
-        def vec(pt, i=i):
-            a = geom.conn_matrix(pt)
-            return [1.0 if j == i else 0.0 for j in range(nb)] + \
-                   [a[k][i] for k in range(nf)]
-
-        def cov(pt, i=i):
-            w = geom.omega_matrix(pt)
-            return list(w[i]) + [0.0] * nf
-
-        sections.append(fields.section_pair(
-            fields.vector_field(n, vec, name=f"h(e{i})"),
-            fields.covector_field(n, cov, name=f"i_h(e{i}) omega")))
-    for k in range(nf):
-        def vec(pt, k=k):
-            p = geom.pi_matrix(pt)
-            return [0.0] * nb + [p[m][k] for m in range(nf)]
-
-        def cov(pt, k=k):
-            a = geom.conn_matrix(pt)
-            return [-c for c in a[k]] + \
-                   [1.0 if m == k else 0.0 for m in range(nf)]
-
-        sections.append(fields.section_pair(
-            fields.vector_field(n, vec, name=f"sharp(f{k})"),
-            fields.covector_field(n, cov, name=f"f{k}")))
-    return sections
-
-
 def dirac_closure_residual(geom, points=None, count=24, seed=0):
-    """Distance of every pairwise Courant bracket of the frame sections to
-    the frame's span, maximized over sampled points (relative to the
-    bracket's size).  Vanishes exactly when the subbundle is involutive."""
+    """Distance of every pairwise Courant bracket of the frame rows to the
+    frame's span, maximized over sampled points (relative to the bracket's
+    size).  Vanishes exactly when the subbundle is involutive.  Each point
+    takes one Jacobian of the whole frame."""
     if points is None:
         points = geom.sample_points(count=count, seed=seed)
-    sections = frame_sections(geom)
-    pairs = list(itertools.combinations(range(len(sections)), 2))
-    brackets = {pr: fields.courant_bracket(sections[pr[0]], sections[pr[1]])
-                for pr in pairs}
+    frame = frame_rows(geom)
+    n = geom.space.dim
+    pairs = list(itertools.combinations(range(n), 2))
+
+    def flat(pt):
+        return [c for row in frame(pt) for c in row]
 
     def relative_distance(rows, vec):
         return lstsq_residual(rows, vec) / max(1.0, max(abs(c) for c in vec))
 
     def at_point(pt):
-        rows = [[dm.value_of(c) for c in sec.value(pt)] for sec in sections]
+        rows = [[dm.value_of(c) for c in row] for row in frame(pt)]
+        jac = dm.jacobian(flat, pt)
+        jets = [jac[2 * n * r:2 * n * (r + 1)] for r in range(n)]
         return worst(
-            relative_distance(rows, [dm.value_of(c)
-                                     for c in brackets[pr].value(pt)])
-            for pr in pairs)
+            relative_distance(rows, [dm.value_of(c) for c in fields.courant_at(
+                rows[r], jets[r], rows[s], jets[s])])
+            for r, s in pairs)
 
     return worst(parallel_map(at_point, points))
 
@@ -287,42 +281,30 @@ def leaf_two_form(frame):
 
 # -- splitting brackets ----------------------------------------------------------------
 
-def embed_fiber_covector(geom, alpha_fn, name="alpha"):
-    """V*-section α ↪ L: X = (0, π^♯α), ξ = (−Aᵀα, α)."""
-    space = geom.space
-    nb, nf, n = space.n_base, space.n_fiber, space.dim
+def embed_fiber_covector(geom, alpha_fn):
+    """V*-section α ↪ L as a section pt ↦ X ‖ ξ: X = (0, π^♯α),
+    ξ = (−Aᵀα, α)."""
+    nb, nf = geom.space.n_base, geom.space.n_fiber
 
-    def vec(pt):
-        p = geom.pi_matrix(pt)
-        a = alpha_fn(pt)
-        return [0.0] * nb + matvec(p, a)
-
-    def cov(pt):
-        amat = geom.conn_matrix(pt)
-        a = alpha_fn(pt)
+    def section(pt):
+        p, a, amat = geom.pi_matrix(pt), alpha_fn(pt), geom.conn_matrix(pt)
         base = [-dot([amat[k][j] for k in range(nf)], a) for j in range(nb)]
-        return base + list(a)
+        return [0.0] * nb + matvec(p, a) + base + list(a)
 
-    return fields.section_pair(fields.vector_field(n, vec, name=f"sharp({name})"),
-                               fields.covector_field(n, cov, name=name))
+    return section
 
 
-def embed_horizontal(geom, v, name="v"):
-    """h*(v) for a constant base vector v: X = h(v), ξ = (i_{h(v)}ω_H, 0)."""
-    space = geom.space
-    nb, nf, n = space.n_base, space.n_fiber, space.dim
+def embed_horizontal(geom, v):
+    """h*(v) for a constant base vector v, as a section pt ↦ X ‖ ξ:
+    X = h(v), ξ = (i_{h(v)}ω_H, 0)."""
+    nb, nf = geom.space.n_base, geom.space.n_fiber
 
-    def vec(pt):
-        a = geom.conn_matrix(pt)
-        return list(v) + matvec(a, v)
-
-    def cov(pt):
-        w = geom.omega_matrix(pt)
+    def section(pt):
+        a, w = geom.conn_matrix(pt), geom.omega_matrix(pt)
         base = [dot(v, [w[b][j] for b in range(nb)]) for j in range(nb)]
-        return base + [0.0] * nf
+        return list(v) + matvec(a, v) + base + [0.0] * nf
 
-    return fields.section_pair(fields.vector_field(n, vec, name=f"h({name})"),
-                               fields.covector_field(n, cov, name=f"hstar({name})"))
+    return section
 
 
 def vertical_covector_bracket(geom, alpha_fn, beta_fn):
@@ -423,10 +405,10 @@ def splitting_bracket_residual(geom, points=None, count=12, seed=0,
         w = [0.5 if i == 0 else (1.0 if i == nb - 1 else -0.75)
              for i in range(nb)]
 
-    sec_a = embed_fiber_covector(geom, alpha_fn, name="alpha")
-    sec_b = embed_fiber_covector(geom, beta_fn, name="beta")
-    sec_v = embed_horizontal(geom, v, name="v")
-    sec_w = embed_horizontal(geom, w, name="w")
+    sec_a = embed_fiber_covector(geom, alpha_fn)
+    sec_b = embed_fiber_covector(geom, beta_fn)
+    sec_v = embed_horizontal(geom, v)
+    sec_w = embed_horizontal(geom, w)
 
     vv_formula = vertical_covector_bracket(geom, alpha_fn, beta_fn)
     hv_formula = horizontal_covector_derivative(geom, v, alpha_fn)
@@ -440,14 +422,14 @@ def splitting_bracket_residual(geom, points=None, count=12, seed=0,
     lhs_vv = fields.courant_bracket(sec_a, sec_b)
     lhs_hv = fields.courant_bracket(sec_v, sec_a)
     lhs_hh = fields.courant_bracket(sec_v, sec_w)
-    rhs_vv = embed_fiber_covector(geom, vv_formula, name="[a,b]_V")
-    rhs_hv = embed_fiber_covector(geom, hv_formula, name="L_h(v) a")
-    rhs_hh = embed_fiber_covector(geom, hh_formula, name="d_V om(hv,hw)")
+    rhs_vv = embed_fiber_covector(geom, vv_formula)
+    rhs_hv = embed_fiber_covector(geom, hv_formula)
+    rhs_hh = embed_fiber_covector(geom, hh_formula)
 
     def resid(lhs, rhs):
         return worst(abs(dm.value_of(a) - dm.value_of(b))
                      for pt in points
-                     for a, b in zip(lhs.value(pt), rhs.value(pt)))
+                     for a, b in zip(lhs(pt), rhs(pt)))
 
     out = {"vertical_vertical": resid(lhs_vv, rhs_vv),
            "horizontal_vertical": resid(lhs_hv, rhs_hv),

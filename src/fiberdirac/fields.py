@@ -15,6 +15,10 @@ valence             components returned by ``comps(point)``
                     (vector-valued form, used for Lie-algebra valued data)
 ==================  =========================================================
 
+A section of TM ⊕ T*M is not a field object but a plain callable
+``pt ↦ X ‖ ξ`` with 2n components; :func:`courant_at` brackets two of them
+from their values and Jacobian rows (their first jets) at a point.
+
 Antisymmetry is exact by construction: only independent components are ever
 stored, and full matrices are reconstructed with explicit signs.
 
@@ -26,7 +30,6 @@ differences appear only in the test-suite as an independent cross-check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import dual as dm
 from ._numerics import dot, skew_matrix
@@ -93,26 +96,6 @@ def bivector(dim, fn, name=""):
     return SmoothField(dim, MULTIVECTOR, fn, degree=2, name=name)
 
 
-@dataclass
-class SectionPair:
-    """A vector field together with a covector field (a TM ⊕ T*M section)."""
-
-    vector: SmoothField
-    covector: SmoothField
-
-    @property
-    def dim(self):
-        return self.vector.dim
-
-    def value(self, point):
-        """Concatenated 2n-component value (vector part, covector part)."""
-        return list(self.vector(point)) + list(self.covector(point))
-
-
-def section_pair(X, alpha):
-    return SectionPair(X, alpha)
-
-
 # -- component plumbing -------------------------------------------------------
 
 def antisym_matrix(field, point):
@@ -165,21 +148,6 @@ def exterior_derivative(omega):
     return SmoothField(n, FORM, comps, degree=k + 1, name=f"d{omega.name}")
 
 
-def lie_derivative_covector(X, alpha):
-    """(L_X α)_i = X^j ∂_j α_i + α_j ∂_i X^j."""
-    n = X.dim
-
-    def comps(pt):
-        xv = X(pt)
-        av = alpha(pt)
-        da = dm.jacobian(alpha.comps, pt)   # da[i][j] = ∂_j α_i
-        dx = dm.jacobian(X.comps, pt)       # dx[j][i] = ∂_i X^j
-        return [dot(da[i], xv) + sum(av[j] * dx[j][i] for j in range(n))
-                for i in range(n)]
-
-    return covector_field(n, comps, name=f"L_{X.name}{alpha.name}")
-
-
 def lie_derivative_bivector(X, piv):
     """(L_X π)^{ij} = X^k ∂_k π^{ij} − π^{kj} ∂_k X^i − π^{ik} ∂_k X^j."""
     n = X.dim
@@ -201,33 +169,33 @@ def lie_derivative_bivector(X, piv):
     return bivector(n, comps, name=f"L_{X.name}{piv.name}")
 
 
-# -- the split-tangent pairings and the Courant bracket ----------------------
+# -- the Courant bracket ------------------------------------------------------
 
-def pairing(s1, s2, sign=+1):
-    """⟨(X,α),(Y,β)⟩_± = ½(α(Y) ± β(X)) as a scalar field."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
+def courant_at(u, du, v, dv):
+    """⟦(X,α),(Y,β)⟧ = ([X,Y], L_X β − L_Y α + ½ d(α(Y) − β(X))) at a point,
+    from the values u = X ‖ α, v = Y ‖ β and their Jacobian rows
+    du[a][j] = ∂_j u_a, dv[a][j] = ∂_j v_a."""
+    n = len(u) // 2
+    x, a, y, b = u[:n], u[n:], v[:n], v[n:]
+    dx, da, dy, db = du[:n], du[n:], dv[:n], dv[n:]
 
-    def comps(pt):
-        ay = dot(s1.covector(pt), s2.vector(pt))
-        bx = dot(s2.covector(pt), s1.vector(pt))
-        return 0.5 * (ay + sign * bx)
+    def lie(x, dx, b, db, i):
+        # (L_X β)_i = X^j ∂_j β_i + β_j ∂_i X^j
+        return dot(db[i], x) + sum(b[j] * dx[j][i] for j in range(n))
 
-    return scalar_field(s1.dim, comps)
+    def d_pair(a, da, y, dy, i):
+        # ∂_i α(Y) = α_j ∂_i Y^j + ∂_i α_j Y^j
+        return sum(a[j] * dy[j][i] + da[j][i] * y[j] for j in range(n))
+
+    vec = [dot(dy[i], x) - dot(dx[i], y) for i in range(n)]
+    cov = [lie(x, dx, b, db, i) - lie(y, dy, a, da, i)
+           + 0.5 * (d_pair(a, da, y, dy, i) - d_pair(b, db, x, dx, i))
+           for i in range(n)]
+    return vec + cov
 
 
 def courant_bracket(s1, s2):
-    """⟦(X,α),(Y,β)⟧ = ([X,Y], L_X β − L_Y α + d⟨(X,α),(Y,β)⟩_−)."""
-    X, alpha = s1.vector, s1.covector
-    Y, beta = s2.vector, s2.covector
-    bracket = lie_bracket(X, Y)
-    lxb = lie_derivative_covector(X, beta)
-    lya = lie_derivative_covector(Y, alpha)
-    dminus = exterior_derivative(pairing(s1, s2, sign=-1))
-
-    def cov_comps(pt):
-        a, b, c = lxb(pt), lya(pt), dminus(pt)
-        return [ai - bi + ci for ai, bi, ci in zip(a, b, c)]
-
-    return SectionPair(bracket, covector_field(s1.dim, cov_comps))
-
+    """⟦s1, s2⟧ of two TM ⊕ T*M sections, as a section: one Jacobian of
+    each per point."""
+    return lambda pt: courant_at(s1(pt), dm.jacobian(s1, pt),
+                                 s2(pt), dm.jacobian(s2, pt))

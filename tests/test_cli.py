@@ -237,6 +237,16 @@ def test_malformed_json_exits_two_with_location(capsys, tmp_path):
     assert "parse error at line 2" in err and str(path) in err
 
 
+# π_V varies along the base while the connection is flat
+PI_ONLY_COUPLING = {
+    "name": "pi-only",
+    "kind": "coupling-check",
+    "fields": {"base_bounds": [[-1.0, 1.0]],
+               "fiber_bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+               "pi": ["2.0 + b1"], "omega": []},
+}
+
+
 def test_validation_errors_exit_two(capsys, tmp_path):
     cases = [
         {"name": "k", "kind": "frobnicate"},
@@ -251,6 +261,18 @@ def test_validation_errors_exit_two(capsys, tmp_path):
          "checks": []},
         {"name": "t", "kind": "transgress",
          "families": [{"family": "cap", "theta": 4.0, "nodes": [9, 9]}]},
+        {"name": "t", "kind": "transgress",
+         "families": [{"family": "cap", "theta": 0.8, "nodes": [9.0, 9]}]},
+        {"name": "s", "kind": "so3-integrability", "f": "2*r+1",
+         "grid": [8, "8"]},
+        # counts, seeds and tolerances must be numbers in range, not
+        # strings or values that would sample no points
+        dict(PI_ONLY_COUPLING, samples=0),
+        dict(PI_ONLY_COUPLING, samples=-3),
+        dict(PI_ONLY_COUPLING, samples="abc"),
+        dict(PI_ONLY_COUPLING, seed="abc"),
+        dict(PI_ONLY_COUPLING, seed=-1),
+        dict(PI_ONLY_COUPLING, tolerances={"transport_invariance": "abc"}),
     ]
     for k, scenario in enumerate(cases):
         path = tmp_path / f"case{k}.json"
@@ -299,12 +321,24 @@ def _numbers(node):
         yield node
 
 
+def _report_text(entry):
+    return json.dumps(entry, sort_keys=True, indent=2)
+
+
 def test_bundled_reports_hold_only_python_numbers():
-    # run_scenario callers get plain numbers, never numpy scalars
-    for p in sorted(SCENARIOS.glob("*.json")):
-        report, _ = run_scenario(json.loads(p.read_text()))
+    # run_scenario callers get plain numbers, never numpy scalars, and
+    # every report matches its snapshot to the byte apart from wall_ms
+    snapshot = json.loads((Path(__file__).parent
+                           / "bundled_reports.json").read_text())
+    names = sorted(p.name for p in SCENARIOS.glob("*.json"))
+    assert names == sorted(snapshot)
+    for name in names:
+        report, code = run_scenario(json.loads((SCENARIOS / name).read_text()))
         for x in _numbers(report):
-            assert type(x) in (int, float), (p.name, x)
+            assert type(x) in (int, float), (name, x)
+        report.pop("wall_ms")
+        assert _report_text({"exit_code": code, "report": report}) == \
+            _report_text(snapshot[name]), name
 
 
 def test_numpy_residuals_are_reported_as_python_floats(monkeypatch):

@@ -184,6 +184,20 @@ def test_vertical_schouten_reads_the_jacobiator():
             abs(pt[3]), abs=1e-12)
 
 
+def count_seeded_passes(monkeypatch, run):
+    """How many `dual._seeded_pass` calls `run()` makes, nested ones too."""
+    seeded_pass = dm._seeded_pass
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return seeded_pass(*args)
+
+    monkeypatch.setattr(dm, "_seeded_pass", counted)
+    run()
+    return len(calls)
+
+
 def _vertical_bracket(geom, pt):
     alpha = coupling._default_fiber_covector(geom.space, salt=0)
     beta = coupling._default_fiber_covector(geom.space, salt=1)
@@ -203,16 +217,27 @@ def test_each_field_is_differentiated_once_per_direction(monkeypatch, fn,
     # component per pass would take 9, 110 and 39 passes.
     geom = so3_coadjoint_example()
     pt = geom.sample_points(1, seed=0)[0]
-    seeded_pass = dm._seeded_pass
-    calls = []
+    assert count_seeded_passes(monkeypatch, lambda: fn(geom, pt)) == passes
 
-    def counted(*args):
-        calls.append(args)
-        return seeded_pass(*args)
 
-    monkeypatch.setattr(dm, "_seeded_pass", counted)
-    fn(geom, pt)
-    assert len(calls) == passes
+POLYNOMIAL_INSTANCES = ("constant-split", "fiber-scaled-plane",
+                        "so3-rotation-transport", "broken-vertical",
+                        "broken-transport", "broken-closure",
+                        "broken-curvature")
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL_INSTANCES)
+def test_closure_oracle_takes_one_frame_jacobian_per_point(monkeypatch,
+                                                           name):
+    # A polynomial triple evaluates its frame without seeded passes, so the
+    # oracle's only passes are one Jacobian of the whole frame per point.
+    # Differentiating each row once per bracket that holds it would take
+    # 168 passes per point on broken-transport.
+    geom = dict((n, b) for n, b, _ in INSTANCES)[name]()
+    points = geom.sample_points(3, seed=1)
+    passes = count_seeded_passes(
+        monkeypatch, lambda: dirac_closure_residual(geom, points=points))
+    assert passes == geom.space.dim * len(points)
 
 
 def test_leaf_two_form_is_scaled_round_form(hopf):

@@ -1,5 +1,6 @@
 """Exterior calculus and bracket identities for the chart-level fields:
-d² = 0, Cartan's formula, and the Lie and Courant algebra."""
+d² = 0, the Lie algebra of vector fields, and the Courant bracket of
+TM ⊕ T*M sections against a reference built from Cartan's formula."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,8 @@ from fiberdirac._numerics import dot, matvec
 from fiberdirac.fields import (antisym_matrix, bivector, combos,
                                courant_bracket, covector_field,
                                exterior_derivative, k_form, lie_bracket,
-                               lie_derivative_bivector,
-                               lie_derivative_covector, pairing, scalar_field,
-                               section_pair, vector_field)
+                               lie_derivative_bivector, scalar_field,
+                               vector_field)
 
 DDZERO_TOL = 1e-10
 
@@ -114,18 +114,6 @@ def test_lie_bracket_jacobi_identity():
         assert max(abs(c) for c in total) < 1e-9
 
 
-def test_cartan_formula_for_one_forms():
-    # L_X α = i_X dα + d(i_X α)
-    X = vector_field(3, lambda p: [p[1] * p[2], -p[0], 0.3])
-    alpha = covector_field(3, lambda p: [p[0] * p[1], p[2], dm.cos(p[0])])
-    lhs = lie_derivative_covector(X, alpha)
-    rhs1 = interior(X, exterior_derivative(alpha))
-    rhs2 = exterior_derivative(interior(X, alpha))
-    for pt in SAMPLE_3D:
-        diff = [a - b - c for a, b, c in zip(lhs(pt), rhs1(pt), rhs2(pt))]
-        assert max(abs(d) for d in diff) < 1e-9
-
-
 def test_hamiltonian_fields_preserve_the_bivector():
     piv = so3_bivector()
     X = vector_field(3, lambda p: matvec(antisym_matrix(piv, p),
@@ -135,43 +123,60 @@ def test_hamiltonian_fields_preserve_the_bivector():
         assert max(abs(c) for c in lx(pt)) < 1e-12
 
 
-def test_pairing_symmetry():
-    X = vector_field(2, lambda p: [p[1], 0.0])
-    alpha = covector_field(2, lambda p: [0.0, p[0]])
-    Y = vector_field(2, lambda p: [0.0, p[0]])
-    beta = covector_field(2, lambda p: [p[1], 0.0])
-    s1, s2 = section_pair(X, alpha), section_pair(Y, beta)
-    pt = [0.7, -0.3]
-    assert pairing(s1, s2, +1)(pt) == pytest.approx(pairing(s2, s1, +1)(pt))
-    assert pairing(s1, s2, -1)(pt) == pytest.approx(-pairing(s2, s1, -1)(pt))
-    with pytest.raises(ValueError):
-        pairing(s1, s2, sign=0)
+def section(X, alpha):
+    """The TM ⊕ T*M section pt ↦ X ‖ α of a vector and a covector field."""
+    return lambda pt: list(X(pt)) + list(alpha(pt))
+
+
+def reference_courant(X, alpha, Y, beta):
+    """⟦(X,α),(Y,β)⟧ with each Lie derivative written by Cartan's formula:
+    ([X,Y], i_X dβ + d(i_X β) − i_Y dα − d(i_Y α) + ½ d(α(Y) − β(X)))."""
+    terms = [(+1.0, interior(X, exterior_derivative(beta))),
+             (+1.0, exterior_derivative(interior(X, beta))),
+             (-1.0, interior(Y, exterior_derivative(alpha))),
+             (-1.0, exterior_derivative(interior(Y, alpha))),
+             (+0.5, exterior_derivative(scalar_field(3, lambda pt: dot(
+                 alpha(pt), Y(pt)) - dot(beta(pt), X(pt)))))]
+    vec = lie_bracket(X, Y)
+
+    def comps(pt):
+        cov = [0.0] * 3
+        for c, term in terms:
+            cov = [acc + c * t for acc, t in zip(cov, term(pt))]
+        return list(vec(pt)) + cov
+
+    return comps
+
+
+def test_courant_bracket_matches_the_cartan_reference():
+    X = vector_field(3, lambda p: [p[1] * p[2], -p[0], 0.3])
+    alpha = covector_field(3, lambda p: [p[0] * p[1], p[2], dm.cos(p[0])])
+    Y = vector_field(3, lambda p: [dm.sin(p[2]), p[0] * p[0], p[1] - p[2]])
+    beta = covector_field(3, lambda p: [p[2] * p[1], dm.exp(0.4 * p[0]),
+                                        p[0] + p[1] * p[1]])
+    got = courant_bracket(section(X, alpha), section(Y, beta))
+    want = reference_courant(X, alpha, Y, beta)
+    for pt in SAMPLE_3D:
+        assert max(abs(a - b) for a, b in zip(got(pt), want(pt))) < 1e-12
 
 
 def test_courant_bracket_frozen_plane_example():
     # s1 = (y∂x, x dy), s2 = (x∂y, y dx): bracket = ((−x∂x + y∂y), 0)
-    X = vector_field(2, lambda p: [p[1], 0.0])
-    alpha = covector_field(2, lambda p: [0.0, p[0]])
-    Y = vector_field(2, lambda p: [0.0, p[0]])
-    beta = covector_field(2, lambda p: [p[1], 0.0])
-    out = courant_bracket(section_pair(X, alpha), section_pair(Y, beta))
-    pt = [0.7, -0.3]
-    assert out.vector(pt) == pytest.approx([-0.7, -0.3])
-    assert max(abs(c) for c in out.covector(pt)) < 1e-12
+    s1 = lambda p: [p[1], 0.0, 0.0, p[0]]
+    s2 = lambda p: [0.0, p[0], p[1], 0.0]
+    out = courant_bracket(s1, s2)([0.7, -0.3])
+    assert out[:2] == pytest.approx([-0.7, -0.3])
+    assert max(abs(c) for c in out[2:]) < 1e-12
 
 
 def test_courant_bracket_is_antisymmetric():
-    X = vector_field(3, lambda p: [p[1] * p[2], -p[0], 0.3])
-    alpha = covector_field(3, lambda p: [p[0], dm.sin(p[1]), p[2] * p[0]])
-    Y = vector_field(3, lambda p: [0.5, p[0] * p[0], p[1]])
-    beta = covector_field(3, lambda p: [p[2], 0.1, p[0] + p[1]])
-    s1, s2 = section_pair(X, alpha), section_pair(Y, beta)
+    s1 = lambda p: [p[1] * p[2], -p[0], 0.3,
+                    p[0], dm.sin(p[1]), p[2] * p[0]]
+    s2 = lambda p: [0.5, p[0] * p[0], p[1], p[2], 0.1, p[0] + p[1]]
     fwd = courant_bracket(s1, s2)
     bwd = courant_bracket(s2, s1)
     for pt in SAMPLE_3D:
-        total = fwd.value(pt)
-        back = bwd.value(pt)
-        assert max(abs(a + b) for a, b in zip(total, back)) < 1e-9
+        assert max(abs(a + b) for a, b in zip(fwd(pt), bwd(pt))) < 1e-9
 
 
 def test_form_constructors_reject_missing_degree():
