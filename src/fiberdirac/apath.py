@@ -16,6 +16,12 @@ base path's start using parallel transport:
     x̃(t) = φ_{0,t}(γ_F(t)),    ã(t) = a_V(t) ∘ dφ_{t,0}|_{x̃(t)},
 
 where φ_{s,t} transports the fiber over γ_B(t) to the fiber over γ_B(s).
+The split, unsplit, inverse and concatenated paths take every φ and dφ
+from a `fibration.Transport` along the base path.  For a fiber-linear
+connection (every Yang–Mills–Higgs coupling) that is
+one propagator per base path and RK4 step, integrated on first use, so a
+query costs matrix products instead of RK4 transports; any other
+connection transports directly, point by point.
 
 The evolution solver integrates, for a two-parameter coefficient curve
 α^ε(t) in a finite-dimensional algebra acting linearly with generator G,
@@ -35,7 +41,7 @@ from . import dual as dm
 from .dual import Dual
 from ._numerics import (DEFAULT_RK4_STEP, dot, matvec, rk4_integrate,
                         smoothstep, worst)
-from .fibration import BasePath, parallel_transport
+from .fibration import BasePath, Transport
 
 
 class AlgebroidPath:
@@ -143,15 +149,6 @@ class SplitPath:
         return self.rate_fn(t)
 
 
-def _transport_differential(conn, base_path, x_from, t0, t1, step):
-    """dφ_{t1,t0} at x_from (transport differential) as Jacobian rows:
-    J[i][k] = ∂(φ x)_i / ∂x_k."""
-    return dm.jacobian(
-        lambda x: parallel_transport(conn, base_path, x, t0=t0, t1=t1,
-                                     step=step),
-        [dm.value_of(c) for c in x_from])
-
-
 def _pull_covector(jac, a):
     """Pullback of a fiber covector through a transport differential."""
     return [dot(col, a) for col in zip(*jac)]
@@ -160,19 +157,17 @@ def _pull_covector(jac, a):
 def split_apath(apath, step=DEFAULT_RK4_STEP):
     """Gauge an algebroid path to the fiber over its base start."""
     geom = apath.geom
-    conn = geom.connection
     bp = apath.base_path
+    tr = Transport(geom.connection, bp, step)
 
     def point_fn(t):
         xf = [dm.value_of(c) for c in apath.fiber_path(t)]
-        return parallel_transport(conn, bp, xf, t0=t, t1=0.0, step=step)
+        return tr.map(xf, t, 0.0)
 
     def covector_fn(t):
-        xt = point_fn(t)
-        jac = _transport_differential(conn, bp, xt, 0.0, t, step)
-        a_v = apath.covector_path(t)
         # precomposition: ã_k = Σ_i (a_V)_i ∂(φ_{t,0})_i/∂x_k
-        return _pull_covector(jac, a_v)
+        return _pull_covector(tr.jacobian(point_fn(t), 0.0, t),
+                              apath.covector_path(t))
 
     def rate_fn(t):
         # x̃˙(t) = dφ_{0,t}(γ̇_F − A γ̇_B) = dφ_{0,t}(P a_V) by the anchor
@@ -180,7 +175,7 @@ def split_apath(apath, step=DEFAULT_RK4_STEP):
         xf = [dm.value_of(c) for c in apath.fiber_path(t)]
         pt = geom.space.join(bp(t), xf)
         w = matvec(geom.pi_matrix(pt), apath.covector_path(t))
-        return matvec(_transport_differential(conn, bp, xf, t, 0.0, step), w)
+        return matvec(tr.jacobian(xf, t, 0.0), w)
 
     return SplitPath(geom, bp, point_fn, covector_fn, rate_fn,
                      name=f"split({apath.name})")
@@ -189,30 +184,27 @@ def split_apath(apath, step=DEFAULT_RK4_STEP):
 def unsplit_apath(split, step=DEFAULT_RK4_STEP):
     """Inverse of `split_apath`: recover the anchor-compatible path."""
     geom = split.geom
-    conn = geom.connection
     bp = split.base_path
+    tr = Transport(geom.connection, bp, step)
 
     def fiber_path(t):
         tv = dm.value_of(t)
         xt = split.point(tv)
-        x = parallel_transport(conn, bp, xt, t0=0.0, t1=tv, step=step)
+        x = tr.map(xt, 0.0, tv)
         if not isinstance(t, Dual):
             return x
         # γ_F(t) = φ_{t,0}(x̃(t)), so γ̇_F = A(γ) γ̇_B + dφ_{t,0}(x̃˙):
         # the family term is the transport generator at the image point.
         pt = geom.space.join(bp(tv), x)
         u = bp.velocity(tv)
-        pushed = matvec(_transport_differential(conn, bp, xt, 0.0, tv, step),
-                        split.rate(tv))
+        pushed = matvec(tr.jacobian(xt, 0.0, tv), split.rate(tv))
         vel = [p + q for p, q in zip(matvec(geom.conn_matrix(pt), u),
                                      pushed)]
         return [Dual(dm.value_of(b), v * t.eps) for b, v in zip(x, vel)]
 
     def covector_path(t):
-        xt = split.point(t)
-        x_end = parallel_transport(conn, bp, xt, 0.0, t, step=step)
-        jac = _transport_differential(conn, bp, x_end, t, 0.0, step)
-        return _pull_covector(jac, split.covector(t))
+        x_end = tr.map(split.point(t), 0.0, t)
+        return _pull_covector(tr.jacobian(x_end, t, 0.0), split.covector(t))
 
     return AlgebroidPath(geom, bp, fiber_path, covector_path,
                          name=f"unsplit({split.name})")
@@ -222,21 +214,18 @@ def inverse_split(split, step=DEFAULT_RK4_STEP):
     """Split-space inverse: push the data through the full transport of the
     base path, then invert in path space."""
     geom = split.geom
-    conn = geom.connection
     bp = split.base_path
+    tr = Transport(geom.connection, bp, step)
 
     def point_fn(t):
-        return parallel_transport(conn, bp, split.point(1.0 - t), 0.0, 1.0,
-                                  step=step)
+        return tr.map(split.point(1.0 - t), 0.0, 1.0)
 
     def covector_fn(t):
-        y = point_fn(t)
-        jac = _transport_differential(conn, bp, y, 1.0, 0.0, step)
+        jac = tr.jacobian(point_fn(t), 1.0, 0.0)
         return [-c for c in _pull_covector(jac, split.covector(1.0 - t))]
 
     def rate_fn(t):
-        x_from = split.point(1.0 - t)
-        jac = _transport_differential(conn, bp, x_from, 0.0, 1.0, step)
+        jac = tr.jacobian(split.point(1.0 - t), 0.0, 1.0)
         return [-c for c in matvec(jac, split.rate(1.0 - t))]
 
     return SplitPath(geom, bp.reversed(), point_fn, covector_fn, rate_fn,
@@ -306,21 +295,18 @@ def concat_split(second, first, step=DEFAULT_RK4_STEP):
     first base path's full transport so everything lives over the common
     start fiber."""
     geom = first.geom
-    conn = geom.connection
     bp1 = first.base_path
+    tr = Transport(geom.connection, bp1, step)
 
     def pulled_point(t):
-        return parallel_transport(conn, bp1, second.point(t), 1.0, 0.0,
-                                  step=step)
+        return tr.map(second.point(t), 1.0, 0.0)
 
     def pulled_cov(t):
-        x_back = pulled_point(t)
-        jac = _transport_differential(conn, bp1, x_back, 0.0, 1.0, step)
+        jac = tr.jacobian(pulled_point(t), 0.0, 1.0)
         return _pull_covector(jac, second.covector(t))
 
     def pulled_rate(t):
-        jac = _transport_differential(conn, bp1, second.point(t), 1.0, 0.0,
-                                      step)
+        jac = tr.jacobian(second.point(t), 1.0, 0.0)
         return matvec(jac, second.rate(t))
 
     p1, c1, r1 = _half_curves(first.point_fn, first.covector_fn,

@@ -184,6 +184,31 @@ def _count(value, field, minimum):
     return value
 
 
+def _real(value, field, positive=False):
+    """A real number a scenario supplies: a finite JSON number, not a bool,
+    and above zero when `positive`.  An integer too large for a float is
+    not finite."""
+    real = None
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            real = float(value)
+        except OverflowError:
+            pass
+    if real is None or not math.isfinite(real) or (positive and real <= 0):
+        kind = "a finite positive number" if positive else "a finite number"
+        raise ScenarioError(field, f"expected {kind}, got {value!r}")
+    return real
+
+
+def _reals(value, field, count=None):
+    """A list of `count` real numbers (of any length when count is None)."""
+    if not isinstance(value, list) or count not in (None, len(value)):
+        size = "" if count is None else f"{count} "
+        raise ScenarioError(field, f"expected a list of {size}number(s), "
+                                   f"got {value!r}")
+    return [_real(v, field) for v in value]
+
+
 def _pair_of_counts(value, field, minimum):
     if not isinstance(value, list) or len(value) != 2:
         raise ScenarioError(field, f"expected two integers, got {value!r}")
@@ -215,7 +240,12 @@ def _example_or_inline(scenario, seed):
         if f_fn is None:
             f_fn = lambda x: 2.0 * x + 1.0
         if name == "hopf":
-            return EXAMPLES[name](f_fn, chart=int(scenario.get("chart", 0)))
+            chart = scenario.get("chart", 0)
+            if isinstance(chart, bool) or not isinstance(chart, int) \
+                    or chart not in (0, 1):
+                raise ScenarioError("chart", f"expected the chart number 0 "
+                                             f"or 1, got {chart!r}")
+            return EXAMPLES[name](f_fn, chart=chart)
         return EXAMPLES[name](f_fn)
     if name == "trivial-torus" and f_fn is not None:
         return EXAMPLES[name](f_fn)
@@ -418,7 +448,7 @@ def _run_transgress(scenario, seed):
     f_fn0 = compile_expression(f_expr, ["x"], field="f")
     f_fn = lambda x: f_fn0([x])
     geom = EXAMPLES["hopf-flat"](f_fn)
-    x0 = [float(c) for c in scenario.get("x0", [0.3])]
+    x0 = _reals(scenario.get("x0", [0.3]), "x0", 1)
     checks, extras = [], {}
     if "area" in scenario:
         area_cfg = scenario["area"]
@@ -453,7 +483,7 @@ def _run_so3_integrability(scenario, seed):
     f_expr = _require(scenario, "f", str)
     f_fn0 = compile_expression(f_expr, ["r"], field="f")
     f_fn = lambda r: f_fn0([r])
-    radii = [float(r) for r in scenario.get("radii", [0.5, 1.0, 1.5])]
+    radii = _reals(scenario.get("radii", [0.5, 1.0, 1.5]), "radii")
     if not any(r > 0.0 for r in radii):
         raise ScenarioError("radii", "at least one positive radius is "
                                      "required")
@@ -495,9 +525,9 @@ def _run_so3_integrability(scenario, seed):
 
 
 def _run_apath(scenario, seed):
-    step = float(scenario.get("step", 1e-3))
-    eps = float(scenario.get("eps", 0.3))
-    x0 = [float(c) for c in scenario.get("x0", [0.6, 0.0, 0.8])]
+    step = _real(scenario.get("step", 1e-3), "step", positive=True)
+    eps = _real(scenario.get("eps", 0.3), "eps")
+    x0 = _reals(scenario.get("x0", [0.6, 0.0, 0.8]), "x0", 3)
     alpha_exprs = scenario.get("alpha", [
         "(3+e)*sin(2*pi*t)", "2.5*cos(3*pi*t)-e*t", "1.5*sin(5*t+e)"])
     fns = [compile_expression(e, ["t", "e"], field=f"alpha[{i}]")

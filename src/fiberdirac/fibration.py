@@ -11,18 +11,24 @@ Because the integrator runs on generic scalars, transporting dual-seeded
 initial conditions yields exact differentials of the transport maps, and a
 path whose coordinates are numpy arrays transports a whole stack of paths
 (the ε-slices of a sphere family) in one integration.
+
+A connection that is linear in the fiber point, A(b, x)v = K(b, v)x,
+declares its generator K.  Transport along one path is then one matrix
+propagator, and a `Transport` integrates it once and answers every
+transport and transport differential along that path from it.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from . import dual as dm
 from .dual import Dual
 from ._numerics import (DEFAULT_RK4_STEP, det, matvec, rk4_integrate,
-                        sample_unit_cube, skew_matrix)
+                        rk4_step, sample_unit_cube, skew_matrix)
 from .fields import vector_field
 
 
@@ -76,6 +82,7 @@ class BasePath:
     def __init__(self, fn, name=""):
         self.fn = fn
         self.name = name
+        self._propagators = {}   # (connection, step) ↦ a `Transport` grid
 
     def __call__(self, t):
         return self.fn(t)
@@ -88,14 +95,20 @@ class BasePath:
 
 
 class Connection:
-    """Connection on E = B × F with coefficient A(b, x) (n_F × n_B)."""
+    """Connection on E = B × F with coefficient A(b, x) (n_F × n_B).
+
+    `generator`, when given, declares the connection linear in the fiber
+    point: generator(b, v) is the n_F × n_F matrix K with A(b, x)v = K x
+    for every x.  `Transport` then propagates matrices instead of points.
+    """
 
     is_flat = False
 
-    def __init__(self, space, coefficient, name=""):
+    def __init__(self, space, coefficient, name="", generator=None):
         self.space = space
         self.coefficient = coefficient
         self.name = name or "connection"
+        self.generator = generator
 
     def coeff(self, b, x):
         return self.coefficient(b, x)
@@ -187,6 +200,115 @@ def _escaped_point(fiber, x):
     outside = ~fiber.inside(vals)
     j = int(np.flatnonzero(outside)[0])
     return [float(np.broadcast_to(v, outside.shape).flat[j]) for v in vals]
+
+
+class Transport:
+    """Parallel transport of one connection along one base path with one
+    RK4 step: the maps φ from the fiber over γ(t0) to the fiber over γ(t1),
+    and their differentials dφ, for times in [0, 1].
+
+    A connection with a `generator` K transports linearly: φ is the matrix
+    P(t1)·P(t0)⁻¹, where the propagator solves P' = K(γ(t), γ̇(t))·P,
+    P(0) = I, and dφ is the same matrix.  P is integrated on the first
+    query, by the RK4 steps a direct transport from 0 to 1 takes, and kept
+    on the path for every later `Transport` of the same connection and
+    step; a time between two grid nodes takes one partial step from the
+    node below.  The chart guard checks the transported point at every grid
+    node between t0 and t1 in one array pass.  From t0 = 0 it raises the
+    direct route's `IncompleteTransportError`, with the same `t_escape` and
+    point; from another grid node, the same up to rounding; from a time
+    between nodes, the direct route steps on its own grid, so the two
+    escape times lie within one step of each other.
+
+    Every other connection takes the direct route: one RK4 transport per
+    map, and one dual-seeded transport per Jacobian column.
+    """
+
+    def __init__(self, connection, path, step=DEFAULT_RK4_STEP):
+        self.connection = connection
+        self.path = path
+        self.step = step
+        self._k_time = self._k = None
+
+    def map(self, x, t0, t1):
+        """φ_{t0→t1}(x), the transported point."""
+        if self.connection.generator is None:
+            return _transport(self.connection, self.path, x, t0, t1,
+                              self.step)
+        return matvec(self.jacobian(x, t0, t1), x)
+
+    def jacobian(self, x, t0, t1):
+        """dφ_{t0→t1} at x as rows: J[i][k] = ∂(φ x)_i / ∂x_k."""
+        x = [dm.value_of(c) for c in x]
+        if self.connection.generator is None:
+            return dm.jacobian(
+                lambda y: _transport(self.connection, self.path, y, t0, t1,
+                                     self.step), x)
+        back = np.linalg.inv(self._at(t0))
+        jac = self._at(t1) @ back
+        self._guard(x, back @ np.array(x), t0, t1, jac @ np.array(x))
+        return jac.tolist()
+
+    def _rhs(self, t, state):
+        # RK4 evaluates each time twice in a row (the two midpoint stages,
+        # and a step's end with the next step's start), so keep the last K
+        if t != self._k_time:
+            self._k_time = t
+            self._k = np.asarray(self.connection.generator(
+                self.path(t), self.path.velocity(t)), dtype=float)
+        return [self._k @ state[0]]
+
+    def _grid(self):
+        # kept on the path, not here: a path that held its Transport would
+        # make a reference cycle, and the arrays would wait for a full
+        # garbage collection
+        grids = self.path._propagators
+        key = (self.connection, self.step)
+        if key not in grids:
+            grids[key] = self._build()
+        return grids[key]
+
+    def _build(self):
+        """Integrate P over [0, 1]: the RK4 node times, and P at each node
+        as one array of shape (nodes, n_F, n_F)."""
+        times, props = [], []
+
+        def keep(t, state):
+            times.append(t)
+            props.append(state[0])
+
+        rk4_integrate(self._rhs, [np.eye(self.connection.space.n_fiber)],
+                      0.0, 1.0, step=self.step, observer=keep)
+        return times, np.array(props)
+
+    def _at(self, t):
+        """P(t): a node's propagator, or one partial RK4 step from the node
+        below.  A time within rounding of a node is that node."""
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"transport time {t!r} lies outside [0, 1]")
+        times, props = self._grid()
+        last = len(times) - 1
+        k = min(int(round(t * last)), last)
+        if abs(times[k] - t) <= 1e-12 / last:
+            return props[k]
+        k = min(max(bisect_right(times, t) - 1, 0), last - 1)
+        return rk4_step(self._rhs, times[k], [props[k]], t - times[k])[0]
+
+    def _guard(self, x0, y, t0, t1, x1):
+        """Raise at the first grid state outside the fiber chart, walking
+        from t0 to t1.  y is x0 carried back to the fiber over γ(0)."""
+        times, props = self._grid()
+        a = bisect_right(times, min(t0, t1))
+        b = bisect_left(times, max(t0, t1))
+        inner, stamps = props[a:b] @ y, times[a:b]
+        if t1 < t0:
+            inner, stamps = inner[::-1], stamps[::-1]
+        states = np.vstack([[x0], inner, [x1]])
+        outside = ~self.connection.space.fiber.inside(list(states.T))
+        if outside.any():
+            j = int(np.flatnonzero(outside)[0])
+            raise IncompleteTransportError(([t0] + stamps + [t1])[j],
+                                           point=states[j].tolist())
 
 
 # -- curvature ------------------------------------------------------------------

@@ -31,7 +31,7 @@ import itertools
 import math
 
 from . import dual as dm
-from ._numerics import matvec, simpson_integrate, skew_matrix, worst
+from ._numerics import dot, matvec, simpson_integrate, skew_matrix, worst
 from .charts import CoordinateDomain
 from . import fields
 from .fibration import Connection, FiberedSpace, FlatConnection, HorizontalForm, \
@@ -146,15 +146,21 @@ class HamiltonianFiber:
     `action(xi, x)` is the claimed generating vector field; `hamiltonian(xi, x)`
     its claimed hamiltonian.  Admissibility (action = π_F^♯ d h, and the
     action being a bracket homomorphism) is measured, not assumed.
+
+    The action is linear in the fiber point: `generators` are the constant
+    matrices G(e_i) with ρ(e_i)(x) = G(e_i)x, one per basis vector of the
+    Lie algebra, so the assembled connection transports by matrices.
     """
 
-    def __init__(self, group, domain, pi_comps, hamiltonian, action, name=""):
+    def __init__(self, group, domain, pi_comps, hamiltonian, action,
+                 generators, name=""):
         self.group = group
         self.domain = domain
         self.pi_comps = pi_comps          # x ↦ comps over fiber pairs (may be [])
         self.hamiltonian = hamiltonian    # (xi, x) ↦ scalar
         self.action = action              # (xi, x) ↦ fiber vector
         self.name = name or "fiber-model"
+        self.generators = generators
 
     def pi_matrix(self, x):
         return skew_matrix(self.domain.dim, self.pi_comps(x))
@@ -166,12 +172,11 @@ class HamiltonianFiber:
         """π_F^♯ d h_ξ at x."""
         return matvec(self.pi_matrix(x), self.hamiltonian_gradient(xi, x))
 
-    def action_matrix(self, xi, x=None):
-        """Jacobian of x ↦ ρ(ξ)(x) (constant for the linear actions the
-        evolution solver supports); evaluated at x (default: the origin)."""
-        if x is None:
-            x = [0.0] * self.domain.dim
-        return dm.jacobian(lambda y: self.action(xi, y), x)
+    def action_matrix(self, xi):
+        """The matrix of x ↦ ρ(ξ)(x): Σ_i ξ_i G(e_i)."""
+        nf = self.domain.dim
+        return [[dot(xi, [g[r][c] for g in self.generators])
+                 for c in range(nf)] for r in range(nf)]
 
     def prehamiltonian_residual(self, points=None, count=32, seed=0):
         """max over generators/points of |action − π_F^♯ dh| and of the
@@ -215,7 +220,12 @@ class HamiltonianFiber:
                     x[2] * xi[0] - x[0] * xi[2],
                     x[0] * xi[1] - x[1] * xi[0]]
 
-        return cls(group, dom, pi_comps, ham, action, name="coadjoint-so3")
+        # x × e_i as matrices: G(ξ) = −[ξ]_×
+        gens = [[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+                [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]
+        return cls(group, dom, pi_comps, ham, action, gens,
+                   name="coadjoint-so3")
 
     @classmethod
     def scaled_line(cls, f, bounds=(-1.5, 1.5)):
@@ -227,7 +237,7 @@ class HamiltonianFiber:
                    lambda x: [],
                    lambda xi, x: f(x[0]) * xi[0],
                    lambda xi, x: [0.0],
-                   name="scaled-line")
+                   [[[0.0]]], name="scaled-line")
 
 
 # -- assembly --------------------------------------------------------------------------
@@ -246,7 +256,14 @@ def ymh_geometric_data(principal, fiber, base_form=None, name=""):
         cols = [fiber.action(pot[a], x) for a in range(nb)]
         return [[cols[a][k] for a in range(nb)] for k in range(nf)]
 
-    conn = Connection(space, coeff, name=f"{principal.name}-transport")
+    def generator(b, v):
+        # A_E(b, x)v = ρ(Σ_a v_a A_a(b))(x) = G(Σ_a v_a A_a(b))x
+        pot = principal.potential(b)
+        return fiber.action_matrix([dot(v, [p[i] for p in pot])
+                                    for i in range(principal.group.dim)])
+
+    conn = Connection(space, coeff, name=f"{principal.name}-transport",
+                      generator=generator)
     pi_v = VerticalBivector(space, lambda pt: fiber.pi_comps(pt[nb:]),
                             name=fiber.name)
 

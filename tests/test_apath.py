@@ -7,11 +7,15 @@ import math
 import pytest
 
 from fiberdirac import dual as dm
+from fiberdirac import fibration
+from fiberdirac._numerics import smoothstep
 from fiberdirac.apath import (build_apath, concat_base, concat_split,
                               flow_commutation_residual, inverse_split,
                               reparameterized, solve_evolution, split_apath,
                               unsplit_apath)
-from fiberdirac.fibration import BasePath
+from fiberdirac.fibration import (DEFAULT_RK4_STEP, BasePath, Connection,
+                                  IncompleteTransportError, Transport,
+                                  parallel_transport)
 from fiberdirac.yangmills import HamiltonianFiber, so3_coadjoint_example
 
 ANCHOR_TOL = 1e-9          # analytic-rate pipeline sits at transport noise
@@ -25,13 +29,17 @@ def geom():
     return so3_coadjoint_example()
 
 
-@pytest.fixture(scope="module")
-def apath(geom):
+def loop_apath(geom):
     bp = BasePath(lambda t: [0.4 * dm.sin(2 * math.pi * t) * t,
                              0.3 * (1 - dm.cos(2 * math.pi * t))],
                   name="loopish")
     cov = lambda t: [0.2 + 0.1 * t, -0.3 * t * t, 0.15 * dm.sin(3 * t)]
     return build_apath(geom, bp, [0.5, -0.2, 0.8], cov, name="ap")
+
+
+@pytest.fixture(scope="module")
+def apath(geom):
+    return loop_apath(geom)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +101,6 @@ def test_inverse_split_matches_path_inverse(apath):
 
 
 def test_concat_split_is_split_of_concatenation(geom, apath, second_apath):
-    from fiberdirac._numerics import smoothstep
     cc = concat_split(split_apath(second_apath), split_apath(apath))
     ucc = unsplit_apath(cc)
     assert ucc.anchor_residual(9) < CONCAT_TOL
@@ -154,3 +161,143 @@ def test_flow_commutation_residual_and_halving_gain():
     r2 = flow_commutation_residual(fib, alpha, [0.6, 0.0, 0.8], eps=0.3,
                                    step=5e-4)
     assert r2 < r1 / 8.0          # the discretization is at least cubic
+
+
+# -- the transport engine -----------------------------------------------------------
+
+ENGINE_TOL = 1e-12
+X_START = [0.5, -0.2, 0.8]
+# grid intervals both ways, and smoothstep-warped times as concat_split
+# queries them (off the RK4 grid), paired with both ends of [0, 1]
+GRID_INTERVALS = ((0.0, 0.25), (0.25, 0.75), (0.75, 0.3), (1.0, 0.0),
+                  (0.0, 1.0))
+WARPED = [float(smoothstep(u)) for u in (0.1, 0.37, 0.61, 0.93)]
+OFF_GRID_INTERVALS = tuple(pair for s in WARPED
+                           for pair in ((0.0, s), (s, 0.0), (1.0, s),
+                                        (s, 1.0)))
+
+
+def max_entry_diff(a, b):
+    return max(abs(p - q) for p, q in zip(a, b))
+
+
+@pytest.mark.parametrize("t0,t1", GRID_INTERVALS + OFF_GRID_INTERVALS)
+def test_engine_transport_matches_direct_transport(geom, apath, t0, t1):
+    bp = apath.base_path
+    direct = parallel_transport(geom.connection, bp, X_START, t0, t1)
+    got = Transport(geom.connection, bp).map(X_START, t0, t1)
+    assert max_entry_diff(got, direct) < ENGINE_TOL
+
+
+@pytest.mark.parametrize("t0,t1", ((0.75, 0.3), (0.0, WARPED[1]),
+                                   (1.0, WARPED[2])))
+def test_engine_differential_matches_dual_seeded_transport(geom, apath, t0,
+                                                           t1):
+    bp = apath.base_path
+    jac = dm.jacobian(lambda y: parallel_transport(geom.connection, bp, y,
+                                                   t0, t1), X_START)
+    got = Transport(geom.connection, bp).jacobian(X_START, t0, t1)
+    assert max(max_entry_diff(r, q) for r, q in zip(got, jac)) < ENGINE_TOL
+
+
+def test_engine_escapes_where_direct_transport_does(geom, apath):
+    # |x| = 2.76 is conserved by the so(3) rotation, and the fiber chart is
+    # the box [-2, 2]^3, so the point leaves it early on
+    x = [1.95, 1.95, 0.0]
+    bp = apath.base_path
+    with pytest.raises(IncompleteTransportError) as direct:
+        parallel_transport(geom.connection, bp, x)
+    with pytest.raises(IncompleteTransportError) as engine:
+        Transport(geom.connection, bp).map(x, 0.0, 1.0)
+    assert direct.value.t_escape == pytest.approx(0.082, abs=1e-9)
+    assert engine.value.t_escape == direct.value.t_escape
+    assert max_entry_diff(engine.value.point, direct.value.point) < ENGINE_TOL
+
+
+@pytest.mark.parametrize("t0,on_grid", ((0.7, True), (0.70037, False)))
+def test_engine_escapes_backwards_where_direct_transport_does(geom, apath, t0,
+                                                              on_grid):
+    # this point's orbit leaves the chart near t = 0.524 on the way back to
+    # 0.  From a grid node both routes check the same nodes; from a time
+    # between nodes the direct route checks its own grid, one step apart
+    x = [1.822, 1.542, 1.381]
+    bp = apath.base_path
+    with pytest.raises(IncompleteTransportError) as direct:
+        parallel_transport(geom.connection, bp, x, t0, 0.0)
+    with pytest.raises(IncompleteTransportError) as engine:
+        Transport(geom.connection, bp).map(x, t0, 0.0)
+    got, want = engine.value, direct.value
+    assert want.t_escape == pytest.approx(0.524, abs=1e-3)
+    if on_grid:
+        assert got.t_escape == pytest.approx(want.t_escape, abs=1e-12)
+        assert max_entry_diff(got.point, want.point) < ENGINE_TOL
+    else:
+        assert abs(got.t_escape - want.t_escape) <= DEFAULT_RK4_STEP
+        assert not geom.space.fiber.contains(got.point)
+
+
+def test_affine_connection_keeps_the_direct_route(geom, apath):
+    # a constant term makes the coefficient affine in the fiber point, so no
+    # propagator matrix represents its transport
+    linear = geom.connection
+
+    def coeff(b, x):
+        rows = linear.coeff(b, x)
+        return [[c + 0.3 for c in row] for row in rows]
+
+    affine = Connection(geom.space, coeff, name="affine")
+    bp = apath.base_path
+    tr = Transport(affine, bp)
+    direct = parallel_transport(affine, bp, X_START, 0.0, 0.7)
+    assert max_entry_diff(direct, parallel_transport(
+        linear, bp, X_START, 0.0, 0.7)) > 1e-2
+    assert tr.map(X_START, 0.0, 0.7) == direct
+    assert tr.jacobian(X_START, 0.7, 0.2) == dm.jacobian(
+        lambda y: parallel_transport(affine, bp, y, 0.7, 0.2), X_START)
+
+
+# -- work counters ------------------------------------------------------------------
+
+def test_round_trip_queries_build_each_propagator_once(monkeypatch, geom):
+    """The query sequence of the benchmark's round-trip op makes no
+    dual-state transport, and integrates one propagator per path."""
+    apath = loop_apath(geom)    # the fixture's path has its propagator
+    transport, build = fibration._transport, Transport._build
+    dual_states, builds = [], []
+
+    def counted_transport(connection, path, x0, *args):
+        if any(isinstance(c, dm.Dual) for c in x0):
+            dual_states.append(path)
+        return transport(connection, path, x0, *args)
+
+    def counted_build(self):
+        builds.append((self.connection, self.path, self.step))
+        return build(self)
+
+    monkeypatch.setattr(fibration, "_transport", counted_transport)
+    monkeypatch.setattr(Transport, "_build", counted_build)
+    back = unsplit_apath(split_apath(apath))
+    for t in (0.125, 0.425):
+        back.fiber_path(t)
+        back.covector_path(t)
+    inv = unsplit_apath(inverse_split(split_apath(apath)))
+    inv.fiber_path(dm.Dual(0.225, 1.0))
+    assert dual_states == []
+    assert len(builds) == len(set(builds)) == 2   # the path and its reverse
+
+
+def test_flow_commutation_takes_no_seeded_pass(monkeypatch):
+    # the coadjoint action declares its generators, so action_matrix sums
+    # them instead of taking a three-pass Jacobian at every RK4 stage
+    seeded_pass, calls = dm._seeded_pass, []
+
+    def counted(*args):
+        calls.append(args)
+        return seeded_pass(*args)
+
+    monkeypatch.setattr(dm, "_seeded_pass", counted)
+    fib = HamiltonianFiber.coadjoint_so3()
+    alpha = lambda t, e: [(3 + e) * dm.sin(2 * math.pi * t), -e * t, 1.5]
+    flow_commutation_residual(fib, alpha, [0.6, 0.0, 0.8], eps=0.3,
+                              step=1e-2)
+    assert calls == []

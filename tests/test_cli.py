@@ -273,6 +273,28 @@ def test_validation_errors_exit_two(capsys, tmp_path):
         dict(PI_ONLY_COUPLING, seed="abc"),
         dict(PI_ONLY_COUPLING, seed=-1),
         dict(PI_ONLY_COUPLING, tolerances={"transport_invariance": "abc"}),
+        # a hopf chart is the JSON integer 0 or 1
+        {"name": "h", "kind": "coupling-check", "example": "hopf",
+         "chart": 7},
+        {"name": "h", "kind": "coupling-check", "example": "hopf",
+         "chart": "abc"},
+        # steps, parameters and points are finite numbers, steps positive
+        {"name": "a", "kind": "apath", "step": 0},
+        {"name": "a", "kind": "apath", "step": "abc"},
+        {"name": "a", "kind": "apath", "step": -0.01},
+        {"name": "a", "kind": "apath", "eps": "nan"},
+        {"name": "a", "kind": "apath", "x0": ["abc"]},
+        {"name": "a", "kind": "apath", "x0": ["abc", 0.0, 0.8]},
+        # an integer too large for a float is not finite
+        {"name": "a", "kind": "apath", "step": 10**400},
+        {"name": "a", "kind": "apath", "eps": 10**400},
+        {"name": "a", "kind": "apath", "x0": [10**400, 0, 0]},
+        {"name": "t", "kind": "transgress", "x0": ["abc"],
+         "families": [{"family": "cap", "theta": 0.8, "nodes": [9, 9]}]},
+        {"name": "s", "kind": "so3-integrability", "f": "2*r+1",
+         "radii": ["abc"], "grid": [8, 8]},
+        {"name": "s", "kind": "so3-integrability", "f": "2*r+1",
+         "radii": [0.5, math.nan], "grid": [8, 8]},
     ]
     for k, scenario in enumerate(cases):
         path = tmp_path / f"case{k}.json"

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from fiberdirac import dual as dm
+from fiberdirac._numerics import matvec
 from fiberdirac.dual import Dual
 from fiberdirac.fibration import curvature
 from fiberdirac.yangmills import (EXAMPLES, HamiltonianFiber, PrincipalData,
@@ -114,6 +115,28 @@ def test_action_matrix_linearizes_the_action():
     x = [0.3, -0.8, 1.1]
     out = [sum(mat[i][j] * x[j] for j in range(3)) for i in range(3)]
     assert out == pytest.approx(fib.action(xi, x), rel=1e-12)
+
+
+def test_declared_generators_are_the_action_and_its_jacobian():
+    # action_matrix sums the declared G(e_i); at sampled (ξ, x) it must be
+    # the action itself and the dual Jacobian of the action, to the bit
+    fib = HamiltonianFiber.coadjoint_so3()
+    xis = fib.domain.sample(count=6, seed=3)
+    for xi, x in zip(xis, fib.domain.sample(count=6, seed=4)):
+        mat = fib.action_matrix(xi)
+        assert matvec(mat, x) == fib.action(xi, x)
+        assert mat == dm.jacobian(lambda y: fib.action(xi, y), x)
+
+
+def test_ymh_generator_reproduces_the_connection_coefficient():
+    geom = so3_coadjoint_example()
+    conn = geom.connection
+    for pt in geom.space.sample(count=6, seed=2):
+        b, x = geom.space.split(pt)
+        for v in ([1.0, 0.0], [0.0, 1.0], [0.7, -0.4]):
+            want = matvec(conn.coeff(b, x), v)
+            got = matvec(conn.generator(b, v), x)
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 def test_scaled_line_fiber_is_prehamiltonian():
