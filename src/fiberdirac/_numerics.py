@@ -98,6 +98,7 @@ def simpson_integrate(samples):
 # -- sampling ------------------------------------------------------------------
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
+MAX_SAMPLE_DIM = len(_HALTON_BASES)
 
 
 def _halton(index, base):
@@ -110,17 +111,17 @@ def _halton(index, base):
     return r
 
 
-def sample_unit_cube(count, dim, seed=0, jitter=0.25):
+def sample_unit_cube(count, dim, seed=0):
     """Deterministic low-discrepancy points in [0,1)^dim.
 
     Halton sequence (skipping the origin) followed by a fixed-seed jitter
-    pass of amplitude ``jitter / count`` per axis; identical (count, dim,
+    pass of amplitude ``0.25 / count`` per axis; identical (count, dim,
     seed) always produce identical points.
     """
-    if dim > len(_HALTON_BASES):
-        raise ValueError(f"sampling supports at most {len(_HALTON_BASES)} dims")
+    if dim > MAX_SAMPLE_DIM:
+        raise ValueError(f"sampling supports at most {MAX_SAMPLE_DIM} dims")
     rng = np.random.RandomState(seed)
-    noise = rng.uniform(-1.0, 1.0, size=(count, dim)) * (jitter / max(count, 1))
+    noise = rng.uniform(-1.0, 1.0, size=(count, dim)) * (0.25 / max(count, 1))
     pts = []
     for k in range(count):
         row = [_halton(k + 1, _HALTON_BASES[d]) + float(noise[k, d])
@@ -191,21 +192,21 @@ def as_float_matrix(rows):
     return np.array([[value_of(x) for x in row] for row in rows], dtype=float)
 
 
-def orthonormal_basis(rows, threshold=RANK_THRESHOLD):
+def orthonormal_basis(rows):
     """Orthonormal row basis of span(rows) via SVD with rank threshold."""
     a = as_float_matrix(rows)
     if a.size == 0:
         return np.zeros((0, a.shape[1] if a.ndim == 2 else 0))
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     scale = s[0] if len(s) and s[0] > 0 else 1.0
-    rank = int(np.sum(s > threshold * scale))
+    rank = int(np.sum(s > RANK_THRESHOLD * scale))
     return vt[:rank]
 
 
-def principal_angles(rows_a, rows_b, threshold=RANK_THRESHOLD):
+def principal_angles(rows_a, rows_b):
     """Principal angles (radians, ascending) between two row-span subspaces."""
-    qa = orthonormal_basis(rows_a, threshold)
-    qb = orthonormal_basis(rows_b, threshold)
+    qa = orthonormal_basis(rows_a)
+    qb = orthonormal_basis(rows_b)
     if qa.shape[0] == 0 or qb.shape[0] == 0:
         return []
     sv = np.linalg.svd(qa @ qb.T, compute_uv=False)
@@ -213,20 +214,21 @@ def principal_angles(rows_a, rows_b, threshold=RANK_THRESHOLD):
     return [float(math.acos(s)) for s in sv]
 
 
-def intersection_dimension(rows_a, rows_b, threshold=RANK_THRESHOLD):
-    """dim(span(rows_a) ∩ span(rows_b)) by the principal-angle criterion."""
-    angles = principal_angles(rows_a, rows_b, threshold)
-    return sum(1 for a in angles if a < threshold)
+def intersection_dimension(rows_a, rows_b):
+    """dim(span(rows_a) ∩ span(rows_b)): the principal angles below
+    `RANK_THRESHOLD`."""
+    return sum(1 for a in principal_angles(rows_a, rows_b)
+               if a < RANK_THRESHOLD)
 
 
-def nullspace(rows, threshold=RANK_THRESHOLD):
+def nullspace(rows):
     """Orthonormal basis (rows) of the right nullspace of the matrix."""
     a = as_float_matrix(rows)
     if a.shape[0] == 0:
         return np.eye(a.shape[1]) if a.ndim == 2 else np.zeros((0, 0))
     u, s, vt = np.linalg.svd(a)
     scale = s[0] if len(s) and s[0] > 0 else 1.0
-    rank = int(np.sum(s > threshold * scale))
+    rank = int(np.sum(s > RANK_THRESHOLD * scale))
     return vt[rank:]
 
 

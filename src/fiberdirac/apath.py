@@ -18,10 +18,12 @@ base path's start using parallel transport:
 where φ_{s,t} transports the fiber over γ_B(t) to the fiber over γ_B(s).
 The split, unsplit, inverse and concatenated paths take every φ and dφ
 from a `fibration.Transport` along the base path.  For a fiber-linear
-connection (every Yang–Mills–Higgs coupling) that is
-one propagator per base path and RK4 step, integrated on first use, so a
-query costs matrix products instead of RK4 transports; any other
-connection transports directly, point by point.
+connection (every Yang–Mills–Higgs coupling) that is one propagator per
+base path, integrated on first use, so a query costs matrix products
+instead of RK4 transports; any other connection transports directly,
+point by point.  Building a path and every transport behind these
+constructors take RK4 steps of `DEFAULT_RK4_STEP`; only the
+flow-commutation check varies its step.
 
 The evolution solver integrates, for a two-parameter coefficient curve
 α^ε(t) in a finite-dimensional algebra acting linearly with generator G,
@@ -30,9 +32,10 @@ The evolution solver integrates, for a two-parameter coefficient curve
 
 which is the derivative-of-flow transport law: the ε-derivative of the
 time-t flow of the fields ρ(α^ε(t)) equals ρ(β^t(ε)) at the flowed point.
-`flow_commutation_residual` measures exactly that identity; all of its
-discretizations are tied to the single step parameter, so halving the step
-contracts the residual at the integrator's fourth order.
+`flow_commutation_residual` measures exactly that identity at t = ¼, ½, ¾
+and 1; all of its discretizations are tied to the single step parameter,
+so halving the step contracts the residual at the integrator's fourth
+order.
 """
 
 from __future__ import annotations
@@ -85,8 +88,7 @@ class AlgebroidPath:
             name=f"{self.name}~")
 
 
-def build_apath(geom, base_path, x0, covector_path, step=DEFAULT_RK4_STEP,
-                name=""):
+def build_apath(geom, base_path, x0, covector_path, name=""):
     """Construct an anchor-compatible path by integrating the fiber ODE
     from x0 with the given covector curve.  The fiber path is cached at the
     integrator's own nodes and interpolated nowhere: it is re-integrated
@@ -106,7 +108,7 @@ def build_apath(geom, base_path, x0, covector_path, step=DEFAULT_RK4_STEP,
     def fiber_path(t):
         tv = dm.value_of(t)
         t0 = max((s for s in cache if s <= tv + 1e-15), default=0.0)
-        x = rk4_integrate(rhs, cache[t0], t0, tv, step=step) \
+        x = rk4_integrate(rhs, cache[t0], t0, tv) \
             if abs(tv - t0) > 1e-15 else list(cache[t0])
         if not isinstance(t, Dual):
             cache[tv] = [dm.value_of(c) for c in x]
@@ -125,28 +127,18 @@ def build_apath(geom, base_path, x0, covector_path, step=DEFAULT_RK4_STEP,
 class SplitPath:
     """Split data over the fiber at the base path's start: a point curve
     x̃(t), a covector curve ã(t) in that single fiber, and the exact rate
-    dx̃/dt as `rate_fn`.  The split point curve obeys its own ODE,
-    x̃˙ = dφ_{0,t}(P a_V), so each constructor in this module builds the
-    rate from one transport differential, never from finite differences."""
+    dx̃/dt as `rate`, each a function of t.  The split point curve obeys
+    its own ODE, x̃˙ = dφ_{0,t}(P a_V), so each constructor in this module
+    builds the rate from one transport differential, never from finite
+    differences."""
 
-    def __init__(self, geom, base_path, point_fn, covector_fn, rate_fn,
-                 name=""):
+    def __init__(self, geom, base_path, point, covector, rate, name=""):
         self.geom = geom
         self.base_path = base_path
-        self.point_fn = point_fn
-        self.covector_fn = covector_fn
-        self.rate_fn = rate_fn
+        self.point = point
+        self.covector = covector
+        self.rate = rate
         self.name = name or "split-path"
-
-    def point(self, t):
-        return self.point_fn(t)
-
-    def covector(self, t):
-        return self.covector_fn(t)
-
-    def rate(self, t):
-        """dx̃/dt."""
-        return self.rate_fn(t)
 
 
 def _pull_covector(jac, a):
@@ -154,11 +146,11 @@ def _pull_covector(jac, a):
     return [dot(col, a) for col in zip(*jac)]
 
 
-def split_apath(apath, step=DEFAULT_RK4_STEP):
+def split_apath(apath):
     """Gauge an algebroid path to the fiber over its base start."""
     geom = apath.geom
     bp = apath.base_path
-    tr = Transport(geom.connection, bp, step)
+    tr = Transport(geom.connection, bp)
 
     def point_fn(t):
         xf = [dm.value_of(c) for c in apath.fiber_path(t)]
@@ -181,11 +173,11 @@ def split_apath(apath, step=DEFAULT_RK4_STEP):
                      name=f"split({apath.name})")
 
 
-def unsplit_apath(split, step=DEFAULT_RK4_STEP):
+def unsplit_apath(split):
     """Inverse of `split_apath`: recover the anchor-compatible path."""
     geom = split.geom
     bp = split.base_path
-    tr = Transport(geom.connection, bp, step)
+    tr = Transport(geom.connection, bp)
 
     def fiber_path(t):
         tv = dm.value_of(t)
@@ -210,12 +202,12 @@ def unsplit_apath(split, step=DEFAULT_RK4_STEP):
                          name=f"unsplit({split.name})")
 
 
-def inverse_split(split, step=DEFAULT_RK4_STEP):
+def inverse_split(split):
     """Split-space inverse: push the data through the full transport of the
     base path, then invert in path space."""
     geom = split.geom
     bp = split.base_path
-    tr = Transport(geom.connection, bp, step)
+    tr = Transport(geom.connection, bp)
 
     def point_fn(t):
         return tr.map(split.point(1.0 - t), 0.0, 1.0)
@@ -232,12 +224,13 @@ def inverse_split(split, step=DEFAULT_RK4_STEP):
                      name=f"{split.name}~")
 
 
-def reparameterized(apath, s_fn=smoothstep):
-    """Orientation-preserving reparameterization: points compose with s,
-    covectors pick up the factor s′ (they scale like velocities)."""
+def reparameterized(apath):
+    """Orientation-preserving reparameterization by s = `smoothstep`:
+    points compose with s, covectors pick up the factor s′ (they scale like
+    velocities)."""
 
     def s_and_rate(u):
-        val = s_fn(Dual(u, 1.0))
+        val = smoothstep(Dual(u, 1.0))
         return dm.value_of(val), dm.tangent(val)
 
     def cov(u):
@@ -246,9 +239,9 @@ def reparameterized(apath, s_fn=smoothstep):
 
     return AlgebroidPath(
         apath.geom,
-        BasePath(lambda u: apath.base_path(s_fn(u)),
+        BasePath(lambda u: apath.base_path(smoothstep(u)),
                  name=f"{apath.base_path.name}@s"),
-        lambda u: apath.fiber_path(s_fn(u)),
+        lambda u: apath.fiber_path(smoothstep(u)),
         cov,
         name=f"{apath.name}@s")
 
@@ -289,14 +282,14 @@ def concat_base(first, second):
     return BasePath(fn, name=f"{second.name}*{first.name}")
 
 
-def concat_split(second, first, step=DEFAULT_RK4_STEP):
+def concat_split(second, first):
     """Concatenate split paths (first, then second; result written
     second·first).  The second path's fiber data is pulled back through the
     first base path's full transport so everything lives over the common
     start fiber."""
     geom = first.geom
     bp1 = first.base_path
-    tr = Transport(geom.connection, bp1, step)
+    tr = Transport(geom.connection, bp1)
 
     def pulled_point(t):
         return tr.map(second.point(t), 1.0, 0.0)
@@ -309,8 +302,7 @@ def concat_split(second, first, step=DEFAULT_RK4_STEP):
         jac = tr.jacobian(second.point(t), 1.0, 0.0)
         return matvec(jac, second.rate(t))
 
-    p1, c1, r1 = _half_curves(first.point_fn, first.covector_fn,
-                              first.rate, 0)
+    p1, c1, r1 = _half_curves(first.point, first.covector, first.rate, 0)
     p2, c2, r2 = _half_curves(pulled_point, pulled_cov, pulled_rate, 1)
 
     def point_fn(t):
@@ -329,7 +321,7 @@ def concat_split(second, first, step=DEFAULT_RK4_STEP):
 
 # -- evolution solver ---------------------------------------------------------------
 
-def solve_evolution(alpha, eps, generator=None, beta0=None, t1=1.0,
+def solve_evolution(alpha, eps, generator=None, beta0=None,
                     step=DEFAULT_RK4_STEP, times=None):
     """Integrate dβ/dt = G(α^ε(t)) β + ∂_ε α^ε(t) from β(0) = β⁰.
 
@@ -342,7 +334,7 @@ def solve_evolution(alpha, eps, generator=None, beta0=None, t1=1.0,
 
     `alpha(t, eps)` must be dual-compatible in eps (∂_ε is taken by dual
     seeding).  Returns {"times": […], "beta": [vectors]} sampled at `times`
-    (default: just t1).
+    (default: just t = 1).
     """
     if generator is not None and not callable(generator):
         raise NotImplementedError(
@@ -352,7 +344,7 @@ def solve_evolution(alpha, eps, generator=None, beta0=None, t1=1.0,
     dim = len(probe)
     beta = list(beta0) if beta0 is not None else [0.0] * dim
     if times is None:
-        times = [t1]
+        times = [1.0]
 
     def d_eps_alpha(t):
         return dm.tangent(alpha(t, Dual(eps, 1.0)))
@@ -374,9 +366,8 @@ def solve_evolution(alpha, eps, generator=None, beta0=None, t1=1.0,
     return {"times": out_times, "beta": out_beta}
 
 
-def flow_commutation_residual(fiber, alpha, x0, eps=0.0, t1=1.0,
-                              step=DEFAULT_RK4_STEP,
-                              times=(0.25, 0.5, 0.75, 1.0)):
+def flow_commutation_residual(fiber, alpha, x0, eps=0.0,
+                              step=DEFAULT_RK4_STEP):
     """Residual of ∂_ε ψ^ε_t(x₀) = ρ(β^t(ε))(ψ^ε_t(x₀)) for the flows of
     the time-dependent fields X^ε(t) = ρ(α^ε(t)).
 
@@ -391,7 +382,7 @@ def flow_commutation_residual(fiber, alpha, x0, eps=0.0, t1=1.0,
 
     evo = solve_evolution(alpha, eps,
                           generator=lambda u: fiber.action_matrix(u),
-                          t1=t1, step=step, times=list(times))
+                          step=step, times=[0.25, 0.5, 0.75, 1.0])
     defects = []
     state = [Dual(c, 0.0) for c in x0]
     t_prev = 0.0

@@ -28,6 +28,8 @@ from ._numerics import sample_unit_cube
 BOX = "box"
 SPHERE_STEREO = "sphere-stereo"
 
+SLACK = 1e-9   # a point this far past a box face still counts as inside
+
 #: colatitude margin used when sampling the sphere by angles (keeps the
 #: south pole — infinite in chart 0 — strictly out of every sample set)
 POLE_MARGIN = 0.15
@@ -61,9 +63,9 @@ class CoordinateDomain:
 
     # -- membership / escape ------------------------------------------------
 
-    def contains(self, point, slack=1e-9):
+    def contains(self, point):
         """Whether every coordinate is finite and, in a box, within the
-        bounds widened by ``slack``.  Coordinates may be floats, duals, or
+        bounds widened by `SLACK`.  Coordinates may be floats, duals, or
         numpy arrays (or array duals) over stacked points; an array point
         is contained only when every entry is."""
         vals = [dm.value_of(x) for x in point]
@@ -71,13 +73,13 @@ class CoordinateDomain:
             if any(not math.isfinite(v) for v in vals):
                 return False
         except TypeError:   # an array: math takes scalars only
-            return bool(self.inside(vals, slack).all())
+            return bool(self.inside(vals).all())
         if self.kind == BOX:
-            return all(lo - slack <= v <= hi + slack
+            return all(lo - SLACK <= v <= hi + SLACK
                        for v, (lo, hi) in zip(vals, self.bounds))
         return True  # chart 0 covers the sphere minus one pole; any finite point is in
 
-    def inside(self, point, slack=1e-9):
+    def inside(self, point):
         """Entrywise `contains` for a point whose coordinates are numpy
         arrays (or array duals) over stacked points: a boolean array,
         True where every coordinate is finite and inside the domain."""
@@ -87,7 +89,7 @@ class CoordinateDomain:
             ok = ok & np.isfinite(v)
             if self.kind == BOX:
                 lo, hi = self.bounds[d]
-                ok = ok & (lo - slack <= v) & (v <= hi + slack)
+                ok = ok & (lo - SLACK <= v) & (v <= hi + SLACK)
         return ok
 
     # -- sampling -----------------------------------------------------------

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__
 from . import dual as dm
-from ._numerics import worst
+from ._numerics import MAX_SAMPLE_DIM, worst
 from .charts import CoordinateDomain
-from .coupling import (GeometricData, assemble_dirac,
+from .coupling import (CONDITION_NAMES, GeometricData, assemble_dirac,
                        check_coupling_conditions, dirac_closure_residual,
                        leaf_two_form, splitting_bracket_residual)
 from .fibration import (Connection, FiberedSpace, FlatConnection,
@@ -39,8 +39,9 @@ from .apath import flow_commutation_residual
 from .groupoid import (PairGroupoid, coupling_form, integrated_data_check,
                        multiplicativity_residual, pair_form,
                        source_target_orthogonality)
-from .monodromy import (FAMILIES, cap, integrability_verdict, round_sphere,
-                        so3_lattice, transgress, transgress_flat)
+from .monodromy import (FAMILIES, cap, exact_rational, integrability_verdict,
+                        round_sphere, so3_lattice, transgress,
+                        transgress_flat)
 from .yangmills import EXAMPLES, HamiltonianFiber, gauge_transition_check
 
 KINDS = ("coupling-check", "ymh-build", "transgress", "so3-integrability",
@@ -156,6 +157,12 @@ def _check(name, residual, tolerance):
     }
 
 
+def _scored(scenario, name, residual, default):
+    """`_check` against the scenario's tolerance for `name`, or against
+    `default` when it sets none."""
+    return _check(name, residual, _tol(scenario, name, default))
+
+
 def _failed(name, exc):
     """The failing check that stands for a run an exception cut short."""
     return {"name": name, "residual": None, "tolerance": 0.0,
@@ -209,6 +216,29 @@ def _reals(value, field, count=None):
     return [_real(v, field) for v in value]
 
 
+def _flag(scenario, key):
+    """A switch a scenario supplies: a JSON boolean, true when absent."""
+    value = scenario.get(key, True)
+    if not isinstance(value, bool):
+        raise ScenarioError(key, f"expected true or false, got {value!r}")
+    return value
+
+
+def _bounds(cfg, key):
+    """The box bounds `fields.<key>`: a non-empty list of [lo, hi] pairs
+    of finite numbers with lo < hi."""
+    field, value = f"fields.{key}", cfg.get(key)
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(field, f"expected a non-empty list of [lo, hi] "
+                                   f"pairs, got {value!r}")
+    pairs = [_reals(pair, f"{field}[{i}]", 2) for i, pair in enumerate(value)]
+    for i, (lo, hi) in enumerate(pairs):
+        if not lo < hi:
+            raise ScenarioError(f"{field}[{i}]", f"expected lo < hi, got "
+                                                 f"{value[i]!r}")
+    return pairs
+
+
 def _pair_of_counts(value, field, minimum):
     if not isinstance(value, list) or len(value) != 2:
         raise ScenarioError(field, f"expected two integers, got {value!r}")
@@ -225,7 +255,7 @@ def _require(scenario, key, kinds, field=None):
     return val
 
 
-def _example_or_inline(scenario, seed):
+def _example_or_inline(scenario):
     if "fields" in scenario:
         return _inline_geometry(scenario["fields"])
     name = _require(scenario, "example", str)
@@ -255,31 +285,27 @@ def _example_or_inline(scenario, seed):
 def _inline_geometry(cfg):
     if not isinstance(cfg, dict):
         raise ScenarioError("fields", "inline fields must be an object")
-    base_bounds = cfg.get("base_bounds")
-    if cfg.get("base_chart") == "sphere":
-        base = CoordinateDomain.sphere()
-        nb = 2
-    else:
-        if not base_bounds:
-            raise ScenarioError("fields.base_bounds", "required for box "
-                                                      "base charts")
-        base = CoordinateDomain.box([tuple(b) for b in base_bounds])
-        nb = len(base_bounds)
-    fiber_bounds = cfg.get("fiber_bounds")
-    if not fiber_bounds:
-        raise ScenarioError("fields.fiber_bounds", "required key is missing")
-    fiber = CoordinateDomain.box([tuple(b) for b in fiber_bounds],
-                                 name="fiber")
-    nf = len(fiber_bounds)
+    chart = cfg.get("base_chart")
+    if chart not in (None, "sphere"):
+        raise ScenarioError("fields.base_chart", f"the only named base chart "
+                                                 f"is 'sphere', got {chart!r}")
+    base = CoordinateDomain.sphere() if chart == "sphere" else \
+        CoordinateDomain.box(_bounds(cfg, "base_bounds"))
+    fiber = CoordinateDomain.box(_bounds(cfg, "fiber_bounds"), name="fiber")
+    nb, nf = base.dim, fiber.dim
+    if nb + nf > MAX_SAMPLE_DIM:
+        raise ScenarioError("fields", f"base and fiber have {nb + nf} "
+                                      f"coordinates; sampling supports at "
+                                      f"most {MAX_SAMPLE_DIM}")
     space = FiberedSpace(base, fiber, name=cfg.get("name", "inline"))
     coords = [f"b{i + 1}" for i in range(nb)] + \
              [f"x{i + 1}" for i in range(nf)]
 
     def compile_list(key, exprs, count):
-        if len(exprs) != count:
+        if not isinstance(exprs, list) or len(exprs) != count:
             raise ScenarioError(f"fields.{key}",
-                                f"expected {count} components, got "
-                                f"{len(exprs)}")
+                                f"expected a list of {count} expressions, "
+                                f"got {exprs!r}")
         return [compile_expression(e, coords, field=f"fields.{key}[{i}]")
                 for i, e in enumerate(exprs)]
 
@@ -303,7 +329,9 @@ def _inline_geometry(cfg):
     if conn_exprs is None:
         conn = FlatConnection(space)
     else:
-        if len(conn_exprs) != nf or any(len(r) != nb for r in conn_exprs):
+        if (not isinstance(conn_exprs, list) or len(conn_exprs) != nf
+                or any(not isinstance(r, list) or len(r) != nb
+                       for r in conn_exprs)):
             raise ScenarioError("fields.connection",
                                 f"expected a {nf}×{nb} matrix of "
                                 f"expressions")
@@ -324,7 +352,7 @@ def _inline_geometry(cfg):
 # -- kind runners ---------------------------------------------------------------------
 
 def _run_coupling_check(scenario, seed):
-    geom = _example_or_inline(scenario, seed)
+    geom = _example_or_inline(scenario)
     samples = _count(scenario.get("samples", 64), "samples", 1)
     wanted = scenario.get("checks", ["conditions"])
     if (not isinstance(wanted, list) or not wanted
@@ -339,13 +367,10 @@ def _run_coupling_check(scenario, seed):
     if "closure" in wanted or "oracle-agreement" in wanted:
         res = dirac_closure_residual(geom, count=min(samples, 16), seed=seed)
     if "conditions" in wanted:
-        for key in ("vertical_poisson", "transport_invariance",
-                    "covariant_closure", "curvature_match"):
-            checks.append(_check(key, cond[key],
-                                 _tol(scenario, key, 1e-8)))
+        checks += [_scored(scenario, key, cond[key], 1e-8)
+                   for key in CONDITION_NAMES]
     if "closure" in wanted:
-        checks.append(_check("dirac_closure", res,
-                             _tol(scenario, "dirac_closure", 1e-6)))
+        checks.append(_scored(scenario, "dirac_closure", res, 1e-6))
     if "oracle-agreement" in wanted:
         thr = _tol(scenario, "oracle_agreement", 1e-6)
         # a NaN on either route is a disagreement, never a match
@@ -355,13 +380,12 @@ def _run_coupling_check(scenario, seed):
         extras["condition_max"] = float(cond["max"])
         extras["closure_residual"] = float(res)
     if "leaf-form" in wanted:
-        checks.append(_check("leaf_form_match",
-                             _leaf_residual(geom, scenario, seed),
-                             _tol(scenario, "leaf_form_match", 1e-8)))
+        checks.append(_scored(scenario, "leaf_form_match",
+                              _leaf_residual(geom, scenario, seed), 1e-8))
     if "splitting" in wanted:
         res = splitting_bracket_residual(geom, count=6, seed=seed)
-        checks.append(_check("splitting_brackets", res["max"],
-                             _tol(scenario, "splitting_brackets", 1e-6)))
+        checks.append(_scored(scenario, "splitting_brackets", res["max"],
+                              1e-6))
     return checks, extras
 
 
@@ -388,34 +412,31 @@ def _leaf_residual(geom, scenario, seed):
 
 
 def _run_ymh_build(scenario, seed):
-    geom = _example_or_inline(scenario, seed)
+    geom = _example_or_inline(scenario)
     checks, extras = [], {}
     principal = getattr(geom, "principal", None)
     fiber_model = getattr(geom, "fiber_model", None)
     if principal is not None:
-        checks.append(_check("structure_jacobi",
-                             principal.group.jacobi_residual(),
-                             _tol(scenario, "structure_jacobi", 1e-12)))
+        checks.append(_scored(scenario, "structure_jacobi",
+                              principal.group.jacobi_residual(), 1e-12))
         bianchi = worst(principal.bianchi_residual(pt[:geom.space.n_base])
                         for pt in geom.sample_points(6, seed=seed))
-        checks.append(_check("bianchi", bianchi,
-                             _tol(scenario, "bianchi", 1e-10)))
+        checks.append(_scored(scenario, "bianchi", bianchi, 1e-10))
     if fiber_model is not None:
-        checks.append(_check("prehamiltonian",
-                             fiber_model.prehamiltonian_residual(count=8,
-                                                                 seed=seed),
-                             _tol(scenario, "prehamiltonian", 1e-10)))
+        checks.append(_scored(scenario, "prehamiltonian",
+                              fiber_model.prehamiltonian_residual(count=8,
+                                                                  seed=seed),
+                              1e-10))
     cond = check_coupling_conditions(
         geom, count=_count(scenario.get("samples", 32), "samples", 1),
         seed=seed)
-    checks.append(_check("coupling_conditions", cond["max"],
-                         _tol(scenario, "coupling_conditions", 1e-8)))
+    checks.append(_scored(scenario, "coupling_conditions", cond["max"], 1e-8))
     if scenario.get("example") == "hopf":
         gauge = gauge_transition_check()
-        checks.append(_check("gauge_closedness", gauge["closedness"],
-                             _tol(scenario, "gauge_closedness", 1e-8)))
-        checks.append(_check("gauge_winding", abs(gauge["winding"] + 2.0),
-                             _tol(scenario, "gauge_winding", 1e-6)))
+        checks.append(_scored(scenario, "gauge_closedness",
+                              gauge["closedness"], 1e-8))
+        checks.append(_scored(scenario, "gauge_winding",
+                              abs(gauge["winding"] + 2.0), 1e-6))
         extras["winding"] = gauge["winding"]
     return checks, extras
 
@@ -431,12 +452,9 @@ def _build_family(cfg, field="families"):
     if name == "round-sphere":
         return round_sphere(*nodes)
     if name == "cap":
-        theta = cfg.get("theta")
-        if theta is None:
-            raise ScenarioError(f"{field}.theta",
-                                "cap families need an opening angle")
+        theta = _real(cfg.get("theta"), f"{field}.theta")
         try:
-            return cap(float(theta), *nodes)
+            return cap(theta, *nodes)
         except ValueError as exc:   # an angle outside (0, π) is bad input
             raise ScenarioError(f"{field}.theta", str(exc)) from None
     raise ScenarioError(field, f"unknown family {name!r}; registry has "
@@ -462,9 +480,8 @@ def _run_transgress(scenario, seed):
 
         area = fam.signed_area(round_two_form)
         extras["area"] = area
-        checks.append(_check("sphere_area",
-                             abs(area - expected) / abs(expected),
-                             _tol(scenario, "sphere_area", 1e-6)))
+        checks.append(_scored(scenario, "sphere_area",
+                              abs(area - expected) / abs(expected), 1e-6))
     for i, cfg in enumerate(scenario.get("families", [])):
         fam = _build_family(cfg, field=f"families[{i}]")
         endpoint = transgress(geom, fam, x0).endpoint()[0]
@@ -487,7 +504,12 @@ def _run_so3_integrability(scenario, seed):
     if not any(r > 0.0 for r in radii):
         raise ScenarioError("radii", "at least one positive radius is "
                                      "required")
-    if scenario.get("include_origin", True) and 0.0 not in radii:
+    try:
+        slope = scenario.get("exact_slope")
+        slope = None if slope is None else exact_rational(slope)
+    except TypeError as exc:
+        raise ScenarioError("exact_slope", str(exc)) from None
+    if _flag(scenario, "include_origin") and 0.0 not in radii:
         radii = radii + [0.0]
     grid = _pair_of_counts(scenario.get("grid", [64, 64]), "grid", 1)
     grid = [g + g % 2 for g in grid]   # Simpson needs even
@@ -496,23 +518,19 @@ def _run_so3_integrability(scenario, seed):
                                             1e-3))
     checks, extras = [], {}
     rel_dev = report.constancy_deviation / max(1.0, abs(report.mean_radial()))
-    checks.append(_check("generator_constancy", rel_dev,
-                         _tol(scenario, "generator_constancy", 1e-3)))
+    checks.append(_scored(scenario, "generator_constancy", rel_dev, 1e-3))
     if report.has_degenerate_origin:
-        checks.append(_check("origin_degenerate",
-                             worst(abs(c) for c in report.origin_generator),
-                             _tol(scenario, "origin_degenerate", 1e-8)))
+        checks.append(_scored(scenario, "origin_degenerate",
+                              worst(abs(c) for c in report.origin_generator),
+                              1e-8))
     if "expected_generator" in scenario:
         expected = compile_expression(str(scenario["expected_generator"]),
                                       [], field="expected_generator")([])
         deviation = worst(abs(c - expected) / max(1.0, abs(expected))
                           for c in report.radial_components)
-        checks.append(_check("generator_value", deviation,
-                             _tol(scenario, "generator_value", 1e-4)))
+        checks.append(_scored(scenario, "generator_value", deviation, 1e-4))
     try:
-        verdict = integrability_verdict(report, scenario.get("exact_slope"))
-    except TypeError as exc:
-        raise ScenarioError("exact_slope", str(exc)) from None
+        verdict = integrability_verdict(report, slope)
     except ValueError as exc:
         checks.append(_failed("slope_consistency", exc))
         verdict = "INCONCLUSIVE"
@@ -528,6 +546,7 @@ def _run_apath(scenario, seed):
     step = _real(scenario.get("step", 1e-3), "step", positive=True)
     eps = _real(scenario.get("eps", 0.3), "eps")
     x0 = _reals(scenario.get("x0", [0.6, 0.0, 0.8]), "x0", 3)
+    halving = _flag(scenario, "halving")
     alpha_exprs = scenario.get("alpha", [
         "(3+e)*sin(2*pi*t)", "2.5*cos(3*pi*t)-e*t", "1.5*sin(5*t+e)"])
     fns = [compile_expression(e, ["t", "e"], field=f"alpha[{i}]")
@@ -538,16 +557,14 @@ def _run_apath(scenario, seed):
     alpha = lambda t, e: [f([t, e]) for f in fns]
     fiber = HamiltonianFiber.coadjoint_so3()
     r1 = flow_commutation_residual(fiber, alpha, x0, eps=eps, step=step)
-    checks = [_check("flow_commutation", r1,
-                     _tol(scenario, "flow_commutation", 1e-6))]
+    checks = [_scored(scenario, "flow_commutation", r1, 1e-6)]
     extras = {"residual_at_step": r1}
-    if scenario.get("halving", True):
+    if halving:
         r2 = flow_commutation_residual(fiber, alpha, x0, eps=eps,
                                        step=step / 2.0)
         floor = 1e-13   # below this both residuals sit at roundoff
         gain = r2 / r1 if r1 > floor else 0.0
-        checks.append(_check("halving_gain", gain,
-                             _tol(scenario, "halving_gain", 0.125)))
+        checks.append(_scored(scenario, "halving_gain", gain, 0.125))
         extras["residual_at_half_step"] = r2
     return checks, extras
 
@@ -575,30 +592,23 @@ def _run_groupoid_check(scenario, seed):
     samples = _count(scenario.get("samples", 6), "samples", 1)
     checks, extras = [], {}
     gpd = PairGroupoid(geom.space.dim)
-    checks.append(_check("axioms", gpd.axioms_residual(seed=seed),
-                         _tol(scenario, "axioms", 1e-14)))
+    checks.append(_scored(scenario, "axioms", gpd.axioms_residual(seed=seed),
+                          1e-14))
     form = pair_form(coupling_form(geom))
-    checks.append(_check("multiplicativity",
-                         multiplicativity_residual(form.value,
-                                                   geom.space.dim,
-                                                   seed=seed),
-                         _tol(scenario, "multiplicativity", 1e-12)))
+    checks.append(_scored(scenario, "multiplicativity",
+                          multiplicativity_residual(form.value,
+                                                    geom.space.dim, seed=seed),
+                          1e-12))
     report = integrated_data_check(geom, count=samples, seed=seed)
     checks.append(_check("fiber_nondegeneracy",
                          float(report["fiber_nondegeneracy_dim"]), 0.5))
-    checks.append(_check("horizontal_identity",
-                         report["horizontal_identity"],
-                         _tol(scenario, "horizontal_identity", 1e-8)))
-    checks.append(_check("hor_projection", report["hor_projection"],
-                         _tol(scenario, "hor_projection", 1e-10)))
-    checks.append(_check("hor_vertical_orthogonality",
-                         report["hor_vertical_orthogonality"],
-                         _tol(scenario, "hor_vertical_orthogonality",
-                              1e-10)))
-    checks.append(_check("source_target_orthogonality",
-                         source_target_orthogonality(geom, form, seed=seed),
-                         _tol(scenario, "source_target_orthogonality",
-                              1e-10)))
+    checks += [_scored(scenario, key, report[key], tol)
+               for key, tol in (("horizontal_identity", 1e-8),
+                                ("hor_projection", 1e-10),
+                                ("hor_vertical_orthogonality", 1e-10))]
+    checks.append(_scored(scenario, "source_target_orthogonality",
+                          source_target_orthogonality(geom, form, seed=seed),
+                          1e-10))
     return checks, extras
 
 

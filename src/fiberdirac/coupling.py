@@ -377,8 +377,8 @@ def horizontal_covector_derivative(geom, v, alpha_fn):
     return comps
 
 
-def splitting_bracket_residual(geom, points=None, count=12, seed=0,
-                               alpha_fn=None, beta_fn=None, v=None, w=None):
+def splitting_bracket_residual(geom, count=12, seed=0, alpha_fn=None,
+                               beta_fn=None, v=None, w=None):
     """Residuals of the three splitting-bracket identities.
 
     Each identity is checked by comparing the ambient Courant bracket of
@@ -388,13 +388,12 @@ def splitting_bracket_residual(geom, points=None, count=12, seed=0,
         ⟦h*(v), emb α⟧      = emb(L_{h(v)} α)
         ⟦h*(v), h*(w)⟧      = h*([v,w]) + emb(d_V ω_H(h(v), h(w)))
 
-    (constant v, w make the h*([v,w]) term vanish).  Returns a dict of the
-    three residuals plus "max".
+    (constant v, w make the h*([v,w]) term vanish) at `count` sampled
+    points.  Returns a dict of the three residuals plus "max".
     """
     space = geom.space
     nb, nf = space.n_base, space.n_fiber
-    if points is None:
-        points = geom.sample_points(count=count, seed=seed)
+    points = geom.sample_points(count=count, seed=seed)
     if alpha_fn is None:
         alpha_fn = _default_fiber_covector(space, salt=0)
     if beta_fn is None:

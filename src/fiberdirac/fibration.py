@@ -82,7 +82,7 @@ class BasePath:
     def __init__(self, fn, name=""):
         self.fn = fn
         self.name = name
-        self._propagators = {}   # (connection, step) ↦ a `Transport` grid
+        self._propagators = {}   # connection ↦ a `Transport` grid
 
     def __call__(self, t):
         return self.fn(t)
@@ -203,17 +203,17 @@ def _escaped_point(fiber, x):
 
 
 class Transport:
-    """Parallel transport of one connection along one base path with one
-    RK4 step: the maps φ from the fiber over γ(t0) to the fiber over γ(t1),
-    and their differentials dφ, for times in [0, 1].
+    """Parallel transport of one connection along one base path, by RK4
+    with `DEFAULT_RK4_STEP`: the maps φ from the fiber over γ(t0) to the
+    fiber over γ(t1), and their differentials dφ, for times in [0, 1].
 
     A connection with a `generator` K transports linearly: φ is the matrix
     P(t1)·P(t0)⁻¹, where the propagator solves P' = K(γ(t), γ̇(t))·P,
     P(0) = I, and dφ is the same matrix.  P is integrated on the first
     query, by the RK4 steps a direct transport from 0 to 1 takes, and kept
-    on the path for every later `Transport` of the same connection and
-    step; a time between two grid nodes takes one partial step from the
-    node below.  The chart guard checks the transported point at every grid
+    on the path for every later `Transport` of the same connection; a time
+    between two grid nodes takes one partial step from the node below.
+    The chart guard checks the transported point at every grid
     node between t0 and t1 in one array pass.  From t0 = 0 it raises the
     direct route's `IncompleteTransportError`, with the same `t_escape` and
     point; from another grid node, the same up to rounding; from a time
@@ -224,17 +224,16 @@ class Transport:
     map, and one dual-seeded transport per Jacobian column.
     """
 
-    def __init__(self, connection, path, step=DEFAULT_RK4_STEP):
+    def __init__(self, connection, path):
         self.connection = connection
         self.path = path
-        self.step = step
         self._k_time = self._k = None
 
     def map(self, x, t0, t1):
         """φ_{t0→t1}(x), the transported point."""
         if self.connection.generator is None:
             return _transport(self.connection, self.path, x, t0, t1,
-                              self.step)
+                              DEFAULT_RK4_STEP)
         return matvec(self.jacobian(x, t0, t1), x)
 
     def jacobian(self, x, t0, t1):
@@ -243,7 +242,7 @@ class Transport:
         if self.connection.generator is None:
             return dm.jacobian(
                 lambda y: _transport(self.connection, self.path, y, t0, t1,
-                                     self.step), x)
+                                     DEFAULT_RK4_STEP), x)
         back = np.linalg.inv(self._at(t0))
         jac = self._at(t1) @ back
         self._guard(x, back @ np.array(x), t0, t1, jac @ np.array(x))
@@ -263,10 +262,9 @@ class Transport:
         # make a reference cycle, and the arrays would wait for a full
         # garbage collection
         grids = self.path._propagators
-        key = (self.connection, self.step)
-        if key not in grids:
-            grids[key] = self._build()
-        return grids[key]
+        if self.connection not in grids:
+            grids[self.connection] = self._build()
+        return grids[self.connection]
 
     def _build(self):
         """Integrate P over [0, 1]: the RK4 node times, and P at each node
@@ -278,7 +276,7 @@ class Transport:
             props.append(state[0])
 
         rk4_integrate(self._rhs, [np.eye(self.connection.space.n_fiber)],
-                      0.0, 1.0, step=self.step, observer=keep)
+                      0.0, 1.0, observer=keep)
         return times, np.array(props)
 
     def _at(self, t):

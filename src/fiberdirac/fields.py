@@ -11,8 +11,6 @@ valence             components returned by ``comps(point)``
 ``covector``        list of length n (covariant; equals a 1-form)
 ``form`` (k)        list over sorted k-tuples of indices, lexicographic
 ``multivector`` (k) list over sorted k-tuples (k = 2 is a bivector)
-``vvform`` (k)      list over sorted k-tuples, each entry a coefficient list
-                    (vector-valued form, used for Lie-algebra valued data)
 ==================  =========================================================
 
 A section of TM ⊕ T*M is not a field object but a plain callable
@@ -39,7 +37,6 @@ VECTOR = "vector"
 COVECTOR = "covector"
 FORM = "form"
 MULTIVECTOR = "multivector"
-VVFORM = "vvform"
 
 
 def combos(n, k):
@@ -55,7 +52,7 @@ class SmoothField:
         self.comps = comps
         self.degree = degree
         self.name = name
-        if valence in (FORM, MULTIVECTOR, VVFORM) and degree is None:
+        if valence in (FORM, MULTIVECTOR) and degree is None:
             raise ValueError("forms and multivectors need an explicit degree")
         if valence == COVECTOR:
             self.degree = 1

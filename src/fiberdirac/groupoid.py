@@ -22,10 +22,10 @@ from . import fields
 from ._numerics import (det, dot, intersection_dimension, matvec, nullspace,
                         sample_unit_cube, worst)
 
-MULT_TOL = 1e-12
 CLOSED_TOL = 1e-10
 ORTHO_TOL = 1e-10
 IDENTITY_TOL = 1e-8
+SAMPLE_BOX = 1.5   # the checks sample the coordinate box [−1.5, 1.5]^d
 
 
 def _form_value(mat, u, v):
@@ -68,20 +68,20 @@ class PairGroupoid:
     def inverse(self, arrow):
         return list(arrow[self.dim:]) + list(arrow[:self.dim])
 
-    def multiply(self, second, first, tol=1e-12):
+    def multiply(self, second, first):
         """m(second, first) for second = (z, y), first = (y, x)."""
         mid_a = second[self.dim:]
         mid_b = first[:self.dim]
         gap = worst(abs(a - b) for a, b in zip(mid_a, mid_b))
-        if not gap <= tol:
+        if not gap <= 1e-12:
             raise ValueError(f"arrows are not composable (middle points "
                              f"differ by {gap:.3e})")
         return list(second[:self.dim]) + list(first[self.dim:])
 
-    def axioms_residual(self, count=8, seed=0, box=1.5):
+    def axioms_residual(self, count=8, seed=0):
         """Max defect of the groupoid axioms over sampled triples — the
         structure maps are coordinate projections, so this is exactly 0."""
-        pts = [[box * (2.0 * c - 1.0) for c in row]
+        pts = [[SAMPLE_BOX * (2.0 * c - 1.0) for c in row]
                for row in sample_unit_cube(4 * count, self.dim, seed=seed)]
 
         def identities(w, z, y, x):
@@ -132,32 +132,32 @@ class PairForm:
                 - _form_value(mx, u[d:], v[d:]))
 
 
-def pair_form(omega, n_check=6, seed=0, box=1.5, closed_tol=CLOSED_TOL):
+def pair_form(omega):
     """Build Ω = t*ω − s*ω from a closed two-form on the patch; the
-    closedness precondition is verified on sampled points."""
+    closedness precondition is verified at six sampled points."""
     if omega.degree != 2:
         raise ValueError("pair_form needs a degree-2 form")
     d_omega = fields.exterior_derivative(omega)
     defect = worst(abs(dm.value_of(v))
-                   for row in sample_unit_cube(n_check, omega.dim, seed=seed)
-                   for v in d_omega([box * (2.0 * c - 1.0) for c in row]))
-    if not defect < closed_tol:
+                   for row in sample_unit_cube(6, omega.dim)
+                   for v in d_omega([SAMPLE_BOX * (2.0 * c - 1.0)
+                                     for c in row]))
+    if not defect < CLOSED_TOL:
         raise ValueError(f"the base form is not closed (|dω| = {defect:.3e} "
-                         f"on samples, tolerance {closed_tol:.0e})")
+                         f"on samples, tolerance {CLOSED_TOL:.0e})")
     return PairForm(omega)
 
 
-def multiplicativity_residual(arrow_form, dim, n_samples=12, seed=0,
-                              box=1.5):
-    """max |m*Ω − pr₁*Ω − pr₂*Ω| over sampled composable pairs of arrows
-    and composable tangent pairs.
+def multiplicativity_residual(arrow_form, dim, seed=0):
+    """max |m*Ω − pr₁*Ω − pr₂*Ω| over twelve sampled composable pairs of
+    arrows and composable tangent pairs.
 
     `arrow_form(arrow, u, v)` evaluates the candidate form; a composable
     tangent pair at ((z,y),(y,x)) shares its middle block, and dm maps it
     to the outer blocks.
     """
-    rows = sample_unit_cube(7 * n_samples, dim, seed=seed)
-    pts = [[box * (2.0 * c - 1.0) for c in row] for row in rows]
+    rows = sample_unit_cube(7 * 12, dim, seed=seed)
+    pts = [[SAMPLE_BOX * (2.0 * c - 1.0) for c in row] for row in rows]
 
     def defect(z, y, x, dz, dy, dx, extra):
         second, first, composed = z + y, y + x, z + x
@@ -169,12 +169,11 @@ def multiplicativity_residual(arrow_form, dim, n_samples=12, seed=0,
                + arrow_form(first, u1, v1))
         return abs(dm.value_of(lhs) - dm.value_of(rhs))
 
-    return worst(defect(*pts[7 * k:7 * k + 7]) for k in range(n_samples))
+    return worst(defect(*pts[7 * k:7 * k + 7]) for k in range(12))
 
 
-def presymplectic_nondegeneracy(omega, n_samples=8, seed=0, box=1.5,
-                                threshold=1e-8):
-    """Kernel report for Ω = t*ω − s*ω at sampled units.
+def presymplectic_nondegeneracy(omega):
+    """Kernel report for Ω = t*ω − s*ω at eight sampled units.
 
     On the pair groupoid ker ds ∩ ker dt is already {0}, so the triple
     kernel ker Ω ∩ ker ds ∩ ker dt is reported alongside the meaningful
@@ -186,8 +185,8 @@ def presymplectic_nondegeneracy(omega, n_samples=8, seed=0, box=1.5,
     form = PairForm(omega)
     triple_dim = 0
     base_dim = 0
-    for row in sample_unit_cube(n_samples, d, seed=seed):
-        x = [box * (2.0 * c - 1.0) for c in row]
+    for row in sample_unit_cube(8, d):
+        x = [SAMPLE_BOX * (2.0 * c - 1.0) for c in row]
         unit = x + x
         stacked = [list(r) for r in form.matrix(unit)]
         for i in range(d):         # rows of ds: kill the x-block
@@ -196,9 +195,8 @@ def presymplectic_nondegeneracy(omega, n_samples=8, seed=0, box=1.5,
         for i in range(d):         # rows of dt: kill the y-block
             stacked.append([1.0 if j == i else 0.0
                             for j in range(d)] + [0.0] * d)
-        triple_dim = max(triple_dim, len(nullspace(stacked, threshold)))
-        base_dim = max(base_dim,
-                       len(nullspace(form.base_matrix(x), threshold)))
+        triple_dim = max(triple_dim, len(nullspace(stacked)))
+        base_dim = max(base_dim, len(nullspace(form.base_matrix(x))))
     return {
         "triple_kernel_dim": triple_dim,
         "base_kernel_dim": base_dim,
@@ -281,16 +279,16 @@ def right_lift(geom, xi_fn):
     return field
 
 
-def source_target_orthogonality(geom, form, n_samples=8, seed=0):
-    """Ω(left lift, right lift) at sampled arrows — the invariant lifts
-    land in complementary blocks, so this vanishes."""
-    pts = geom.sample_points(2 * n_samples, seed=seed)
+def source_target_orthogonality(geom, form, seed=0):
+    """Ω(left lift, right lift) at eight sampled arrows — the invariant
+    lifts land in complementary blocks, so this vanishes."""
+    pts = geom.sample_points(2 * 8, seed=seed)
     eta = lambda x: [0.3 + 0.1 * x[0], -0.4, 0.2][:geom.space.n_fiber]
     xi = lambda y: [0.1, 0.5 - 0.2 * y[0], -0.3][:geom.space.n_fiber]
     lf = left_lift(geom, eta)
     rf = right_lift(geom, xi)
     arrows = [list(pts[2 * k]) + list(pts[2 * k + 1])
-              for k in range(n_samples)]
+              for k in range(8)]
     return worst(abs(dm.value_of(form.value(arrow, lf(arrow), rf(arrow))))
                  for arrow in arrows)
 

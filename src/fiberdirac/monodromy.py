@@ -83,10 +83,11 @@ class SphereFamily:
         return BasePath(lambda t: self.fn(t, eps),
                         name=f"{self.name}@eps={eps:.3g}")
 
-    def collapse_residual(self, n_probe=33):
-        """Max chart distance of the collapsed edges from the base point."""
+    def collapse_residual(self):
+        """Max chart distance of the collapsed edges from the base point,
+        probed at 33 points per edge."""
         b = self.base_point()
-        probes = [k / (n_probe - 1) for k in range(n_probe)]
+        probes = [k / 32 for k in range(33)]
         edges = [lambda u: (u, 0.0), lambda u: (0.0, u), lambda u: (1.0, u)]
         if self.closed:
             edges.append(lambda u: (u, 1.0))
@@ -225,16 +226,17 @@ class VerStarPath:
         return [sum(wj * c[i] for wj, c in zip(w, self.covectors))
                 for i in range(nf)]
 
-    def transport_consistency(self, step=DEFAULT_RK4_STEP, n_probe=5):
-        """Recompute the base-point trajectory by holonomy transports and
-        return the max distance to the stored one."""
+    def transport_consistency(self, step=DEFAULT_RK4_STEP):
+        """Recompute the base-point trajectory by holonomy transports at
+        five evenly strided slices and return the max distance to the
+        stored one."""
         if self.geom is None or self.family is None or self.x0 is None:
             raise ValueError("path carries no construction data")
         conn = self.geom.connection
         y0 = parallel_transport(conn, self.family.eps_slice(0.0), self.x0,
                                 0.0, 1.0, step=step)
         m = len(self.eps_grid)
-        stride = max(1, (m - 1) // max(1, n_probe - 1))
+        stride = max(1, (m - 1) // 4)
 
         def fresh(j):
             sl = self.family.eps_slice(self.eps_grid[j])
@@ -380,11 +382,12 @@ def transgress_flat(geom, family, x0):
 _RADIAL_DIR = (0.6, 0.0, 0.8)   # unit direction of the sample ray
 
 
-def lattice_model_data(f, fiber_bound=2.5):
+def lattice_model_data(f):
     """The model coupling: trivial bundle over the round two-sphere with
-    so(3)*-linear vertical structure and ω_H = f(|x|) · (round area)."""
+    so(3)*-linear vertical structure on the box |x_i| ≤ 2.5 and
+    ω_H = f(|x|) · (round area)."""
     base = CoordinateDomain.sphere()
-    fiber = CoordinateDomain.box([(-fiber_bound, fiber_bound)] * 3,
+    fiber = CoordinateDomain.box([(-2.5, 2.5)] * 3,
                                  name="so3-dual")
     space = FiberedSpace(base, fiber, name="sphere-so3-lattice")
     conn = FlatConnection(space)
@@ -403,43 +406,33 @@ def lattice_model_data(f, fiber_bound=2.5):
 
 
 class LatticeReport:
-    """Sampled monodromy generators along the radial ray, with constancy
-    and discreteness assessments."""
+    """Radial components of the monodromy generators sampled along the
+    radial ray, with their constancy assessment."""
 
-    def __init__(self, radii, generators, radial_components,
-                 constancy_deviation, is_constant, has_degenerate_origin,
-                 origin_generator, grid, tolerance):
+    def __init__(self, radii, radial_components, constancy_deviation,
+                 is_constant, has_degenerate_origin, origin_generator):
         self.radii = list(radii)
-        self.generators = [list(g) for g in generators]
         self.radial_components = list(radial_components)
         self.constancy_deviation = constancy_deviation
         self.is_constant = is_constant
         self.has_degenerate_origin = has_degenerate_origin
         self.origin_generator = list(origin_generator)
-        self.grid = tuple(grid)
-        self.tolerance = tolerance
         if constancy_deviation < 0.0:
             raise ValueError("deviations are non-negative by construction")
-
-    @property
-    def is_discrete(self):
-        """Desk-scale embedding proxy: the generator field is locally
-        constant, so the lattice ranks cannot jump off the degenerate
-        locus."""
-        return self.is_constant
 
     def mean_radial(self):
         return sum(self.radial_components) / len(self.radial_components)
 
 
 def so3_lattice(f, radii=(0.5, 1.0, 1.5), grid=(64, 64),
-                constancy_tol=1e-3, step=DEFAULT_RK4_STEP):
+                constancy_tol=1e-3):
     """Monodromy lattice of the so(3)* model with ω_H = f(|x|)·(round
     area): per radius r > 0 the generator covector is transgressed over
     the full round sphere; r = 0 records the degenerate lattice {0}
     directly (the vertical leaf there is a point, no generator exists).
 
-    `grid` counts Simpson intervals (N_t, N_ε); nodes are N+1 each.
+    `grid` counts Simpson intervals (N_t, N_ε); nodes are N+1 each.  The
+    model connection is flat, so no RK4 step is taken.
     """
     geom = lattice_model_data(f)
     family = round_sphere(n_t=grid[0] + 1, n_eps=grid[1] + 1)
@@ -448,27 +441,22 @@ def so3_lattice(f, radii=(0.5, 1.0, 1.5), grid=(64, 64),
     if not positive:
         raise ValueError("at least one positive radius is required")
 
-    generators, radial = [], []
+    radial = []
     for r in positive:
         x0 = [r * c for c in _RADIAL_DIR]
-        path = transgress(geom, family, x0, step=step)
-        g = path.endpoint()
-        generators.append(g)
-        radial.append(dot(g, _RADIAL_DIR))
+        radial.append(dot(transgress(geom, family, x0).endpoint(),
+                          _RADIAL_DIR))
 
     mean = sum(radial) / len(radial)
     deviation = worst(abs(c - mean) for c in radial)
     scale = max(1.0, abs(mean))
     return LatticeReport(
         radii=positive,
-        generators=generators,
         radial_components=radial,
         constancy_deviation=deviation,
         is_constant=deviation <= constancy_tol * scale,
         has_degenerate_origin=has_origin,
-        origin_generator=[0.0, 0.0, 0.0],
-        grid=grid,
-        tolerance=constancy_tol)
+        origin_generator=[0.0, 0.0, 0.0])
 
 
 VERDICT_CANDIDATE = "INTEGRABLE-CANDIDATE"
@@ -476,23 +464,30 @@ VERDICT_NON = "NON-INTEGRABLE"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 
 
-def _as_exact_rational(slope):
+def exact_rational(slope):
+    """The Fraction an exact slope stands for: an int, a Fraction, or a
+    'p/q' string, of a size a float can hold.  Anything else — a float, a
+    bool, a string that is no finite rational, 1e400 — raises TypeError."""
     if isinstance(slope, bool) or isinstance(slope, float):
         raise TypeError("exact_slope must be an exact rational (int, "
                         "Fraction, or 'p/q' string), not a float")
-    if isinstance(slope, Rational):
-        return Fraction(slope)
-    if isinstance(slope, str):
-        return Fraction(slope)
+    try:
+        if isinstance(slope, (Rational, str)):
+            fraction = Fraction(slope)
+            float(fraction)     # the verdict compares it with the numerics
+            return fraction
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
     raise TypeError(f"cannot read an exact rational from {slope!r}")
 
 
-def integrability_verdict(report, exact_slope=None, match_tol=1e-3):
+def integrability_verdict(report, exact_slope=None):
     """Decide integrability for a lattice report.
 
     Non-constant generators ⇒ NON-INTEGRABLE (the lattice rank jumps, so
     the monodromy cannot embed).  Constant generators with an exact
-    rational slope that matches the numerics ⇒ INTEGRABLE-CANDIDATE.
+    rational slope that matches the numerics to a relative 1e-3 ⇒
+    INTEGRABLE-CANDIDATE.
     Constant generators alone ⇒ INCONCLUSIVE: rationality of the slope is
     not numerically decidable and is only accepted as exact input.
     """
@@ -502,10 +497,10 @@ def integrability_verdict(report, exact_slope=None, match_tol=1e-3):
         return VERDICT_NON
     if exact_slope is None:
         return VERDICT_INCONCLUSIVE
-    slope = _as_exact_rational(exact_slope)
+    slope = exact_rational(exact_slope)
     expected = 4.0 * math.pi * float(slope)
     observed = report.mean_radial()
-    if abs(observed - expected) > match_tol * max(1.0, abs(expected)):
+    if abs(observed - expected) > 1e-3 * max(1.0, abs(expected)):
         raise ValueError(
             f"exact slope {slope} predicts generator {expected:.6g}, but "
             f"the transgressed generator is {observed:.6g}")

@@ -39,6 +39,10 @@ from .fibration import Connection, FiberedSpace, FlatConnection, HorizontalForm,
 from .coupling import GeometricData
 
 
+def _unit_vectors(n):
+    return [[1.0 if m == i else 0.0 for m in range(n)] for i in range(n)]
+
+
 # -- structure groups --------------------------------------------------------------
 
 class StructureGroupModel:
@@ -62,8 +66,7 @@ class StructureGroupModel:
 
     def jacobi_residual(self):
         """max |[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]|."""
-        basis = [[1.0 if m == i else 0.0 for m in range(self.dim)]
-                 for i in range(self.dim)]
+        basis = _unit_vectors(self.dim)
 
         def jacobiator(i, j, k):
             acc = [0.0] * self.dim
@@ -147,20 +150,25 @@ class HamiltonianFiber:
     its claimed hamiltonian.  Admissibility (action = π_F^♯ d h, and the
     action being a bracket homomorphism) is measured, not assumed.
 
-    The action is linear in the fiber point: `generators` are the constant
-    matrices G(e_i) with ρ(e_i)(x) = G(e_i)x, one per basis vector of the
-    Lie algebra, so the assembled connection transports by matrices.
+    The action must be linear in the fiber point, ρ(e_i)(x) = G(e_i)x, so
+    the assembled connection transports by matrices.  The constant
+    matrices `generators`, one per basis vector of the Lie algebra, are
+    read off the action once, at construction: column k of G(e_i) is
+    ρ(e_i)(e_k).
     """
 
     def __init__(self, group, domain, pi_comps, hamiltonian, action,
-                 generators, name=""):
+                 name=""):
         self.group = group
         self.domain = domain
         self.pi_comps = pi_comps          # x ↦ comps over fiber pairs (may be [])
         self.hamiltonian = hamiltonian    # (xi, x) ↦ scalar
         self.action = action              # (xi, x) ↦ fiber vector
         self.name = name or "fiber-model"
-        self.generators = generators
+        self.generators = [
+            [list(row) for row in zip(*(action(xi, e) for e in
+                                        _unit_vectors(domain.dim)))]
+            for xi in _unit_vectors(group.dim)]
 
     def pi_matrix(self, x):
         return skew_matrix(self.domain.dim, self.pi_comps(x))
@@ -178,15 +186,13 @@ class HamiltonianFiber:
         return [[dot(xi, [g[r][c] for g in self.generators])
                  for c in range(nf)] for r in range(nf)]
 
-    def prehamiltonian_residual(self, points=None, count=32, seed=0):
-        """max over generators/points of |action − π_F^♯ dh| and of the
-        homomorphism defect |[ρ(ξ), ρ(η)] − ρ([ξ, η])|."""
-        if points is None:
-            points = self.domain.sample(count=count, seed=seed)
+    def prehamiltonian_residual(self, count=32, seed=0):
+        """max over generators and sampled points of |action − π_F^♯ dh|
+        and of the homomorphism defect |[ρ(ξ), ρ(η)] − ρ([ξ, η])|."""
+        points = self.domain.sample(count=count, seed=seed)
         dim_g = self.group.dim
         nf = self.domain.dim
-        basis = [[1.0 if m == i else 0.0 for m in range(dim_g)]
-                 for i in range(dim_g)]
+        basis = _unit_vectors(dim_g)
         flds = [fields.vector_field(nf, lambda x, xi=xi: self.action(xi, x))
                 for xi in basis]
 
@@ -203,11 +209,12 @@ class HamiltonianFiber:
                      for a, h in zip(lhs, rhs))
 
     @classmethod
-    def coadjoint_so3(cls, bound=2.0):
-        """so(3)* with π^{ij} = −ε_{ijk} x_k, action ρ(ξ)(x) = x × ξ,
-        hamiltonian h_ξ(x) = ⟨x, ξ⟩ (the identity as momentum)."""
+    def coadjoint_so3(cls):
+        """so(3)* on the box |x_i| ≤ 2 with π^{ij} = −ε_{ijk} x_k, action
+        ρ(ξ)(x) = x × ξ, hamiltonian h_ξ(x) = ⟨x, ξ⟩ (the identity as
+        momentum)."""
         group = StructureGroupModel.rotations()
-        dom = CoordinateDomain.box([(-bound, bound)] * 3, name="so3-dual")
+        dom = CoordinateDomain.box([(-2.0, 2.0)] * 3, name="so3-dual")
 
         def pi_comps(x):
             return [-x[2], x[1], -x[0]]
@@ -220,24 +227,21 @@ class HamiltonianFiber:
                     x[2] * xi[0] - x[0] * xi[2],
                     x[0] * xi[1] - x[1] * xi[0]]
 
-        # x × e_i as matrices: G(ξ) = −[ξ]_×
-        gens = [[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
-                [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-                [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]
-        return cls(group, dom, pi_comps, ham, action, gens,
-                   name="coadjoint-so3")
+        return cls(group, dom, pi_comps, ham, action, name="coadjoint-so3")
 
     @classmethod
-    def scaled_line(cls, f, bounds=(-1.5, 1.5)):
-        """One-dimensional fiber, trivial Poisson structure, trivial action,
-        hamiltonian h_ξ(x) = f(x)·ξ for the abelian generator."""
+    def scaled_line(cls, f):
+        """One-dimensional fiber on [−1.5, 1.5], trivial Poisson structure,
+        trivial action, hamiltonian h_ξ(x) = f(x)·ξ for the abelian
+        generator."""
         group = StructureGroupModel.circle()
-        dom = CoordinateDomain.box([bounds], name="line")
+        dom = CoordinateDomain.box([(-1.5, 1.5)], name="line")
         return cls(group, dom,
                    lambda x: [],
                    lambda xi, x: f(x[0]) * xi[0],
                    lambda xi, x: [0.0],
-                   [[[0.0]]], name="scaled-line")
+                   name="scaled-line")
+
 
 
 # -- assembly --------------------------------------------------------------------------
@@ -246,6 +250,7 @@ def ymh_geometric_data(principal, fiber, base_form=None, name=""):
     """Assemble the coupling triple of a potential and a fiber model.
 
     base_form(b) — optional comps of a closed base two-form added to ω_H.
+    The triple keeps both inputs, as `principal` and `fiber_model`.
     """
     space = FiberedSpace(principal.base, fiber.domain)
     nb, nf = space.n_base, space.n_fiber
@@ -280,8 +285,10 @@ def ymh_geometric_data(principal, fiber, base_form=None, name=""):
         return out
 
     omega_h = HorizontalForm(space, 2, om_comps, name="ymh-omega")
-    return GeometricData(space, conn, pi_v, omega_h,
+    geom = GeometricData(space, conn, pi_v, omega_h,
                          name=name or f"ymh-{principal.name}")
+    geom.principal, geom.fiber_model = principal, fiber
+    return geom
 
 
 # -- shipped examples --------------------------------------------------------------------
@@ -304,7 +311,7 @@ def monopole_potential(chart=0):
     return potential
 
 
-def hopf_example(f, chart=0, fiber_bounds=(-1.5, 1.5), name=""):
+def hopf_example(f, chart=0, name=""):
     """Coupling data of the monopole bundle with a one-dimensional fiber:
     flat Poisson fiber, ω_H = f(x)·(round area form of the chart).
 
@@ -314,14 +321,11 @@ def hopf_example(f, chart=0, fiber_bounds=(-1.5, 1.5), name=""):
     base = CoordinateDomain.sphere(name=f"sphere-chart{chart}")
     pd = PrincipalData(StructureGroupModel.circle(), base,
                        monopole_potential(chart), name=f"monopole-c{chart}")
-    fib = HamiltonianFiber.scaled_line(f, bounds=fiber_bounds)
-    geom = ymh_geometric_data(pd, fib, name=name or f"hopf-chart{chart}")
-    geom.principal = pd
-    geom.fiber_model = fib
-    return geom
+    return ymh_geometric_data(pd, HamiltonianFiber.scaled_line(f),
+                              name=name or f"hopf-chart{chart}")
 
 
-def hopf_flat_example(f, fiber_bounds=(-1.5, 1.5), name="hopf-flat"):
+def hopf_flat_example(f, name="hopf-flat"):
     """Trivialized variant of the one-dimensional-fiber sphere model: the
     same ω_H = f(x)·(round area form) but with the flat connection, the
     standing setting for the transgression oracle.
@@ -329,7 +333,7 @@ def hopf_flat_example(f, fiber_bounds=(-1.5, 1.5), name="hopf-flat"):
     ω_H is written directly (the trivial potential has zero field
     strength, so the assembly route would produce ω_H ≡ 0)."""
     base = CoordinateDomain.sphere(name="sphere-chart0")
-    fib = HamiltonianFiber.scaled_line(f, bounds=fiber_bounds)
+    fib = HamiltonianFiber.scaled_line(f)
     space = FiberedSpace(base, fib.domain)
 
     def om_comps(pt):
@@ -349,10 +353,10 @@ def hopf_flat_example(f, fiber_bounds=(-1.5, 1.5), name="hopf-flat"):
     return geom
 
 
-def so3_coadjoint_example(bound=1.0, fiber_bound=2.0, name="so3-coadjoint"):
-    """Nonabelian example: so(3)* coadjoint fiber over a flat planar base
-    with a b-dependent potential (nonzero field strength)."""
-    base = CoordinateDomain.box([(-bound, bound)] * 2, name="plane")
+def so3_coadjoint_example(name="so3-coadjoint"):
+    """Nonabelian example: so(3)* coadjoint fiber over the flat planar
+    base [−1, 1]² with a b-dependent potential (nonzero field strength)."""
+    base = CoordinateDomain.box([(-1.0, 1.0)] * 2, name="plane")
     a0 = (0.3, -0.5, 0.7)
     d0 = (0.5, 0.1, -0.3)
     c0 = (-0.2, 0.9, 0.4)
@@ -363,11 +367,7 @@ def so3_coadjoint_example(bound=1.0, fiber_bound=2.0, name="so3-coadjoint"):
 
     pd = PrincipalData(StructureGroupModel.rotations(), base, potential,
                        name="so3-potential")
-    fib = HamiltonianFiber.coadjoint_so3(bound=fiber_bound)
-    geom = ymh_geometric_data(pd, fib, name=name)
-    geom.principal = pd
-    geom.fiber_model = fib
-    return geom
+    return ymh_geometric_data(pd, HamiltonianFiber.coadjoint_so3(), name=name)
 
 
 def trivial_torus_example(f=None, name="trivial-torus"):
@@ -396,13 +396,15 @@ EXAMPLES = {
 
 # -- two-chart compatibility ------------------------------------------------------------
 
-def gauge_transition_check(radius=1.3, n_ring=129):
+def gauge_transition_check():
     """Compatibility of the two monopole charts on their overlap.
 
     The difference D = T*(A₁) − A₀ must be closed, and its winding number
-    (1/2π) ∮ D around a circle must be the integer −2 (the bundle degree,
-    with orientation).  Returns {"closedness": …, "winding": …}.
+    (1/2π) ∮ D around the circle of radius 1.3 (Simpson over 129 nodes)
+    must be the integer −2 (the bundle degree, with orientation).  Returns
+    {"closedness": …, "winding": …}.
     """
+    radius, n_ring = 1.3, 129
     pot0 = monopole_potential(0)
     pot1 = monopole_potential(1)
     transition = CoordinateDomain.sphere().transition

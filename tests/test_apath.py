@@ -127,7 +127,7 @@ def test_reparameterized_path_keeps_anchor_and_endpoints(apath):
 
 def test_abelian_evolution_is_the_running_integral():
     alpha = lambda t, e: [dm.sin(t) * (1.0 + e), e * t]
-    out = solve_evolution(alpha, eps=0.2, beta0=[0.1, 0.0], t1=1.0)
+    out = solve_evolution(alpha, eps=0.2, beta0=[0.1, 0.0])
     beta = out["beta"][-1]
     # ∂_ε α = (sin t, t): integrals are 1 − cos 1 and ½
     assert beta[0] == pytest.approx(0.1 + 1.0 - math.cos(1.0), rel=1e-8)
@@ -139,7 +139,7 @@ def test_evolution_with_linear_generator_stays_consistent():
     alpha = lambda t, e: [0.3 + e, -0.2 * t, 0.1]
     out = solve_evolution(alpha, eps=0.0,
                           generator=lambda u: fib.action_matrix(u),
-                          t1=1.0, times=[0.0, 0.5, 1.0])
+                          times=[0.0, 0.5, 1.0])
     assert len(out["beta"]) == 3
     assert out["beta"][0] == pytest.approx([0.0, 0.0, 0.0])
     assert any(abs(c) > 1e-3 for c in out["beta"][-1])
@@ -271,7 +271,7 @@ def test_round_trip_queries_build_each_propagator_once(monkeypatch, geom):
         return transport(connection, path, x0, *args)
 
     def counted_build(self):
-        builds.append((self.connection, self.path, self.step))
+        builds.append((self.connection, self.path))
         return build(self)
 
     monkeypatch.setattr(fibration, "_transport", counted_transport)
@@ -287,8 +287,8 @@ def test_round_trip_queries_build_each_propagator_once(monkeypatch, geom):
 
 
 def test_flow_commutation_takes_no_seeded_pass(monkeypatch):
-    # the coadjoint action declares its generators, so action_matrix sums
-    # them instead of taking a three-pass Jacobian at every RK4 stage
+    # the coadjoint fiber holds its generators, so action_matrix sums them
+    # instead of taking a three-pass Jacobian at every RK4 stage
     seeded_pass, calls = dm._seeded_pass, []
 
     def counted(*args):

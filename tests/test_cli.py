@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fiberdirac import __version__, cli
 from fiberdirac.cli import ScenarioError, compile_expression, run_scenario
@@ -247,7 +248,51 @@ PI_ONLY_COUPLING = {
 }
 
 
+def inline(**fields):
+    """A one-sample coupling check on inline fields over a 2 + 1 box."""
+    cfg = {"base_bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+           "fiber_bounds": [[-1.0, 1.0]], "omega": ["1.0"]}
+    cfg.update(fields)
+    return {"name": "i", "kind": "coupling-check", "fields": cfg,
+            "samples": 1}
+
+
+LATTICE = {"name": "s", "kind": "so3-integrability", "f": "2*r+1",
+           "radii": [0.5], "grid": [2, 2]}
+
+# (scenario, the field its error names)
+NAMED_INPUT_ERRORS = [
+    # inline bounds are lists of [lo, hi] number pairs with lo < hi
+    (inline(base_bounds=[1, 2]), "fields.base_bounds[0]"),
+    (inline(base_bounds=[["a", "b"], [0, 1]]), "fields.base_bounds[0]"),
+    (inline(base_bounds="ab"), "fields.base_bounds"),
+    (inline(base_bounds=[[1], [2]]), "fields.base_bounds[0]"),
+    (inline(base_bounds=[[1, -1], [0, 1]]), "fields.base_bounds[0]"),
+    (inline(fiber_bounds=[[-1.0, math.nan]]), "fields.fiber_bounds[0]"),
+    (inline(base_chart="torus"), "fields.base_chart"),
+    (inline(base_bounds=[[0, 1]] * 5, fiber_bounds=[[0, 1]] * 5,
+            omega=["1"] * 10), "fields"),
+    # an exact slope is an integer or a readable 'p/q' string
+    (dict(LATTICE, exact_slope="abc"), "exact_slope"),
+    (dict(LATTICE, exact_slope="1/0"), "exact_slope"),
+    (dict(LATTICE, exact_slope="1e400"), "exact_slope"),
+    (dict(LATTICE, exact_slope=10 ** 400), "exact_slope"),
+    # angles are numbers and switches are JSON booleans
+    ({"name": "t", "kind": "transgress",
+      "families": [{"family": "cap", "theta": True, "nodes": [9, 9]}]},
+     "families[0].theta"),
+    ({"name": "a", "kind": "apath", "halving": "no"}, "halving"),
+    (dict(LATTICE, include_origin="no"), "include_origin"),
+]
+
+
 def test_validation_errors_exit_two(capsys, tmp_path):
+    for k, (scenario, field) in enumerate(NAMED_INPUT_ERRORS):
+        path = tmp_path / f"named{k}.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run_main(capsys, ["check", str(path)])
+        assert code == 2 and out == "", scenario
+        assert f"field '{field}'" in err, (scenario, err)
     cases = [
         {"name": "k", "kind": "frobnicate"},
         {"name": "e", "kind": "coupling-check", "example": "moebius"},
@@ -303,6 +348,58 @@ def test_validation_errors_exit_two(capsys, tmp_path):
         assert code == 2, scenario
         assert out == "" and err.startswith("error: "), scenario
         assert "field '" in err, scenario
+
+
+# bounds and their entries of every JSON kind, nested up to two lists
+# deep, and valid boxes of one and two axes
+BOUND = st.one_of(st.integers(-3, 3), st.floats(), st.booleans(),
+                  st.text(max_size=3), st.none())
+BOUNDS = st.one_of(
+    st.sampled_from([[[-1.0, 1.0]], [[-1.0, 1.0], [0, 2]]]), BOUND,
+    st.lists(st.one_of(BOUND, st.lists(BOUND, max_size=3)), max_size=3))
+# steps stay at or above 0.05: an RK4 run costs one step per `step` of time
+SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                   st.floats(0.05, 3.0), st.sampled_from(
+                       [0.0, -1.0, math.nan, math.inf, "2", "1/3", "1/0",
+                        "abc", "", [], [1.0]]))
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    def put(cfg, key, value):
+        if value is not None:
+            cfg[key] = value
+        return cfg
+
+    kind = draw(st.sampled_from(["fields", "lattice", "cap", "apath"]))
+    if kind == "fields":
+        cfg = put({"omega": ["1.0"] * draw(st.integers(0, 3))},
+                  "base_chart", draw(st.sampled_from([None, "sphere",
+                                                      "torus", 2])))
+        put(cfg, "base_bounds", draw(BOUNDS))
+        put(cfg, "fiber_bounds", draw(BOUNDS))
+        return {"name": "f", "kind": "coupling-check", "fields": cfg,
+                "samples": 1}
+    if kind == "lattice":
+        scenario = put(dict(LATTICE), "exact_slope", draw(SCALAR))
+        return put(scenario, "include_origin", draw(SCALAR))
+    if kind == "cap":
+        family = put({"family": "cap", "nodes": [3, 3]}, "theta",
+                     draw(SCALAR))
+        return {"name": "t", "kind": "transgress", "families": [family]}
+    scenario = put({"name": "a", "kind": "apath"}, "step", draw(SCALAR))
+    return put(scenario, "halving", draw(SCALAR))
+
+
+@given(fuzzed_scenarios())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_scenario_inputs_exit_cleanly(scenario):
+    # a scenario either runs to an exit code or is refused as input
+    try:
+        _, code = run_scenario(scenario)
+    except ScenarioError:
+        return
+    assert code in (0, 1)
 
 
 def test_missing_file_exits_two(capsys, tmp_path):

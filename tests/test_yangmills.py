@@ -118,8 +118,9 @@ def test_action_matrix_linearizes_the_action():
 
 
 def test_declared_generators_are_the_action_and_its_jacobian():
-    # action_matrix sums the declared G(e_i); at sampled (ξ, x) it must be
-    # the action itself and the dual Jacobian of the action, to the bit
+    # action_matrix sums the G(e_i) read off the action at construction; at
+    # sampled (ξ, x) it must be the action itself and the dual Jacobian of
+    # the action, to the bit
     fib = HamiltonianFiber.coadjoint_so3()
     xis = fib.domain.sample(count=6, seed=3)
     for xi, x in zip(xis, fib.domain.sample(count=6, seed=4)):
