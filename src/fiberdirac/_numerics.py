@@ -9,6 +9,10 @@ obtained by integrating with dual initial conditions).  An RK4 state entry
 may also be a numpy array or an array Dual: one integration then advances
 a whole stack of states at once (every ε-slice of a transgression).
 Otherwise numpy is used only for float-valued linear algebra.
+
+`last_time_memo` lets a right-hand side compute what depends on time
+alone (a path's point and velocity, a coefficient curve) once per distinct
+RK4 time instead of once per stage.
 """
 
 from __future__ import annotations
@@ -38,6 +42,25 @@ def rk4_step(f, t, y, h):
     k4 = f(t + h, _axpy(y, k3, h))
     return [yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
+def last_time_memo(fn):
+    """fn of one time argument, remembering its value at the last time
+    asked.  RK4 asks for every time twice in a row: the two midpoint stages
+    share t + h/2, and a step's end t + h is the next step's start (the
+    same float, since `rk4_integrate` advances t by that h).  An input of a
+    right-hand side that depends on t alone, routed through this, is
+    therefore computed once per distinct time.  fn must be a function of t
+    alone: a repeated time returns the remembered value, the same object,
+    which callers therefore must not mutate."""
+    last = []   # [t, fn(t)] once asked
+
+    def memo(t):
+        if not last or last[0] != t:
+            last[:] = [t, fn(t)]
+        return last[1]
+
+    return memo
 
 
 def rk4_integrate(f, y0, t0, t1, step=DEFAULT_RK4_STEP, observer=None):

@@ -32,18 +32,20 @@ The evolution solver integrates, for a two-parameter coefficient curve
 
 which is the derivative-of-flow transport law: the ε-derivative of the
 time-t flow of the fields ρ(α^ε(t)) equals ρ(β^t(ε)) at the flowed point.
-`flow_commutation_residual` measures exactly that identity at t = ¼, ½, ¾
-and 1; all of its discretizations are tied to the single step parameter,
-so halving the step contracts the residual at the integrator's fourth
-order.
+Both take α^ε(t) and ∂_ε α^ε(t) from one dual-seeded evaluation of α per
+distinct RK4 time.  `flow_commutation_residual` measures exactly that
+identity at t = ¼, ½, ¾ and 1.  It integrates the flow and the evolution
+as one RK4 system, so the two share that evaluation, and its only
+discretization is the single step parameter: halving the step contracts
+the residual at the integrator's fourth order.
 """
 
 from __future__ import annotations
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, dot, matvec, rk4_integrate,
-                        smoothstep, worst)
+from ._numerics import (DEFAULT_RK4_STEP, dot, last_time_memo, matvec,
+                        rk4_integrate, smoothstep, worst)
 from .fibration import BasePath, Transport
 
 
@@ -95,13 +97,14 @@ def build_apath(geom, base_path, x0, covector_path, name=""):
     from the nearest cached node, so evaluations stay at integrator
     accuracy for any t."""
     space = geom.space
+    drive = last_time_memo(lambda t: (base_path(t), base_path.velocity(t),
+                                      covector_path(t)))
 
     def rhs(t, x):
-        pt = space.join(base_path(t), x)
-        u = base_path.velocity(t)
+        b, u, a = drive(t)
+        pt = space.join(b, x)
         return [p + q for p, q in zip(matvec(geom.conn_matrix(pt), u),
-                                      matvec(geom.pi_matrix(pt),
-                                              covector_path(t)))]
+                                      matvec(geom.pi_matrix(pt), a))]
 
     cache = {0.0: list(x0)}
 
@@ -321,9 +324,24 @@ def concat_split(second, first):
 
 # -- evolution solver ---------------------------------------------------------------
 
-def solve_evolution(alpha, eps, generator=None, beta0=None,
-                    step=DEFAULT_RK4_STEP, times=None):
-    """Integrate dβ/dt = G(α^ε(t)) β + ∂_ε α^ε(t) from β(0) = β⁰.
+def _evolution_law(alpha, eps, generator):
+    """t ↦ (α^ε(t) seeded in ε, G(α^ε(t)), ∂_ε α^ε(t)), computed once per
+    distinct time from one evaluation α(t, Dual(ε, 1)): its value gives G
+    (None when `generator` is None), its tangent the drive ∂_ε α."""
+    seeded = Dual(eps, 1.0)
+
+    def law(t):
+        a = alpha(t, seeded)
+        g = None if generator is None else generator(
+            [dm.value_of(c) for c in a])
+        return a, g, dm.tangent(a)
+
+    return last_time_memo(law)
+
+
+def solve_evolution(alpha, eps, generator=None, beta0=None, times=None):
+    """Integrate dβ/dt = G(α^ε(t)) β + ∂_ε α^ε(t) from β(0) = β⁰, by RK4
+    with `DEFAULT_RK4_STEP`.
 
     Supported coefficient classes:
       (a) a finite-dimensional algebra acting linearly — pass `generator`,
@@ -340,26 +358,21 @@ def solve_evolution(alpha, eps, generator=None, beta0=None,
         raise NotImplementedError(
             "evolution solver supports (a) linear finite-dimensional "
             "generators and (b) abelian coefficients (generator=None)")
-    probe = alpha(0.0, eps)
-    dim = len(probe)
-    beta = list(beta0) if beta0 is not None else [0.0] * dim
+    law = _evolution_law(alpha, eps, generator)
+    beta = list(beta0) if beta0 is not None else [0.0] * len(law(0.0)[0])
     if times is None:
         times = [1.0]
 
-    def d_eps_alpha(t):
-        return dm.tangent(alpha(t, Dual(eps, 1.0)))
-
     def rhs(t, b):
-        drive = d_eps_alpha(t)
-        if generator is None:
+        _, g, drive = law(t)
+        if g is None:
             return drive
-        g = generator(alpha(t, eps))
         return [x + y for x, y in zip(matvec(g, b), drive)]
 
     out_times, out_beta = [], []
     t_prev = 0.0
     for t in times:
-        beta = rk4_integrate(rhs, beta, t_prev, t, step=step)
+        beta = rk4_integrate(rhs, beta, t_prev, t)
         out_times.append(t)
         out_beta.append([dm.value_of(c) for c in beta])
         t_prev = t
@@ -371,26 +384,31 @@ def flow_commutation_residual(fiber, alpha, x0, eps=0.0,
     """Residual of ∂_ε ψ^ε_t(x₀) = ρ(β^t(ε))(ψ^ε_t(x₀)) for the flows of
     the time-dependent fields X^ε(t) = ρ(α^ε(t)).
 
-    Every discretization (the flow, its ε-derivative, and the evolution
-    integral) shares the single `step` parameter, so the residual contracts
-    at fourth order when the step is halved.
+    The flow ψ, dual-seeded in ε so that its tangent is ∂_ε ψ, and the
+    evolution β of `solve_evolution` with G the fiber's `action_matrix`
+    share one integration: one RK4 state (ψ, β), whose right-hand side
+    evaluates α once per distinct time.  That evaluation drives ψ, and its
+    value and tangent give β's G and drive.  The single `step` is the only
+    discretization, so the residual contracts at fourth order when the
+    step is halved.
     """
-    seeded = Dual(eps, 1.0)
+    law = _evolution_law(alpha, eps, fiber.action_matrix)
+    n = len(x0)
 
-    def rhs(t, x):
-        return fiber.action(alpha(t, seeded), x)
+    def rhs(t, y):
+        a, g, drive = law(t)
+        return list(fiber.action(a, y[:n])) + [
+            p + q for p, q in zip(matvec(g, y[n:]), drive)]
 
-    evo = solve_evolution(alpha, eps,
-                          generator=lambda u: fiber.action_matrix(u),
-                          step=step, times=[0.25, 0.5, 0.75, 1.0])
+    y = [Dual(c, 0.0) for c in x0] + [0.0] * len(law(0.0)[0])
     defects = []
-    state = [Dual(c, 0.0) for c in x0]
     t_prev = 0.0
-    for t, beta in zip(evo["times"], evo["beta"]):
-        state = rk4_integrate(rhs, state, t_prev, t, step=step)
+    for t in (0.25, 0.5, 0.75, 1.0):
+        y = rk4_integrate(rhs, y, t_prev, t, step=step)
         t_prev = t
-        psi = [dm.value_of(c) for c in state]
-        lhs = [dm.value_of(c) for c in dm.tangent(state)]
+        psi = [dm.value_of(c) for c in y[:n]]
+        lhs = [dm.value_of(c) for c in dm.tangent(y[:n])]
+        beta = [dm.value_of(c) for c in y[n:]]
         rhs_vec = [dm.value_of(c) for c in fiber.action(beta, psi)]
         defects += [abs(a - b) for a, b in zip(lhs, rhs_vec)]
     return worst(defects)

@@ -50,6 +50,11 @@ KINDS = ("coupling-check", "ymh-build", "transgress", "so3-integrability",
 COUPLING_CHECKS = ("conditions", "closure", "oracle-agreement", "leaf-form",
                    "splitting")
 
+#: the smallest apath RK4 step: below it the fourth-order residual already
+#: sits under the roundoff floor of `halving_gain`, so a smaller step only
+#: costs time (1e-9 would run for hours)
+MIN_APATH_STEP = 1e-4
+
 EXAMPLE_NOTES = {
     "hopf": "monopole bundle over a sphere chart; one-dimensional fiber, "
             "horizontal form f(x)·(round area)",
@@ -544,6 +549,9 @@ def _run_so3_integrability(scenario, seed):
 
 def _run_apath(scenario, seed):
     step = _real(scenario.get("step", 1e-3), "step", positive=True)
+    if step < MIN_APATH_STEP:
+        raise ScenarioError("step", f"expected a step >= {MIN_APATH_STEP}, "
+                                    f"got {step!r}")
     eps = _real(scenario.get("eps", 0.3), "eps")
     x0 = _reals(scenario.get("x0", [0.6, 0.0, 0.8]), "x0", 3)
     halving = _flag(scenario, "halving")
@@ -563,7 +571,10 @@ def _run_apath(scenario, seed):
         r2 = flow_commutation_residual(fiber, alpha, x0, eps=eps,
                                        step=step / 2.0)
         floor = 1e-13   # below this both residuals sit at roundoff
-        gain = r2 / r1 if r1 > floor else 0.0
+        if not (math.isfinite(r1) and math.isfinite(r2)):
+            gain = math.nan
+        else:
+            gain = r2 / r1 if r1 > floor else 0.0
         checks.append(_scored(scenario, "halving_gain", gain, 0.125))
         extras["residual_at_half_step"] = r2
     return checks, extras

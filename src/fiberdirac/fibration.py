@@ -27,8 +27,9 @@ import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, det, matvec, rk4_integrate,
-                        rk4_step, sample_unit_cube, skew_matrix)
+from ._numerics import (DEFAULT_RK4_STEP, det, last_time_memo, matvec,
+                        rk4_integrate, rk4_step, sample_unit_cube,
+                        skew_matrix)
 from .fields import vector_field
 
 
@@ -77,11 +78,13 @@ class FiberedSpace:
 
 
 class BasePath:
-    """A smooth path [0,1] → B given by an evaluator; velocity via duals."""
+    """A smooth path [0,1] → B given by an evaluator; velocity via duals.
+    A path made by `reversed` names the path it reverses in `reverses`."""
 
     def __init__(self, fn, name=""):
         self.fn = fn
         self.name = name
+        self.reverses = None
         self._propagators = {}   # connection ↦ a `Transport` grid
 
     def __call__(self, t):
@@ -91,7 +94,9 @@ class BasePath:
         return dm.tangent(self.fn(Dual(t, 1.0)))
 
     def reversed(self):
-        return BasePath(lambda t: self.fn(1.0 - t), name=f"{self.name}~")
+        rev = BasePath(lambda t: self.fn(1.0 - t), name=f"{self.name}~")
+        rev.reverses = self
+        return rev
 
 
 class Connection:
@@ -179,10 +184,11 @@ def _transport(connection, path, x0, t0, t1, step):
     fiber = connection.space.fiber
     if connection.is_flat:
         return list(x0)
+    drive = last_time_memo(lambda t: (path(t), path.velocity(t)))
 
     def rhs(t, x):
-        b = path(t)
-        return matvec(connection.coeff(b, x), path.velocity(t))
+        b, v = drive(t)
+        return matvec(connection.coeff(b, x), v)
 
     def guard(t, x):
         if not fiber.contains(x):
@@ -212,13 +218,17 @@ class Transport:
     P(0) = I, and dφ is the same matrix.  P is integrated on the first
     query, by the RK4 steps a direct transport from 0 to 1 takes, and kept
     on the path for every later `Transport` of the same connection; a time
-    between two grid nodes takes one partial step from the node below.
+    between two grid nodes takes one partial step from the node below.  A
+    path made by `BasePath.reversed` integrates no propagator of its own:
+    it reads the original's, φ^rev_{t0→t1} = φ_{1−t0→1−t1}, which agrees
+    with its own up to rounding.
     The chart guard checks the transported point at every grid
     node between t0 and t1 in one array pass.  From t0 = 0 it raises the
     direct route's `IncompleteTransportError`, with the same `t_escape` and
-    point; from another grid node, the same up to rounding; from a time
-    between nodes, the direct route steps on its own grid, so the two
-    escape times lie within one step of each other.
+    point; from another grid node, or on a reversed path, the same up to
+    rounding; from a time between nodes, the direct route steps on its own
+    grid, so the two escape times lie within one step of each other.
+    Escape times are in the path's own time.
 
     Every other connection takes the direct route: one RK4 transport per
     map, and one dual-seeded transport per Jacobian column.
@@ -227,7 +237,12 @@ class Transport:
     def __init__(self, connection, path):
         self.connection = connection
         self.path = path
-        self._k_time = self._k = None
+        generator = connection.generator
+        # the path whose propagator this reads, and whether backwards
+        self._flip = generator is not None and path.reverses is not None
+        along = self._along = path.reverses if self._flip else path
+        self._k = last_time_memo(lambda t: np.asarray(
+            generator(along(t), along.velocity(t)), dtype=float))
 
     def map(self, x, t0, t1):
         """φ_{t0→t1}(x), the transported point."""
@@ -243,25 +258,27 @@ class Transport:
             return dm.jacobian(
                 lambda y: _transport(self.connection, self.path, y, t0, t1,
                                      DEFAULT_RK4_STEP), x)
-        back = np.linalg.inv(self._at(t0))
-        jac = self._at(t1) @ back
+        for t in (t0, t1):
+            if not 0.0 <= t <= 1.0:
+                raise ValueError(f"transport time {t!r} lies outside [0, 1]")
+        back = np.linalg.inv(self._at(self._grid_time(t0)))
+        jac = self._at(self._grid_time(t1)) @ back
         self._guard(x, back @ np.array(x), t0, t1, jac @ np.array(x))
         return jac.tolist()
 
+    def _grid_time(self, t):
+        """The time on the propagator's path of the time t on this path,
+        and back: the map is its own inverse."""
+        return 1.0 - t if self._flip else t
+
     def _rhs(self, t, state):
-        # RK4 evaluates each time twice in a row (the two midpoint stages,
-        # and a step's end with the next step's start), so keep the last K
-        if t != self._k_time:
-            self._k_time = t
-            self._k = np.asarray(self.connection.generator(
-                self.path(t), self.path.velocity(t)), dtype=float)
-        return [self._k @ state[0]]
+        return [self._k(t) @ state[0]]
 
     def _grid(self):
         # kept on the path, not here: a path that held its Transport would
         # make a reference cycle, and the arrays would wait for a full
         # garbage collection
-        grids = self.path._propagators
+        grids = self._along._propagators
         if self.connection not in grids:
             grids[self.connection] = self._build()
         return grids[self.connection]
@@ -280,10 +297,9 @@ class Transport:
         return times, np.array(props)
 
     def _at(self, t):
-        """P(t): a node's propagator, or one partial RK4 step from the node
-        below.  A time within rounding of a node is that node."""
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"transport time {t!r} lies outside [0, 1]")
+        """P(t) at a time of the propagator's path: a node's propagator, or
+        one partial RK4 step from the node below.  A time within rounding
+        of a node is that node."""
         times, props = self._grid()
         last = len(times) - 1
         k = min(int(round(t * last)), last)
@@ -294,19 +310,21 @@ class Transport:
 
     def _guard(self, x0, y, t0, t1, x1):
         """Raise at the first grid state outside the fiber chart, walking
-        from t0 to t1.  y is x0 carried back to the fiber over γ(0)."""
+        from t0 to t1 (times on this path).  y is x0 carried back to the
+        fiber over the propagator path's start."""
         times, props = self._grid()
-        a = bisect_right(times, min(t0, t1))
-        b = bisect_left(times, max(t0, t1))
+        s0, s1 = self._grid_time(t0), self._grid_time(t1)
+        a = bisect_right(times, min(s0, s1))
+        b = bisect_left(times, max(s0, s1))
         inner, stamps = props[a:b] @ y, times[a:b]
-        if t1 < t0:
+        if s1 < s0:
             inner, stamps = inner[::-1], stamps[::-1]
         states = np.vstack([[x0], inner, [x1]])
         outside = ~self.connection.space.fiber.inside(list(states.T))
         if outside.any():
             j = int(np.flatnonzero(outside)[0])
-            raise IncompleteTransportError(([t0] + stamps + [t1])[j],
-                                           point=states[j].tolist())
+            when = [t0] + [self._grid_time(s) for s in stamps] + [t1]
+            raise IncompleteTransportError(when[j], point=states[j].tolist())
 
 
 # -- curvature ------------------------------------------------------------------

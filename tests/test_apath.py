@@ -3,12 +3,14 @@ inverses/concatenations, the coefficient-evolution solver, and the
 flow-commutation identity."""
 
 import math
+import random
 
 import pytest
 
+from fiberdirac import _numerics
 from fiberdirac import dual as dm
 from fiberdirac import fibration
-from fiberdirac._numerics import smoothstep
+from fiberdirac._numerics import matvec, rk4_integrate, smoothstep, worst
 from fiberdirac.apath import (build_apath, concat_base, concat_split,
                               flow_commutation_residual, inverse_split,
                               reparameterized, solve_evolution, split_apath,
@@ -16,6 +18,7 @@ from fiberdirac.apath import (build_apath, concat_base, concat_split,
 from fiberdirac.fibration import (DEFAULT_RK4_STEP, BasePath, Connection,
                                   IncompleteTransportError, Transport,
                                   parallel_transport)
+from fiberdirac.cli import compile_expression
 from fiberdirac.yangmills import HamiltonianFiber, so3_coadjoint_example
 
 ANCHOR_TOL = 1e-9          # analytic-rate pipeline sits at transport noise
@@ -163,6 +166,73 @@ def test_flow_commutation_residual_and_halving_gain():
     assert r2 < r1 / 8.0          # the discretization is at least cubic
 
 
+FLOW_TIMES = (0.25, 0.5, 0.75, 1.0)
+
+
+def two_system_residual(fiber, alpha, x0, eps, step):
+    """The flow-commutation residual as two separate integrations: β by
+    its own RK4, evaluating α at the plain ε for G and at the seeded ε for
+    ∂_ε α at every stage, and the dual-seeded flow ψ by another.  Returns
+    the residual and β at `FLOW_TIMES`."""
+    seeded = dm.Dual(eps, 1.0)
+
+    def beta_rhs(t, b):
+        drive = dm.tangent(alpha(t, seeded))
+        g = fiber.action_matrix(alpha(t, eps))
+        return [x + y for x, y in zip(matvec(g, b), drive)]
+
+    def flow_rhs(t, x):
+        return fiber.action(alpha(t, seeded), x)
+
+    beta = [0.0] * len(alpha(0.0, eps))
+    state = [dm.Dual(c, 0.0) for c in x0]
+    defects, betas, t_prev = [], [], 0.0
+    for t in FLOW_TIMES:
+        beta = rk4_integrate(beta_rhs, beta, t_prev, t, step=step)
+        state = rk4_integrate(flow_rhs, state, t_prev, t, step=step)
+        t_prev = t
+        betas.append(beta)
+        psi = [dm.value_of(c) for c in state]
+        lhs = [dm.value_of(c) for c in dm.tangent(state)]
+        rhs_vec = [dm.value_of(c) for c in fiber.action(beta, psi)]
+        defects += [abs(a - b) for a, b in zip(lhs, rhs_vec)]
+    return worst(defects), betas
+
+
+def seeded_alpha_exprs(seed):
+    """A coefficient curve of the benchmark's flow-commutation op family."""
+    rng = random.Random(seed)
+    c = [f"{rng.uniform(lo, hi):.4f}" for lo, hi in
+         ((2.0, 4.0), (1.5, 2.5), (1.5, 3.0), (2.0, 3.5), (1.0, 2.0),
+          (3.0, 6.0))]
+    return [f"({c[0]}+e)*sin({c[1]}*pi*t)", f"{c[2]}*cos({c[3]}*pi*t)-e*t",
+            f"{c[4]}*sin({c[5]}*t+e)"]
+
+
+BUNDLED_ALPHA = ["(3+e)*sin(2*pi*t)", "2.5*cos(3*pi*t)-e*t",
+                 "1.5*sin(5*t+e)"]
+
+
+@pytest.mark.parametrize("exprs,step", [
+    (BUNDLED_ALPHA, 1e-3), (BUNDLED_ALPHA, 5e-4),
+    (seeded_alpha_exprs(11), 1e-3), (seeded_alpha_exprs(12), 1e-3)],
+    ids=["bundled", "bundled-half-step", "seeded-11", "seeded-12"])
+def test_one_system_flow_commutation_equals_two_integrations(exprs, step):
+    # the (ψ, β) system takes the same RK4 arithmetic entry by entry, and
+    # the value parts of the seeded α are the plain α
+    fns = [compile_expression(e, ["t", "e"]) for e in exprs]
+    alpha = lambda t, e: [f([t, e]) for f in fns]
+    fib = HamiltonianFiber.coadjoint_so3()
+    x0, eps = [0.6, 0.0, 0.8], 0.3
+    want, betas = two_system_residual(fib, alpha, x0, eps, step)
+    assert flow_commutation_residual(fib, alpha, x0, eps=eps,
+                                     step=step) == want
+    if step == DEFAULT_RK4_STEP:
+        got = solve_evolution(alpha, eps, generator=fib.action_matrix,
+                              times=list(FLOW_TIMES))
+        assert got["beta"] == betas
+
+
 # -- the transport engine -----------------------------------------------------------
 
 ENGINE_TOL = 1e-12
@@ -236,6 +306,42 @@ def test_engine_escapes_backwards_where_direct_transport_does(geom, apath, t0,
         assert not geom.space.fiber.contains(got.point)
 
 
+@pytest.mark.parametrize("t0,t1", GRID_INTERVALS + OFF_GRID_INTERVALS)
+def test_reversed_path_reads_the_original_propagator(geom, apath, t0, t1):
+    bp = apath.base_path
+    rev = bp.reversed()
+    direct = parallel_transport(geom.connection, rev, X_START, t0, t1)
+    got = Transport(geom.connection, rev).map(X_START, t0, t1)
+    assert max_entry_diff(got, direct) < ENGINE_TOL
+    assert rev._propagators == {}
+    assert list(bp._propagators) == [geom.connection]
+
+
+@pytest.mark.parametrize("t0,t1", ((0.75, 0.3), (0.0, WARPED[1]),
+                                   (1.0, WARPED[2])))
+def test_reversed_path_differential_matches_dual_seeded_transport(
+        geom, apath, t0, t1):
+    rev = apath.base_path.reversed()
+    jac = dm.jacobian(lambda y: parallel_transport(geom.connection, rev, y,
+                                                   t0, t1), X_START)
+    got = Transport(geom.connection, rev).jacobian(X_START, t0, t1)
+    assert max(max_entry_diff(r, q) for r, q in zip(got, jac)) < ENGINE_TOL
+
+
+@pytest.mark.parametrize("x,t0,t1", (([1.95, 1.95, 0.0], 0.0, 1.0),
+                                     ([1.95, 1.95, 0.0], 1.0, 0.0),
+                                     ([1.822, 1.542, 1.381], 0.3, 1.0)))
+def test_reversed_path_escapes_in_its_own_time(geom, apath, x, t0, t1):
+    rev = apath.base_path.reversed()
+    with pytest.raises(IncompleteTransportError) as direct:
+        parallel_transport(geom.connection, rev, x, t0, t1)
+    with pytest.raises(IncompleteTransportError) as engine:
+        Transport(geom.connection, rev).map(x, t0, t1)
+    got, want = engine.value, direct.value
+    assert got.t_escape == pytest.approx(want.t_escape, abs=1e-12)
+    assert max_entry_diff(got.point, want.point) < ENGINE_TOL
+
+
 def test_affine_connection_keeps_the_direct_route(geom, apath):
     # a constant term makes the coefficient affine in the fiber point, so no
     # propagator matrix represents its transport
@@ -260,7 +366,8 @@ def test_affine_connection_keeps_the_direct_route(geom, apath):
 
 def test_round_trip_queries_build_each_propagator_once(monkeypatch, geom):
     """The query sequence of the benchmark's round-trip op makes no
-    dual-state transport, and integrates one propagator per path."""
+    dual-state transport, and integrates one propagator: the path's, which
+    its reverse reads backwards."""
     apath = loop_apath(geom)    # the fixture's path has its propagator
     transport, build = fibration._transport, Transport._build
     dual_states, builds = [], []
@@ -283,7 +390,51 @@ def test_round_trip_queries_build_each_propagator_once(monkeypatch, geom):
     inv = unsplit_apath(inverse_split(split_apath(apath)))
     inv.fiber_path(dm.Dual(0.225, 1.0))
     assert dual_states == []
-    assert len(builds) == len(set(builds)) == 2   # the path and its reverse
+    assert len(builds) == 1   # the reversed path reads the original's
+
+
+def count_rk4_steps(monkeypatch):
+    """A list that grows by one entry per RK4 step taken."""
+    step, steps = _numerics.rk4_step, []
+
+    def counted(*args):
+        steps.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(_numerics, "rk4_step", counted)
+    return steps
+
+
+def test_flow_commutation_evaluates_alpha_once_per_distinct_time(
+        monkeypatch):
+    # one seeded evaluation per time drives ψ and β; RK4 asks each midpoint
+    # twice and each step's end again as the next start, and each of the
+    # four segments starts at a fresh time
+    steps, calls = count_rk4_steps(monkeypatch), []
+
+    def alpha(t, e):
+        calls.append(t)
+        return [(3 + e) * dm.sin(2 * math.pi * t), -e * t, 1.5]
+
+    flow_commutation_residual(HamiltonianFiber.coadjoint_so3(), alpha,
+                              [0.6, 0.0, 0.8], eps=0.3, step=1e-2)
+    assert len(steps) == 100
+    assert len(calls) <= 2 * len(steps) + len(FLOW_TIMES)
+
+
+def test_curved_transport_evaluates_velocity_once_per_distinct_time(
+        monkeypatch, geom, apath):
+    steps, calls = count_rk4_steps(monkeypatch), []
+    velocity = BasePath.velocity
+
+    def counted(self, t):
+        calls.append(t)
+        return velocity(self, t)
+
+    monkeypatch.setattr(BasePath, "velocity", counted)
+    parallel_transport(geom.connection, apath.base_path, X_START, 0.0, 0.7)
+    assert len(steps) == 700
+    assert len(calls) <= 2 * len(steps) + 1
 
 
 def test_flow_commutation_takes_no_seeded_pass(monkeypatch):

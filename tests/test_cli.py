@@ -191,6 +191,23 @@ def test_nan_residual_fails(capsys, tmp_path):
     assert named["curvature_match"]["verdict"] == "FAIL"
 
 
+def test_nan_flow_residual_fails_the_halving_gain(capsys, tmp_path):
+    # inf − inf makes α NaN, so both residuals are NaN: their ratio must
+    # not read as the roundoff floor's 0.0
+    scenario = {"name": "nan-apath", "kind": "apath", "step": 0.05,
+                "halving": True,
+                "alpha": ["1e200*1e200*t - 1e200*1e200*t", "1.0", "e"]}
+    path = tmp_path / "nan-apath.json"
+    path.write_text(json.dumps(scenario))
+    code, out, _ = run_main(capsys, ["check", str(path)])
+    report = json.loads(out)
+    assert code == 1 and report["verdict"] == "FAIL"
+    named = {c["name"]: c for c in report["checks"]}
+    for name in ("flow_commutation", "halving_gain"):
+        assert math.isnan(named[name]["residual"])
+        assert named[name]["verdict"] == "FAIL"
+
+
 @pytest.mark.parametrize("fields,checks", [
     # math.log of the negative half of the fiber: a domain error
     ({"base_bounds": [[-1.0, 1.0], [-1.0, 1.0]],
@@ -282,11 +299,20 @@ NAMED_INPUT_ERRORS = [
       "families": [{"family": "cap", "theta": True, "nodes": [9, 9]}]},
      "families[0].theta"),
     ({"name": "a", "kind": "apath", "halving": "no"}, "halving"),
+    # a step below the one whose residual reaches roundoff shows nothing
+    ({"name": "a", "kind": "apath", "step": 1e-9}, "step"),
+    ({"name": "a", "kind": "apath", "step": 5e-5}, "step"),
     (dict(LATTICE, include_origin="no"), "include_origin"),
 ]
 
 
-def test_validation_errors_exit_two(capsys, tmp_path):
+def test_validation_errors_exit_two(monkeypatch, capsys, tmp_path):
+    # a malformed apath scenario must be refused before it integrates:
+    # with no bound on `step`, 1e-9 would run for hours instead of failing
+    def refuse(*args, **kwargs):
+        raise AssertionError("a malformed scenario reached the integrator")
+
+    monkeypatch.setattr(cli, "flow_commutation_residual", refuse)
     for k, (scenario, field) in enumerate(NAMED_INPUT_ERRORS):
         path = tmp_path / f"named{k}.json"
         path.write_text(json.dumps(scenario))
