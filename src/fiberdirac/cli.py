@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import dual as dm
 from ._numerics import MAX_SAMPLE_DIM, worst
-from .charts import CoordinateDomain
+from .charts import SPHERE_STEREO, CoordinateDomain
 from .coupling import (CONDITION_NAMES, GeometricData, assemble_dirac,
                        check_coupling_conditions, dirac_closure_residual,
                        leaf_two_form, splitting_bracket_residual)
@@ -395,17 +395,20 @@ def _run_coupling_check(scenario, seed):
 
 
 def _leaf_residual(geom, scenario, seed):
-    if geom.space.n_fiber != 1 or geom.space.n_base != 2:
+    """Distance of the leaf form to f(x)·(the chart's round area form)."""
+    if geom.space.base.kind != SPHERE_STEREO or geom.space.n_fiber != 1:
         raise ScenarioError("checks", "the leaf-form check applies to the "
                                       "one-dimensional-fiber sphere models")
     f_expr = scenario.get("f", "2*x+1")
     f_fn = compile_expression(f_expr, ["x"], field="f")
+    chart1 = scenario.get("example") == "hopf" and scenario.get("chart") == 1
+    sign = -1.0 if chart1 else 1.0
 
     def defects(pt):
         _, leaf = leaf_two_form(assemble_dirac(geom, pt))
         u, v, x = pt
         s = 1.0 + u * u + v * v
-        expected = f_fn([x]) * 4.0 / (s * s)
+        expected = sign * f_fn([x]) * 4.0 / (s * s)
         for r in range(len(leaf)):
             for c in range(len(leaf)):
                 want = expected if (r, c) == (0, 1) else \
@@ -487,7 +490,11 @@ def _run_transgress(scenario, seed):
         extras["area"] = area
         checks.append(_scored(scenario, "sphere_area",
                               abs(area - expected) / abs(expected), 1e-6))
-    for i, cfg in enumerate(scenario.get("families", [])):
+    families = scenario.get("families", [])
+    if not isinstance(families, list):
+        raise ScenarioError("families", f"expected a list of families, got "
+                                        f"{families!r}")
+    for i, cfg in enumerate(families):
         fam = _build_family(cfg, field=f"families[{i}]")
         endpoint = transgress(geom, fam, x0).endpoint()[0]
         oracle = transgress_flat(geom, fam, x0)[0]
@@ -526,8 +533,7 @@ def _run_so3_integrability(scenario, seed):
     checks.append(_scored(scenario, "generator_constancy", rel_dev, 1e-3))
     if report.has_degenerate_origin:
         checks.append(_scored(scenario, "origin_degenerate",
-                              worst(abs(c) for c in report.origin_generator),
-                              1e-8))
+                              report.origin_pi, 1e-8))
     if "expected_generator" in scenario:
         expected = compile_expression(str(scenario["expected_generator"]),
                                       [], field="expected_generator")([])
@@ -557,11 +563,12 @@ def _run_apath(scenario, seed):
     halving = _flag(scenario, "halving")
     alpha_exprs = scenario.get("alpha", [
         "(3+e)*sin(2*pi*t)", "2.5*cos(3*pi*t)-e*t", "1.5*sin(5*t+e)"])
+    if not isinstance(alpha_exprs, list) or len(alpha_exprs) != 3:
+        raise ScenarioError("alpha", f"the so(3) coefficient curve needs a "
+                                     f"list of three expressions, got "
+                                     f"{alpha_exprs!r}")
     fns = [compile_expression(e, ["t", "e"], field=f"alpha[{i}]")
            for i, e in enumerate(alpha_exprs)]
-    if len(fns) != 3:
-        raise ScenarioError("alpha", "the so(3) coefficient curve needs "
-                                     "three components")
     alpha = lambda t, e: [f([t, e]) for f in fns]
     fiber = HamiltonianFiber.coadjoint_so3()
     r1 = flow_commutation_residual(fiber, alpha, x0, eps=eps, step=step)

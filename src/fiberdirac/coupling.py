@@ -23,8 +23,10 @@ Courant bracket exactly when the triple satisfies four conditions:
 A section of TE ⊕ T*E is a plain callable pt ↦ X ‖ ξ with 2n components,
 and `frame_rows(geom)` is the whole frame as one such function, pt ↦ its n
 rows.  `check_coupling_conditions` measures the four conditions at sampled
-points.  `dirac_closure_residual` measures Courant closure of the frame
-directly and never calls the condition functions: per point it takes one
+points: per point they are algebra on one set of first derivatives of
+(A, ω_H, π_V), each field differentiated once per direction.
+`dirac_closure_residual` measures Courant closure of the frame
+directly and never calls `_condition_residuals`: per point it takes one
 Jacobian of the flattened frame and applies `fields.courant_at` to every
 pair of rows.  The two routes must agree on every verdict.
 """
@@ -37,8 +39,7 @@ from . import dual as dm
 from ._numerics import (dot, lstsq_residual, matvec, parallel_map, skew_matrix,
                         worst)
 from . import fields
-from .fibration import (HorizontalForm, VerticalBivector, covariant_differential,
-                        curvature)
+from .fibration import HorizontalForm, VerticalBivector
 
 
 class GeometricData:
@@ -118,95 +119,89 @@ def assemble_dirac(geom, point):
 
 # -- the four coupling conditions -------------------------------------------------
 
-def _vertical_schouten(geom, point):
-    """max |[π_V, π_V]^{pqr}| over fiber index triples (fiber derivatives only)."""
-    nb, nf = geom.space.n_base, geom.space.n_fiber
-    if nf < 3:
-        return 0.0
-    p_mat = geom.pi_matrix(point)
-    # d_p[l][j][k] = ∂_l P_jk along fiber direction l
-    d_p = [skew_matrix(nf, dm.partial(geom.pi_v.comps, point, nb + l))
-           for l in range(nf)]
-
-    def component(p, q, r):
-        acc = 0.0
-        for (i, j, k) in ((p, q, r), (q, r, p), (r, p, q)):
-            for l in range(nf):
-                acc = acc + p_mat[i][l] * d_p[l][j][k]
-        return acc
-
-    return worst(abs(dm.value_of(component(*tri)))
-                 for tri in itertools.combinations(range(nf), 3))
-
-
-def _embedded_pi_field(geom):
-    """π_V as a bivector field on the total space (fiber-fiber block)."""
-    space = geom.space
-    nb, n = space.n_base, space.dim
-    pair_index = {pair: idx for idx, pair in enumerate(geom.pi_v.pairs)}
-
-    def comps(pt):
-        vals = geom.pi_v(pt)
-        out = []
-        for (i, j) in fields.combos(n, 2):
-            if i >= nb and j >= nb:
-                out.append(vals[pair_index[(i - nb, j - nb)]])
-            else:
-                out.append(0.0)
-        return out
-
-    return fields.bivector(n, comps, name="pi_V")
-
-
-def _transport_invariance(geom, point):
-    """max |(L_{h(e_a)} π_V)^{ij}| over base directions a and all pairs."""
-    space = geom.space
-    nb = space.n_base
-    if space.n_fiber < 2:
-        return 0.0
-    piv = _embedded_pi_field(geom)
-
-    def lie_at_point(a):
-        ha = geom.connection.lift_field(
-            lambda b: [1.0 if i == a else 0.0 for i in range(nb)])
-        return fields.lie_derivative_bivector(ha, piv)(point)
-
-    return worst(abs(dm.value_of(c)) for a in range(nb)
-                 for c in lie_at_point(a))
-
-
-def _covariant_closure(geom, point):
-    """max |(d_Γ ω_H)_{abc}| (empty, hence zero, when the base has dim < 3)."""
-    if geom.space.n_base < 3:
-        return 0.0
-    d = covariant_differential(geom.connection, geom.omega_h)
-    return worst(abs(dm.value_of(v)) for v in d(point))
-
-
-def _curvature_match(geom, point):
-    """max |Curv(e_a,e_b) − π_V^♯ d_V ω_H(h(e_a),h(e_b))| over base pairs."""
-    space = geom.space
-    nb, nf = space.n_base, space.n_fiber
-    if nf == 0:
-        return 0.0
-    p_mat = geom.pi_matrix(point)
-    # d_w[k][idx] = ∂_k ω_idx along fiber direction k
-    d_w = [dm.partial(geom.omega_h.comps, point, nb + k) for k in range(nf)]
-
-    def defects(idx, a, b):
-        ea = [1.0 if i == a else 0.0 for i in range(nb)]
-        eb = [1.0 if i == b else 0.0 for i in range(nb)]
-        curv = curvature(geom.connection, point, ea, eb)
-        grad = [d_w[k][idx] for k in range(nf)]
-        return [abs(dm.value_of(c) - dm.value_of(r))
-                for c, r in zip(curv, matvec(p_mat, grad))]
-
-    return worst(d for idx, (a, b) in enumerate(geom.omega_h.combos)
-                 for d in defects(idx, a, b))
-
-
 CONDITION_NAMES = ("vertical_poisson", "transport_invariance",
                    "covariant_closure", "curvature_match")
+
+
+def _condition_residuals(geom, pt):
+    """The four residuals at one point, in `CONDITION_NAMES` order: algebra
+    on one seeded pass per field and direction that a condition reads.
+    With P = π_V, h_a = h(e_a) and fiber indices i, j, k, l:
+
+        vertical_poisson      Σ_cyc(ijk) P^{il} ∂_l P^{jk}
+        transport_invariance  h_a(P^{ij}) − P^{kj} ∂_k A_ia − P^{ik} ∂_k A_ja
+        covariant_closure     Σ_pos (−1)^pos h_a(ω_H)_{J∖a},  J = (a,b,c)
+        curvature_match       h_a(A_ib) − h_b(A_ia) − P^{ik} ∂_k ω_ab
+
+    (L_{h_a} π_V has no base components, since π_V is vertical.)
+    """
+    space = geom.space
+    nb, nf = space.n_base, space.n_fiber
+    p = geom.pi_matrix(pt)
+    lifts = [geom.connection.lift([1.0 if i == a else 0.0
+                                   for i in range(nb)], pt)
+             for a in range(nb)]
+
+    def flat_a(q):
+        # A_ia sits at i * nb + a
+        return [c for row in geom.conn_matrix(q) for c in row]
+
+    def along_fiber(fn):
+        return [dm.partial(fn, pt, nb + k) for k in range(nf)]
+
+    def along_lifts(fn):
+        return [dm.directional(fn, pt, h) for h in lifts]
+
+    poisson = transport = closure = curv = 0.0
+    if nf >= 2:
+        d_pi = [dm.partial(geom.pi_v.comps, pt, l) for l in range(space.dim)]
+        d_p = [skew_matrix(nf, d) for d in d_pi[nb:]]
+        d_a = along_fiber(flat_a)
+
+        def jacobiator(i, j, k):
+            acc = 0.0
+            for (r, s, t) in ((i, j, k), (j, k, i), (k, i, j)):
+                for l in range(nf):
+                    acc = acc + p[r][l] * d_p[l][s][t]
+            return acc
+
+        def lie(a, idx, i, j):
+            corr = sum(p[k][j] * d_a[k][i * nb + a]
+                       + p[i][k] * d_a[k][j * nb + a] for k in range(nf))
+            return dot([d[idx] for d in d_pi], lifts[a]) - corr
+
+        poisson = worst(abs(dm.value_of(jacobiator(*tri)))
+                        for tri in itertools.combinations(range(nf), 3))
+        transport = worst(abs(dm.value_of(lie(a, idx, i, j)))
+                          for a in range(nb)
+                          for idx, (i, j) in enumerate(geom.pi_v.pairs))
+    if nb >= 3:
+        d_w_h = along_lifts(geom.omega_h.comps)
+        src = {c: idx for idx, c in enumerate(geom.omega_h.combos)}
+
+        def d_gamma(J):
+            acc = 0.0
+            for pos, a in enumerate(J):
+                term = d_w_h[a][src[J[:pos] + J[pos + 1:]]]
+                acc = acc + (term if pos % 2 == 0 else -term)
+            return acc
+
+        closure = worst(abs(dm.value_of(d_gamma(J)))
+                        for J in itertools.combinations(range(nb), 3))
+    if nf and nb >= 2:
+        d_w = along_fiber(geom.omega_h.comps)
+        d_a_h = along_lifts(flat_a)
+
+        def defects(idx, a, b):
+            c = [d_a_h[a][i * nb + b] - d_a_h[b][i * nb + a]
+                 for i in range(nf)]
+            r = matvec(p, [d[idx] for d in d_w])
+            return [abs(dm.value_of(x) - dm.value_of(y))
+                    for x, y in zip(c, r)]
+
+        curv = worst(d for idx, (a, b) in enumerate(geom.omega_h.combos)
+                     for d in defects(idx, a, b))
+    return poisson, transport, closure, curv
 
 
 def check_coupling_conditions(geom, points=None, count=256, seed=0):
@@ -217,14 +212,7 @@ def check_coupling_conditions(geom, points=None, count=256, seed=0):
     """
     if points is None:
         points = geom.sample_points(count=count, seed=seed)
-
-    def at_point(pt):
-        return (_vertical_schouten(geom, pt),
-                _transport_invariance(geom, pt),
-                _covariant_closure(geom, pt),
-                _curvature_match(geom, pt))
-
-    rows = parallel_map(at_point, points)
+    rows = parallel_map(lambda pt: _condition_residuals(geom, pt), points)
     out = {name: worst(r[i] for r in rows)
            for i, name in enumerate(CONDITION_NAMES)}
     out["max"] = worst(out[name] for name in CONDITION_NAMES)

@@ -30,7 +30,6 @@ from .dual import Dual
 from ._numerics import (DEFAULT_RK4_STEP, det, last_time_memo, matvec,
                         rk4_integrate, rk4_step, sample_unit_cube,
                         skew_matrix)
-from .fields import vector_field
 
 
 class IncompleteTransportError(RuntimeError):
@@ -122,15 +121,6 @@ class Connection:
         """Horizontal lift h(v) = (v, A(b,x)v) as a full tangent vector."""
         b, x = self.space.split(point)
         return list(v) + matvec(self.coeff(b, x), v)
-
-    def lift_field(self, v_fn, name=""):
-        """h(v) as a vector field on E for a base vector field v(b)."""
-        def comps(pt):
-            b, x = self.space.split(pt)
-            v = v_fn(b)
-            return list(v) + matvec(self.coeff(b, x), v)
-
-        return vector_field(self.space.dim, comps, name=name or "h(v)")
 
 
 class FlatConnection(Connection):

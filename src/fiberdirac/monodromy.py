@@ -410,13 +410,13 @@ class LatticeReport:
     radial ray, with their constancy assessment."""
 
     def __init__(self, radii, radial_components, constancy_deviation,
-                 is_constant, has_degenerate_origin, origin_generator):
+                 is_constant, has_degenerate_origin, origin_pi):
         self.radii = list(radii)
         self.radial_components = list(radial_components)
         self.constancy_deviation = constancy_deviation
         self.is_constant = is_constant
         self.has_degenerate_origin = has_degenerate_origin
-        self.origin_generator = list(origin_generator)
+        self.origin_pi = origin_pi
         if constancy_deviation < 0.0:
             raise ValueError("deviations are non-negative by construction")
 
@@ -428,8 +428,9 @@ def so3_lattice(f, radii=(0.5, 1.0, 1.5), grid=(64, 64),
                 constancy_tol=1e-3):
     """Monodromy lattice of the so(3)* model with ω_H = f(|x|)·(round
     area): per radius r > 0 the generator covector is transgressed over
-    the full round sphere; r = 0 records the degenerate lattice {0}
-    directly (the vertical leaf there is a point, no generator exists).
+    the full round sphere.  For r = 0, `origin_pi` = max_b |π_V(b, 0)|
+    over a grid of base points b vanishes exactly when the leaf through
+    the origin is a point, with lattice {0} (None without r = 0).
 
     `grid` counts Simpson intervals (N_t, N_ε); nodes are N+1 each.  The
     model connection is flat, so no RK4 step is taken.
@@ -447,6 +448,12 @@ def so3_lattice(f, radii=(0.5, 1.0, 1.5), grid=(64, 64),
         radial.append(dot(transgress(geom, family, x0).endpoint(),
                           _RADIAL_DIR))
 
+    origin_pi = None
+    if has_origin:   # π_V at (b, 0) over a 3 × 3 grid of base points b
+        origin_pi = worst(
+            abs(c) for u in (0.1, 0.5, 0.9) for v in (0.1, 0.5, 0.9)
+            for c in geom.pi_v(geom.space.base.from_unit([u, v])
+                               + [0.0, 0.0, 0.0]))
     mean = sum(radial) / len(radial)
     deviation = worst(abs(c - mean) for c in radial)
     scale = max(1.0, abs(mean))
@@ -456,7 +463,7 @@ def so3_lattice(f, radii=(0.5, 1.0, 1.5), grid=(64, 64),
         constancy_deviation=deviation,
         is_constant=deviation <= constancy_tol * scale,
         has_degenerate_origin=has_origin,
-        origin_generator=[0.0, 0.0, 0.0])
+        origin_pi=origin_pi)
 
 
 VERDICT_CANDIDATE = "INTEGRABLE-CANDIDATE"

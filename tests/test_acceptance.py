@@ -82,7 +82,7 @@ def test_criterion_03_lattice_generator_along_the_ray():
     elapsed = time.perf_counter() - start
     rel = max(abs(c - 8.0 * math.pi) / (8.0 * math.pi)
               for c in out.radial_components)
-    origin = max(abs(c) for c in out.origin_generator)
+    origin = out.origin_pi
     report(3, rel < 1e-4 and origin < 1e-8
            and out.has_degenerate_origin and elapsed < 30.0,
            f"radial err {rel:.2e}, origin {origin:.1e}, {elapsed:.2f} s")

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberdirac import __version__, cli
+from fiberdirac import __version__, cli, monodromy
 from fiberdirac.cli import ScenarioError, compile_expression, run_scenario
 from fiberdirac.dual import Dual
 from fiberdirac.fibration import IncompleteTransportError
+from fiberdirac.monodromy import lattice_model_data
 
 SCENARIOS = Path(cli.__file__).parent / "scenarios"
 
@@ -303,6 +304,9 @@ NAMED_INPUT_ERRORS = [
     ({"name": "a", "kind": "apath", "step": 1e-9}, "step"),
     ({"name": "a", "kind": "apath", "step": 5e-5}, "step"),
     (dict(LATTICE, include_origin="no"), "include_origin"),
+    # a family list and a coefficient curve are JSON lists
+    ({"name": "t", "kind": "transgress", "families": 5}, "families"),
+    ({"name": "a", "kind": "apath", "alpha": 5}, "alpha"),
 ]
 
 
@@ -374,6 +378,45 @@ def test_validation_errors_exit_two(monkeypatch, capsys, tmp_path):
         assert code == 2, scenario
         assert out == "" and err.startswith("error: "), scenario
         assert "field '" in err, scenario
+
+
+def test_leaf_form_reads_the_chart_orientation():
+    # chart 1 orients the round area form oppositely, so its leaf form is
+    # −f·4/(1+ρ²)²; chart 0's sign there misses by twice the form
+    report, code = run_scenario({"name": "h1", "kind": "coupling-check",
+                                 "example": "hopf", "chart": 1,
+                                 "checks": ["conditions", "leaf-form"]})
+    assert code == 0, report
+    leaf = [c for c in report["checks"] if c["name"] == "leaf_form_match"]
+    assert leaf[0]["verdict"] == "PASS" and leaf[0]["residual"] < 1e-12
+
+
+@pytest.mark.parametrize("scenario", [
+    {"name": "t", "kind": "coupling-check", "example": "trivial-torus",
+     "checks": ["leaf-form"]},
+    dict(inline(), checks=["leaf-form"]),
+], ids=["trivial-torus", "inline-box"])
+def test_leaf_form_refuses_a_base_that_is_no_sphere_chart(scenario):
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(scenario)
+    assert err.value.field == "checks"
+
+
+def test_origin_check_measures_the_vertical_structure(monkeypatch):
+    # a constant added to π_V leaves the transgression alone but makes
+    # the leaf through the fiber origin a surface, not a point
+    def shifted(f):
+        geom = lattice_model_data(f)
+        comps = geom.pi_v.comps
+        geom.pi_v.comps = lambda p: [c + 0.5 for c in comps(p)]
+        return geom
+
+    monkeypatch.setattr(monodromy, "lattice_model_data", shifted)
+    report, code = run_scenario(dict(LATTICE, include_origin=True,
+                                     grid=[8, 8]))
+    origin = [c for c in report["checks"] if c["name"] == "origin_degenerate"]
+    assert code == 1
+    assert origin[0]["verdict"] == "FAIL" and origin[0]["residual"] == 0.5
 
 
 # bounds and their entries of every JSON kind, nested up to two lists

@@ -2,18 +2,23 @@
 structural conditions against the direct closure oracle, leaf forms, the
 splitting brackets, and how many seeded passes the conditions take."""
 
+import itertools
+
 import pytest
 
 from fiberdirac import dual as dm
+from fiberdirac import fields
 from fiberdirac.charts import CoordinateDomain
 from fiberdirac import coupling
-from fiberdirac._numerics import dot
-from fiberdirac.coupling import (GeometricData, assemble_dirac,
+from fiberdirac._numerics import dot, matvec, skew_matrix, worst
+from fiberdirac.coupling import (CONDITION_NAMES, GeometricData,
+                                 assemble_dirac,
                                  check_coupling_conditions,
                                  dirac_closure_residual, leaf_two_form,
                                  splitting_bracket_residual)
 from fiberdirac.fibration import (Connection, FiberedSpace, FlatConnection,
-                                  HorizontalForm, VerticalBivector)
+                                  HorizontalForm, VerticalBivector,
+                                  covariant_differential, curvature)
 from fiberdirac.monodromy import lattice_model_data
 from fiberdirac.yangmills import (HamiltonianFiber, PrincipalData,
                                   StructureGroupModel, hopf_example,
@@ -180,8 +185,9 @@ def test_vertical_schouten_reads_the_jacobiator():
     # the fiber π = x₂ ∂₀∧∂₁ + x₁ ∂₁∧∂₂ has S^{012} = x₂, which is pt[3]
     geom = non_poisson_vertical()
     for pt in ([0.2, 0.3, -0.8, 1.1], [-0.5, 1.2, 0.4, -0.7]):
-        assert coupling._vertical_schouten(geom, pt) == pytest.approx(
-            abs(pt[3]), abs=1e-12)
+        cond = check_coupling_conditions(geom, points=[pt])
+        assert cond["vertical_poisson"] == pytest.approx(abs(pt[3]),
+                                                         abs=1e-12)
 
 
 def count_seeded_passes(monkeypatch, run):
@@ -204,20 +210,97 @@ def _vertical_bracket(geom, pt):
     return coupling.vertical_covector_bracket(geom, alpha, beta)(pt)
 
 
+def _conditions(geom, pt):
+    return check_coupling_conditions(geom, points=[pt])
+
+
 @pytest.mark.parametrize(
-    "fn,passes",
-    [(coupling._vertical_schouten, 3), (coupling._transport_invariance, 20),
-     (_vertical_bracket, 15)],
-    ids=["vertical_schouten", "transport_invariance",
-         "vertical_covector_bracket"])
+    "fn,passes", [(_conditions, 19), (_vertical_bracket, 15)],
+    ids=["coupling_conditions", "vertical_covector_bracket"])
 def test_each_field_is_differentiated_once_per_direction(monkeypatch, fn,
                                                          passes):
     # so(3)* has 2 base and 3 fiber directions, and one seeded pass per
-    # direction gives every component of a field.  Differentiating one
-    # component per pass would take 9, 110 and 39 passes.
+    # direction gives every component of a field.  The conditions take π_V
+    # along all 5 coordinates, A along 3 fiber directions and 2 lifts, and
+    # ω_H along 3 fiber directions, each ω_H evaluation differentiating
+    # the potential along 2 base directions: 5 + 5 + 3·3 = 19.  One pass
+    # per condition and lift took 34; one component per pass would take
+    # 39 for the bracket.
     geom = so3_coadjoint_example()
     pt = geom.sample_points(1, seed=0)[0]
     assert count_seeded_passes(monkeypatch, lambda: fn(geom, pt)) == passes
+
+
+def reference_residuals(geom, pt):
+    """The four residuals by one derivative route per condition, from the
+    library's general operators: the Schouten square from fiber partials
+    of π_V, L_{h(e_a)} π_V by `fields.lie_derivative_bivector` on π_V
+    embedded in the total space, d_Γ ω_H by `covariant_differential`, and
+    Curv by `fibration.curvature`."""
+    space = geom.space
+    nb, nf, n = space.n_base, space.n_fiber, space.dim
+    basis = [[1.0 if i == a else 0.0 for i in range(nb)] for a in range(nb)]
+    p = geom.pi_matrix(pt)
+    poisson = transport = closure = curv = 0.0
+    if nf >= 3:
+        d_p = [skew_matrix(nf, dm.partial(geom.pi_v.comps, pt, nb + l))
+               for l in range(nf)]
+
+        def component(i, j, k):
+            acc = 0.0
+            for (r, s, t) in ((i, j, k), (j, k, i), (k, i, j)):
+                for l in range(nf):
+                    acc = acc + p[r][l] * d_p[l][s][t]
+            return acc
+
+        poisson = worst(abs(dm.value_of(component(*tri)))
+                        for tri in itertools.combinations(range(nf), 3))
+    if nf >= 2:
+        where = {pair: idx for idx, pair in enumerate(geom.pi_v.pairs)}
+
+        def embedded(q):
+            vals = geom.pi_v(q)
+            return [vals[where[(i - nb, j - nb)]] if i >= nb else 0.0
+                    for i, j in fields.combos(n, 2)]
+
+        piv = fields.bivector(n, embedded)
+        transport = worst(
+            abs(dm.value_of(c)) for e in basis
+            for c in fields.lie_derivative_bivector(
+                fields.vector_field(
+                    n, lambda q, e=e: geom.connection.lift(e, q)), piv)(pt))
+    if nb >= 3:
+        closure = worst(abs(dm.value_of(c)) for c in covariant_differential(
+            geom.connection, geom.omega_h)(pt))
+    if nf:
+        d_w = [dm.partial(geom.omega_h.comps, pt, nb + k) for k in range(nf)]
+        curv = worst(
+            abs(dm.value_of(c) - dm.value_of(r))
+            for idx, (a, b) in enumerate(geom.omega_h.combos)
+            for c, r in zip(curvature(geom.connection, pt, basis[a],
+                                      basis[b]),
+                            matvec(p, [d[idx] for d in d_w])))
+    return poisson, transport, closure, curv
+
+
+REFERENCE_INSTANCES = INSTANCES + [
+    ("hopf-chart1", lambda: hopf_example(lambda x: 2.0 * x + 1.0, chart=1),
+     True)]
+
+
+@pytest.mark.parametrize("name,builder",
+                         [(n, b) for n, b, _ in REFERENCE_INSTANCES],
+                         ids=[n for n, _, _ in REFERENCE_INSTANCES])
+def test_conditions_match_the_per_condition_route_to_the_bit(name, builder):
+    # each residual reads the same tangents as the general operators do,
+    # in the same arithmetic order, so the two routes agree bitwise
+    geom = builder()
+    for pt in geom.sample_points(8, seed=3):
+        cond = check_coupling_conditions(geom, points=[pt])
+        got = [cond[key] for key in CONDITION_NAMES]
+        want = reference_residuals(geom, pt)
+        assert [float(x).hex() for x in got] == \
+            [float(x).hex() for x in want], (pt, got, want)
 
 
 POLYNOMIAL_INSTANCES = ("constant-split", "fiber-scaled-plane",

@@ -361,7 +361,7 @@ def test_lattice_generator_for_linear_slope():
         assert abs(comp - 8.0 * math.pi) / (8.0 * math.pi) < 1e-4
     assert report.is_constant
     assert report.has_degenerate_origin
-    assert max(abs(c) for c in report.origin_generator) < 1e-8
+    assert report.origin_pi < 1e-8
     assert report.mean_radial() == pytest.approx(8.0 * math.pi, rel=1e-4)
 
 
