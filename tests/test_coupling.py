@@ -190,8 +190,9 @@ def test_vertical_schouten_reads_the_jacobiator():
                                                          abs=1e-12)
 
 
-def count_seeded_passes(monkeypatch, run):
-    """How many `dual._seeded_pass` calls `run()` makes, nested ones too."""
+def count_seeded_passes(monkeypatch, run, keep=None):
+    """How many `dual._seeded_pass` calls `run()` makes, nested ones too;
+    with `keep`, only the calls (f, point, direction) that it accepts."""
     seeded_pass = dm._seeded_pass
     calls = []
 
@@ -201,7 +202,7 @@ def count_seeded_passes(monkeypatch, run):
 
     monkeypatch.setattr(dm, "_seeded_pass", counted)
     run()
-    return len(calls)
+    return sum(1 for c in calls if keep is None or keep(*c))
 
 
 def _vertical_bracket(geom, pt):
@@ -214,21 +215,48 @@ def _conditions(geom, pt):
     return check_coupling_conditions(geom, points=[pt])
 
 
+def _schouten_passes(geom):
+    # π_V along the fiber directions: all that the Schouten square reads
+    nb = geom.space.n_base
+    return lambda f, point, direction: (f == geom.pi_v.comps
+                                        and not any(direction[:nb]))
+
+
+def _transport_passes(geom):
+    # π_V along every coordinate (a lift h_a moves the base too), and the
+    # connection coefficient A along the fiber directions
+    nb = geom.space.n_base
+
+    def keep(f, point, direction):
+        if f == geom.pi_v.comps:
+            return True
+        outer = not any(isinstance(x, dm.Dual) for x in point)
+        return (outer and f != geom.omega_h.comps
+                and not any(direction[:nb]))
+
+    return keep
+
+
 @pytest.mark.parametrize(
-    "fn,passes", [(_conditions, 19), (_vertical_bracket, 15)],
-    ids=["coupling_conditions", "vertical_covector_bracket"])
+    "fn,keep,passes",
+    [(_conditions, None, 19), (_conditions, _schouten_passes, 3),
+     (_conditions, _transport_passes, 8), (_vertical_bracket, None, 15)],
+    ids=["coupling_conditions", "vertical_schouten", "transport_invariance",
+         "vertical_covector_bracket"])
 def test_each_field_is_differentiated_once_per_direction(monkeypatch, fn,
-                                                         passes):
+                                                         keep, passes):
     # so(3)* has 2 base and 3 fiber directions, and one seeded pass per
     # direction gives every component of a field.  The conditions take π_V
     # along all 5 coordinates, A along 3 fiber directions and 2 lifts, and
     # ω_H along 3 fiber directions, each ω_H evaluation differentiating
-    # the potential along 2 base directions: 5 + 5 + 3·3 = 19.  One pass
-    # per condition and lift took 34; one component per pass would take
-    # 39 for the bracket.
+    # the potential along 2 base directions: 5 + 5 + 3·3 = 19.  Of these
+    # the Schouten square reads 3 and transport invariance 5 + 3 = 8.  One
+    # pass per condition and lift took 34; one component per pass would
+    # take 39 for the bracket.
     geom = so3_coadjoint_example()
     pt = geom.sample_points(1, seed=0)[0]
-    assert count_seeded_passes(monkeypatch, lambda: fn(geom, pt)) == passes
+    assert count_seeded_passes(monkeypatch, lambda: fn(geom, pt),
+                               keep and keep(geom)) == passes
 
 
 def reference_residuals(geom, pt):
