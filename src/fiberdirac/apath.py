@@ -16,8 +16,10 @@ base path's start using parallel transport:
     x̃(t) = φ_{0,t}(γ_F(t)),    ã(t) = a_V(t) ∘ dφ_{t,0}|_{x̃(t)},
 
 where φ_{s,t} transports the fiber over γ_B(t) to the fiber over γ_B(s).
-The split, unsplit, inverse and concatenated paths take every φ and dφ
-from a `fibration.Transport` along the base path.  For a fiber-linear
+Split, unsplit, inverse and concatenation all move split data by this one
+gauge rule, in `_carried`, each between its own pair of times: a point by
+φ, a covector by pullback through dφ⁻¹, a rate by dφ.  Every φ and dφ
+comes from a `fibration.Transport` along the base path.  For a fiber-linear
 connection (every Yang–Mills–Higgs coupling) that is one propagator per
 base path, integrated on first use, so a query costs matrix products
 instead of RK4 transports; any other connection transports directly,
@@ -149,57 +151,67 @@ def _pull_covector(jac, a):
     return [dot(col, a) for col in zip(*jac)]
 
 
+def _carried(tr, ends, point, covector, rate):
+    """The gauge rule of the split presentation, for every constructor:
+    with φ = φ_{t0→t1} of `tr` and (t0, t1) = ends(t), carry a source point
+    x = point(t) to φ(x), its covector by pullback through dφ⁻¹ at φ(x),
+    and its rate r = rate(t, x) to dφ_x r.  The carried point and rate take
+    the source point as an optional `x` when the caller already holds it."""
+
+    def point_fn(t, x=None):
+        return tr.map(point(t) if x is None else x, *ends(t))
+
+    def covector_fn(t):
+        t0, t1 = ends(t)
+        return _pull_covector(tr.jacobian(point_fn(t), t1, t0), covector(t))
+
+    def rate_fn(t, x=None):
+        x = point(t) if x is None else x
+        return matvec(tr.jacobian(x, *ends(t)), rate(t, x))
+
+    return point_fn, covector_fn, rate_fn
+
+
 def split_apath(apath):
     """Gauge an algebroid path to the fiber over its base start."""
     geom = apath.geom
     bp = apath.base_path
-    tr = Transport(geom.connection, bp)
 
-    def point_fn(t):
-        xf = [dm.value_of(c) for c in apath.fiber_path(t)]
-        return tr.map(xf, t, 0.0)
+    def fiber_point(t):
+        return [dm.value_of(c) for c in apath.fiber_path(t)]
 
-    def covector_fn(t):
-        # precomposition: ã_k = Σ_i (a_V)_i ∂(φ_{t,0})_i/∂x_k
-        return _pull_covector(tr.jacobian(point_fn(t), 0.0, t),
-                              apath.covector_path(t))
-
-    def rate_fn(t):
+    def anchor_rate(t, x):
         # x̃˙(t) = dφ_{0,t}(γ̇_F − A γ̇_B) = dφ_{0,t}(P a_V) by the anchor
         # condition, so the rate needs one transport differential.
-        xf = [dm.value_of(c) for c in apath.fiber_path(t)]
-        pt = geom.space.join(bp(t), xf)
-        w = matvec(geom.pi_matrix(pt), apath.covector_path(t))
-        return matvec(tr.jacobian(xf, t, 0.0), w)
+        pt = geom.space.join(bp(t), x)
+        return matvec(geom.pi_matrix(pt), apath.covector_path(t))
 
-    return SplitPath(geom, bp, point_fn, covector_fn, rate_fn,
-                     name=f"split({apath.name})")
+    curves = _carried(Transport(geom.connection, bp), lambda t: (t, 0.0),
+                      fiber_point, apath.covector_path, anchor_rate)
+    return SplitPath(geom, bp, *curves, name=f"split({apath.name})")
 
 
 def unsplit_apath(split):
     """Inverse of `split_apath`: recover the anchor-compatible path."""
     geom = split.geom
     bp = split.base_path
-    tr = Transport(geom.connection, bp)
+    point_fn, covector_path, rate_fn = _carried(
+        Transport(geom.connection, bp), lambda t: (0.0, t), split.point,
+        split.covector, lambda t, _: split.rate(t))
 
     def fiber_path(t):
         tv = dm.value_of(t)
         xt = split.point(tv)
-        x = tr.map(xt, 0.0, tv)
+        x = point_fn(tv, xt)
         if not isinstance(t, Dual):
             return x
         # γ_F(t) = φ_{t,0}(x̃(t)), so γ̇_F = A(γ) γ̇_B + dφ_{t,0}(x̃˙):
         # the family term is the transport generator at the image point.
         pt = geom.space.join(bp(tv), x)
         u = bp.velocity(tv)
-        pushed = matvec(tr.jacobian(xt, 0.0, tv), split.rate(tv))
         vel = [p + q for p, q in zip(matvec(geom.conn_matrix(pt), u),
-                                     pushed)]
+                                     rate_fn(tv, xt))]
         return [Dual(dm.value_of(b), v * t.eps) for b, v in zip(x, vel)]
-
-    def covector_path(t):
-        x_end = tr.map(split.point(t), 0.0, t)
-        return _pull_covector(tr.jacobian(x_end, t, 0.0), split.covector(t))
 
     return AlgebroidPath(geom, bp, fiber_path, covector_path,
                          name=f"unsplit({split.name})")
@@ -208,81 +220,57 @@ def unsplit_apath(split):
 def inverse_split(split):
     """Split-space inverse: push the data through the full transport of the
     base path, then invert in path space."""
-    geom = split.geom
     bp = split.base_path
-    tr = Transport(geom.connection, bp)
-
-    def point_fn(t):
-        return tr.map(split.point(1.0 - t), 0.0, 1.0)
-
-    def covector_fn(t):
-        jac = tr.jacobian(point_fn(t), 1.0, 0.0)
-        return [-c for c in _pull_covector(jac, split.covector(1.0 - t))]
-
-    def rate_fn(t):
-        jac = tr.jacobian(split.point(1.0 - t), 0.0, 1.0)
-        return [-c for c in matvec(jac, split.rate(1.0 - t))]
-
-    return SplitPath(geom, bp.reversed(), point_fn, covector_fn, rate_fn,
+    point, covector, rate = _carried(
+        Transport(split.geom.connection, bp), lambda t: (0.0, 1.0),
+        split.point, split.covector, lambda t, _: split.rate(t))
+    return SplitPath(split.geom, bp.reversed(), lambda t: point(1.0 - t),
+                     lambda t: [-c for c in covector(1.0 - t)],
+                     lambda t: [-c for c in rate(1.0 - t)],
                      name=f"{split.name}~")
+
+
+def _warped(curve, u, speed):
+    """curve at the smoothstep warp s(u), scaled by speed·s′(u): a covector
+    or rate reparameterized by s, since both scale like velocities."""
+    s = smoothstep(Dual(u, 1.0))
+    rate = speed * dm.tangent(s)
+    return [rate * c for c in curve(dm.value_of(s))]
 
 
 def reparameterized(apath):
     """Orientation-preserving reparameterization by s = `smoothstep`:
     points compose with s, covectors pick up the factor s′ (they scale like
     velocities)."""
-
-    def s_and_rate(u):
-        val = smoothstep(Dual(u, 1.0))
-        return dm.value_of(val), dm.tangent(val)
-
-    def cov(u):
-        s, rate = s_and_rate(u)
-        return [rate * c for c in apath.covector_path(s)]
-
     return AlgebroidPath(
         apath.geom,
         BasePath(lambda u: apath.base_path(smoothstep(u)),
                  name=f"{apath.base_path.name}@s"),
         lambda u: apath.fiber_path(smoothstep(u)),
-        cov,
+        lambda u: _warped(apath.covector_path, u, 1.0),
         name=f"{apath.name}@s")
 
 
-def _half_curves(fn_point, fn_cov, fn_rate, half):
-    """Reparameterize (point, covector, rate) curves onto a half interval
-    with smoothstep flattening (covector and rate scale by s′)."""
+def _half_curves(point, covector, rate, shift):
+    """Reparameterize (point, covector, rate) curves onto a half interval,
+    u = 2t − shift, with smoothstep flattening."""
+    return (lambda t: point(smoothstep(2.0 * t - shift)),
+            lambda t: _warped(covector, 2.0 * t - shift, 2.0),
+            lambda t: _warped(rate, 2.0 * t - shift, 2.0))
 
-    def warp(t):
-        u = 2.0 * t - (0.0 if half == 0 else 1.0)
-        s = smoothstep(Dual(u, 1.0))
-        return dm.value_of(s), 2.0 * dm.tangent(s)
 
-    def pt(t):
-        return fn_point(warp(t)[0])
-
-    def cov(t):
-        s, rate = warp(t)
-        return [rate * c for c in fn_cov(s)]
-
-    def rt(t):
-        s, rate = warp(t)
-        return [rate * c for c in fn_rate(s)]
-
-    return pt, cov, rt
+def _joined(first, second):
+    """first on [0, ½], second after."""
+    return lambda t: first(t) if dm.value_of(t) <= 0.5 else second(t)
 
 
 def concat_base(first, second):
     """Base-path concatenation (first on [0,½], second on [½,1]), with
     smoothstep flattening so the velocity vanishes at the junction."""
 
-    def fn(t):
-        tv = dm.value_of(t)
-        if tv <= 0.5:
-            return first(smoothstep(2.0 * t))
-        return second(smoothstep(2.0 * t - 1.0))
-
-    return BasePath(fn, name=f"{second.name}*{first.name}")
+    return BasePath(_joined(lambda t: first(smoothstep(2.0 * t)),
+                            lambda t: second(smoothstep(2.0 * t - 1.0))),
+                    name=f"{second.name}*{first.name}")
 
 
 def concat_split(second, first):
@@ -290,35 +278,14 @@ def concat_split(second, first):
     second·first).  The second path's fiber data is pulled back through the
     first base path's full transport so everything lives over the common
     start fiber."""
-    geom = first.geom
     bp1 = first.base_path
-    tr = Transport(geom.connection, bp1)
-
-    def pulled_point(t):
-        return tr.map(second.point(t), 1.0, 0.0)
-
-    def pulled_cov(t):
-        jac = tr.jacobian(pulled_point(t), 0.0, 1.0)
-        return _pull_covector(jac, second.covector(t))
-
-    def pulled_rate(t):
-        jac = tr.jacobian(second.point(t), 1.0, 0.0)
-        return matvec(jac, second.rate(t))
-
-    p1, c1, r1 = _half_curves(first.point, first.covector, first.rate, 0)
-    p2, c2, r2 = _half_curves(pulled_point, pulled_cov, pulled_rate, 1)
-
-    def point_fn(t):
-        return p1(t) if dm.value_of(t) <= 0.5 else p2(t)
-
-    def covector_fn(t):
-        return c1(t) if dm.value_of(t) <= 0.5 else c2(t)
-
-    def rate_fn(t):
-        return r1(t) if dm.value_of(t) <= 0.5 else r2(t)
-
-    return SplitPath(geom, concat_base(bp1, second.base_path),
-                     point_fn, covector_fn, rate_fn,
+    pulled = _carried(Transport(first.geom.connection, bp1),
+                      lambda t: (1.0, 0.0), second.point, second.covector,
+                      lambda t, _: second.rate(t))
+    halves = zip(_half_curves(first.point, first.covector, first.rate, 0.0),
+                 _half_curves(*pulled, 1.0))
+    return SplitPath(first.geom, concat_base(bp1, second.base_path),
+                     *(_joined(a, b) for a, b in halves),
                      name=f"{second.name}*{first.name}")
 
 

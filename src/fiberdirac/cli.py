@@ -39,9 +39,9 @@ from .apath import flow_commutation_residual
 from .groupoid import (PairGroupoid, coupling_form, integrated_data_check,
                        multiplicativity_residual, pair_form,
                        source_target_orthogonality)
-from .monodromy import (FAMILIES, cap, exact_rational, integrability_verdict,
-                        round_sphere, so3_lattice, transgress,
-                        transgress_flat)
+from .monodromy import (FAMILIES, VERDICT_INCONCLUSIVE, VERDICTS, cap,
+                        exact_rational, integrability_verdict, round_sphere,
+                        so3_lattice, transgress, transgress_flat)
 from .yangmills import EXAMPLES, HamiltonianFiber, gauge_transition_check
 
 KINDS = ("coupling-check", "ymh-build", "transgress", "so3-integrability",
@@ -219,6 +219,22 @@ def _reals(value, field, count=None):
         raise ScenarioError(field, f"expected a list of {size}number(s), "
                                    f"got {value!r}")
     return [_real(v, field) for v in value]
+
+
+def _constant(value, field, nonzero=False):
+    """A reference constant a scenario supplies: a closed expression whose
+    value is finite, and nonzero when a residual is relative to it."""
+    try:
+        const = compile_expression(str(value), [], field=field)([])
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ScenarioError(field, f"cannot evaluate {value!r}: {exc}") \
+            from None
+    if not isinstance(const, float) or not math.isfinite(const) \
+            or (nonzero and const == 0.0):
+        kind = "a finite nonzero" if nonzero else "a finite"
+        raise ScenarioError(field, f"expected {kind} real constant, got "
+                                   f"{value!r} = {const!r}")
+    return const
 
 
 def _flag(scenario, key):
@@ -479,8 +495,8 @@ def _run_transgress(scenario, seed):
     if "area" in scenario:
         area_cfg = scenario["area"]
         fam = _build_family(area_cfg, field="area")
-        expected = compile_expression(
-            str(area_cfg.get("expected", "4*pi")), [], field="area.expected")([])
+        expected = _constant(area_cfg.get("expected", "4*pi"),
+                             "area.expected", nonzero=True)
 
         def round_two_form(p, vt, ve):
             s = 1.0 + p[0] * p[0] + p[1] * p[1]
@@ -521,6 +537,15 @@ def _run_so3_integrability(scenario, seed):
         slope = None if slope is None else exact_rational(slope)
     except TypeError as exc:
         raise ScenarioError("exact_slope", str(exc)) from None
+    expected = None
+    if "expected_generator" in scenario:
+        expected = _constant(scenario["expected_generator"],
+                             "expected_generator")
+    want = scenario.get("expected_verdict")
+    if "expected_verdict" in scenario and want not in VERDICTS:
+        raise ScenarioError("expected_verdict", f"expected one of "
+                                                f"{list(VERDICTS)}, got "
+                                                f"{want!r}")
     if _flag(scenario, "include_origin") and 0.0 not in radii:
         radii = radii + [0.0]
     grid = _pair_of_counts(scenario.get("grid", [64, 64]), "grid", 1)
@@ -529,14 +554,12 @@ def _run_so3_integrability(scenario, seed):
                          constancy_tol=_tol(scenario, "generator_constancy",
                                             1e-3))
     checks, extras = [], {}
-    rel_dev = report.constancy_deviation / max(1.0, abs(report.mean_radial()))
-    checks.append(_scored(scenario, "generator_constancy", rel_dev, 1e-3))
+    checks.append(_scored(scenario, "generator_constancy",
+                          report.relative_deviation, 1e-3))
     if report.has_degenerate_origin:
         checks.append(_scored(scenario, "origin_degenerate",
                               report.origin_pi, 1e-8))
-    if "expected_generator" in scenario:
-        expected = compile_expression(str(scenario["expected_generator"]),
-                                      [], field="expected_generator")([])
+    if expected is not None:
         deviation = worst(abs(c - expected) / max(1.0, abs(expected))
                           for c in report.radial_components)
         checks.append(_scored(scenario, "generator_value", deviation, 1e-4))
@@ -544,12 +567,12 @@ def _run_so3_integrability(scenario, seed):
         verdict = integrability_verdict(report, slope)
     except ValueError as exc:
         checks.append(_failed("slope_consistency", exc))
-        verdict = "INCONCLUSIVE"
+        verdict = VERDICT_INCONCLUSIVE
     extras["integrability"] = verdict
     extras["generators"] = [float(g) for g in report.radial_components]
     if "expected_verdict" in scenario:
-        match = verdict == scenario["expected_verdict"]
-        checks.append(_check("verdict_match", 0.0 if match else 1.0, 0.5))
+        checks.append(_check("verdict_match", 0.0 if verdict == want
+                             else 1.0, 0.5))
     return checks, extras
 
 

@@ -407,17 +407,19 @@ def lattice_model_data(f):
 
 class LatticeReport:
     """Radial components of the monodromy generators sampled along the
-    radial ray, with their constancy assessment."""
+    radial ray, with their constancy assessment: `relative_deviation` is
+    max |c − mean| / max(1, |mean|) over the components c, and the
+    generators are constant when it is at most the tolerance."""
 
-    def __init__(self, radii, radial_components, constancy_deviation,
+    def __init__(self, radii, radial_components, relative_deviation,
                  is_constant, has_degenerate_origin, origin_pi):
         self.radii = list(radii)
         self.radial_components = list(radial_components)
-        self.constancy_deviation = constancy_deviation
+        self.relative_deviation = relative_deviation
         self.is_constant = is_constant
         self.has_degenerate_origin = has_degenerate_origin
         self.origin_pi = origin_pi
-        if constancy_deviation < 0.0:
+        if relative_deviation < 0.0:
             raise ValueError("deviations are non-negative by construction")
 
     def mean_radial(self):
@@ -455,13 +457,12 @@ def so3_lattice(f, radii=(0.5, 1.0, 1.5), grid=(64, 64),
             for c in geom.pi_v(geom.space.base.from_unit([u, v])
                                + [0.0, 0.0, 0.0]))
     mean = sum(radial) / len(radial)
-    deviation = worst(abs(c - mean) for c in radial)
-    scale = max(1.0, abs(mean))
+    deviation = worst(abs(c - mean) for c in radial) / max(1.0, abs(mean))
     return LatticeReport(
         radii=positive,
         radial_components=radial,
-        constancy_deviation=deviation,
-        is_constant=deviation <= constancy_tol * scale,
+        relative_deviation=deviation,
+        is_constant=deviation <= constancy_tol,
         has_degenerate_origin=has_origin,
         origin_pi=origin_pi)
 
@@ -469,6 +470,7 @@ def so3_lattice(f, radii=(0.5, 1.0, 1.5), grid=(64, 64),
 VERDICT_CANDIDATE = "INTEGRABLE-CANDIDATE"
 VERDICT_NON = "NON-INTEGRABLE"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
+VERDICTS = (VERDICT_CANDIDATE, VERDICT_NON, VERDICT_INCONCLUSIVE)
 
 
 def exact_rational(slope):
@@ -491,8 +493,9 @@ def exact_rational(slope):
 def integrability_verdict(report, exact_slope=None):
     """Decide integrability for a lattice report.
 
-    Non-constant generators ⇒ NON-INTEGRABLE (the lattice rank jumps, so
-    the monodromy cannot embed).  Constant generators with an exact
+    A generator that is not finite ⇒ INCONCLUSIVE: the numerics decide
+    nothing.  Non-constant generators ⇒ NON-INTEGRABLE (the lattice rank
+    jumps, so the monodromy cannot embed).  Constant generators with an exact
     rational slope that matches the numerics to a relative 1e-3 ⇒
     INTEGRABLE-CANDIDATE.
     Constant generators alone ⇒ INCONCLUSIVE: rationality of the slope is
@@ -500,6 +503,8 @@ def integrability_verdict(report, exact_slope=None):
     """
     if not report.radii:
         raise ValueError("empty lattice report")
+    if not all(math.isfinite(c) for c in report.radial_components):
+        return VERDICT_INCONCLUSIVE
     if not report.is_constant:
         return VERDICT_NON
     if exact_slope is None:

@@ -9,15 +9,13 @@ import math
 import time
 from pathlib import Path
 
-import pytest
-
 import test_coupling
 import test_groupoid
 from fiberdirac import dual as dm
 from fiberdirac.coupling import (assemble_dirac, check_coupling_conditions,
                                  dirac_closure_residual, leaf_two_form,
                                  splitting_bracket_residual)
-from fiberdirac.fibration import (Connection, FiberedSpace, FlatConnection,
+from fiberdirac.fibration import (FiberedSpace, FlatConnection,
                                   HorizontalForm, VerticalBivector)
 from fiberdirac.charts import CoordinateDomain
 from fiberdirac.coupling import GeometricData

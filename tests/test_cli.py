@@ -278,6 +278,14 @@ def inline(**fields):
 LATTICE = {"name": "s", "kind": "so3-integrability", "f": "2*r+1",
            "radii": [0.5], "grid": [2, 2]}
 
+
+def sphere_area(expected):
+    """A sphere-area scenario whose reference area is `expected`."""
+    return {"name": "a", "kind": "transgress",
+            "area": {"family": "round-sphere", "nodes": [9, 9],
+                     "expected": expected}}
+
+
 # (scenario, the field its error names)
 NAMED_INPUT_ERRORS = [
     # inline bounds are lists of [lo, hi] number pairs with lo < hi
@@ -307,6 +315,17 @@ NAMED_INPUT_ERRORS = [
     # a family list and a coefficient curve are JSON lists
     ({"name": "t", "kind": "transgress", "families": 5}, "families"),
     ({"name": "a", "kind": "apath", "alpha": 5}, "alpha"),
+    # a reference constant evaluates to a finite real, and an area that a
+    # residual is relative to is nonzero
+    (dict(LATTICE, expected_generator="1/0"), "expected_generator"),
+    (dict(LATTICE, expected_generator="sqrt(-1)"), "expected_generator"),
+    (dict(LATTICE, expected_generator="1e200*1e200"), "expected_generator"),
+    (sphere_area("0"), "area.expected"),
+    (sphere_area("1/0"), "area.expected"),
+    (sphere_area("sqrt(-1)"), "area.expected"),
+    (sphere_area("1e200*1e200"), "area.expected"),
+    # an expected verdict is one of the three the lattice can reach
+    (dict(LATTICE, expected_verdict="INTEGRABLE"), "expected_verdict"),
 ]
 
 
@@ -417,6 +436,47 @@ def test_origin_check_measures_the_vertical_structure(monkeypatch):
     origin = [c for c in report["checks"] if c["name"] == "origin_degenerate"]
     assert code == 1
     assert origin[0]["verdict"] == "FAIL" and origin[0]["residual"] == 0.5
+
+
+# f = 2r + 1 transgresses to the generator 8π, slope 2; on this grid each
+# claim below holds, so a wrong one is what makes its check fail
+TRUE_LATTICE = dict(LATTICE, radii=[0.5, 1.5], grid=[32, 32],
+                    expected_generator="8*pi", exact_slope="2",
+                    expected_verdict="INTEGRABLE-CANDIDATE")
+
+
+@pytest.mark.parametrize("claim,check", [
+    ({}, None),
+    ({"expected_generator": "9*pi"}, "generator_value"),
+    ({"exact_slope": "3"}, "slope_consistency"),
+    ({"expected_verdict": "NON-INTEGRABLE"}, "verdict_match"),
+], ids=["true-claims", "generator_value", "slope_consistency",
+        "verdict_match"])
+def test_a_wrong_lattice_claim_fails_its_check(claim, check):
+    report, code = run_scenario(dict(TRUE_LATTICE, **claim))
+    failed = {c["name"]: c for c in report["checks"]
+              if c["verdict"] == "FAIL"}
+    if check is None:
+        assert code == 0 and failed == {}, report
+        return
+    assert code == 1 and check in failed, report
+    if check == "slope_consistency":
+        assert "exact slope 3 predicts" in failed[check]["error"]
+
+
+@pytest.mark.parametrize("radii", [[0.5, 1.5], [0.5]], ids=["two", "one"])
+def test_a_generator_that_is_not_finite_is_inconclusive(radii):
+    # log(r − 1) is NaN at r = 0.5: the lattice says nothing about
+    # integrability there, so a claimed NON-INTEGRABLE must not match
+    scenario = {"name": "n", "kind": "so3-integrability", "f": "log(r-1)",
+                "radii": radii, "grid": [16, 16],
+                "expected_verdict": "NON-INTEGRABLE"}
+    with np.errstate(invalid="ignore"):
+        report, code = run_scenario(scenario)
+    checks = {c["name"]: c["verdict"] for c in report["checks"]}
+    assert code == 1 and report["integrability"] == "INCONCLUSIVE"
+    assert checks["generator_constancy"] == "FAIL"
+    assert checks["verdict_match"] == "FAIL"
 
 
 # bounds and their entries of every JSON kind, nested up to two lists

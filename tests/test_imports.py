@@ -1,7 +1,9 @@
-"""Every name a package module imports at module level is used in it.
+"""Every name a package or test module imports at module level is used
+in it.
 
 There is no linter in the toolchain, so this parses each module with `ast`.
-`__init__.py` is left out: its imports are the package's public names.
+The package's `__init__.py` is left out: its imports are the package's
+public names.
 """
 
 import ast
@@ -9,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fiberdirac"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "fiberdirac").glob("*.py")
+                 if p.name != "__init__.py") + sorted(
+                     (ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):

@@ -388,6 +388,19 @@ def test_verdicts_on_the_three_model_slopes():
     assert integrability_verdict(irrational) == "INCONCLUSIVE"
 
 
+@pytest.mark.parametrize("radii", [(0.5, 1.5), (0.5,)], ids=["two", "one"])
+def test_a_generator_that_is_not_finite_is_inconclusive(radii):
+    # log(r − 1) is NaN at r = 0.5: neither constancy nor a slope can be
+    # read off it, with or without a second radius
+    with np.errstate(invalid="ignore"):
+        report = so3_lattice(lambda r: dm.log(r - 1.0), radii=radii,
+                             grid=(16, 16))
+    assert math.isnan(report.radial_components[0])
+    assert not report.is_constant
+    assert integrability_verdict(report) == "INCONCLUSIVE"
+    assert integrability_verdict(report, exact_slope=2) == "INCONCLUSIVE"
+
+
 def test_rationality_is_exact_input_only():
     report = so3_lattice(lambda r: 2.0 * r + 1.0, radii=(0.5, 1.0),
                          grid=(32, 32))

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from fiberdirac import dual as dm
-from fiberdirac._numerics import (DEFAULT_RK4_STEP, det,
-                                  intersection_dimension, lstsq_residual,
+from fiberdirac._numerics import (det, intersection_dimension, lstsq_residual,
                                   nullspace, orthonormal_basis, parallel_map,
                                   principal_angles, rk4_integrate,
                                   sample_unit_cube, simpson_integrate,

@@ -2,8 +2,6 @@
 differential identity, hamiltonian fiber models, the assembled coupling
 data, and the two-chart compatibility of the monopole potential."""
 
-import math
-
 import pytest
 
 from fiberdirac import dual as dm
