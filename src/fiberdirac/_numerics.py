@@ -1,7 +1,10 @@
 """Shared numerical kernels: fixed-step RK4, composite Simpson, Halton
-sampling with seeded jitter, small dense linear algebra (dot products,
-determinants, antisymmetric matrices, subspace angles), and the
-NaN-propagating residual reduction every check uses.
+sampling with seeded jitter, index tuples and the coboundary sum over
+them, small dense linear algebra (dot products, bilinear values,
+determinants, adjugate inverses, antisymmetric matrices, subspace
+angles), and the NaN-propagating residual reduction every check uses.
+Each of these rules is written here once.  The one unit-vector builder,
+`dual.unit`, lives in the module this one sits on.
 
 The RK4 and Simpson routines operate on plain Python lists so that
 dual-number states flow through unchanged (differentials of flows are
@@ -110,11 +113,11 @@ def simpson_weights(n_nodes):
 
 
 def simpson_integrate(samples):
-    """Integrate uniformly spaced samples over [0,1] by composite Simpson."""
-    w = simpson_weights(len(samples))
-    acc = samples[0] * w[0]
-    for k in range(1, len(samples)):
-        acc = acc + samples[k] * w[k]
+    """Integrate uniformly spaced samples over [0,1] by composite Simpson:
+    Σ_k samples_k·w_k, summed left to right from 0.0."""
+    acc = 0.0
+    for s, w in zip(samples, simpson_weights(len(samples))):
+        acc = acc + s * w
     return acc
 
 
@@ -153,6 +156,28 @@ def sample_unit_cube(count, dim, seed=0):
     return pts
 
 
+# -- index tuples and the coboundary sum ---------------------------------------
+
+def combos(n, k):
+    """The sorted k-tuples of indices below n, in lexicographic order: the
+    component order of k-forms and k-vectors."""
+    return list(itertools.combinations(range(n), k))
+
+
+def coboundary(tuples, face):
+    """Σ_pos (−1)^pos face(J[pos], J∖J[pos]) for each index tuple J, summed
+    in the order of J from 0.0: d of a form from its derivatives, d_Γ ω_H,
+    and the Bianchi sum.  A face value is a float, a Dual or an array."""
+    out = []
+    for J in tuples:
+        acc = 0.0
+        for pos, a in enumerate(J):
+            term = face(a, J[:pos] + J[pos + 1:])
+            acc = acc + (term if pos % 2 == 0 else -term)
+        out.append(acc)
+    return out
+
+
 # -- small dense linear algebra (generic over float / Dual) --------------------
 
 def dot(a, b):
@@ -164,6 +189,11 @@ def dot(a, b):
 
 def matvec(m, v):
     return [dot(row, v) for row in m]
+
+
+def bilinear(m, u, v):
+    """uᵀ M v."""
+    return dot(u, matvec(m, v))
 
 
 def det(rows):
@@ -184,11 +214,25 @@ def det(rows):
     return acc
 
 
+def adjugate_inverse(mat):
+    """Inverse by the adjugate, inv[i][j] = (−1)^(i+j)·det(minor(j, i)) /
+    det(mat); the entries stay dual-compatible, which lets exterior
+    derivatives pass through."""
+    n = len(mat)
+    d = det(mat)
+
+    def cofactor(r, c):
+        m = det([row[:c] + row[c + 1:] for k, row in enumerate(mat) if k != r])
+        return m if (r + c) % 2 == 0 else -m
+
+    return [[cofactor(j, i) / d for j in range(n)] for i in range(n)]
+
+
 def skew_matrix(n, vals):
     """Full n×n antisymmetric matrix from its independent entries, listed
     over the sorted index pairs i < j in lexicographic order."""
     mat = [[0.0] * n for _ in range(n)]
-    for idx, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+    for idx, (i, j) in enumerate(combos(n, 2)):
         mat[i][j] = vals[idx]
         mat[j][i] = -vals[idx]
     return mat

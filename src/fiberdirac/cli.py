@@ -179,11 +179,8 @@ def _tol(scenario, name, default):
     if not isinstance(tols, dict):
         raise ScenarioError("tolerances", "must be an object of "
                                           "check-name → tolerance")
-    val = tols.get(name, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ScenarioError(f"tolerances.{name}",
-                            f"expected a number, got {val!r}")
-    return float(val)
+    return _real(tols.get(name, default), f"tolerances.{name}",
+                 positive=True)
 
 
 def _count(value, field, minimum):

@@ -33,11 +33,9 @@ pair of rows.  The two routes must agree on every verdict.
 
 from __future__ import annotations
 
-import itertools
-
 from . import dual as dm
-from ._numerics import (dot, lstsq_residual, matvec, parallel_map, skew_matrix,
-                        worst)
+from ._numerics import (bilinear, coboundary, combos, dot, lstsq_residual,
+                        matvec, parallel_map, skew_matrix, worst)
 from . import fields
 from .fibration import HorizontalForm, VerticalBivector
 
@@ -95,16 +93,16 @@ def frame_rows(geom):
     """The frame as one function: pt ↦ its n rows X ‖ ξ (base rows, then
     fiber rows), all built from one evaluation of A, W and P."""
     nb, nf = geom.space.n_base, geom.space.n_fiber
+    e_base = [dm.unit(nb, i) for i in range(nb)]
+    e_fiber = [dm.unit(nf, k) for k in range(nf)]
 
     def rows(pt):
         a, w = geom.conn_matrix(pt), geom.omega_matrix(pt)
         p = geom.pi_matrix(pt)
-        base = [[1.0 if j == i else 0.0 for j in range(nb)]
-                + [a[k][i] for k in range(nf)] + list(w[i]) + [0.0] * nf
-                for i in range(nb)]
+        base = [e_base[i] + [a[k][i] for k in range(nf)] + list(w[i])
+                + [0.0] * nf for i in range(nb)]
         fiber = [[0.0] * nb + [p[m][k] for m in range(nf)]
-                 + [-c for c in a[k]]
-                 + [1.0 if m == k else 0.0 for m in range(nf)]
+                 + [-c for c in a[k]] + e_fiber[k]
                  for k in range(nf)]
         return base + fiber
 
@@ -123,10 +121,11 @@ CONDITION_NAMES = ("vertical_poisson", "transport_invariance",
                    "covariant_closure", "curvature_match")
 
 
-def _condition_residuals(geom, pt):
+def _condition_residuals(geom, basis, pt):
     """The four residuals at one point, in `CONDITION_NAMES` order: algebra
     on one seeded pass per field and direction that a condition reads.
-    With P = π_V, h_a = h(e_a) and fiber indices i, j, k, l:
+    `basis` holds the base unit vectors e_a.  With P = π_V, h_a = h(e_a)
+    and fiber indices i, j, k, l:
 
         vertical_poisson      Σ_cyc(ijk) P^{il} ∂_l P^{jk}
         transport_invariance  h_a(P^{ij}) − P^{kj} ∂_k A_ia − P^{ik} ∂_k A_ja
@@ -138,9 +137,7 @@ def _condition_residuals(geom, pt):
     space = geom.space
     nb, nf = space.n_base, space.n_fiber
     p = geom.pi_matrix(pt)
-    lifts = [geom.connection.lift([1.0 if i == a else 0.0
-                                   for i in range(nb)], pt)
-             for a in range(nb)]
+    lifts = [geom.connection.lift(e, pt) for e in basis]
 
     def flat_a(q):
         # A_ia sits at i * nb + a
@@ -171,23 +168,15 @@ def _condition_residuals(geom, pt):
             return dot([d[idx] for d in d_pi], lifts[a]) - corr
 
         poisson = worst(abs(dm.value_of(jacobiator(*tri)))
-                        for tri in itertools.combinations(range(nf), 3))
+                        for tri in combos(nf, 3))
         transport = worst(abs(dm.value_of(lie(a, idx, i, j)))
                           for a in range(nb)
                           for idx, (i, j) in enumerate(geom.pi_v.pairs))
     if nb >= 3:
         d_w_h = along_lifts(geom.omega_h.comps)
         src = {c: idx for idx, c in enumerate(geom.omega_h.combos)}
-
-        def d_gamma(J):
-            acc = 0.0
-            for pos, a in enumerate(J):
-                term = d_w_h[a][src[J[:pos] + J[pos + 1:]]]
-                acc = acc + (term if pos % 2 == 0 else -term)
-            return acc
-
-        closure = worst(abs(dm.value_of(d_gamma(J)))
-                        for J in itertools.combinations(range(nb), 3))
+        closure = worst(abs(dm.value_of(c)) for c in coboundary(
+            combos(nb, 3), lambda a, face: d_w_h[a][src[face]]))
     if nf and nb >= 2:
         d_w = along_fiber(geom.omega_h.comps)
         d_a_h = along_lifts(flat_a)
@@ -212,7 +201,9 @@ def check_coupling_conditions(geom, points=None, count=256, seed=0):
     """
     if points is None:
         points = geom.sample_points(count=count, seed=seed)
-    rows = parallel_map(lambda pt: _condition_residuals(geom, pt), points)
+    basis = [dm.unit(geom.space.n_base, a) for a in range(geom.space.n_base)]
+    rows = parallel_map(lambda pt: _condition_residuals(geom, basis, pt),
+                        points)
     out = {name: worst(r[i] for r in rows)
            for i, name in enumerate(CONDITION_NAMES)}
     out["max"] = worst(out[name] for name in CONDITION_NAMES)
@@ -230,7 +221,7 @@ def dirac_closure_residual(geom, points=None, count=24, seed=0):
         points = geom.sample_points(count=count, seed=seed)
     frame = frame_rows(geom)
     n = geom.space.dim
-    pairs = list(itertools.combinations(range(n), 2))
+    pairs = combos(n, 2)
 
     def flat(pt):
         return [c for row in frame(pt) for c in row]
@@ -324,9 +315,8 @@ def vertical_covector_bracket(geom, alpha_fn, beta_fn):
 
         def pairing_scalar(q):
             # π(α, β) = β(♯α), the slot order compatible with ♯α = P α
-            pm = geom.pi_matrix(q)
-            av, bv = alpha_fn(q), beta_fn(q)
-            return dot(bv, matvec(pm, av))
+            pm, av, bv = geom.pi_matrix(q), alpha_fn(q), beta_fn(q)
+            return bilinear(pm, bv, av)
 
         d_a, d_b = fiber_partials(alpha_fn), fiber_partials(beta_fn)
         d_sha = fiber_partials(sharp(alpha_fn))
@@ -402,8 +392,7 @@ def splitting_bracket_residual(geom, count=12, seed=0, alpha_fn=None,
 
     def hh_formula(pt):
         def scalar(q):
-            wm = geom.omega_matrix(q)
-            return dot(v, matvec(wm, w))
+            return bilinear(geom.omega_matrix(q), v, w)
         return [dm.partial(scalar, pt, nb + k) for k in range(nf)]
 
     lhs_vv = fields.courant_bracket(sec_a, sec_b)

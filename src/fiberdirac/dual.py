@@ -218,13 +218,14 @@ def _seeded_pass(f, point, direction):
     return tangent(f([Dual(p, d) for p, d in zip(point, direction)]))
 
 
-def _unit(n, i):
+def unit(n, i):
+    """The i-th coordinate unit vector of length n, as floats."""
     return [1.0 if k == i else 0.0 for k in range(n)]
 
 
 def partial(f, point, i):
     """∂f/∂x_i at ``point`` (f scalar- or list-valued, point a sequence)."""
-    return _seeded_pass(f, point, _unit(len(point), i))
+    return _seeded_pass(f, point, unit(len(point), i))
 
 
 def gradient(f, point):
@@ -235,7 +236,7 @@ def gradient(f, point):
 def jacobian(f, point):
     """Jacobian rows of a vector function: J[a][i] = ∂f_a/∂x_i."""
     n = len(point)
-    cols = [_seeded_pass(f, point, _unit(n, i)) for i in range(n)]
+    cols = [_seeded_pass(f, point, unit(n, i)) for i in range(n)]
     return [[col[a] for col in cols] for a in range(len(cols[0]))]
 
 
@@ -246,9 +247,7 @@ def directional(f, point, direction):
 
 def second_partial(f, point, i, j):
     """∂²f/∂x_i∂x_j via one level of dual-number nesting."""
-    seeded = []
-    for k, p in enumerate(point):
-        inner = Dual(p, 1.0 if k == j else 0.0)
-        outer_eps = Dual(1.0 if k == i else 0.0, 0.0)
-        seeded.append(Dual(inner, outer_eps))
+    n = len(point)
+    seeded = [Dual(Dual(p, dj), Dual(di, 0.0))
+              for p, di, dj in zip(point, unit(n, i), unit(n, j))]
     return value_of(tangent(tangent(f(seeded))))

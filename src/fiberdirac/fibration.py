@@ -20,16 +20,15 @@ transport and transport differential along that path from it.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, det, last_time_memo, matvec,
-                        rk4_integrate, rk4_step, sample_unit_cube,
-                        skew_matrix)
+from ._numerics import (DEFAULT_RK4_STEP, coboundary, combos, det,
+                        last_time_memo, matvec, rk4_integrate, rk4_step,
+                        sample_unit_cube, skew_matrix)
 
 
 class IncompleteTransportError(RuntimeError):
@@ -58,9 +57,6 @@ class FiberedSpace:
 
     def join(self, b, x):
         return list(b) + list(x)
-
-    def base_pairs(self):
-        return list(itertools.combinations(range(self.n_base), 2))
 
     def sample(self, count=256, seed=0):
         """Joint low-discrepancy samples of the total space (b, x)."""
@@ -326,7 +322,7 @@ def curvature(connection, point, u=None, v=None):
     the value is vertical by construction and returned as fiber components.
     """
     space = connection.space
-    nb, nf = space.n_base, space.n_fiber
+    nb = space.n_base
 
     def col(pt, w):
         b, x = space.split(pt)
@@ -342,8 +338,8 @@ def curvature(connection, point, u=None, v=None):
             raise ValueError("supply both u and v or neither")
         return curv_pair(u, v)
 
-    basis = [[1.0 if i == a else 0.0 for i in range(nb)] for a in range(nb)]
-    return [curv_pair(basis[a], basis[b]) for a, b in space.base_pairs()]
+    basis = [dm.unit(nb, a) for a in range(nb)]
+    return [curv_pair(basis[a], basis[b]) for a, b in combos(nb, 2)]
 
 
 # -- horizontal forms and the covariant differential ----------------------------
@@ -357,7 +353,7 @@ class HorizontalForm:
         self.degree = degree
         self.comps = comps
         self.name = name or f"hform{degree}"
-        self.combos = list(itertools.combinations(range(space.n_base), degree))
+        self.combos = combos(space.n_base, degree)
 
     def __call__(self, point):
         return self.comps(point)
@@ -381,7 +377,7 @@ class VerticalBivector:
         self.space = space
         self.comps = comps
         self.name = name or "pi_V"
-        self.pairs = list(itertools.combinations(range(space.n_fiber), 2))
+        self.pairs = combos(space.n_fiber, 2)
 
     def __call__(self, point):
         return self.comps(point)
@@ -403,37 +399,26 @@ def covariant_differential(connection, form):
     """
     space = connection.space
     nb = space.n_base
+    basis = [dm.unit(nb, a) for a in range(nb)]
 
     if callable(form) and not isinstance(form, HorizontalForm):
         # scalar function on E → horizontal 1-form
         def comps1(pt):
-            out = []
-            for a in range(nb):
-                e = [1.0 if i == a else 0.0 for i in range(nb)]
-                out.append(directional_on_total(connection, e, form, pt))
-            return out
+            return [directional_on_total(connection, e, form, pt)
+                    for e in basis]
         return HorizontalForm(space, 1, comps1, name="dGamma(f)")
 
     k = form.degree
     if k not in (1, 2):
         raise ValueError("covariant differential implemented for k in {0,1,2}")
     src_index = {c: i for i, c in enumerate(form.combos)}
-    dst = list(itertools.combinations(range(nb), k + 1))
+    dst = combos(nb, k + 1)
 
     def comps(pt):
         # along[a][idx] = L_{h(e_a)} ω_idx, one pass per base direction
-        along = [directional_on_total(
-                     connection, [1.0 if i == a else 0.0 for i in range(nb)],
-                     form.comps, pt)
-                 for a in range(nb)]
-        out = []
-        for J in dst:
-            acc = 0.0
-            for pos, a in enumerate(J):
-                term = along[a][src_index[J[:pos] + J[pos + 1:]]]
-                acc = acc + (term if pos % 2 == 0 else -term)
-            out.append(acc)
-        return out
+        along = [directional_on_total(connection, e, form.comps, pt)
+                 for e in basis]
+        return coboundary(dst, lambda a, face: along[a][src_index[face]])
 
     return HorizontalForm(space, k + 1, comps, name=f"dGamma({form.name})")
 

@@ -27,20 +27,14 @@ differences appear only in the test-suite as an independent cross-check.
 
 from __future__ import annotations
 
-import itertools
-
 from . import dual as dm
-from ._numerics import dot, skew_matrix
+from ._numerics import coboundary, combos, dot, skew_matrix
 
 SCALAR = "scalar"
 VECTOR = "vector"
 COVECTOR = "covector"
 FORM = "form"
 MULTIVECTOR = "multivector"
-
-
-def combos(n, k):
-    return list(itertools.combinations(range(n), k))
 
 
 class SmoothField:
@@ -126,21 +120,12 @@ def exterior_derivative(omega):
     if omega.valence not in (COVECTOR, FORM):
         raise ValueError("exterior derivative applies to forms")
     k = omega.degree
-    src = combos(n, k)
-    src_index = {c: i for i, c in enumerate(src)}
+    src_index = {c: i for i, c in enumerate(combos(n, k))}
     dst = combos(n, k + 1)
 
     def comps(pt):
         grads = dm.jacobian(omega.comps, pt)   # grads[i][j] = ∂_j ω_i
-        out = []
-        for J in dst:
-            acc = 0.0
-            for a, j in enumerate(J):
-                sub = J[:a] + J[a + 1:]
-                term = grads[src_index[sub]][j]
-                acc = acc + (term if a % 2 == 0 else -term)
-            out.append(acc)
-        return out
+        return coboundary(dst, lambda j, face: grads[src_index[face]][j])
 
     return SmoothField(n, FORM, comps, degree=k + 1, name=f"d{omega.name}")
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from . import dual as dm
 from . import fields
-from ._numerics import (det, dot, intersection_dimension, matvec, nullspace,
+from ._numerics import (adjugate_inverse, bilinear, combos, det, dot,
+                        intersection_dimension, matvec, nullspace,
                         sample_unit_cube, worst)
 
 CLOSED_TOL = 1e-10
@@ -28,22 +29,11 @@ IDENTITY_TOL = 1e-8
 SAMPLE_BOX = 1.5   # the checks sample the coordinate box [−1.5, 1.5]^d
 
 
-def _form_value(mat, u, v):
-    return dot(u, matvec(mat, v))
-
-
-def _inv_small(mat):
-    """Inverse by the adjugate, inv[i][j] = (−1)^(i+j)·det(minor(j, i)) /
-    det(mat); the entries stay dual-compatible, which lets exterior
-    derivatives pass through."""
-    n = len(mat)
-    d = det(mat)
-
-    def cofactor(r, c):
-        m = det([row[:c] + row[c + 1:] for k, row in enumerate(mat) if k != r])
-        return m if (r + c) % 2 == 0 else -m
-
-    return [[cofactor(j, i) / d for j in range(n)] for i in range(n)]
+def _box_points(count, dim, seed=0):
+    """`count` low-discrepancy points of the sampled box
+    [−SAMPLE_BOX, SAMPLE_BOX]^dim."""
+    return [[SAMPLE_BOX * (2.0 * c - 1.0) for c in row]
+            for row in sample_unit_cube(count, dim, seed=seed)]
 
 
 # -- the pair groupoid ----------------------------------------------------------------
@@ -81,8 +71,7 @@ class PairGroupoid:
     def axioms_residual(self, count=8, seed=0):
         """Max defect of the groupoid axioms over sampled triples — the
         structure maps are coordinate projections, so this is exactly 0."""
-        pts = [[SAMPLE_BOX * (2.0 * c - 1.0) for c in row]
-               for row in sample_unit_cube(4 * count, self.dim, seed=seed)]
+        pts = _box_points(4 * count, self.dim, seed=seed)
 
         def identities(w, z, y, x):
             g, h, f = z + y, y + x, w + z
@@ -128,8 +117,7 @@ class PairForm:
         d = self.dim
         my = self.base_matrix(arrow[:d])
         mx = self.base_matrix(arrow[d:])
-        return (_form_value(my, u[:d], v[:d])
-                - _form_value(mx, u[d:], v[d:]))
+        return bilinear(my, u[:d], v[:d]) - bilinear(mx, u[d:], v[d:])
 
 
 def pair_form(omega):
@@ -138,10 +126,8 @@ def pair_form(omega):
     if omega.degree != 2:
         raise ValueError("pair_form needs a degree-2 form")
     d_omega = fields.exterior_derivative(omega)
-    defect = worst(abs(dm.value_of(v))
-                   for row in sample_unit_cube(6, omega.dim)
-                   for v in d_omega([SAMPLE_BOX * (2.0 * c - 1.0)
-                                     for c in row]))
+    defect = worst(abs(dm.value_of(v)) for x in _box_points(6, omega.dim)
+                   for v in d_omega(x))
     if not defect < CLOSED_TOL:
         raise ValueError(f"the base form is not closed (|dω| = {defect:.3e} "
                          f"on samples, tolerance {CLOSED_TOL:.0e})")
@@ -156,8 +142,7 @@ def multiplicativity_residual(arrow_form, dim, seed=0):
     tangent pair at ((z,y),(y,x)) shares its middle block, and dm maps it
     to the outer blocks.
     """
-    rows = sample_unit_cube(7 * 12, dim, seed=seed)
-    pts = [[SAMPLE_BOX * (2.0 * c - 1.0) for c in row] for row in rows]
+    pts = _box_points(7 * 12, dim, seed=seed)
 
     def defect(z, y, x, dz, dy, dx, extra):
         second, first, composed = z + y, y + x, z + x
@@ -185,16 +170,10 @@ def presymplectic_nondegeneracy(omega):
     form = PairForm(omega)
     triple_dim = 0
     base_dim = 0
-    for row in sample_unit_cube(8, d):
-        x = [SAMPLE_BOX * (2.0 * c - 1.0) for c in row]
-        unit = x + x
-        stacked = [list(r) for r in form.matrix(unit)]
-        for i in range(d):         # rows of ds: kill the x-block
-            stacked.append([0.0] * d + [1.0 if j == i else 0.0
-                                        for j in range(d)])
-        for i in range(d):         # rows of dt: kill the y-block
-            stacked.append([1.0 if j == i else 0.0
-                            for j in range(d)] + [0.0] * d)
+    ds_dt = ([[0.0] * d + dm.unit(d, i) for i in range(d)]     # ds: x-block
+             + [dm.unit(d, i) + [0.0] * d for i in range(d)])   # dt: y-block
+    for x in _box_points(8, d):
+        stacked = [list(r) for r in form.matrix(x + x)] + ds_dt
         triple_dim = max(triple_dim, len(nullspace(stacked)))
         base_dim = max(base_dim, len(nullspace(form.base_matrix(x))))
     return {
@@ -217,7 +196,7 @@ def coupling_form(geom):
     def matrix(pt):
         w = geom.omega_matrix(pt)
         a = geom.conn_matrix(pt)
-        q = _inv_small(geom.pi_matrix(pt))
+        q = adjugate_inverse(geom.pi_matrix(pt))
         qa = [[dot(qr, [a[i][b] for i in range(nf)]) for b in range(nb)]
               for qr in q]
         atqa = [[dot([a[i][r] for i in range(nf)],
@@ -240,7 +219,7 @@ def coupling_form(geom):
 
     def comps(pt):
         m = matrix(pt)
-        return [m[i][j] for i, j in fields.combos(dim, 2)]
+        return [m[i][j] for i, j in combos(dim, 2)]
 
     return fields.two_form(dim, comps, name=f"coupling({geom.name})")
 
@@ -315,28 +294,24 @@ def integrated_data_check(geom, count=6, seed=0):
     identity_defects, proj_defects, orth_defects = [], [], []
     max_intersection = 0
 
+    # Ver_G ⊕ Ver_G⁰ inside T ⊕ T*: per block, the fiber vectors, then
+    # the base covectors
+    two_d = 2 * dim
+    zero = [0.0] * two_d
+    ver = [[dm.unit(two_d, blk * dim + nb + i) for i in range(nf)]
+           for blk in (0, 1)]
+    w_rows = []
+    for blk in (0, 1):
+        w_rows += [v + zero for v in ver[blk]]
+        w_rows += [zero + dm.unit(two_d, blk * dim + i) for i in range(nb)]
+
     for k in range(count):
         y, x = list(pts[2 * k]), list(pts[2 * k + 1])
         arrow = y + x
         mat = form.matrix(arrow)
 
-        # (a) graph(Ω) against Ver_G ⊕ Ver_G⁰ inside T ⊕ T*
-        two_d = 2 * dim
-        graph_rows = []
-        for i in range(two_d):
-            flat = list(mat[i])
-            vec = [1.0 if j == i else 0.0 for j in range(two_d)]
-            graph_rows.append(vec + flat)
-        w_rows = []
-        for blk in (0, 1):
-            for i in range(nf):
-                v = [0.0] * two_d
-                v[blk * dim + nb + i] = 1.0
-                w_rows.append(v + [0.0] * two_d)
-            for i in range(nb):
-                a = [0.0] * two_d
-                a[blk * dim + i] = 1.0
-                w_rows.append([0.0] * two_d + a)
+        # (a) graph(Ω) against Ver_G ⊕ Ver_G⁰
+        graph_rows = [dm.unit(two_d, i) + list(mat[i]) for i in range(two_d)]
         max_intersection = max(
             max_intersection, intersection_dimension(graph_rows, w_rows))
 
@@ -352,7 +327,7 @@ def integrated_data_check(geom, count=6, seed=0):
 
         h1 = hor(v1, w1)
         h2 = hor(v2, w2)
-        lhs = _form_value(mat, h1, h2)
+        lhs = bilinear(mat, h1, h2)
         rhs = (geom.omega_h.value(y, [v1, v2])
                - geom.omega_h.value(x, [w1, w2]))
         identity_defects.append(abs(dm.value_of(lhs) - dm.value_of(rhs)))
@@ -360,12 +335,8 @@ def integrated_data_check(geom, count=6, seed=0):
         proj = h1[:nb] + h1[dim:dim + nb]
         wanted = list(v1) + list(w1)
         proj_defects += [abs(a - b) for a, b in zip(proj, wanted)]
-        for blk in (0, 1):
-            for i in range(nf):
-                ver = [0.0] * two_d
-                ver[blk * dim + nb + i] = 1.0
-                orth_defects.append(
-                    abs(dm.value_of(_form_value(mat, h1, ver))))
+        orth_defects += [abs(dm.value_of(bilinear(mat, h1, v)))
+                         for block in ver for v in block]
 
     worst_b = worst(identity_defects)
     worst_proj = worst(proj_defects)

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, dot, simpson_weights, smoothstep,
-                        worst)
+from ._numerics import (DEFAULT_RK4_STEP, dot, simpson_integrate,
+                        simpson_weights, smoothstep, worst)
 from .charts import CoordinateDomain
 from .coupling import GeometricData
 from .fibration import (BasePath, FiberedSpace, FlatConnection,
@@ -99,20 +99,15 @@ class SphereFamily:
         """∫∫ γ*(two_form) over I² by double Simpson on the family grid
         (two_form: point → antisymmetric coefficient list over base pairs,
         evaluated through a degree-2 HorizontalForm-style minor sum)."""
-        wt = simpson_weights(self.n_t)
-        we = simpson_weights(self.n_eps)
-        acc = 0.0
-        for j in range(self.n_eps):
-            eps = j / (self.n_eps - 1)
-            row = 0.0
-            for k in range(self.n_t):
-                t = k / (self.n_t - 1)
-                p = self.point(t, eps)
-                vt = self.d_t(t, eps)
-                ve = self.d_eps(t, eps)
-                row = row + wt[k] * two_form(p, vt, ve)
-            acc = acc + we[j] * row
-        return acc
+        ts = [k / (self.n_t - 1) for k in range(self.n_t)]
+
+        def row(eps):
+            return simpson_integrate([
+                two_form(self.point(t, eps), self.d_t(t, eps),
+                         self.d_eps(t, eps)) for t in ts])
+
+        return simpson_integrate([row(j / (self.n_eps - 1))
+                                  for j in range(self.n_eps)])
 
 
 def _collapse_or_raise(family):
@@ -221,10 +216,7 @@ class VerStarPath:
     def endpoint(self):
         """Accumulated monodromy covector: the Simpson ε-integral of the
         path (abelian accumulation of the group path's derivative)."""
-        w = simpson_weights(len(self.eps_grid))
-        nf = len(self.covectors[0])
-        return [sum(wj * c[i] for wj, c in zip(w, self.covectors))
-                for i in range(nf)]
+        return [simpson_integrate(col) for col in zip(*self.covectors)]
 
     def transport_consistency(self, step=DEFAULT_RK4_STEP):
         """Recompute the base-point trajectory by holonomy transports at
@@ -409,7 +401,8 @@ class LatticeReport:
     """Radial components of the monodromy generators sampled along the
     radial ray, with their constancy assessment: `relative_deviation` is
     max |c − mean| / max(1, |mean|) over the components c, and the
-    generators are constant when it is at most the tolerance."""
+    generators are constant when it is below the tolerance, the rule the
+    CLI's `generator_constancy` check scores."""
 
     def __init__(self, radii, radial_components, relative_deviation,
                  is_constant, has_degenerate_origin, origin_pi):
@@ -462,7 +455,7 @@ def so3_lattice(f, radii=(0.5, 1.0, 1.5), grid=(64, 64),
         radii=positive,
         radial_components=radial,
         relative_deviation=deviation,
-        is_constant=deviation <= constancy_tol,
+        is_constant=deviation < constancy_tol,
         has_degenerate_origin=has_origin,
         origin_pi=origin_pi)
 

@@ -30,17 +30,16 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from . import dual as dm
-from ._numerics import dot, matvec, simpson_integrate, skew_matrix, worst
+from ._numerics import (coboundary, combos, dot, matvec, simpson_integrate,
+                        skew_matrix, worst)
 from .charts import CoordinateDomain
 from . import fields
 from .fibration import Connection, FiberedSpace, FlatConnection, HorizontalForm, \
     VerticalBivector
 from .coupling import GeometricData
-
-
-def _unit_vectors(n):
-    return [[1.0 if m == i else 0.0 for m in range(n)] for i in range(n)]
 
 
 # -- structure groups --------------------------------------------------------------
@@ -66,7 +65,7 @@ class StructureGroupModel:
 
     def jacobi_residual(self):
         """max |[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]|."""
-        basis = _unit_vectors(self.dim)
+        basis = [dm.unit(self.dim, i) for i in range(self.dim)]
 
         def jacobiator(i, j, k):
             acc = [0.0] * self.dim
@@ -116,7 +115,7 @@ class PrincipalData:
     def curvature(self, b):
         """ω_θ(e_a, e_b) = ∂_a A_b − ∂_b A_a + [A_a, A_b] over base pairs."""
         return [self._curv_pair(b, a, c)
-                for a, c in itertools.combinations(range(self.base.dim), 2)]
+                for a, c in combos(self.base.dim, 2)]
 
     def bianchi_residual(self, b):
         """max |d ω_θ + [A, ω_θ]|_{abc} (empty, hence zero, for dim B < 3)."""
@@ -125,20 +124,15 @@ class PrincipalData:
             return 0.0
         pot = self.potential(b)
 
-        def defect(tri):
-            acc = [0.0] * self.group.dim
-            for pos, a in enumerate(tri):
-                rest = tri[:pos] + tri[pos + 1:]
-                dterm = dm.partial(lambda q: self._curv_pair(q, *rest), b, a)
-                bterm = self.group.bracket(pot[a], self._curv_pair(b, *rest))
-                sgn = 1.0 if pos % 2 == 0 else -1.0
-                acc = [x + sgn * (dm.value_of(d) + bt)
-                       for x, d, bt in zip(acc, dterm, bterm)]
-            return acc
+        def face(a, rest):
+            # ∂_a ω_θ(rest) + [A_a, ω_θ(rest)], the face opposite a
+            d = dm.partial(lambda q: self._curv_pair(q, *rest), b, a)
+            br = self.group.bracket(pot[a], self._curv_pair(b, *rest))
+            return np.array([dm.value_of(x) + y for x, y in zip(d, br)])
 
         return worst(abs(dm.value_of(x))
-                     for tri in itertools.combinations(range(nb), 3)
-                     for x in defect(tri))
+                     for defect in coboundary(combos(nb, 3), face)
+                     for x in defect)
 
 
 # -- hamiltonian fiber models ----------------------------------------------------------
@@ -165,10 +159,11 @@ class HamiltonianFiber:
         self.hamiltonian = hamiltonian    # (xi, x) ↦ scalar
         self.action = action              # (xi, x) ↦ fiber vector
         self.name = name or "fiber-model"
+        e_fiber = [dm.unit(domain.dim, k) for k in range(domain.dim)]
         self.generators = [
-            [list(row) for row in zip(*(action(xi, e) for e in
-                                        _unit_vectors(domain.dim)))]
-            for xi in _unit_vectors(group.dim)]
+            [list(row) for row in zip(*(action(dm.unit(group.dim, i), e)
+                                        for e in e_fiber))]
+            for i in range(group.dim)]
 
     def pi_matrix(self, x):
         return skew_matrix(self.domain.dim, self.pi_comps(x))
@@ -192,7 +187,7 @@ class HamiltonianFiber:
         points = self.domain.sample(count=count, seed=seed)
         dim_g = self.group.dim
         nf = self.domain.dim
-        basis = _unit_vectors(dim_g)
+        basis = [dm.unit(dim_g, i) for i in range(dim_g)]
         flds = [fields.vector_field(nf, lambda x, xi=xi: self.action(xi, x))
                 for xi in basis]
 
@@ -254,7 +249,6 @@ def ymh_geometric_data(principal, fiber, base_form=None, name=""):
     """
     space = FiberedSpace(principal.base, fiber.domain)
     nb, nf = space.n_base, space.n_fiber
-    pair_list = list(itertools.combinations(range(nb), 2))
 
     def coeff(b, x):
         pot = principal.potential(b)
@@ -274,11 +268,7 @@ def ymh_geometric_data(principal, fiber, base_form=None, name=""):
 
     def om_comps(pt):
         b, x = pt[:nb], pt[nb:]
-        curv = principal.curvature(b)
-        out = []
-        for idx in range(len(pair_list)):
-            val = fiber.hamiltonian(curv[idx], x)
-            out.append(val)
+        out = [fiber.hamiltonian(c, x) for c in principal.curvature(b)]
         if base_form is not None:
             extra = base_form(b)
             out = [v + e for v, e in zip(out, extra)]

@@ -300,6 +300,18 @@ NAMED_INPUT_ERRORS = [
             omega=["1"] * 10), "fields"),
     # an exact slope is an integer or a readable 'p/q' string
     (dict(LATTICE, exact_slope="abc"), "exact_slope"),
+    # a tolerance is a finite positive number: JSON reads NaN and
+    # Infinity, and a report must not echo them back
+    (dict(PI_ONLY_COUPLING, tolerances={"curvature_match": math.inf}),
+     "tolerances.curvature_match"),
+    (dict(PI_ONLY_COUPLING, tolerances={"curvature_match": math.nan}),
+     "tolerances.curvature_match"),
+    (dict(PI_ONLY_COUPLING, tolerances={"curvature_match": 0}),
+     "tolerances.curvature_match"),
+    (dict(PI_ONLY_COUPLING, tolerances={"curvature_match": -1e-8}),
+     "tolerances.curvature_match"),
+    (dict(LATTICE, tolerances={"generator_constancy": 0}),
+     "tolerances.generator_constancy"),
     (dict(LATTICE, exact_slope="1/0"), "exact_slope"),
     (dict(LATTICE, exact_slope="1e400"), "exact_slope"),
     (dict(LATTICE, exact_slope=10 ** 400), "exact_slope"),

@@ -401,6 +401,18 @@ def test_a_generator_that_is_not_finite_is_inconclusive(radii):
     assert integrability_verdict(report, exact_slope=2) == "INCONCLUSIVE"
 
 
+@pytest.mark.parametrize("f", [lambda r: 2.0 * r + 1.0, lambda r: r * r],
+                         ids=["linear", "quadratic"])
+def test_a_deviation_equal_to_the_tolerance_is_not_constant(f):
+    # constancy is deviation < tolerance, the rule the CLI's
+    # generator_constancy check scores it by
+    report = so3_lattice(f, radii=(0.5, 1.5), grid=(16, 16))
+    again = so3_lattice(f, radii=(0.5, 1.5), grid=(16, 16),
+                        constancy_tol=report.relative_deviation)
+    assert again.relative_deviation == report.relative_deviation
+    assert not again.is_constant
+
+
 def test_rationality_is_exact_input_only():
     report = so3_lattice(lambda r: 2.0 * r + 1.0, radii=(0.5, 1.0),
                          grid=(32, 32))

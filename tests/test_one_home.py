@@ -1,0 +1,60 @@
+"""The small numerical rules have one home each.
+
+Index tuples come from `_numerics.combos` and unit vectors from
+`dual.unit`; no other package module calls `itertools.combinations` or
+builds a unit vector entry by `1.0 if … == … else 0.0`.  There is no
+linter in the toolchain, so this parses the package with `ast`, next to
+the import audit in `test_imports.py`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fiberdirac"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+#: rule → the one module allowed to spell it out
+HOMES = {"combinations": "_numerics", "unit vector": "dual"}
+
+
+def _is_number(node, value):
+    return (isinstance(node, ast.Constant) and type(node.value) is float
+            and node.value == value)
+
+
+def hand_rolled(source):
+    """The rules a module spells out itself, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools" \
+                and any(a.name == "combinations" for a in node.names):
+            found.append("combinations")
+        elif (isinstance(node, ast.Attribute) and node.attr == "combinations"
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "itertools"):
+            found.append("combinations")
+        elif (isinstance(node, ast.IfExp) and _is_number(node.body, 1.0)
+              and _is_number(node.orelse, 0.0)
+              and isinstance(node.test, ast.Compare)
+              and [type(op) for op in node.test.ops] == [ast.Eq]):
+            found.append("unit vector")
+    return found
+
+
+def test_the_scan_sees_a_planted_copy():
+    planted = ("import itertools\n"
+               "from itertools import combinations\n"
+               "pairs = list(itertools.combinations(range(3), 2))\n"
+               "e = [1.0 if k == i else 0.0 for k in range(3)]\n"
+               "sign = 1.0 if k % 2 == 0 else -1.0\n"
+               "v = [1.0 if k == 0 else 0.25 for k in range(3)]\n")
+    assert sorted(hand_rolled(planted)) == [
+        "combinations", "combinations", "unit vector"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_leaves_the_rules_to_their_home(path):
+    assert [rule for rule in hand_rolled(path.read_text(encoding="utf-8"))
+            if HOMES[rule] != path.stem] == []

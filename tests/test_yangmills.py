@@ -76,17 +76,34 @@ def test_so3_potential_curvature_hand_value():
     assert pd.curvature(b)[0] == pytest.approx(want, rel=1e-12)
 
 
+BASE_3D = CoordinateDomain.box([(-1.0, 1.0)] * 3, name="b3")
+POINTS_3D = ([0.2, -0.5, 0.8], [-0.7, 0.3, 0.1])
+
+
+def generic_potential(b):
+    return [[0.3 + b[1] * 0.5, -0.5, 0.7],
+            [-0.2, 0.9 * b[2], 0.4],
+            [b[0] * 0.6, 0.1, -0.3 * b[0]]]
+
+
 def test_bianchi_identity_on_a_three_dimensional_base():
-    base = CoordinateDomain.box([(-1.0, 1.0)] * 3, name="b3")
-
-    def potential(b):
-        return [[0.3 + b[1] * 0.5, -0.5, 0.7],
-                [-0.2, 0.9 * b[2], 0.4],
-                [b[0] * 0.6, 0.1, -0.3 * b[0]]]
-
-    pd = PrincipalData(StructureGroupModel.rotations(), base, potential)
-    for b in ([0.2, -0.5, 0.8], [-0.7, 0.3, 0.1]):
+    pd = PrincipalData(StructureGroupModel.rotations(), BASE_3D,
+                       generic_potential)
+    for b in POINTS_3D:
         assert pd.bianchi_residual(b) < 1e-10
+
+
+def test_bianchi_fails_for_a_bracket_that_breaks_jacobi():
+    # so(3) with [e₀,e₁] gaining 0.5·e₀: still antisymmetric, but the
+    # Jacobi identity fails, and with it d ω_θ + [A, ω_θ] = 0
+    consts = [[list(row) for row in plane]
+              for plane in StructureGroupModel.rotations().constants]
+    consts[0][1][0], consts[1][0][0] = 0.5, -0.5
+    broken = StructureGroupModel("broken-so3", 3, consts)
+    assert broken.jacobi_residual() > 0.1
+    pd = PrincipalData(broken, BASE_3D, generic_potential)
+    for b in POINTS_3D:
+        assert pd.bianchi_residual(b) > 1e-3
 
 
 def test_two_dimensional_bases_have_trivial_bianchi():
