@@ -2,8 +2,9 @@
 sampling with seeded jitter, index tuples and the coboundary sum over
 them, small dense linear algebra (dot products, bilinear values,
 determinants, adjugate inverses, antisymmetric matrices, subspace
-angles), and the NaN-propagating residual reduction every check uses.
-Each of these rules is written here once.  The one unit-vector builder,
+angles), the NaN-propagating residual reduction every check uses, and
+the complex step of the independent oracles.  Each rule is written here
+once.  The one unit-vector builder,
 `dual.unit`, lives in the module this one sits on.
 
 The RK4 and Simpson routines operate on plain Python lists so that
@@ -119,6 +120,28 @@ def simpson_integrate(samples):
     for s, w in zip(samples, simpson_weights(len(samples))):
         acc = acc + s * w
     return acc
+
+
+# -- the complex step ----------------------------------------------------------
+
+#: h of Im f(x + ih)/h, which takes no difference and so cancels nothing
+COMPLEX_STEP = 1e-30
+
+
+def complex_partials(f, point):
+    """f(point) and partials[i][a] = ∂f_a/∂x_i by the complex step (Squire
+    & Trefethen, SIAM Rev. 40, 1998): one pass of f per coordinate, no Dual.
+    f maps a list of float arrays to a list of values and must be
+    complex-analytic.  A partial is NaN wherever the real primal is not
+    finite: Im log(−0.3 + ih)/h is π/h, not a failure."""
+    primal = f(point)
+    partials = []
+    for i in range(len(point)):
+        shifted = f([x + 1j * COMPLEX_STEP if k == i else x
+                     for k, x in enumerate(point)])
+        partials.append([np.where(np.isfinite(p), np.imag(c) / COMPLEX_STEP,
+                                  math.nan) for p, c in zip(primal, shifted)])
+    return primal, partials
 
 
 # -- sampling ------------------------------------------------------------------

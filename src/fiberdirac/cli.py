@@ -50,6 +50,23 @@ KINDS = ("coupling-check", "ymh-build", "transgress", "so3-integrability",
 COUPLING_CHECKS = ("conditions", "closure", "oracle-agreement", "leaf-form",
                    "splitting")
 
+#: the tolerance keys each kind reads; a scenario that sets any other key
+#: is refused, since its tolerance would silently go unused
+TOLERANCES = {
+    "coupling-check": CONDITION_NAMES + ("dirac_closure", "oracle_agreement",
+                                         "leaf_form_match",
+                                         "splitting_brackets"),
+    "ymh-build": ("structure_jacobi", "bianchi", "prehamiltonian",
+                  "coupling_conditions", "gauge_closedness", "gauge_winding"),
+    "transgress": ("sphere_area", "oracle"),
+    "so3-integrability": ("generator_constancy", "origin_degenerate",
+                          "generator_value"),
+    "apath": ("flow_commutation", "halving_gain"),
+    "groupoid-check": ("axioms", "multiplicativity", "horizontal_identity",
+                       "hor_projection", "hor_vertical_orthogonality",
+                       "source_target_orthogonality"),
+}
+
 #: the smallest apath RK4 step: below it the fourth-order residual already
 #: sits under the roundoff floor of `halving_gain`, so a smaller step only
 #: costs time (1e-9 would run for hours)
@@ -175,12 +192,24 @@ def _failed(name, exc):
 
 
 def _tol(scenario, name, default):
+    """The scenario's tolerance for `name` (`_validate_tolerances` has
+    checked it), or `default` when it sets none."""
+    return float(scenario.get("tolerances", {}).get(name, default))
+
+
+def _validate_tolerances(scenario, kind):
+    """Refuse a scenario's tolerances before anything runs: each key must
+    name a tolerance its kind reads, and each value must be a finite
+    positive number, whether or not its check runs."""
     tols = scenario.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ScenarioError("tolerances", "must be an object of "
                                           "check-name → tolerance")
-    return _real(tols.get(name, default), f"tolerances.{name}",
-                 positive=True)
+    for key, value in tols.items():
+        if key not in TOLERANCES[kind]:
+            raise ScenarioError(f"tolerances.{key}", f"a {kind} scenario "
+                                f"reads only {list(TOLERANCES[kind])}")
+        _real(value, f"tolerances.{key}", positive=True)
 
 
 def _count(value, field, minimum):
@@ -669,6 +698,7 @@ def run_scenario(scenario):
     if kind not in KINDS:
         raise ScenarioError("kind", f"unknown scenario kind {kind!r}; one "
                                     f"of {list(KINDS)} expected")
+    _validate_tolerances(scenario, kind)
     seed = _count(scenario.get("seed", 0), "seed", 0)
     start = time.perf_counter()
     try:

@@ -15,7 +15,8 @@ abelian accumulation) is the monodromy element attached to the family.
 
 For a flat connection on a trivialized bundle the endpoint has a closed
 form — the vertical differential of the plain surface integral of ω_H —
-which `transgress_flat` evaluates as an independent oracle.
+which `transgress_flat` evaluates as an independent oracle: it
+differentiates by the complex step, `transgress` by Duals.
 
 `so3_lattice` runs the machinery on the model family S² × so(3)* with
 ω_H = f(|x|)·(round area form): the generator covector at radius r is
@@ -35,8 +36,8 @@ import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, dot, simpson_integrate,
-                        simpson_weights, smoothstep, worst)
+from ._numerics import (DEFAULT_RK4_STEP, complex_partials, dot,
+                        simpson_integrate, simpson_weights, smoothstep, worst)
 from .charts import CoordinateDomain
 from .coupling import GeometricData
 from .fibration import (BasePath, FiberedSpace, FlatConnection,
@@ -49,13 +50,13 @@ COLLAPSE_TOL = 1e-10
 class SphereFamily:
     """A two-parameter base-point family γ(t, ε) with collapsed boundary.
 
-    `fn(t, ε)` must be dual-compatible in both slots, and accept numpy
-    arrays in both that broadcast against each other (a column of t values
-    against a row of ε values); partial derivatives are exact
-    (dual-seeded).  `closed` families collapse the whole boundary ∂I² to
-    the base point; based families (closed=False) collapse only the three
-    edges t=0, t=1, ε=0, so they sweep from the constant loop to a final
-    loop at ε=1.
+    `fn(t, ε)` must accept numbers, Duals and real or complex numpy arrays
+    that broadcast (a column of t against a row of ε), and branch only on
+    the real part of an argument; `d_t`, `d_eps`, `signed_area` and
+    `transgress` seed Duals, the flat oracle takes the complex step.
+    `closed` families collapse the whole boundary ∂I² to the base point;
+    based families (closed=False) collapse only the three edges t=0, t=1,
+    ε=0, so they sweep from the constant loop to a final loop at ε=1.
     """
 
     def __init__(self, fn, n_t=65, n_eps=65, closed=True, name=""):
@@ -97,8 +98,9 @@ class SphereFamily:
 
     def signed_area(self, two_form):
         """∫∫ γ*(two_form) over I² by double Simpson on the family grid
-        (two_form: point → antisymmetric coefficient list over base pairs,
-        evaluated through a degree-2 HorizontalForm-style minor sum)."""
+        (two_form: point → antisymmetric coefficient list over base pairs),
+        one `point`, `d_t` and `d_eps` per node: the area checks exercise
+        the family's Dual partials, which the flat oracle does not use."""
         ts = [k / (self.n_t - 1) for k in range(self.n_t)]
 
         def row(eps):
@@ -172,10 +174,10 @@ def concat_families(first, second):
     def fn(t, eps):
         ev = dm.value_of(eps)
         if not isinstance(ev, np.ndarray):
-            if ev <= 0.5:
+            if np.real(ev) <= 0.5:
                 return first.fn(t, smoothstep(2.0 * eps))
             return second.fn(t, smoothstep(2.0 * eps - 1.0))
-        lower = ev <= 0.5
+        lower = np.real(ev) <= 0.5
         a = first.fn(t, smoothstep(2.0 * _where(lower, eps, 0.5)))
         b = second.fn(t, smoothstep(2.0 * _where(lower, 0.5, eps) - 1.0))
         return [_where(lower, p, q) for p, q in zip(a, b)]
@@ -356,17 +358,32 @@ def _transgress_block(geom, family, y0, eps, step):
 def transgress_flat(geom, family, x0):
     """Closed-form endpoint for flat data on a trivialized bundle: the
     vertical differential of the plain surface integral of ω_H, the
-    independent oracle for `transgress`."""
+    independent oracle for `transgress`: one complex-step pass of ω_H over
+    the grid per fiber direction, with ∂_t γ and ∂_ε γ held as floats."""
     if not getattr(geom.connection, "is_flat", False):
         raise ValueError("transgress_flat requires a flat connection")
     space = geom.space
     omega = geom.omega_h
+    b, (vt, ve) = _surface_nodes(family)
+    _, partials = complex_partials(
+        lambda x: [omega.value(space.join(b, x), [vt, ve])],
+        [np.full((family.n_t, family.n_eps), float(c)) for c in x0])
+    return [_surface_integral(family, d) for (d,) in partials]
 
-    def surface_integral(x):
-        return family.signed_area(
-            lambda p, vt, ve: omega.value(space.join(p, x), [vt, ve]))
 
-    return dm.gradient(surface_integral, list(x0))
+def _surface_nodes(family):
+    """(γ, (∂_t γ, ∂_ε γ)) over the (t, ε) grid as float arrays, t down the
+    column and ε along the row; the partials by the complex step."""
+    t = (np.arange(family.n_t) / (family.n_t - 1))[:, None]
+    eps = np.arange(family.n_eps) / (family.n_eps - 1)
+    return complex_partials(lambda p: family.fn(*p), [t, eps])
+
+
+def _surface_integral(family, values):
+    """Simpson over t (rows as arrays over ε), then over ε: the summation
+    order of a per-slice loop.  A number, row or column broadcasts."""
+    grid = np.broadcast_to(values, (family.n_t, family.n_eps))
+    return float(simpson_integrate(simpson_integrate(grid)))
 
 
 # -- the so(3)* model lattice --------------------------------------------------------

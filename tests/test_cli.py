@@ -1,5 +1,6 @@
 """Expression compiler, scenario runner, exit codes, and report shape."""
 
+import ast
 import json
 import math
 import warnings
@@ -232,6 +233,117 @@ def test_evaluator_errors_fail_without_traceback(capsys, tmp_path, fields,
     (check,) = report["checks"]
     assert check["name"] == "evaluation-error"
     assert check["verdict"] == "FAIL" and check["error"]
+
+
+def test_a_domain_error_in_the_flat_oracle_fails_without_traceback(
+        capsys, tmp_path):
+    # log of a negative fiber coordinate: NaN on both routes, not a
+    # finite complex-step value on the oracle's
+    scenario = {"name": "log-oracle", "kind": "transgress", "f": "log(x)",
+                "x0": [-0.3],
+                "families": [{"family": "round-sphere", "nodes": [17, 17]}]}
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps(scenario))
+    with np.errstate(invalid="ignore"):
+        code, out, _ = run_main(capsys, ["check", str(path)])
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "oracle_round-sphere"
+    assert check["verdict"] == "FAIL" and math.isnan(check["residual"])
+
+
+def test_a_tolerance_the_kind_never_reads_exits_two(capsys, tmp_path):
+    # a misspelled key would leave curvature_match at its default 1e-8,
+    # and a key of another kind would be read by nothing
+    for key in ("curvatur_match", "oracle"):
+        scenario = {"name": "h", "kind": "coupling-check", "example": "hopf",
+                    "tolerances": {key: 1e-30}}
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run_main(capsys, ["check", str(path)])
+        assert code == 2 and out == ""
+        assert f"field 'tolerances.{key}'" in err
+
+
+def test_a_bad_tolerance_exits_two_when_its_check_does_not_run(
+        monkeypatch, capsys, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a malformed scenario reached a check")
+
+    monkeypatch.setattr(cli, "check_coupling_conditions", refuse)
+    scenario = {"name": "h", "kind": "coupling-check", "example": "hopf",
+                "checks": ["conditions"], "tolerances": {"dirac_closure": -1}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_main(capsys, ["check", str(path)])
+    assert code == 2 and out == ""
+    assert "field 'tolerances.dirac_closure'" in err
+
+
+# the tolerance keys the bundled scenarios, these tests and the perfbench
+# workloads set
+KEYS_IN_USE = {
+    "coupling-check": ("vertical_poisson", "transport_invariance",
+                       "covariant_closure", "curvature_match",
+                       "leaf_form_match", "splitting_brackets"),
+    "ymh-build": ("structure_jacobi", "bianchi", "prehamiltonian",
+                  "coupling_conditions", "gauge_closedness", "gauge_winding"),
+    "transgress": ("oracle", "sphere_area"),
+    "so3-integrability": ("generator_constancy", "generator_value",
+                          "origin_degenerate"),
+    "apath": ("flow_commutation", "halving_gain"),
+    "groupoid-check": ("axioms", "multiplicativity", "horizontal_identity",
+                       "hor_projection", "hor_vertical_orthogonality",
+                       "source_target_orthogonality"),
+}
+
+
+def test_every_tolerance_key_in_use_is_accepted():
+    for p in SCENARIOS.glob("*.json"):
+        scenario = json.loads(p.read_text())
+        assert set(scenario.get("tolerances", {})) <= set(
+            KEYS_IN_USE[scenario["kind"]]), p.name
+    for kind, keys in KEYS_IN_USE.items():
+        cli._validate_tolerances(
+            {"tolerances": {key: 1e-6 for key in keys}}, kind)
+
+
+def _tolerances_read(runner):
+    """The tolerance names a runner passes to `_scored` or `_tol`: string
+    literals, and loop variables over a module constant or over a literal
+    tuple of names or of (name, …) pairs."""
+    loops = {}   # loop variable → the loop over it
+    for node in ast.walk(runner):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            target = node.target
+            first = target.elts[0] if isinstance(target, ast.Tuple) else target
+            loops[first.id] = node
+
+    def values(loop):
+        it = loop.iter
+        out = (getattr(cli, it.id) if isinstance(it, ast.Name)
+               else ast.literal_eval(it))
+        return {v[0] if isinstance(loop.target, ast.Tuple) else v
+                for v in out}
+
+    read = set()
+    for node in ast.walk(runner):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("_scored", "_tol"):
+            name = node.args[1]
+            read |= ({name.value} if isinstance(name, ast.Constant)
+                     else values(loops[name.id]))
+    return read
+
+
+def test_the_tolerance_table_is_what_each_runner_reads():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    assert set(cli.TOLERANCES) == set(cli.KINDS) == set(cli._RUNNERS)
+    for kind, runner in cli._RUNNERS.items():
+        assert set(cli.TOLERANCES[kind]) == \
+            _tolerances_read(defs[runner.__name__]), kind
 
 
 def test_nan_condition_residual_never_agrees_with_the_oracle(monkeypatch):

@@ -148,6 +148,93 @@ def test_flat_oracle_requires_flat_transport(flat_geom):
     assert transgress_flat(flat_geom, round_sphere(9, 9), [0.3])
 
 
+def scalar_transgress_flat(geom, family, x0):
+    """Dual reference for the flat oracle: the gradient in x of the
+    per-node surface integral `signed_area` of ω_H at (p, x)."""
+    space, omega = geom.space, geom.omega_h
+    return dm.gradient(lambda x: family.signed_area(
+        lambda p, vt, ve: omega.value(space.join(p, x), [vt, ve])),
+        list(x0))
+
+
+def oracle_families(n):
+    """The families of the flat-oracle scenario, with a concatenation, at
+    n × n nodes."""
+    half = (n + 1) // 2
+    return [round_sphere(n, n), cap(0.8, n, n), cap(math.pi / 2, n, n),
+            cap(math.pi / 3, n, n), cap(2.1, n, n),
+            concat_families(round_sphere(n, half), round_sphere(n, half))]
+
+
+@pytest.mark.parametrize("fam", oracle_families(17), ids=lambda f: f.name)
+def test_surface_oracles_match_the_scalar_dual_route(fam):
+    assert (fam.n_t, fam.n_eps) == (17, 17)
+    b, (vt, ve) = monodromy._surface_nodes(fam)
+    area = monodromy._surface_integral(fam, round_density(b, vt, ve))
+    assert type(area) is float
+    assert area == pytest.approx(fam.signed_area(round_density),
+                                 rel=1e-13, abs=0.0)
+    for f in (lambda x: 2.0 * x + 1.0, lambda x: dm.exp(x),
+              lambda x: dm.sin(3.0 * x) * x):
+        geom = hopf_flat_example(f)
+        got = transgress_flat(geom, fam, [0.3])
+        assert all(type(c) is float for c in got)
+        assert got == pytest.approx(scalar_transgress_flat(geom, fam, [0.3]),
+                                    rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("fam", [
+    round_sphere(65, 65), cap(math.pi / 3, 65, 65), cap(math.pi / 2, 65, 65),
+    cap(2.1, 65, 65),
+    concat_families(round_sphere(33, 33), round_sphere(33, 33))],
+    ids=lambda f: f.name)
+def test_complex_step_nodes_match_the_dual_partials(fam):
+    # on a 9 × 9 subgrid, each node's (γ, ∂_t γ, ∂_ε γ) against the
+    # scalar Dual route, relative to the node's largest entry
+    b, (vt, ve) = monodromy._surface_nodes(fam)
+    for k in range(0, fam.n_t, (fam.n_t - 1) // 8):
+        for j in range(0, fam.n_eps, (fam.n_eps - 1) // 8):
+            t, e = k / (fam.n_t - 1), j / (fam.n_eps - 1)
+            for got, want in zip((b, vt, ve), (fam.point(t, e),
+                                               fam.d_t(t, e),
+                                               fam.d_eps(t, e))):
+                got = [np.broadcast_to(c, (fam.n_t, fam.n_eps))[k, j]
+                       for c in got]
+                err = max(abs(g - w) for g, w in zip(got, want))
+                assert err <= 1e-13 * max(abs(w) for w in want), (k, j)
+
+
+def test_flat_oracle_constructs_no_dual(monkeypatch):
+    # the oracle must not share the derivative engine of the route it
+    # checks; the same counter sees the Duals that `transgress` builds
+    geom = hopf_flat_example(lambda x: 2.0 * x + 1.0)
+    families = oracle_families(65)[:5]
+    made = []
+    init = dm.Dual.__init__
+
+    def counted(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(dm.Dual, "__init__", counted)
+    for fam in families:
+        transgress_flat(geom, fam, [0.3])
+    assert made == []
+    transgress(geom, families[0], [0.3])
+    assert made
+
+
+def test_flat_oracle_is_nan_where_the_real_integrand_fails():
+    # Im log(−0.3 + ih)/h is π/h, a finite number; the real primal log(−0.3)
+    # is NaN, and so must the oracle be
+    geom = hopf_flat_example(lambda x: dm.log(x))
+    with np.errstate(invalid="ignore"):
+        (got,) = transgress_flat(geom, round_sphere(17, 17), [-0.3])
+    assert math.isnan(got)
+    (fine,) = transgress_flat(geom, round_sphere(17, 17), [0.3])
+    assert math.isfinite(fine)
+
+
 def curved_model(strength=(0.6, -0.4), bound=8.0):
     base = CoordinateDomain.sphere()
     fiber = CoordinateDomain.box([(-bound, bound)], name="line")

@@ -1,8 +1,10 @@
 """The small numerical rules have one home each.
 
-Index tuples come from `_numerics.combos` and unit vectors from
-`dual.unit`; no other package module calls `itertools.combinations` or
-builds a unit vector entry by `1.0 if … == … else 0.0`.  There is no
+Index tuples come from `_numerics.combos`, unit vectors from `dual.unit`
+and complex-step derivatives from `_numerics.complex_partials`; no other
+package module calls `itertools.combinations`, builds a unit vector entry
+by `1.0 if … == … else 0.0`, spells the step 1e-30 or reads an imaginary
+part (`.imag`, `np.imag`).  There is no
 linter in the toolchain, so this parses the package with `ast`, next to
 the import audit in `test_imports.py`.
 """
@@ -16,7 +18,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fiberdirac"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 #: rule → the one module allowed to spell it out
-HOMES = {"combinations": "_numerics", "unit vector": "dual"}
+HOMES = {"combinations": "_numerics", "unit vector": "dual",
+         "complex step": "_numerics"}
 
 
 def _is_number(node, value):
@@ -31,6 +34,13 @@ def hand_rolled(source):
         if isinstance(node, ast.ImportFrom) and node.module == "itertools" \
                 and any(a.name == "combinations" for a in node.names):
             found.append("combinations")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy" \
+                and any(a.name == "imag" for a in node.names):
+            found.append("complex step")
+        elif isinstance(node, ast.Attribute) and node.attr == "imag":
+            found.append("complex step")
+        elif _is_number(node, 1e-30):
+            found.append("complex step")
         elif (isinstance(node, ast.Attribute) and node.attr == "combinations"
               and isinstance(node.value, ast.Name)
               and node.value.id == "itertools"):
@@ -49,9 +59,15 @@ def test_the_scan_sees_a_planted_copy():
                "pairs = list(itertools.combinations(range(3), 2))\n"
                "e = [1.0 if k == i else 0.0 for k in range(3)]\n"
                "sign = 1.0 if k % 2 == 0 else -1.0\n"
-               "v = [1.0 if k == 0 else 0.25 for k in range(3)]\n")
+               "v = [1.0 if k == 0 else 0.25 for k in range(3)]\n"
+               "from numpy import imag, real\n"
+               "h = 1e-30\n"
+               "d = np.imag(f(x + 1j * h)) / h\n"
+               "d = f(x + 1j * h).imag / h\n"
+               "r = np.real(z) + z.real + 1e-3\n")
     assert sorted(hand_rolled(planted)) == [
-        "combinations", "combinations", "unit vector"]
+        "combinations", "combinations", "complex step", "complex step",
+        "complex step", "complex step", "unit vector"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
