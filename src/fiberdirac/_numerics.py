@@ -2,10 +2,10 @@
 sampling with seeded jitter, index tuples and the coboundary sum over
 them, small dense linear algebra (dot products, bilinear values,
 determinants, adjugate inverses, antisymmetric matrices, subspace
-angles), the NaN-propagating residual reduction every check uses, and
-the complex step of the independent oracles.  Each rule is written here
-once.  The one unit-vector builder,
-`dual.unit`, lives in the module this one sits on.
+angles), the sample points as one array axis, the NaN-propagating
+residual reduction every check uses, and the complex step of the
+independent oracles.  Each rule is written here once.  The one
+unit-vector builder, `dual.unit`, lives in the module this one sits on.
 
 The RK4 and Simpson routines operate on plain Python lists so that
 dual-number states flow through unchanged (differentials of flows are
@@ -261,14 +261,28 @@ def skew_matrix(n, vals):
     return mat
 
 
-# -- residual reduction --------------------------------------------------------
+# -- the sample axis and residual reduction ------------------------------------
+
+def stack(points):
+    """`points` as one point whose coordinates are float arrays over them."""
+    return list(np.array(points, dtype=float).T)
+
+
+def unstack(columns, count):
+    """The inverse of `stack`: per-point lists of Python floats from arrays
+    over `count` points (a plain number broadcasts)."""
+    return np.column_stack([np.broadcast_to(c, count)
+                            for c in columns]).tolist()
+
 
 def worst(residuals):
-    """Largest residual, 0.0 when there are none.  A NaN anywhere is
-    returned as NaN (``max`` would drop it or keep it depending on its
-    position), so a non-finite residual can never read as a pass."""
+    """Largest residual (an array counts as its largest entry), 0.0 when there
+    are none.  A NaN anywhere is returned as NaN (``max`` would drop it or keep
+    it by position), so a non-finite residual never reads as a pass."""
     out = 0.0
     for r in residuals:
+        if isinstance(r, np.ndarray):   # ndarray.max keeps a NaN
+            r = float(r.max()) if r.size else 0.0
         if r != r:   # NaN
             return r
         if r > out:
@@ -335,6 +349,6 @@ def lstsq_residual(basis_rows, vector):
 # -- ordered map ---------------------------------------------------------------
 
 def parallel_map(fn, items):
-    """``[fn(x) for x in items]``: the one map site of the per-point loops
-    of the coupling checks, so a trace can count them."""
+    """``[fn(x) for x in items]``.  No package module calls it (a check
+    `stack`s its sample points); the benchmark tracer patches it by name."""
     return [fn(x) for x in items]

@@ -22,20 +22,21 @@ Courant bracket exactly when the triple satisfies four conditions:
 
 A section of TE ⊕ T*E is a plain callable pt ↦ X ‖ ξ with 2n components,
 and `frame_rows(geom)` is the whole frame as one such function, pt ↦ its n
-rows.  `check_coupling_conditions` measures the four conditions at sampled
-points: per point they are algebra on one set of first derivatives of
+rows.  A check evaluates each field once per call, on its sample points
+stacked as one array axis (`_numerics.stack`).  `check_coupling_conditions`
+measures the four conditions: algebra on one set of first derivatives of
 (A, ω_H, π_V), each field differentiated once per direction.
-`dirac_closure_residual` measures Courant closure of the frame
-directly and never calls `_condition_residuals`: per point it takes one
-Jacobian of the flattened frame and applies `fields.courant_at` to every
-pair of rows.  The two routes must agree on every verdict.
+`dirac_closure_residual` measures Courant closure of the frame directly and
+never calls `_condition_residuals`: it takes one Jacobian of the flattened
+frame, applies `fields.courant_at` to every pair of rows, and measures each
+point's distance to the span.  The two routes must agree on every verdict.
 """
 
 from __future__ import annotations
 
 from . import dual as dm
 from ._numerics import (bilinear, coboundary, combos, dot, lstsq_residual,
-                        matvec, parallel_map, skew_matrix, worst)
+                        matvec, skew_matrix, stack, unstack, worst)
 from . import fields
 from .fibration import HorizontalForm, VerticalBivector
 
@@ -202,10 +203,8 @@ def check_coupling_conditions(geom, points=None, count=256, seed=0):
     if points is None:
         points = geom.sample_points(count=count, seed=seed)
     basis = [dm.unit(geom.space.n_base, a) for a in range(geom.space.n_base)]
-    rows = parallel_map(lambda pt: _condition_residuals(geom, basis, pt),
-                        points)
-    out = {name: worst(r[i] for r in rows)
-           for i, name in enumerate(CONDITION_NAMES)}
+    out = dict(zip(CONDITION_NAMES,
+                   _condition_residuals(geom, basis, stack(points))))
     out["max"] = worst(out[name] for name in CONDITION_NAMES)
     return out
 
@@ -215,30 +214,27 @@ def check_coupling_conditions(geom, points=None, count=256, seed=0):
 def dirac_closure_residual(geom, points=None, count=24, seed=0):
     """Distance of every pairwise Courant bracket of the frame rows to the
     frame's span, maximized over sampled points (relative to the bracket's
-    size).  Vanishes exactly when the subbundle is involutive.  Each point
-    takes one Jacobian of the whole frame."""
+    size).  Vanishes exactly when the subbundle is involutive.  One
+    Jacobian of the whole frame serves every point."""
     if points is None:
         points = geom.sample_points(count=count, seed=seed)
     frame = frame_rows(geom)
     n = geom.space.dim
-    pairs = combos(n, 2)
+    pt = stack(points)
+    rows = [[dm.value_of(c) for c in row] for row in frame(pt)]
+    jac = dm.jacobian(lambda q: [c for row in frame(q) for c in row], pt)
+    jets = [jac[2 * n * r:2 * n * (r + 1)] for r in range(n)]
+    vecs = rows + [[dm.value_of(c) for c in fields.courant_at(
+        rows[r], jets[r], rows[s], jets[s])] for r, s in combos(n, 2)]
 
-    def flat(pt):
-        return [c for row in frame(pt) for c in row]
+    def at_point(values):
+        # the point's n frame rows, then its brackets, 2n floats each
+        own = [values[k:k + 2 * n] for k in range(0, len(values), 2 * n)]
+        return worst(lstsq_residual(own[:n], vec)
+                     / max(1.0, max(abs(c) for c in vec)) for vec in own[n:])
 
-    def relative_distance(rows, vec):
-        return lstsq_residual(rows, vec) / max(1.0, max(abs(c) for c in vec))
-
-    def at_point(pt):
-        rows = [[dm.value_of(c) for c in row] for row in frame(pt)]
-        jac = dm.jacobian(flat, pt)
-        jets = [jac[2 * n * r:2 * n * (r + 1)] for r in range(n)]
-        return worst(
-            relative_distance(rows, [dm.value_of(c) for c in fields.courant_at(
-                rows[r], jets[r], rows[s], jets[s])])
-            for r, s in pairs)
-
-    return worst(parallel_map(at_point, points))
+    return worst(at_point(values) for values in unstack(
+        [c for vec in vecs for c in vec], len(points)))
 
 
 # -- leaf two-form -------------------------------------------------------------------
@@ -250,7 +246,6 @@ def leaf_two_form(frame):
     parts (spanning the leaf tangent) and omega[r][s] = ξ_r(X_s); isotropy
     makes this matrix antisymmetric.
     """
-    n = frame.n
     vecs = frame.vectors()
     covs = frame.covectors()
     omega = [[dot(covs[r], vecs[s]) for s in range(len(vecs))]
@@ -371,7 +366,7 @@ def splitting_bracket_residual(geom, count=12, seed=0, alpha_fn=None,
     """
     space = geom.space
     nb, nf = space.n_base, space.n_fiber
-    points = geom.sample_points(count=count, seed=seed)
+    pt = stack(geom.sample_points(count=count, seed=seed))
     if alpha_fn is None:
         alpha_fn = _default_fiber_covector(space, salt=0)
     if beta_fn is None:
@@ -404,7 +399,6 @@ def splitting_bracket_residual(geom, count=12, seed=0, alpha_fn=None,
 
     def resid(lhs, rhs):
         return worst(abs(dm.value_of(a) - dm.value_of(b))
-                     for pt in points
                      for a, b in zip(lhs(pt), rhs(pt)))
 
     out = {"vertical_vertical": resid(lhs_vv, rhs_vv),

@@ -10,8 +10,9 @@ code runs on floats, on duals, and on duals-of-duals.  A numpy array counts
 as a scalar too: a ``Dual`` whose slots hold arrays evaluates a function at a
 whole grid of points in one pass (forward mode over arrays).  Every entry of
 ``FUNCTIONS`` calls ``math``, and the numpy ufunc when ``math`` refuses an
-array; on arrays numpy returns NaN or ±inf where ``math`` raises.  An array
-Dual has no order: comparisons and ``abs`` on it raise ``TypeError``.
+array; on arrays numpy returns NaN or ±inf where ``math`` raises, and the
+derivative there is NaN.  An array Dual has no order: comparisons and
+``abs`` on it raise ``TypeError``.
 Finite differences are deliberately *not* used anywhere in this module; they
 exist only as an independent cross-check in the test-suite.
 """
@@ -166,7 +167,10 @@ def _elementary(math_fn, numpy_fn, rule):
     def f(x):
         if isinstance(x, Dual):
             fx = f(x.re)
-            return Dual(fx, rule(x.re, fx, x.eps))
+            dfx = rule(x.re, fx, x.eps)
+            if isinstance(fx, np.ndarray):   # no derivative where math raises
+                dfx = np.where(np.isfinite(fx), dfx, math.nan)
+            return Dual(fx, dfx)
         try:
             return math_fn(x)
         except TypeError:   # an array: math takes scalars only

@@ -17,11 +17,13 @@ invariant lift is (♯ξ, 0).
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import dual as dm
 from . import fields
 from ._numerics import (adjugate_inverse, bilinear, combos, det, dot,
                         intersection_dimension, matvec, nullspace,
-                        sample_unit_cube, worst)
+                        sample_unit_cube, stack, worst)
 
 CLOSED_TOL = 1e-10
 ORTHO_TOL = 1e-10
@@ -225,12 +227,11 @@ def coupling_form(geom):
 
 
 def _check_pi_invertible(geom, points):
-    for pt in points:
-        mat = [[dm.value_of(c) for c in row] for row in geom.pi_matrix(pt)]
-        if len(mat) == 0 or abs(det(mat)) < 1e-10:
-            raise ValueError(
-                "the vertical structure is not invertible at a sampled "
-                "point; the coupling form needs invertible π_V")
+    mat = geom.pi_matrix(stack(points))
+    if len(mat) == 0 or np.any(np.abs(det(mat)) < 1e-10):
+        raise ValueError(
+            "the vertical structure is not invertible at a sampled "
+            "point; the coupling form needs invertible π_V")
 
 
 def left_lift(geom, eta_fn):
@@ -259,17 +260,16 @@ def right_lift(geom, xi_fn):
 
 
 def source_target_orthogonality(geom, form, seed=0):
-    """Ω(left lift, right lift) at eight sampled arrows — the invariant
-    lifts land in complementary blocks, so this vanishes."""
+    """Ω(left lift, right lift) at eight sampled arrows, evaluated as one
+    array axis — the invariant lifts land in complementary blocks, so this
+    vanishes."""
     pts = geom.sample_points(2 * 8, seed=seed)
     eta = lambda x: [0.3 + 0.1 * x[0], -0.4, 0.2][:geom.space.n_fiber]
     xi = lambda y: [0.1, 0.5 - 0.2 * y[0], -0.3][:geom.space.n_fiber]
     lf = left_lift(geom, eta)
     rf = right_lift(geom, xi)
-    arrows = [list(pts[2 * k]) + list(pts[2 * k + 1])
-              for k in range(8)]
-    return worst(abs(dm.value_of(form.value(arrow, lf(arrow), rf(arrow))))
-                 for arrow in arrows)
+    arrow = stack(pts[0::2]) + stack(pts[1::2])
+    return worst([abs(dm.value_of(form.value(arrow, lf(arrow), rf(arrow))))])
 
 
 def integrated_data_check(geom, count=6, seed=0):

@@ -37,7 +37,8 @@ import numpy as np
 from . import dual as dm
 from .dual import Dual
 from ._numerics import (DEFAULT_RK4_STEP, complex_partials, dot,
-                        simpson_integrate, simpson_weights, smoothstep, worst)
+                        simpson_integrate, simpson_weights, smoothstep,
+                        unstack, worst)
 from .charts import CoordinateDomain
 from .coupling import GeometricData
 from .fibration import (BasePath, FiberedSpace, FlatConnection,
@@ -86,15 +87,14 @@ class SphereFamily:
 
     def collapse_residual(self):
         """Max chart distance of the collapsed edges from the base point,
-        probed at 33 points per edge."""
+        probed at 33 points per edge: one array call of `fn` per edge."""
         b = self.base_point()
-        probes = [k / 32 for k in range(33)]
-        edges = [lambda u: (u, 0.0), lambda u: (0.0, u), lambda u: (1.0, u)]
+        u = np.arange(33) / 32
+        edges = [(u, 0.0), (0.0, u), (1.0, u)]
         if self.closed:
-            edges.append(lambda u: (u, 1.0))
+            edges.append((u, 1.0))
         return worst(abs(dm.value_of(c) - q)
-                     for edge in edges for u in probes
-                     for c, q in zip(self.fn(*edge(u)), b))
+                     for edge in edges for c, q in zip(self.fn(*edge), b))
 
     def signed_area(self, two_form):
         """∫∫ γ*(two_form) over I² by double Simpson on the family grid
@@ -278,13 +278,6 @@ def _simpson_row(w, val, n_eps):
     return w @ np.broadcast_to(val, (len(w), n_eps))
 
 
-def _per_slice(columns, n_eps):
-    """Per-slice lists of Python floats from per-coordinate arrays over
-    the ε-slices (a plain number broadcasts)."""
-    rows = [np.broadcast_to(c, (n_eps,)).tolist() for c in columns]
-    return [[row[j] for row in rows] for j in range(n_eps)]
-
-
 #: (s, ε) nodes per array pass of `transgress`.  A pass keeps about a
 #: dozen grid-sized arrays alive at once, so larger grids run in blocks of
 #: whole ε-slices: a 65 × 65 family is one block, a 129 × 129 one three.
@@ -351,8 +344,8 @@ def _transgress_block(geom, family, y0, eps, step):
         return _simpson_row(
             w_s, omega.value(space.join(b, x), [vt, ve]), n_eps)
 
-    covectors = _per_slice(dm.gradient(s_integral, x_tilde), n_eps)
-    return covectors, _per_slice(x_tilde, n_eps)
+    covectors = unstack(dm.gradient(s_integral, x_tilde), n_eps)
+    return covectors, unstack(x_tilde, n_eps)
 
 
 def transgress_flat(geom, family, x0):

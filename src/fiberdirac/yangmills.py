@@ -34,7 +34,7 @@ import numpy as np
 
 from . import dual as dm
 from ._numerics import (coboundary, combos, dot, matvec, simpson_integrate,
-                        skew_matrix, worst)
+                        skew_matrix, stack, worst)
 from .charts import CoordinateDomain
 from . import fields
 from .fibration import Connection, FiberedSpace, FlatConnection, HorizontalForm, \
@@ -118,7 +118,8 @@ class PrincipalData:
                 for a, c in combos(self.base.dim, 2)]
 
     def bianchi_residual(self, b):
-        """max |d ω_θ + [A, ω_θ]|_{abc} (empty, hence zero, for dim B < 3)."""
+        """max |d ω_θ + [A, ω_θ]|_{abc} (empty, hence zero, for dim B < 3)
+        at b, or over every point of a stacked b (coordinate arrays)."""
         nb = self.base.dim
         if nb < 3:
             return 0.0
@@ -128,7 +129,8 @@ class PrincipalData:
             # ∂_a ω_θ(rest) + [A_a, ω_θ(rest)], the face opposite a
             d = dm.partial(lambda q: self._curv_pair(q, *rest), b, a)
             br = self.group.bracket(pot[a], self._curv_pair(b, *rest))
-            return np.array([dm.value_of(x) + y for x, y in zip(d, br)])
+            return np.array(np.broadcast_arrays(
+                *[dm.value_of(x) + y for x, y in zip(d, br)]))
 
         return worst(abs(dm.value_of(x))
                      for defect in coboundary(combos(nb, 3), face)
@@ -184,24 +186,20 @@ class HamiltonianFiber:
     def prehamiltonian_residual(self, count=32, seed=0):
         """max over generators and sampled points of |action − π_F^♯ dh|
         and of the homomorphism defect |[ρ(ξ), ρ(η)] − ρ([ξ, η])|."""
-        points = self.domain.sample(count=count, seed=seed)
+        x = stack(self.domain.sample(count=count, seed=seed))
         dim_g = self.group.dim
         nf = self.domain.dim
         basis = [dm.unit(dim_g, i) for i in range(dim_g)]
         flds = [fields.vector_field(nf, lambda x, xi=xi: self.action(xi, x))
                 for xi in basis]
 
-        def defects(x):
-            for i, xi in enumerate(basis):
-                yield self.action(xi, x), self.hamiltonian_field(xi, x)
-                for j in range(i + 1, dim_g):
-                    yield (fields.lie_bracket(flds[i], flds[j])(x),
-                           self.action(self.group.bracket(basis[i], basis[j]),
-                                       x))
-
+        pairs = [(self.action(xi, x), self.hamiltonian_field(xi, x))
+                 for xi in basis]
+        pairs += [(fields.lie_bracket(flds[i], flds[j])(x),
+                   self.action(self.group.bracket(basis[i], basis[j]), x))
+                  for i, j in combos(dim_g, 2)]
         return worst(abs(dm.value_of(a) - dm.value_of(h))
-                     for x in points for lhs, rhs in defects(x)
-                     for a, h in zip(lhs, rhs))
+                     for lhs, rhs in pairs for a, h in zip(lhs, rhs))
 
     @classmethod
     def coadjoint_so3(cls):

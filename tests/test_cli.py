@@ -210,15 +210,17 @@ def test_nan_flow_residual_fails_the_halving_gain(capsys, tmp_path):
         assert named[name]["verdict"] == "FAIL"
 
 
-@pytest.mark.parametrize("fields,checks", [
-    # math.log of the negative half of the fiber: a domain error
+@pytest.mark.parametrize("fields,checks,failing", [
+    # log of the negative half of the fiber: the checks evaluate their
+    # points as arrays, where numpy's log is NaN and so is its derivative
     ({"base_bounds": [[-1.0, 1.0], [-1.0, 1.0]],
-      "fiber_bounds": [[-1.0, 1.0]], "omega": ["log(x1)"]}, ["conditions"]),
+      "fiber_bounds": [[-1.0, 1.0]], "omega": ["log(x1)"]}, ["conditions"],
+     "curvature_match"),
     # the NaN connection makes the closure oracle's SVD fail to converge
-    (NAN_CONNECTION_FIELDS, ["oracle-agreement"]),
+    (NAN_CONNECTION_FIELDS, ["oracle-agreement"], "evaluation-error"),
 ], ids=["log-domain", "nan-oracle"])
 def test_evaluator_errors_fail_without_traceback(capsys, tmp_path, fields,
-                                                 checks):
+                                                 checks, failing):
     scenario = {"name": "err-inline", "kind": "coupling-check",
                 "fields": fields, "checks": checks, "samples": 8}
     path = tmp_path / "err.json"
@@ -230,9 +232,13 @@ def test_evaluator_errors_fail_without_traceback(capsys, tmp_path, fields,
     assert code == 1
     report = json.loads(out)
     assert report["verdict"] == "FAIL"
-    (check,) = report["checks"]
-    assert check["name"] == "evaluation-error"
-    assert check["verdict"] == "FAIL" and check["error"]
+    named = {c["name"]: c for c in report["checks"]}
+    assert [c["name"] for c in report["checks"]
+            if c["verdict"] == "FAIL"] == [failing]
+    if failing == "evaluation-error":
+        assert len(named) == 1 and named[failing]["error"]
+    else:
+        assert math.isnan(named[failing]["residual"])
 
 
 def test_a_domain_error_in_the_flat_oracle_fails_without_traceback(

@@ -10,7 +10,8 @@ from fiberdirac import dual as dm
 from fiberdirac import fields
 from fiberdirac.charts import CoordinateDomain
 from fiberdirac import coupling
-from fiberdirac._numerics import dot, matvec, skew_matrix, worst
+from fiberdirac._numerics import (dot, lstsq_residual, matvec,
+                                  skew_matrix, worst)
 from fiberdirac.coupling import (CONDITION_NAMES, GeometricData,
                                  assemble_dirac,
                                  check_coupling_conditions,
@@ -341,14 +342,83 @@ POLYNOMIAL_INSTANCES = ("constant-split", "fiber-scaled-plane",
 def test_closure_oracle_takes_one_frame_jacobian_per_point(monkeypatch,
                                                            name):
     # A polynomial triple evaluates its frame without seeded passes, so the
-    # oracle's only passes are one Jacobian of the whole frame per point.
-    # Differentiating each row once per bracket that holds it would take
-    # 168 passes per point on broken-transport.
+    # oracle's only passes are one Jacobian of the whole frame, which serves
+    # every sample point at once: one pass per coordinate, whatever the
+    # point count.  Differentiating each row once per bracket that holds it
+    # would take 168 passes per point on broken-transport.
     geom = dict((n, b) for n, b, _ in INSTANCES)[name]()
     points = geom.sample_points(3, seed=1)
     passes = count_seeded_passes(
         monkeypatch, lambda: dirac_closure_residual(geom, points=points))
-    assert passes == geom.space.dim * len(points)
+    assert passes == geom.space.dim
+
+
+def per_point_conditions(geom, points):
+    """The four condition maxima by the per-point loop: one scalar call of
+    `_condition_residuals` per sample point."""
+    basis = [dm.unit(geom.space.n_base, a) for a in range(geom.space.n_base)]
+    rows = [coupling._condition_residuals(geom, basis, pt) for pt in points]
+    return [worst(r[i] for r in rows) for i in range(len(CONDITION_NAMES))]
+
+
+def per_point_closure(geom, points):
+    """The closure oracle by the per-point loop: one frame evaluation and
+    one frame Jacobian per sample point."""
+    frame = coupling.frame_rows(geom)
+    n = geom.space.dim
+
+    def flat(pt):
+        return [c for row in frame(pt) for c in row]
+
+    def at_point(pt):
+        rows = [[dm.value_of(c) for c in row] for row in frame(pt)]
+        jac = dm.jacobian(flat, pt)
+        jets = [jac[2 * n * r:2 * n * (r + 1)] for r in range(n)]
+        return worst(
+            lstsq_residual(rows, vec) / max(1.0, max(abs(c) for c in vec))
+            for vec in ([dm.value_of(c) for c in fields.courant_at(
+                rows[r], jets[r], rows[s], jets[s])]
+                for r, s in itertools.combinations(range(n), 2)))
+
+    return worst(at_point(pt) for pt in points)
+
+
+SPLITTING_NAMES = ("vertical_vertical", "horizontal_vertical",
+                   "horizontal_horizontal")
+
+
+def per_point_splitting(monkeypatch, geom, count):
+    """The three splitting residuals by the per-point loop: the check run
+    on one scalar sample point at a time, maximized over the points."""
+    points = geom.sample_points(count=count)
+    monkeypatch.setattr(coupling, "stack", lambda pts: list(pts[0]))
+    runs = []
+    for pt in points:
+        monkeypatch.setattr(geom, "sample_points",
+                            lambda count, seed, pt=pt: [pt])
+        runs.append(splitting_bracket_residual(geom, count=count))
+    monkeypatch.undo()
+    return [worst(r[key] for r in runs) for key in SPLITTING_NAMES]
+
+
+@pytest.mark.parametrize("name,builder",
+                         [(n, b) for n, b, _ in INSTANCES],
+                         ids=[n for n, _, _ in INSTANCES])
+def test_array_route_matches_the_per_point_loop_to_the_bit(monkeypatch,
+                                                           name, builder):
+    # the sample points as one array axis run the same IEEE operations,
+    # entry by entry, as the scalar loop over them
+    geom = builder()
+    points = geom.sample_points(48)
+    cond = check_coupling_conditions(geom, points=points)
+    assert [cond[key].hex() for key in CONDITION_NAMES] == \
+        [x.hex() for x in per_point_conditions(geom, points)]
+    points = geom.sample_points(24)
+    assert dirac_closure_residual(geom, points=points).hex() == \
+        per_point_closure(geom, points).hex()
+    split = splitting_bracket_residual(geom, count=12)
+    assert [split[key].hex() for key in SPLITTING_NAMES] == \
+        [x.hex() for x in per_point_splitting(monkeypatch, geom, 12)]
 
 
 def test_leaf_two_form_is_scaled_round_form(hopf):

@@ -259,5 +259,7 @@ def test_domain_errors_on_arrays_are_nan():
     with np.errstate(invalid="ignore"):
         out = dm.log(Dual(np.array([-1.0, 2.0]), 1.0))
     assert math.isnan(out.re[0]) and out.re[1] == math.log(2.0)
+    # the derivative of an undefined value is undefined, not 1/x
+    assert math.isnan(out.eps[0]) and out.eps[1] == 0.5
     with pytest.raises(ValueError):
         dm.log(Dual(-1.0, 1.0))

@@ -163,3 +163,12 @@ def test_degenerate_vertical_structure_is_rejected():
         name="degenerate")
     with pytest.raises(ValueError):
         integrated_data_check(degenerate)
+
+    # π_V vanishing at one of the twelve sampled points only
+    c = space2.sample(12)[5][1]
+    once = GeometricData(
+        space2, FlatConnection(space2),
+        VerticalBivector(space2, lambda p: [p[1] - c], name="vanishes-once"),
+        HorizontalForm(space2, 2, lambda p: [], name="none"), name="once")
+    with pytest.raises(ValueError):
+        integrated_data_check(once)

@@ -13,7 +13,7 @@ from fiberdirac._numerics import (det, intersection_dimension, lstsq_residual,
                                   principal_angles, rk4_integrate,
                                   sample_unit_cube, simpson_integrate,
                                   simpson_weights, skew_matrix, smoothstep,
-                                  worst)
+                                  stack, unstack, worst)
 
 
 def test_rk4_matches_exponential():
@@ -127,6 +127,29 @@ def test_worst_is_zero_when_empty_and_keeps_nan_in_any_position():
     assert worst([0.5, 2.0, 1.0]) == 2.0
     assert math.isnan(worst([float("nan"), 0.0, 1.0]))
     assert math.isnan(worst([0.0, 1.0, float("nan")]))
+    # an array counts as its largest entry, and a NaN in any entry of any
+    # array, among scalars or not, is the result
+    for i, size in enumerate((3, 4)):
+        for j in range(size):
+            arrays = [np.array([0.5, 2.0, 1.0]),
+                      np.array([3.0, 0.25, 1.5, 0.0])]
+            arrays[i][j] = math.nan
+            assert math.isnan(worst(arrays))
+            assert math.isnan(worst([0.5] + arrays + [4.0]))
+    assert worst([np.array([])]) == 0.0
+    assert worst([1.0, np.array([]), 0.5]) == 1.0
+    assert worst([0.5, np.array([0.25, 3.0]), 2.0]) == 3.0
+    assert worst([np.array([0.25, 0.5]), 0.75, np.array(0.125)]) == 0.75
+    assert type(worst([np.array([0.25, 3.0])])) is float
+
+
+def test_unstack_inverts_stack():
+    points = [[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]]
+    columns = stack(points)
+    assert [c.tolist() for c in columns] == [[0.1, 0.4], [-0.2, 0.5],
+                                             [0.3, -0.6]]
+    assert unstack(columns, len(points)) == points
+    assert unstack([columns[0], 7.0], 2) == [[0.1, 7.0], [0.4, 7.0]]
 
 
 def test_tangent_reads_back_eps_parts():

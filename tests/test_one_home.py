@@ -4,9 +4,11 @@ Index tuples come from `_numerics.combos`, unit vectors from `dual.unit`
 and complex-step derivatives from `_numerics.complex_partials`; no other
 package module calls `itertools.combinations`, builds a unit vector entry
 by `1.0 if … == … else 0.0`, spells the step 1e-30 or reads an imaginary
-part (`.imag`, `np.imag`).  There is no
-linter in the toolchain, so this parses the package with `ast`, next to
-the import audit in `test_imports.py`.
+part (`.imag`, `np.imag`).  A pointwise check visits its sample points as
+one array axis (`_numerics.stack`), so no module calls the per-point map
+`parallel_map` at all.  There is no linter in the toolchain, so this
+parses the package with `ast`, next to the import audit in
+`test_imports.py`.
 """
 
 import ast
@@ -17,9 +19,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fiberdirac"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
-#: rule → the one module allowed to spell it out
+#: rule → the one module allowed to spell it out (None: no module)
 HOMES = {"combinations": "_numerics", "unit vector": "dual",
-         "complex step": "_numerics"}
+         "complex step": "_numerics", "per-point map": None}
 
 
 def _is_number(node, value):
@@ -41,6 +43,10 @@ def hand_rolled(source):
             found.append("complex step")
         elif _is_number(node, 1e-30):
             found.append("complex step")
+        elif isinstance(node, ast.Call) and "parallel_map" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            found.append("per-point map")
         elif (isinstance(node, ast.Attribute) and node.attr == "combinations"
               and isinstance(node.value, ast.Name)
               and node.value.id == "itertools"):
@@ -64,10 +70,14 @@ def test_the_scan_sees_a_planted_copy():
                "h = 1e-30\n"
                "d = np.imag(f(x + 1j * h)) / h\n"
                "d = f(x + 1j * h).imag / h\n"
-               "r = np.real(z) + z.real + 1e-3\n")
+               "r = np.real(z) + z.real + 1e-3\n"
+               "rows = parallel_map(check, points)\n"
+               "rows = _numerics.parallel_map(check, points)\n"
+               "fn = parallel_map\n")
     assert sorted(hand_rolled(planted)) == [
         "combinations", "combinations", "complex step", "complex step",
-        "complex step", "complex step", "unit vector"]
+        "complex step", "complex step", "per-point map", "per-point map",
+        "unit vector"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

@@ -5,7 +5,7 @@ data, and the two-chart compatibility of the monopole potential."""
 import pytest
 
 from fiberdirac import dual as dm
-from fiberdirac._numerics import matvec
+from fiberdirac._numerics import matvec, stack
 from fiberdirac.dual import Dual
 from fiberdirac.fibration import curvature
 from fiberdirac.yangmills import (EXAMPLES, HamiltonianFiber, PrincipalData,
@@ -91,6 +91,21 @@ def test_bianchi_identity_on_a_three_dimensional_base():
                        generic_potential)
     for b in POINTS_3D:
         assert pd.bianchi_residual(b) < 1e-10
+
+
+def test_bianchi_on_stacked_points_is_their_worst():
+    # the points as one array axis; in the sparse potential the constant
+    # entries of a face meet varying ones
+    sparse = lambda b: [[b[1] * b[1], 0.0, 0.0], [0.0] * 3, [0.0] * 3]
+    consts = [[list(row) for row in plane]
+              for plane in StructureGroupModel.rotations().constants]
+    consts[0][1][0], consts[1][0][0] = 0.5, -0.5
+    for group in (StructureGroupModel.rotations(),
+                  StructureGroupModel("broken-so3", 3, consts)):
+        for potential in (generic_potential, sparse):
+            pd = PrincipalData(group, BASE_3D, potential)
+            assert pd.bianchi_residual(stack(POINTS_3D)) == \
+                max(pd.bianchi_residual(b) for b in POINTS_3D)
 
 
 def test_bianchi_fails_for_a_bracket_that_breaks_jacobi():
