@@ -14,15 +14,19 @@ may also be a numpy array or an array Dual: one integration then advances
 a whole stack of states at once (every ε-slice of a transgression).
 Otherwise numpy is used only for float-valued linear algebra.
 
-`last_time_memo` lets a right-hand side compute what depends on time
-alone (a path's point and velocity, a coefficient curve) once per distinct
-RK4 time instead of once per stage.
+This module is the one home of the RK4 time grid: `rk4_times` lists every
+time `rk4_step` receives on an `rk4_integrate` run, and `rk4_integrate`
+walks that list.  What a right-hand side reads that depends on time alone
+(a path's point and velocity, a transport generator, a covector curve, a
+coefficient curve) comes from a `time_table`: one array call over that
+grid, whose rows the RK4 stages look up.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 
 import numpy as np
 
@@ -48,47 +52,95 @@ def rk4_step(f, t, y, h):
             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
-def last_time_memo(fn):
-    """fn of one time argument, remembering its value at the last time
-    asked.  RK4 asks for every time twice in a row: the two midpoint stages
-    share t + h/2, and a step's end t + h is the next step's start (the
-    same float, since `rk4_integrate` advances t by that h).  An input of a
-    right-hand side that depends on t alone, routed through this, is
-    therefore computed once per distinct time.  fn must be a function of t
-    alone: a repeated time returns the remembered value, the same object,
-    which callers therefore must not mutate."""
-    last = []   # [t, fn(t)] once asked
-
-    def memo(t):
-        if not last or last[0] != t:
-            last[:] = [t, fn(t)]
-        return last[1]
-
-    return memo
+def rk4_times(t0, t1, step):
+    """Every time `rk4_step` receives on the `rk4_integrate` run from t0 to
+    t1: t0, then t + h/2 and t + h for each step, with t += h (the same
+    floats, in order; [t0] alone when t1 == t0).  ``step`` is a magnitude,
+    and h = (t1 − t0)/n for the fewest n steps of at most ``step``."""
+    times = [t0]
+    if t1 == t0:
+        return times
+    n = max(1, int(math.ceil(abs(t1 - t0) / step - 1e-12)))
+    h = (t1 - t0) / n
+    t = t0
+    for _ in range(n):
+        times += (t + 0.5 * h, t + h)
+        t += h
+    return times
 
 
 def rk4_integrate(f, y0, t0, t1, step=DEFAULT_RK4_STEP, observer=None):
-    """Integrate y' = f(t, y) from t0 to t1 with fixed step size.
+    """Integrate y' = f(t, y) from t0 to t1 with fixed step size, over the
+    grid of `rk4_times`.
 
     ``step`` is a magnitude; integration direction follows sign(t1 - t0).
     ``observer(t, y)`` is called after every accepted step (and once at t0).
     State entries may be floats, duals, numpy arrays or array duals.
     """
-    if t1 == t0:
-        if observer is not None:
-            observer(t0, y0)
-        return list(y0)
-    n = max(1, int(math.ceil(abs(t1 - t0) / step - 1e-12)))
-    h = (t1 - t0) / n
-    t, y = t0, list(y0)
+    times = rk4_times(t0, t1, step)
+    y = list(y0)
     if observer is not None:
-        observer(t, y)
-    for _ in range(n):
+        observer(t0, y)
+    if t1 == t0:
+        return y
+    h = (t1 - t0) / (len(times) // 2)   # two times per step after t0
+    for t, t_end in zip(times[:-1:2], times[2::2]):
         y = rk4_step(f, t, y, h)
-        t += h
         if observer is not None:
-            observer(t, y)
+            observer(t_end, y)
     return y
+
+
+def time_table(fn, t0, t1, step):
+    """The rows of a time-only input of an RK4 right-hand side on the
+    `rk4_integrate` run from t0 to t1.
+
+    ``fn(T)`` takes a 1-D float array of times and returns a list of
+    entries, each a number (constant in time) or a float array whose first
+    axis runs over T (or has length one).  It is called once, on the whole
+    grid of `rk4_times`, under ``np.errstate(all="ignore")``: an input that
+    is undefined at some grid time (past an escape) is NaN there, not a
+    warning.  The returned lookup gives a time its row, the list of the
+    entries at that time: a Python float for a number or 1-D entry, an
+    array view otherwise.  A time off the grid (a partial step) is answered
+    by the same call on a one-entry array.  The columns are kept compact,
+    and a row is built when it is looked up."""
+    times = array("d", rk4_times(t0, t1, step))
+    columns = _time_columns(fn, times)
+    last = len(times) - 1
+    half = (t1 - t0) / last if last else 1.0   # times[k] ≈ t0 + k·h/2
+
+    def row(t):
+        k = round((t - t0) / half)
+        if 0 <= k <= last and times[k] == t:
+            return [c[k] for c in columns]
+        return [c[0] for c in _time_columns(fn, [t])]
+
+    return row
+
+
+def _time_columns(fn, times):
+    """The entries of fn over `times`, each broadcast along the time axis:
+    an ``array('d')`` when it holds one float per time, else an array."""
+    with np.errstate(all="ignore"):
+        entries = fn(np.array(times, dtype=float))
+    out = []
+    for e in entries:
+        e = np.asarray(e, dtype=float)
+        e = np.broadcast_to(e, (len(times),) + e.shape[1:])
+        out.append(array("d", e.tobytes()) if e.ndim == 1
+                   else np.ascontiguousarray(e))
+    return out
+
+
+def stacked_matrix(rows, t):
+    """A matrix whose entries are numbers or arrays over the times of t, as
+    one float array of shape ``np.shape(t) + (len(rows), len(rows[0]))``:
+    a matrix-valued `time_table` entry."""
+    shape = np.shape(t)
+    return np.stack([np.broadcast_to(np.asarray(e, dtype=float), shape)
+                     for row in rows for e in row], axis=-1).reshape(
+                         shape + (len(rows), len(rows[0])))
 
 
 # -- composite Simpson ---------------------------------------------------------
@@ -97,6 +149,21 @@ def smoothstep(u):
     """Monotone [0,1] → [0,1] warp with vanishing derivative at both ends:
     s(u) = u − sin(2πu)/2π.  Dual-compatible."""
     return u - dm.sin(2.0 * math.pi * u) / (2.0 * math.pi)
+
+
+def halves(first, second, u):
+    """first(u) for u ≤ ½ and second(u) after: the two pieces of a
+    concatenation, each a function of a number, Dual or array u that
+    returns a list.  On an array each piece is evaluated at the entries it
+    keeps and at its end u = ½ elsewhere, so the entries the other piece
+    supplies can raise no numpy warning; the real part decides."""
+    uv = np.real(value_of(u))
+    if not isinstance(uv, np.ndarray):
+        return first(u) if uv <= 0.5 else second(u)
+    lower = uv <= 0.5
+    a = first(dm.where(lower, u, 0.5))
+    b = second(dm.where(lower, 0.5, u))
+    return [dm.where(lower, p, q) for p, q in zip(a, b)]
 
 
 def simpson_weights(n_nodes):
@@ -337,13 +404,15 @@ def nullspace(rows):
 
 
 def lstsq_residual(basis_rows, vector):
-    """Euclidean distance from ``vector`` to the row span of ``basis_rows``."""
+    """Euclidean distance from ``vector`` to the row span of ``basis_rows``;
+    NaN, without a LAPACK call, when either holds a non-finite entry."""
+    if not all(map(math.isfinite, itertools.chain(vector, *basis_rows))):
+        return math.nan
     a = as_float_matrix(basis_rows).T
     b = np.array([value_of(x) for x in vector], dtype=float)
-    if a.size == 0:
-        return float(np.linalg.norm(b))
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return float(np.linalg.norm(a @ sol - b))
+    if a.size:
+        b = a @ np.linalg.lstsq(a, b, rcond=None)[0] - b
+    return math.sqrt(b @ b)   # np.linalg.norm's sum, without its overhead
 
 
 # -- ordered map ---------------------------------------------------------------

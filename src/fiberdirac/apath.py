@@ -25,7 +25,11 @@ base path, integrated on first use, so a query costs matrix products
 instead of RK4 transports; any other connection transports directly,
 point by point.  Building a path and every transport behind these
 constructors take RK4 steps of `DEFAULT_RK4_STEP`; only the
-flow-commutation check varies its step.
+flow-commutation check varies its step.  Every RK4 run here reads what
+depends on time alone (the base path's point and velocity, the covector
+curve, α) from a `_numerics.time_table`: one array evaluation over the
+run's RK4 times, so base paths, covector curves and α must accept an
+array of times.
 
 The evolution solver integrates, for a two-parameter coefficient curve
 α^ε(t) in a finite-dimensional algebra acting linearly with generator G,
@@ -34,10 +38,11 @@ The evolution solver integrates, for a two-parameter coefficient curve
 
 which is the derivative-of-flow transport law: the ε-derivative of the
 time-t flow of the fields ρ(α^ε(t)) equals ρ(β^t(ε)) at the flowed point.
-Both take α^ε(t) and ∂_ε α^ε(t) from one dual-seeded evaluation of α per
-distinct RK4 time.  `flow_commutation_residual` measures exactly that
-identity at t = ¼, ½, ¾ and 1.  It integrates the flow and the evolution
-as one RK4 system, so the two share that evaluation, and its only
+Both take α^ε(t) and ∂_ε α^ε(t) from one dual-seeded evaluation of α at
+the array of all RK4 times of a run, α(T, Dual(ε, 1)).
+`flow_commutation_residual` measures exactly that identity at t = ¼, ½, ¾
+and 1.  It integrates the flow and the evolution as one RK4 system per
+quarter, so the two share that evaluation, and its only
 discretization is the single step parameter: halving the step contracts
 the residual at the integrator's fourth order.
 """
@@ -46,8 +51,9 @@ from __future__ import annotations
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, dot, last_time_memo, matvec,
-                        rk4_integrate, smoothstep, worst)
+from ._numerics import (DEFAULT_RK4_STEP, dot, halves, matvec,
+                        rk4_integrate, smoothstep, stacked_matrix,
+                        time_table, worst)
 from .fibration import BasePath, Transport
 
 
@@ -97,24 +103,37 @@ def build_apath(geom, base_path, x0, covector_path, name=""):
     from x0 with the given covector curve.  The fiber path is cached at the
     integrator's own nodes and interpolated nowhere: it is re-integrated
     from the nearest cached node, so evaluations stay at integrator
-    accuracy for any t."""
+    accuracy for any t.  Each integration evaluates the base path and
+    `covector_path` once, at the array of its RK4 times, so
+    `covector_path(t)` must accept one: each entry a number or an array
+    over the times."""
     space = geom.space
-    drive = last_time_memo(lambda t: (base_path(t), base_path.velocity(t),
-                                      covector_path(t)))
+    n = space.n_base
 
-    def rhs(t, x):
-        b, u, a = drive(t)
-        pt = space.join(b, x)
-        return [p + q for p, q in zip(matvec(geom.conn_matrix(pt), u),
-                                      matvec(geom.pi_matrix(pt), a))]
+    def drive(t):   # γ_B(t), γ̇_B(t), then a_V(t)
+        return [c for part in base_path.jet(t) for c in part] + list(
+            covector_path(t))
+
+    def anchor_rhs(t0, t1):
+        table = time_table(drive, t0, t1, DEFAULT_RK4_STEP)
+
+        def rhs(t, x):
+            row = table(t)
+            pt = space.join(row[:n], x)
+            return [p + q for p, q in
+                    zip(matvec(geom.conn_matrix(pt), row[n:2 * n]),
+                        matvec(geom.pi_matrix(pt), row[2 * n:]))]
+
+        return rhs
 
     cache = {0.0: list(x0)}
 
     def fiber_path(t):
         tv = dm.value_of(t)
         t0 = max((s for s in cache if s <= tv + 1e-15), default=0.0)
-        x = rk4_integrate(rhs, cache[t0], t0, tv) \
-            if abs(tv - t0) > 1e-15 else list(cache[t0])
+        near = abs(tv - t0) <= 1e-15
+        rhs = None if near and not isinstance(t, Dual) else anchor_rhs(t0, tv)
+        x = list(cache[t0]) if near else rk4_integrate(rhs, cache[t0], t0, tv)
         if not isinstance(t, Dual):
             cache[tv] = [dm.value_of(c) for c in x]
             return x
@@ -260,8 +279,9 @@ def _half_curves(point, covector, rate, shift):
 
 
 def _joined(first, second):
-    """first on [0, ½], second after."""
-    return lambda t: first(t) if dm.value_of(t) <= 0.5 else second(t)
+    """first on [0, ½], second after; an array of times takes each piece
+    at its own entries (`halves`)."""
+    return lambda t: halves(first, second, t)
 
 
 def concat_base(first, second):
@@ -291,19 +311,32 @@ def concat_split(second, first):
 
 # -- evolution solver ---------------------------------------------------------------
 
-def _evolution_law(alpha, eps, generator):
-    """t ↦ (α^ε(t) seeded in ε, G(α^ε(t)), ∂_ε α^ε(t)), computed once per
-    distinct time from one evaluation α(t, Dual(ε, 1)): its value gives G
-    (None when `generator` is None), its tangent the drive ∂_ε α."""
+def _evolution_law(alpha, eps, generator, t0, t1, step):
+    """t ↦ (α^ε(t) seeded in ε, G(α^ε(t)), ∂_ε α^ε(t)) on the RK4 run from
+    t0 to t1, from one evaluation α(T, Dual(ε, 1)) at the array of its
+    times: its values give G (None when `generator` is None), its tangents
+    the drive ∂_ε α.  A component of α that does not depend on ε stays a
+    plain number, as α returned it."""
     seeded = Dual(eps, 1.0)
+    seeds = []   # per component of α: whether it carries the ε seed
+
+    def columns(t):
+        a = alpha(t, seeded)
+        seeds[:] = [isinstance(c, Dual) for c in a]
+        values = [dm.value_of(c) for c in a]
+        g = [] if generator is None else [stacked_matrix(generator(values), t)]
+        return values + dm.tangent(a) + g
+
+    table = time_table(columns, t0, t1, step)
 
     def law(t):
-        a = alpha(t, seeded)
-        g = None if generator is None else generator(
-            [dm.value_of(c) for c in a])
-        return a, g, dm.tangent(a)
+        row = table(t)
+        n = len(seeds)
+        a = [Dual(v, d) if s else v for v, d, s in zip(row, row[n:], seeds)]
+        g = None if generator is None else row[2 * n].tolist()
+        return a, g, row[n:2 * n]
 
-    return last_time_memo(law)
+    return law
 
 
 def solve_evolution(alpha, eps, generator=None, beta0=None, times=None):
@@ -318,32 +351,40 @@ def solve_evolution(alpha, eps, generator=None, beta0=None, times=None):
     Anything else raises NotImplementedError.
 
     `alpha(t, eps)` must be dual-compatible in eps (∂_ε is taken by dual
-    seeding).  Returns {"times": […], "beta": [vectors]} sampled at `times`
-    (default: just t = 1).
+    seeding) and accept an array of times t, returning per component a
+    number or an array over them (or a Dual of these); `generator` must
+    then accept components that are arrays.  Returns {"times": […], "beta":
+    [vectors]} sampled at `times` (default: just t = 1).
     """
     if generator is not None and not callable(generator):
         raise NotImplementedError(
             "evolution solver supports (a) linear finite-dimensional "
             "generators and (b) abelian coefficients (generator=None)")
-    law = _evolution_law(alpha, eps, generator)
-    beta = list(beta0) if beta0 is not None else [0.0] * len(law(0.0)[0])
     if times is None:
         times = [1.0]
+    beta = None if beta0 is None else list(beta0)
+    out_times, out_beta = [], []
+    t_prev = 0.0
+    for t in times:
+        law = _evolution_law(alpha, eps, generator, t_prev, t,
+                             DEFAULT_RK4_STEP)
+        if beta is None:
+            beta = [0.0] * len(law(t_prev)[2])
+        beta = rk4_integrate(_evolution_rhs(law), beta, t_prev, t)
+        out_times.append(t)
+        out_beta.append([dm.value_of(c) for c in beta])
+        t_prev = t
+    return {"times": out_times, "beta": out_beta}
 
+
+def _evolution_rhs(law):
     def rhs(t, b):
         _, g, drive = law(t)
         if g is None:
             return drive
         return [x + y for x, y in zip(matvec(g, b), drive)]
 
-    out_times, out_beta = [], []
-    t_prev = 0.0
-    for t in times:
-        beta = rk4_integrate(rhs, beta, t_prev, t)
-        out_times.append(t)
-        out_beta.append([dm.value_of(c) for c in beta])
-        t_prev = t
-    return {"times": out_times, "beta": out_beta}
+    return rhs
 
 
 def flow_commutation_residual(fiber, alpha, x0, eps=0.0,
@@ -353,25 +394,23 @@ def flow_commutation_residual(fiber, alpha, x0, eps=0.0,
 
     The flow ψ, dual-seeded in ε so that its tangent is ∂_ε ψ, and the
     evolution β of `solve_evolution` with G the fiber's `action_matrix`
-    share one integration: one RK4 state (ψ, β), whose right-hand side
-    evaluates α once per distinct time.  That evaluation drives ψ, and its
-    value and tangent give β's G and drive.  The single `step` is the only
-    discretization, so the residual contracts at fourth order when the
-    step is halved.
+    share one integration per quarter: one RK4 state (ψ, β), whose
+    right-hand side reads α from one evaluation at the array of the
+    quarter's RK4 times (α must accept one, as in `solve_evolution`).  That
+    evaluation drives ψ, and its value and tangent give β's G and drive.
+    The single `step` is the only discretization, so the residual contracts
+    at fourth order when the step is halved.
     """
-    law = _evolution_law(alpha, eps, fiber.action_matrix)
     n = len(x0)
-
-    def rhs(t, y):
-        a, g, drive = law(t)
-        return list(fiber.action(a, y[:n])) + [
-            p + q for p, q in zip(matvec(g, y[n:]), drive)]
-
-    y = [Dual(c, 0.0) for c in x0] + [0.0] * len(law(0.0)[0])
+    y = [Dual(c, 0.0) for c in x0]
     defects = []
     t_prev = 0.0
     for t in (0.25, 0.5, 0.75, 1.0):
-        y = rk4_integrate(rhs, y, t_prev, t, step=step)
+        law = _evolution_law(alpha, eps, fiber.action_matrix, t_prev, t,
+                             step)
+        if t_prev == 0.0:   # β(0) = 0, one entry per component of α
+            y += [0.0] * len(law(t_prev)[2])
+        y = rk4_integrate(_flow_rhs(fiber, law, n), y, t_prev, t, step=step)
         t_prev = t
         psi = [dm.value_of(c) for c in y[:n]]
         lhs = [dm.value_of(c) for c in dm.tangent(y[:n])]
@@ -379,3 +418,13 @@ def flow_commutation_residual(fiber, alpha, x0, eps=0.0,
         rhs_vec = [dm.value_of(c) for c in fiber.action(beta, psi)]
         defects += [abs(a - b) for a, b in zip(lhs, rhs_vec)]
     return worst(defects)
+
+
+def _flow_rhs(fiber, law, n):
+    """The (ψ, β) right-hand side: ψ' = ρ(α)(ψ), β' = G(α) β + ∂_ε α."""
+    def rhs(t, y):
+        a, g, drive = law(t)
+        return list(fiber.action(a, y[:n])) + [
+            p + q for p, q in zip(matvec(g, y[n:]), drive)]
+
+    return rhs

@@ -149,6 +149,14 @@ def value_of(x):
     return x
 
 
+def where(cond, a, b):
+    """`np.where` through Dual layers: a where `cond` holds, else b."""
+    if not (isinstance(a, Dual) or isinstance(b, Dual)):
+        return np.where(cond, a, b)
+    a, b = (x if isinstance(x, Dual) else Dual(x, 0.0) for x in (a, b))
+    return Dual(where(cond, a.re, b.re), where(cond, a.eps, b.eps))
+
+
 def _ordered(x):
     """The primal value of a comparison operand; arrays have no order."""
     v = value_of(x)

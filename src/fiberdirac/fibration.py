@@ -10,12 +10,15 @@ Parallel transport integrates dx/dt = A(γ(t), x)·γ̇(t) with fixed-step RK4.
 Because the integrator runs on generic scalars, transporting dual-seeded
 initial conditions yields exact differentials of the transport maps, and a
 path whose coordinates are numpy arrays transports a whole stack of paths
-(the ε-slices of a sphere family) in one integration.
+(the ε-slices of a sphere family) in one integration.  The right-hand side
+reads γ(t) and γ̇(t) from a `_numerics.time_table`: one evaluation of the
+path at an array of all the RK4 times, seeded `Dual(T, 1)`.
 
 A connection that is linear in the fiber point, A(b, x)v = K(b, v)x,
 declares its generator K.  Transport along one path is then one matrix
 propagator, and a `Transport` integrates it once and answers every
-transport and transport differential along that path from it.
+transport and transport differential along that path from it; K too is
+evaluated once over the propagator's RK4 times, as one array.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, coboundary, combos, det,
-                        last_time_memo, matvec, rk4_integrate, rk4_step,
-                        sample_unit_cube, skew_matrix)
+from ._numerics import (DEFAULT_RK4_STEP, coboundary, combos, det, matvec,
+                        rk4_integrate, sample_unit_cube, skew_matrix,
+                        stacked_matrix, time_table)
 
 
 class IncompleteTransportError(RuntimeError):
@@ -74,7 +77,13 @@ class FiberedSpace:
 
 class BasePath:
     """A smooth path [0,1] → B given by an evaluator; velocity via duals.
-    A path made by `reversed` names the path it reverses in `reverses`."""
+    A path made by `reversed` names the path it reverses in `reverses`.
+
+    `fn(t)` must accept a number, a Dual and a 1-D numpy array of times, or
+    a Dual of one: at an array every coordinate is a number (it does not
+    move) or an array whose first axis runs over the times.  So `fn` must
+    not branch on t, and must call `dual` functions rather than `math`.
+    """
 
     def __init__(self, fn, name=""):
         self.fn = fn
@@ -85,8 +94,14 @@ class BasePath:
     def __call__(self, t):
         return self.fn(t)
 
+    def jet(self, t):
+        """γ(t) and γ̇(t), from one evaluation of fn at Dual(t, 1); t may be
+        an array of times."""
+        out = self.fn(Dual(t, 1.0))
+        return [dm.value_of(c) for c in out], dm.tangent(out)
+
     def velocity(self, t):
-        return dm.tangent(self.fn(Dual(t, 1.0)))
+        return self.jet(t)[1]
 
     def reversed(self):
         rev = BasePath(lambda t: self.fn(1.0 - t), name=f"{self.name}~")
@@ -162,7 +177,8 @@ def transport_samples(connection, path, x0, times, step=DEFAULT_RK4_STEP):
 
 def _transport(connection, path, x0, t0, t1, step):
     """The RK4 transport behind `parallel_transport` and
-    `transport_samples`.  State entries may be floats, duals, or numpy
+    `transport_samples`, reading γ and γ̇ from one evaluation of the path
+    over the run's RK4 times.  State entries may be floats, duals, or numpy
     arrays (or array duals) holding one entry per stacked path, when `path`
     evaluates to coordinate arrays.  A stacked state escapes as soon as one
     entry does; the error then names the point of the lowest-index path
@@ -170,11 +186,13 @@ def _transport(connection, path, x0, t0, t1, step):
     fiber = connection.space.fiber
     if connection.is_flat:
         return list(x0)
-    drive = last_time_memo(lambda t: (path(t), path.velocity(t)))
+    n = connection.space.n_base
+    drive = time_table(lambda t: [c for part in path.jet(t) for c in part],
+                       t0, t1, step)
 
     def rhs(t, x):
-        b, v = drive(t)
-        return matvec(connection.coeff(b, x), v)
+        row = drive(t)   # γ(t), then γ̇(t)
+        return matvec(connection.coeff(row[:n], x), row[n:])
 
     def guard(t, x):
         if not fiber.contains(x):
@@ -202,12 +220,13 @@ class Transport:
     A connection with a `generator` K transports linearly: φ is the matrix
     P(t1)·P(t0)⁻¹, where the propagator solves P' = K(γ(t), γ̇(t))·P,
     P(0) = I, and dφ is the same matrix.  P is integrated on the first
-    query, by the RK4 steps a direct transport from 0 to 1 takes, and kept
-    on the path for every later `Transport` of the same connection; a time
-    between two grid nodes takes one partial step from the node below.  A
-    path made by `BasePath.reversed` integrates no propagator of its own:
-    it reads the original's, φ^rev_{t0→t1} = φ_{1−t0→1−t1}, which agrees
-    with its own up to rounding.
+    query, by the RK4 steps a direct transport from 0 to 1 takes, with K
+    evaluated once over all their times, and kept on the path for every
+    later `Transport` of the same connection; a time between two grid nodes
+    takes one partial step from the node below.  A path made by
+    `BasePath.reversed` integrates no propagator of its own: it reads the
+    original's, φ^rev_{t0→t1} = φ_{1−t0→1−t1}, which agrees with its own up
+    to rounding.
     The chart guard checks the transported point at every grid
     node between t0 and t1 in one array pass.  From t0 = 0 it raises the
     direct route's `IncompleteTransportError`, with the same `t_escape` and
@@ -223,12 +242,10 @@ class Transport:
     def __init__(self, connection, path):
         self.connection = connection
         self.path = path
-        generator = connection.generator
         # the path whose propagator this reads, and whether backwards
-        self._flip = generator is not None and path.reverses is not None
-        along = self._along = path.reverses if self._flip else path
-        self._k = last_time_memo(lambda t: np.asarray(
-            generator(along(t), along.velocity(t)), dtype=float))
+        self._flip = (connection.generator is not None
+                      and path.reverses is not None)
+        self._along = path.reverses if self._flip else path
 
     def map(self, x, t0, t1):
         """φ_{t0→t1}(x), the transported point."""
@@ -257,9 +274,6 @@ class Transport:
         and back: the map is its own inverse."""
         return 1.0 - t if self._flip else t
 
-    def _rhs(self, t, state):
-        return [self._k(t) @ state[0]]
-
     def _grid(self):
         # kept on the path, not here: a path that held its Transport would
         # make a reference cycle, and the arrays would wait for a full
@@ -278,21 +292,36 @@ class Transport:
             times.append(t)
             props.append(state[0])
 
-        rk4_integrate(self._rhs, [np.eye(self.connection.space.n_fiber)],
-                      0.0, 1.0, observer=keep)
+        self._propagate(np.eye(self.connection.space.n_fiber), 0.0, 1.0,
+                        DEFAULT_RK4_STEP, keep)
         return times, np.array(props)
+
+    def _generators(self, t):
+        """K(γ(t), γ̇(t)) along the propagator's path as one `time_table`
+        entry: a float array of shape np.shape(t) + (n_F, n_F)."""
+        return [stacked_matrix(self.connection.generator(*self._along.jet(t)),
+                               t)]
+
+    def _propagate(self, p, t0, t1, step, observer):
+        """P(t1) from P(t0) = p by RK4 of P' = K P, with K from one table
+        over the run's times."""
+        k = time_table(self._generators, t0, t1, step)
+        return rk4_integrate(lambda t, state: [k(t)[0] @ state[0]], [p],
+                             t0, t1, step=step, observer=observer)[0]
 
     def _at(self, t):
         """P(t) at a time of the propagator's path: a node's propagator, or
-        one partial RK4 step from the node below.  A time within rounding
-        of a node is that node."""
+        one partial RK4 step from the node below (a one-step run, whose K
+        is one array call at its three times).  A time within rounding of a
+        node is that node."""
         times, props = self._grid()
         last = len(times) - 1
         k = min(int(round(t * last)), last)
         if abs(times[k] - t) <= 1e-12 / last:
             return props[k]
         k = min(max(bisect_right(times, t) - 1, 0), last - 1)
-        return rk4_step(self._rhs, times[k], [props[k]], t - times[k])[0]
+        return self._propagate(props[k], times[k], t, abs(t - times[k]),
+                               None)
 
     def _guard(self, x0, y, t0, t1, x1):
         """Raise at the first grid state outside the fiber chart, walking

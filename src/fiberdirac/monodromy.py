@@ -36,7 +36,7 @@ import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, complex_partials, dot,
+from ._numerics import (DEFAULT_RK4_STEP, complex_partials, dot, halves,
                         simpson_integrate, simpson_weights, smoothstep,
                         unstack, worst)
 from .charts import CoordinateDomain
@@ -165,35 +165,19 @@ def cap(theta, n_t=65, n_eps=65):
 def concat_families(first, second):
     """Concatenate two closed families along ε (first on [0,½]); for
     abelian data the transgression endpoint is additive over this.  On an
-    ε array each half is evaluated at the entries it keeps and at its end
-    ε = ½ (the collapsed base point) elsewhere, so the entries the other
-    half supplies can raise no numpy warning."""
+    ε array `halves` evaluates each half at the entries it keeps and at
+    its end ε = ½ (the collapsed base point) elsewhere."""
     if not (first.closed and second.closed):
         raise ValueError("only closed families concatenate along eps")
 
     def fn(t, eps):
-        ev = dm.value_of(eps)
-        if not isinstance(ev, np.ndarray):
-            if np.real(ev) <= 0.5:
-                return first.fn(t, smoothstep(2.0 * eps))
-            return second.fn(t, smoothstep(2.0 * eps - 1.0))
-        lower = np.real(ev) <= 0.5
-        a = first.fn(t, smoothstep(2.0 * _where(lower, eps, 0.5)))
-        b = second.fn(t, smoothstep(2.0 * _where(lower, 0.5, eps) - 1.0))
-        return [_where(lower, p, q) for p, q in zip(a, b)]
+        return halves(lambda e: first.fn(t, smoothstep(2.0 * e)),
+                      lambda e: second.fn(t, smoothstep(2.0 * e - 1.0)), eps)
 
     return SphereFamily(fn, n_t=max(first.n_t, second.n_t),
                         n_eps=2 * max(first.n_eps, second.n_eps) - 1,
                         closed=True,
                         name=f"{second.name}*{first.name}")
-
-
-def _where(cond, a, b):
-    """`np.where` through Dual layers: a where `cond` holds, else b."""
-    if not (isinstance(a, Dual) or isinstance(b, Dual)):
-        return np.where(cond, a, b)
-    a, b = (x if isinstance(x, Dual) else Dual(x, 0.0) for x in (a, b))
-    return Dual(_where(cond, a.re, b.re), _where(cond, a.eps, b.eps))
 
 
 FAMILIES = {"round-sphere": round_sphere, "cap": cap}
@@ -253,6 +237,15 @@ def _grid_nodes(family, eps):
     return (family.fn(s, eps),
             dm.tangent(family.fn(Dual(s, 1.0), eps)),
             dm.tangent(family.fn(s, Dual(eps, 1.0))))
+
+
+def _down(t):
+    """Array times as a column against the row of ε-slices, so that at an
+    array of times every coordinate of the stacked slices is a (times,
+    slices) array, as `BasePath` asks."""
+    if isinstance(t, Dual):
+        return Dual(_down(t.re), _down(t.eps))
+    return t[:, None] if isinstance(t, np.ndarray) else t
 
 
 def _stack(column):
@@ -330,7 +323,7 @@ def _transgress_block(geom, family, y0, eps, step):
     n_eps = len(eps)
     w_s = np.array(simpson_weights(family.n_t))
     s_nodes = [k / (family.n_t - 1) for k in range(family.n_t)]
-    slices = BasePath(lambda t: family.fn(t, eps),
+    slices = BasePath(lambda t: family.fn(_down(t), eps),
                       name=f"{family.name}@eps-block")
     x_tilde = _transport(conn, slices,
                          [np.full(n_eps, c, dtype=float) for c in y0],

@@ -131,9 +131,10 @@ def test_criterion_06_splitting_brackets_vanish():
 
 def test_criterion_07_flow_commutation_contracts_at_fourth_order():
     fiber = HamiltonianFiber.coadjoint_so3()
-    alpha = lambda t, e: [(3.0 + e) * math.sin(2.0 * math.pi * t),
-                          2.5 * math.cos(3.0 * math.pi * t) - e * t,
-                          1.5 * math.sin(5.0 * t + e)]
+    # dual functions: math.sin of a Dual drops its tangent
+    alpha = lambda t, e: [(3.0 + e) * dm.sin(2.0 * math.pi * t),
+                          2.5 * dm.cos(3.0 * math.pi * t) - e * t,
+                          1.5 * dm.sin(5.0 * t + e)]
     x0, eps = [0.6, 0.0, 0.8], 0.3
     r1 = flow_commutation_residual(fiber, alpha, x0, eps=eps, step=1e-3)
     r2 = flow_commutation_residual(fiber, alpha, x0, eps=eps, step=5e-4)

@@ -4,10 +4,13 @@ flow-commutation identity."""
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from fiberdirac import _numerics
+from fiberdirac import apath as apath_module
 from fiberdirac import dual as dm
 from fiberdirac import fibration
 from fiberdirac._numerics import matvec, rk4_integrate, smoothstep, worst
@@ -15,7 +18,9 @@ from fiberdirac.apath import (build_apath, concat_base, concat_split,
                               flow_commutation_residual, inverse_split,
                               reparameterized, solve_evolution, split_apath,
                               unsplit_apath)
+from fiberdirac.charts import CoordinateDomain
 from fiberdirac.fibration import (DEFAULT_RK4_STEP, BasePath, Connection,
+                                  FiberedSpace,
                                   IncompleteTransportError, Transport,
                                   parallel_transport)
 from fiberdirac.cli import compile_expression
@@ -405,36 +410,163 @@ def count_rk4_steps(monkeypatch):
     return steps
 
 
-def test_flow_commutation_evaluates_alpha_once_per_distinct_time(
-        monkeypatch):
-    # one seeded evaluation per time drives ψ and β; RK4 asks each midpoint
-    # twice and each step's end again as the next start, and each of the
-    # four segments starts at a fresh time
+def test_flow_commutation_evaluates_alpha_once_per_segment(monkeypatch):
+    # one seeded evaluation at the array of a quarter's RK4 times drives ψ
+    # and β through that quarter
     steps, calls = count_rk4_steps(monkeypatch), []
 
     def alpha(t, e):
-        calls.append(t)
+        calls.append(len(t))
         return [(3 + e) * dm.sin(2 * math.pi * t), -e * t, 1.5]
 
     flow_commutation_residual(HamiltonianFiber.coadjoint_so3(), alpha,
                               [0.6, 0.0, 0.8], eps=0.3, step=1e-2)
     assert len(steps) == 100
-    assert len(calls) <= 2 * len(steps) + len(FLOW_TIMES)
+    assert calls == [51] * len(FLOW_TIMES)
 
 
-def test_curved_transport_evaluates_velocity_once_per_distinct_time(
-        monkeypatch, geom, apath):
-    steps, calls = count_rk4_steps(monkeypatch), []
+def counted_path(path, calls):
+    """`path`, recording the shape of every time it is evaluated at."""
+    return BasePath(lambda t: calls.append(np.shape(dm.value_of(t)))
+                    or path.fn(t), name=path.name)
+
+
+def test_curved_transport_evaluates_its_path_once(monkeypatch, geom,
+                                                  apath):
+    steps, calls, velocities = count_rk4_steps(monkeypatch), [], []
     velocity = BasePath.velocity
 
     def counted(self, t):
-        calls.append(t)
+        velocities.append(t)
         return velocity(self, t)
 
     monkeypatch.setattr(BasePath, "velocity", counted)
-    parallel_transport(geom.connection, apath.base_path, X_START, 0.0, 0.7)
+    path = counted_path(apath.base_path, calls)
+    parallel_transport(geom.connection, path, X_START, 0.0, 0.7)
     assert len(steps) == 700
-    assert len(calls) <= 2 * len(steps) + 1
+    assert calls == [(1401,)]
+    fibration.transport_samples(geom.connection, path, X_START,
+                                [0.0, 0.25, 0.5])
+    assert calls[1:] == [(501,), (501,)]     # one per `_transport`
+    assert velocities == []
+
+
+def test_built_path_evaluates_its_drive_once_per_integration(geom, apath):
+    calls, covectors = [], []
+    cov = lambda t: covectors.append(np.shape(t)) or [0.2 + 0.1 * t,
+                                                      -0.3 * t * t, 0.05]
+    built = build_apath(geom, counted_path(apath.base_path, calls),
+                        X_START, cov)
+    built.fiber_path(0.4)
+    built.fiber_path(0.4)      # cached: no integration, no evaluation
+    assert calls == covectors == [(801,)]
+
+
+# -- the time tables against the per-time route they replace -------------------------
+
+def memo_table(fn, t0, t1, step):
+    """The per-time route the time tables replace: fn at one scalar time,
+    once per distinct time in a row (RK4 asks each midpoint twice, and a
+    step's end again as the next start).  A drop-in for
+    `_numerics.time_table`."""
+    last = []
+
+    def row(t):
+        if not last or last[0] != t:
+            last[:] = [t, list(fn(t))]
+        return last[1]
+
+    return row
+
+
+def per_time_route(monkeypatch):
+    for module in (fibration, apath_module):
+        monkeypatch.setattr(module, "time_table", memo_table)
+
+
+#: inputs of arithmetic, sin and cos, where numpy equals math to the bit,
+#: and inputs through tan, exp and log, where numpy may move by an ulp
+TRIG_INPUTS = (
+    lambda t: [0.4 * dm.sin(2 * math.pi * t) * t,
+               0.3 * (1 - dm.cos(2 * math.pi * t))],
+    lambda t: [0.2 + 0.1 * t, -0.3 * t * t, 0.15 * dm.sin(3 * t)],
+    lambda t, e: [(3 + e) * dm.sin(2 * math.pi * t), 2.5 * dm.cos(
+        3 * math.pi * t) - e * t, 1.5 * dm.sqrt(2.0 + dm.sin(5 * t + e))])
+TRANSCENDENTAL_INPUTS = (
+    lambda t: [0.4 * dm.tan(0.9 * t) * t, 0.3 * (1 - dm.exp(-t))],
+    lambda t: [0.2 + 0.1 * dm.log(1 + t), -0.3 * t * t, 0.15 * dm.exp(-t)],
+    lambda t, e: [(3 + e) * dm.exp(0.3 * t), dm.log(2 + t) - e * t,
+                  1.5 * dm.tan(0.5 * t + e)])
+
+
+def round_trip_numbers(geom, inputs):
+    """Round trip, dual-time inverse query, propagator grid and a direct
+    transport of the so(3)* model along fresh paths, as one float list."""
+    bp = BasePath(inputs[0], name="loop")
+    ap = build_apath(geom, bp, X_START, inputs[1])
+    back = unsplit_apath(split_apath(ap))
+    out = []
+    for t in (0.125, 0.3, 0.425, 0.7, 1.0):
+        out += [dm.value_of(c) for c in back.fiber_path(t)]
+        out += [dm.value_of(c) for c in back.covector_path(t)]
+    inv = unsplit_apath(inverse_split(split_apath(ap)))
+    out += [c for d in inv.fiber_path(dm.Dual(0.225, 1.0)) for c in
+            (d.re, d.eps)]
+    out += Transport(geom.connection, bp)._grid()[1].ravel().tolist()
+    out += parallel_transport(geom.connection, bp, X_START, 0.0, 0.7)
+    return [float(c) for c in out]
+
+
+def flow_numbers(inputs):
+    fib = HamiltonianFiber.coadjoint_so3()
+    residual = flow_commutation_residual(fib, inputs[2], [0.6, 0.0, 0.8],
+                                         eps=0.3, step=1e-3)
+    betas = solve_evolution(inputs[2], 0.3, generator=fib.action_matrix,
+                            times=list(FLOW_TIMES))["beta"]
+    return residual, [c for b in betas for c in b]
+
+
+def test_tables_match_the_per_time_route_to_the_bit(monkeypatch, geom):
+    table = round_trip_numbers(geom, TRIG_INPUTS), flow_numbers(TRIG_INPUTS)
+    per_time_route(monkeypatch)
+    want = round_trip_numbers(geom, TRIG_INPUTS), flow_numbers(TRIG_INPUTS)
+    assert [c.hex() for c in table[0]] == [c.hex() for c in want[0]]
+    assert table[1][0].hex() == want[1][0].hex()
+    assert [c.hex() for c in table[1][1]] == [c.hex() for c in want[1][1]]
+
+
+def test_tables_match_the_per_time_route_through_tan_exp_and_log(
+        monkeypatch, geom):
+    table = (round_trip_numbers(geom, TRANSCENDENTAL_INPUTS),
+             flow_numbers(TRANSCENDENTAL_INPUTS))
+    per_time_route(monkeypatch)
+    want = (round_trip_numbers(geom, TRANSCENDENTAL_INPUTS),
+            flow_numbers(TRANSCENDENTAL_INPUTS))
+    for got, ref in zip(table[0] + table[1][1], want[0] + want[1][1]):
+        assert got == pytest.approx(ref, rel=1e-13, abs=1e-300)
+    # the residual is a difference of O(1) terms at the roundoff floor
+    assert abs(table[1][0] - want[1][0]) < 1e-14
+
+
+def test_a_path_undefined_past_its_escape_escapes_as_before(monkeypatch,
+                                                             geom):
+    # log(0.6 − t) is undefined after t = 0.6; the transport leaves the
+    # chart |x| ≤ 2 near t = 0.52, before the per-time route asks a later
+    # time, while the table evaluates the whole grid at once
+    space = FiberedSpace(geom.space.base,
+                         CoordinateDomain.box([(-2.0, 2.0)], name="line"))
+    conn = Connection(space, lambda b, x: [[1.0, 0.0]])
+    path = BasePath(lambda t: [dm.log(0.6 - t), 0.0], name="log")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IncompleteTransportError) as table:
+            parallel_transport(conn, path, [0.0])
+    per_time_route(monkeypatch)
+    with pytest.raises(IncompleteTransportError) as want:
+        parallel_transport(conn, path, [0.0])
+    assert table.value.t_escape == want.value.t_escape
+    assert 0.51 < want.value.t_escape < 0.53
+    assert table.value.point == pytest.approx(want.value.point, rel=1e-13)
 
 
 def test_flow_commutation_takes_no_seeded_pass(monkeypatch):

@@ -210,16 +210,35 @@ def test_nan_flow_residual_fails_the_halving_gain(capsys, tmp_path):
         assert named[name]["verdict"] == "FAIL"
 
 
+def test_a_domain_error_in_alpha_fails_without_traceback(capfd, tmp_path):
+    # α runs at the array of a quarter's RK4 times, where numpy's log is
+    # NaN past t = ½, so the flow residual is NaN rather than an error
+    scenario = {"name": "log-alpha", "kind": "apath", "step": 0.01,
+                "alpha": ["log(t - 0.5)", "1.0", "e"]}
+    path = tmp_path / "log-alpha.json"
+    path.write_text(json.dumps(scenario))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(capfd, ["check", str(path)])
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert [c["name"] for c in report["checks"]] == ["flow_commutation",
+                                                      "halving_gain"]
+    assert all(math.isnan(c["residual"]) and c["verdict"] == "FAIL"
+               for c in report["checks"])
+
+
 @pytest.mark.parametrize("fields,checks,failing", [
     # log of the negative half of the fiber: the checks evaluate their
     # points as arrays, where numpy's log is NaN and so is its derivative
     ({"base_bounds": [[-1.0, 1.0], [-1.0, 1.0]],
       "fiber_bounds": [[-1.0, 1.0]], "omega": ["log(x1)"]}, ["conditions"],
      "curvature_match"),
-    # the NaN connection makes the closure oracle's SVD fail to converge
-    (NAN_CONNECTION_FIELDS, ["oracle-agreement"], "evaluation-error"),
+    # the NaN connection makes the closure oracle's distances NaN, and
+    # NaN never reaches LAPACK, whose complaint would land on the stream
+    (NAN_CONNECTION_FIELDS, ["oracle-agreement"], "oracle_agreement"),
 ], ids=["log-domain", "nan-oracle"])
-def test_evaluator_errors_fail_without_traceback(capsys, tmp_path, fields,
+def test_evaluator_errors_fail_without_traceback(capfd, tmp_path, fields,
                                                  checks, failing):
     scenario = {"name": "err-inline", "kind": "coupling-check",
                 "fields": fields, "checks": checks, "samples": 8}
@@ -227,16 +246,18 @@ def test_evaluator_errors_fail_without_traceback(capsys, tmp_path, fields,
     path.write_text(json.dumps(scenario))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, _ = run_main(capsys, ["check", str(path)])  # no raise
+        code, out, err = run_main(capfd, ["check", str(path)])  # no raise
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err == ""
     assert code == 1
     report = json.loads(out)
     assert report["verdict"] == "FAIL"
     named = {c["name"]: c for c in report["checks"]}
     assert [c["name"] for c in report["checks"]
             if c["verdict"] == "FAIL"] == [failing]
-    if failing == "evaluation-error":
-        assert len(named) == 1 and named[failing]["error"]
+    if failing == "oracle_agreement":
+        # the closure oracle reads NaN, which never agrees with anything
+        assert math.isnan(report["closure_residual"])
     else:
         assert math.isnan(named[failing]["residual"])
 

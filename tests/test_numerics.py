@@ -1,6 +1,6 @@
-"""Numerical kernels: integrator order, quadrature exactness, sampling
-determinism, subspace helpers, the small dense helpers and the residual
-reduction."""
+"""Numerical kernels: integrator order and time grid, time tables,
+quadrature exactness, sampling determinism, subspace helpers, the small
+dense helpers and the residual reduction."""
 
 import math
 
@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from fiberdirac import dual as dm
-from fiberdirac._numerics import (det, intersection_dimension, lstsq_residual,
-                                  nullspace, orthonormal_basis, parallel_map,
-                                  principal_angles, rk4_integrate,
-                                  sample_unit_cube, simpson_integrate,
-                                  simpson_weights, skew_matrix, smoothstep,
-                                  stack, unstack, worst)
+from fiberdirac._numerics import (det, halves, intersection_dimension,
+                                  lstsq_residual, nullspace, orthonormal_basis,
+                                  parallel_map, principal_angles,
+                                  rk4_integrate, rk4_times, sample_unit_cube,
+                                  simpson_integrate, simpson_weights,
+                                  skew_matrix, smoothstep, stack,
+                                  time_table, unstack, worst)
 
 
 def test_rk4_matches_exponential():
@@ -34,6 +35,91 @@ def test_rk4_is_fourth_order():
 def test_rk4_integrates_backward():
     y = rk4_integrate(lambda t, y: [y[0]], [math.e], 1.0, 0.0, step=1e-3)
     assert y[0] == pytest.approx(1.0, rel=1e-10)
+
+
+def asked_times(t0, t1, step):
+    """The times rk4_integrate passes to its right-hand side, a repeat in
+    a row counted once (the two midpoint stages, and a step's end that is
+    the next step's start)."""
+    asked = []
+    rk4_integrate(lambda t, y: asked.append(t) or [0.0], [0.0], t0, t1,
+                  step=step)
+    return [t.hex() for k, t in enumerate(asked)
+            if k == 0 or t != asked[k - 1]]
+
+
+@pytest.mark.parametrize("t0,t1,step,steps", [
+    (0.0, 1.0, 0.1, 10),             # forward
+    (1.0, 0.0, 0.1, 10),             # backward
+    (0.25, 0.9, 0.3, 3),             # the step does not divide the span
+    (0.2, 0.7, 0.5 / (3 + 5e-13), 3),  # within 1e-12 of 3 steps: 3
+    (0.2, 0.7, 0.5 / (3 + 5e-12), 4),  # beyond it: a fourth step
+], ids=["forward", "backward", "remainder", "ceil-edge", "past-edge"])
+def test_rk4_times_are_the_times_the_integrator_asks(t0, t1, step, steps):
+    times = rk4_times(t0, t1, step)
+    assert len(times) == 2 * steps + 1
+    assert [t.hex() for t in times] == asked_times(t0, t1, step)
+
+
+def test_rk4_times_of_an_empty_run_is_its_start():
+    assert rk4_times(0.4, 0.4, 1e-3) == [0.4]
+    assert asked_times(0.4, 0.4, 1e-3) == []
+
+
+def test_time_table_evaluates_once_and_answers_off_grid_times():
+    calls = []
+
+    def fn(t):
+        calls.append(len(t))
+        return [dm.sin(t), 2.0, np.stack([t, 3.0 * t], axis=-1)]
+
+    row = time_table(fn, 0.0, 1.0, 0.25)
+    assert calls == [9]
+    got = row(0.375)
+    assert type(got[0]) is float and got[0] == math.sin(0.375)
+    assert got[1] == 2.0
+    assert got[2].tolist() == [0.375, 1.125]
+    assert calls == [9]
+    off = row(0.3)     # not an RK4 time: one more call, on one entry
+    assert calls == [9, 1]
+    assert off[0] == math.sin(0.3) and off[2].tolist() == [0.3, 3.0 * 0.3]
+
+
+def test_time_table_ignores_numpy_warnings_past_an_escape():
+    with np.errstate(all="raise"):
+        row = time_table(lambda t: [np.log(0.6 - t)], 0.0, 1.0, 0.25)
+    assert row(0.25)[0] == math.log(0.35)
+    assert math.isnan(row(1.0)[0])
+
+
+def test_halves_take_each_piece_at_its_own_entries():
+    # each piece is undefined on the other half, so a numpy warning, raised
+    # here, would mean a piece ran at an entry it does not keep
+    seen = []
+
+    def piece(sign):
+        def fn(u):
+            seen.append(np.asarray(dm.value_of(u)).tolist())
+            return [dm.sqrt(sign * (0.5 - u) + 0.01), 2.0]
+        return fn
+
+    u = np.array([0.1, 0.35, 0.5, 0.6, 0.85])
+    with np.errstate(all="raise"):
+        out = halves(piece(1.0), piece(-1.0), dm.Dual(u, 1.0))
+    assert seen == [[0.1, 0.35, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.6, 0.85]]
+    assert out[0].re.tolist() == [
+        math.sqrt(s * (0.5 - x) + 0.01)
+        for s, x in zip((1.0, 1.0, 1.0, -1.0, -1.0), u.tolist())]
+    assert out[1].tolist() == [2.0] * 5
+    seen.clear()
+    assert halves(piece(1.0), piece(-1.0), 0.25) == [math.sqrt(0.26), 2.0]
+    assert seen == [0.25]
+
+
+def test_lstsq_residual_is_nan_on_a_non_finite_entry():
+    assert lstsq_residual([[1.0, 0.0]], [0.0, 2.0]) == 2.0
+    assert math.isnan(lstsq_residual([[math.nan, 0.0]], [0.0, 2.0]))
+    assert math.isnan(lstsq_residual([[1.0, 0.0]], [math.inf, 2.0]))
 
 
 def test_simpson_weights_and_cubic_exactness():

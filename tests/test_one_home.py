@@ -6,9 +6,13 @@ package module calls `itertools.combinations`, builds a unit vector entry
 by `1.0 if … == … else 0.0`, spells the step 1e-30 or reads an imaginary
 part (`.imag`, `np.imag`).  A pointwise check visits its sample points as
 one array axis (`_numerics.stack`), so no module calls the per-point map
-`parallel_map` at all.  There is no linter in the toolchain, so this
-parses the package with `ast`, next to the import audit in
-`test_imports.py`.
+`parallel_map` at all.  The RK4 time grid is `_numerics.rk4_times`: no
+other module computes a step count (`ceil` of an expression in `step`),
+and an RK4 input that depends on time alone comes from a
+`_numerics.time_table`, so no module defines a memo of the last time (a
+function named `…memo…`, or one decorated `lru_cache` / `cache`).  There
+is no linter in the toolchain, so this parses the package with `ast`,
+next to the import audit in `test_imports.py`.
 """
 
 import ast
@@ -21,12 +25,26 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 
 #: rule → the one module allowed to spell it out (None: no module)
 HOMES = {"combinations": "_numerics", "unit vector": "dual",
-         "complex step": "_numerics", "per-point map": None}
+         "complex step": "_numerics", "per-point map": None,
+         "rk4 grid": "_numerics", "time memo": None}
+
+MEMO_DECORATORS = {"lru_cache", "cache"}
 
 
 def _is_number(node, value):
     return (isinstance(node, ast.Constant) and type(node.value) is float
             and node.value == value)
+
+
+def _names(node):
+    """Every name and attribute name in the tree under `node`."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None)
+            for n in ast.walk(node)}
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
 def hand_rolled(source):
@@ -51,6 +69,14 @@ def hand_rolled(source):
               and isinstance(node.value, ast.Name)
               and node.value.id == "itertools"):
             found.append("combinations")
+        elif (isinstance(node, ast.Call) and _decorator_name(node) == "ceil"
+              and "step" in set().union(*map(_names, node.args))):
+            found.append("rk4 grid")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                "memo" in node.name or any(
+                    _decorator_name(d) in MEMO_DECORATORS
+                    for d in node.decorator_list)):
+            found.append("time memo")
         elif (isinstance(node, ast.IfExp) and _is_number(node.body, 1.0)
               and _is_number(node.orelse, 0.0)
               and isinstance(node.test, ast.Compare)
@@ -73,10 +99,21 @@ def test_the_scan_sees_a_planted_copy():
                "r = np.real(z) + z.real + 1e-3\n"
                "rows = parallel_map(check, points)\n"
                "rows = _numerics.parallel_map(check, points)\n"
-               "fn = parallel_map\n")
+               "fn = parallel_map\n"
+               "n = max(1, int(math.ceil(abs(t1 - t0) / step - 1e-12)))\n"
+               "n = ceil(span / self.step)\n"
+               "n = math.ceil(span / h)\n"
+               "def last_time_memo(fn):\n    return fn\n"
+               "@functools.lru_cache(maxsize=None)\n"
+               "def drive(t):\n    return t\n"
+               "@cache\n"
+               "def k(t):\n    return t\n"
+               "@staticmethod\n"
+               "def table(t):\n    return t\n")
     assert sorted(hand_rolled(planted)) == [
         "combinations", "combinations", "complex step", "complex step",
         "complex step", "complex step", "per-point map", "per-point map",
+        "rk4 grid", "rk4 grid", "time memo", "time memo", "time memo",
         "unit vector"]
 
 
