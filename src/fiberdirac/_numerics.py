@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from array import array
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import dual as dm
 from .dual import value_of
@@ -227,6 +229,23 @@ def _halton(index, base):
     return r
 
 
+_JITTER = []   # the one jitter generator, built by the first `_jitter`
+_JITTER_LOCK = threading.Lock()
+
+
+def _jitter(seed, count, dim):
+    """``np.random.RandomState(seed).uniform(-1, 1, (count, dim))`` from one
+    generator, reseeded per call: building a generator costs about twenty
+    reseeds.  It is built on first use, so a run that never samples never
+    imports `numpy.random`; the lock keeps a reseed and its draw together."""
+    with _JITTER_LOCK:
+        if _JITTER:
+            _JITTER[0].seed(seed)
+        else:
+            _JITTER.append(np.random.RandomState(seed))
+        return _JITTER[0].uniform(-1.0, 1.0, size=(count, dim))
+
+
 def sample_unit_cube(count, dim, seed=0):
     """Deterministic low-discrepancy points in [0,1)^dim.
 
@@ -236,8 +255,7 @@ def sample_unit_cube(count, dim, seed=0):
     """
     if dim > MAX_SAMPLE_DIM:
         raise ValueError(f"sampling supports at most {MAX_SAMPLE_DIM} dims")
-    rng = np.random.RandomState(seed)
-    noise = rng.uniform(-1.0, 1.0, size=(count, dim)) * (0.25 / max(count, 1))
+    noise = _jitter(seed, count, dim) * (0.25 / max(count, 1))
     pts = []
     for k in range(count):
         row = [_halton(k + 1, _HALTON_BASES[d]) + float(noise[k, d])
@@ -403,16 +421,45 @@ def nullspace(rows):
     return vt[rank:]
 
 
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError(
+        "SVD did not converge in Linear Least Squares")
+
+
 def lstsq_residual(basis_rows, vector):
-    """Euclidean distance from ``vector`` to the row span of ``basis_rows``;
-    NaN, without a LAPACK call, when either holds a non-finite entry."""
-    if not all(map(math.isfinite, itertools.chain(vector, *basis_rows))):
-        return math.nan
-    a = as_float_matrix(basis_rows).T
-    b = np.array([value_of(x) for x in vector], dtype=float)
-    if a.size:
-        b = a @ np.linalg.lstsq(a, b, rcond=None)[0] - b
-    return math.sqrt(b @ b)   # np.linalg.norm's sum, without its overhead
+    """Euclidean distance from ``vector`` to the row span of ``basis_rows``,
+    for one item or a stack of them: a basis ``(..., k, d)`` and a vector
+    ``(..., d)`` broadcast over their leading axes, and the distances come
+    back in that shape, a float for one item.  The whole stack is one call
+    of the gufunc behind `np.linalg.lstsq`, which makes for each item the
+    `gelsd` call that `np.linalg.lstsq` makes on it (same F-order matrix,
+    same rcond), so each distance has the bits of the per-item route.  An
+    item holding a non-finite entry is NaN and is zeroed before the call:
+    LAPACK never sees it, and the other items are unchanged."""
+    basis = np.asarray(basis_rows, dtype=float)
+    vector = np.asarray(vector, dtype=float)
+    shape = np.broadcast_shapes(basis.shape[:-2], vector.shape[:-1])
+    k, d = basis.shape[-2:]
+    basis = np.ascontiguousarray(np.broadcast_to(basis, shape + (k, d)))
+    vector = np.ascontiguousarray(np.broadcast_to(vector, shape + (d,)))
+    bad = ~(np.isfinite(basis).all(axis=(-2, -1))
+            & np.isfinite(vector).all(axis=-1))
+    if bad.any():
+        basis = np.where(bad[..., None, None], 0.0, basis)
+        vector = np.where(bad[..., None], 0.0, vector)
+    r = vector
+    if k and d:
+        a = basis.swapaxes(-1, -2)   # each item the F-order (d, k) matrix
+        with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            x = _umath_linalg.lstsq(a, vector[..., None],
+                                    np.finfo(float).eps * max(d, k),
+                                    signature="ddd->ddid")[0]
+        r = (a @ x)[..., 0] - vector
+    # r @ r per item: the BLAS dot of the per-item route, not (r*r).sum()
+    dist = np.where(bad, math.nan,
+                    np.sqrt((r[..., None, :] @ r[..., :, None])[..., 0, 0]))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 # -- ordered map ---------------------------------------------------------------

@@ -28,15 +28,18 @@ measures the four conditions: algebra on one set of first derivatives of
 (A, ω_H, π_V), each field differentiated once per direction.
 `dirac_closure_residual` measures Courant closure of the frame directly and
 never calls `_condition_residuals`: it takes one Jacobian of the flattened
-frame, applies `fields.courant_at` to every pair of rows, and measures each
-point's distance to the span.  The two routes must agree on every verdict.
+frame, applies `fields.courant_at` to every pair of rows, and measures the
+distance of every bracket at every point to its span in one stacked
+least-squares call.  The two routes must agree on every verdict.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import dual as dm
 from ._numerics import (bilinear, coboundary, combos, dot, lstsq_residual,
-                        matvec, skew_matrix, stack, unstack, worst)
+                        matvec, skew_matrix, stack, stacked_matrix, worst)
 from . import fields
 from .fibration import HorizontalForm, VerticalBivector
 
@@ -226,15 +229,11 @@ def dirac_closure_residual(geom, points=None, count=24, seed=0):
     jets = [jac[2 * n * r:2 * n * (r + 1)] for r in range(n)]
     vecs = rows + [[dm.value_of(c) for c in fields.courant_at(
         rows[r], jets[r], rows[s], jets[s])] for r, s in combos(n, 2)]
-
-    def at_point(values):
-        # the point's n frame rows, then its brackets, 2n floats each
-        own = [values[k:k + 2 * n] for k in range(0, len(values), 2 * n)]
-        return worst(lstsq_residual(own[:n], vec)
-                     / max(1.0, max(abs(c) for c in vec)) for vec in own[n:])
-
-    return worst(at_point(values) for values in unstack(
-        [c for vec in vecs for c in vec], len(points)))
+    # values[p, v]: the point's n frame rows, then its brackets, 2n each
+    values = stacked_matrix(vecs, pt[0])
+    brackets = values[:, n:]
+    return worst([lstsq_residual(values[:, None, :n], brackets)
+                  / np.maximum(1.0, np.abs(brackets).max(axis=-1))])
 
 
 # -- leaf two-form -------------------------------------------------------------------

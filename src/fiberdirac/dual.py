@@ -12,7 +12,9 @@ whole grid of points in one pass (forward mode over arrays).  Every entry of
 ``FUNCTIONS`` calls ``math``, and the numpy ufunc when ``math`` refuses an
 array; on arrays numpy returns NaN or ±inf where ``math`` raises, and the
 derivative there is NaN.  An array Dual has no order: comparisons and
-``abs`` on it raise ``TypeError``.
+``abs`` on it raise ``TypeError``.  No Dual converts to a float:
+``float()``, a ``math`` function and ``np.asarray(…, dtype=float)`` raise
+``TypeError`` rather than drop the tangent, which only ``value_of`` does.
 Finite differences are deliberately *not* used anywhere in this module; they
 exist only as an independent cross-check in the test-suite.
 """
@@ -137,9 +139,6 @@ class Dual:
         s = 1.0 if _ordered(self) >= 0.0 else -1.0
         return Dual(abs(self.re) if not isinstance(self.re, Dual) else self.re * s,
                     self.eps * s)
-
-    def __float__(self):
-        return float(value_of(self))
 
 
 def value_of(x):

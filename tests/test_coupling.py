@@ -3,15 +3,16 @@ structural conditions against the direct closure oracle, leaf forms, the
 splitting brackets, and how many seeded passes the conditions take."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from fiberdirac import dual as dm
 from fiberdirac import fields
 from fiberdirac.charts import CoordinateDomain
 from fiberdirac import coupling
-from fiberdirac._numerics import (dot, lstsq_residual, matvec,
-                                  skew_matrix, worst)
+from fiberdirac._numerics import dot, matvec, skew_matrix, worst
 from fiberdirac.coupling import (CONDITION_NAMES, GeometricData,
                                  assemble_dirac,
                                  check_coupling_conditions,
@@ -361,9 +362,21 @@ def per_point_conditions(geom, points):
     return [worst(r[i] for r in rows) for i in range(len(CONDITION_NAMES))]
 
 
+def per_vector_distance(rows, vec):
+    """The distance from vec to the span of rows, one vector at a time:
+    `np.linalg.lstsq` on the matrix whose columns are the rows, then
+    |a x − b| by one dot product."""
+    a = np.array(rows, dtype=float).T
+    b = np.array(vec, dtype=float)
+    if a.size:
+        b = a @ np.linalg.lstsq(a, b, rcond=None)[0] - b
+    return math.sqrt(b @ b)
+
+
 def per_point_closure(geom, points):
-    """The closure oracle by the per-point loop: one frame evaluation and
-    one frame Jacobian per sample point."""
+    """The closure oracle by the per-point loop: one frame evaluation, one
+    frame Jacobian and one `per_vector_distance` per bracket per sample
+    point."""
     frame = coupling.frame_rows(geom)
     n = geom.space.dim
 
@@ -374,11 +387,11 @@ def per_point_closure(geom, points):
         rows = [[dm.value_of(c) for c in row] for row in frame(pt)]
         jac = dm.jacobian(flat, pt)
         jets = [jac[2 * n * r:2 * n * (r + 1)] for r in range(n)]
-        return worst(
-            lstsq_residual(rows, vec) / max(1.0, max(abs(c) for c in vec))
-            for vec in ([dm.value_of(c) for c in fields.courant_at(
-                rows[r], jets[r], rows[s], jets[s])]
-                for r, s in itertools.combinations(range(n), 2)))
+        brackets = ([dm.value_of(c) for c in fields.courant_at(
+            rows[r], jets[r], rows[s], jets[s])]
+            for r, s in itertools.combinations(range(n), 2))
+        return worst(per_vector_distance(rows, vec)
+                     / max(1.0, max(abs(c) for c in vec)) for vec in brackets)
 
     return worst(at_point(pt) for pt in points)
 
@@ -419,6 +432,19 @@ def test_array_route_matches_the_per_point_loop_to_the_bit(monkeypatch,
     split = splitting_bracket_residual(geom, count=12)
     assert [split[key].hex() for key in SPLITTING_NAMES] == \
         [x.hex() for x in per_point_splitting(monkeypatch, geom, 12)]
+
+
+@pytest.mark.parametrize("name,builder",
+                         [(n, b) for n, b, _ in INSTANCES],
+                         ids=[n for n, _, _ in INSTANCES])
+def test_closure_oracle_is_the_per_vector_route_on_other_samples(name,
+                                                                 builder):
+    # one stacked least-squares call makes each bracket's own LAPACK call
+    geom = builder()
+    for count, seed in ((5, 1), (5, 3), (10, 2)):
+        points = geom.sample_points(count, seed=seed)
+        assert dirac_closure_residual(geom, points=points).hex() == \
+            per_point_closure(geom, points).hex()
 
 
 def test_leaf_two_form_is_scaled_round_form(hopf):

@@ -263,3 +263,12 @@ def test_domain_errors_on_arrays_are_nan():
     assert math.isnan(out.eps[0]) and out.eps[1] == 0.5
     with pytest.raises(ValueError):
         dm.log(Dual(-1.0, 1.0))
+
+
+def test_a_dual_has_no_float_value():
+    # float() would keep the value and drop the tangent without a word
+    for convert in (lambda: float(Dual(0.3, 1.0)),
+                    lambda: math.sin(Dual(0.3, 1.0)),
+                    lambda: np.asarray(Dual(1.0, 1.0), dtype=float)):
+        with pytest.raises(TypeError):
+            convert()

@@ -3,10 +3,15 @@ quadrature exactness, sampling determinism, subspace helpers, the small
 dense helpers and the residual reduction."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fiberdirac import _numerics
 from fiberdirac import dual as dm
 from fiberdirac._numerics import (det, halves, intersection_dimension,
                                   lstsq_residual, nullspace, orthonormal_basis,
@@ -15,6 +20,7 @@ from fiberdirac._numerics import (det, halves, intersection_dimension,
                                   simpson_integrate, simpson_weights,
                                   skew_matrix, smoothstep, stack,
                                   time_table, unstack, worst)
+from test_coupling import per_vector_distance
 
 
 def test_rk4_matches_exponential():
@@ -122,6 +128,67 @@ def test_lstsq_residual_is_nan_on_a_non_finite_entry():
     assert math.isnan(lstsq_residual([[1.0, 0.0]], [math.inf, 2.0]))
 
 
+def per_item_distances(basis, vector):
+    """The distances of a stack one item at a time, by the per-vector
+    reference of the closure-oracle tests, as float hex strings."""
+    shape = np.broadcast_shapes(basis.shape[:-2], vector.shape[:-1])
+    k, d = basis.shape[-2:]
+    n = math.prod(shape)
+    items = zip(np.broadcast_to(basis, shape + (k, d)).reshape(n, k, d),
+                np.broadcast_to(vector, shape + (d,)).reshape(n, d))
+    return [per_vector_distance(b.tolist(), v.tolist()).hex()
+            for b, v in items]
+
+
+def hexes(distances):
+    return [float(x).hex() for x in np.ravel(distances)]
+
+
+@pytest.mark.parametrize("k,d", [(2, 4), (5, 10), (6, 12)])
+def test_stacked_lstsq_residual_is_the_per_item_route_to_the_bit(k, d):
+    rng = np.random.default_rng(k * d)
+    basis = rng.standard_normal((3, 4, k, d))
+    vector = rng.standard_normal((3, 4, d))
+    vector[0] = rng.standard_normal((4, k)) @ basis[0, 0]   # in the span
+    basis[1, :, -1] = basis[1, :, 0] - 2.0 * basis[1, :, 1]   # rank k − 1
+    basis[2, 1] = 0.0                                        # rank 0
+    out = lstsq_residual(basis, vector)
+    assert out.shape == (3, 4)
+    assert hexes(out) == per_item_distances(basis, vector)
+    # one basis against many vectors broadcasts like the copy of it
+    assert hexes(lstsq_residual(basis[:, :1], vector)) == \
+        per_item_distances(basis[:, :1], vector)
+
+
+def test_stacked_lstsq_residual_takes_any_layout():
+    rng = np.random.default_rng(5)
+    basis = np.moveaxis(rng.standard_normal((10, 5, 7)), 0, -1)   # (5, 7, 10)
+    vector = np.moveaxis(rng.standard_normal((10, 5)), 0, -1)
+    assert not basis.flags.c_contiguous
+    assert hexes(lstsq_residual(basis, vector)) == \
+        per_item_distances(basis, vector)
+
+
+def test_an_empty_basis_leaves_the_length():
+    basis, vector = np.zeros((2, 0, 2)), np.array([[3.0, 4.0], [0.0, -2.0]])
+    assert lstsq_residual(basis, vector).tolist() == [5.0, 2.0]
+    assert hexes(lstsq_residual(basis, vector)) == \
+        per_item_distances(basis, vector)
+
+
+def test_a_non_finite_item_is_nan_and_the_others_keep_their_bits(capfd):
+    rng = np.random.default_rng(3)
+    basis = rng.standard_normal((4, 3, 6))
+    vector = rng.standard_normal((4, 6))
+    clean = hexes(lstsq_residual(basis, vector))
+    basis[1, 2, 0] = math.nan
+    vector[3, 5] = math.inf
+    out = lstsq_residual(basis, vector)
+    assert math.isnan(out[1]) and math.isnan(out[3])
+    assert hexes(out[[0, 2]]) == [clean[0], clean[2]]
+    assert capfd.readouterr().err == ""   # LAPACK saw no NaN
+
+
 def test_simpson_weights_and_cubic_exactness():
     w = simpson_weights(5)
     assert sum(w) == pytest.approx(1.0, rel=1e-14)
@@ -146,6 +213,30 @@ def test_sample_unit_cube_determinism_and_range():
     assert a == b
     assert a != sample_unit_cube(32, 3, seed=8)
     assert all(0.0 <= c < 1.0 for row in a for c in row)
+
+
+def test_sample_unit_cube_jitter_is_a_fresh_generator_stream(monkeypatch):
+    cases = [(count, dim, seed) for seed in (2, 0, 1)
+             for count in (1, 2, 3, 8, 24, 64, 255, 256)
+             for dim in range(1, 9)]
+    points = [sample_unit_cube(*case) for case in cases]
+    monkeypatch.setattr(_numerics, "_jitter", lambda seed, count, dim: (
+        np.random.RandomState(seed).uniform(-1.0, 1.0, size=(count, dim))))
+    assert points == [sample_unit_cube(*case) for case in cases]
+
+
+def test_a_lattice_run_does_not_import_numpy_random():
+    # numpy.random costs memory to import; only sampling may load it
+    package = Path(_numerics.__file__).parent
+    scenario = (package / "scenarios" / "so3-lattice.json").read_text()
+    script = ("import json, sys\n"
+              "from fiberdirac.cli import run_scenario\n"
+              f"report, code = run_scenario(json.loads({scenario!r}))\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.split() == ["0", "False"]
 
 
 def test_orthonormal_basis_and_angles():

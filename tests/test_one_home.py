@@ -10,7 +10,9 @@ one array axis (`_numerics.stack`), so no module calls the per-point map
 other module computes a step count (`ceil` of an expression in `step`),
 and an RK4 input that depends on time alone comes from a
 `_numerics.time_table`, so no module defines a memo of the last time (a
-function named `…memo…`, or one decorated `lru_cache` / `cache`).  There
+function named `…memo…`, or one decorated `lru_cache` / `cache`).  A
+least-squares distance is `_numerics.lstsq_residual`, one stacked LAPACK
+call: no other module names `lstsq` or numpy's `_umath_linalg`.  There
 is no linter in the toolchain, so this parses the package with `ast`,
 next to the import audit in `test_imports.py`.
 """
@@ -26,7 +28,10 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 #: rule → the one module allowed to spell it out (None: no module)
 HOMES = {"combinations": "_numerics", "unit vector": "dual",
          "complex step": "_numerics", "per-point map": None,
-         "rk4 grid": "_numerics", "time memo": None}
+         "rk4 grid": "_numerics", "time memo": None,
+         "least squares": "_numerics"}
+
+LSTSQ_NAMES = {"lstsq", "_umath_linalg"}
 
 MEMO_DECORATORS = {"lru_cache", "cache"}
 
@@ -57,6 +62,11 @@ def hand_rolled(source):
         elif isinstance(node, ast.ImportFrom) and node.module == "numpy" \
                 and any(a.name == "imag" for a in node.names):
             found.append("complex step")
+        elif isinstance(node, ast.Attribute) and node.attr in LSTSQ_NAMES:
+            found.append("least squares")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                set(a.name.split(".")) & LSTSQ_NAMES for a in node.names):
+            found.append("least squares")
         elif isinstance(node, ast.Attribute) and node.attr == "imag":
             found.append("complex step")
         elif _is_number(node, 1e-30):
@@ -109,10 +119,17 @@ def test_the_scan_sees_a_planted_copy():
                "@cache\n"
                "def k(t):\n    return t\n"
                "@staticmethod\n"
-               "def table(t):\n    return t\n")
+               "def table(t):\n    return t\n"
+               "x = np.linalg.lstsq(a, b, rcond=None)[0]\n"
+               "from numpy.linalg import _umath_linalg, svd\n"
+               "import numpy.linalg._umath_linalg as gufuncs\n"
+               "from numpy.linalg import lstsq as solve\n"
+               "s = np.linalg.svd(a)\n"
+               "lstsq = lstsq_residual(rows, vec)\n")
     assert sorted(hand_rolled(planted)) == [
         "combinations", "combinations", "complex step", "complex step",
-        "complex step", "complex step", "per-point map", "per-point map",
+        "complex step", "complex step", "least squares", "least squares",
+        "least squares", "least squares", "per-point map", "per-point map",
         "rk4 grid", "rk4 grid", "time memo", "time memo", "time memo",
         "unit vector"]
 
