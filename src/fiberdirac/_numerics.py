@@ -219,16 +219,6 @@ _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
 MAX_SAMPLE_DIM = len(_HALTON_BASES)
 
 
-def _halton(index, base):
-    f, r = 1.0, 0.0
-    i = index
-    while i > 0:
-        f /= base
-        r += f * (i % base)
-        i //= base
-    return r
-
-
 _JITTER = []   # the one jitter generator, built by the first `_jitter`
 _JITTER_LOCK = threading.Lock()
 
@@ -247,21 +237,29 @@ def _jitter(seed, count, dim):
 
 
 def sample_unit_cube(count, dim, seed=0):
-    """Deterministic low-discrepancy points in [0,1)^dim.
+    """Deterministic low-discrepancy points in [0,1)^dim, as one point
+    whose ``dim`` coordinates are float arrays over the ``count`` samples.
 
-    Halton sequence (skipping the origin) followed by a fixed-seed jitter
-    pass of amplitude ``0.25 / count`` per axis; identical (count, dim,
-    seed) always produce identical points.
+    Halton sequence (skipping the origin), its digits taken over the index
+    array, followed by a fixed-seed jitter pass of amplitude
+    ``0.25 / count`` per axis; identical (count, dim, seed) always produce
+    identical points.
     """
     if dim > MAX_SAMPLE_DIM:
         raise ValueError(f"sampling supports at most {MAX_SAMPLE_DIM} dims")
     noise = _jitter(seed, count, dim) * (0.25 / max(count, 1))
-    pts = []
-    for k in range(count):
-        row = [_halton(k + 1, _HALTON_BASES[d]) + float(noise[k, d])
-               for d in range(dim)]
-        pts.append([min(max(x, 0.0), 1.0 - 1e-12) for x in row])
-    return pts
+    coords = []
+    for d in range(dim):
+        base = _HALTON_BASES[d]
+        i = np.arange(1, count + 1)
+        f, r = 1.0, np.zeros(count)
+        while i.any():
+            f /= base
+            r += f * (i % base)
+            i //= base
+        coords.append(np.minimum(np.maximum(r + noise[:, d], 0.0),
+                                 1.0 - 1e-12))
+    return coords
 
 
 # -- index tuples and the coboundary sum ---------------------------------------
@@ -349,7 +347,8 @@ def skew_matrix(n, vals):
 # -- the sample axis and residual reduction ------------------------------------
 
 def stack(points):
-    """`points` as one point whose coordinates are float arrays over them."""
+    """A caller's list of `points` as one point whose coordinates are float
+    arrays over them: the format the samplers return."""
     return list(np.array(points, dtype=float).T)
 
 
@@ -466,5 +465,6 @@ def lstsq_residual(basis_rows, vector):
 
 def parallel_map(fn, items):
     """``[fn(x) for x in items]``.  No package module calls it (a check
-    `stack`s its sample points); the benchmark tracer patches it by name."""
+    runs on its sample points as one array axis); the benchmark tracer
+    patches it by name."""
     return [fn(x) for x in items]

@@ -95,7 +95,8 @@ class CoordinateDomain:
     # -- sampling -----------------------------------------------------------
 
     def from_unit(self, row):
-        """Map a point of the unit cube [0,1)^dim into the domain."""
+        """Map a point of the unit cube [0,1)^dim into the domain; its
+        coordinates may be numbers or float arrays over samples."""
         if self.kind == BOX:
             return [lo + u * (hi - lo) for u, (lo, hi) in zip(row, self.bounds)]
         u, v = row
@@ -104,9 +105,9 @@ class CoordinateDomain:
         return self.from_angles(theta, phi)
 
     def sample(self, count=256, seed=0):
-        """Deterministic low-discrepancy samples (plus fixed-seed jitter)."""
-        cube = sample_unit_cube(count, self.dim, seed=seed)
-        return [self.from_unit(row) for row in cube]
+        """Deterministic low-discrepancy samples (plus fixed-seed jitter),
+        as one point whose coordinates are float arrays over them."""
+        return self.from_unit(sample_unit_cube(count, self.dim, seed=seed))
 
     # -- sphere-specific maps -------------------------------------------------
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from . import dual as dm
-from ._numerics import MAX_SAMPLE_DIM, stack, worst
+from ._numerics import MAX_SAMPLE_DIM, worst
 from .charts import SPHERE_STEREO, CoordinateDomain
 from .coupling import (CONDITION_NAMES, GeometricData, assemble_dirac,
                        check_coupling_conditions, dirac_closure_residual,
@@ -446,7 +446,7 @@ def _leaf_residual(geom, scenario, seed):
     chart1 = scenario.get("example") == "hopf" and scenario.get("chart") == 1
     sign = -1.0 if chart1 else 1.0
 
-    pt = stack(geom.sample_points(8, seed=seed))
+    pt = geom.sample_points(8, seed=seed)
     _, leaf = leaf_two_form(assemble_dirac(geom, pt))
     u, v, x = pt
     s = 1.0 + u * u + v * v
@@ -465,7 +465,7 @@ def _run_ymh_build(scenario, seed):
         checks.append(_scored(scenario, "structure_jacobi",
                               principal.group.jacobi_residual(), 1e-12))
         bianchi = principal.bianchi_residual(
-            stack(geom.sample_points(6, seed=seed))[:geom.space.n_base])
+            geom.sample_points(6, seed=seed)[:geom.space.n_base])
         checks.append(_scored(scenario, "bianchi", bianchi, 1e-10))
     if fiber_model is not None:
         checks.append(_scored(scenario, "prehamiltonian",

@@ -69,6 +69,8 @@ class GeometricData:
         return self.pi_v.matrix(point)
 
     def sample_points(self, count=256, seed=0):
+        """`count` samples of the total space, as one point whose
+        coordinates are float arrays over them."""
         return self.space.sample(count, seed=seed)
 
     def __repr__(self):
@@ -203,11 +205,10 @@ def check_coupling_conditions(geom, points=None, count=256, seed=0):
     Returns {condition_name: residual} plus "max".  Points default to a
     deterministic low-discrepancy sample of the total space.
     """
-    if points is None:
-        points = geom.sample_points(count=count, seed=seed)
+    pt = (geom.sample_points(count=count, seed=seed) if points is None
+          else stack(points))
     basis = [dm.unit(geom.space.n_base, a) for a in range(geom.space.n_base)]
-    out = dict(zip(CONDITION_NAMES,
-                   _condition_residuals(geom, basis, stack(points))))
+    out = dict(zip(CONDITION_NAMES, _condition_residuals(geom, basis, pt)))
     out["max"] = worst(out[name] for name in CONDITION_NAMES)
     return out
 
@@ -219,11 +220,10 @@ def dirac_closure_residual(geom, points=None, count=24, seed=0):
     frame's span, maximized over sampled points (relative to the bracket's
     size).  Vanishes exactly when the subbundle is involutive.  One
     Jacobian of the whole frame serves every point."""
-    if points is None:
-        points = geom.sample_points(count=count, seed=seed)
+    pt = (geom.sample_points(count=count, seed=seed) if points is None
+          else stack(points))
     frame = frame_rows(geom)
     n = geom.space.dim
-    pt = stack(points)
     rows = [[dm.value_of(c) for c in row] for row in frame(pt)]
     jac = dm.jacobian(lambda q: [c for row in frame(q) for c in row], pt)
     jets = [jac[2 * n * r:2 * n * (r + 1)] for r in range(n)]
@@ -365,7 +365,7 @@ def splitting_bracket_residual(geom, count=12, seed=0, alpha_fn=None,
     """
     space = geom.space
     nb, nf = space.n_base, space.n_fiber
-    pt = stack(geom.sample_points(count=count, seed=seed))
+    pt = geom.sample_points(count=count, seed=seed)
     if alpha_fn is None:
         alpha_fn = _default_fiber_covector(space, salt=0)
     if beta_fn is None:

@@ -62,14 +62,11 @@ class FiberedSpace:
         return list(b) + list(x)
 
     def sample(self, count=256, seed=0):
-        """Joint low-discrepancy samples of the total space (b, x)."""
+        """Joint low-discrepancy samples of the total space (b, x), as one
+        point whose coordinates are float arrays over them."""
         cube = sample_unit_cube(count, self.dim, seed=seed)
-        out = []
-        for row in cube:
-            b = self.base.from_unit(row[:self.n_base])
-            x = self.fiber.from_unit(row[self.n_base:])
-            out.append(self.join(b, x))
-        return out
+        return self.join(self.base.from_unit(cube[:self.n_base]),
+                         self.fiber.from_unit(cube[self.n_base:]))
 
     def __repr__(self):
         return f"FiberedSpace({self.name!r}, base={self.n_base}, fiber={self.n_fiber})"

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import dual as dm
 from ._numerics import (coboundary, combos, dot, matvec, simpson_integrate,
-                        skew_matrix, stack, worst)
+                        skew_matrix, worst)
 from .charts import CoordinateDomain
 from . import fields
 from .fibration import Connection, FiberedSpace, FlatConnection, HorizontalForm, \
@@ -186,7 +186,7 @@ class HamiltonianFiber:
     def prehamiltonian_residual(self, count=32, seed=0):
         """max over generators and sampled points of |action − π_F^♯ dh|
         and of the homomorphism defect |[ρ(ξ), ρ(η)] − ρ([ξ, η])|."""
-        x = stack(self.domain.sample(count=count, seed=seed))
+        x = self.domain.sample(count=count, seed=seed)
         dim_g = self.group.dim
         nf = self.domain.dim
         basis = [dm.unit(dim_g, i) for i in range(dim_g)]

@@ -12,6 +12,7 @@ from pathlib import Path
 import test_coupling
 import test_groupoid
 from fiberdirac import dual as dm
+from fiberdirac._numerics import unstack
 from fiberdirac.coupling import (assemble_dirac, check_coupling_conditions,
                                  dirac_closure_residual, leaf_two_form,
                                  splitting_bracket_residual)
@@ -58,7 +59,7 @@ def test_criterion_02_monopole_coupling_and_leaf_form():
     worst = max(cond[k] for k in ("vertical_poisson", "transport_invariance",
                                   "covariant_closure", "curvature_match"))
     leaf_worst = 0.0
-    for pt in geom.sample_points(8, seed=4):
+    for pt in unstack(geom.sample_points(8, seed=4), 8):
         _, leaf = leaf_two_form(assemble_dirac(geom, pt))
         u, v, x = pt
         expected = (2.0 * x + 1.0) * 4.0 / (1.0 + u * u + v * v) ** 2

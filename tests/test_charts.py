@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fiberdirac._numerics import sample_unit_cube, unstack
 from fiberdirac.charts import POLE_MARGIN, CoordinateDomain
 from fiberdirac.dual import Dual
 
@@ -80,15 +81,35 @@ def test_box_from_unit_hits_bounds():
 
 def test_sphere_sampling_respects_pole_margin():
     dom = CoordinateDomain.sphere()
-    for w in dom.sample(count=128, seed=3):
+    for w in unstack(dom.sample(count=128, seed=3), 128):
         theta, _ = dom.to_angles(w)
         assert POLE_MARGIN * 0.99 <= theta <= math.pi - POLE_MARGIN * 0.99
 
 
+@pytest.mark.parametrize("dom", [CoordinateDomain.box([(-1.0, 1.0),
+                                                        (0.0, 2.5)]),
+                                  CoordinateDomain.sphere()],
+                         ids=["box", "sphere"])
+def test_sample_is_from_unit_of_each_cube_point(dom):
+    # a sphere sample runs numpy's tan/sin/cos on the arrays where the
+    # per-point route runs math's, which may differ in the last bit: a
+    # relative 1e-15
+    cube = unstack(sample_unit_cube(64, 2, seed=5), 64)
+    got = unstack(dom.sample(count=64, seed=5), 64)
+    want = [dom.from_unit(row) for row in cube]
+    if dom.kind == "box":
+        assert [[c.hex() for c in p] for p in got] == \
+            [[c.hex() for c in p] for p in want]
+    else:
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
 def test_sampling_is_deterministic_per_seed():
     dom = CoordinateDomain.box([(-1.0, 1.0), (0.0, 1.0)])
-    assert dom.sample(count=16, seed=0) == dom.sample(count=16, seed=0)
-    assert dom.sample(count=16, seed=0) != dom.sample(count=16, seed=1)
+    assert np.array_equal(dom.sample(count=16, seed=0),
+                          dom.sample(count=16, seed=0))
+    assert not np.array_equal(dom.sample(count=16, seed=0),
+                              dom.sample(count=16, seed=1))
 
 
 def test_sphere_ops_rejected_on_boxes():

@@ -12,7 +12,7 @@ from fiberdirac import dual as dm
 from fiberdirac import fields
 from fiberdirac.charts import CoordinateDomain
 from fiberdirac import coupling
-from fiberdirac._numerics import dot, matvec, skew_matrix, worst
+from fiberdirac._numerics import dot, matvec, skew_matrix, unstack, worst
 from fiberdirac.coupling import (CONDITION_NAMES, GeometricData,
                                  assemble_dirac,
                                  check_coupling_conditions,
@@ -149,13 +149,13 @@ def isotropy_residual(frame):
 
 
 def test_frames_are_isotropic(hopf):
-    for pt in hopf.sample_points(12, seed=2):
+    for pt in unstack(hopf.sample_points(12, seed=2), 12):
         assert isotropy_residual(assemble_dirac(hopf, pt)) < 1e-12
 
 
 def test_frames_are_isotropic_nonabelian():
     geom = so3_coadjoint_example()
-    for pt in geom.sample_points(8, seed=5):
+    for pt in unstack(geom.sample_points(8, seed=5), 8):
         assert isotropy_residual(assemble_dirac(geom, pt)) < 1e-12
 
 
@@ -256,7 +256,7 @@ def test_each_field_is_differentiated_once_per_direction(monkeypatch, fn,
     # pass per condition and lift took 34; one component per pass would
     # take 39 for the bracket.
     geom = so3_coadjoint_example()
-    pt = geom.sample_points(1, seed=0)[0]
+    pt = unstack(geom.sample_points(1, seed=0), 1)[0]
     assert count_seeded_passes(monkeypatch, lambda: fn(geom, pt),
                                keep and keep(geom)) == passes
 
@@ -325,7 +325,7 @@ def test_conditions_match_the_per_condition_route_to_the_bit(name, builder):
     # each residual reads the same tangents as the general operators do,
     # in the same arithmetic order, so the two routes agree bitwise
     geom = builder()
-    for pt in geom.sample_points(8, seed=3):
+    for pt in unstack(geom.sample_points(8, seed=3), 8):
         cond = check_coupling_conditions(geom, points=[pt])
         got = [cond[key] for key in CONDITION_NAMES]
         want = reference_residuals(geom, pt)
@@ -348,7 +348,7 @@ def test_closure_oracle_takes_one_frame_jacobian_per_point(monkeypatch,
     # point count.  Differentiating each row once per bracket that holds it
     # would take 168 passes per point on broken-transport.
     geom = dict((n, b) for n, b, _ in INSTANCES)[name]()
-    points = geom.sample_points(3, seed=1)
+    points = unstack(geom.sample_points(3, seed=1), 3)
     passes = count_seeded_passes(
         monkeypatch, lambda: dirac_closure_residual(geom, points=points))
     assert passes == geom.space.dim
@@ -403,12 +403,11 @@ SPLITTING_NAMES = ("vertical_vertical", "horizontal_vertical",
 def per_point_splitting(monkeypatch, geom, count):
     """The three splitting residuals by the per-point loop: the check run
     on one scalar sample point at a time, maximized over the points."""
-    points = geom.sample_points(count=count)
-    monkeypatch.setattr(coupling, "stack", lambda pts: list(pts[0]))
+    points = unstack(geom.sample_points(count=count), count)
     runs = []
     for pt in points:
         monkeypatch.setattr(geom, "sample_points",
-                            lambda count, seed, pt=pt: [pt])
+                            lambda count, seed, pt=pt: pt)
         runs.append(splitting_bracket_residual(geom, count=count))
     monkeypatch.undo()
     return [worst(r[key] for r in runs) for key in SPLITTING_NAMES]
@@ -422,11 +421,11 @@ def test_array_route_matches_the_per_point_loop_to_the_bit(monkeypatch,
     # the sample points as one array axis run the same IEEE operations,
     # entry by entry, as the scalar loop over them
     geom = builder()
-    points = geom.sample_points(48)
+    points = unstack(geom.sample_points(48), 48)
     cond = check_coupling_conditions(geom, points=points)
     assert [cond[key].hex() for key in CONDITION_NAMES] == \
         [x.hex() for x in per_point_conditions(geom, points)]
-    points = geom.sample_points(24)
+    points = unstack(geom.sample_points(24), 24)
     assert dirac_closure_residual(geom, points=points).hex() == \
         per_point_closure(geom, points).hex()
     split = splitting_bracket_residual(geom, count=12)
@@ -442,13 +441,13 @@ def test_closure_oracle_is_the_per_vector_route_on_other_samples(name,
     # one stacked least-squares call makes each bracket's own LAPACK call
     geom = builder()
     for count, seed in ((5, 1), (5, 3), (10, 2)):
-        points = geom.sample_points(count, seed=seed)
+        points = unstack(geom.sample_points(count, seed=seed), count)
         assert dirac_closure_residual(geom, points=points).hex() == \
             per_point_closure(geom, points).hex()
 
 
 def test_leaf_two_form_is_scaled_round_form(hopf):
-    for pt in hopf.sample_points(10, seed=4):
+    for pt in unstack(hopf.sample_points(10, seed=4), 10):
         vecs, leaf = leaf_two_form(assemble_dirac(hopf, pt))
         u, v, x = pt
         s = 1.0 + u * u + v * v

@@ -210,19 +210,54 @@ def test_smoothstep_endpoint_derivatives():
 def test_sample_unit_cube_determinism_and_range():
     a = sample_unit_cube(32, 3, seed=7)
     b = sample_unit_cube(32, 3, seed=7)
-    assert a == b
-    assert a != sample_unit_cube(32, 3, seed=8)
-    assert all(0.0 <= c < 1.0 for row in a for c in row)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, sample_unit_cube(32, 3, seed=8))
+    assert all(0.0 <= c < 1.0 for row in unstack(a, 32) for c in row)
 
 
 def test_sample_unit_cube_jitter_is_a_fresh_generator_stream(monkeypatch):
     cases = [(count, dim, seed) for seed in (2, 0, 1)
              for count in (1, 2, 3, 8, 24, 64, 255, 256)
              for dim in range(1, 9)]
-    points = [sample_unit_cube(*case) for case in cases]
+    points = [unstack(sample_unit_cube(*case), case[0]) for case in cases]
     monkeypatch.setattr(_numerics, "_jitter", lambda seed, count, dim: (
         np.random.RandomState(seed).uniform(-1.0, 1.0, size=(count, dim))))
-    assert points == [sample_unit_cube(*case) for case in cases]
+    assert points == [unstack(sample_unit_cube(*case), case[0])
+                      for case in cases]
+
+
+def halton(index, base):
+    """The index-th Halton number in `base`, one digit at a time."""
+    f, r = 1.0, 0.0
+    i = index
+    while i > 0:
+        f /= base
+        r += f * (i % base)
+        i //= base
+    return r
+
+
+def per_point_unit_cube(count, dim, seed):
+    """`sample_unit_cube` by the loop over points and axes, with the
+    jitter from a fresh generator."""
+    noise = np.random.RandomState(seed).uniform(-1.0, 1.0, size=(count, dim))
+    noise = noise * (0.25 / max(count, 1))
+    pts = []
+    for k in range(count):
+        row = [halton(k + 1, (2, 3, 5, 7, 11, 13, 17, 19)[d])
+               + float(noise[k, d]) for d in range(dim)]
+        pts.append([min(max(x, 0.0), 1.0 - 1e-12) for x in row])
+    return pts
+
+
+def test_sample_unit_cube_is_the_per_point_halton_loop_to_the_bit():
+    for count in (1, 2, 6, 8, 12, 16, 24, 32, 48, 64, 84, 256, 1000):
+        for dim in range(1, 9):
+            for seed in range(4):
+                got = unstack(sample_unit_cube(count, dim, seed), count)
+                want = per_point_unit_cube(count, dim, seed)
+                assert [[c.hex() for c in p] for p in got] == \
+                    [[c.hex() for c in p] for p in want], (count, dim, seed)
 
 
 def test_a_lattice_run_does_not_import_numpy_random():

@@ -5,7 +5,7 @@ data, and the two-chart compatibility of the monopole potential."""
 import pytest
 
 from fiberdirac import dual as dm
-from fiberdirac._numerics import matvec, stack
+from fiberdirac._numerics import matvec, stack, unstack
 from fiberdirac.dual import Dual
 from fiberdirac.fibration import curvature
 from fiberdirac.yangmills import (EXAMPLES, HamiltonianFiber, PrincipalData,
@@ -18,9 +18,10 @@ from fiberdirac.charts import CoordinateDomain
 
 
 def test_sampled_points_are_python_floats():
-    # box-chart jitter comes from numpy; numpy scalars in a point would run
-    # every scalar Dual operation of the coupling checks on numpy floats
-    points = hopf_example(lambda x: 2.0 * x + 1.0).space.sample(4)
+    # a sample is float arrays; numpy scalars in a point taken from it
+    # would run every scalar Dual operation of a per-point check on numpy
+    # floats
+    points = unstack(hopf_example(lambda x: 2.0 * x + 1.0).space.sample(4), 4)
     assert all(type(c) is float for p in points for c in p)
 
 
@@ -152,8 +153,8 @@ def test_declared_generators_are_the_action_and_its_jacobian():
     # sampled (ξ, x) it must be the action itself and the dual Jacobian of
     # the action, to the bit
     fib = HamiltonianFiber.coadjoint_so3()
-    xis = fib.domain.sample(count=6, seed=3)
-    for xi, x in zip(xis, fib.domain.sample(count=6, seed=4)):
+    xis = unstack(fib.domain.sample(count=6, seed=3), 6)
+    for xi, x in zip(xis, unstack(fib.domain.sample(count=6, seed=4), 6)):
         mat = fib.action_matrix(xi)
         assert matvec(mat, x) == fib.action(xi, x)
         assert mat == dm.jacobian(lambda y: fib.action(xi, y), x)
@@ -162,7 +163,7 @@ def test_declared_generators_are_the_action_and_its_jacobian():
 def test_ymh_generator_reproduces_the_connection_coefficient():
     geom = so3_coadjoint_example()
     conn = geom.connection
-    for pt in geom.space.sample(count=6, seed=2):
+    for pt in unstack(geom.space.sample(count=6, seed=2), 6):
         b, x = geom.space.split(pt)
         for v in ([1.0, 0.0], [0.0, 1.0], [0.7, -0.4]):
             want = matvec(conn.coeff(b, x), v)
