@@ -136,13 +136,16 @@ def _time_columns(fn, times):
 
 
 def stacked_matrix(rows, t):
-    """A matrix whose entries are numbers or arrays over the times of t, as
-    one float array of shape ``np.shape(t) + (len(rows), len(rows[0]))``:
-    a matrix-valued `time_table` entry."""
-    shape = np.shape(t)
-    return np.stack([np.broadcast_to(np.asarray(e, dtype=float), shape)
-                     for row in rows for e in row], axis=-1).reshape(
-                         shape + (len(rows), len(rows[0])))
+    """A matrix whose entries are numbers or arrays over the times (or
+    sample points) of t, as one float array of shape
+    ``np.shape(t) + (len(rows), len(rows[0]))``, each entry assigned into
+    its slot: a matrix-valued `time_table` entry, or a frame's rows or
+    Jacobian rows over its sample points."""
+    out = np.empty(np.shape(t) + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            out[..., i, j] = e
+    return out
 
 
 # -- composite Simpson ---------------------------------------------------------
@@ -247,7 +250,9 @@ def sample_unit_cube(count, dim, seed=0):
     """
     if dim > MAX_SAMPLE_DIM:
         raise ValueError(f"sampling supports at most {MAX_SAMPLE_DIM} dims")
-    noise = _jitter(seed, count, dim) * (0.25 / max(count, 1))
+    if count < 1:
+        raise ValueError(f"sampling needs a count of at least 1, got {count}")
+    noise = _jitter(seed, count, dim) * (0.25 / count)
     coords = []
     for d in range(dim):
         base = _HALTON_BASES[d]
@@ -346,9 +351,14 @@ def skew_matrix(n, vals):
 
 # -- the sample axis and residual reduction ------------------------------------
 
-def stack(points):
-    """A caller's list of `points` as one point whose coordinates are float
-    arrays over them: the format the samplers return."""
+def stack(points, dim):
+    """A caller's list of `points`, each of `dim` coordinates, as one point
+    whose coordinates are float arrays over them: the format the samplers
+    return.  An empty list or a point of another length is refused."""
+    lengths = sorted({len(p) for p in points})
+    if lengths != [dim]:
+        raise ValueError(f"expected one or more points of {dim} coordinates,"
+                         f" got {len(points)} points of lengths {lengths}")
     return list(np.array(points, dtype=float).T)
 
 

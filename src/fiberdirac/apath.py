@@ -257,19 +257,6 @@ def _warped(curve, u, speed):
     return [rate * c for c in curve(dm.value_of(s))]
 
 
-def reparameterized(apath):
-    """Orientation-preserving reparameterization by s = `smoothstep`:
-    points compose with s, covectors pick up the factor s′ (they scale like
-    velocities)."""
-    return AlgebroidPath(
-        apath.geom,
-        BasePath(lambda u: apath.base_path(smoothstep(u)),
-                 name=f"{apath.base_path.name}@s"),
-        lambda u: apath.fiber_path(smoothstep(u)),
-        lambda u: _warped(apath.covector_path, u, 1.0),
-        name=f"{apath.name}@s")
-
-
 def _half_curves(point, covector, rate, shift):
     """Reparameterize (point, covector, rate) curves onto a half interval,
     u = 2t − shift, with smoothstep flattening."""

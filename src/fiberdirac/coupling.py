@@ -28,9 +28,13 @@ measures the four conditions: algebra on one set of first derivatives of
 (A, ω_H, π_V), each field differentiated once per direction.
 `dirac_closure_residual` measures Courant closure of the frame directly and
 never calls `_condition_residuals`: it takes one Jacobian of the flattened
-frame, applies `fields.courant_at` to every pair of rows, and measures the
-distance of every bracket at every point to its span in one stacked
-least-squares call.  The two routes must agree on every verdict.
+frame, fills the frame rows and their first jets into stacked arrays over
+the points, brackets every pair of rows at every point in one call of the
+array kernel `fields.courant_at`, and measures the distance of every
+bracket to its point's span in one stacked least-squares call.  The two
+routes must agree on every verdict.  A caller's `points=` list must hold
+one or more points of the space's dimension, and a sample at least one
+point.
 """
 
 from __future__ import annotations
@@ -206,7 +210,7 @@ def check_coupling_conditions(geom, points=None, count=256, seed=0):
     deterministic low-discrepancy sample of the total space.
     """
     pt = (geom.sample_points(count=count, seed=seed) if points is None
-          else stack(points))
+          else stack(points, geom.space.dim))
     basis = [dm.unit(geom.space.n_base, a) for a in range(geom.space.n_base)]
     out = dict(zip(CONDITION_NAMES, _condition_residuals(geom, basis, pt)))
     out["max"] = worst(out[name] for name in CONDITION_NAMES)
@@ -219,20 +223,21 @@ def dirac_closure_residual(geom, points=None, count=24, seed=0):
     """Distance of every pairwise Courant bracket of the frame rows to the
     frame's span, maximized over sampled points (relative to the bracket's
     size).  Vanishes exactly when the subbundle is involutive.  One
-    Jacobian of the whole frame serves every point."""
-    pt = (geom.sample_points(count=count, seed=seed) if points is None
-          else stack(points))
-    frame = frame_rows(geom)
+    Jacobian of the whole frame serves every point, and one `courant_at`
+    call brackets every pair of rows at every point."""
     n = geom.space.dim
-    rows = [[dm.value_of(c) for c in row] for row in frame(pt)]
-    jac = dm.jacobian(lambda q: [c for row in frame(q) for c in row], pt)
-    jets = [jac[2 * n * r:2 * n * (r + 1)] for r in range(n)]
-    vecs = rows + [[dm.value_of(c) for c in fields.courant_at(
-        rows[r], jets[r], rows[s], jets[s])] for r, s in combos(n, 2)]
-    # values[p, v]: the point's n frame rows, then its brackets, 2n each
-    values = stacked_matrix(vecs, pt[0])
-    brackets = values[:, n:]
-    return worst([lstsq_residual(values[:, None, :n], brackets)
+    pt = (geom.sample_points(count=count, seed=seed) if points is None
+          else stack(points, n))
+    frame = frame_rows(geom)
+    # rows[p, r, a]: entry a of frame row r; jets[p, r, a, j] = ∂_j of it
+    rows = stacked_matrix(frame(pt), pt[0])
+    jets = stacked_matrix(dm.jacobian(
+        lambda q: [c for row in frame(q) for c in row], pt), pt[0])
+    jets = jets.reshape(rows.shape + (n,))
+    r, s = np.array(combos(n, 2), dtype=int).reshape(-1, 2).T
+    brackets = fields.courant_at(rows[..., r, :], jets[..., r, :, :],
+                                 rows[..., s, :], jets[..., s, :, :])
+    return worst([lstsq_residual(rows[..., None, :, :], brackets)
                   / np.maximum(1.0, np.abs(brackets).max(axis=-1))])
 
 

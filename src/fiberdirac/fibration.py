@@ -1,5 +1,5 @@
 """Fibered spaces with Ehresmann connections: lifts, parallel transport,
-curvature, and covariant differentials of horizontal forms.
+curvature, horizontal forms and vertical bivectors.
 
 A fibered space is presented per patch as a product E = B × F with the
 projection onto the first factor; points are concatenated coordinate lists
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, coboundary, combos, det, matvec,
+from ._numerics import (DEFAULT_RK4_STEP, combos, det, matvec,
                         rk4_integrate, sample_unit_cube, skew_matrix,
                         stacked_matrix, time_table)
 
@@ -368,7 +368,7 @@ def curvature(connection, point, u=None, v=None):
     return [curv_pair(basis[a], basis[b]) for a, b in combos(nb, 2)]
 
 
-# -- horizontal forms and the covariant differential ----------------------------
+# -- horizontal forms and vertical bivectors ------------------------------------
 
 class HorizontalForm:
     """A horizontal k-form: components over sorted base-index tuples,
@@ -413,38 +413,3 @@ class VerticalBivector:
 
     def sharp(self, point, alpha_fiber):
         return matvec(self.matrix(point), alpha_fiber)
-
-
-def covariant_differential(connection, form):
-    """d_Γ of a horizontal k-form (k ∈ {0, 1, 2}), on coordinate fields:
-
-        (d_Γ ω)(e_{a₀},…,e_{a_k}) = Σ_i (−1)^i L_{h(e_{a_i})} ω(…,ê_{a_i},…)
-
-    (coordinate base fields commute, so no bracket terms appear).  A scalar
-    function on E counts as the k = 0 case.
-    """
-    space = connection.space
-    nb = space.n_base
-    basis = [dm.unit(nb, a) for a in range(nb)]
-
-    if callable(form) and not isinstance(form, HorizontalForm):
-        # scalar function on E → horizontal 1-form
-        def comps1(pt):
-            return [directional_on_total(connection, e, form, pt)
-                    for e in basis]
-        return HorizontalForm(space, 1, comps1, name="dGamma(f)")
-
-    k = form.degree
-    if k not in (1, 2):
-        raise ValueError("covariant differential implemented for k in {0,1,2}")
-    src_index = {c: i for i, c in enumerate(form.combos)}
-    dst = combos(nb, k + 1)
-
-    def comps(pt):
-        # along[a][idx] = L_{h(e_a)} ω_idx, one pass per base direction
-        along = [directional_on_total(connection, e, form.comps, pt)
-                 for e in basis]
-        return coboundary(dst, lambda a, face: along[a][src_index[face]])
-
-    return HorizontalForm(space, k + 1, comps, name=f"dGamma({form.name})")
-

@@ -14,8 +14,10 @@ valence             components returned by ``comps(point)``
 ==================  =========================================================
 
 A section of TM ⊕ T*M is not a field object but a plain callable
-``pt ↦ X ‖ ξ`` with 2n components; :func:`courant_at` brackets two of them
-from their values and Jacobian rows (their first jets) at a point.
+``pt ↦ X ‖ ξ`` with 2n components.  :func:`courant_at` is the Courant
+bracket as one array kernel over stacked first jets: it brackets every
+pair of sections of a stack, at every sample point, from their values and
+Jacobian rows.
 
 Antisymmetry is exact by construction: only independent components are ever
 stored, and full matrices are reconstructed with explicit signs.
@@ -27,8 +29,10 @@ differences appear only in the test-suite as an independent cross-check.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import dual as dm
-from ._numerics import coboundary, combos, dot, skew_matrix
+from ._numerics import coboundary, combos, dot, skew_matrix, stacked_matrix
 
 SCALAR = "scalar"
 VECTOR = "vector"
@@ -61,10 +65,6 @@ class SmoothField:
 
 # -- constructors -----------------------------------------------------------
 
-def scalar_field(dim, fn, name=""):
-    return SmoothField(dim, SCALAR, fn, name=name)
-
-
 def vector_field(dim, fn, name=""):
     return SmoothField(dim, VECTOR, fn, name=name)
 
@@ -81,10 +81,6 @@ def k_form(dim, degree, fn, name=""):
 
 def two_form(dim, fn, name=""):
     return k_form(dim, 2, fn, name=name)
-
-
-def bivector(dim, fn, name=""):
-    return SmoothField(dim, MULTIVECTOR, fn, degree=2, name=name)
 
 
 # -- component plumbing -------------------------------------------------------
@@ -130,54 +126,57 @@ def exterior_derivative(omega):
     return SmoothField(n, FORM, comps, degree=k + 1, name=f"d{omega.name}")
 
 
-def lie_derivative_bivector(X, piv):
-    """(L_X π)^{ij} = X^k ∂_k π^{ij} − π^{kj} ∂_k X^i − π^{ik} ∂_k X^j."""
-    n = X.dim
-    pairs = combos(n, 2)
-
-    def comps(pt):
-        xv = X(pt)
-        mat = antisym_matrix(piv, pt)
-        dpi = dm.jacobian(piv.comps, pt)    # dpi[idx][k] = ∂_k π_idx
-        dx = dm.jacobian(X.comps, pt)       # dx[i][k] = ∂_k X^i
-        out = []
-        for idx, (i, j) in enumerate(pairs):
-            adv = dot(dpi[idx], xv)
-            corr = sum(mat[k][j] * dx[i][k] + mat[i][k] * dx[j][k]
-                       for k in range(n))
-            out.append(adv - corr)
-        return out
-
-    return bivector(n, comps, name=f"L_{X.name}{piv.name}")
-
-
 # -- the Courant bracket ------------------------------------------------------
 
 def courant_at(u, du, v, dv):
-    """⟦(X,α),(Y,β)⟧ = ([X,Y], L_X β − L_Y α + ½ d(α(Y) − β(X))) at a point,
-    from the values u = X ‖ α, v = Y ‖ β and their Jacobian rows
-    du[a][j] = ∂_j u_a, dv[a][j] = ∂_j v_a."""
-    n = len(u) // 2
-    x, a, y, b = u[:n], u[n:], v[:n], v[n:]
-    dx, da, dy, db = du[:n], du[n:], dv[:n], dv[n:]
+    """⟦(X,α),(Y,β)⟧ = ([X,Y], L_X β − L_Y α + ½ d(α(Y) − β(X))) for stacks of
+    section values u = X ‖ α, v = Y ‖ β, shape (..., 2n), and their first
+    jets du[..., a, j] = ∂_j u_a, dv likewise, shape (..., 2n, n); the
+    leading axes (pairs, points) broadcast and the result is (..., 2n).
+    Each entry is summed from 0.0 in j order, term by term as a scalar
+    evaluation would, so every bracket entry has the bits it has at one
+    point and one pair."""
+    n = u.shape[-1] // 2
+    x, a, y, b = u[..., :n], u[..., n:], v[..., :n], v[..., n:]
+    dx, da = du[..., :n, :], du[..., n:, :]
+    dy, db = dv[..., :n, :], dv[..., n:, :]
 
-    def lie(x, dx, b, db, i):
+    def over_j(term):
+        # Σ_j term(j), one entry per free index i
+        acc = 0.0
+        for j in range(n):
+            acc = acc + term(j)
+        return acc
+
+    def along(jet, w):
+        # w^j ∂_j of each component: dot(jet[i], w)
+        return over_j(lambda j: jet[..., :, j] * w[..., j, None])
+
+    def lie(x, dx, b, db):
         # (L_X β)_i = X^j ∂_j β_i + β_j ∂_i X^j
-        return dot(db[i], x) + sum(b[j] * dx[j][i] for j in range(n))
+        return along(db, x) + over_j(
+            lambda j: b[..., j, None] * dx[..., j, :])
 
-    def d_pair(a, da, y, dy, i):
+    def d_pair(a, da, y, dy):
         # ∂_i α(Y) = α_j ∂_i Y^j + ∂_i α_j Y^j
-        return sum(a[j] * dy[j][i] + da[j][i] * y[j] for j in range(n))
+        return over_j(lambda j: a[..., j, None] * dy[..., j, :]
+                      + da[..., j, :] * y[..., j, None])
 
-    vec = [dot(dy[i], x) - dot(dx[i], y) for i in range(n)]
-    cov = [lie(x, dx, b, db, i) - lie(y, dy, a, da, i)
-           + 0.5 * (d_pair(a, da, y, dy, i) - d_pair(b, db, x, dx, i))
-           for i in range(n)]
-    return vec + cov
+    vec = along(dy, x) - along(dx, y)
+    cov = (lie(x, dx, b, db) - lie(y, dy, a, da)
+           + 0.5 * (d_pair(a, da, y, dy) - d_pair(b, db, x, dx)))
+    return np.concatenate([vec, cov], axis=-1)
 
 
 def courant_bracket(s1, s2):
-    """⟦s1, s2⟧ of two TM ⊕ T*M sections, as a section: one Jacobian of
-    each per point."""
-    return lambda pt: courant_at(s1(pt), dm.jacobian(s1, pt),
-                                 s2(pt), dm.jacobian(s2, pt))
+    """⟦s1, s2⟧ of two TM ⊕ T*M sections, as a section pt ↦ its 2n
+    components: one Jacobian of each per point, and one `courant_at` call
+    on every sample point of pt at once."""
+
+    def bracket(pt):
+        values = stacked_matrix([s1(pt), s2(pt)], pt[0])
+        du, dv = (stacked_matrix(dm.jacobian(s, pt), pt[0]) for s in (s1, s2))
+        out = courant_at(values[..., 0, :], du, values[..., 1, :], dv)
+        return list(np.moveaxis(out, -1, 0))
+
+    return bracket

@@ -16,8 +16,7 @@ from fiberdirac import fibration
 from fiberdirac._numerics import matvec, rk4_integrate, smoothstep, worst
 from fiberdirac.apath import (build_apath, concat_base, concat_split,
                               flow_commutation_residual, inverse_split,
-                              reparameterized, solve_evolution, split_apath,
-                              unsplit_apath)
+                              solve_evolution, split_apath, unsplit_apath)
 from fiberdirac.charts import CoordinateDomain
 from fiberdirac.fibration import (DEFAULT_RK4_STEP, BasePath, Connection,
                                   FiberedSpace,
@@ -25,6 +24,7 @@ from fiberdirac.fibration import (DEFAULT_RK4_STEP, BasePath, Connection,
                                   parallel_transport)
 from fiberdirac.cli import compile_expression
 from fiberdirac.yangmills import HamiltonianFiber, so3_coadjoint_example
+from reference import reparameterized
 
 ANCHOR_TOL = 1e-9          # analytic-rate pipeline sits at transport noise
 CONCAT_TOL = 1e-6

@@ -15,6 +15,7 @@ from fiberdirac.cli import ScenarioError, compile_expression, run_scenario
 from fiberdirac.dual import Dual
 from fiberdirac.fibration import IncompleteTransportError
 from fiberdirac.monodromy import lattice_model_data
+from test_coupling import undefined_at_one_sampled_point
 
 SCENARIOS = Path(cli.__file__).parent / "scenarios"
 
@@ -260,6 +261,29 @@ def test_evaluator_errors_fail_without_traceback(capfd, tmp_path, fields,
         assert math.isnan(report["closure_residual"])
     else:
         assert math.isnan(named[failing]["residual"])
+
+
+def test_a_form_undefined_at_one_oracle_point_fails_without_traceback(
+        capfd, monkeypatch, tmp_path):
+    # ω_H is NaN at one of the oracle's 16 points: its bracket rows hold
+    # NaN there, every other point brackets cleanly, and the one array
+    # pass over all pairs still reads NaN, a FAIL with exit code 1
+    monkeypatch.setitem(cli.EXAMPLES, "nan-once",
+                        lambda: undefined_at_one_sampled_point(16, 3, 5))
+    scenario = {"name": "nan-once", "kind": "coupling-check",
+                "example": "nan-once", "checks": ["closure"],
+                "samples": 16, "seed": 3}
+    path = tmp_path / "nan-once.json"
+    path.write_text(json.dumps(scenario))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(capfd, ["check", str(path)])
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "FAIL"
+    [check] = report["checks"]
+    assert check["name"] == "dirac_closure" and check["verdict"] == "FAIL"
+    assert math.isnan(check["residual"])
 
 
 def test_a_domain_error_in_the_flat_oracle_fails_without_traceback(

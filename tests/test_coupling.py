@@ -19,13 +19,14 @@ from fiberdirac.coupling import (CONDITION_NAMES, GeometricData,
                                  dirac_closure_residual, leaf_two_form,
                                  splitting_bracket_residual)
 from fiberdirac.fibration import (Connection, FiberedSpace, FlatConnection,
-                                  HorizontalForm, VerticalBivector,
-                                  covariant_differential, curvature)
+                                  HorizontalForm, VerticalBivector, curvature)
 from fiberdirac.monodromy import lattice_model_data
 from fiberdirac.yangmills import (HamiltonianFiber, PrincipalData,
                                   StructureGroupModel, hopf_example,
                                   hopf_flat_example, so3_coadjoint_example,
                                   trivial_torus_example, ymh_geometric_data)
+from reference import (bivector, covariant_differential,
+                       lie_derivative_bivector)
 
 CONDITION_TOL = 1e-8
 ORACLE_TOL = 1e-6
@@ -262,10 +263,10 @@ def test_each_field_is_differentiated_once_per_direction(monkeypatch, fn,
 
 
 def reference_residuals(geom, pt):
-    """The four residuals by one derivative route per condition, from the
-    library's general operators: the Schouten square from fiber partials
-    of π_V, L_{h(e_a)} π_V by `fields.lie_derivative_bivector` on π_V
-    embedded in the total space, d_Γ ω_H by `covariant_differential`, and
+    """The four residuals by one derivative route per condition, from
+    general operators: the Schouten square from fiber partials of π_V,
+    L_{h(e_a)} π_V by `reference.lie_derivative_bivector` on π_V embedded
+    in the total space, d_Γ ω_H by `reference.covariant_differential`, and
     Curv by `fibration.curvature`."""
     space = geom.space
     nb, nf, n = space.n_base, space.n_fiber, space.dim
@@ -293,10 +294,10 @@ def reference_residuals(geom, pt):
             return [vals[where[(i - nb, j - nb)]] if i >= nb else 0.0
                     for i, j in fields.combos(n, 2)]
 
-        piv = fields.bivector(n, embedded)
+        piv = bivector(n, embedded)
         transport = worst(
             abs(dm.value_of(c)) for e in basis
-            for c in fields.lie_derivative_bivector(
+            for c in lie_derivative_bivector(
                 fields.vector_field(
                     n, lambda q, e=e: geom.connection.lift(e, q)), piv)(pt))
     if nb >= 3:
@@ -373,10 +374,40 @@ def per_vector_distance(rows, vec):
     return math.sqrt(b @ b)
 
 
+def courant_at(u, du, v, dv):
+    """⟦(X,α),(Y,β)⟧ = ([X,Y], L_X β − L_Y α + ½ d(α(Y) − β(X))) at one
+    point, from the values u = X ‖ α, v = Y ‖ β and their Jacobian rows
+    du[a][j] = ∂_j u_a, dv[a][j] = ∂_j v_a, by scalar sums: each `dot` from
+    0.0 and each `sum` from 0, in j order."""
+    n = len(u) // 2
+    x, a, y, b = u[:n], u[n:], v[:n], v[n:]
+    dx, da, dy, db = du[:n], du[n:], dv[:n], dv[n:]
+
+    def lie(x, dx, b, db, i):
+        # (L_X β)_i = X^j ∂_j β_i + β_j ∂_i X^j
+        return dot(db[i], x) + sum(b[j] * dx[j][i] for j in range(n))
+
+    def d_pair(a, da, y, dy, i):
+        # ∂_i α(Y) = α_j ∂_i Y^j + ∂_i α_j Y^j
+        return sum(a[j] * dy[j][i] + da[j][i] * y[j] for j in range(n))
+
+    vec = [dot(dy[i], x) - dot(dx[i], y) for i in range(n)]
+    cov = [lie(x, dx, b, db, i) - lie(y, dy, a, da, i)
+           + 0.5 * (d_pair(a, da, y, dy, i) - d_pair(b, db, x, dx, i))
+           for i in range(n)]
+    return vec + cov
+
+
+def per_pair_courant_bracket(s1, s2):
+    """⟦s1, s2⟧ by the scalar `courant_at` on one point and one pair."""
+    return lambda pt: courant_at(s1(pt), dm.jacobian(s1, pt),
+                                 s2(pt), dm.jacobian(s2, pt))
+
+
 def per_point_closure(geom, points):
     """The closure oracle by the per-point loop: one frame evaluation, one
-    frame Jacobian and one `per_vector_distance` per bracket per sample
-    point."""
+    frame Jacobian, one scalar `courant_at` per pair of rows and one
+    `per_vector_distance` per bracket per sample point."""
     frame = coupling.frame_rows(geom)
     n = geom.space.dim
 
@@ -387,7 +418,7 @@ def per_point_closure(geom, points):
         rows = [[dm.value_of(c) for c in row] for row in frame(pt)]
         jac = dm.jacobian(flat, pt)
         jets = [jac[2 * n * r:2 * n * (r + 1)] for r in range(n)]
-        brackets = ([dm.value_of(c) for c in fields.courant_at(
+        brackets = ([dm.value_of(c) for c in courant_at(
             rows[r], jets[r], rows[s], jets[s])]
             for r, s in itertools.combinations(range(n), 2))
         return worst(per_vector_distance(rows, vec)
@@ -400,15 +431,18 @@ SPLITTING_NAMES = ("vertical_vertical", "horizontal_vertical",
                    "horizontal_horizontal")
 
 
-def per_point_splitting(monkeypatch, geom, count):
+def per_point_splitting(monkeypatch, geom, count, seed=0):
     """The three splitting residuals by the per-point loop: the check run
-    on one scalar sample point at a time, maximized over the points."""
-    points = unstack(geom.sample_points(count=count), count)
+    on one scalar sample point at a time, each bracket by the scalar
+    `courant_at`, maximized over the points."""
+    points = unstack(geom.sample_points(count=count, seed=seed), count)
     runs = []
+    monkeypatch.setattr(fields, "courant_bracket", per_pair_courant_bracket)
     for pt in points:
         monkeypatch.setattr(geom, "sample_points",
                             lambda count, seed, pt=pt: pt)
-        runs.append(splitting_bracket_residual(geom, count=count))
+        runs.append(splitting_bracket_residual(geom, count=count,
+                                               seed=seed))
     monkeypatch.undo()
     return [worst(r[key] for r in runs) for key in SPLITTING_NAMES]
 
@@ -428,9 +462,11 @@ def test_array_route_matches_the_per_point_loop_to_the_bit(monkeypatch,
     points = unstack(geom.sample_points(24), 24)
     assert dirac_closure_residual(geom, points=points).hex() == \
         per_point_closure(geom, points).hex()
-    split = splitting_bracket_residual(geom, count=12)
-    assert [split[key].hex() for key in SPLITTING_NAMES] == \
-        [x.hex() for x in per_point_splitting(monkeypatch, geom, 12)]
+    for seed in (0, 1, 2):
+        split = splitting_bracket_residual(geom, count=12, seed=seed)
+        assert [split[key].hex() for key in SPLITTING_NAMES] == \
+            [x.hex() for x in per_point_splitting(monkeypatch, geom, 12,
+                                                  seed)], seed
 
 
 @pytest.mark.parametrize("name,builder",
@@ -438,12 +474,75 @@ def test_array_route_matches_the_per_point_loop_to_the_bit(monkeypatch,
                          ids=[n for n, _, _ in INSTANCES])
 def test_closure_oracle_is_the_per_vector_route_on_other_samples(name,
                                                                  builder):
-    # one stacked least-squares call makes each bracket's own LAPACK call
+    # one stacked least-squares call makes each bracket's own LAPACK call,
+    # and one kernel call sums each bracket entry in the scalar order
     geom = builder()
-    for count, seed in ((5, 1), (5, 3), (10, 2)):
+    for count, seed in ((16, 3), (5, 1), (5, 3), (10, 2), (1, 2)):
         points = unstack(geom.sample_points(count, seed=seed), count)
         assert dirac_closure_residual(geom, points=points).hex() == \
-            per_point_closure(geom, points).hex()
+            per_point_closure(geom, points).hex(), (count, seed)
+
+
+def test_the_oracle_brackets_every_pair_in_one_kernel_call(monkeypatch):
+    geom = ymh_so3_quadratic()   # 6 coordinates: 15 pairs of frame rows
+    calls = []
+    kernel = fields.courant_at
+
+    def counted(u, du, v, dv):
+        calls.append(np.shape(u))
+        return kernel(u, du, v, dv)
+
+    monkeypatch.setattr(fields, "courant_at", counted)
+    dirac_closure_residual(geom, count=7, seed=1)
+    assert calls == [(7, 15, 12)]
+
+
+@pytest.mark.parametrize("check", [check_coupling_conditions,
+                                   dirac_closure_residual])
+def test_an_empty_or_mis_sized_point_list_is_refused(check):
+    # an empty list has nothing to check, and a point of 7 or 4 coordinates
+    # is not a point of the 5-dimensional so(3)* space
+    geom = so3_coadjoint_example()
+    point = [0.1, -0.2, 0.3, 0.4, -0.5]
+    for points, got in (([], r"0 points of lengths \[\]"),
+                        ([point + [0.6, 0.7]], r"1 points of lengths \[7\]"),
+                        ([point, point[:4]], r"2 points of lengths \[4, 5\]")):
+        with pytest.raises(ValueError, match="expected one or more points "
+                           "of 5 coordinates, got " + got):
+            check(geom, points=points)
+    check(geom, points=[point])
+
+
+@pytest.mark.parametrize("check", [check_coupling_conditions,
+                                   dirac_closure_residual,
+                                   splitting_bracket_residual])
+def test_an_empty_sample_is_refused(check):
+    # a residual maximized over no points reads 0.0: a PASS that checked
+    # nothing
+    with pytest.raises(ValueError, match="at least 1, got 0"):
+        check(so3_coadjoint_example(), count=0)
+
+
+def undefined_at_one_sampled_point(count, seed, index):
+    """A constant split triple whose ω_H is NaN at sample `index` of
+    `sample_points(count, seed)` and 1.5 everywhere else."""
+    geom = constant_split()
+    b0 = geom.sample_points(count, seed=seed)[0][index]
+
+    def omega(p):
+        return [1.5 + np.where(dm.value_of(p[0]) == b0, np.nan, 0.0)]
+
+    geom.omega_h = HorizontalForm(geom.space, 2, omega, name="nan-once")
+    geom.name = "nan-once"
+    return geom
+
+
+def test_a_form_undefined_at_one_sampled_point_fails_the_oracle():
+    geom = undefined_at_one_sampled_point(16, 0, 5)
+    assert math.isnan(dirac_closure_residual(geom, count=16, seed=0))
+    points = unstack(geom.sample_points(16, seed=0), 16)
+    del points[5]
+    assert dirac_closure_residual(geom, points=points) < ORACLE_TOL
 
 
 def test_leaf_two_form_is_scaled_round_form(hopf):

@@ -10,8 +10,9 @@ from fiberdirac.charts import CoordinateDomain
 from fiberdirac.fibration import (BasePath, Connection, FiberedSpace,
                                   FlatConnection, HorizontalForm,
                                   IncompleteTransportError, VerticalBivector,
-                                  curvature, covariant_differential,
-                                  parallel_transport, transport_samples)
+                                  curvature, parallel_transport,
+                                  transport_samples)
+from reference import covariant_differential
 
 
 def make_space(fb=3.0):

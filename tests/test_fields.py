@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from fiberdirac import dual as dm
 from fiberdirac import fields
 from fiberdirac._numerics import combos, dot, matvec
-from fiberdirac.fields import (antisym_matrix, bivector, courant_bracket,
+from fiberdirac.fields import (antisym_matrix, courant_bracket,
                                covector_field, exterior_derivative, k_form,
-                               lie_bracket, lie_derivative_bivector,
-                               scalar_field, vector_field)
+                               lie_bracket, vector_field)
+from reference import bivector, lie_derivative_bivector, scalar_field
 
 DDZERO_TOL = 1e-10
 

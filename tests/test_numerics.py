@@ -357,11 +357,28 @@ def test_worst_is_zero_when_empty_and_keeps_nan_in_any_position():
 
 def test_unstack_inverts_stack():
     points = [[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]]
-    columns = stack(points)
+    columns = stack(points, 3)
     assert [c.tolist() for c in columns] == [[0.1, 0.4], [-0.2, 0.5],
                                              [0.3, -0.6]]
     assert unstack(columns, len(points)) == points
     assert unstack([columns[0], 7.0], 2) == [[0.1, 7.0], [0.4, 7.0]]
+
+
+@pytest.mark.parametrize("points,dim,lengths", [
+    ([], 3, []), ([[0.1, 0.2, 0.3, 0.4]], 3, [4]),
+    ([[0.1, 0.2, 0.3], [0.4, 0.5]], 3, [2, 3])],
+    ids=["empty", "too-long", "ragged"])
+def test_stack_refuses_points_of_another_length(points, dim, lengths):
+    with pytest.raises(ValueError, match=rf"points of {dim} coordinates, "
+                       rf"got {len(points)} points of lengths "
+                       rf"\[{', '.join(map(str, lengths))}\]"):
+        stack(points, dim)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_unit_cube_refuses_an_empty_sample(count):
+    with pytest.raises(ValueError, match=f"at least 1, got {count}"):
+        sample_unit_cube(count, 2)
 
 
 def test_tangent_reads_back_eps_parts():

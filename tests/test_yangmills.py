@@ -105,7 +105,7 @@ def test_bianchi_on_stacked_points_is_their_worst():
                   StructureGroupModel("broken-so3", 3, consts)):
         for potential in (generic_potential, sparse):
             pd = PrincipalData(group, BASE_3D, potential)
-            assert pd.bianchi_residual(stack(POINTS_3D)) == \
+            assert pd.bianchi_residual(stack(POINTS_3D, 3)) == \
                 max(pd.bianchi_residual(b) for b in POINTS_3D)
 
 
