@@ -253,18 +253,16 @@ def sample_unit_cube(count, dim, seed=0):
     if count < 1:
         raise ValueError(f"sampling needs a count of at least 1, got {count}")
     noise = _jitter(seed, count, dim) * (0.25 / count)
-    coords = []
-    for d in range(dim):
-        base = _HALTON_BASES[d]
-        i = np.arange(1, count + 1)
-        f, r = 1.0, np.zeros(count)
-        while i.any():
-            f /= base
-            r += f * (i % base)
-            i //= base
-        coords.append(np.minimum(np.maximum(r + noise[:, d], 0.0),
-                                 1.0 - 1e-12))
-    return coords
+    # one row per axis: a row whose index has run out of digits adds
+    # f·0 = +0.0 and keeps its value
+    base = np.array(_HALTON_BASES[:dim])[:, None]
+    i = np.broadcast_to(np.arange(1, count + 1), (dim, count)).copy()
+    f, r = np.ones((dim, 1)), np.zeros((dim, count))
+    while i.any():
+        f /= base
+        r += f * (i % base)
+        i //= base
+    return list(np.minimum(np.maximum(r + noise.T, 0.0), 1.0 - 1e-12))
 
 
 # -- index tuples and the coboundary sum ---------------------------------------
@@ -387,47 +385,71 @@ def worst(residuals):
 # -- linear algebra on small subspaces -----------------------------------------
 
 def as_float_matrix(rows):
+    """Rows of numbers or Duals (their values) as a float array; an array,
+    such as a stack of matrices (..., k, d), passes through."""
+    if isinstance(rows, np.ndarray):
+        return rows
     return np.array([[value_of(x) for x in row] for row in rows], dtype=float)
 
 
+def _rank(s):
+    """Each item's rank from its singular values s (..., k), descending:
+    how many exceed `RANK_THRESHOLD` times the largest (times 1 when the
+    largest is not positive)."""
+    top = s[..., :1]
+    return np.sum(s > RANK_THRESHOLD * np.where(top > 0, top, 1.0), axis=-1)
+
+
+def _rows_below(rank, count):
+    """A mask (..., count, 1) over the rows of each item: row r < rank."""
+    return np.arange(count)[:, None] < np.asarray(rank)[..., None, None]
+
+
 def orthonormal_basis(rows):
-    """Orthonormal row basis of span(rows) via SVD with rank threshold."""
+    """Orthonormal row basis of span(rows) via SVD with rank threshold.  On
+    a stack (..., k, d) each item keeps min(k, d) rows, those past its rank
+    zeroed, so the stack stays one array."""
     a = as_float_matrix(rows)
     if a.size == 0:
         return np.zeros((0, a.shape[1] if a.ndim == 2 else 0))
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    scale = s[0] if len(s) and s[0] > 0 else 1.0
-    rank = int(np.sum(s > RANK_THRESHOLD * scale))
-    return vt[:rank]
+    rank = _rank(s)
+    if a.ndim == 2:
+        return vt[:rank]
+    return np.where(_rows_below(rank, vt.shape[-2]), vt, 0.0)
 
 
 def principal_angles(rows_a, rows_b):
-    """Principal angles (radians, ascending) between two row-span subspaces."""
+    """Principal angles (radians, ascending) between two row-span
+    subspaces, as an array; on stacks, (..., m) per pair of items, where a
+    zeroed basis row adds an angle of π/2."""
     qa = orthonormal_basis(rows_a)
     qb = orthonormal_basis(rows_b)
-    if qa.shape[0] == 0 or qb.shape[0] == 0:
-        return []
-    sv = np.linalg.svd(qa @ qb.T, compute_uv=False)
-    sv = np.clip(sv, -1.0, 1.0)
-    return [float(math.acos(s)) for s in sv]
+    if qa.shape[-2] == 0 or qb.shape[-2] == 0:
+        return np.zeros(0)
+    sv = np.linalg.svd(qa @ np.swapaxes(qb, -1, -2), compute_uv=False)
+    return np.arccos(np.clip(sv, -1.0, 1.0))
 
 
 def intersection_dimension(rows_a, rows_b):
     """dim(span(rows_a) ∩ span(rows_b)): the principal angles below
-    `RANK_THRESHOLD`."""
-    return sum(1 for a in principal_angles(rows_a, rows_b)
-               if a < RANK_THRESHOLD)
+    `RANK_THRESHOLD`; an integer array over the items of stacks."""
+    dims = np.sum(principal_angles(rows_a, rows_b) < RANK_THRESHOLD, axis=-1)
+    return int(dims) if dims.ndim == 0 else dims
 
 
 def nullspace(rows):
-    """Orthonormal basis (rows) of the right nullspace of the matrix."""
+    """Orthonormal basis (rows) of the right nullspace of the matrix.  On a
+    stack (..., k, n) each item keeps n rows, those that span its row space
+    zeroed, so the stack stays one array."""
     a = as_float_matrix(rows)
     if a.shape[0] == 0:
         return np.eye(a.shape[1]) if a.ndim == 2 else np.zeros((0, 0))
     u, s, vt = np.linalg.svd(a)
-    scale = s[0] if len(s) and s[0] > 0 else 1.0
-    rank = int(np.sum(s > RANK_THRESHOLD * scale))
-    return vt[rank:]
+    rank = _rank(s)
+    if a.ndim == 2:
+        return vt[rank:]
+    return np.where(_rows_below(rank, vt.shape[-2]), 0.0, vt)
 
 
 def _raise_lstsq(err, flag):

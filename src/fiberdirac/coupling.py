@@ -32,9 +32,13 @@ frame, fills the frame rows and their first jets into stacked arrays over
 the points, brackets every pair of rows at every point in one call of the
 array kernel `fields.courant_at`, and measures the distance of every
 bracket to its point's span in one stacked least-squares call.  The two
-routes must agree on every verdict.  A caller's `points=` list must hold
-one or more points of the space's dimension, and a sample at least one
-point.
+routes must agree on every verdict.  `splitting_bracket_residual` takes
+one Jacobian of one stacked field (the four embedded sections and the two
+scalars its formulas differentiate, from one evaluation of π_V, A and ω_H
+per pass), brackets its three pairs of sections in one `courant_at` call,
+and reads the right-hand formulas off the same jets.  A caller's `points=`
+list must hold one or more points of the space's dimension, and a sample
+at least one point.
 """
 
 from __future__ import annotations
@@ -259,99 +263,24 @@ def leaf_two_form(frame):
 
 # -- splitting brackets ----------------------------------------------------------------
 
-def embed_fiber_covector(geom, alpha_fn):
-    """V*-section α ↪ L as a section pt ↦ X ‖ ξ: X = (0, π^♯α),
-    ξ = (−Aᵀα, α)."""
-    nb, nf = geom.space.n_base, geom.space.n_fiber
-
-    def section(pt):
-        p, a, amat = geom.pi_matrix(pt), alpha_fn(pt), geom.conn_matrix(pt)
-        base = [-dot([amat[k][j] for k in range(nf)], a) for j in range(nb)]
-        return [0.0] * nb + matvec(p, a) + base + list(a)
-
-    return section
+SPLITTING_NAMES = ("vertical_vertical", "horizontal_vertical",
+                   "horizontal_horizontal")
 
 
-def embed_horizontal(geom, v):
-    """h*(v) for a constant base vector v, as a section pt ↦ X ‖ ξ:
-    X = h(v), ξ = (i_{h(v)}ω_H, 0)."""
-    nb, nf = geom.space.n_base, geom.space.n_fiber
-
-    def section(pt):
-        a, w = geom.conn_matrix(pt), geom.omega_matrix(pt)
-        base = [dot(v, [w[b][j] for b in range(nb)]) for j in range(nb)]
-        return list(v) + matvec(a, v) + base + [0.0] * nf
-
-    return section
+def _fiber_section(nb, p, amat, c):
+    """A fiber covector c embedded in L as X ‖ ξ: X = (0, π^♯c),
+    ξ = (−Aᵀc, c), from the values P and A at its point."""
+    nf = len(c)
+    base = [-dot([amat[k][j] for k in range(nf)], c) for j in range(nb)]
+    return [0.0] * nb + matvec(p, c) + base + list(c)
 
 
-def vertical_covector_bracket(geom, alpha_fn, beta_fn):
-    """[α, β]_V = L_{π^♯α} β − L_{π^♯β} α − d_V π(α, β) as a fiber covector field."""
-    space = geom.space
-    nb, nf = space.n_base, space.n_fiber
-
-    def comps(pt):
-        p = geom.pi_matrix(pt)
-        a = alpha_fn(pt)
-        b = beta_fn(pt)
-        sha = matvec(p, a)
-        shb = matvec(p, b)
-
-        def fiber_partials(fn):
-            # out[m] = ∂_m fn along fiber direction m, one pass each
-            return [dm.partial(fn, pt, nb + m) for m in range(nf)]
-
-        def lie(sh_src, d_sh, tgt, d_tgt, k):
-            # (L_{♯σ} τ)_k with vertical ♯σ: ♯σ·∂_V τ_k + τ_m ∂_k(♯σ)^m
-            acc = 0.0
-            for m in range(nf):
-                acc = acc + sh_src[m] * d_tgt[m][k]
-                acc = acc + tgt[m] * d_sh[k][m]
-            return acc
-
-        def sharp(fn):
-            return lambda q: matvec(geom.pi_matrix(q), fn(q))
-
-        def pairing_scalar(q):
-            # π(α, β) = β(♯α), the slot order compatible with ♯α = P α
-            pm, av, bv = geom.pi_matrix(q), alpha_fn(q), beta_fn(q)
-            return bilinear(pm, bv, av)
-
-        d_a, d_b = fiber_partials(alpha_fn), fiber_partials(beta_fn)
-        d_sha = fiber_partials(sharp(alpha_fn))
-        d_shb = fiber_partials(sharp(beta_fn))
-        d_pair = fiber_partials(pairing_scalar)
-        out = []
-        for k in range(nf):
-            t1 = lie(sha, d_sha, b, d_b, k)
-            t2 = lie(shb, d_shb, a, d_a, k)
-            out.append(t1 - t2 - d_pair[k])
-        return out
-
-    return comps
-
-
-def horizontal_covector_derivative(geom, v, alpha_fn):
-    """(L_{h(v)} α)_k for a fiber covector field α and constant base v."""
-    space = geom.space
-    nb, nf = space.n_base, space.n_fiber
-
-    def lift(q):
-        return matvec(geom.conn_matrix(q), v)
-
-    def comps(pt):
-        av = alpha_fn(pt)
-        d_alpha = dm.directional(alpha_fn, pt, list(v) + lift(pt))   # along h(v)
-        out = []
-        for k in range(nf):
-            d_lift = dm.partial(lift, pt, nb + k)
-            acc = d_alpha[k]
-            for m in range(nf):
-                acc = acc + av[m] * d_lift[m]
-            out.append(acc)
-        return out
-
-    return comps
+def _horizontal_section(nf, amat, wmat, v):
+    """h*(v) of a constant base vector v as X ‖ ξ: X = h(v) = (v, A v),
+    ξ = (i_{h(v)}ω_H, 0), from the values A and W at its point."""
+    nb = len(v)
+    base = [dot(v, [wmat[b][j] for b in range(nb)]) for j in range(nb)]
+    return list(v) + matvec(amat, v) + base + [0.0] * nf
 
 
 def splitting_bracket_residual(geom, count=12, seed=0, alpha_fn=None,
@@ -367,9 +296,21 @@ def splitting_bracket_residual(geom, count=12, seed=0, alpha_fn=None,
 
     (constant v, w make the h*([v,w]) term vanish) at `count` sampled
     points.  Returns a dict of the three residuals plus "max".
+
+    One Jacobian of one stacked field serves the call: pt ↦ the sections
+    emb α, emb β, h*(v), h*(w), then π(α, β) = β(♯α) and ω_H(h v, h w),
+    all from one evaluation of P, A and W.  One `fields.courant_at` call
+    brackets the three pairs of sections, and the formulas are algebra on
+    the same jets, with ♯α = Pα, α and A v read from the sections and ∂_k
+    the partial along fiber direction k:
+
+        [α, β]_V,k     = Σ_m (♯α^m ∂_m β_k + β_m ∂_k ♯α^m)
+                         − Σ_m (♯β^m ∂_m α_k + α_m ∂_k ♯β^m) − ∂_k π(α, β)
+        (L_{h(v)} α)_k = ∇α_k · h(v) + Σ_m α_m ∂_k (A v)^m
+        d_V ω_H(h(v), h(w))_k = ∂_k ω_H(h v, h w)
     """
     space = geom.space
-    nb, nf = space.n_base, space.n_fiber
+    nb, nf, n = space.n_base, space.n_fiber, space.dim
     pt = geom.sample_points(count=count, seed=seed)
     if alpha_fn is None:
         alpha_fn = _default_fiber_covector(space, salt=0)
@@ -381,33 +322,60 @@ def splitting_bracket_residual(geom, count=12, seed=0, alpha_fn=None,
         w = [0.5 if i == 0 else (1.0 if i == nb - 1 else -0.75)
              for i in range(nb)]
 
-    sec_a = embed_fiber_covector(geom, alpha_fn)
-    sec_b = embed_fiber_covector(geom, beta_fn)
-    sec_v = embed_horizontal(geom, v)
-    sec_w = embed_horizontal(geom, w)
+    def field(q):
+        p, amat = geom.pi_matrix(q), geom.conn_matrix(q)
+        wmat, a, b = geom.omega_matrix(q), alpha_fn(q), beta_fn(q)
+        return p, amat, (
+            _fiber_section(nb, p, amat, a) + _fiber_section(nb, p, amat, b)
+            + _horizontal_section(nf, amat, wmat, v)
+            + _horizontal_section(nf, amat, wmat, w)
+            + [bilinear(p, b, a), bilinear(wmat, v, w)])
 
-    vv_formula = vertical_covector_bracket(geom, alpha_fn, beta_fn)
-    hv_formula = horizontal_covector_derivative(geom, v, alpha_fn)
+    p, amat, values = field(pt)
+    jets = dm.jacobian(lambda q: field(q)[2], pt)
+    # where each value starts: section s at 2ns, its ♯ (or A v) part at
+    # + nb and its fiber covector at + n + nb; π(α, β) and ω_H(h v, h w)
+    # follow the sections
+    i_sha, i_a, i_shb, i_b, i_av = (nb, n + nb, 2 * n + nb, 3 * n + nb,
+                                    4 * n + nb)
 
-    def hh_formula(pt):
-        def scalar(q):
-            return bilinear(geom.omega_matrix(q), v, w)
-        return [dm.partial(scalar, pt, nb + k) for k in range(nf)]
+    def d(i, k):
+        return jets[i][nb + k]
 
-    lhs_vv = fields.courant_bracket(sec_a, sec_b)
-    lhs_hv = fields.courant_bracket(sec_v, sec_a)
-    lhs_hh = fields.courant_bracket(sec_v, sec_w)
-    rhs_vv = embed_fiber_covector(geom, vv_formula)
-    rhs_hv = embed_fiber_covector(geom, hv_formula)
-    rhs_hh = embed_fiber_covector(geom, hh_formula)
+    def lie(sh, tgt, k):
+        # (L_{♯σ} τ)_k = Σ_m ♯σ^m ∂_m τ_k + τ_m ∂_k ♯σ^m
+        acc = 0.0
+        for m in range(nf):
+            acc = acc + values[sh + m] * d(tgt + k, m)
+            acc = acc + values[tgt + m] * d(sh + m, k)
+        return acc
 
-    def resid(lhs, rhs):
-        return worst(abs(dm.value_of(a) - dm.value_of(b))
-                     for a, b in zip(lhs(pt), rhs(pt)))
+    def along_h_v(k):
+        acc = dot(jets[i_a + k], list(v) + values[i_av:i_av + nf])
+        for m in range(nf):
+            acc = acc + values[i_a + m] * d(i_av + m, k)
+        return acc
 
-    out = {"vertical_vertical": resid(lhs_vv, rhs_vv),
-           "horizontal_vertical": resid(lhs_hv, rhs_hv),
-           "horizontal_horizontal": resid(lhs_hh, rhs_hh)}
+    formulas = [
+        [lie(i_sha, i_b, k) - lie(i_shb, i_a, k) - d(8 * n, k)
+         for k in range(nf)],
+        [along_h_v(k) for k in range(nf)],
+        [d(8 * n + 1, k) for k in range(nf)]]
+    sections = stacked_matrix([values[2 * n * s:2 * n * (s + 1)]
+                               for s in range(4)], pt[0])
+    d_sections = stacked_matrix(jets[:8 * n], pt[0]).reshape(
+        sections.shape + (n,))
+    # the pairs (emb α, emb β), (h*(v), emb α) and (h*(v), h*(w))
+    first, second = [0, 2, 2], [1, 0, 3]
+    lhs = fields.courant_at(sections[..., first, :],
+                            d_sections[..., first, :, :],
+                            sections[..., second, :],
+                            d_sections[..., second, :, :])
+    rhs = stacked_matrix([_fiber_section(nb, p, amat, c) for c in formulas],
+                         pt[0])
+    defects = np.abs(lhs - rhs)
+    out = {name: worst([defects[..., i, :]])
+           for i, name in enumerate(SPLITTING_NAMES)}
     out["max"] = worst(out.values())
     return out
 

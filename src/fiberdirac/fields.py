@@ -171,7 +171,9 @@ def courant_at(u, du, v, dv):
 def courant_bracket(s1, s2):
     """⟦s1, s2⟧ of two TM ⊕ T*M sections, as a section pt ↦ its 2n
     components: one Jacobian of each per point, and one `courant_at` call
-    on every sample point of pt at once."""
+    on every sample point of pt at once.  No package module calls it (the
+    checks bracket stacked jets with `courant_at`); the benchmark tracer
+    patches it by name."""
 
     def bracket(pt):
         values = stacked_matrix([s1(pt), s2(pt)], pt[0])

@@ -23,7 +23,7 @@ from . import dual as dm
 from . import fields
 from ._numerics import (adjugate_inverse, bilinear, combos, det, dot,
                         intersection_dimension, matvec, nullspace,
-                        sample_unit_cube, stacked_matrix, unstack, worst)
+                        sample_unit_cube, stacked_matrix, worst)
 
 CLOSED_TOL = 1e-10
 SAMPLE_BOX = 1.5   # the checks sample the coordinate box [−1.5, 1.5]^d
@@ -171,14 +171,14 @@ def presymplectic_nondegeneracy(omega):
     """
     d = omega.dim
     form = PairForm(omega)
-    triple_dim = 0
-    base_dim = 0
     ds_dt = ([[0.0] * d + dm.unit(d, i) for i in range(d)]     # ds: x-block
              + [dm.unit(d, i) + [0.0] * d for i in range(d)])   # dt: y-block
-    for x in unstack(_box_points(8, d), 8):
-        stacked = [list(r) for r in form.matrix(x + x)] + ds_dt
-        triple_dim = max(triple_dim, len(nullspace(stacked)))
-        base_dim = max(base_dim, len(nullspace(form.base_matrix(x))))
+    x = _box_points(8, d)
+    triple = stacked_matrix(form.matrix(x + x) + ds_dt, x[0])
+    # a unit's kernel dimension: the nonzero rows of its stacked nullspace
+    triple_dim, base_dim = (
+        int(np.any(nullspace(m), axis=-1).sum(axis=-1).max())
+        for m in (triple, stacked_matrix(form.base_matrix(x), x[0])))
     return {
         "triple_kernel_dim": triple_dim,
         "base_kernel_dim": base_dim,
@@ -229,7 +229,8 @@ def coupling_form(geom):
 
 def _check_pi_invertible(geom, pt):
     mat = geom.pi_matrix(pt)
-    if len(mat) == 0 or np.any(np.abs(det(mat)) < 1e-10):
+    # a NaN determinant fails `>=` too
+    if len(mat) == 0 or not np.all(np.abs(det(mat)) >= 1e-10):
         raise ValueError(
             "the vertical structure is not invertible at a sampled "
             "point; the coupling form needs invertible π_V")
@@ -278,14 +279,14 @@ def integrated_data_check(geom, count=6, seed=0):
     coupling form Ω = pair(ω_H ⊕ π_V⁻¹) at `count` sampled arrows:
 
     (a) fiber nondegeneracy over the base pair groupoid — the graph of Ω
-        meets Ver_G ⊕ Ver_G⁰ trivially at sampled arrows (one subspace
-        intersection per arrow);
+        meets Ver_G ⊕ Ver_G⁰ trivially at sampled arrows (one stacked
+        subspace intersection over all arrows);
     (b) the horizontal-form identity Ω(HOR(v₁,w₁), HOR(v₂,w₂)) =
         ω_H(h v₁, h v₂)∘t − ω_H(h w₁, h w₂)∘s on coordinate lifts;
     (c) HOR(v, w) projects to (v, w) and is Ω-orthogonal to Ver_G,
 
     with HOR(v, w) = (h(v) at y, h(w) at x) in the block convention.
-    (b) and (c) are evaluated once, along the sample axis.
+    (a), (b) and (c) are each evaluated once, along the sample axis.
     """
     space = geom.space
     nb, nf, dim = space.n_base, space.n_fiber, space.dim
@@ -306,10 +307,16 @@ def integrated_data_check(geom, count=6, seed=0):
     for blk in (0, 1):
         w_rows += [v + zero for v in ver[blk]]
         w_rows += [zero + dm.unit(two_d, blk * dim + i) for i in range(nb)]
-    max_intersection = max((
-        intersection_dimension([dm.unit(two_d, i) + list(m[i])
-                                for i in range(two_d)], w_rows)
-        for m in stacked_matrix(mat, arrow[0])), default=0)
+    # the graph rows e_i ‖ Ω_i of every arrow, one stack
+    big_omega = stacked_matrix(mat, arrow[0])
+    if not np.isfinite(big_omega).all():
+        # an infinite entry would give NaN singular values: rank 0, and
+        # an intersection that reads 0
+        raise ValueError("the coupling form is not finite at a sampled "
+                         "arrow")
+    graph = np.concatenate(
+        [np.broadcast_to(np.eye(two_d), big_omega.shape), big_omega], axis=-1)
+    max_intersection = int(intersection_dimension(graph, w_rows).max())
 
     # (b) and (c) on coordinate-sampled base vectors
     unit = sample_unit_cube(4 * count, nb, seed=seed + 1)

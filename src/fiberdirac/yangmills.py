@@ -389,8 +389,9 @@ def gauge_transition_check():
 
     The difference D = T*(A₁) − A₀ must be closed, and its winding number
     (1/2π) ∮ D around the circle of radius 1.3 (Simpson over 129 nodes)
-    must be the integer −2 (the bundle degree, with orientation).  Returns
-    {"closedness": …, "winding": …}.
+    must be the integer −2 (the bundle degree, with orientation).  The 8
+    closedness points and the 129 winding nodes are each one array axis.
+    Returns {"closedness": …, "winding": …}.
     """
     radius, n_ring = 1.3, 129
     pot0 = monopole_potential(0)
@@ -405,24 +406,25 @@ def gauge_transition_check():
         a0 = pot0(w)
         return [pulled[0] - a0[0][0], pulled[1] - a0[1][0]]
 
-    # closedness of D at sample points on the ring (via duals)
-    def curl(k):
-        phi = 2.0 * math.pi * (k + 0.37) / 8.0
-        w = [radius * math.cos(phi), radius * math.sin(phi)]
-        return (dm.partial(lambda q: diff_cov(q)[1], w, 0)
-                - dm.partial(lambda q: diff_cov(q)[0], w, 1))
+    def ring(phis):
+        # cos and sin of the node angles as arrays of `math` values (np.cos
+        # may differ by an ulp)
+        return (np.array([math.cos(phi) for phi in phis]),
+                np.array([math.sin(phi) for phi in phis]))
 
-    closedness = worst(abs(curl(k)) for k in range(8))
+    # closedness of D at 8 points on the ring (via duals), one array pass
+    cos, sin = ring([2.0 * math.pi * (k + 0.37) / 8.0 for k in range(8)])
+    w = [radius * cos, radius * sin]
+    curl = (dm.partial(lambda q: diff_cov(q)[1], w, 0)
+            - dm.partial(lambda q: diff_cov(q)[0], w, 1))
+    closedness = worst([abs(curl)])
 
-    # winding of D around the ring
-    samples = []
-    for k in range(n_ring):
-        t = k / (n_ring - 1)
-        phi = 2.0 * math.pi * t
-        w = [radius * math.cos(phi), radius * math.sin(phi)]
-        dw = [-2.0 * math.pi * radius * math.sin(phi),
-              2.0 * math.pi * radius * math.cos(phi)]
-        d = diff_cov(w)
-        samples.append(d[0] * dw[0] + d[1] * dw[1])
-    winding = simpson_integrate(samples) / (2.0 * math.pi)
+    # winding of D around the ring, every node in one array pass
+    cos, sin = ring([2.0 * math.pi * (k / (n_ring - 1))
+                     for k in range(n_ring)])
+    w = [radius * cos, radius * sin]
+    dw = [-2.0 * math.pi * radius * sin, 2.0 * math.pi * radius * cos]
+    d = diff_cov(w)
+    samples = d[0] * dw[0] + d[1] * dw[1]
+    winding = simpson_integrate(samples.tolist()) / (2.0 * math.pi)
     return {"closedness": closedness, "winding": winding}

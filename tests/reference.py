@@ -1,18 +1,27 @@
 """Independent references that only the tests use.
 
-Each function here is a general operator that no package code calls: the
-tests keep it as the second route that a package check is compared with,
-often to the bit.  It is built from the package's public pieces, so it
-runs on the same fields, connections and paths.
+Each function here is a general operator, or the loop a package check
+replaced by an array pass, that no package code calls: the tests keep it
+as the second route that a package check is compared with, often to the
+bit.  It is built from the package's pieces, so it runs on the same
+fields, connections and paths.
 """
 
+import math
+
+import numpy as np
+
 from fiberdirac import dual as dm
-from fiberdirac._numerics import coboundary, combos, dot, smoothstep
+from fiberdirac._numerics import (bilinear, coboundary, combos, dot, matvec,
+                                  simpson_integrate, smoothstep, worst)
 from fiberdirac.apath import AlgebroidPath, _warped
+from fiberdirac.charts import CoordinateDomain
+from fiberdirac.coupling import _default_fiber_covector
 from fiberdirac.fibration import (BasePath, HorizontalForm,
                                   directional_on_total)
 from fiberdirac.fields import (MULTIVECTOR, SCALAR, SmoothField,
                                antisym_matrix)
+from fiberdirac.yangmills import monopole_potential
 
 
 def scalar_field(dim, fn, name=""):
@@ -89,3 +98,199 @@ def reparameterized(apath):
         lambda u: apath.fiber_path(smoothstep(u)),
         lambda u: _warped(apath.covector_path, u, 1.0),
         name=f"{apath.name}@s")
+
+
+# -- the splitting brackets, one section at a time --------------------------------
+
+def embed_fiber_covector(geom, alpha_fn):
+    """V*-section α ↪ L as a section pt ↦ X ‖ ξ: X = (0, π^♯α),
+    ξ = (−Aᵀα, α)."""
+    nb, nf = geom.space.n_base, geom.space.n_fiber
+
+    def section(pt):
+        p, a, amat = geom.pi_matrix(pt), alpha_fn(pt), geom.conn_matrix(pt)
+        base = [-dot([amat[k][j] for k in range(nf)], a) for j in range(nb)]
+        return [0.0] * nb + matvec(p, a) + base + list(a)
+
+    return section
+
+
+def embed_horizontal(geom, v):
+    """h*(v) for a constant base vector v, as a section pt ↦ X ‖ ξ:
+    X = h(v), ξ = (i_{h(v)}ω_H, 0)."""
+    nb, nf = geom.space.n_base, geom.space.n_fiber
+
+    def section(pt):
+        a, w = geom.conn_matrix(pt), geom.omega_matrix(pt)
+        base = [dot(v, [w[b][j] for b in range(nb)]) for j in range(nb)]
+        return list(v) + matvec(a, v) + base + [0.0] * nf
+
+    return section
+
+
+def vertical_covector_bracket(geom, alpha_fn, beta_fn):
+    """[α, β]_V = L_{π^♯α} β − L_{π^♯β} α − d_V π(α, β) as a fiber covector
+    field, each field differentiated by its own seeded passes."""
+    space = geom.space
+    nb, nf = space.n_base, space.n_fiber
+
+    def comps(pt):
+        p = geom.pi_matrix(pt)
+        a = alpha_fn(pt)
+        b = beta_fn(pt)
+        sha = matvec(p, a)
+        shb = matvec(p, b)
+
+        def fiber_partials(fn):
+            # out[m] = ∂_m fn along fiber direction m, one pass each
+            return [dm.partial(fn, pt, nb + m) for m in range(nf)]
+
+        def lie(sh_src, d_sh, tgt, d_tgt, k):
+            # (L_{♯σ} τ)_k with vertical ♯σ: ♯σ·∂_V τ_k + τ_m ∂_k(♯σ)^m
+            acc = 0.0
+            for m in range(nf):
+                acc = acc + sh_src[m] * d_tgt[m][k]
+                acc = acc + tgt[m] * d_sh[k][m]
+            return acc
+
+        def sharp(fn):
+            return lambda q: matvec(geom.pi_matrix(q), fn(q))
+
+        def pairing_scalar(q):
+            # π(α, β) = β(♯α), the slot order compatible with ♯α = P α
+            pm, av, bv = geom.pi_matrix(q), alpha_fn(q), beta_fn(q)
+            return bilinear(pm, bv, av)
+
+        d_a, d_b = fiber_partials(alpha_fn), fiber_partials(beta_fn)
+        d_sha = fiber_partials(sharp(alpha_fn))
+        d_shb = fiber_partials(sharp(beta_fn))
+        d_pair = fiber_partials(pairing_scalar)
+        out = []
+        for k in range(nf):
+            t1 = lie(sha, d_sha, b, d_b, k)
+            t2 = lie(shb, d_shb, a, d_a, k)
+            out.append(t1 - t2 - d_pair[k])
+        return out
+
+    return comps
+
+
+def horizontal_covector_derivative(geom, v, alpha_fn):
+    """(L_{h(v)} α)_k for a fiber covector field α and constant base v."""
+    space = geom.space
+    nb, nf = space.n_base, space.n_fiber
+
+    def lift(q):
+        return matvec(geom.conn_matrix(q), v)
+
+    def comps(pt):
+        av = alpha_fn(pt)
+        # along h(v)
+        d_alpha = dm.directional(alpha_fn, pt, list(v) + lift(pt))
+        out = []
+        for k in range(nf):
+            d_lift = dm.partial(lift, pt, nb + k)
+            acc = d_alpha[k]
+            for m in range(nf):
+                acc = acc + av[m] * d_lift[m]
+            out.append(acc)
+        return out
+
+    return comps
+
+
+def per_section_splitting(geom, pt, bracket):
+    """The three splitting residuals at `pt`, in the order vertical–
+    vertical, horizontal–vertical, horizontal–horizontal, with the check's
+    default sections: each Courant bracket by ``bracket(s1, s2)``, a
+    section pt ↦ its 2n components, and each right-hand side by its own
+    seeded passes of the fields it reads."""
+    space = geom.space
+    nb, nf = space.n_base, space.n_fiber
+    alpha_fn = _default_fiber_covector(space, salt=0)
+    beta_fn = _default_fiber_covector(space, salt=1)
+    v = [1.0 if i == 0 else 0.25 for i in range(nb)]
+    w = [0.5 if i == 0 else (1.0 if i == nb - 1 else -0.75)
+         for i in range(nb)]
+    sec_a = embed_fiber_covector(geom, alpha_fn)
+    sec_b = embed_fiber_covector(geom, beta_fn)
+    sec_v = embed_horizontal(geom, v)
+    sec_w = embed_horizontal(geom, w)
+
+    def hh_formula(pt):
+        def scalar(q):
+            return bilinear(geom.omega_matrix(q), v, w)
+        return [dm.partial(scalar, pt, nb + k) for k in range(nf)]
+
+    def resid(lhs, rhs):
+        return worst(abs(dm.value_of(a) - dm.value_of(b))
+                     for a, b in zip(lhs(pt), rhs(pt)))
+
+    return [
+        resid(bracket(sec_a, sec_b), embed_fiber_covector(
+            geom, vertical_covector_bracket(geom, alpha_fn, beta_fn))),
+        resid(bracket(sec_v, sec_a), embed_fiber_covector(
+            geom, horizontal_covector_derivative(geom, v, alpha_fn))),
+        resid(bracket(sec_v, sec_w), embed_fiber_covector(geom, hh_formula))]
+
+
+# -- per-dimension and per-node loops ------------------------------------------------
+
+HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+def per_dimension_unit_cube(count, dim, seed):
+    """`sample_unit_cube` by the loop over dimensions: each axis takes its
+    own Halton digits over the index array, with the jitter from a fresh
+    generator."""
+    noise = np.random.RandomState(seed).uniform(-1.0, 1.0, size=(count, dim))
+    noise = noise * (0.25 / count)
+    coords = []
+    for d in range(dim):
+        base = HALTON_BASES[d]
+        i = np.arange(1, count + 1)
+        f, r = 1.0, np.zeros(count)
+        while i.any():
+            f /= base
+            r += f * (i % base)
+            i //= base
+        coords.append(np.minimum(np.maximum(r + noise[:, d], 0.0),
+                                 1.0 - 1e-12))
+    return coords
+
+
+def per_node_gauge_transition():
+    """`gauge_transition_check` by the loop over ring nodes: one seeded
+    pass per closedness point and direction, one Jacobian of the chart
+    transition per node."""
+    radius, n_ring = 1.3, 129
+    pot0 = monopole_potential(0)
+    pot1 = monopole_potential(1)
+    transition = CoordinateDomain.sphere().transition
+
+    def diff_cov(w):
+        jac = dm.jacobian(transition, w)   # J[i][j] = ∂T_i/∂w_j
+        a1 = pot1(transition(w))   # [[A_u1], [A_v1]]
+        pulled = [jac[0][0] * a1[0][0] + jac[1][0] * a1[1][0],
+                  jac[0][1] * a1[0][0] + jac[1][1] * a1[1][0]]
+        a0 = pot0(w)
+        return [pulled[0] - a0[0][0], pulled[1] - a0[1][0]]
+
+    def curl(k):
+        phi = 2.0 * math.pi * (k + 0.37) / 8.0
+        w = [radius * math.cos(phi), radius * math.sin(phi)]
+        return (dm.partial(lambda q: diff_cov(q)[1], w, 0)
+                - dm.partial(lambda q: diff_cov(q)[0], w, 1))
+
+    closedness = worst(abs(curl(k)) for k in range(8))
+    samples = []
+    for k in range(n_ring):
+        t = k / (n_ring - 1)
+        phi = 2.0 * math.pi * t
+        w = [radius * math.cos(phi), radius * math.sin(phi)]
+        dw = [-2.0 * math.pi * radius * math.sin(phi),
+              2.0 * math.pi * radius * math.cos(phi)]
+        d = diff_cov(w)
+        samples.append(d[0] * dw[0] + d[1] * dw[1])
+    winding = simpson_integrate(samples) / (2.0 * math.pi)
+    return {"closedness": closedness, "winding": winding}

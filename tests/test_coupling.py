@@ -13,8 +13,8 @@ from fiberdirac import fields
 from fiberdirac.charts import CoordinateDomain
 from fiberdirac import coupling
 from fiberdirac._numerics import dot, matvec, skew_matrix, unstack, worst
-from fiberdirac.coupling import (CONDITION_NAMES, GeometricData,
-                                 assemble_dirac,
+from fiberdirac.coupling import (CONDITION_NAMES, SPLITTING_NAMES,
+                                 GeometricData, assemble_dirac,
                                  check_coupling_conditions,
                                  dirac_closure_residual, leaf_two_form,
                                  splitting_bracket_residual)
@@ -26,7 +26,8 @@ from fiberdirac.yangmills import (HamiltonianFiber, PrincipalData,
                                   hopf_flat_example, so3_coadjoint_example,
                                   trivial_torus_example, ymh_geometric_data)
 from reference import (bivector, covariant_differential,
-                       lie_derivative_bivector)
+                       lie_derivative_bivector, per_section_splitting,
+                       vertical_covector_bracket)
 
 CONDITION_TOL = 1e-8
 ORACLE_TOL = 1e-6
@@ -211,7 +212,7 @@ def count_seeded_passes(monkeypatch, run, keep=None):
 def _vertical_bracket(geom, pt):
     alpha = coupling._default_fiber_covector(geom.space, salt=0)
     beta = coupling._default_fiber_covector(geom.space, salt=1)
-    return coupling.vertical_covector_bracket(geom, alpha, beta)(pt)
+    return vertical_covector_bracket(geom, alpha, beta)(pt)
 
 
 def _conditions(geom, pt):
@@ -355,6 +356,21 @@ def test_closure_oracle_takes_one_frame_jacobian_per_point(monkeypatch,
     assert passes == geom.space.dim
 
 
+@pytest.mark.parametrize("name", POLYNOMIAL_INSTANCES)
+def test_splitting_check_takes_one_jacobian_per_call(name):
+    # the four sections and the two scalars the formulas differentiate are
+    # one stacked field, and a polynomial triple evaluates it without
+    # seeded passes: one pass per coordinate, whatever the point count.
+    # A Jacobian per section and a pass per formula field took 26-46.
+    geom = dict((n, b) for n, b, _ in INSTANCES)[name]()
+    for count in (1, 6, 12):
+        with pytest.MonkeyPatch.context() as mp:
+            passes = count_seeded_passes(
+                mp, lambda: splitting_bracket_residual(geom, count=count,
+                                                       seed=1))
+        assert passes == geom.space.dim, count
+
+
 def per_point_conditions(geom, points):
     """The four condition maxima by the per-point loop: one scalar call of
     `_condition_residuals` per sample point."""
@@ -427,31 +443,21 @@ def per_point_closure(geom, points):
     return worst(at_point(pt) for pt in points)
 
 
-SPLITTING_NAMES = ("vertical_vertical", "horizontal_vertical",
-                   "horizontal_horizontal")
-
-
-def per_point_splitting(monkeypatch, geom, count, seed=0):
-    """The three splitting residuals by the per-point loop: the check run
-    on one scalar sample point at a time, each bracket by the scalar
-    `courant_at`, maximized over the points."""
+def per_point_splitting(geom, count, seed=0):
+    """The three splitting residuals by the per-point loop: the per-section
+    route of `reference.per_section_splitting` on one scalar sample point
+    at a time, each bracket by the scalar `courant_at`, maximized over the
+    points."""
     points = unstack(geom.sample_points(count=count, seed=seed), count)
-    runs = []
-    monkeypatch.setattr(fields, "courant_bracket", per_pair_courant_bracket)
-    for pt in points:
-        monkeypatch.setattr(geom, "sample_points",
-                            lambda count, seed, pt=pt: pt)
-        runs.append(splitting_bracket_residual(geom, count=count,
-                                               seed=seed))
-    monkeypatch.undo()
-    return [worst(r[key] for r in runs) for key in SPLITTING_NAMES]
+    runs = [per_section_splitting(geom, pt, per_pair_courant_bracket)
+            for pt in points]
+    return [worst(r[i] for r in runs) for i in range(len(SPLITTING_NAMES))]
 
 
 @pytest.mark.parametrize("name,builder",
                          [(n, b) for n, b, _ in INSTANCES],
                          ids=[n for n, _, _ in INSTANCES])
-def test_array_route_matches_the_per_point_loop_to_the_bit(monkeypatch,
-                                                           name, builder):
+def test_array_route_matches_the_per_point_loop_to_the_bit(name, builder):
     # the sample points as one array axis run the same IEEE operations,
     # entry by entry, as the scalar loop over them
     geom = builder()
@@ -465,8 +471,7 @@ def test_array_route_matches_the_per_point_loop_to_the_bit(monkeypatch,
     for seed in (0, 1, 2):
         split = splitting_bracket_residual(geom, count=12, seed=seed)
         assert [split[key].hex() for key in SPLITTING_NAMES] == \
-            [x.hex() for x in per_point_splitting(monkeypatch, geom, 12,
-                                                  seed)], seed
+            [x.hex() for x in per_point_splitting(geom, 12, seed)], seed
 
 
 @pytest.mark.parametrize("name,builder",

@@ -8,8 +8,8 @@ import pytest
 
 from fiberdirac import dual as dm
 from fiberdirac import fields
-from fiberdirac._numerics import (bilinear, matvec, sample_unit_cube, unstack,
-                                  worst)
+from fiberdirac._numerics import (bilinear, intersection_dimension, matvec,
+                                  nullspace, sample_unit_cube, unstack, worst)
 from fiberdirac.charts import CoordinateDomain
 from fiberdirac.coupling import GeometricData
 from fiberdirac.fibration import (Connection, FiberedSpace, FlatConnection,
@@ -130,14 +130,42 @@ def test_nondegeneracy_report_on_symplectic_plane():
                       "verdict": "PASS"}
 
 
+def rank_two_form():
+    return fields.two_form(
+        4, lambda p: [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], name="rank-two")
+
+
 def test_nondegeneracy_flags_degenerate_forms():
     zero = presymplectic_nondegeneracy(symplectic_plane(comps=(0.0,)))
     assert zero["base_kernel_dim"] == 2 and zero["verdict"] == "FAIL"
 
-    rank_two = fields.two_form(
-        4, lambda p: [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], name="rank-two")
-    report = presymplectic_nondegeneracy(rank_two)
+    report = presymplectic_nondegeneracy(rank_two_form())
     assert report["base_kernel_dim"] == 2 and report["verdict"] == "FAIL"
+
+
+def per_unit_kernel_dims(omega):
+    """The two kernel dimensions of `presymplectic_nondegeneracy` by the
+    loop over the eight sampled units, one `nullspace` call per matrix."""
+    d = omega.dim
+    form = PairForm(omega)
+    ds_dt = ([[0.0] * d + dm.unit(d, i) for i in range(d)]
+             + [dm.unit(d, i) + [0.0] * d for i in range(d)])
+    triple_dim = base_dim = 0
+    for x in unstack(_box_points(8, d), 8):
+        stacked = [list(r) for r in form.matrix(x + x)] + ds_dt
+        triple_dim = max(triple_dim, len(nullspace(stacked)))
+        base_dim = max(base_dim, len(nullspace(form.base_matrix(x))))
+    return triple_dim, base_dim
+
+
+@pytest.mark.parametrize("omega", [symplectic_plane(),
+                                   symplectic_plane(comps=(0.0,)),
+                                   rank_two_form()],
+                         ids=["full-rank", "zero", "rank-two"])
+def test_stacked_kernels_are_the_per_unit_loop(omega):
+    report = presymplectic_nondegeneracy(omega)
+    assert (report["triple_kernel_dim"], report["base_kernel_dim"]) == \
+        per_unit_kernel_dims(omega)
 
 
 @pytest.mark.parametrize("twist", [False, True], ids=["split", "twisted"])
@@ -174,6 +202,37 @@ def test_invariant_lifts_are_coupling_orthogonal():
     geom = product_geometry(twist=True)
     form = pair_form(coupling_form(geom))
     assert source_target_orthogonality(geom, form) < 1e-15
+
+
+def once_at_sample(count, seed, index, value, elsewhere):
+    """A component equal to `value` at sample `index` of the first base
+    coordinate of `sample_points(count, seed)` on the product geometry,
+    and to `elsewhere` at every other sample."""
+    b0 = product_geometry().sample_points(count, seed=seed)[0][index]
+    return lambda p: [np.where(dm.value_of(p[0]) == b0, value, elsewhere)]
+
+
+def test_a_vertical_structure_undefined_at_one_sample_is_rejected():
+    # |det| < 1e-10 is False for a NaN determinant, and `>=` is too: the
+    # check names π_V instead of letting the NaN reach the coupling form
+    geom = product_geometry(twist=True)
+    geom.pi_v = VerticalBivector(geom.space,
+                                 once_at_sample(12, 0, 5, np.nan, 2.0),
+                                 name="nan-once")
+    with pytest.raises(ValueError, match="invertible π_V"):
+        integrated_data_check(geom)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_coupling_form_undefined_at_one_arrow_is_rejected(value):
+    # an infinite entry gives NaN singular values, rank 0 and an
+    # intersection of dimension 0: it must never read as nondegenerate
+    geom = product_geometry(twist=True)
+    geom.omega_h = HorizontalForm(geom.space, 2,
+                                  once_at_sample(12, 0, 5, value, 1.5),
+                                  name="undefined-once")
+    with pytest.raises(ValueError, match="coupling form is not finite"):
+        integrated_data_check(geom)
 
 
 def test_degenerate_vertical_structure_is_rejected():
@@ -246,6 +305,26 @@ def per_arrow_multiplicativity(arrow_form, dim, seed):
     return worst(defect(*pts[7 * k:7 * k + 7]) for k in range(12))
 
 
+def per_arrow_fiber_nondegeneracy(geom, count, seed):
+    """Part (a) of `integrated_data_check` by the loop over the sampled
+    arrows: one `intersection_dimension` call per arrow."""
+    space = geom.space
+    nb, nf, dim = space.n_base, space.n_fiber, space.dim
+    pts = unstack(geom.sample_points(2 * count, seed=seed), 2 * count)
+    form = PairForm(coupling_form(geom))
+    two_d = 2 * dim
+    zero = [0.0] * two_d
+    w_rows = []
+    for blk in (0, 1):
+        w_rows += [dm.unit(two_d, blk * dim + nb + i) + zero
+                   for i in range(nf)]
+        w_rows += [zero + dm.unit(two_d, blk * dim + i) for i in range(nb)]
+    return max(intersection_dimension(
+        [dm.unit(two_d, i) + list(row)
+         for i, row in enumerate(form.matrix(pts[2 * k] + pts[2 * k + 1]))],
+        w_rows) for k in range(count))
+
+
 def per_arrow_integrated_data(geom, count, seed):
     """Parts (b) and (c) of `integrated_data_check` by the loop over the
     sampled arrows."""
@@ -303,3 +382,18 @@ def test_sample_axis_matches_the_per_arrow_loop_to_the_bit(twist, seed):
     want = per_arrow_integrated_data(geom, 6, seed)
     assert {key: report[key].hex() for key in want} == \
         {key: value.hex() for key, value in want.items()}
+    assert report["fiber_nondegeneracy_dim"] == \
+        per_arrow_fiber_nondegeneracy(geom, 6, seed) == 0
+
+
+@pytest.mark.parametrize("count,seed", [(1, 0), (6, 2), (9, 4)])
+def test_stacked_intersection_is_the_per_arrow_loop(count, seed):
+    # π_V = 10¹² makes the fiber block of Ω 10⁻¹², so its graph is within
+    # about 10⁻¹² of the vertical vectors and the intersection is not
+    # trivial; the stack counts what the loop over arrows counts
+    geom = product_geometry(twist=True)
+    geom.pi_v = VerticalBivector(geom.space, lambda p: [1e12], name="huge")
+    report = integrated_data_check(geom, count=count, seed=seed)
+    want = per_arrow_fiber_nondegeneracy(geom, count, seed)
+    assert report["fiber_nondegeneracy_dim"] == want > 0
+    assert type(report["fiber_nondegeneracy_dim"]) is int

@@ -20,6 +20,7 @@ from fiberdirac._numerics import (det, halves, intersection_dimension,
                                   simpson_integrate, simpson_weights,
                                   skew_matrix, smoothstep, stack,
                                   time_table, unstack, worst)
+from reference import per_dimension_unit_cube
 from test_coupling import per_vector_distance
 
 
@@ -288,6 +289,20 @@ def test_intersection_dimension():
     assert intersection_dimension(xy, [[0.0, 0.0, 1.0]]) == 0
 
 
+def test_stacked_subspace_helpers_are_the_per_item_calls():
+    # one SVD call for the stack keeps each item's rank rule: the rows past
+    # an item's rank are zeroed and count for nothing
+    stack = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+                      [[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                      np.zeros((3, 3))])
+    yz = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    assert intersection_dimension(stack, yz).tolist() == \
+        [intersection_dimension(item.tolist(), yz) for item in stack] == \
+        [1, 0, 0]
+    assert np.any(nullspace(stack), axis=-1).sum(axis=-1).tolist() == \
+        [len(nullspace(item.tolist())) for item in stack] == [1, 2, 3]
+
+
 def test_nullspace_of_singular_matrix():
     rows = [[1.0, 2.0], [2.0, 4.0]]
     null = nullspace(rows)
@@ -391,3 +406,15 @@ def test_tangent_reads_back_eps_parts():
     assert isinstance(inner, dm.Dual)
     assert (inner.re, inner.eps) == (3.0, 4.0)
     assert dm.tangent(inner) == 4.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 301])
+def test_sample_unit_cube_is_the_per_dimension_loop_to_the_bytes(seed):
+    # all axes take their Halton digits in one array loop; an axis whose
+    # indices ran out of digits adds +0.0, so each keeps its bytes
+    for count in (1, 2, 3, 5, 8, 12, 16, 24, 48, 84, 255, 256, 1000, 4097):
+        for dim in range(1, 9):
+            got = sample_unit_cube(count, dim, seed)
+            want = per_dimension_unit_cube(count, dim, seed)
+            assert [c.tobytes() for c in got] == \
+                [c.tobytes() for c in want], (count, dim)

@@ -15,6 +15,7 @@ from fiberdirac.yangmills import (EXAMPLES, HamiltonianFiber, PrincipalData,
                                   so3_coadjoint_example,
                                   trivial_torus_example, ymh_geometric_data)
 from fiberdirac.charts import CoordinateDomain
+from reference import per_node_gauge_transition
 
 
 def test_sampled_points_are_python_floats():
@@ -233,6 +234,16 @@ def test_gauge_charts_are_compatible():
     out = gauge_transition_check()
     assert out["closedness"] < 1e-8
     assert out["winding"] == pytest.approx(-2.0, abs=1e-6)
+
+
+def test_gauge_ring_is_the_per_node_loop_to_the_bit():
+    # the ring nodes as one array axis run each node's IEEE operations,
+    # and the winding stays a Python float
+    out = gauge_transition_check()
+    want = per_node_gauge_transition()
+    assert {key: value.hex() for key, value in out.items()} == \
+        {key: value.hex() for key, value in want.items()}
+    assert type(out["winding"]) is float
 
 
 def test_base_form_augments_omega():
