@@ -30,7 +30,6 @@ import threading
 from array import array
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from . import dual as dm
 from .dual import value_of
@@ -139,13 +138,20 @@ def stacked_matrix(rows, t):
     """A matrix whose entries are numbers or arrays over the times (or
     sample points) of t, as one float array of shape
     ``np.shape(t) + (len(rows), len(rows[0]))``, each entry assigned into
-    its slot: a matrix-valued `time_table` entry, or a frame's rows or
-    Jacobian rows over its sample points."""
+    its slot: a matrix-valued `time_table` entry, or a frame's rows over
+    its sample points."""
     out = np.empty(np.shape(t) + (len(rows), len(rows[0])))
     for i, row in enumerate(rows):
         for j, e in enumerate(row):
             out[..., i, j] = e
     return out
+
+
+def stacked_jets(jac):
+    """`dual.jacobian` rows, at a float point or over sample points, as the
+    float array (..., m, n) of the jets, jets[..., a, j] = ∂_j f_a: the
+    Jacobian's axes moved, with no entry copied one at a time."""
+    return np.moveaxis(np.asarray(jac, dtype=float), (0, 1), (-2, -1))
 
 
 # -- composite Simpson ---------------------------------------------------------
@@ -422,7 +428,9 @@ def orthonormal_basis(rows):
 def principal_angles(rows_a, rows_b):
     """Principal angles (radians, ascending) between two row-span
     subspaces, as an array; on stacks, (..., m) per pair of items, where a
-    zeroed basis row adds an angle of π/2."""
+    zeroed basis row adds an angle of π/2.  No package module calls it
+    (`intersection_dimension` counts by sines); the benchmark tracer
+    patches it by name."""
     qa = orthonormal_basis(rows_a)
     qb = orthonormal_basis(rows_b)
     if qa.shape[-2] == 0 or qb.shape[-2] == 0:
@@ -432,9 +440,21 @@ def principal_angles(rows_a, rows_b):
 
 
 def intersection_dimension(rows_a, rows_b):
-    """dim(span(rows_a) ∩ span(rows_b)): the principal angles below
-    `RANK_THRESHOLD`; an integer array over the items of stacks."""
-    dims = np.sum(principal_angles(rows_a, rows_b) < RANK_THRESHOLD, axis=-1)
+    """dim(span(rows_a) ∩ span(rows_b)): the principal angles whose sine
+    is below `RANK_THRESHOLD`; an integer array over the items of stacks.
+    The sines are the singular values of Q_b minus its projection on Q_a,
+    which resolve a small angle that arccos of a cosine near 1 cannot (one
+    ulp below 1 is an angle of 1.5e-8).  A zeroed row of a stacked Q_b
+    leaves a zero singular value, which is not counted: it is an angle of
+    π/2, as in `principal_angles`."""
+    qa = orthonormal_basis(rows_a)
+    qb = orthonormal_basis(rows_b)
+    if qa.shape[-2] == 0 or qb.shape[-2] == 0:
+        return 0
+    rest = qb - (qb @ np.swapaxes(qa, -1, -2)) @ qa
+    sines = np.linalg.svd(rest, compute_uv=False)
+    padded = np.sum(~qb.any(axis=-1), axis=-1)
+    dims = np.sum(sines < RANK_THRESHOLD, axis=-1) - padded
     return int(dims) if dims.ndim == 0 else dims
 
 
@@ -452,45 +472,40 @@ def nullspace(rows):
     return np.where(_rows_below(rank, vt.shape[-2]), 0.0, vt)
 
 
-def _raise_lstsq(err, flag):
-    raise np.linalg.LinAlgError(
-        "SVD did not converge in Linear Least Squares")
-
-
 def lstsq_residual(basis_rows, vector):
-    """Euclidean distance from ``vector`` to the row span of ``basis_rows``,
-    for one item or a stack of them: a basis ``(..., k, d)`` and a vector
-    ``(..., d)`` broadcast over their leading axes, and the distances come
-    back in that shape, a float for one item.  The whole stack is one call
-    of the gufunc behind `np.linalg.lstsq`, which makes for each item the
-    `gelsd` call that `np.linalg.lstsq` makes on it (same F-order matrix,
-    same rcond), so each distance has the bits of the per-item route.  An
-    item holding a non-finite entry is NaN and is zeroed before the call:
-    LAPACK never sees it, and the other items are unchanged."""
+    """Euclidean distance from each of m vectors to the row span of a basis,
+    for one item or a stack of them: a basis ``(..., k, d)`` of independent
+    rows and vectors ``(..., m, d)``, whose leading axes broadcast, give the
+    distances ``(..., m)``.  Each basis item is factored once, by a reduced
+    QR of its transpose (one stacked `np.linalg.qr` call), and every vector
+    v against it reads ‖v − Q Qᵀ v‖.  An item in which some row i makes
+    an angle with the rows before it whose sine, |R_ii| / ‖row i‖, is at
+    most `RANK_THRESHOLD` (a zero row included) has dependent rows and
+    reads NaN, never an underestimate; the test is the same at every scale
+    of the rows.  An item or a vector holding a non-finite entry reads NaN
+    and is zeroed first: LAPACK never sees it, and the others are
+    unchanged."""
     basis = np.asarray(basis_rows, dtype=float)
-    vector = np.asarray(vector, dtype=float)
-    shape = np.broadcast_shapes(basis.shape[:-2], vector.shape[:-1])
+    vectors = np.asarray(vector, dtype=float)
     k, d = basis.shape[-2:]
-    basis = np.ascontiguousarray(np.broadcast_to(basis, shape + (k, d)))
-    vector = np.ascontiguousarray(np.broadcast_to(vector, shape + (d,)))
-    bad = ~(np.isfinite(basis).all(axis=(-2, -1))
-            & np.isfinite(vector).all(axis=-1))
+    bad = (~np.isfinite(basis).all(axis=(-2, -1)))[..., None]
+    bad_vector = ~np.isfinite(vectors).all(axis=-1)
     if bad.any():
-        basis = np.where(bad[..., None, None], 0.0, basis)
-        vector = np.where(bad[..., None], 0.0, vector)
-    r = vector
+        basis = np.where(bad[..., None], 0.0, basis)
+    if bad_vector.any():
+        vectors = np.where(bad_vector[..., None], 0.0, vectors)
+    r = vectors.swapaxes(-1, -2)   # the vectors as columns, (..., d, m)
     if k and d:
-        a = basis.swapaxes(-1, -2)   # each item the F-order (d, k) matrix
-        with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):
-            x = _umath_linalg.lstsq(a, vector[..., None],
-                                    np.finfo(float).eps * max(d, k),
-                                    signature="ddd->ddid")[0]
-        r = (a @ x)[..., 0] - vector
-    # r @ r per item: the BLAS dot of the per-item route, not (r*r).sum()
-    dist = np.where(bad, math.nan,
-                    np.sqrt((r[..., None, :] @ r[..., :, None])[..., 0, 0]))
-    return float(dist) if dist.ndim == 0 else dist
+        q, rr = np.linalg.qr(basis.swapaxes(-1, -2))
+        # |R_ii| is the distance of row i from the rows before it, so
+        # |R_ii| / |row i| is the sine of their angle, whatever the sizes
+        height = np.abs(np.diagonal(rr, axis1=-2, axis2=-1))
+        length = np.linalg.norm(basis[..., :d, :], axis=-1)
+        small = height <= RANK_THRESHOLD * length
+        bad = bad | (k > d) | small.any(axis=-1, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = r - q @ (q.swapaxes(-1, -2) @ r)
+    return np.where(bad | bad_vector, math.nan, np.sqrt((r * r).sum(axis=-2)))
 
 
 # -- ordered map ---------------------------------------------------------------

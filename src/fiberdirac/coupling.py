@@ -28,17 +28,18 @@ measures the four conditions: algebra on one set of first derivatives of
 (A, ω_H, π_V), each field differentiated once per direction.
 `dirac_closure_residual` measures Courant closure of the frame directly and
 never calls `_condition_residuals`: it takes one Jacobian of the flattened
-frame, fills the frame rows and their first jets into stacked arrays over
-the points, brackets every pair of rows at every point in one call of the
-array kernel `fields.courant_at`, and measures the distance of every
-bracket to its point's span in one stacked least-squares call.  The two
-routes must agree on every verdict.  `splitting_bracket_residual` takes
-one Jacobian of one stacked field (the four embedded sections and the two
-scalars its formulas differentiate, from one evaluation of π_V, A and ω_H
-per pass), brackets its three pairs of sections in one `courant_at` call,
-and reads the right-hand formulas off the same jets.  A caller's `points=`
-list must hold one or more points of the space's dimension, and a sample
-at least one point.
+frame (one seeded pass), holds the frame rows and their first jets as
+stacked arrays over the points, brackets every pair of rows at every point
+in one call of the array kernel `fields.courant_at`, and measures the
+distance of every bracket to its point's span by one QR factorization of
+the frame per point.  The two routes must agree on every verdict.
+`splitting_bracket_residual` takes one Jacobian (one seeded pass) of one
+stacked field (the four embedded sections and the two scalars its
+formulas differentiate, from one evaluation of π_V, A and ω_H), brackets
+its three pairs of sections in one `courant_at` call, and reads the
+right-hand formulas off the same jets.  A caller's `points=` list must
+hold one or more points of the space's dimension, and a sample at least
+one point.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ import numpy as np
 
 from . import dual as dm
 from ._numerics import (bilinear, coboundary, combos, dot, lstsq_residual,
-                        matvec, skew_matrix, stack, stacked_matrix, worst)
+                        matvec, skew_matrix, stack, stacked_jets,
+                        stacked_matrix, worst)
 from . import fields
 from .fibration import HorizontalForm, VerticalBivector
 
@@ -227,21 +229,24 @@ def dirac_closure_residual(geom, points=None, count=24, seed=0):
     """Distance of every pairwise Courant bracket of the frame rows to the
     frame's span, maximized over sampled points (relative to the bracket's
     size).  Vanishes exactly when the subbundle is involutive.  One
-    Jacobian of the whole frame serves every point, and one `courant_at`
-    call brackets every pair of rows at every point."""
+    Jacobian of the whole frame serves every point, one `courant_at` call
+    brackets every pair of rows at every point, and the frame rows of a
+    point, independent by construction (each has a unit entry in its own
+    base-vector or fiber-covector slot), are factored once for all its
+    brackets."""
     n = geom.space.dim
     pt = (geom.sample_points(count=count, seed=seed) if points is None
           else stack(points, n))
     frame = frame_rows(geom)
     # rows[p, r, a]: entry a of frame row r; jets[p, r, a, j] = ∂_j of it
     rows = stacked_matrix(frame(pt), pt[0])
-    jets = stacked_matrix(dm.jacobian(
-        lambda q: [c for row in frame(q) for c in row], pt), pt[0])
+    jets = stacked_jets(dm.jacobian(
+        lambda q: [c for row in frame(q) for c in row], pt))
     jets = jets.reshape(rows.shape + (n,))
     r, s = np.array(combos(n, 2), dtype=int).reshape(-1, 2).T
     brackets = fields.courant_at(rows[..., r, :], jets[..., r, :, :],
                                  rows[..., s, :], jets[..., s, :, :])
-    return worst([lstsq_residual(rows[..., None, :, :], brackets)
+    return worst([lstsq_residual(rows, brackets)
                   / np.maximum(1.0, np.abs(brackets).max(axis=-1))])
 
 
@@ -299,10 +304,10 @@ def splitting_bracket_residual(geom, count=12, seed=0, alpha_fn=None,
 
     One Jacobian of one stacked field serves the call: pt ↦ the sections
     emb α, emb β, h*(v), h*(w), then π(α, β) = β(♯α) and ω_H(h v, h w),
-    all from one evaluation of P, A and W.  One `fields.courant_at` call
-    brackets the three pairs of sections, and the formulas are algebra on
-    the same jets, with ♯α = Pα, α and A v read from the sections and ∂_k
-    the partial along fiber direction k:
+    all from one evaluation of P, A and W in one seeded pass.  One
+    `fields.courant_at` call brackets the three pairs of sections, and the
+    formulas are algebra on the same jets, with ♯α = Pα, α and A v read
+    from the sections and ∂_k the partial along fiber direction k:
 
         [α, β]_V,k     = Σ_m (♯α^m ∂_m β_k + β_m ∂_k ♯α^m)
                          − Σ_m (♯β^m ∂_m α_k + α_m ∂_k ♯β^m) − ∂_k π(α, β)
@@ -363,8 +368,7 @@ def splitting_bracket_residual(geom, count=12, seed=0, alpha_fn=None,
         [d(8 * n + 1, k) for k in range(nf)]]
     sections = stacked_matrix([values[2 * n * s:2 * n * (s + 1)]
                                for s in range(4)], pt[0])
-    d_sections = stacked_matrix(jets[:8 * n], pt[0]).reshape(
-        sections.shape + (n,))
+    d_sections = stacked_jets(jets[:8 * n]).reshape(sections.shape + (n,))
     # the pairs (emb α, emb β), (h*(v), emb α) and (h*(v), h*(w))
     first, second = [0, 2, 2], [1, 0, 3]
     lhs = fields.courant_at(sections[..., first, :],

@@ -15,8 +15,11 @@ derivative there is NaN.  An array Dual has no order: comparisons and
 ``abs`` on it raise ``TypeError``.  No Dual converts to a float:
 ``float()``, a ``math`` function and ``np.asarray(…, dtype=float)`` raise
 ``TypeError`` rather than drop the tangent, which only ``value_of`` does.
-Finite differences are deliberately *not* used anywhere in this module; they
-exist only as an independent cross-check in the test-suite.
+In `jacobian`, ``eps`` carries a leading direction axis: one seeded pass
+differentiates along every coordinate, by the same elementwise operations
+as one pass per coordinate.  Finite differences are deliberately *not*
+used anywhere in this module; they exist only as an independent
+cross-check in the test-suite.
 """
 
 from __future__ import annotations
@@ -245,10 +248,51 @@ def gradient(f, point):
 
 
 def jacobian(f, point):
-    """Jacobian rows of a vector function: J[a][i] = ∂f_a/∂x_i."""
+    """Jacobian rows of a vector function: J[a][i] = ∂f_a/∂x_i, from one
+    seeded pass.  Coordinate i carries row i of the identity as its
+    tangent, with the point's shape appended, so every tangent has a
+    leading direction axis, and slice i of it has the bits of the pass
+    seeded along coordinate i alone.  f must broadcast its arrays against
+    the point's (an array with more axes would meet the direction axis).
+
+    At a point of float arrays J is one float array (m, n, …), each row
+    its tangent broadcast to the point's shape; at a point of floats, m
+    lists of n floats.  When a tangent is a Dual (the point's entries are
+    duals), each row is a list of n entries, every Dual layer split along
+    the direction axis.  A tangent divided by zero (the slope of √ at 0)
+    is ±inf, or NaN where the direction's own tangent is 0, at a float
+    point as at an array point, with numpy's RuntimeWarning unless an
+    `np.errstate` silences it; it never raises `ZeroDivisionError`."""
     n = len(point)
-    cols = [_seeded_pass(f, point, unit(n, i)) for i in range(n)]
-    return [[col[a] for col in cols] for a in range(len(cols[0]))]
+    shapes = {np.shape(x) for p in point for x in _layers(p)}
+    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    seeds = np.eye(n).reshape((n, n) + (1,) * len(shape))
+    tangents = _seeded_pass(f, point, seeds)
+    if any(isinstance(t, Dual) for t in tangents):
+        return [_split(t, n, len(shape)) for t in tangents]
+    out = np.empty((len(tangents), n) + shape)
+    for a, t in enumerate(tangents):
+        out[a] = t   # a tangent with no direction axis is the same along all
+    return out if shape else out.tolist()
+
+
+def _layers(x):
+    """The plain numbers or arrays inside every Dual layer of x."""
+    if isinstance(x, Dual):
+        return _layers(x.re) + _layers(x.eps)
+    return [x]
+
+
+def _split(t, n, ndim):
+    """The n entries of a `jacobian` row from its tangent t, at a point of
+    ``ndim`` axes: an entry with more axes has the direction axis first,
+    and any other entry is the same along every direction."""
+    if isinstance(t, Dual):
+        return [Dual(r, e) for r, e in zip(_split(t.re, n, ndim),
+                                          _split(t.eps, n, ndim))]
+    if np.ndim(t) <= ndim:
+        return [t] * n
+    return list(t) if ndim else t.tolist()
 
 
 def directional(f, point, direction):

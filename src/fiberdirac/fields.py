@@ -32,7 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import dual as dm
-from ._numerics import coboundary, combos, dot, skew_matrix, stacked_matrix
+from ._numerics import (coboundary, combos, dot, skew_matrix, stacked_jets,
+                        stacked_matrix)
 
 SCALAR = "scalar"
 VECTOR = "vector"
@@ -177,7 +178,7 @@ def courant_bracket(s1, s2):
 
     def bracket(pt):
         values = stacked_matrix([s1(pt), s2(pt)], pt[0])
-        du, dv = (stacked_matrix(dm.jacobian(s, pt), pt[0]) for s in (s1, s2))
+        du, dv = (stacked_jets(dm.jacobian(s, pt)) for s in (s1, s2))
         out = courant_at(values[..., 0, :], du, values[..., 1, :], dv)
         return list(np.moveaxis(out, -1, 0))
 

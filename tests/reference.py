@@ -32,6 +32,15 @@ def bivector(dim, fn, name=""):
     return SmoothField(dim, MULTIVECTOR, fn, degree=2, name=name)
 
 
+def per_direction_jacobian(f, point):
+    """`dual.jacobian` by one seeded pass per coordinate: J[a][i] is the
+    tangent of f_a on the pass seeded along coordinate i alone, a float,
+    an array or a Dual, as that pass leaves it."""
+    n = len(point)
+    cols = [dm._seeded_pass(f, point, dm.unit(n, i)) for i in range(n)]
+    return [[col[a] for col in cols] for a in range(len(cols[0]))]
+
+
 def lie_derivative_bivector(X, piv):
     """(L_X π)^{ij} = X^k ∂_k π^{ij} − π^{kj} ∂_k X^i − π^{ik} ∂_k X^j."""
     n = X.dim
@@ -40,8 +49,8 @@ def lie_derivative_bivector(X, piv):
     def comps(pt):
         xv = X(pt)
         mat = antisym_matrix(piv, pt)
-        dpi = dm.jacobian(piv.comps, pt)    # dpi[idx][k] = ∂_k π_idx
-        dx = dm.jacobian(X.comps, pt)       # dx[i][k] = ∂_k X^i
+        dpi = per_direction_jacobian(piv.comps, pt)  # dpi[idx][k] = ∂_k π_idx
+        dx = per_direction_jacobian(X.comps, pt)     # dx[i][k] = ∂_k X^i
         out = []
         for idx, (i, j) in enumerate(pairs):
             adv = dot(dpi[idx], xv)
@@ -262,14 +271,14 @@ def per_dimension_unit_cube(count, dim, seed):
 def per_node_gauge_transition():
     """`gauge_transition_check` by the loop over ring nodes: one seeded
     pass per closedness point and direction, one Jacobian of the chart
-    transition per node."""
+    transition per node, one pass per direction."""
     radius, n_ring = 1.3, 129
     pot0 = monopole_potential(0)
     pot1 = monopole_potential(1)
     transition = CoordinateDomain.sphere().transition
 
     def diff_cov(w):
-        jac = dm.jacobian(transition, w)   # J[i][j] = ∂T_i/∂w_j
+        jac = per_direction_jacobian(transition, w)   # J[i][j] = ∂T_i/∂w_j
         a1 = pot1(transition(w))   # [[A_u1], [A_v1]]
         pulled = [jac[0][0] * a1[0][0] + jac[1][0] * a1[1][0],
                   jac[0][1] * a1[0][0] + jac[1][1] * a1[1][0]]

@@ -14,7 +14,9 @@ from fiberdirac.charts import CoordinateDomain
 from fiberdirac.dual import Dual
 from fiberdirac.yangmills import (PrincipalData, StructureGroupModel,
                                   hopf_example)
-from test_coupling import quadratic_so3_potential
+from reference import per_direction_jacobian
+from test_coupling import (jacobian_bits, quadratic_so3_potential,
+                           ymh_so3_quadratic)
 
 FD_TOL = 1e-7
 FD_H = 1e-6
@@ -94,6 +96,64 @@ def test_jacobian_shape_and_values():
     assert jac[0][0] == pytest.approx(0.25)
     assert jac[0][1] == pytest.approx(0.5)
     assert jac[1][1] == pytest.approx(math.exp(0.25), rel=1e-12)
+
+
+def assert_per_direction_bits(f, point, shape):
+    got = dm.jacobian(f, point)
+    assert jacobian_bits(got, shape) == \
+        jacobian_bits(per_direction_jacobian(f, point), shape)
+    return got
+
+
+def test_jacobian_at_a_float_point_is_the_per_direction_route():
+    f = lambda p: [p[0] * p[1], p[0] + dm.exp(p[1]), 2.0 * p[0], 1.5,
+                   dm.sin(p[0]) / p[1]]
+    jac = assert_per_direction_bits(f, [0.5, -0.25], ())
+    assert jac[3] == [0.0, 0.0] and jac[2] == [2.0, 0.0]
+
+
+@pytest.mark.parametrize("count", [None, 16])
+def test_jacobian_at_a_dual_point_is_the_per_direction_route(count):
+    # the ω_H of a YMH triple differentiates its potential itself; seeded
+    # along a coordinate first, its point holds duals, and every Dual layer
+    # of a tangent is split along the direction axis
+    geom = ymh_so3_quadratic()
+    if count is None:
+        x, shape = [0.3, -0.4, 0.5, 0.2, -0.1, 0.7], ()
+    else:
+        x, shape = geom.sample_points(count, seed=1), (count,)
+    for seed_axis in (0, 4):
+        point = [Dual(c, 1.0 if i == seed_axis else 0.0)
+                 for i, c in enumerate(x)]
+        jac = assert_per_direction_bits(geom.omega_h.comps, point, shape)
+        assert isinstance(jac[0][0], Dual)
+
+
+def test_jacobian_of_a_domain_error_is_nan_in_the_same_entries():
+    x = np.array([-0.5, 0.25, 2.0, -1.0])
+    f = lambda p: [dm.log(p[0]) * p[1], dm.sqrt(p[1] - p[0]), p[0] * p[1]]
+    with np.errstate(all="ignore"):   # log(−x) is NaN, √0 has slope inf
+        jac = assert_per_direction_bits(f, [x, 0.5 * x + 1.0], x.shape)
+    assert np.isnan(jac[0]).tolist() == [[True, False, False, True]] * 2
+    assert not np.isnan(jac[2]).any()
+
+
+def test_jacobian_at_a_float_point_divides_by_zero_as_an_array_point(capfd):
+    # √ at 0 has slope 1/0: the pass per coordinate raised at a float
+    # point; the one pass divides a tangent array, so the entries are inf
+    # and 0/0 = NaN, those of a one-entry array point, with a numpy warning
+    f = lambda p: [dm.sqrt(p[0] * p[0] - 0.25), p[0] * p[1]]
+    with pytest.raises(ZeroDivisionError):
+        per_direction_jacobian(f, [0.5, 0.3])
+    with pytest.warns(RuntimeWarning):
+        dm.jacobian(f, [0.5, 0.3])
+    with np.errstate(all="ignore"):
+        jac = dm.jacobian(f, [0.5, 0.3])
+        wide = per_direction_jacobian(f, [np.array([0.5]), np.array([0.3])])
+    assert jac[0][0] == math.inf and math.isnan(jac[0][1])
+    assert jacobian_bits(jac, ()) == \
+        [[float(np.ravel(x)[0]).hex() for x in row] for row in wide]
+    assert capfd.readouterr().err == ""
 
 
 def test_directional_derivative_is_linear_combination():

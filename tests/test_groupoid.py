@@ -397,3 +397,16 @@ def test_stacked_intersection_is_the_per_arrow_loop(count, seed):
     want = per_arrow_fiber_nondegeneracy(geom, count, seed)
     assert report["fiber_nondegeneracy_dim"] == want > 0
     assert type(report["fiber_nondegeneracy_dim"]) is int
+
+
+@pytest.mark.parametrize("pi", [1e9, 1e12, 1e15])
+def test_a_huge_fiber_bivector_counts_every_vertical_direction(pi):
+    # Ω's fiber block is 1/π_V, so each of the 2·n_fiber vertical
+    # directions of an arrow lies within about 1/π_V of Ver_G ⊕ Ver_G⁰,
+    # below the threshold for all three: the count is 4 on each.  Counted
+    # by arccos of the cosines, the intersection read 1, 2 and 1
+    geom = product_geometry(twist=True)
+    geom.pi_v = VerticalBivector(geom.space, lambda p: [pi], name="huge")
+    for count, seed in ((1, 0), (6, 2)):
+        report = integrated_data_check(geom, count=count, seed=seed)
+        assert report["fiber_nondegeneracy_dim"] == 4

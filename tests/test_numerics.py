@@ -124,69 +124,133 @@ def test_halves_take_each_piece_at_its_own_entries():
 
 
 def test_lstsq_residual_is_nan_on_a_non_finite_entry():
-    assert lstsq_residual([[1.0, 0.0]], [0.0, 2.0]) == 2.0
-    assert math.isnan(lstsq_residual([[math.nan, 0.0]], [0.0, 2.0]))
-    assert math.isnan(lstsq_residual([[1.0, 0.0]], [math.inf, 2.0]))
+    assert lstsq_residual([[1.0, 0.0]], [[0.0, 2.0]]).tolist() == [2.0]
+    assert np.isnan(lstsq_residual([[math.nan, 0.0]], [[0.0, 2.0]])).all()
+    assert np.isnan(lstsq_residual([[1.0, 0.0]], [[math.inf, 2.0]])).all()
 
 
-def per_item_distances(basis, vector):
-    """The distances of a stack one item at a time, by the per-vector
-    reference of the closure-oracle tests, as float hex strings."""
-    shape = np.broadcast_shapes(basis.shape[:-2], vector.shape[:-1])
+def per_vector_distances(basis, vectors):
+    """The distances of a stack one vector at a time, by the per-vector
+    least-squares reference of the closure-oracle tests, in the layout
+    `lstsq_residual` returns."""
+    shape = np.broadcast_shapes(basis.shape[:-2], vectors.shape[:-2])
     k, d = basis.shape[-2:]
+    m = vectors.shape[-2]
     n = math.prod(shape)
     items = zip(np.broadcast_to(basis, shape + (k, d)).reshape(n, k, d),
-                np.broadcast_to(vector, shape + (d,)).reshape(n, d))
-    return [per_vector_distance(b.tolist(), v.tolist()).hex()
-            for b, v in items]
+                np.broadcast_to(vectors, shape + (m, d)).reshape(n, m, d))
+    return np.array([[per_vector_distance(b.tolist(), v.tolist())
+                      for v in vs] for b, vs in items]).reshape(shape + (m,))
 
 
 def hexes(distances):
     return [float(x).hex() for x in np.ravel(distances)]
 
 
-@pytest.mark.parametrize("k,d", [(2, 4), (5, 10), (6, 12)])
-def test_stacked_lstsq_residual_is_the_per_item_route_to_the_bit(k, d):
-    rng = np.random.default_rng(k * d)
+def random_stack(seed, k, d, m=3):
+    """A stack (3, 4) of bases of k independent rows and m vectors each,
+    those of item (0, 0) in its span."""
+    rng = np.random.default_rng(seed)
     basis = rng.standard_normal((3, 4, k, d))
-    vector = rng.standard_normal((3, 4, d))
-    vector[0] = rng.standard_normal((4, k)) @ basis[0, 0]   # in the span
-    basis[1, :, -1] = basis[1, :, 0] - 2.0 * basis[1, :, 1]   # rank k − 1
-    basis[2, 1] = 0.0                                        # rank 0
-    out = lstsq_residual(basis, vector)
-    assert out.shape == (3, 4)
-    assert hexes(out) == per_item_distances(basis, vector)
-    # one basis against many vectors broadcasts like the copy of it
-    assert hexes(lstsq_residual(basis[:, :1], vector)) == \
-        per_item_distances(basis[:, :1], vector)
+    vectors = rng.standard_normal((3, 4, m, d))
+    vectors[0, 0] = rng.standard_normal((m, k)) @ basis[0, 0]
+    return basis, vectors
+
+
+@pytest.mark.parametrize("k,d", [(2, 4), (5, 10), (6, 12)])
+def test_stacked_lstsq_residual_is_the_per_vector_route(k, d):
+    # a QR projection rounds differently from LAPACK's least squares:
+    # the two agree to 1e-13 on vectors of unit size
+    basis, vectors = random_stack(k * d, k, d)
+    out = lstsq_residual(basis, vectors)
+    assert out.shape == (3, 4, 3)
+    np.testing.assert_allclose(out, per_vector_distances(basis, vectors),
+                               rtol=0.0, atol=1e-13)
+    assert out[0, 0].max() < 1e-13
+    # one basis against many vectors is factored once and broadcasts like
+    # the copy of it
+    one = lstsq_residual(basis[:, :1], vectors)
+    np.testing.assert_allclose(one, per_vector_distances(basis[:, :1],
+                                                         vectors),
+                               rtol=0.0, atol=1e-13)
+
+
+def test_stacked_lstsq_residual_factors_each_basis_once(monkeypatch):
+    basis, vectors = random_stack(7, 3, 6, m=5)
+    shapes, qr = [], np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    lstsq_residual(basis[:, :1], vectors)
+    assert shapes == [(3, 1, 6, 3)]
 
 
 def test_stacked_lstsq_residual_takes_any_layout():
     rng = np.random.default_rng(5)
-    basis = np.moveaxis(rng.standard_normal((10, 5, 7)), 0, -1)   # (5, 7, 10)
-    vector = np.moveaxis(rng.standard_normal((10, 5)), 0, -1)
+    basis = np.moveaxis(rng.standard_normal((10, 5, 4)), 0, -1)   # (5, 4, 10)
+    vectors = np.moveaxis(rng.standard_normal((10, 5, 2)), 0, -1)
     assert not basis.flags.c_contiguous
-    assert hexes(lstsq_residual(basis, vector)) == \
-        per_item_distances(basis, vector)
+    out = lstsq_residual(basis, vectors)
+    assert hexes(out) == hexes(lstsq_residual(np.ascontiguousarray(basis),
+                                              np.ascontiguousarray(vectors)))
+    np.testing.assert_allclose(out, per_vector_distances(basis, vectors),
+                               rtol=0.0, atol=1e-13)
 
 
 def test_an_empty_basis_leaves_the_length():
-    basis, vector = np.zeros((2, 0, 2)), np.array([[3.0, 4.0], [0.0, -2.0]])
-    assert lstsq_residual(basis, vector).tolist() == [5.0, 2.0]
-    assert hexes(lstsq_residual(basis, vector)) == \
-        per_item_distances(basis, vector)
+    basis = np.zeros((2, 0, 2))
+    vectors = np.array([[[3.0, 4.0]], [[0.0, -2.0]]])
+    assert lstsq_residual(basis, vectors).tolist() == [[5.0], [2.0]]
+    assert lstsq_residual(basis, vectors).tolist() == \
+        per_vector_distances(basis, vectors).tolist()
+
+
+def test_a_rank_deficient_basis_is_nan_and_never_an_underestimate():
+    # the distance to a span of dependent rows is not measured: a row that
+    # repeats the others, a zero basis and more rows than dimensions read
+    # NaN, and the independent items keep their bits
+    basis, vectors = random_stack(11, 3, 5)
+    clean = lstsq_residual(basis, vectors)
+    basis[1, 2, -1] = basis[1, 2, 0] - 2.0 * basis[1, 2, 1]
+    basis[2, 3] = 0.0
+    out = lstsq_residual(basis, vectors)
+    assert np.isnan(out[1, 2]).all() and np.isnan(out[2, 3]).all()
+    keep = np.ones((3, 4), dtype=bool)
+    keep[1, 2] = keep[2, 3] = False
+    assert hexes(out[keep]) == hexes(clean[keep])
+    assert np.isnan(lstsq_residual([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                   [[0.3, 0.4]])).all()
+    assert np.isnan(lstsq_residual([[1.0, 2.0], [2.0, 4.0 + 1e-12]],
+                                   [[1.0, 0.0]])).all()
+
+
+def test_rows_of_very_different_lengths_are_independent():
+    # the rank test reads the sine of each row's angle with the rows before
+    # it, not |R_ii| against the largest: rescaling the rows of a basis,
+    # one at 1e-9 and one at 1e15, changes no distance
+    assert lstsq_residual([[1.0, 0.0, 0.0], [0.0, 1e9, 0.0]],
+                          [[0.3, 0.4, 2.0]]).tolist() == [2.0]
+    basis, vectors = random_stack(5, 4, 7)
+    scales = np.array([1e-9, 1.0, 1e9, 1e15])[:, None]
+    scaled = lstsq_residual(scales * basis, vectors)
+    assert not np.isnan(scaled).any()
+    assert np.allclose(scaled, lstsq_residual(basis, vectors),
+                       rtol=1e-12, atol=1e-13)
 
 
 def test_a_non_finite_item_is_nan_and_the_others_keep_their_bits(capfd):
-    rng = np.random.default_rng(3)
-    basis = rng.standard_normal((4, 3, 6))
-    vector = rng.standard_normal((4, 6))
-    clean = hexes(lstsq_residual(basis, vector))
-    basis[1, 2, 0] = math.nan
-    vector[3, 5] = math.inf
-    out = lstsq_residual(basis, vector)
-    assert math.isnan(out[1]) and math.isnan(out[3])
-    assert hexes(out[[0, 2]]) == [clean[0], clean[2]]
+    basis, vectors = random_stack(3, 3, 6)
+    clean = lstsq_residual(basis, vectors)
+    basis[1, 0, 2, 0] = math.nan
+    vectors[2, 3, 1, 5] = math.inf
+    out = lstsq_residual(basis, vectors)
+    assert np.isnan(out[1, 0]).all() and math.isnan(out[2, 3, 1])
+    bad = np.isnan(out)
+    assert bad.sum() == 4
+    assert hexes(out[~bad]) == hexes(clean[~bad])
     assert capfd.readouterr().err == ""   # LAPACK saw no NaN
 
 
@@ -289,6 +353,21 @@ def test_intersection_dimension():
     assert intersection_dimension(xy, [[0.0, 0.0, 1.0]]) == 0
 
 
+def test_intersection_dimension_counts_an_exact_intersection():
+    # planes and 3-spaces of R^5 sharing one line: arccos of the largest
+    # cosine, rounded to an ulp or two below 1, read an angle of 1.5e-8 or
+    # more on about half of these, and no intersection; the sines are 0
+    rng = np.random.default_rng(0)
+    pairs = []
+    for _ in range(40):
+        q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        pairs.append((rng.standard_normal((2, 2)) @ q[:2],
+                      rng.standard_normal((3, 3)) @ q[1:4]))
+    assert [intersection_dimension(a, b) for a, b in pairs] == [1] * 40
+    a, b = (np.array(x) for x in zip(*pairs))
+    assert intersection_dimension(a, b).tolist() == [1] * 40
+
+
 def test_stacked_subspace_helpers_are_the_per_item_calls():
     # one SVD call for the stack keeps each item's rank rule: the rows past
     # an item's rank are zeroed and count for nothing
@@ -298,6 +377,10 @@ def test_stacked_subspace_helpers_are_the_per_item_calls():
     yz = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     assert intersection_dimension(stack, yz).tolist() == \
         [intersection_dimension(item.tolist(), yz) for item in stack] == \
+        [1, 0, 0]
+    # on either side: a zeroed row of the second basis is no intersection
+    assert intersection_dimension(yz, stack).tolist() == \
+        [intersection_dimension(yz, item.tolist()) for item in stack] == \
         [1, 0, 0]
     assert np.any(nullspace(stack), axis=-1).sum(axis=-1).tolist() == \
         [len(nullspace(item.tolist())) for item in stack] == [1, 2, 3]
@@ -313,8 +396,10 @@ def test_nullspace_of_singular_matrix():
 
 def test_lstsq_residual_detects_membership():
     basis = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-    assert lstsq_residual(basis, [0.3, -0.7, 0.0]) < 1e-14
-    assert lstsq_residual(basis, [0.0, 0.0, 1.0]) == pytest.approx(1.0)
+    inside, outside = lstsq_residual(basis, [[0.3, -0.7, 0.0],
+                                             [0.0, 0.0, 1.0]])
+    assert inside < 1e-14
+    assert outside == pytest.approx(1.0)
 
 
 def test_parallel_map_preserves_order():

@@ -15,8 +15,9 @@ count (`ceil` of an expression in `step`), and an RK4 input that depends
 on time alone comes from a `_numerics.time_table`, so no module defines
 a memo of the last time (a function named `…memo…`, or one decorated
 `lru_cache` / `cache`).  A
-least-squares distance is `_numerics.lstsq_residual`, one stacked LAPACK
-call: no other module names `lstsq` or numpy's `_umath_linalg`.  There
+least-squares distance is `_numerics.lstsq_residual`, one stacked QR
+factorization: no other module names `lstsq`, `qr` or numpy's
+`_umath_linalg`.  There
 is no linter in the toolchain, so this parses the package with `ast`,
 next to the import audit in `test_imports.py`.
 """
@@ -35,7 +36,7 @@ HOMES = {"combinations": "_numerics", "unit vector": "dual",
          "rk4 grid": "_numerics", "time memo": None,
          "least squares": "_numerics", "re-stacked sample": None}
 
-LSTSQ_NAMES = {"lstsq", "_umath_linalg"}
+LSTSQ_NAMES = {"lstsq", "qr", "_umath_linalg"}
 
 MEMO_DECORATORS = {"lru_cache", "cache"}
 
@@ -135,6 +136,7 @@ def test_the_scan_sees_a_planted_copy():
                "import numpy.linalg._umath_linalg as gufuncs\n"
                "from numpy.linalg import lstsq as solve\n"
                "s = np.linalg.svd(a)\n"
+               "q, r = np.linalg.qr(a)\n"
                "lstsq = lstsq_residual(rows, vec)\n"
                "pt = stack(geom.sample_points(8, seed=seed))\n"
                "x = _numerics.stack(self.domain.sample(count=4))\n"
@@ -145,7 +147,8 @@ def test_the_scan_sees_a_planted_copy():
     assert sorted(hand_rolled(planted)) == [
         "combinations", "combinations", "complex step", "complex step",
         "complex step", "complex step", "least squares", "least squares",
-        "least squares", "least squares", "per-point map", "per-point map",
+        "least squares", "least squares", "least squares", "per-point map",
+        "per-point map",
         "re-stacked sample", "re-stacked sample", "re-stacked sample",
         "re-stacked sample", "rk4 grid", "rk4 grid", "time memo",
         "time memo", "time memo", "unit vector"]
