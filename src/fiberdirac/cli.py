@@ -40,8 +40,9 @@ from .groupoid import (PairGroupoid, coupling_form, integrated_data_check,
                        multiplicativity_residual, pair_form,
                        source_target_orthogonality)
 from .monodromy import (FAMILIES, VERDICT_INCONCLUSIVE, VERDICTS, cap,
-                        exact_rational, integrability_verdict, round_sphere,
-                        so3_lattice, transgress, transgress_flat)
+                        exact_rational, integrability_verdict, lattice_point,
+                        round_sphere, so3_lattice, transgress,
+                        transgress_flat)
 from .yangmills import EXAMPLES, HamiltonianFiber, gauge_transition_check
 
 KINDS = ("coupling-check", "ymh-build", "transgress", "so3-integrability",
@@ -550,6 +551,11 @@ def _run_so3_integrability(scenario, seed):
     f_fn0 = compile_expression(f_expr, ["r"], field="f")
     f_fn = lambda r: f_fn0([r])
     radii = _reals(scenario.get("radii", [0.5, 1.0, 1.5]), "radii")
+    for i, r in enumerate(radii):
+        try:
+            lattice_point(r)
+        except ValueError as exc:
+            raise ScenarioError(f"radii[{i}]", str(exc)) from None
     if not any(r > 0.0 for r in radii):
         raise ScenarioError("radii", "at least one positive radius is "
                                      "required")

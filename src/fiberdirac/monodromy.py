@@ -248,32 +248,45 @@ def _down(t):
     return t[:, None] if isinstance(t, np.ndarray) else t
 
 
+def _s_axis(x):
+    """x with an s-axis of length one before its last (ε) axis, in every
+    Dual layer, so that it broadcasts against the (…, s, ε) grid; a plain
+    number stays as it is."""
+    if isinstance(x, Dual):
+        return Dual(_s_axis(x.re), _s_axis(x.eps))
+    return np.expand_dims(x, -2) if np.ndim(x) else x
+
+
 def _stack(column):
-    """Per-node states of one fiber coordinate (arrays over the ε-slices,
-    or first-order duals of these) as one array Dual with the s-nodes on
-    the first axis.  A plain-number entry broadcasts."""
-    return Dual(np.stack(np.broadcast_arrays(*map(dm.value_of, column))),
-                np.stack(np.broadcast_arrays(*dm.tangent(column))))
+    """Per-node states of one fiber coordinate (arrays over the fiber
+    points and ε-slices, or first-order duals of these) as one array Dual
+    with the s-nodes on the axis before the ε-axis.  A plain-number entry,
+    or a tangent that lacks the point axis, broadcasts."""
+    n = len(column)
+    parts = np.broadcast_arrays(*map(dm.value_of, column),
+                                *dm.tangent(column))
+    return Dual(np.stack(parts[:n], -2), np.stack(parts[n:], -2))
 
 
-def _simpson_row(w, val, n_eps):
-    """Σ_k w_k·val_k over the s-axis of the (s, ε) grid: one value per
-    ε-slice.  `val` is an array over the grid, a plain number (a zero form
-    returns 0.0, a tangent that does not depend on the seed is 0.0) or a
-    Dual of these; either broadcasts to the grid.  numpy returns NaN where
-    `math` raises, so where a slice's value is not finite its tangent is
-    NaN: the derivative of an undefined integrand must not read as a
-    number."""
+def _simpson_row(w, val, shape):
+    """Σ_k w_k·val_k over the s-axis of the (…, s, ε) grid of `shape`: one
+    value per fiber point and ε-slice.  `val` is an array over the grid, a
+    plain number (a zero form returns 0.0, a tangent that does not depend
+    on the seed is 0.0) or a Dual of these; either broadcasts to the grid.
+    numpy returns NaN where `math` raises, so where a slice's value is not
+    finite its tangent is NaN: the derivative of an undefined integrand
+    must not read as a number."""
     if isinstance(val, Dual):
-        re = _simpson_row(w, val.re, n_eps)
-        eps = _simpson_row(w, val.eps, n_eps)
+        re = _simpson_row(w, val.re, shape)
+        eps = _simpson_row(w, val.eps, shape)
         return Dual(re, np.where(np.isfinite(re), eps, math.nan))
-    return w @ np.broadcast_to(val, (len(w), n_eps))
+    return w @ np.broadcast_to(val, shape)
 
 
-#: (s, ε) nodes per array pass of `transgress`.  A pass keeps about a
-#: dozen grid-sized arrays alive at once, so larger grids run in blocks of
-#: whole ε-slices: a 65 × 65 family is one block, a 129 × 129 one three.
+#: (s, ε) nodes per ε-block of `_transgress_slices`.  A pass keeps about a
+#: dozen grid-sized arrays alive per fiber point, so larger grids run in
+#: blocks of whole ε-slices: a 65 × 65 family is one block, a 129 × 129
+#: one three.
 BLOCK_NODES = 8192
 
 
@@ -281,64 +294,89 @@ def transgress(geom, family, x0, step=DEFAULT_RK4_STEP):
     """Evaluate the transgression of a sphere family at a fiber point.
 
     y₀ is the scalar transport of x₀ along the ε = 0 slice, and γ̃(ε)
-    carries y₀ back along every slice.  The ε-slices are then processed
-    together, in blocks of at most `BLOCK_NODES` (s, ε) nodes
-    (`_transgress_block`).
+    carries y₀ back along every slice; `_transgress_slices` processes the
+    slices together.
     """
     _collapse_or_raise(family)
-    conn = geom.connection
-    y0 = parallel_transport(conn, family.eps_slice(0.0), list(x0),
-                            0.0, 1.0, step=step)
+    y0 = parallel_transport(geom.connection, family.eps_slice(0.0),
+                            list(x0), 0.0, 1.0, step=step)
+    covectors, base_points = _transgress_slices(geom, family, y0, step)
     n_eps = family.n_eps
-    eps = np.arange(n_eps) / (n_eps - 1)
-    n_blocks = -(-family.n_t * n_eps // BLOCK_NODES)   # ceiling division
-    width = -(-n_eps // n_blocks)
-    covectors, base_points = [], []
-    for lo in range(0, n_eps, width):
-        cov, pts = _transgress_block(geom, family, y0, eps[lo:lo + width],
-                                     step)
-        covectors += cov
-        base_points += pts
-    return VerStarPath(eps.tolist(), covectors, base_points, geom=geom,
+    return VerStarPath(_eps_grid(n_eps).tolist(), unstack(covectors, n_eps),
+                       unstack(base_points, n_eps), geom=geom,
                        family=family, x0=x0,
                        name=f"transgress({family.name})")
 
 
+def _eps_grid(n_eps):
+    """The ε of the family's slices, k/(n_ε − 1)."""
+    return np.arange(n_eps) / (n_eps - 1)
+
+
+def _transgress_slices(geom, family, y0, step):
+    """Covector and γ̃ columns of every ε-slice of the family, started from
+    the transported fiber point y₀: per fiber coordinate an array with the
+    slices on the last axis.
+
+    The coordinates of y₀ are numbers (one fiber point, columns of shape
+    (n_ε,)) or arrays of shape (k, 1) for k points transgressed together,
+    the 1 standing for the slices (columns (k, n_ε)); each point keeps the
+    bits it has alone.
+    The slices run in blocks of at most `BLOCK_NODES` (s, ε) nodes
+    (`_transgress_block`), a width that does not depend on k: a block's
+    s-integral is a gemv per point, whose rounding depends on the width.
+    """
+    n_eps = family.n_eps
+    eps = _eps_grid(n_eps)
+    n_blocks = -(-family.n_t * n_eps // BLOCK_NODES)   # ceiling division
+    width = -(-n_eps // n_blocks)
+    blocks = [_transgress_block(geom, family, y0, eps[lo:lo + width], step)
+              for lo in range(0, n_eps, width)]
+    return [[np.concatenate(cols, -1) for cols in zip(*part)]
+            for part in zip(*blocks)]
+
+
 def _transgress_block(geom, family, y0, eps, step):
-    """Covectors and γ̃ of the ε-slices in `eps`, as per-slice lists of
-    Python floats.
+    """Covector and γ̃ columns of the ε-slices in `eps`, for the fiber
+    point(s) y₀ of `_transgress_slices`.
 
     The slices are stacked into one base path whose coordinates are arrays
-    over `eps`, so each transport is one RK4 integration with array state.
-    Per vertical-gradient channel, the integrand ω_H(h ∂_t γ, h ∂_ε γ) is
-    one array evaluation over the (s, ε) grid (`_grid_nodes`), at the fiber
-    points carried from γ̃ through the slice transports (a flat connection
-    leaves them in place; a curved one stacks the dual-seeded
-    `transport_samples` states into (n_t, len(eps)) array duals),
-    integrated in s by composite Simpson per slice.
+    over `eps`, so each transport is one RK4 integration with array state
+    (…, len(eps)).  Per vertical-gradient channel, the integrand
+    ω_H(h ∂_t γ, h ∂_ε γ) is one array evaluation over the (…, s, ε) grid
+    (`_grid_nodes`, once per block for every point), at the fiber points
+    carried from γ̃ through the slice transports (a flat connection leaves
+    them in place; a curved one stacks the dual-seeded `transport_samples`
+    states along the s-axis), integrated in s by composite Simpson per
+    slice.
     """
     space = geom.space
     conn = geom.connection
     omega = geom.omega_h
-    n_eps = len(eps)
+    lead = np.broadcast_shapes(*map(np.shape, y0))[:-1]   # () or (k,)
+    grid = lead + (family.n_t, len(eps))
     w_s = np.array(simpson_weights(family.n_t))
     s_nodes = [k / (family.n_t - 1) for k in range(family.n_t)]
     slices = BasePath(lambda t: family.fn(_down(t), eps),
                       name=f"{family.name}@eps-block")
     x_tilde = _transport(conn, slices,
-                         [np.full(n_eps, c, dtype=float) for c in y0],
+                         [np.full(lead + (len(eps),), c, dtype=float)
+                          for c in y0],
                          1.0, 0.0, step)
     b, vt, ve = _grid_nodes(family, eps)
 
     def s_integral(x):
-        if not conn.is_flat:
+        if conn.is_flat:
+            x = [_s_axis(c) for c in x]
+        else:
             states = transport_samples(conn, slices, x, s_nodes, step=step)
             x = [_stack(column) for column in zip(*states)]
         return _simpson_row(
-            w_s, omega.value(space.join(b, x), [vt, ve]), n_eps)
+            w_s, omega.value(space.join(b, x), [vt, ve]), grid)
 
-    covectors = unstack(dm.gradient(s_integral, x_tilde), n_eps)
-    return covectors, unstack(x_tilde, n_eps)
+    covectors = [np.broadcast_to(c, lead + (len(eps),))
+                 for c in dm.gradient(s_integral, x_tilde)]
+    return covectors, x_tilde
 
 
 def transgress_flat(geom, family, x0):
@@ -375,16 +413,31 @@ def _surface_integral(family, values):
 # -- the so(3)* model lattice --------------------------------------------------------
 
 _RADIAL_DIR = (0.6, 0.0, 0.8)   # unit direction of the sample ray
+#: the model's so(3)* fiber chart, the box |x_i| ≤ 2.5
+LATTICE_FIBER = CoordinateDomain.box([(-2.5, 2.5)] * 3, name="so3-dual")
+
+
+def lattice_point(r):
+    """The fiber point r·(0.6, 0, 0.8) at which the lattice samples radius
+    r.  A radius the lattice cannot use raises ValueError: a negative one,
+    or one whose point lies outside `LATTICE_FIBER` (its edge counts as
+    inside)."""
+    if not r >= 0.0:
+        raise ValueError(f"a radius must be >= 0, got {r!r}")
+    point = [r * c for c in _RADIAL_DIR]
+    if not LATTICE_FIBER.contains(point):
+        raise ValueError(f"the sample point {point} of radius {r!r} lies "
+                         f"outside the fiber chart {LATTICE_FIBER.name!r}, "
+                         f"the box {LATTICE_FIBER.bounds[0]} per axis")
+    return point
 
 
 def lattice_model_data(f):
     """The model coupling: trivial bundle over the round two-sphere with
-    so(3)*-linear vertical structure on the box |x_i| ≤ 2.5 and
+    so(3)*-linear vertical structure on `LATTICE_FIBER` and
     ω_H = f(|x|) · (round area)."""
     base = CoordinateDomain.sphere()
-    fiber = CoordinateDomain.box([(-2.5, 2.5)] * 3,
-                                 name="so3-dual")
-    space = FiberedSpace(base, fiber, name="sphere-so3-lattice")
+    space = FiberedSpace(base, LATTICE_FIBER, name="sphere-so3-lattice")
     conn = FlatConnection(space)
 
     def radius(p):
@@ -425,26 +478,35 @@ class LatticeReport:
 def so3_lattice(f, radii=(0.5, 1.0, 1.5), grid=(64, 64),
                 constancy_tol=1e-3):
     """Monodromy lattice of the so(3)* model with ω_H = f(|x|)·(round
-    area): per radius r > 0 the generator covector is transgressed over
-    the full round sphere.  For r = 0, `origin_pi` = max_b |π_V(b, 0)|
-    over a grid of base points b vanishes exactly when the leaf through
-    the origin is a point, with lattice {0} (None without r = 0).
+    area): the generator covectors of all radii r > 0 are transgressed
+    over the full round sphere together, in one pass over the family
+    (`_transgress_slices` with the radii on a leading axis of the fiber
+    point), each with the bits of its own `transgress`.  For r = 0,
+    `origin_pi` = max_b |π_V(b, 0)| over a grid of base points b vanishes
+    exactly when the leaf through the origin is a point, with lattice {0}
+    (None without r = 0).  A radius `lattice_point` refuses raises
+    ValueError.
 
     `grid` counts Simpson intervals (N_t, N_ε); nodes are N+1 each.  The
-    model connection is flat, so no RK4 step is taken.
+    model connection is flat, so the ε = 0 transport leaves every sample
+    point in place and no RK4 step is taken.
     """
-    geom = lattice_model_data(f)
-    family = round_sphere(n_t=grid[0] + 1, n_eps=grid[1] + 1)
+    points = [lattice_point(r) for r in radii]
     positive = [r for r in radii if r > 0.0]
     has_origin = any(r == 0.0 for r in radii)
     if not positive:
         raise ValueError("at least one positive radius is required")
-
-    radial = []
-    for r in positive:
-        x0 = [r * c for c in _RADIAL_DIR]
-        radial.append(dot(transgress(geom, family, x0).endpoint(),
-                          _RADIAL_DIR))
+    geom = lattice_model_data(f)
+    family = round_sphere(n_t=grid[0] + 1, n_eps=grid[1] + 1)
+    _collapse_or_raise(family)
+    stacked = np.array([p for r, p in zip(radii, points) if r > 0.0])
+    y0 = [c[:, None] for c in stacked.T]   # (k, 1) per coordinate
+    covectors, _ = _transgress_slices(geom, family, y0, DEFAULT_RK4_STEP)
+    # per radius, Simpson in ε over Python floats: the arithmetic of
+    # `VerStarPath.endpoint`
+    endpoints = zip(*([simpson_integrate(row) for row in c.tolist()]
+                      for c in covectors))
+    radial = [dot(e, _RADIAL_DIR) for e in endpoints]
 
     origin_pi = None
     if has_origin:   # π_V at (b, 0) over a 3 × 3 grid of base points b

@@ -21,6 +21,8 @@ from fiberdirac.fibration import (BasePath, HorizontalForm,
                                   directional_on_total)
 from fiberdirac.fields import (MULTIVECTOR, SCALAR, SmoothField,
                                antisym_matrix)
+from fiberdirac.monodromy import (_RADIAL_DIR, lattice_model_data,
+                                  round_sphere, transgress)
 from fiberdirac.yangmills import monopole_potential
 
 
@@ -303,3 +305,14 @@ def per_node_gauge_transition():
         samples.append(d[0] * dw[0] + d[1] * dw[1])
     winding = simpson_integrate(samples) / (2.0 * math.pi)
     return {"closedness": closedness, "winding": winding}
+
+
+def per_radius_lattice(f, radii, grid):
+    """`so3_lattice`'s radial generator components by the loop over radii:
+    one `transgress(...).endpoint()` per positive radius, each with its own
+    collapse probe and family nodes."""
+    geom = lattice_model_data(f)
+    family = round_sphere(n_t=grid[0] + 1, n_eps=grid[1] + 1)
+    return [dot(transgress(geom, family,
+                           [r * c for c in _RADIAL_DIR]).endpoint(),
+                _RADIAL_DIR) for r in radii if r > 0.0]

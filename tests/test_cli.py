@@ -487,6 +487,11 @@ NAMED_INPUT_ERRORS = [
     ({"name": "a", "kind": "apath", "step": 1e-9}, "step"),
     ({"name": "a", "kind": "apath", "step": 5e-5}, "step"),
     (dict(LATTICE, include_origin="no"), "include_origin"),
+    # a radius is >= 0, and its sample point r·(0.6, 0, 0.8) lies in the
+    # model's fiber box |x_i| <= 2.5
+    (dict(LATTICE, radii=[-1.0, 0.5, 1.0]), "radii[0]"),
+    (dict(LATTICE, radii=[4.0, 5.0]), "radii[0]"),
+    (dict(LATTICE, radii=[0.5, 3.2]), "radii[1]"),
     # a family list and a coefficient curve are JSON lists
     ({"name": "t", "kind": "transgress", "families": 5}, "families"),
     ({"name": "a", "kind": "apath", "alpha": 5}, "alpha"),
@@ -511,6 +516,7 @@ def test_validation_errors_exit_two(monkeypatch, capsys, tmp_path):
         raise AssertionError("a malformed scenario reached the integrator")
 
     monkeypatch.setattr(cli, "flow_commutation_residual", refuse)
+    monkeypatch.setattr(cli, "so3_lattice", refuse)
     for k, (scenario, field) in enumerate(NAMED_INPUT_ERRORS):
         path = tmp_path / f"named{k}.json"
         path.write_text(json.dumps(scenario))
@@ -637,6 +643,15 @@ def test_a_wrong_lattice_claim_fails_its_check(claim, check):
     assert code == 1 and check in failed, report
     if check == "slope_consistency":
         assert "exact slope 3 predicts" in failed[check]["error"]
+
+
+def test_a_radius_on_the_fiber_chart_edge_runs():
+    # 3.125 · 0.8 = 2.5 lies on a face of the fiber box, which counts as
+    # inside
+    report, code = run_scenario(dict(LATTICE, radii=[0.5, 3.125],
+                                     grid=[8, 8], include_origin=False))
+    assert code == 0, report
+    assert len(report["generators"]) == 2
 
 
 @pytest.mark.parametrize("radii", [[0.5, 1.5], [0.5]], ids=["two", "one"])

@@ -2,6 +2,7 @@
 and closed-form areas, and the lattice/verdict layer."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from fiberdirac.monodromy import (FAMILIES, SphereFamily, VerStarPath, cap,
                                   lattice_model_data, round_sphere,
                                   so3_lattice, transgress, transgress_flat)
 from fiberdirac.yangmills import hopf_flat_example
+from reference import per_radius_lattice
 
 AREA_TOL = 1e-6
 ORACLE_TOL = 1e-4
@@ -320,10 +322,111 @@ def test_flat_lattice_evaluates_the_form_once_per_slice_and_channel(
     radii, grid = (0.5, 1.0), (8, 8)
     so3_lattice(lambda r: 2.0 * r + 1.0, radii=radii, grid=grid)
     n_fiber = 3
-    # one array pass over the whole (s, ε) grid per gradient channel, not
-    # one per ε-slice or per node
-    assert calls["value"] == len(radii) * n_fiber
+    # one array pass over the whole (radius, s, ε) grid of the one ε-block
+    # per gradient channel, not one per radius, ε-slice or node
+    assert calls["value"] == n_fiber
     assert calls["rk4"] == 0
+
+
+LATTICE_FS = {"linear": lambda r: 2.0 * r + 1.0,
+              "quadratic": lambda r: r * r - 0.4 * r + 0.3,
+              "irrational": lambda r: math.pi * r + 0.7}
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("f", LATTICE_FS.values(), ids=LATTICE_FS.keys())
+def test_one_pass_lattice_is_the_per_radius_route_to_the_bit(f, n):
+    # the 129 × 129 nodes of n = 128 run in three ε-blocks
+    radii = (0.3, 0.0, 1.2, 0.5, 2.2)
+    report = so3_lattice(f, radii=radii, grid=(n, n))
+    assert report.radii == [0.3, 1.2, 0.5, 2.2]
+    assert hexes(report.radial_components) == \
+        hexes(per_radius_lattice(f, radii, (n, n)))
+
+
+@pytest.mark.parametrize("f", LATTICE_FS.values(), ids=LATTICE_FS.keys())
+def test_one_pass_lattice_in_small_blocks_is_the_per_radius_route(
+        monkeypatch, f):
+    # 40 nodes per block split the 9 × 9 grid into ε-blocks of 4, 4 and 1
+    monkeypatch.setattr(monodromy, "BLOCK_NODES", 40)
+    radii = (0.5, 1.0, 1.5)
+    assert hexes(so3_lattice(f, radii=radii, grid=(8, 8)).radial_components) \
+        == hexes(per_radius_lattice(f, radii, (8, 8)))
+
+
+def test_a_radius_whose_generator_is_nan_leaves_the_others_alone(capfd):
+    # log(r − 1) is NaN at r = 0.5 only; the stacked radii must neither
+    # raise a math domain error nor move the other radii's bits
+    f, radii = (lambda r: dm.log(r - 1.0)), (1.5, 0.5, 2.5)
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("error")
+        got = so3_lattice(f, radii=radii, grid=(16, 16)).radial_components
+        want = per_radius_lattice(f, radii, (16, 16))
+    assert math.isnan(got[1]) and math.isnan(want[1])
+    assert all(math.isfinite(c) for c in got[::2])
+    assert hexes(got[::2]) == hexes(want[::2])
+    assert capfd.readouterr().err == ""
+
+
+def test_the_lattice_evaluates_the_family_once_for_all_radii(monkeypatch):
+    # one collapse probe per lattice (the base point and four edges) and
+    # one `_grid_nodes` per ε-block (three calls of fn), for any number
+    # of radii
+    counts = {"fn": 0, "probe": 0}
+    make, probe = monodromy.round_sphere, SphereFamily.collapse_residual
+
+    def counted_round_sphere(n_t, n_eps):
+        family = make(n_t, n_eps)
+        fn = family.fn
+
+        def counted(t, eps):
+            counts["fn"] += 1
+            return fn(t, eps)
+
+        family.fn = counted
+        return family
+
+    def counted_probe(self):
+        counts["probe"] += 1
+        return probe(self)
+
+    monkeypatch.setattr(monodromy, "round_sphere", counted_round_sphere)
+    monkeypatch.setattr(SphereFamily, "collapse_residual", counted_probe)
+    seen = []
+    for radii in ((0.5,), (0.3, 0.5, 1.0, 1.5, 2.2)):
+        counts.update(fn=0, probe=0)
+        so3_lattice(lambda r: 2.0 * r + 1.0, radii=radii, grid=(16, 16))
+        seen.append(dict(counts))
+    assert seen == [{"fn": 8, "probe": 1}] * 2
+
+
+@pytest.mark.parametrize("radii", [(-1.0, 0.5, 1.0), (4.0, 5.0), (0.5, 3.2)],
+                         ids=["negative", "off-chart", "one-off-chart"])
+def test_the_lattice_refuses_a_radius_it_cannot_use(radii):
+    # a negative radius was dropped, and one whose sample point
+    # r·(0.6, 0, 0.8) leaves the fiber box |x_i| ≤ 2.5 was transgressed
+    def f(r):
+        raise AssertionError("a refused radius reached the transgression")
+
+    with pytest.raises(ValueError, match="radius"):
+        so3_lattice(f, radii=radii, grid=(8, 8))
+
+
+def test_a_radius_on_the_fiber_chart_edge_is_used():
+    # 3.125 · 0.8 = 2.5 lies on a face of the fiber box
+    assert monodromy.lattice_point(3.125)[2] == 2.5
+    assert monodromy.LATTICE_FIBER.contains(monodromy.lattice_point(3.125))
+    with pytest.raises(ValueError):
+        monodromy.lattice_point(3.125 + 1e-6)
+    f = LATTICE_FS["linear"]
+    report = so3_lattice(f, radii=(0.5, 3.125), grid=(16, 16))
+    assert report.radii == [0.5, 3.125]
+    assert hexes(report.radial_components) == \
+        hexes(per_radius_lattice(f, (0.5, 3.125), (16, 16)))
 
 
 def test_curved_rk4_work_does_not_grow_with_the_slice_count(monkeypatch):
