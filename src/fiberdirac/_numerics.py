@@ -178,17 +178,16 @@ def halves(first, second, u):
 
 
 def simpson_weights(n_nodes):
-    """Composite-Simpson weights for n_nodes equally spaced samples on [0,1].
+    """Composite-Simpson weights for n_nodes equally spaced samples on [0,1]:
+    its three distinct weights, repeated in node order.
 
     n_nodes must be odd (even interval count); weights sum to 1.
     """
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError("composite Simpson needs an odd node count >= 3")
     h = 1.0 / (n_nodes - 1)
-    w = [h / 3.0] * n_nodes
-    for k in range(1, n_nodes - 1):
-        w[k] = (4.0 if k % 2 == 1 else 2.0) * h / 3.0
-    return w
+    end, odd, even = h / 3.0, 4.0 * h / 3.0, 2.0 * h / 3.0
+    return [end] + [odd, even] * ((n_nodes - 3) // 2) + [odd, end]
 
 
 def simpson_integrate(samples):

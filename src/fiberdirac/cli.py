@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -45,33 +46,37 @@ from .monodromy import (FAMILIES, VERDICT_INCONCLUSIVE, VERDICTS, cap,
                         transgress_flat)
 from .yangmills import EXAMPLES, HamiltonianFiber, gauge_transition_check
 
-KINDS = ("coupling-check", "ymh-build", "transgress", "so3-integrability",
-         "apath", "groupoid-check")
-
 COUPLING_CHECKS = ("conditions", "closure", "oracle-agreement", "leaf-form",
                    "splitting")
 
-#: the tolerance keys each kind reads; a scenario that sets any other key
-#: is refused, since its tolerance would silently go unused
-TOLERANCES = {
-    "coupling-check": CONDITION_NAMES + ("dirac_closure", "oracle_agreement",
-                                         "leaf_form_match",
-                                         "splitting_brackets"),
-    "ymh-build": ("structure_jacobi", "bianchi", "prehamiltonian",
-                  "coupling_conditions", "gauge_closedness", "gauge_winding"),
-    "transgress": ("sphere_area", "oracle"),
-    "so3-integrability": ("generator_constancy", "origin_degenerate",
-                          "generator_value"),
-    "apath": ("flow_commutation", "halving_gain"),
-    "groupoid-check": ("axioms", "multiplicativity", "horizontal_identity",
-                       "hor_projection", "hor_vertical_orthogonality",
-                       "source_target_orthogonality"),
+#: the keys every scenario may set, whatever its kind
+COMMON_KEYS = ("name", "kind", "seed", "tolerances")
+
+#: the keys allowed inside a scenario's objects: inline `fields`, the
+#: `area` family and each entry of `families`
+OBJECT_KEYS = {
+    "fields": ("base_bounds", "base_chart", "connection", "fiber_bounds",
+               "name", "omega", "pi"),
+    "area": ("expected", "family", "nodes", "theta"),
+    "families": ("family", "nodes", "theta"),
 }
+
+SPHERE_F = "2*x+1"   # the f of the sphere models when a scenario sets none
 
 #: the smallest apath RK4 step: below it the fourth-order residual already
 #: sits under the roundoff floor of `halving_gain`, so a smaller step only
 #: costs time (1e-9 would run for hours)
 MIN_APATH_STEP = 1e-4
+
+#: bounds on counts, since a check holds arrays over all of them at once
+#: (2-vCPU Xeon): a groupoid check peaks near 0.6 GB at 2**17 samples, a
+#: transgression near 0.13 GB at 1025 × 1025 nodes, and a lattice of
+#: 1024 × 1024 intervals takes 0.24 s; the last two grow with n_t·n_ε
+MAX_SAMPLES = 2 ** 16
+MAX_FAMILY_NODES = 1025
+MAX_LATTICE_GRID = 1024
+
+MAX_SEED = 2 ** 32 - 1   # the largest seed numpy's RandomState accepts
 
 EXAMPLE_NOTES = {
     "hopf": "monopole bundle over a sphere chart; one-dimensional fiber, "
@@ -180,10 +185,9 @@ def _check(name, residual, tolerance):
     }
 
 
-def _scored(scenario, name, residual, default):
-    """`_check` against the scenario's tolerance for `name`, or against
-    `default` when it sets none."""
-    return _check(name, residual, _tol(scenario, name, default))
+def _scored(scenario, name, residual):
+    """`_check` against the scenario's tolerance for `name`."""
+    return _check(name, residual, _tol(scenario, name))
 
 
 def _failed(name, exc):
@@ -192,10 +196,20 @@ def _failed(name, exc):
             "verdict": "FAIL", "error": str(exc)}
 
 
-def _tol(scenario, name, default):
+def _tol(scenario, name):
     """The scenario's tolerance for `name` (`_validate_tolerances` has
-    checked it), or `default` when it sets none."""
+    checked it), or its kind's default when it sets none."""
+    default = KINDS[scenario["kind"]].tolerances[name]
     return float(scenario.get("tolerances", {}).get(name, default))
+
+
+def _refuse_unread(obj, allowed, prefix):
+    """Refuse a key of the scenario object `obj` outside `allowed`: nothing
+    reads it, so a misspelled key would leave its default in force."""
+    for key in obj:
+        if key not in allowed:
+            raise ScenarioError(prefix + key, f"no check reads this key; "
+                                              f"accepted: {sorted(allowed)}")
 
 
 def _validate_tolerances(scenario, kind):
@@ -206,20 +220,18 @@ def _validate_tolerances(scenario, kind):
     if not isinstance(tols, dict):
         raise ScenarioError("tolerances", "must be an object of "
                                           "check-name → tolerance")
+    _refuse_unread(tols, KINDS[kind].tolerances, "tolerances.")
     for key, value in tols.items():
-        if key not in TOLERANCES[kind]:
-            raise ScenarioError(f"tolerances.{key}", f"a {kind} scenario "
-                                f"reads only {list(TOLERANCES[kind])}")
         _real(value, f"tolerances.{key}", positive=True)
 
 
-def _count(value, field, minimum):
-    """A count or seed a scenario supplies: an integer at or above
-    `minimum`."""
+def _count(value, field, minimum, maximum):
+    """A count, seed or chart number a scenario supplies: an integer in
+    [minimum, maximum]."""
     if isinstance(value, bool) or not isinstance(value, int) \
-            or value < minimum:
-        raise ScenarioError(field, f"expected an integer >= {minimum}, "
-                                   f"got {value!r}")
+            or not minimum <= value <= maximum:
+        raise ScenarioError(field, f"expected an integer in [{minimum}, "
+                                   f"{maximum}], got {value!r}")
     return value
 
 
@@ -287,10 +299,16 @@ def _bounds(cfg, key):
     return pairs
 
 
-def _pair_of_counts(value, field, minimum):
-    if not isinstance(value, list) or len(value) != 2:
-        raise ScenarioError(field, f"expected two integers, got {value!r}")
-    return [_count(v, field, minimum) for v in value]
+def _simpson_counts(value, field, minimum, maximum):
+    """Two counts in [minimum, maximum] of `minimum`'s parity: composite
+    Simpson needs odd node counts (minimum 3) and even interval counts
+    (minimum 2)."""
+    if not isinstance(value, list) or len(value) != 2 or any(
+            (_count(v, field, minimum, maximum) - minimum) % 2 for v in value):
+        parity = "odd" if minimum % 2 else "even"
+        raise ScenarioError(field, f"expected two {parity} integers, got "
+                                   f"{value!r}")
+    return value
 
 
 def _require(scenario, key, kinds, field=None):
@@ -303,36 +321,42 @@ def _require(scenario, key, kinds, field=None):
     return val
 
 
+def _scenario_f(scenario, variable, default):
+    """The scenario's `f`, else `default`, as a function of `variable`."""
+    expr = compile_expression(scenario.get("f", default), [variable], "f")
+    return lambda v: expr([v])
+
+
 def _example_or_inline(scenario):
+    """Inline `fields`, or an `example` with its `f` and `hopf`'s `chart`."""
+    if "chart" in scenario and scenario.get("example") != "hopf":
+        raise ScenarioError("chart", "only the hopf example has charts")
     if "fields" in scenario:
+        if "example" in scenario:
+            raise ScenarioError("example", "a scenario gives an example or "
+                                           "inline fields, not both")
         return _inline_geometry(scenario["fields"])
     name = _require(scenario, "example", str)
     if name not in EXAMPLES:
         raise ScenarioError("example", f"unknown example {name!r}; "
                                        f"registry has {sorted(EXAMPLES)}")
-    f_fn = None
-    if "f" in scenario:
-        f_expr = compile_expression(scenario["f"], ["x"], field="f")
-        f_fn = lambda x: f_expr([x])
     if name in ("hopf", "hopf-flat"):
-        if f_fn is None:
-            f_fn = lambda x: 2.0 * x + 1.0
+        f_fn = _scenario_f(scenario, "x", SPHERE_F)
         if name == "hopf":
-            chart = scenario.get("chart", 0)
-            if isinstance(chart, bool) or not isinstance(chart, int) \
-                    or chart not in (0, 1):
-                raise ScenarioError("chart", f"expected the chart number 0 "
-                                             f"or 1, got {chart!r}")
+            chart = _count(scenario.get("chart", 0), "chart", 0, 1)
             return EXAMPLES[name](f_fn, chart=chart)
         return EXAMPLES[name](f_fn)
-    if name == "trivial-torus" and f_fn is not None:
-        return EXAMPLES[name](f_fn)
-    return EXAMPLES[name]()
+    if "f" not in scenario:
+        return EXAMPLES[name]()
+    if name != "trivial-torus":
+        raise ScenarioError("f", f"the {name} example takes no f")
+    return EXAMPLES[name](_scenario_f(scenario, "x", None))
 
 
 def _inline_geometry(cfg):
     if not isinstance(cfg, dict):
         raise ScenarioError("fields", "inline fields must be an object")
+    _refuse_unread(cfg, OBJECT_KEYS["fields"], "fields.")
     chart = cfg.get("base_chart")
     if chart not in (None, "sphere"):
         raise ScenarioError("fields.base_chart", f"the only named base chart "
@@ -401,7 +425,7 @@ def _inline_geometry(cfg):
 
 def _run_coupling_check(scenario, seed):
     geom = _example_or_inline(scenario)
-    samples = _count(scenario.get("samples", 64), "samples", 1)
+    samples = _count(scenario.get("samples", 64), "samples", 1, MAX_SAMPLES)
     wanted = scenario.get("checks", ["conditions"])
     if (not isinstance(wanted, list) or not wanted
             or any(w not in COUPLING_CHECKS for w in wanted)):
@@ -415,12 +439,12 @@ def _run_coupling_check(scenario, seed):
     if "closure" in wanted or "oracle-agreement" in wanted:
         res = dirac_closure_residual(geom, count=min(samples, 16), seed=seed)
     if "conditions" in wanted:
-        checks += [_scored(scenario, key, cond[key], 1e-8)
+        checks += [_scored(scenario, key, cond[key])
                    for key in CONDITION_NAMES]
     if "closure" in wanted:
-        checks.append(_scored(scenario, "dirac_closure", res, 1e-6))
+        checks.append(_scored(scenario, "dirac_closure", res))
     if "oracle-agreement" in wanted:
-        thr = _tol(scenario, "oracle_agreement", 1e-6)
+        thr = _tol(scenario, "oracle_agreement")
         # a NaN on either route is a disagreement, never a match
         agree = ((cond["max"] < thr) == (res < thr)
                  and not (math.isnan(cond["max"]) or math.isnan(res)))
@@ -429,11 +453,10 @@ def _run_coupling_check(scenario, seed):
         extras["closure_residual"] = float(res)
     if "leaf-form" in wanted:
         checks.append(_scored(scenario, "leaf_form_match",
-                              _leaf_residual(geom, scenario, seed), 1e-8))
+                              _leaf_residual(geom, scenario, seed)))
     if "splitting" in wanted:
         res = splitting_bracket_residual(geom, count=6, seed=seed)
-        checks.append(_scored(scenario, "splitting_brackets", res["max"],
-                              1e-6))
+        checks.append(_scored(scenario, "splitting_brackets", res["max"]))
     return checks, extras
 
 
@@ -442,8 +465,7 @@ def _leaf_residual(geom, scenario, seed):
     if geom.space.base.kind != SPHERE_STEREO or geom.space.n_fiber != 1:
         raise ScenarioError("checks", "the leaf-form check applies to the "
                                       "one-dimensional-fiber sphere models")
-    f_expr = scenario.get("f", "2*x+1")
-    f_fn = compile_expression(f_expr, ["x"], field="f")
+    f_fn = _scenario_f(scenario, "x", SPHERE_F)
     chart1 = scenario.get("example") == "hopf" and scenario.get("chart") == 1
     sign = -1.0 if chart1 else 1.0
 
@@ -451,7 +473,7 @@ def _leaf_residual(geom, scenario, seed):
     _, leaf = leaf_two_form(assemble_dirac(geom, pt))
     u, v, x = pt
     s = 1.0 + u * u + v * v
-    expected = sign * f_fn([x]) * 4.0 / (s * s)
+    expected = sign * f_fn(x) * 4.0 / (s * s)
     want = {(0, 1): expected, (1, 0): -expected}
     return worst(abs(dm.value_of(entry) - want.get((r, c), 0.0))
                  for r, row in enumerate(leaf) for c, entry in enumerate(row))
@@ -464,37 +486,36 @@ def _run_ymh_build(scenario, seed):
     fiber_model = getattr(geom, "fiber_model", None)
     if principal is not None:
         checks.append(_scored(scenario, "structure_jacobi",
-                              principal.group.jacobi_residual(), 1e-12))
+                              principal.group.jacobi_residual()))
         bianchi = principal.bianchi_residual(
             geom.sample_points(6, seed=seed)[:geom.space.n_base])
-        checks.append(_scored(scenario, "bianchi", bianchi, 1e-10))
+        checks.append(_scored(scenario, "bianchi", bianchi))
     if fiber_model is not None:
         checks.append(_scored(scenario, "prehamiltonian",
                               fiber_model.prehamiltonian_residual(count=8,
-                                                                  seed=seed),
-                              1e-10))
+                                                                  seed=seed)))
     cond = check_coupling_conditions(
-        geom, count=_count(scenario.get("samples", 32), "samples", 1),
-        seed=seed)
-    checks.append(_scored(scenario, "coupling_conditions", cond["max"], 1e-8))
+        geom, count=_count(scenario.get("samples", 32), "samples", 1,
+                           MAX_SAMPLES), seed=seed)
+    checks.append(_scored(scenario, "coupling_conditions", cond["max"]))
     if scenario.get("example") == "hopf":
         gauge = gauge_transition_check()
         checks.append(_scored(scenario, "gauge_closedness",
-                              gauge["closedness"], 1e-8))
+                              gauge["closedness"]))
         checks.append(_scored(scenario, "gauge_winding",
-                              abs(gauge["winding"] + 2.0), 1e-6))
+                              abs(gauge["winding"] + 2.0)))
         extras["winding"] = gauge["winding"]
     return checks, extras
 
 
-def _build_family(cfg, field="families"):
+def _build_family(cfg, field, keys):
+    """The sphere family a scenario object `cfg` with `keys` describes."""
     if not isinstance(cfg, dict) or "family" not in cfg:
         raise ScenarioError(field, "each family needs a 'family' key")
+    _refuse_unread(cfg, keys, f"{field}.")
     name = cfg["family"]
-    nodes = _pair_of_counts(cfg.get("nodes", [65, 65]), f"{field}.nodes", 3)
-    if any(n % 2 == 0 for n in nodes):
-        raise ScenarioError(f"{field}.nodes",
-                            "node counts must be odd and >= 3")
+    nodes = _simpson_counts(cfg.get("nodes", [65, 65]), f"{field}.nodes", 3,
+                            MAX_FAMILY_NODES)
     if name == "round-sphere":
         return round_sphere(*nodes)
     if name == "cap":
@@ -508,15 +529,18 @@ def _build_family(cfg, field="families"):
 
 
 def _run_transgress(scenario, seed):
-    f_expr = scenario.get("f", "x")
-    f_fn0 = compile_expression(f_expr, ["x"], field="f")
-    f_fn = lambda x: f_fn0([x])
-    geom = EXAMPLES["hopf-flat"](f_fn)
+    geom = EXAMPLES["hopf-flat"](_scenario_f(scenario, "x", "x"))
     x0 = _reals(scenario.get("x0", [0.3]), "x0", 1)
+    families = scenario.get("families", [])
+    if not isinstance(families, list):
+        raise ScenarioError("families", f"expected a list of families, got "
+                                        f"{families!r}")
+    fams = [_build_family(cfg, f"families[{i}]", OBJECT_KEYS["families"])
+            for i, cfg in enumerate(families)]
     checks, extras = [], {}
     if "area" in scenario:
         area_cfg = scenario["area"]
-        fam = _build_family(area_cfg, field="area")
+        fam = _build_family(area_cfg, "area", OBJECT_KEYS["area"])
         expected = _constant(area_cfg.get("expected", "4*pi"),
                              "area.expected", nonzero=True)
 
@@ -527,19 +551,14 @@ def _run_transgress(scenario, seed):
         area = fam.signed_area(round_two_form)
         extras["area"] = area
         checks.append(_scored(scenario, "sphere_area",
-                              abs(area - expected) / abs(expected), 1e-6))
-    families = scenario.get("families", [])
-    if not isinstance(families, list):
-        raise ScenarioError("families", f"expected a list of families, got "
-                                        f"{families!r}")
-    for i, cfg in enumerate(families):
-        fam = _build_family(cfg, field=f"families[{i}]")
+                              abs(area - expected) / abs(expected)))
+    for fam in fams:
         endpoint = transgress(geom, fam, x0).endpoint()[0]
         oracle = transgress_flat(geom, fam, x0)[0]
         scale = max(1.0, abs(oracle))
         checks.append(_check(f"oracle_{fam.name}",
                              abs(endpoint - oracle) / scale,
-                             _tol(scenario, "oracle", 1e-4)))
+                             _tol(scenario, "oracle")))
     if not checks:
         raise ScenarioError("checks", "a transgress scenario needs an "
                                       "'area' block or a 'families' list")
@@ -547,9 +566,8 @@ def _run_transgress(scenario, seed):
 
 
 def _run_so3_integrability(scenario, seed):
-    f_expr = _require(scenario, "f", str)
-    f_fn0 = compile_expression(f_expr, ["r"], field="f")
-    f_fn = lambda r: f_fn0([r])
+    _require(scenario, "f", str)
+    f_fn = _scenario_f(scenario, "r", None)
     radii = _reals(scenario.get("radii", [0.5, 1.0, 1.5]), "radii")
     for i, r in enumerate(radii):
         try:
@@ -575,21 +593,21 @@ def _run_so3_integrability(scenario, seed):
                                                 f"{want!r}")
     if _flag(scenario, "include_origin") and 0.0 not in radii:
         radii = radii + [0.0]
-    grid = _pair_of_counts(scenario.get("grid", [64, 64]), "grid", 1)
-    grid = [g + g % 2 for g in grid]   # Simpson needs even
+    grid = _simpson_counts(scenario.get("grid", [64, 64]), "grid", 2,
+                           MAX_LATTICE_GRID)
+    constancy = _tol(scenario, "generator_constancy")
     report = so3_lattice(f_fn, radii=radii, grid=tuple(grid),
-                         constancy_tol=_tol(scenario, "generator_constancy",
-                                            1e-3))
+                         constancy_tol=constancy)
     checks, extras = [], {}
-    checks.append(_scored(scenario, "generator_constancy",
-                          report.relative_deviation, 1e-3))
+    checks.append(_check("generator_constancy", report.relative_deviation,
+                         constancy))
     if report.has_degenerate_origin:
         checks.append(_scored(scenario, "origin_degenerate",
-                              report.origin_pi, 1e-8))
+                              report.origin_pi))
     if expected is not None:
         deviation = worst(abs(c - expected) / max(1.0, abs(expected))
                           for c in report.radial_components)
-        checks.append(_scored(scenario, "generator_value", deviation, 1e-4))
+        checks.append(_scored(scenario, "generator_value", deviation))
     try:
         verdict = integrability_verdict(report, slope)
     except ValueError as exc:
@@ -622,7 +640,7 @@ def _run_apath(scenario, seed):
     alpha = lambda t, e: [f([t, e]) for f in fns]
     fiber = HamiltonianFiber.coadjoint_so3()
     r1 = flow_commutation_residual(fiber, alpha, x0, eps=eps, step=step)
-    checks = [_scored(scenario, "flow_commutation", r1, 1e-6)]
+    checks = [_scored(scenario, "flow_commutation", r1)]
     extras = {"residual_at_step": r1}
     if halving:
         r2 = flow_commutation_residual(fiber, alpha, x0, eps=eps,
@@ -632,7 +650,7 @@ def _run_apath(scenario, seed):
             gain = math.nan
         else:
             gain = r2 / r1 if r1 > floor else 0.0
-        checks.append(_scored(scenario, "halving_gain", gain, 0.125))
+        checks.append(_scored(scenario, "halving_gain", gain))
         extras["residual_at_half_step"] = r2
     return checks, extras
 
@@ -657,36 +675,61 @@ def _groupoid_instance(name):
 
 def _run_groupoid_check(scenario, seed):
     geom = _groupoid_instance(scenario.get("instance", "split-product"))
-    samples = _count(scenario.get("samples", 6), "samples", 1)
+    samples = _count(scenario.get("samples", 6), "samples", 1, MAX_SAMPLES)
     checks, extras = [], {}
     gpd = PairGroupoid(geom.space.dim)
-    checks.append(_scored(scenario, "axioms", gpd.axioms_residual(seed=seed),
-                          1e-14))
+    checks.append(_scored(scenario, "axioms", gpd.axioms_residual(seed=seed)))
     form = pair_form(coupling_form(geom))
     checks.append(_scored(scenario, "multiplicativity",
                           multiplicativity_residual(form.value,
-                                                    geom.space.dim, seed=seed),
-                          1e-12))
+                                                    geom.space.dim, seed=seed)))
     report = integrated_data_check(geom, count=samples, seed=seed)
     checks.append(_check("fiber_nondegeneracy",
                          float(report["fiber_nondegeneracy_dim"]), 0.5))
-    checks += [_scored(scenario, key, report[key], tol)
-               for key, tol in (("horizontal_identity", 1e-8),
-                                ("hor_projection", 1e-10),
-                                ("hor_vertical_orthogonality", 1e-10))]
+    checks += [_scored(scenario, key, report[key])
+               for key in ("horizontal_identity", "hor_projection",
+                           "hor_vertical_orthogonality")]
     checks.append(_scored(scenario, "source_target_orthogonality",
-                          source_target_orthogonality(geom, form, seed=seed),
-                          1e-10))
+                          source_target_orthogonality(geom, form, seed=seed)))
     return checks, extras
 
 
-_RUNNERS = {
-    "coupling-check": _run_coupling_check,
-    "ymh-build": _run_ymh_build,
-    "transgress": _run_transgress,
-    "so3-integrability": _run_so3_integrability,
-    "apath": _run_apath,
-    "groupoid-check": _run_groupoid_check,
+#: each scenario kind, stated once: its runner, the default of every
+#: tolerance its checks score (a scenario may set only these; `oracle`
+#: scores each oracle_<family>), and the keys it reads besides COMMON_KEYS
+Kind = namedtuple("Kind", "run tolerances keys")
+KINDS = {
+    "coupling-check": Kind(
+        _run_coupling_check,
+        {**dict.fromkeys(CONDITION_NAMES, 1e-8), "dirac_closure": 1e-6,
+         "oracle_agreement": 1e-6, "leaf_form_match": 1e-8,
+         "splitting_brackets": 1e-6},
+        ("chart", "checks", "example", "f", "fields", "samples")),
+    "ymh-build": Kind(
+        _run_ymh_build,
+        {"structure_jacobi": 1e-12, "bianchi": 1e-10, "prehamiltonian": 1e-10,
+         "coupling_conditions": 1e-8, "gauge_closedness": 1e-8,
+         "gauge_winding": 1e-6},
+        ("chart", "example", "f", "fields", "samples")),
+    "transgress": Kind(
+        _run_transgress, {"sphere_area": 1e-6, "oracle": 1e-4},
+        ("area", "f", "families", "x0")),
+    "so3-integrability": Kind(
+        _run_so3_integrability,
+        {"generator_constancy": 1e-3, "origin_degenerate": 1e-8,
+         "generator_value": 1e-4},
+        ("exact_slope", "expected_generator", "expected_verdict", "f",
+         "grid", "include_origin", "radii")),
+    "apath": Kind(
+        _run_apath, {"flow_commutation": 1e-6, "halving_gain": 0.125},
+        ("alpha", "eps", "halving", "step", "x0")),
+    "groupoid-check": Kind(
+        _run_groupoid_check,
+        {"axioms": 1e-14, "multiplicativity": 1e-12,
+         "horizontal_identity": 1e-8, "hor_projection": 1e-10,
+         "hor_vertical_orthogonality": 1e-10,
+         "source_target_orthogonality": 1e-10},
+        ("instance", "samples")),
 }
 
 
@@ -699,17 +742,18 @@ def run_scenario(scenario):
     if kind not in KINDS:
         raise ScenarioError("kind", f"unknown scenario kind {kind!r}; one "
                                     f"of {list(KINDS)} expected")
+    _refuse_unread(scenario, COMMON_KEYS + KINDS[kind].keys, "")
     _validate_tolerances(scenario, kind)
-    seed = _count(scenario.get("seed", 0), "seed", 0)
+    seed = _count(scenario.get("seed", 0), "seed", 0, MAX_SEED)
     start = time.perf_counter()
     try:
         # on array sample points a domain error is a NaN residual: a FAIL
         with np.errstate(all="ignore"):
-            checks, extras = _RUNNERS[kind](scenario, seed)
+            checks, extras = KINDS[kind].run(scenario, seed)
     except IncompleteTransportError as exc:
         checks = [_failed("numerical-escape", exc)]
         extras = {}
-    except (ValueError, ZeroDivisionError, OverflowError,
+    except (ValueError, ZeroDivisionError, OverflowError, MemoryError,
             np.linalg.LinAlgError) as exc:
         checks = [_failed("evaluation-error", exc)]
         extras = {}

@@ -11,10 +11,11 @@ as a scalar too: a ``Dual`` whose slots hold arrays evaluates a function at a
 whole grid of points in one pass (forward mode over arrays).  Every entry of
 ``FUNCTIONS`` calls ``math``, and the numpy ufunc when ``math`` refuses an
 array; on arrays numpy returns NaN or ±inf where ``math`` raises, and the
-derivative there is NaN.  An array Dual has no order: comparisons and
-``abs`` on it raise ``TypeError``.  No Dual converts to a float:
-``float()``, a ``math`` function and ``np.asarray(…, dtype=float)`` raise
-``TypeError`` rather than drop the tangent, which only ``value_of`` does.
+derivative there is NaN.  No Dual has an order: comparisons and ``abs``
+raise ``TypeError``; a check that branches compares ``value_of``.  No
+Dual converts to a float: ``float()``, a ``math`` function and
+``np.asarray(…, dtype=float)`` raise ``TypeError`` rather than drop the
+tangent, which only ``value_of`` does.
 In `jacobian`, ``eps`` carries a leading direction axis: one seeded pass
 differentiates along every coordinate, by the same elementwise operations
 as one pass per coordinate.  Finite differences are deliberately *not*
@@ -124,25 +125,6 @@ class Dual:
             return exp(self * log(base))
         return NotImplemented
 
-    # -- comparisons (on primal values; used by escape checks) -------------
-
-    def __lt__(self, other):
-        return _ordered(self) < _ordered(other)
-
-    def __le__(self, other):
-        return _ordered(self) <= _ordered(other)
-
-    def __gt__(self, other):
-        return _ordered(self) > _ordered(other)
-
-    def __ge__(self, other):
-        return _ordered(self) >= _ordered(other)
-
-    def __abs__(self):
-        s = 1.0 if _ordered(self) >= 0.0 else -1.0
-        return Dual(abs(self.re) if not isinstance(self.re, Dual) else self.re * s,
-                    self.eps * s)
-
 
 def value_of(x):
     """Strip all dual layers, returning the underlying float (or array)."""
@@ -157,14 +139,6 @@ def where(cond, a, b):
         return np.where(cond, a, b)
     a, b = (x if isinstance(x, Dual) else Dual(x, 0.0) for x in (a, b))
     return Dual(where(cond, a.re, b.re), where(cond, a.eps, b.eps))
-
-
-def _ordered(x):
-    """The primal value of a comparison operand; arrays have no order."""
-    v = value_of(x)
-    if isinstance(v, np.ndarray):
-        raise TypeError("array-valued Duals have no order")
-    return v
 
 
 # -- elementary functions, generic over float / array / Dual ----------------

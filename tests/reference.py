@@ -250,6 +250,20 @@ def per_section_splitting(geom, pt, bracket):
 HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
+def per_node_simpson_integrate(samples):
+    """`_numerics.simpson_integrate` with each weight computed at its node:
+    h/3 at the ends, and 4h/3 or 2h/3 between them by the node's parity."""
+    n = len(samples)
+    h = 1.0 / (n - 1)
+    acc = 0.0
+    for k, s in enumerate(samples):
+        w = h / 3.0
+        if 0 < k < n - 1:
+            w = (4.0 if k % 2 == 1 else 2.0) * h / 3.0
+        acc = acc + s * w
+    return acc
+
+
 def per_dimension_unit_cube(count, dim, seed):
     """`sample_unit_cube` by the loop over dimensions: each axis takes its
     own Halton digits over the index array, with the jitter from a fresh

@@ -1,6 +1,5 @@
 """Expression compiler, scenario runner, exit codes, and report shape."""
 
-import ast
 import json
 import math
 import warnings
@@ -111,7 +110,8 @@ def test_escaped_transport_maps_to_failing_check(monkeypatch):
     def boom(scenario, seed):
         raise IncompleteTransportError(0.415, point=[2.1, 0.0, 0.4])
 
-    monkeypatch.setitem(cli._RUNNERS, "apath", boom)
+    monkeypatch.setitem(cli.KINDS, "apath",
+                        cli.KINDS["apath"]._replace(run=boom))
     report, code = run_scenario({"name": "esc", "kind": "apath"})
     assert code == 1 and report["verdict"] == "FAIL"
     (check,) = report["checks"]
@@ -123,12 +123,14 @@ def test_escaped_transport_maps_to_failing_check(monkeypatch):
 @pytest.mark.parametrize("exc", [
     ValueError("math domain error"), ZeroDivisionError("float division by zero"),
     OverflowError("math range error"),
-    np.linalg.LinAlgError("SVD did not converge")])
+    np.linalg.LinAlgError("SVD did not converge"),
+    MemoryError("Unable to allocate 7.28 TiB for an array")])
 def test_evaluator_errors_map_to_failing_check(monkeypatch, exc):
     def boom(scenario, seed):
         raise exc
 
-    monkeypatch.setitem(cli._RUNNERS, "apath", boom)
+    monkeypatch.setitem(cli.KINDS, "apath",
+                        cli.KINDS["apath"]._replace(run=boom))
     report, code = run_scenario({"name": "err", "kind": "apath"})
     assert code == 1 and report["verdict"] == "FAIL"
     (check,) = report["checks"]
@@ -359,42 +361,22 @@ def test_every_tolerance_key_in_use_is_accepted():
             {"tolerances": {key: 1e-6 for key in keys}}, kind)
 
 
-def _tolerances_read(runner):
-    """The tolerance names a runner passes to `_scored` or `_tol`: string
-    literals, and loop variables over a module constant or over a literal
-    tuple of names or of (name, …) pairs."""
-    loops = {}   # loop variable → the loop over it
-    for node in ast.walk(runner):
-        if isinstance(node, (ast.For, ast.comprehension)):
-            target = node.target
-            first = target.elts[0] if isinstance(target, ast.Tuple) else target
-            loops[first.id] = node
+def test_the_tolerance_table_is_what_each_runner_reads(monkeypatch):
+    # the bundled scenarios reach every scored check of every kind: each
+    # kind reads exactly the tolerances it declares, and a name it does not
+    # declare has no default, so `_tol` raises KeyError on it
+    read = {kind: set() for kind in cli.KINDS}
+    tol = cli._tol
 
-    def values(loop):
-        it = loop.iter
-        out = (getattr(cli, it.id) if isinstance(it, ast.Name)
-               else ast.literal_eval(it))
-        return {v[0] if isinstance(loop.target, ast.Tuple) else v
-                for v in out}
+    def recording(scenario, name):
+        read[scenario["kind"]].add(name)
+        return tol(scenario, name)
 
-    read = set()
-    for node in ast.walk(runner):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in ("_scored", "_tol"):
-            name = node.args[1]
-            read |= ({name.value} if isinstance(name, ast.Constant)
-                     else values(loops[name.id]))
-    return read
-
-
-def test_the_tolerance_table_is_what_each_runner_reads():
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    defs = {node.name: node for node in tree.body
-            if isinstance(node, ast.FunctionDef)}
-    assert set(cli.TOLERANCES) == set(cli.KINDS) == set(cli._RUNNERS)
-    for kind, runner in cli._RUNNERS.items():
-        assert set(cli.TOLERANCES[kind]) == \
-            _tolerances_read(defs[runner.__name__]), kind
+    monkeypatch.setattr(cli, "_tol", recording)
+    for p in SCENARIOS.glob("*.json"):
+        run_scenario(json.loads(p.read_text()))
+    assert read == {kind: set(declared.tolerances)
+                    for kind, declared in cli.KINDS.items()}
 
 
 def test_nan_condition_residual_never_agrees_with_the_oracle(monkeypatch):
@@ -506,6 +488,62 @@ NAMED_INPUT_ERRORS = [
     (sphere_area("1e200*1e200"), "area.expected"),
     # an expected verdict is one of the three the lattice can reach
     (dict(LATTICE, expected_verdict="INTEGRABLE"), "expected_verdict"),
+    # a key no check reads is refused, since a misspelled one would run
+    # the defaults and could PASS: `sampels` would leave 64 samples and
+    # `fields.connexion` the flat connection, under which BROKEN_COUPLING
+    # passes every condition
+    ({"name": "h", "kind": "coupling-check", "example": "hopf",
+      "sampels": 3, "chekcs": ["closure"], "seeed": 5}, "sampels"),
+    ({"name": "h", "kind": "coupling-check", "example": "hopf",
+      "chekcs": ["closure"]}, "chekcs"),
+    ({"name": "h", "kind": "coupling-check", "example": "hopf",
+      "seeed": 5}, "seeed"),
+    (dict(BROKEN_COUPLING, fields={
+        ("connexion" if k == "connection" else k): v
+        for k, v in BROKEN_COUPLING["fields"].items()}), "fields.connexion"),
+    ({"name": "t", "kind": "transgress",
+      "families": [{"family": "round-sphere", "node": [9, 9]}]},
+     "families[0].node"),
+    ({"name": "a", "kind": "transgress",
+      "area": {"family": "round-sphere", "nodes": [9, 9],
+               "expeted": "4*pi"}}, "area.expeted"),
+    ({"name": "y", "kind": "ymh-build", "example": "hopf", "sample": 8},
+     "sample"),
+    ({"name": "t", "kind": "transgress", "x_0": [0.3],
+      "families": [{"family": "round-sphere", "nodes": [9, 9]}]}, "x_0"),
+    (dict(LATTICE, radius=[1.0]), "radius"),
+    ({"name": "a", "kind": "apath", "halfing": False}, "halfing"),
+    ({"name": "g", "kind": "groupoid-check", "instanse": "twisted-product"},
+     "instanse"),
+    # only a lattice has a grid, only hopf has charts, and an example that
+    # takes no f, or inline fields beside an example, would drop one
+    ({"name": "a", "kind": "apath", "grid": [64, 64]}, "grid"),
+    ({"name": "c", "kind": "coupling-check", "example": "hopf-flat",
+      "chart": 1}, "chart"),
+    ({"name": "c", "kind": "coupling-check", "example": "so3-coadjoint",
+      "f": "3*x"}, "f"),
+    (dict(PI_ONLY_COUPLING, example="hopf"), "example"),
+    # Simpson needs an even lattice grid, which is refused when odd rather
+    # than rounded up behind the echoed grid
+    (dict(LATTICE, grid=[15, 15]), "grid"),
+    (dict(LATTICE, grid=[16, 3]), "grid"),
+    # counts are bounded, so an oversized one is refused before any array
+    # over it is allocated
+    (dict(PI_ONLY_COUPLING, samples=10 ** 13), "samples"),
+    ({"name": "y", "kind": "ymh-build", "example": "hopf",
+      "samples": cli.MAX_SAMPLES + 1}, "samples"),
+    ({"name": "g", "kind": "groupoid-check", "samples": 10 ** 13}, "samples"),
+    # a seed numpy cannot take is bad input, not an evaluation error
+    ({"name": "g", "kind": "groupoid-check", "seed": 2 ** 32}, "seed"),
+    (dict(LATTICE, grid=[cli.MAX_LATTICE_GRID + 2, 2]), "grid"),
+    (dict(LATTICE, grid=[2, 10 ** 13]), "grid"),
+    ({"name": "t", "kind": "transgress",
+      "families": [{"family": "round-sphere", "nodes": [9, 9]},
+                   {"family": "round-sphere", "nodes": [10 ** 13 + 1, 9]}]},
+     "families[1].nodes"),
+    ({"name": "a", "kind": "transgress",
+      "area": {"family": "round-sphere",
+               "nodes": [9, cli.MAX_FAMILY_NODES + 2]}}, "area.nodes"),
 ]
 
 
@@ -515,8 +553,10 @@ def test_validation_errors_exit_two(monkeypatch, capsys, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("a malformed scenario reached the integrator")
 
-    monkeypatch.setattr(cli, "flow_commutation_residual", refuse)
-    monkeypatch.setattr(cli, "so3_lattice", refuse)
+    for name in ("flow_commutation_residual", "so3_lattice",
+                 "check_coupling_conditions", "dirac_closure_residual",
+                 "transgress", "transgress_flat", "integrated_data_check"):
+        monkeypatch.setattr(cli, name, refuse)
     for k, (scenario, field) in enumerate(NAMED_INPUT_ERRORS):
         path = tmp_path / f"named{k}.json"
         path.write_text(json.dumps(scenario))

@@ -307,12 +307,15 @@ def test_function_library_on_arrays_matches_scalars(name):
 
 
 def test_array_duals_have_no_order():
-    d = Dual(np.array([0.5, -0.5]), 1.0)
-    for compare in (lambda: d < 0.0, lambda: d <= 0.0, lambda: d > 0.0,
-                    lambda: d >= 0.0, lambda: 0.0 < d, lambda: abs(d)):
-        with pytest.raises(TypeError):
-            compare()
-    assert abs(Dual(-0.5, 1.0)).eps == -1.0
+    # scalar and nested Duals have none either: a check compares
+    # `value_of`, never a Dual
+    for d in (Dual(np.array([0.5, -0.5]), 1.0), Dual(-0.5, 1.0),
+              Dual(Dual(0.5, 1.0), 1.0)):
+        for compare in (lambda: d < 0.0, lambda: d <= 0.0, lambda: d > 0.0,
+                        lambda: d >= 0.0, lambda: 0.0 < d, lambda: d < d,
+                        lambda: abs(d)):
+            with pytest.raises(TypeError):
+                compare()
 
 
 def test_domain_errors_on_arrays_are_nan():

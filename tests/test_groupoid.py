@@ -11,6 +11,7 @@ from fiberdirac import fields
 from fiberdirac._numerics import (bilinear, intersection_dimension, matvec,
                                   nullspace, sample_unit_cube, unstack, worst)
 from fiberdirac.charts import CoordinateDomain
+from fiberdirac.cli import KINDS
 from fiberdirac.coupling import GeometricData
 from fiberdirac.fibration import (Connection, FiberedSpace, FlatConnection,
                                   HorizontalForm, VerticalBivector)
@@ -181,9 +182,12 @@ def test_coupling_form_matrix_blocks(twist):
     assert np.allclose(mat, want, atol=1e-12)
 
 
-#: the CLI's default tolerance for each entry of the integrated-data report
-CLI_TOLERANCES = {"fiber_nondegeneracy_dim": 0.5, "horizontal_identity": 1e-8,
-                  "hor_projection": 1e-10, "hor_vertical_orthogonality": 1e-10}
+#: the CLI's tolerance for each entry of the integrated-data report: the
+#: fixed threshold of the intersection dimension, and the declared defaults
+CLI_TOLERANCES = {"fiber_nondegeneracy_dim": 0.5} | {
+    key: KINDS["groupoid-check"].tolerances[key]
+    for key in ("horizontal_identity", "hor_projection",
+                "hor_vertical_orthogonality")}
 
 
 @pytest.mark.parametrize("twist", [False, True], ids=["split", "twisted"])

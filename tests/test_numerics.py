@@ -20,7 +20,7 @@ from fiberdirac._numerics import (det, halves, intersection_dimension,
                                   simpson_integrate, simpson_weights,
                                   skew_matrix, smoothstep, stack,
                                   time_table, unstack, worst)
-from reference import per_dimension_unit_cube
+from reference import per_dimension_unit_cube, per_node_simpson_integrate
 from test_coupling import per_vector_distance
 
 
@@ -263,6 +263,18 @@ def test_simpson_weights_and_cubic_exactness():
                                                        rel=1e-14)
     with pytest.raises(ValueError):
         simpson_weights(4)            # even node counts have no rule
+
+
+def test_simpson_sums_are_the_per_node_weights_to_the_bit():
+    # the three weights, repeated, are the ones each node computes, so every
+    # sum keeps its bits, on floats and on rows of arrays
+    rng = np.random.default_rng(3)
+    for n in range(3, 130, 2):
+        floats = rng.uniform(-2.0, 2.0, n).tolist()
+        rows = list(rng.uniform(-2.0, 2.0, (n, 4)))
+        for samples in (floats, rows):
+            assert hexes(simpson_integrate(samples)) == \
+                hexes(per_node_simpson_integrate(samples)), n
 
 
 def test_smoothstep_endpoint_derivatives():
