@@ -413,7 +413,9 @@ def _rows_below(rank, count):
 def orthonormal_basis(rows):
     """Orthonormal row basis of span(rows) via SVD with rank threshold.  On
     a stack (..., k, d) each item keeps min(k, d) rows, those past its rank
-    zeroed, so the stack stays one array."""
+    zeroed, so the stack stays one array.  Only `principal_angles` and
+    `intersection_dimension` call it; the benchmark tracer patches it by
+    name."""
     a = as_float_matrix(rows)
     if a.size == 0:
         return np.zeros((0, a.shape[1] if a.ndim == 2 else 0))
@@ -445,7 +447,10 @@ def intersection_dimension(rows_a, rows_b):
     which resolve a small angle that arccos of a cosine near 1 cannot (one
     ulp below 1 is an angle of 1.5e-8).  A zeroed row of a stacked Q_b
     leaves a zero singular value, which is not counted: it is an angle of
-    π/2, as in `principal_angles`."""
+    π/2, as in `principal_angles`.  No package module calls it (the
+    groupoid's fiber nondegeneracy is the kernel of a block of Ω); the
+    tests keep it as a reference and the benchmark tracer patches it by
+    name."""
     qa = orthonormal_basis(rows_a)
     qb = orthonormal_basis(rows_b)
     if qa.shape[-2] == 0 or qb.shape[-2] == 0:

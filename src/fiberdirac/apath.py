@@ -49,11 +49,13 @@ the residual at the integrator's fourth order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from . import dual as dm
 from .dual import Dual
 from ._numerics import (DEFAULT_RK4_STEP, dot, halves, matvec,
-                        rk4_integrate, smoothstep, stacked_matrix,
-                        time_table, worst)
+                        rk4_integrate, rk4_step, rk4_times, smoothstep,
+                        stacked_matrix, time_table, worst)
 from .fibration import BasePath, Transport
 
 
@@ -100,13 +102,15 @@ class AlgebroidPath:
 
 def build_apath(geom, base_path, x0, covector_path, name=""):
     """Construct an anchor-compatible path by integrating the fiber ODE
-    from x0 with the given covector curve.  The fiber path is cached at the
-    integrator's own nodes and interpolated nowhere: it is re-integrated
-    from the nearest cached node, so evaluations stay at integrator
-    accuracy for any t.  Each integration evaluates the base path and
-    `covector_path` once, at the array of its RK4 times, so
-    `covector_path(t)` must accept one: each entry a number or an array
-    over the times."""
+    from x0 with the given covector curve.  The states at the nodes of one
+    RK4 run over [0, 1] (every other time of `rk4_times`) are kept: node k
+    is stepped from node k − 1 by `rk4_step`, only as far as a query
+    reaches.  A time between nodes is answered by one short run from the
+    node below, so every answer is at integrator accuracy and the same
+    whatever was asked before.  Building the path evaluates the base path
+    and `covector_path` once, at the array of the run's RK4 times, and each
+    short run once at its own, so `covector_path(t)` must accept one: each
+    entry a number or an array over the times."""
     space = geom.space
     n = space.n_base
 
@@ -126,21 +130,27 @@ def build_apath(geom, base_path, x0, covector_path, name=""):
 
         return rhs
 
-    cache = {0.0: list(x0)}
+    node_times = rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)[::2]
+    h = 1.0 / (len(node_times) - 1)
+    run = anchor_rhs(0.0, 1.0)
+    nodes = [list(x0)]
 
     def fiber_path(t):
         tv = dm.value_of(t)
-        t0 = max((s for s in cache if s <= tv + 1e-15), default=0.0)
-        near = abs(tv - t0) <= 1e-15
-        rhs = None if near and not isinstance(t, Dual) else anchor_rhs(t0, tv)
-        x = list(cache[t0]) if near else rk4_integrate(rhs, cache[t0], t0, tv)
+        k = max(bisect_right(node_times, tv) - 1, 0)
+        for j in range(len(nodes) - 1, k):
+            nodes.append(rk4_step(run, node_times[j], nodes[j], h))
+        rhs = run
+        if tv == node_times[k]:
+            x = list(nodes[k])
+        else:
+            rhs = anchor_rhs(node_times[k], tv)
+            x = rk4_integrate(rhs, nodes[k], node_times[k], tv)
         if not isinstance(t, Dual):
-            cache[tv] = [dm.value_of(c) for c in x]
             return x
-        # dual time: one extra step for the velocity channel
-        base = [dm.value_of(c) for c in x]
-        vel = rhs(tv, base)
-        return [Dual(b, v * t.eps) for b, v in zip(base, vel)]
+        # dual time: one extra evaluation for the velocity channel
+        vel = rhs(tv, x)
+        return [Dual(b, v * t.eps) for b, v in zip(x, vel)]
 
     return AlgebroidPath(geom, base_path, fiber_path, covector_path,
                          name=name or "integrated-apath")

@@ -69,9 +69,10 @@ SPHERE_F = "2*x+1"   # the f of the sphere models when a scenario sets none
 MIN_APATH_STEP = 1e-4
 
 #: bounds on counts, since a check holds arrays over all of them at once
-#: (2-vCPU Xeon): a groupoid check peaks near 0.6 GB at 2**17 samples, a
-#: transgression near 0.13 GB at 1025 × 1025 nodes, and a lattice of
-#: 1024 × 1024 intervals takes 0.24 s; the last two grow with n_t·n_ε
+#: (2-vCPU Xeon): a groupoid check peaks near 0.1 GB of resident memory at
+#: 2**16 samples (0.17 GB at 2**17), a transgression near 0.13 GB at
+#: 1025 × 1025 nodes, and a lattice of 1024 × 1024 intervals takes 0.24 s;
+#: the last two grow with n_t·n_ε
 MAX_SAMPLES = 2 ** 16
 MAX_FAMILY_NODES = 1025
 MAX_LATTICE_GRID = 1024
@@ -321,6 +322,17 @@ def _require(scenario, key, kinds, field=None):
     return val
 
 
+def _fiber_point(scenario, default, fiber):
+    """The scenario's `x0`, else `default`: one finite number per coordinate
+    of the fiber chart `fiber`, inside it (its edge counts as inside)."""
+    x0 = _reals(scenario.get("x0", default), "x0", fiber.dim)
+    if not fiber.contains(x0):
+        raise ScenarioError("x0", f"the point {x0} lies outside the fiber "
+                                  f"chart {fiber.name!r}, the box "
+                                  f"{[list(b) for b in fiber.bounds]}")
+    return x0
+
+
 def _scenario_f(scenario, variable, default):
     """The scenario's `f`, else `default`, as a function of `variable`."""
     expr = compile_expression(scenario.get("f", default), [variable], "f")
@@ -335,6 +347,9 @@ def _example_or_inline(scenario):
         if "example" in scenario:
             raise ScenarioError("example", "a scenario gives an example or "
                                            "inline fields, not both")
+        if "f" in scenario and "leaf-form" not in scenario.get("checks", ()):
+            raise ScenarioError("f", "inline fields read no f; only the "
+                                     "leaf-form check does")
         return _inline_geometry(scenario["fields"])
     name = _require(scenario, "example", str)
     if name not in EXAMPLES:
@@ -424,14 +439,14 @@ def _inline_geometry(cfg):
 # -- kind runners ---------------------------------------------------------------------
 
 def _run_coupling_check(scenario, seed):
-    geom = _example_or_inline(scenario)
-    samples = _count(scenario.get("samples", 64), "samples", 1, MAX_SAMPLES)
     wanted = scenario.get("checks", ["conditions"])
     if (not isinstance(wanted, list) or not wanted
             or any(w not in COUPLING_CHECKS for w in wanted)):
         raise ScenarioError("checks", f"expected a non-empty list of check "
                                       f"names from {list(COUPLING_CHECKS)}, "
                                       f"got {wanted!r}")
+    geom = _example_or_inline(scenario)
+    samples = _count(scenario.get("samples", 64), "samples", 1, MAX_SAMPLES)
     checks, extras = [], {}
     cond = res = None
     if "conditions" in wanted or "oracle-agreement" in wanted:
@@ -530,7 +545,7 @@ def _build_family(cfg, field, keys):
 
 def _run_transgress(scenario, seed):
     geom = EXAMPLES["hopf-flat"](_scenario_f(scenario, "x", "x"))
-    x0 = _reals(scenario.get("x0", [0.3]), "x0", 1)
+    x0 = _fiber_point(scenario, [0.3], geom.space.fiber)
     families = scenario.get("families", [])
     if not isinstance(families, list):
         raise ScenarioError("families", f"expected a list of families, got "
@@ -627,7 +642,8 @@ def _run_apath(scenario, seed):
         raise ScenarioError("step", f"expected a step >= {MIN_APATH_STEP}, "
                                     f"got {step!r}")
     eps = _real(scenario.get("eps", 0.3), "eps")
-    x0 = _reals(scenario.get("x0", [0.6, 0.0, 0.8]), "x0", 3)
+    fiber = HamiltonianFiber.coadjoint_so3()
+    x0 = _fiber_point(scenario, [0.6, 0.0, 0.8], fiber.domain)
     halving = _flag(scenario, "halving")
     alpha_exprs = scenario.get("alpha", [
         "(3+e)*sin(2*pi*t)", "2.5*cos(3*pi*t)-e*t", "1.5*sin(5*t+e)"])
@@ -638,7 +654,6 @@ def _run_apath(scenario, seed):
     fns = [compile_expression(e, ["t", "e"], field=f"alpha[{i}]")
            for i, e in enumerate(alpha_exprs)]
     alpha = lambda t, e: [f([t, e]) for f in fns]
-    fiber = HamiltonianFiber.coadjoint_so3()
     r1 = flow_commutation_residual(fiber, alpha, x0, eps=eps, step=step)
     checks = [_scored(scenario, "flow_commutation", r1)]
     extras = {"residual_at_step": r1}

@@ -12,7 +12,10 @@ of the invariant lifts.
 Conventions (recorded in reports): arrows are concatenated coordinate
 blocks (y ‖ x) with t(y, x) = y and s(y, x) = x; the left-invariant lift
 of a vertical covector η is the block field (0, ♯η) and the right-
-invariant lift is (♯ξ, 0).
+invariant lift is (♯ξ, 0).  Sign: the fiber block π_V⁻¹ of the coupling
+form integrates the coupling structure of −π_V — the graph of ω_H ⊕ π_V⁻¹
+is the Dirac frame of (−π_V, Γ, ω_H), not of (π_V, Γ, ω_H) — until the
+paper's convention is settled.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import numpy as np
 
 from . import dual as dm
 from . import fields
-from ._numerics import (adjugate_inverse, bilinear, combos, det, dot,
-                        intersection_dimension, matvec, nullspace,
-                        sample_unit_cube, stacked_matrix, worst)
+from ._numerics import (RANK_THRESHOLD, adjugate_inverse, bilinear, combos,
+                        det, dot, matvec, nullspace, sample_unit_cube,
+                        stacked_matrix, worst)
 
 CLOSED_TOL = 1e-10
 SAMPLE_BOX = 1.5   # the checks sample the coordinate box [−1.5, 1.5]^d
@@ -192,7 +195,8 @@ def coupling_form(geom):
     """The coupling two-form ω_H ⊕ π_V⁻¹ on the total space: ω_H on
     horizontal subspaces (the graph of the connection), the inverse
     vertical structure on fibers, zero mixed pairing.  Requires π_V
-    invertible on the fiber."""
+    invertible on the fiber.  Its graph is the Dirac frame of the triple
+    (−π_V, Γ, ω_H): the fiber block π_V⁻¹ integrates −π_V."""
     space = geom.space
     nb, nf, dim = space.n_base, space.n_fiber, space.dim
 
@@ -279,8 +283,9 @@ def integrated_data_check(geom, count=6, seed=0):
     coupling form Ω = pair(ω_H ⊕ π_V⁻¹) at `count` sampled arrows:
 
     (a) fiber nondegeneracy over the base pair groupoid — the graph of Ω
-        meets Ver_G ⊕ Ver_G⁰ trivially at sampled arrows (one stacked
-        subspace intersection over all arrows);
+        meets Ver_G ⊕ Ver_G⁰ trivially at sampled arrows, i.e. Ω's
+        vertical block has trivial kernel (one stacked SVD over all
+        arrows);
     (b) the horizontal-form identity Ω(HOR(v₁,w₁), HOR(v₂,w₂)) =
         ω_H(h v₁, h v₂)∘t − ω_H(h w₁, h w₂)∘s on coordinate lifts;
     (c) HOR(v, w) projects to (v, w) and is Ω-orthogonal to Ver_G,
@@ -297,26 +302,18 @@ def integrated_data_check(geom, count=6, seed=0):
     arrow = y + x
     mat = form.matrix(arrow)
 
-    # (a) graph(Ω) against Ver_G ⊕ Ver_G⁰ inside T ⊕ T*: per block, the
-    # fiber vectors, then the base covectors
-    two_d = 2 * dim
-    zero = [0.0] * two_d
-    ver = [[dm.unit(two_d, blk * dim + nb + i) for i in range(nf)]
-           for blk in (0, 1)]
-    w_rows = []
-    for blk in (0, 1):
-        w_rows += [v + zero for v in ver[blk]]
-        w_rows += [zero + dm.unit(two_d, blk * dim + i) for i in range(nb)]
-    # the graph rows e_i ‖ Ω_i of every arrow, one stack
+    # (a) graph(Ω) meets Ver_G ⊕ Ver_G⁰ in {(u, Ωu) : u vertical, Ωu
+    # vanishing on Ver_G}: the kernel of Ω's vertical block, counted by
+    # singular values below the absolute threshold
     big_omega = stacked_matrix(mat, arrow[0])
     if not np.isfinite(big_omega).all():
-        # an infinite entry would give NaN singular values: rank 0, and
-        # an intersection that reads 0
+        # an infinite entry would give NaN singular values, none below the
+        # threshold, and a kernel that reads 0
         raise ValueError("the coupling form is not finite at a sampled "
                          "arrow")
-    graph = np.concatenate(
-        [np.broadcast_to(np.eye(two_d), big_omega.shape), big_omega], axis=-1)
-    max_intersection = int(intersection_dimension(graph, w_rows).max())
+    ver = [blk * dim + nb + i for blk in (0, 1) for i in range(nf)]
+    sv = np.linalg.svd(big_omega[..., ver, :][..., ver], compute_uv=False)
+    max_kernel = int(np.sum(sv < RANK_THRESHOLD, axis=-1).max())
 
     # (b) and (c) on coordinate-sampled base vectors
     unit = sample_unit_cube(4 * count, nb, seed=seed + 1)
@@ -330,12 +327,11 @@ def integrated_data_check(geom, count=6, seed=0):
            - geom.omega_h.value(x, [w1, w2]))
     proj = h1[:nb] + h1[dim:dim + nb]
     return {
-        "fiber_nondegeneracy_dim": max_intersection,
+        "fiber_nondegeneracy_dim": max_kernel,
         "horizontal_identity": worst(
             [abs(dm.value_of(lhs) - dm.value_of(rhs))]),
         "hor_projection": worst(abs(a - b)
                                 for a, b in zip(proj, v1 + w1)),
         "hor_vertical_orthogonality": worst(
-            abs(dm.value_of(bilinear(mat, h1, v)))
-            for block in ver for v in block),
+            abs(dm.value_of(dot(h1, [row[j] for row in mat]))) for j in ver),
     }

@@ -12,8 +12,10 @@ import math
 import numpy as np
 
 from fiberdirac import dual as dm
-from fiberdirac._numerics import (bilinear, coboundary, combos, dot, matvec,
-                                  simpson_integrate, smoothstep, worst)
+from fiberdirac._numerics import (bilinear, coboundary, combos, dot,
+                                  intersection_dimension, matvec,
+                                  simpson_integrate, smoothstep,
+                                  stacked_matrix, worst)
 from fiberdirac.apath import AlgebroidPath, _warped
 from fiberdirac.charts import CoordinateDomain
 from fiberdirac.coupling import _default_fiber_covector
@@ -21,6 +23,7 @@ from fiberdirac.fibration import (BasePath, HorizontalForm,
                                   directional_on_total)
 from fiberdirac.fields import (MULTIVECTOR, SCALAR, SmoothField,
                                antisym_matrix)
+from fiberdirac.groupoid import PairForm, _strided, coupling_form
 from fiberdirac.monodromy import (_RADIAL_DIR, lattice_model_data,
                                   round_sphere, transgress)
 from fiberdirac.yangmills import monopole_potential
@@ -330,3 +333,29 @@ def per_radius_lattice(f, radii, grid):
     return [dot(transgress(geom, family,
                            [r * c for c in _RADIAL_DIR]).endpoint(),
                 _RADIAL_DIR) for r in radii if r > 0.0]
+
+
+# -- fiber nondegeneracy as a subspace intersection -----------------------------------
+
+def fiber_intersection_dim(geom, count, seed):
+    """Part (a) of `integrated_data_check` by its definition in T ⊕ T*:
+    the largest dim(graph(Ω) ∩ (Ver_G ⊕ Ver_G⁰)) over the `count` sampled
+    arrows, one stacked `intersection_dimension` call over them."""
+    space = geom.space
+    nb, nf, dim = space.n_base, space.n_fiber, space.dim
+    y, x = _strided(geom.sample_points(2 * count, seed=seed), 2)
+    arrow = y + x
+    big_omega = stacked_matrix(PairForm(coupling_form(geom)).matrix(arrow),
+                               arrow[0])
+    two_d = 2 * dim
+    zero = [0.0] * two_d
+    # per block, the fiber vectors, then the base covectors
+    w_rows = []
+    for blk in (0, 1):
+        w_rows += [dm.unit(two_d, blk * dim + nb + i) + zero
+                   for i in range(nf)]
+        w_rows += [zero + dm.unit(two_d, blk * dim + i) for i in range(nb)]
+    # the graph rows e_i ‖ Ω_i of every arrow, one stack
+    graph = np.concatenate(
+        [np.broadcast_to(np.eye(two_d), big_omega.shape), big_omega], axis=-1)
+    return int(intersection_dimension(graph, w_rows).max())

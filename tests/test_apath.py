@@ -13,7 +13,8 @@ from fiberdirac import _numerics
 from fiberdirac import apath as apath_module
 from fiberdirac import dual as dm
 from fiberdirac import fibration
-from fiberdirac._numerics import matvec, rk4_integrate, smoothstep, worst
+from fiberdirac._numerics import (matvec, rk4_integrate, rk4_times,
+                                  smoothstep, worst)
 from fiberdirac.apath import (build_apath, concat_base, concat_split,
                               flow_commutation_residual, inverse_split,
                               solve_evolution, split_apath, unsplit_apath)
@@ -452,14 +453,36 @@ def test_curved_transport_evaluates_its_path_once(monkeypatch, geom,
 
 
 def test_built_path_evaluates_its_drive_once_per_integration(geom, apath):
+    # building the path evaluates the drive once, at the 2001 RK4 times of
+    # the run over [0, 1]; a time between nodes evaluates it once more, on
+    # the three times of its short run, and a node time not at all
     calls, covectors = [], []
     cov = lambda t: covectors.append(np.shape(t)) or [0.2 + 0.1 * t,
                                                       -0.3 * t * t, 0.05]
     built = build_apath(geom, counted_path(apath.base_path, calls),
                         X_START, cov)
-    built.fiber_path(0.4)
-    built.fiber_path(0.4)      # cached: no integration, no evaluation
-    assert calls == covectors == [(801,)]
+    built.fiber_path(0.0)      # node 0: x0 itself
+    assert calls == covectors == [(2001,)]
+    built.fiber_path(0.4004)   # between nodes 400 and 401
+    built.fiber_path(rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)[2 * 300])
+    built.fiber_path(0.4004)
+    assert calls == covectors == [(2001,), (3,), (3,)]
+
+
+def test_a_built_path_answers_independently_of_query_order(geom):
+    # every answer is read off the nodes of the one run over [0, 1], so a
+    # time gives the same bits whatever was asked before it
+    def hexes(path, t):
+        return [v.hex() for c in path.fiber_path(t)
+                for v in ((c.re, c.eps) if isinstance(c, dm.Dual) else (c,))]
+
+    for t in (0.7, dm.Dual(0.7, 1.0)):
+        fresh = hexes(loop_apath(geom), t)
+        for earlier in ((0.3,), (0.9,), (0.3, dm.Dual(0.5, 1.0), 0.69)):
+            path = loop_apath(geom)
+            for s in earlier:
+                path.fiber_path(s)
+            assert hexes(path, t) == fresh, earlier
 
 
 # -- the time tables against the per-time route they replace -------------------------

@@ -523,6 +523,20 @@ NAMED_INPUT_ERRORS = [
     ({"name": "c", "kind": "coupling-check", "example": "so3-coadjoint",
       "f": "3*x"}, "f"),
     (dict(PI_ONLY_COUPLING, example="hopf"), "example"),
+    # with inline fields only the leaf-form check reads f, so an f beside
+    # them and no leaf-form check would be dropped
+    ({"name": "y", "kind": "ymh-build", "fields": inline()["fields"],
+      "f": "1/0"}, "f"),
+    (dict(inline(), f="1/0"), "f"),
+    (dict(inline(), checks=["conditions", "closure"], f="2*x+1"), "f"),
+    # a start point lies in the model's fiber chart: |x| <= 1.5 for
+    # transgress (hopf-flat), |x_i| <= 2 for apath (so(3)*)
+    ({"name": "t", "kind": "transgress", "x0": [5.0],
+      "families": [{"family": "round-sphere", "nodes": [9, 9]}]}, "x0"),
+    ({"name": "t", "kind": "transgress", "x0": [-1.6],
+      "area": {"family": "round-sphere", "nodes": [9, 9]}}, "x0"),
+    ({"name": "a", "kind": "apath", "x0": [3.0, 0.0, 4.0]}, "x0"),
+    ({"name": "a", "kind": "apath", "x0": [0.6, 0.0, 2.1]}, "x0"),
     # Simpson needs an even lattice grid, which is refused when odd rather
     # than rounded up behind the echoed grid
     (dict(LATTICE, grid=[15, 15]), "grid"),
@@ -640,6 +654,30 @@ def test_leaf_form_refuses_a_base_that_is_no_sphere_chart(scenario):
     with pytest.raises(ScenarioError) as err:
         run_scenario(scenario)
     assert err.value.field == "checks"
+
+
+def test_leaf_form_on_inline_sphere_fields_reads_f():
+    # ω_H = (2x + 1)·(round area form) is the leaf form f·(round form) for
+    # the f that is also the default, and not for 3x + 1
+    area = "(2*x1+1)*4/((1+b1*b1+b2*b2)*(1+b1*b1+b2*b2))"
+    scenario = {"name": "s", "kind": "coupling-check",
+                "fields": {"base_chart": "sphere",
+                           "fiber_bounds": [[-1.5, 1.5]], "omega": [area]},
+                "checks": ["leaf-form"]}
+    codes = [run_scenario(dict(scenario, **f))[1]
+             for f in ({}, {"f": "2*x+1"}, {"f": "3*x+1"})]
+    assert codes == [0, 0, 1]
+
+
+@pytest.mark.parametrize("scenario", [
+    {"name": "t", "kind": "transgress", "x0": [-1.5],
+     "families": [{"family": "round-sphere", "nodes": [9, 9]}]},
+    {"name": "a", "kind": "apath", "x0": [2.0, 0.0, -2.0],
+     "halving": False},
+], ids=["transgress", "apath"])
+def test_a_start_point_on_the_fiber_chart_edge_runs(scenario):
+    report, code = run_scenario(scenario)
+    assert code == 0, report
 
 
 def test_origin_check_measures_the_vertical_structure(monkeypatch):

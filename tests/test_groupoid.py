@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fiberdirac import dual as dm
 from fiberdirac import fields
-from fiberdirac._numerics import (bilinear, intersection_dimension, matvec,
-                                  nullspace, sample_unit_cube, unstack, worst)
+from fiberdirac._numerics import (bilinear, intersection_dimension,
+                                  lstsq_residual, matvec, nullspace,
+                                  sample_unit_cube, stacked_matrix, unstack,
+                                  worst)
 from fiberdirac.charts import CoordinateDomain
-from fiberdirac.cli import KINDS
-from fiberdirac.coupling import GeometricData
+from fiberdirac.cli import KINDS, _groupoid_instance
+from fiberdirac.coupling import GeometricData, frame_rows
 from fiberdirac.fibration import (Connection, FiberedSpace, FlatConnection,
                                   HorizontalForm, VerticalBivector)
 from fiberdirac.groupoid import (PairForm, PairGroupoid, _box_points,
@@ -20,6 +23,7 @@ from fiberdirac.groupoid import (PairForm, PairGroupoid, _box_points,
                                  multiplicativity_residual, pair_form,
                                  presymplectic_nondegeneracy,
                                  source_target_orthogonality)
+from reference import fiber_intersection_dim
 
 X = [0.1, -0.4]
 Y = [0.7, 0.2]
@@ -414,3 +418,85 @@ def test_a_huge_fiber_bivector_counts_every_vertical_direction(pi):
     for count, seed in ((1, 0), (6, 2)):
         report = integrated_data_check(geom, count=count, seed=seed)
         assert report["fiber_nondegeneracy_dim"] == 4
+
+
+def random_triple(nb, nf, log_scale, kappa, coeffs, slope, cross, om):
+    """A triple on [−1, 1]^nb × [−1, 1]^nf for the property test: π_V of
+    size 10^log_scale times 1 + κ·x₀ (x₀ the first fiber coordinate),
+    with the cross terms `cross` on a four-dimensional fiber (its
+    Pfaffian stays above 0.8); A = coeffs + slope·x₀; ω_H constant."""
+    space = FiberedSpace(CoordinateDomain.box([(-1.0, 1.0)] * nb),
+                         CoordinateDomain.box([(-1.0, 1.0)] * nf))
+    scale = 10.0 ** log_scale
+
+    def pi(p):
+        s = scale * (1.0 + kappa * p[nb])
+        return [s] if nf == 2 else [s] + [s * c for c in cross] + [s]
+
+    conn = Connection(space, lambda b, x: [[c + slope * x[0] for c in row]
+                                           for row in coeffs])
+    om_h = HorizontalForm(space, 2, lambda p: [om] * (nb * (nb - 1) // 2))
+    return GeometricData(space, conn, VerticalBivector(space, pi), om_h)
+
+
+@st.composite
+def triple_params(draw):
+    nb = draw(st.integers(1, 3))
+    nf = draw(st.sampled_from([2, 4]))
+    unit = st.floats(-1.0, 1.0)
+    return {"nb": nb, "nf": nf,
+            "log_scale": draw(st.floats(-2.0, 15.0)),
+            "kappa": draw(st.just(0.0) | st.floats(-0.25, 0.25)),
+            "coeffs": draw(st.lists(st.lists(unit, min_size=nb, max_size=nb),
+                                    min_size=nf, max_size=nf)),
+            "slope": draw(st.just(0.0) | st.floats(-0.5, 0.5)),
+            "cross": draw(st.lists(st.floats(-0.3, 0.3),
+                                   min_size=4, max_size=4)),
+            "om": draw(st.floats(-2.0, 2.0))}
+
+
+def twisted_with_pi(log_scale):
+    """`product_geometry(twist=True)`'s parameters with π_V = 10^log_scale."""
+    return {"nb": 2, "nf": 2, "log_scale": log_scale, "kappa": 0.0,
+            "coeffs": [[0.3, -0.1], [0.2, 0.4]], "slope": 0.0,
+            "cross": [0.0] * 4, "om": 1.5}
+
+
+@given(triple_params(), st.integers(1, 8), st.integers(0, 100))
+@example(twisted_with_pi(9.0), 6, 2)
+@example(twisted_with_pi(12.0), 6, 2)
+@example(twisted_with_pi(15.0), 6, 2)
+@settings(max_examples=100, deadline=None)
+def test_fiber_kernel_is_the_subspace_intersection(params, count, seed):
+    # dim(graph(Ω) ∩ (Ver_G ⊕ Ver_G⁰)) is the nullity of Ω's vertical
+    # block: the check's one SVD counts what the intersection in T ⊕ T*
+    # counts, from 0 through every vertical direction (π_V = 1e9, 1e12
+    # and 1e15 read 4 on both routes)
+    geom = random_triple(**params)
+    report = integrated_data_check(geom, count=count, seed=seed)
+    assert report["fiber_nondegeneracy_dim"] == \
+        fiber_intersection_dim(geom, count, seed)
+
+
+@pytest.mark.parametrize("instance", ["split-product", "twisted-product"])
+def test_the_coupling_form_integrates_the_structure_of_minus_pi(instance):
+    # the graph rows e_i ‖ Ω(e_i, ·) of ω_H ⊕ π_V⁻¹ span the Dirac frame of
+    # (−π_V, Γ, ω_H), and lie far from the frame of (π_V, Γ, ω_H): the
+    # fiber block π_V⁻¹ integrates the coupling structure of −π_V
+    geom = _groupoid_instance(instance)
+    pt = geom.sample_points(8, seed=0)
+    n = geom.space.dim
+    omega = stacked_matrix(fields.antisym_matrix(coupling_form(geom), pt),
+                           pt[0])
+    graph = np.concatenate([np.broadcast_to(np.eye(n), omega.shape), omega],
+                           axis=-1)
+
+    def distance(sign):
+        pi_v = VerticalBivector(
+            geom.space, lambda p: [sign * c for c in geom.pi_v(p)])
+        frame = frame_rows(GeometricData(geom.space, geom.connection, pi_v,
+                                         geom.omega_h))(pt)
+        return lstsq_residual(stacked_matrix(frame, pt[0]), graph).max()
+
+    assert distance(-1.0) < 1e-14
+    assert 0.85 < distance(1.0) < 0.95
