@@ -19,7 +19,9 @@ time `rk4_step` receives on an `rk4_integrate` run, and `rk4_integrate`
 walks that list.  What a right-hand side reads that depends on time alone
 (a path's point and velocity, a transport generator, a covector curve, a
 coefficient curve) comes from a `time_table`: one array call over that
-grid, whose rows the RK4 stages look up.
+grid, whose rows the RK4 stages look up.  A linear run z' = M(t) z takes
+no `rk4_step`: `linear_rk4` folds its RK4 step matrices, from M over the
+grid as whole arrays (`time_columns`).
 """
 
 from __future__ import annotations
@@ -53,6 +55,11 @@ def rk4_step(f, t, y, h):
             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
+def _step_count(t0, t1, step):
+    """The fewest RK4 steps of at most ``step`` from t0 to t1 (t1 ≠ t0)."""
+    return max(1, int(math.ceil(abs(t1 - t0) / step - 1e-12)))
+
+
 def rk4_times(t0, t1, step):
     """Every time `rk4_step` receives on the `rk4_integrate` run from t0 to
     t1: t0, then t + h/2 and t + h for each step, with t += h (the same
@@ -61,7 +68,7 @@ def rk4_times(t0, t1, step):
     times = [t0]
     if t1 == t0:
         return times
-    n = max(1, int(math.ceil(abs(t1 - t0) / step - 1e-12)))
+    n = _step_count(t0, t1, step)
     h = (t1 - t0) / n
     t = t0
     for _ in range(n):
@@ -94,20 +101,15 @@ def rk4_integrate(f, y0, t0, t1, step=DEFAULT_RK4_STEP, observer=None):
 
 def time_table(fn, t0, t1, step):
     """The rows of a time-only input of an RK4 right-hand side on the
-    `rk4_integrate` run from t0 to t1.
-
-    ``fn(T)`` takes a 1-D float array of times and returns a list of
-    entries, each a number (constant in time) or a float array whose first
-    axis runs over T (or has length one).  It is called once, on the whole
-    grid of `rk4_times`, under ``np.errstate(all="ignore")``: an input that
-    is undefined at some grid time (past an escape) is NaN there, not a
-    warning.  The returned lookup gives a time its row, the list of the
-    entries at that time: a Python float for a number or 1-D entry, an
-    array view otherwise.  A time off the grid (a partial step) is answered
-    by the same call on a one-entry array.  The columns are kept compact,
-    and a row is built when it is looked up."""
+    `rk4_integrate` run from t0 to t1, from one `time_columns` call on the
+    whole grid of `rk4_times`.  The returned lookup gives a time its row,
+    the list of the entries at that time: a Python float for a number or
+    1-D entry, an array view otherwise.  A time off the grid (a partial
+    step) is answered by the same call on a one-entry array.  The columns
+    are kept as `time_columns` returns them, and a row is built when it
+    is looked up."""
     times = array("d", rk4_times(t0, t1, step))
-    columns = _time_columns(fn, times)
+    columns = time_columns(fn, times)
     last = len(times) - 1
     half = (t1 - t0) / last if last else 1.0   # times[k] ≈ t0 + k·h/2
 
@@ -115,14 +117,20 @@ def time_table(fn, t0, t1, step):
         k = round((t - t0) / half)
         if 0 <= k <= last and times[k] == t:
             return [c[k] for c in columns]
-        return [c[0] for c in _time_columns(fn, [t])]
+        return [c[0] for c in time_columns(fn, [t])]
 
     return row
 
 
-def _time_columns(fn, times):
-    """The entries of fn over `times`, each broadcast along the time axis:
-    an ``array('d')`` when it holds one float per time, else an array."""
+def time_columns(fn, times):
+    """The entries of a time-only input over `times`, a run's `rk4_times`.
+    ``fn(T)`` takes a 1-D float array of times and returns a list of
+    entries, each a number (constant in time) or a float array whose first
+    axis runs over T (or has length one).  It is called once, under
+    ``np.errstate(all="ignore")``: an input that is undefined at some grid
+    time (past an escape) is NaN there, not a warning.  Each entry comes
+    back broadcast along the time axis: an ``array('d')`` when it holds one
+    float per time (its entries read as Python floats), else an array."""
     with np.errstate(all="ignore"):
         entries = fn(np.array(times, dtype=float))
     out = []
@@ -132,6 +140,52 @@ def _time_columns(fn, times):
         out.append(array("d", e.tobytes()) if e.ndim == 1
                    else np.ascontiguousarray(e))
     return out
+
+
+# -- RK4 on a linear system as products of step matrices ----------------------
+
+RK4_BLOCK = 64   # steps whose matrices `linear_rk4` forms at once
+
+
+def step_matrices(m, h):
+    """The RK4 step matrices (n, d, d) of z' = M(t) z, from M (2n + 1, d, d)
+    at a run's `rk4_times`: S_k = I + (h/6)(k₁ + 2k₂ + 2k₃ + k₄), with
+    k₁ = M(t_k), k₂ = M(t_k + h/2)(I + (h/2)k₁), k₃ = M(t_k + h/2)(I +
+    (h/2)k₂) and k₄ = M(t_k + h)(I + h k₃), RK4's stability polynomial
+    (Hairer, Nørsett & Wanner): S_k z is `rk4_step` of z, summed in
+    another order."""
+    eye = np.eye(m.shape[-1])
+    start, mid, end = m[:-1:2], m[1::2], m[2::2]
+    k2 = mid @ (eye + (0.5 * h) * start)
+    k3 = mid @ (eye + (0.5 * h) * k2)
+    k4 = end @ (eye + h * k3)
+    return eye + (h / 6.0) * (start + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def linear_rk4(matrices, t0, t1, step, state=None):
+    """The `rk4_integrate` run of z' = M(t) z from t0 to t1 as a product of
+    `step_matrices`, formed `RK4_BLOCK` steps at a time, so the working set
+    does not grow with the run, and folded in step order, so the result
+    does not depend on the block.  ``matrices(s)`` gives M at the entries s
+    (a slice) of the run's `rk4_times`.  Returns S_{n−1}⋯S_0 ``state`` (a
+    vector or a matrix; ``state`` itself when t1 == t0), or with no state
+    every node's product (n + 1, d, d), the identity first."""
+    if t1 == t0:
+        return state
+    n = _step_count(t0, t1, step)
+    h = (t1 - t0) / n
+    nodes = [] if state is None else None
+    for lo in range(0, n, RK4_BLOCK):
+        block = step_matrices(
+            matrices(slice(2 * lo, 2 * min(lo + RK4_BLOCK, n) + 1)), h)
+        if state is None:
+            state = np.eye(block.shape[-1])
+            nodes.append(state)
+        for s in block:
+            state = s @ state
+            if nodes is not None:
+                nodes.append(state)
+    return state if nodes is None else np.array(nodes)
 
 
 def stacked_matrix(rows, t):

@@ -27,9 +27,9 @@ point by point.  Building a path and every transport behind these
 constructors take RK4 steps of `DEFAULT_RK4_STEP`; only the
 flow-commutation check varies its step.  Every RK4 run here reads what
 depends on time alone (the base path's point and velocity, the covector
-curve, α) from a `_numerics.time_table`: one array evaluation over the
-run's RK4 times, so base paths, covector curves and α must accept an
-array of times.
+curve, α) from one array evaluation over the run's RK4 times
+(`_numerics.time_table`, `time_columns`), so base paths, covector curves
+and α must accept an array of times.
 
 The evolution solver integrates, for a two-parameter coefficient curve
 α^ε(t) in a finite-dimensional algebra acting linearly with generator G,
@@ -38,24 +38,27 @@ The evolution solver integrates, for a two-parameter coefficient curve
 
 which is the derivative-of-flow transport law: the ε-derivative of the
 time-t flow of the fields ρ(α^ε(t)) equals ρ(β^t(ε)) at the flowed point.
-Both take α^ε(t) and ∂_ε α^ε(t) from one dual-seeded evaluation of α at
-the array of all RK4 times of a run, α(T, Dual(ε, 1)).
 `flow_commutation_residual` measures exactly that identity at t = ¼, ½, ¾
-and 1.  It integrates the flow and the evolution as one RK4 system per
-quarter, so the two share that evaluation, and its only
-discretization is the single step parameter: halving the step contracts
-the residual at the integrator's fourth order.
+and 1.  Both are linear ODEs, the solver's in (β, 1) and the check's in
+(ψ, ∂_ε ψ, β, 1) per quarter, and each RK4 run of them is a product of
+step matrices (`_numerics.linear_rk4`) built from the values and tangents
+of one dual-seeded evaluation of α at the array of the run's RK4 times,
+α(T, Dual(ε, 1)).  The check's only discretization is the single step
+parameter: halving the step contracts the residual at the integrator's
+fourth order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
+import numpy as np
+
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, dot, halves, matvec,
+from ._numerics import (DEFAULT_RK4_STEP, dot, halves, linear_rk4, matvec,
                         rk4_integrate, rk4_step, rk4_times, smoothstep,
-                        stacked_matrix, time_table, worst)
+                        stacked_matrix, time_columns, time_table, worst)
 from .fibration import BasePath, Transport
 
 
@@ -308,37 +311,50 @@ def concat_split(second, first):
 
 # -- evolution solver ---------------------------------------------------------------
 
-def _evolution_law(alpha, eps, generator, t0, t1, step):
-    """t ↦ (α^ε(t) seeded in ε, G(α^ε(t)), ∂_ε α^ε(t)) on the RK4 run from
-    t0 to t1, from one evaluation α(T, Dual(ε, 1)) at the array of its
-    times: its values give G (None when `generator` is None), its tangents
-    the drive ∂_ε α.  A component of α that does not depend on ε stays a
-    plain number, as α returned it."""
+def _linear_run(alpha, eps, generator, t0, t1, step, z, n):
+    """z = (ψ, ∂_ε ψ, β, 1), ψ of n coordinates (none for the evolution
+    solver), carried from t0 to t1 by `_numerics.linear_rk4` of
+
+        ψ' = G(α) ψ,   (∂_ε ψ)' = G(α) ∂_ε ψ + G(∂_ε α) ψ,
+        β' = G(α) β + ∂_ε α   (G ≡ 0 when `generator` is None),
+
+    with G(α), G(∂_ε α) and ∂_ε α from the values and tangents of one
+    evaluation α(T, Dual(ε, 1)) at the array T of the run's RK4 times; the
+    tables live only here.  Entries z lacks at the start are 0, then 1."""
     seeded = Dual(eps, 1.0)
-    seeds = []   # per component of α: whether it carries the ε seed
 
     def columns(t):
         a = alpha(t, seeded)
-        seeds[:] = [isinstance(c, Dual) for c in a]
-        values = [dm.value_of(c) for c in a]
-        g = [] if generator is None else [stacked_matrix(generator(values), t)]
-        return values + dm.tangent(a) + g
+        tangents = dm.tangent(a)
+        out = [stacked_matrix([[c] for c in tangents], t)]
+        if generator is not None:
+            values = [dm.value_of(c) for c in a]
+            out.append(stacked_matrix(generator(values), t))
+            if n:   # G(∂_ε α) drives ∂_ε ψ alone
+                out.append(stacked_matrix(generator(tangents), t))
+        return out
 
-    table = time_table(columns, t0, t1, step)
+    drive, *g = time_columns(columns, rk4_times(t0, t1, step))
+    size = 2 * n + drive.shape[1] + 1
+    if len(z) < size:
+        z = np.concatenate([z, np.zeros(size - 1 - len(z)), [1.0]])
 
-    def law(t):
-        row = table(t)
-        n = len(seeds)
-        a = [Dual(v, d) if s else v for v, d, s in zip(row, row[n:], seeds)]
-        g = None if generator is None else row[2 * n].tolist()
-        return a, g, row[n:2 * n]
+    def matrices(s):   # M over the entries s of the run's times
+        out = np.zeros((len(drive[s]), size, size))
+        out[:, 2 * n:-1, -1:] = drive[s]
+        if g:
+            out[:, 2 * n:-1, 2 * n:-1] = g[0][s]
+            if n:
+                out[:, :n, :n] = out[:, n:2 * n, n:2 * n] = g[0][s]
+                out[:, n:2 * n, :n] = g[1][s]
+        return out
 
-    return law
+    return linear_rk4(matrices, t0, t1, step, z)
 
 
 def solve_evolution(alpha, eps, generator=None, beta0=None, times=None):
     """Integrate dβ/dt = G(α^ε(t)) β + ∂_ε α^ε(t) from β(0) = β⁰, by RK4
-    with `DEFAULT_RK4_STEP`.
+    with `DEFAULT_RK4_STEP`, as the linear system (β, 1) of `_linear_run`.
 
     Supported coefficient classes:
       (a) a finite-dimensional algebra acting linearly — pass `generator`,
@@ -359,29 +375,15 @@ def solve_evolution(alpha, eps, generator=None, beta0=None, times=None):
             "generators and (b) abelian coefficients (generator=None)")
     if times is None:
         times = [1.0]
-    beta = None if beta0 is None else list(beta0)
-    out_times, out_beta = [], []
+    z = [] if beta0 is None else list(beta0)
+    out_beta = []
     t_prev = 0.0
     for t in times:
-        law = _evolution_law(alpha, eps, generator, t_prev, t,
-                             DEFAULT_RK4_STEP)
-        if beta is None:
-            beta = [0.0] * len(law(t_prev)[2])
-        beta = rk4_integrate(_evolution_rhs(law), beta, t_prev, t)
-        out_times.append(t)
-        out_beta.append([dm.value_of(c) for c in beta])
+        z = _linear_run(alpha, eps, generator, t_prev, t, DEFAULT_RK4_STEP,
+                        z, 0)
+        out_beta.append(z[:-1].tolist())
         t_prev = t
-    return {"times": out_times, "beta": out_beta}
-
-
-def _evolution_rhs(law):
-    def rhs(t, b):
-        _, g, drive = law(t)
-        if g is None:
-            return drive
-        return [x + y for x, y in zip(matvec(g, b), drive)]
-
-    return rhs
+    return {"times": list(times), "beta": out_beta}
 
 
 def flow_commutation_residual(fiber, alpha, x0, eps=0.0,
@@ -389,39 +391,22 @@ def flow_commutation_residual(fiber, alpha, x0, eps=0.0,
     """Residual of ∂_ε ψ^ε_t(x₀) = ρ(β^t(ε))(ψ^ε_t(x₀)) for the flows of
     the time-dependent fields X^ε(t) = ρ(α^ε(t)).
 
-    The flow ψ, dual-seeded in ε so that its tangent is ∂_ε ψ, and the
-    evolution β of `solve_evolution` with G the fiber's `action_matrix`
-    share one integration per quarter: one RK4 state (ψ, β), whose
-    right-hand side reads α from one evaluation at the array of the
-    quarter's RK4 times (α must accept one, as in `solve_evolution`).  That
-    evaluation drives ψ, and its value and tangent give β's G and drive.
-    The single `step` is the only discretization, so the residual contracts
-    at fourth order when the step is halved.
+    The flow ψ, its ε-derivative ∂_ε ψ and the evolution β of
+    `solve_evolution`, with G the fiber's `action_matrix`, are integrated
+    as one linear system per quarter (`_linear_run`), from one evaluation
+    of α at the array of the quarter's RK4 times (α must accept one, as in
+    `solve_evolution`).  RK4 commutes with linearisation, so the ∂_ε ψ
+    block is the ε-derivative of the discrete flow.  The single `step` is
+    the only discretization, so the residual contracts at fourth order
+    when the step is halved.
     """
     n = len(x0)
-    y = [Dual(c, 0.0) for c in x0]
-    defects = []
-    t_prev = 0.0
+    z, defects, t_prev = list(x0), [], 0.0
     for t in (0.25, 0.5, 0.75, 1.0):
-        law = _evolution_law(alpha, eps, fiber.action_matrix, t_prev, t,
-                             step)
-        if t_prev == 0.0:   # β(0) = 0, one entry per component of α
-            y += [0.0] * len(law(t_prev)[2])
-        y = rk4_integrate(_flow_rhs(fiber, law, n), y, t_prev, t, step=step)
+        z = _linear_run(alpha, eps, fiber.action_matrix, t_prev, t, step, z,
+                        n)
         t_prev = t
-        psi = [dm.value_of(c) for c in y[:n]]
-        lhs = [dm.value_of(c) for c in dm.tangent(y[:n])]
-        beta = [dm.value_of(c) for c in y[n:]]
-        rhs_vec = [dm.value_of(c) for c in fiber.action(beta, psi)]
-        defects += [abs(a - b) for a, b in zip(lhs, rhs_vec)]
+        psi, lhs, beta = (z[:n].tolist(), z[n:2 * n].tolist(),
+                          z[2 * n:-1].tolist())
+        defects += [abs(a - b) for a, b in zip(lhs, fiber.action(beta, psi))]
     return worst(defects)
-
-
-def _flow_rhs(fiber, law, n):
-    """The (ψ, β) right-hand side: ψ' = ρ(α)(ψ), β' = G(α) β + ∂_ε α."""
-    def rhs(t, y):
-        a, g, drive = law(t)
-        return list(fiber.action(a, y[:n])) + [
-            p + q for p, q in zip(matvec(g, y[n:]), drive)]
-
-    return rhs

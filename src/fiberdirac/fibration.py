@@ -16,9 +16,9 @@ path at an array of all the RK4 times, seeded `Dual(T, 1)`.
 
 A connection that is linear in the fiber point, A(b, x)v = K(b, v)x,
 declares its generator K.  Transport along one path is then one matrix
-propagator, and a `Transport` integrates it once and answers every
-transport and transport differential along that path from it; K too is
-evaluated once over the propagator's RK4 times, as one array.
+propagator, and a `Transport` integrates it once, a product of RK4 step
+matrices, and answers every transport and transport differential along
+that path from it; K is evaluated once over its RK4 times, as one array.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, combos, det, matvec,
-                        rk4_integrate, sample_unit_cube, skew_matrix,
-                        stacked_matrix, time_table)
+from ._numerics import (DEFAULT_RK4_STEP, combos, det, linear_rk4, matvec,
+                        rk4_integrate, rk4_times, sample_unit_cube,
+                        skew_matrix, stacked_matrix, time_columns,
+                        time_table)
 
 
 class IncompleteTransportError(RuntimeError):
@@ -217,10 +218,11 @@ class Transport:
     A connection with a `generator` K transports linearly: φ is the matrix
     P(t1)·P(t0)⁻¹, where the propagator solves P' = K(γ(t), γ̇(t))·P,
     P(0) = I, and dφ is the same matrix.  P is integrated on the first
-    query, by the RK4 steps a direct transport from 0 to 1 takes, with K
-    evaluated once over all their times, and kept on the path for every
-    later `Transport` of the same connection; a time between two grid nodes
-    takes one partial step from the node below.  A path made by
+    query, as the running product of the RK4 step matrices of a direct
+    transport from 0 to 1, with K evaluated once over all their times, and
+    kept on the path for every later `Transport` of the same connection; a
+    time between two grid nodes takes one partial step (one step matrix)
+    from the node below.  A path made by
     `BasePath.reversed` integrates no propagator of its own: it reads the
     original's, φ^rev_{t0→t1} = φ_{1−t0→1−t1}, which agrees with its own up
     to rounding.
@@ -282,34 +284,23 @@ class Transport:
 
     def _build(self):
         """Integrate P over [0, 1]: the RK4 node times, and P at each node
-        as one array of shape (nodes, n_F, n_F)."""
-        times, props = [], []
-
-        def keep(t, state):
-            times.append(t)
-            props.append(state[0])
-
-        self._propagate(np.eye(self.connection.space.n_fiber), 0.0, 1.0,
-                        DEFAULT_RK4_STEP, keep)
-        return times, np.array(props)
+        as one array of shape (nodes, n_F, n_F), the running product of
+        the step matrices of P' = K P."""
+        times = rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)
+        k = time_columns(self._generators, times)[0]
+        return times[::2], linear_rk4(k.__getitem__, 0.0, 1.0,
+                                      DEFAULT_RK4_STEP)
 
     def _generators(self, t):
-        """K(γ(t), γ̇(t)) along the propagator's path as one `time_table`
+        """K(γ(t), γ̇(t)) along the propagator's path as one time-only
         entry: a float array of shape np.shape(t) + (n_F, n_F)."""
         return [stacked_matrix(self.connection.generator(*self._along.jet(t)),
                                t)]
 
-    def _propagate(self, p, t0, t1, step, observer):
-        """P(t1) from P(t0) = p by RK4 of P' = K P, with K from one table
-        over the run's times."""
-        k = time_table(self._generators, t0, t1, step)
-        return rk4_integrate(lambda t, state: [k(t)[0] @ state[0]], [p],
-                             t0, t1, step=step, observer=observer)[0]
-
     def _at(self, t):
         """P(t) at a time of the propagator's path: a node's propagator, or
-        one partial RK4 step from the node below (a one-step run, whose K
-        is one array call at its three times).  A time within rounding of a
+        one partial RK4 step from the node below, one step matrix whose K
+        is one array call at its three times.  A time within rounding of a
         node is that node."""
         times, props = self._grid()
         last = len(times) - 1
@@ -317,8 +308,9 @@ class Transport:
         if abs(times[k] - t) <= 1e-12 / last:
             return props[k]
         k = min(max(bisect_right(times, t) - 1, 0), last - 1)
-        return self._propagate(props[k], times[k], t, abs(t - times[k]),
-                               None)
+        h = abs(t - times[k])
+        gen = time_columns(self._generators, rk4_times(times[k], t, h))[0]
+        return linear_rk4(gen.__getitem__, times[k], t, h, props[k])
 
     def _guard(self, x0, y, t0, t1, x1):
         """Raise at the first grid state outside the fiber chart, walking

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import dual as dm
 from . import fields
-from ._numerics import (RANK_THRESHOLD, adjugate_inverse, bilinear, combos,
-                        det, dot, matvec, nullspace, sample_unit_cube,
+from ._numerics import (RANK_THRESHOLD, _rank, adjugate_inverse, bilinear,
+                        combos, dot, matvec, nullspace, sample_unit_cube,
                         stacked_matrix, worst)
 
 CLOSED_TOL = 1e-10
@@ -232,9 +232,12 @@ def coupling_form(geom):
 
 
 def _check_pi_invertible(geom, pt):
+    """Refuse π_V unless finite and of full rank, by the package's one
+    relative rank rule, at every sampled point: |det| scales as size^n_F."""
     mat = geom.pi_matrix(pt)
-    # a NaN determinant fails `>=` too
-    if len(mat) == 0 or not np.all(np.abs(det(mat)) >= 1e-10):
+    stack = stacked_matrix(mat, pt[0]) if mat else None
+    if stack is None or not np.isfinite(stack).all() or np.any(
+            _rank(np.linalg.svd(stack, compute_uv=False)) < len(mat)):
         raise ValueError(
             "the vertical structure is not invertible at a sampled "
             "point; the coupling form needs invertible π_V")

@@ -12,10 +12,11 @@ import math
 import numpy as np
 
 from fiberdirac import dual as dm
-from fiberdirac._numerics import (bilinear, coboundary, combos, dot,
-                                  intersection_dimension, matvec,
-                                  simpson_integrate, smoothstep,
-                                  stacked_matrix, worst)
+from fiberdirac._numerics import (DEFAULT_RK4_STEP, bilinear, coboundary,
+                                  combos, dot, intersection_dimension,
+                                  matvec, rk4_integrate, simpson_integrate,
+                                  smoothstep, stacked_matrix, time_table,
+                                  worst)
 from fiberdirac.apath import AlgebroidPath, _warped
 from fiberdirac.charts import CoordinateDomain
 from fiberdirac.coupling import _default_fiber_covector
@@ -359,3 +360,95 @@ def fiber_intersection_dim(geom, count, seed):
     graph = np.concatenate(
         [np.broadcast_to(np.eye(two_d), big_omega.shape), big_omega], axis=-1)
     return int(intersection_dimension(graph, w_rows).max())
+
+
+# -- linear RK4 runs one step at a time ---------------------------------------------
+
+def _seeded_law(alpha, eps, generator, t0, t1, step):
+    """t ↦ (α^ε(t) seeded in ε, G(α^ε(t)), ∂_ε α^ε(t)) on the RK4 run from
+    t0 to t1, read from a `time_table` of one evaluation α(T, Dual(ε, 1));
+    a component of α that does not depend on ε stays a plain number."""
+    seeded = dm.Dual(eps, 1.0)
+    seeds = []   # per component of α: whether it carries the ε seed
+
+    def columns(t):
+        a = alpha(t, seeded)
+        seeds[:] = [isinstance(c, dm.Dual) for c in a]
+        values = [dm.value_of(c) for c in a]
+        g = [] if generator is None else [stacked_matrix(generator(values), t)]
+        return values + dm.tangent(a) + g
+
+    table = time_table(columns, t0, t1, step)
+
+    def law(t):
+        row = table(t)
+        n = len(seeds)
+        a = [dm.Dual(v, d) if s else v for v, d, s in zip(row, row[n:], seeds)]
+        g = None if generator is None else row[2 * n].tolist()
+        return a, g, row[n:2 * n]
+
+    return law
+
+
+def dual_state_evolution(alpha, eps, generator, times):
+    """`solve_evolution` from β(0) = 0 by `rk4_integrate`, one `rk4_step`
+    at a time, on the right-hand side β' = G(α) β + ∂_ε α."""
+    def rhs(law):
+        def f(t, b):
+            _, g, drive = law(t)
+            if g is None:
+                return drive
+            return [x + y for x, y in zip(matvec(g, b), drive)]
+        return f
+
+    beta, out, t_prev = None, [], 0.0
+    for t in times:
+        law = _seeded_law(alpha, eps, generator, t_prev, t, DEFAULT_RK4_STEP)
+        if beta is None:
+            beta = [0.0] * len(law(t_prev)[2])
+        beta = rk4_integrate(rhs(law), beta, t_prev, t)
+        out.append([dm.value_of(c) for c in beta])
+        t_prev = t
+    return out
+
+
+def dual_state_flow_commutation(fiber, alpha, x0, eps, step):
+    """`flow_commutation_residual` by `rk4_integrate` on Dual state: one RK4
+    system (ψ, β) per quarter, ψ dual-seeded in ε so that its tangent is
+    ∂_ε ψ, with ψ' = ρ(α)(ψ) and β' = G(α) β + ∂_ε α."""
+    n = len(x0)
+
+    def rhs(law):
+        def f(t, y):
+            a, g, drive = law(t)
+            return list(fiber.action(a, y[:n])) + [
+                p + q for p, q in zip(matvec(g, y[n:]), drive)]
+        return f
+
+    y = [dm.Dual(c, 0.0) for c in x0]
+    defects, t_prev = [], 0.0
+    for t in (0.25, 0.5, 0.75, 1.0):
+        law = _seeded_law(alpha, eps, fiber.action_matrix, t_prev, t, step)
+        if t_prev == 0.0:   # β(0) = 0, one entry per component of α
+            y += [0.0] * len(law(t_prev)[2])
+        y = rk4_integrate(rhs(law), y, t_prev, t, step=step)
+        t_prev = t
+        psi = [dm.value_of(c) for c in y[:n]]
+        lhs = [dm.value_of(c) for c in dm.tangent(y[:n])]
+        beta = [dm.value_of(c) for c in y[n:]]
+        rhs_vec = [dm.value_of(c) for c in fiber.action(beta, psi)]
+        defects += [abs(a - b) for a, b in zip(lhs, rhs_vec)]
+    return worst(defects)
+
+
+def stepped_propagators(connection, path):
+    """The propagator P' = K(γ, γ̇) P, P(0) = I, of a fiber-linear connection
+    at the RK4 nodes of [0, 1], by `rk4_integrate` on a matrix state, with
+    K read from a `time_table`: an array (nodes, n_F, n_F)."""
+    k = time_table(lambda t: [stacked_matrix(
+        connection.generator(*path.jet(t)), t)], 0.0, 1.0, DEFAULT_RK4_STEP)
+    props = []
+    rk4_integrate(lambda t, state: [k(t)[0] @ state[0]],
+                  [np.eye(connection.space.n_fiber)], 0.0, 1.0,
+                  observer=lambda t, state: props.append(state[0]))
+    return np.array(props)

@@ -478,6 +478,36 @@ def test_fiber_kernel_is_the_subspace_intersection(params, count, seed):
         fiber_intersection_dim(geom, count, seed)
 
 
+FOUR_FIBER = {"nb": 2, "nf": 4, "kappa": 0.0,
+              "coeffs": [[0.3, -0.1], [0.2, 0.4], [0.1, 0.0], [-0.2, 0.3]],
+              "slope": 0.0, "cross": [0.0] * 4, "om": 1.5}
+
+
+@pytest.mark.parametrize("params", [twisted_with_pi(-5.5),
+                                    dict(FOUR_FIBER, log_scale=-3.0)],
+                         ids=["two-fiber-1e-5.5", "four-fiber-1e-3"])
+def test_a_small_well_conditioned_vertical_structure_passes(params):
+    # π_V = s·J has condition number 1 at any size s; |det π_V| is 1e-11
+    # and 1e-12 here, which a rule on the determinant at 1e-10 refuses
+    report = integrated_data_check(random_triple(**params), count=6, seed=2)
+    tolerances = KINDS["groupoid-check"].tolerances
+    assert report["fiber_nondegeneracy_dim"] == 0
+    for key in ("horizontal_identity", "hor_projection",
+                "hor_vertical_orthogonality"):
+        assert report[key] < tolerances[key], key
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_a_rank_deficient_vertical_structure_is_rejected_at_any_size(scale):
+    # one 2 × 2 block of π_V on a four-dimensional fiber: rank 2 of 4
+    geom = random_triple(**dict(FOUR_FIBER, log_scale=0.0))
+    geom.pi_v = VerticalBivector(geom.space,
+                                 lambda p: [scale, 0.0, 0.0, 0.0, 0.0, 0.0],
+                                 name="rank-two")
+    with pytest.raises(ValueError, match="invertible π_V"):
+        integrated_data_check(geom)
+
+
 @pytest.mark.parametrize("instance", ["split-product", "twisted-product"])
 def test_the_coupling_form_integrates_the_structure_of_minus_pi(instance):
     # the graph rows e_i ‖ Ω(e_i, ·) of ω_H ⊕ π_V⁻¹ span the Dirac frame of

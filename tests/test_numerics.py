@@ -1,11 +1,13 @@
-"""Numerical kernels: integrator order and time grid, time tables,
-quadrature exactness, sampling determinism, subspace helpers, the small
-dense helpers and the residual reduction."""
+"""Numerical kernels: integrator order and time grid, time tables, linear
+RK4 runs as products of step matrices, quadrature exactness, sampling
+determinism, subspace helpers, the small dense helpers and the residual
+reduction."""
 
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +16,19 @@ import pytest
 from fiberdirac import _numerics
 from fiberdirac import dual as dm
 from fiberdirac._numerics import (det, halves, intersection_dimension,
-                                  lstsq_residual, nullspace, orthonormal_basis,
-                                  parallel_map, principal_angles,
-                                  rk4_integrate, rk4_times, sample_unit_cube,
+                                  linear_rk4, lstsq_residual, nullspace,
+                                  orthonormal_basis, parallel_map,
+                                  principal_angles, rk4_integrate, rk4_step,
+                                  rk4_times, sample_unit_cube,
                                   simpson_integrate, simpson_weights,
                                   skew_matrix, smoothstep, stack,
-                                  time_table, unstack, worst)
-from reference import per_dimension_unit_cube, per_node_simpson_integrate
+                                  step_matrices, time_table, unstack, worst)
+from fiberdirac.apath import flow_commutation_residual
+from fiberdirac.cli import MIN_APATH_STEP, compile_expression
+from fiberdirac.fibration import BasePath, Transport
+from fiberdirac.yangmills import HamiltonianFiber, so3_coadjoint_example
+from reference import (per_dimension_unit_cube, per_node_simpson_integrate,
+                       stepped_propagators)
 from test_coupling import per_vector_distance
 
 
@@ -97,6 +105,86 @@ def test_time_table_ignores_numpy_warnings_past_an_escape():
         row = time_table(lambda t: [np.log(0.6 - t)], 0.0, 1.0, 0.25)
     assert row(0.25)[0] == math.log(0.35)
     assert math.isnan(row(1.0)[0])
+
+
+def linear_table(steps, d, seed=0):
+    """The times of the RK4 run over [0, 1] in `steps` steps, and a smooth
+    M(t) = sin(t·A) + B (d × d, A and B drawn from `seed`) at each."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-2.0, 2.0, (2, d, d))
+    times = rk4_times(0.0, 1.0, 1.0 / steps)
+    return times, np.sin(np.multiply.outer(np.array(times), a)) + b
+
+
+def test_each_step_matrix_is_one_rk4_step_on_the_columns_of_the_identity():
+    steps, d = 7, 4
+    times, m = linear_table(steps, d)
+    at = dict(zip(times, m))     # rk4_step asks exactly these times
+    h = 1.0 / steps
+    s = step_matrices(m, h)
+    assert s.shape == (steps, d, d)
+    for k in range(steps):
+        for j in range(d):
+            want = np.array(rk4_step(lambda t, y: list(at[t] @ np.array(y)),
+                                     times[2 * k], list(np.eye(d)[j]), h))
+            assert np.max(np.abs(s[k][:, j] - want)) <= \
+                1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("steps", [63, 64, 65, 129])
+def test_the_block_fold_is_the_one_pass_fold_to_the_bit(monkeypatch, steps):
+    _, m = linear_table(steps, 5, seed=steps)
+    z0 = np.linspace(-1.0, 1.0, 5)
+    sizes = []
+
+    def matrices(s):
+        sizes.append(len(m[s]))
+        return m[s]
+
+    def runs():
+        return (linear_rk4(matrices, 0.0, 1.0, 1.0 / steps, z0),
+                linear_rk4(matrices, 0.0, 1.0, 1.0 / steps))
+
+    blocked = runs()
+    assert max(sizes) == 2 * min(steps, _numerics.RK4_BLOCK) + 1
+    assert len(sizes) == 2 * math.ceil(steps / _numerics.RK4_BLOCK)
+    monkeypatch.setattr(_numerics, "RK4_BLOCK", 10 ** 6)
+    one_pass = runs()
+    assert blocked[1].shape == (steps + 1, 5, 5)
+    assert blocked[0].tobytes() == one_pass[0].tobytes()
+    assert blocked[1].tobytes() == one_pass[1].tobytes()
+    assert blocked[1][0].tolist() == np.eye(5).tolist()
+
+
+def test_the_propagator_is_the_stepped_route():
+    geom = so3_coadjoint_example()
+    path = BasePath(lambda t: [0.4 * dm.sin(2 * math.pi * t) * t,
+                               0.3 * (1 - dm.cos(2 * math.pi * t))],
+                    name="loopish")
+    times, props = Transport(geom.connection, path)._build()
+    want = stepped_propagators(geom.connection, path)
+    assert times == rk4_times(0.0, 1.0, _numerics.DEFAULT_RK4_STEP)[::2]
+    assert props.shape == want.shape == (1001, 3, 3)
+    assert np.max(np.abs(props - want)) < 1e-14
+
+
+def test_flow_commutation_memory_stays_bounded_at_the_smallest_step():
+    # the α tables of a quarter are its only arrays over the whole run, so
+    # at the smallest step a scenario may ask for (10,000 RK4 steps) the
+    # traced peak stays near the step-at-a-time route's 1.7 MB; a fold
+    # with no blocks peaks near 15 MB
+    fns = [compile_expression(e, ["t", "e"]) for e in
+           ("(3+e)*sin(2*pi*t)", "2.5*cos(3*pi*t)-e*t", "1.5*sin(5*t+e)")]
+    alpha = lambda t, e: [f([t, e]) for f in fns]
+    fib = HamiltonianFiber.coadjoint_so3()
+    tracemalloc.start()
+    try:
+        flow_commutation_residual(fib, alpha, [0.6, 0.0, 0.8], eps=0.3,
+                                  step=MIN_APATH_STEP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
 
 
 def test_halves_take_each_piece_at_its_own_entries():

@@ -14,7 +14,9 @@ time grid is `_numerics.rk4_times`: no other module computes a step
 count (`ceil` of an expression in `step`), and an RK4 input that depends
 on time alone comes from a `_numerics.time_table`, so no module defines
 a memo of the last time (a function named `…memo…`, or one decorated
-`lru_cache` / `cache`).  A
+`lru_cache` / `cache`).  RK4's weights h/6 are written once, in
+`_numerics.rk4_step` and its step matrices: no other module divides by
+the literal 6.0.  A
 least-squares distance is `_numerics.lstsq_residual`, one stacked QR
 factorization: no other module names `lstsq`, `qr` or numpy's
 `_umath_linalg`.  There
@@ -34,6 +36,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 HOMES = {"combinations": "_numerics", "unit vector": "dual",
          "complex step": "_numerics", "per-point map": None,
          "rk4 grid": "_numerics", "time memo": None,
+         "rk4 weights": "_numerics",
          "least squares": "_numerics", "re-stacked sample": None}
 
 LSTSQ_NAMES = {"lstsq", "qr", "_umath_linalg"}
@@ -90,6 +93,9 @@ def hand_rolled(source):
               and isinstance(node.value, ast.Name)
               and node.value.id == "itertools"):
             found.append("combinations")
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+              and _is_number(node.right, 6.0)):
+            found.append("rk4 weights")
         elif (isinstance(node, ast.Call) and _decorator_name(node) == "ceil"
               and "step" in set().union(*map(_names, node.args))):
             found.append("rk4 grid")
@@ -124,6 +130,8 @@ def test_the_scan_sees_a_planted_copy():
                "n = max(1, int(math.ceil(abs(t1 - t0) / step - 1e-12)))\n"
                "n = ceil(span / self.step)\n"
                "n = math.ceil(span / h)\n"
+               "y = x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)\n"
+               "w = h / 6 + h / 3.0\n"
                "def last_time_memo(fn):\n    return fn\n"
                "@functools.lru_cache(maxsize=None)\n"
                "def drive(t):\n    return t\n"
@@ -150,7 +158,8 @@ def test_the_scan_sees_a_planted_copy():
         "least squares", "least squares", "least squares", "per-point map",
         "per-point map",
         "re-stacked sample", "re-stacked sample", "re-stacked sample",
-        "re-stacked sample", "rk4 grid", "rk4 grid", "time memo",
+        "re-stacked sample", "rk4 grid", "rk4 grid", "rk4 weights",
+        "time memo",
         "time memo", "time memo", "unit vector"]
 
 
