@@ -4,8 +4,10 @@ A scenario is a JSON object with a `name`, a `kind`, and kind-specific
 inputs; inline smooth fields are arithmetic expressions over the chart
 coordinates, parsed by a small whitelisted grammar (identifiers, + − × ÷,
 integer or float powers, the shared function library, and the constant
-pi).  Reports are deterministic for a fixed scenario and seed: identical
-runs produce byte-identical JSON apart from the wall-time field.
+pi).  `parse` reads a scenario against the declarations in `KINDS`, the
+type and default of each key, before any check runs.  Reports are
+deterministic for a fixed scenario and seed: identical runs produce
+byte-identical JSON apart from the wall-time field.
 
 Exit codes: 0 when every check passes, 1 when any check fails (including
 numerical escapes and evaluator errors — a domain error, a division by
@@ -20,9 +22,11 @@ import argparse
 import ast
 import json
 import math
+import operator
 import sys
 import time
 from collections import namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,26 +44,10 @@ from .apath import flow_commutation_residual
 from .groupoid import (PairGroupoid, coupling_form, integrated_data_check,
                        multiplicativity_residual, pair_form,
                        source_target_orthogonality)
-from .monodromy import (FAMILIES, VERDICT_INCONCLUSIVE, VERDICTS, cap,
-                        exact_rational, integrability_verdict, lattice_point,
-                        round_sphere, so3_lattice, transgress,
-                        transgress_flat)
+from .monodromy import (VERDICT_INCONCLUSIVE, VERDICTS, cap, exact_rational,
+                        integrability_verdict, lattice_point, round_sphere,
+                        so3_lattice, transgress, transgress_flat)
 from .yangmills import EXAMPLES, HamiltonianFiber, gauge_transition_check
-
-COUPLING_CHECKS = ("conditions", "closure", "oracle-agreement", "leaf-form",
-                   "splitting")
-
-#: the keys every scenario may set, whatever its kind
-COMMON_KEYS = ("name", "kind", "seed", "tolerances")
-
-#: the keys allowed inside a scenario's objects: inline `fields`, the
-#: `area` family and each entry of `families`
-OBJECT_KEYS = {
-    "fields": ("base_bounds", "base_chart", "connection", "fiber_bounds",
-               "name", "omega", "pi"),
-    "area": ("expected", "family", "nodes", "theta"),
-    "families": ("family", "nodes", "theta"),
-}
 
 SPHERE_F = "2*x+1"   # the f of the sphere models when a scenario sets none
 
@@ -102,13 +90,9 @@ class ScenarioError(Exception):
 
 # -- expression grammar ---------------------------------------------------------------
 
-_BIN_OPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-    ast.Pow: lambda a, b: a ** b,
-}
+_BIN_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+            ast.Mult: operator.mul, ast.Div: operator.truediv,
+            ast.Pow: operator.pow}
 
 _CONSTANTS = {"pi": math.pi}
 
@@ -117,7 +101,8 @@ def compile_expression(src, variables, field="expression"):
     """Compile an arithmetic expression over named coordinates into a
     callable of a value sequence.  Only the whitelisted grammar passes:
     binary/unary arithmetic, calls into the shared function library,
-    coordinate names, `pi`, and numeric literals."""
+    coordinate names, `pi`, and numeric literals (not `True` or `False`,
+    and none too large for a float)."""
     if not isinstance(src, str):
         raise ScenarioError(field, f"expected an expression string, got "
                                    f"{type(src).__name__}")
@@ -130,8 +115,6 @@ def compile_expression(src, variables, field="expression"):
     index = {name: i for i, name in enumerate(variables)}
 
     def build(node):
-        if isinstance(node, ast.Expression):
-            return build(node.body)
         if isinstance(node, ast.BinOp) and type(node.op) in _BIN_OPS:
             op = _BIN_OPS[type(node.op)]
             left, right = build(node.left), build(node.right)
@@ -139,9 +122,8 @@ def compile_expression(src, variables, field="expression"):
         if isinstance(node, ast.UnaryOp) and isinstance(node.op,
                                                         (ast.USub, ast.UAdd)):
             inner = build(node.operand)
-            if isinstance(node.op, ast.USub):
-                return lambda vals: -inner(vals)
-            return inner
+            return inner if isinstance(node.op, ast.UAdd) else \
+                (lambda vals: -inner(vals))
         if isinstance(node, ast.Call):
             if (not isinstance(node.func, ast.Name)
                     or node.func.id not in dm.FUNCTIONS
@@ -162,14 +144,250 @@ def compile_expression(src, variables, field="expression"):
             raise ScenarioError(
                 field, f"unknown identifier {node.id!r}; coordinates here "
                        f"are {list(variables)}")
-        if isinstance(node, ast.Constant) and isinstance(node.value,
-                                                         (int, float)):
-            c = float(node.value)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            try:
+                c = float(node.value)
+            except OverflowError:
+                raise ScenarioError(field, f"a literal in {src!r} is too "
+                                           f"large for a float") from None
             return lambda vals: c
         raise ScenarioError(field, f"disallowed syntax in {src!r}: "
                                    f"{type(node).__name__}")
 
-    return build(tree)
+    return build(tree.body)
+
+
+# -- declared value types -------------------------------------------------------------
+# A type is a function (value, field) -> the parsed value that raises
+# ScenarioError naming `field` on anything else (JSON null included); its
+# `spec` feeds the tests' fuzz strategy, whose valid draws stay in `fuzz`.
+
+REQUIRED = object()   # the default of a key a scenario must give
+
+
+def _typed(*spec):
+    def mark(parse):
+        parse.spec = spec
+        return parse
+    return mark
+
+
+def _ok(ok, parsed, field, expected, value):
+    """`parsed` when `ok`, else the ScenarioError naming `field`."""
+    if not ok:
+        raise ScenarioError(field, f"expected {expected}, got {value!r}")
+    return parsed
+
+
+def _float(value):
+    """A JSON number as a float (inf if too large), anything else as NaN."""
+    try:
+        return float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
+        return math.inf
+
+
+def _reals(value, field, n):
+    """A list of `n` finite numbers, as floats."""
+    xs = [_float(x) for x in value] if isinstance(value, list) else []
+    return _ok(len(xs) == n and all(map(math.isfinite, xs)), xs, field,
+               "a list of finite numbers, one per axis", value)
+
+
+def real(lo, hi, closed, fuzz):
+    """A finite number in [lo, hi], or in (lo, hi) when not `closed`."""
+    expected = f"a finite number in [{lo}, {hi}]" if closed else \
+        f"a finite number in ({lo}, {hi})"
+
+    def parse(value, field):
+        x = _float(value)
+        return _ok(math.isfinite(x) and (lo <= x <= hi if closed
+                                         else lo < x < hi), x, field,
+                   expected, value)
+    return _typed("real", lo, hi, closed, fuzz)(parse)
+
+
+def count(lo, hi, fuzz):
+    """An integer in [lo, hi]."""
+    expected = f"an integer in [{lo}, {hi}]"
+    return _typed("count", lo, hi, fuzz)(lambda value, field: _ok(
+        type(value) is int and lo <= value <= hi, value, field, expected,
+        value))
+
+
+def simpson(lo, hi, fuzz):
+    """Two integers in [lo, hi] of lo's parity: composite Simpson needs odd
+    node counts (lo 3) and even interval counts (lo 2)."""
+    expected = f"two {'odd' if lo % 2 else 'even'} integers in [{lo}, {hi}]"
+    return _typed("simpson", lo, hi, fuzz)(lambda value, field: _ok(
+        isinstance(value, list) and len(value) == 2 and all(
+            type(n) is int and lo <= n <= hi and (n - lo) % 2 == 0
+            for n in value), list(value) if isinstance(value, list) else None,
+        field, expected, value))
+
+
+def enum(choices):
+    """One of `choices`, read at parse time, so a registry may grow."""
+    def parse(value, field):
+        if not isinstance(value, str) or value not in choices:
+            raise ScenarioError(field, f"expected one of {sorted(choices)}, "
+                                       f"got {value!r}")
+        return value
+    return _typed("enum", choices)(parse)
+
+
+def _of_type(name, cls):
+    expected = f"a JSON {cls.__name__}"
+    return _typed(name)(lambda value, field: _ok(
+        isinstance(value, cls), value, field, expected, value))
+
+
+flag, text = _of_type("flag", bool), _of_type("text", str)
+source = _of_type("source", str)   # an expression `_inline_geometry` compiles
+
+
+def expression(variables):
+    """An expression in `variables`, compiled: unary for one variable."""
+    def parse(value, field):
+        expr = compile_expression(value, variables, field)
+        return (lambda x: expr([x])) if len(variables) == 1 else expr
+    return _typed("expression", variables)(parse)
+
+
+def constant(nonzero):
+    """A closed expression or a JSON number of finite value, nonzero when a
+    residual is relative to it."""
+    expected = "a finite, nonzero constant" if nonzero else "a finite constant"
+
+    def parse(value, field):
+        src = str(value) if type(value) in (int, float) else value
+        try:
+            const = compile_expression(src, [], field)([])
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ScenarioError(field, f"cannot evaluate {value!r}: {exc}") \
+                from None
+        return _ok(math.isfinite(const) and (const != 0.0 or not nonzero),
+                   const, field, expected, value)
+    return _typed("constant", nonzero)(parse)
+
+
+@_typed("rational")
+def rational(value, field):
+    """An exact slope: an integer or a 'p/q' string, as a Fraction."""
+    try:
+        return exact_rational(value)
+    except TypeError as exc:
+        raise ScenarioError(field, str(exc)) from None
+
+
+def point(chart):
+    """A point of `chart`, its edge included: finite, one number per axis."""
+    expected = f"a point of the fiber chart {chart.name!r}, {chart.bounds}"
+
+    def parse(value, field):
+        x = _reals(value, field, chart.dim)
+        return _ok(chart.contains(x), x, field, expected, value)
+    return _typed("point", chart)(parse)
+
+
+@_typed("pair")
+def pair(value, field):
+    """The bounds [lo, hi] of one box axis, finite, with lo < hi."""
+    lo, hi = _reals(value, field, 2)
+    return _ok(lo < hi, [lo, hi], field, "lo < hi", value)
+
+
+@_typed("radius")
+def radius(value, field):
+    """A radius r ≥ 0 whose point r·(0.6, 0, 0.8) is on the lattice chart."""
+    try:
+        lattice_point(_float(value))
+    except ValueError as exc:
+        raise ScenarioError(field, f"{exc} (read from {value!r})") from None
+    return _float(value)
+
+
+def listing(item, lo, hi):
+    """A list of lo to hi values of the type `item`."""
+    expected = f"a list of {lo} to {hi} entries"
+
+    def parse(value, field):
+        _ok(isinstance(value, list) and lo <= len(value) <= hi, None, field,
+            expected, value)
+        return [item(x, f"{field}[{i}]") for i, x in enumerate(value)]
+    return _typed("list", item, lo, hi)(parse)
+
+
+def _read(raw, keys, field):
+    """`raw` read under the declarations `keys` (key → (type, default)):
+    absent keys defaulted, undeclared ones, which nothing reads, refused."""
+    _ok(isinstance(raw, dict), None, field, "an object", raw)
+    prefix = f"{field}." if field else ""
+    for key in raw:
+        if key not in keys:
+            raise ScenarioError(prefix + key, f"no check reads this key; "
+                                              f"accepted: {sorted(keys)}")
+    values = {}
+    for key, (parse, default) in keys.items():
+        if key in raw:
+            values[key] = parse(raw[key], prefix + key)
+        elif default is REQUIRED:
+            raise ScenarioError(prefix + key, "required key is missing")
+        else:
+            values[key] = None if default is None else parse(default,
+                                                             prefix + key)
+    return SimpleNamespace(**values)
+
+
+def obj(keys):
+    """An object with the declared `keys`."""
+    return _typed("object", keys)(lambda value, field:
+                                  _read(value, keys, field))
+
+
+def union(tag, variants):
+    """An object whose declared keys are `variants[its tag's value]` (None:
+    the tag absent)."""
+    expected = f"one of {sorted(filter(None, variants))}"
+    tagged = {name: {tag: (text, None), **keys}
+              for name, keys in variants.items()}
+
+    def parse(value, field):
+        choice = value.get(tag) if isinstance(value, dict) else None
+        # a null tag is a value of no type, not the tag left out
+        named = isinstance(choice, str) or not (isinstance(value, dict)
+                                                and tag in value)
+        _ok(not isinstance(value, dict) or named and choice in tagged, None,
+            f"{field}.{tag}", expected, choice)
+        return _read(value, tagged.get(choice, {}), field)
+    return _typed("union", tag, variants)(parse)
+
+
+# -- the declarations a kind's keys share ---------------------------------------------
+
+SAMPLES = count(1, MAX_SAMPLES, 4)
+BOUNDS, SOURCES = listing(pair, 1, math.inf), listing(source, 0, math.inf)
+F_OF_X = expression(("x",))
+
+#: inline `fields`, per base chart: a box from `base_bounds`, or the sphere
+_FIELDS = {"connection": (listing(SOURCES, 0, math.inf), None),
+           "fiber_bounds": (BOUNDS, REQUIRED), "name": (text, "inline"),
+           "omega": (SOURCES, REQUIRED), "pi": (SOURCES, None)}
+FIELDS = union("base_chart", {None: {"base_bounds": (BOUNDS, REQUIRED),
+                                     **_FIELDS},
+                              "sphere": _FIELDS})
+
+#: a sphere family, per family: only a cap has an angle θ ∈ (0, π)
+_NODES = (simpson(3, MAX_FAMILY_NODES, 9), [65, 65])
+FAMILY_KEYS = {"round-sphere": {"nodes": _NODES},
+               "cap": {"nodes": _NODES,
+                       "theta": (real(0.0, math.pi, False, (0.0, math.pi)),
+                                 REQUIRED)}}
+
+#: the model of a coupling-check or a ymh-build: an example or inline
+#: fields (`_model` refuses the keys the choice leaves unread)
+_MODEL = {"chart": (count(0, 1, 1), None), "example": (enum(EXAMPLES), None),
+          "f": (F_OF_X, None), "fields": (FIELDS, None)}
 
 
 # -- scenario plumbing ----------------------------------------------------------------
@@ -177,18 +395,14 @@ def compile_expression(src, variables, field="expression"):
 def _check(name, residual, tolerance):
     if residual is not None:
         residual = float(residual)   # numpy reductions give numpy floats
-    return {
-        "name": name,
-        "residual": residual,
-        "tolerance": tolerance,
-        "verdict": "PASS" if (residual is not None
-                              and residual < tolerance) else "FAIL",
-    }
+    passed = residual is not None and residual < tolerance
+    return {"name": name, "residual": residual, "tolerance": tolerance,
+            "verdict": "PASS" if passed else "FAIL"}
 
 
-def _scored(scenario, name, residual):
+def _scored(v, name, residual):
     """`_check` against the scenario's tolerance for `name`."""
-    return _check(name, residual, _tol(scenario, name))
+    return _check(name, residual, getattr(v.tolerances, name))
 
 
 def _failed(name, exc):
@@ -197,269 +411,104 @@ def _failed(name, exc):
             "verdict": "FAIL", "error": str(exc)}
 
 
-def _tol(scenario, name):
-    """The scenario's tolerance for `name` (`_validate_tolerances` has
-    checked it), or its kind's default when it sets none."""
-    default = KINDS[scenario["kind"]].tolerances[name]
-    return float(scenario.get("tolerances", {}).get(name, default))
-
-
-def _refuse_unread(obj, allowed, prefix):
-    """Refuse a key of the scenario object `obj` outside `allowed`: nothing
-    reads it, so a misspelled key would leave its default in force."""
-    for key in obj:
-        if key not in allowed:
-            raise ScenarioError(prefix + key, f"no check reads this key; "
-                                              f"accepted: {sorted(allowed)}")
-
-
-def _validate_tolerances(scenario, kind):
-    """Refuse a scenario's tolerances before anything runs: each key must
-    name a tolerance its kind reads, and each value must be a finite
-    positive number, whether or not its check runs."""
-    tols = scenario.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ScenarioError("tolerances", "must be an object of "
-                                          "check-name → tolerance")
-    _refuse_unread(tols, KINDS[kind].tolerances, "tolerances.")
-    for key, value in tols.items():
-        _real(value, f"tolerances.{key}", positive=True)
-
-
-def _count(value, field, minimum, maximum):
-    """A count, seed or chart number a scenario supplies: an integer in
-    [minimum, maximum]."""
-    if isinstance(value, bool) or not isinstance(value, int) \
-            or not minimum <= value <= maximum:
-        raise ScenarioError(field, f"expected an integer in [{minimum}, "
-                                   f"{maximum}], got {value!r}")
-    return value
-
-
-def _real(value, field, positive=False):
-    """A real number a scenario supplies: a finite JSON number, not a bool,
-    and above zero when `positive`.  An integer too large for a float is
-    not finite."""
-    real = None
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            real = float(value)
-        except OverflowError:
-            pass
-    if real is None or not math.isfinite(real) or (positive and real <= 0):
-        kind = "a finite positive number" if positive else "a finite number"
-        raise ScenarioError(field, f"expected {kind}, got {value!r}")
-    return real
-
-
-def _reals(value, field, count=None):
-    """A list of `count` real numbers (of any length when count is None)."""
-    if not isinstance(value, list) or count not in (None, len(value)):
-        size = "" if count is None else f"{count} "
-        raise ScenarioError(field, f"expected a list of {size}number(s), "
-                                   f"got {value!r}")
-    return [_real(v, field) for v in value]
-
-
-def _constant(value, field, nonzero=False):
-    """A reference constant a scenario supplies: a closed expression whose
-    value is finite, and nonzero when a residual is relative to it."""
-    try:
-        const = compile_expression(str(value), [], field=field)([])
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ScenarioError(field, f"cannot evaluate {value!r}: {exc}") \
-            from None
-    if not isinstance(const, float) or not math.isfinite(const) \
-            or (nonzero and const == 0.0):
-        kind = "a finite nonzero" if nonzero else "a finite"
-        raise ScenarioError(field, f"expected {kind} real constant, got "
-                                   f"{value!r} = {const!r}")
-    return const
-
-
-def _flag(scenario, key):
-    """A switch a scenario supplies: a JSON boolean, true when absent."""
-    value = scenario.get(key, True)
-    if not isinstance(value, bool):
-        raise ScenarioError(key, f"expected true or false, got {value!r}")
-    return value
-
-
-def _bounds(cfg, key):
-    """The box bounds `fields.<key>`: a non-empty list of [lo, hi] pairs
-    of finite numbers with lo < hi."""
-    field, value = f"fields.{key}", cfg.get(key)
-    if not isinstance(value, list) or not value:
-        raise ScenarioError(field, f"expected a non-empty list of [lo, hi] "
-                                   f"pairs, got {value!r}")
-    pairs = [_reals(pair, f"{field}[{i}]", 2) for i, pair in enumerate(value)]
-    for i, (lo, hi) in enumerate(pairs):
-        if not lo < hi:
-            raise ScenarioError(f"{field}[{i}]", f"expected lo < hi, got "
-                                                 f"{value[i]!r}")
-    return pairs
-
-
-def _simpson_counts(value, field, minimum, maximum):
-    """Two counts in [minimum, maximum] of `minimum`'s parity: composite
-    Simpson needs odd node counts (minimum 3) and even interval counts
-    (minimum 2)."""
-    if not isinstance(value, list) or len(value) != 2 or any(
-            (_count(v, field, minimum, maximum) - minimum) % 2 for v in value):
-        parity = "odd" if minimum % 2 else "even"
-        raise ScenarioError(field, f"expected two {parity} integers, got "
-                                   f"{value!r}")
-    return value
-
-
-def _require(scenario, key, kinds, field=None):
-    if key not in scenario:
-        raise ScenarioError(field or key, "required key is missing")
-    val = scenario[key]
-    if not isinstance(val, kinds):
-        raise ScenarioError(field or key,
-                            f"expected {kinds}, got {type(val).__name__}")
-    return val
-
-
-def _fiber_point(scenario, default, fiber):
-    """The scenario's `x0`, else `default`: one finite number per coordinate
-    of the fiber chart `fiber`, inside it (its edge counts as inside)."""
-    x0 = _reals(scenario.get("x0", default), "x0", fiber.dim)
-    if not fiber.contains(x0):
-        raise ScenarioError("x0", f"the point {x0} lies outside the fiber "
-                                  f"chart {fiber.name!r}, the box "
-                                  f"{[list(b) for b in fiber.bounds]}")
-    return x0
-
-
-def _scenario_f(scenario, variable, default):
-    """The scenario's `f`, else `default`, as a function of `variable`."""
-    expr = compile_expression(scenario.get("f", default), [variable], "f")
-    return lambda v: expr([v])
-
-
-def _example_or_inline(scenario):
-    """Inline `fields`, or an `example` with its `f` and `hopf`'s `chart`."""
-    if "chart" in scenario and scenario.get("example") != "hopf":
+def _model(v):
+    """The coupling triple of inline `fields` or of an `example`, once what
+    that choice leaves unread is refused."""
+    checks = getattr(v, "checks", ())   # a ymh-build scores no leaf form
+    if v.chart is not None and v.example != "hopf":
         raise ScenarioError("chart", "only the hopf example has charts")
-    if "fields" in scenario:
-        if "example" in scenario:
-            raise ScenarioError("example", "a scenario gives an example or "
-                                           "inline fields, not both")
-        if "f" in scenario and "leaf-form" not in scenario.get("checks", ()):
-            raise ScenarioError("f", "inline fields read no f; only the "
-                                     "leaf-form check does")
-        return _inline_geometry(scenario["fields"])
-    name = _require(scenario, "example", str)
-    if name not in EXAMPLES:
-        raise ScenarioError("example", f"unknown example {name!r}; "
-                                       f"registry has {sorted(EXAMPLES)}")
-    if name in ("hopf", "hopf-flat"):
-        f_fn = _scenario_f(scenario, "x", SPHERE_F)
-        if name == "hopf":
-            chart = _count(scenario.get("chart", 0), "chart", 0, 1)
-            return EXAMPLES[name](f_fn, chart=chart)
-        return EXAMPLES[name](f_fn)
-    if "f" not in scenario:
-        return EXAMPLES[name]()
-    if name != "trivial-torus":
-        raise ScenarioError("f", f"the {name} example takes no f")
-    return EXAMPLES[name](_scenario_f(scenario, "x", None))
+    if (v.fields is None) == (v.example is None):
+        raise ScenarioError("example", "a scenario gives either an example "
+                                       "or inline fields")
+    if v.f is not None and not ("leaf-form" in checks if v.fields else
+                                v.example in ("hopf", "hopf-flat",
+                                              "trivial-torus")):
+        raise ScenarioError("f", "no check reads f here: only the sphere and "
+                                 "torus examples and inline leaf forms do")
+    if v.f is None and v.example in ("hopf", "hopf-flat"):
+        v.f = F_OF_X(SPHERE_F, "f")
+    if v.fields is not None:
+        geom = _inline_geometry(v.fields)
+    elif v.example == "hopf":
+        geom = EXAMPLES["hopf"](v.f, chart=v.chart or 0)
+    else:
+        geom = EXAMPLES[v.example](*(() if v.f is None else (v.f,)))
+    if "leaf-form" in checks:
+        if geom.space.base.kind != SPHERE_STEREO or geom.space.n_fiber != 1:
+            raise ScenarioError("checks", "the leaf-form check applies to the "
+                                          "sphere models with a line fiber")
+        v.f = v.f or F_OF_X(SPHERE_F, "f")
+    return geom
 
 
 def _inline_geometry(cfg):
-    if not isinstance(cfg, dict):
-        raise ScenarioError("fields", "inline fields must be an object")
-    _refuse_unread(cfg, OBJECT_KEYS["fields"], "fields.")
-    chart = cfg.get("base_chart")
-    if chart not in (None, "sphere"):
-        raise ScenarioError("fields.base_chart", f"the only named base chart "
-                                                 f"is 'sphere', got {chart!r}")
-    base = CoordinateDomain.sphere() if chart == "sphere" else \
-        CoordinateDomain.box(_bounds(cfg, "base_bounds"))
-    fiber = CoordinateDomain.box(_bounds(cfg, "fiber_bounds"), name="fiber")
+    """The coupling triple of parsed inline fields, their component
+    expressions compiled over the coordinates b1…bN, x1…xM."""
+    base = CoordinateDomain.sphere() if cfg.base_chart else \
+        CoordinateDomain.box(cfg.base_bounds)
+    fiber = CoordinateDomain.box(cfg.fiber_bounds, name="fiber")
     nb, nf = base.dim, fiber.dim
-    if nb + nf > MAX_SAMPLE_DIM:
-        raise ScenarioError("fields", f"base and fiber have {nb + nf} "
-                                      f"coordinates; sampling supports at "
-                                      f"most {MAX_SAMPLE_DIM}")
-    space = FiberedSpace(base, fiber, name=cfg.get("name", "inline"))
+    _ok(nb + nf <= MAX_SAMPLE_DIM, None, "fields", f"at most "
+        f"{MAX_SAMPLE_DIM} coordinates, the sampler's limit", nb + nf)
+    space = FiberedSpace(base, fiber, name=cfg.name)
     coords = [f"b{i + 1}" for i in range(nb)] + \
              [f"x{i + 1}" for i in range(nf)]
 
-    def compile_list(key, exprs, count):
-        if not isinstance(exprs, list) or len(exprs) != count:
-            raise ScenarioError(f"fields.{key}",
-                                f"expected a list of {count} expressions, "
-                                f"got {exprs!r}")
-        return [compile_expression(e, coords, field=f"fields.{key}[{i}]")
+    def compiled(key, exprs, count):
+        _ok(len(exprs) == count, None, f"fields.{key}",
+            f"a list of {count} expressions", exprs)
+        return [compile_expression(e, coords, f"fields.{key}[{i}]")
                 for i, e in enumerate(exprs)]
 
-    omega_exprs = _require(cfg, "omega", list, field="fields.omega")
-    n_base_pairs = nb * (nb - 1) // 2
-    n_fiber_pairs = nf * (nf - 1) // 2
-    om_fns = compile_list("omega", omega_exprs, n_base_pairs)
+    om_fns = compiled("omega", cfg.omega, nb * (nb - 1) // 2)
     omega = HorizontalForm(space, 2, lambda p: [f(p) for f in om_fns],
                            name="inline-omega")
-
-    pi_exprs = cfg.get("pi")
-    if pi_exprs is None:
-        pi_v = VerticalBivector(space, lambda p: [0.0] * n_fiber_pairs,
+    if cfg.pi is None:
+        pi_v = VerticalBivector(space, lambda p: [0.0] * (nf * (nf - 1) // 2),
                                 name="zero")
     else:
-        pi_fns = compile_list("pi", pi_exprs, n_fiber_pairs)
+        pi_fns = compiled("pi", cfg.pi, nf * (nf - 1) // 2)
         pi_v = VerticalBivector(space, lambda p: [f(p) for f in pi_fns],
                                 name="inline-pi")
-
-    conn_exprs = cfg.get("connection")
-    if conn_exprs is None:
+    if cfg.connection is None:
         conn = FlatConnection(space)
     else:
-        if (not isinstance(conn_exprs, list) or len(conn_exprs) != nf
-                or any(not isinstance(r, list) or len(r) != nb
-                       for r in conn_exprs)):
-            raise ScenarioError("fields.connection",
-                                f"expected a {nf}×{nb} matrix of "
-                                f"expressions")
-        rows = [[compile_expression(e, coords,
-                                    field=f"fields.connection[{i}][{j}]")
-                 for j, e in enumerate(row)]
-                for i, row in enumerate(conn_exprs)]
+        _ok(len(cfg.connection) == nf, None, "fields.connection",
+            f"{nf} rows of {nb} expressions", cfg.connection)
+        rows = [compiled(f"connection[{i}]", row, nb)
+                for i, row in enumerate(cfg.connection)]
 
         def coeff(b, x):
             p = list(b) + list(x)
             return [[f(p) for f in row] for row in rows]
 
         conn = Connection(space, coeff, name="inline-connection")
-    return GeometricData(space, conn, pi_v, omega,
-                         name=cfg.get("name", "inline"))
+    return GeometricData(space, conn, pi_v, omega, name=cfg.name)
+
+
+def _sphere_family(cfg):
+    """The sphere family a parsed `area` or `families` entry describes."""
+    return cap(cfg.theta, *cfg.nodes) if cfg.family == "cap" else \
+        round_sphere(*cfg.nodes)
 
 
 # -- kind runners ---------------------------------------------------------------------
 
-def _run_coupling_check(scenario, seed):
-    wanted = scenario.get("checks", ["conditions"])
-    if (not isinstance(wanted, list) or not wanted
-            or any(w not in COUPLING_CHECKS for w in wanted)):
-        raise ScenarioError("checks", f"expected a non-empty list of check "
-                                      f"names from {list(COUPLING_CHECKS)}, "
-                                      f"got {wanted!r}")
-    geom = _example_or_inline(scenario)
-    samples = _count(scenario.get("samples", 64), "samples", 1, MAX_SAMPLES)
+def _run_coupling_check(v, seed):
+    geom, wanted = v.geom, v.checks
     checks, extras = [], {}
     cond = res = None
     if "conditions" in wanted or "oracle-agreement" in wanted:
-        cond = check_coupling_conditions(geom, count=samples, seed=seed)
+        cond = check_coupling_conditions(geom, count=v.samples, seed=seed)
     if "closure" in wanted or "oracle-agreement" in wanted:
-        res = dirac_closure_residual(geom, count=min(samples, 16), seed=seed)
+        res = dirac_closure_residual(geom, count=min(v.samples, 16),
+                                     seed=seed)
     if "conditions" in wanted:
-        checks += [_scored(scenario, key, cond[key])
-                   for key in CONDITION_NAMES]
+        checks += [_scored(v, key, cond[key]) for key in CONDITION_NAMES]
     if "closure" in wanted:
-        checks.append(_scored(scenario, "dirac_closure", res))
+        checks.append(_scored(v, "dirac_closure", res))
     if "oracle-agreement" in wanted:
-        thr = _tol(scenario, "oracle_agreement")
+        thr = v.tolerances.oracle_agreement
         # a NaN on either route is a disagreement, never a match
         agree = ((cond["max"] < thr) == (res < thr)
                  and not (math.isnan(cond["max"]) or math.isnan(res)))
@@ -467,205 +516,117 @@ def _run_coupling_check(scenario, seed):
         extras["condition_max"] = float(cond["max"])
         extras["closure_residual"] = float(res)
     if "leaf-form" in wanted:
-        checks.append(_scored(scenario, "leaf_form_match",
-                              _leaf_residual(geom, scenario, seed)))
+        checks.append(_scored(v, "leaf_form_match", _leaf_residual(v, seed)))
     if "splitting" in wanted:
         res = splitting_bracket_residual(geom, count=6, seed=seed)
-        checks.append(_scored(scenario, "splitting_brackets", res["max"]))
+        checks.append(_scored(v, "splitting_brackets", res["max"]))
     return checks, extras
 
 
-def _leaf_residual(geom, scenario, seed):
+def _leaf_residual(v, seed):
     """Distance of the leaf form to f(x)·(the chart's round area form)."""
-    if geom.space.base.kind != SPHERE_STEREO or geom.space.n_fiber != 1:
-        raise ScenarioError("checks", "the leaf-form check applies to the "
-                                      "one-dimensional-fiber sphere models")
-    f_fn = _scenario_f(scenario, "x", SPHERE_F)
-    chart1 = scenario.get("example") == "hopf" and scenario.get("chart") == 1
-    sign = -1.0 if chart1 else 1.0
-
-    pt = geom.sample_points(8, seed=seed)
-    _, leaf = leaf_two_form(assemble_dirac(geom, pt))
-    u, v, x = pt
-    s = 1.0 + u * u + v * v
-    expected = sign * f_fn(x) * 4.0 / (s * s)
+    sign = -1.0 if v.example == "hopf" and v.chart == 1 else 1.0
+    pt = v.geom.sample_points(8, seed=seed)
+    _, leaf = leaf_two_form(assemble_dirac(v.geom, pt))
+    u, w, x = pt
+    s = 1.0 + u * u + w * w
+    expected = sign * v.f(x) * 4.0 / (s * s)
     want = {(0, 1): expected, (1, 0): -expected}
     return worst(abs(dm.value_of(entry) - want.get((r, c), 0.0))
                  for r, row in enumerate(leaf) for c, entry in enumerate(row))
 
 
-def _run_ymh_build(scenario, seed):
-    geom = _example_or_inline(scenario)
+def _run_ymh_build(v, seed):
+    geom = v.geom
     checks, extras = [], {}
     principal = getattr(geom, "principal", None)
     fiber_model = getattr(geom, "fiber_model", None)
     if principal is not None:
-        checks.append(_scored(scenario, "structure_jacobi",
+        checks.append(_scored(v, "structure_jacobi",
                               principal.group.jacobi_residual()))
         bianchi = principal.bianchi_residual(
             geom.sample_points(6, seed=seed)[:geom.space.n_base])
-        checks.append(_scored(scenario, "bianchi", bianchi))
+        checks.append(_scored(v, "bianchi", bianchi))
     if fiber_model is not None:
-        checks.append(_scored(scenario, "prehamiltonian",
+        checks.append(_scored(v, "prehamiltonian",
                               fiber_model.prehamiltonian_residual(count=8,
                                                                   seed=seed)))
-    cond = check_coupling_conditions(
-        geom, count=_count(scenario.get("samples", 32), "samples", 1,
-                           MAX_SAMPLES), seed=seed)
-    checks.append(_scored(scenario, "coupling_conditions", cond["max"]))
-    if scenario.get("example") == "hopf":
+    cond = check_coupling_conditions(geom, count=v.samples, seed=seed)
+    checks.append(_scored(v, "coupling_conditions", cond["max"]))
+    if v.example == "hopf":
         gauge = gauge_transition_check()
-        checks.append(_scored(scenario, "gauge_closedness",
-                              gauge["closedness"]))
-        checks.append(_scored(scenario, "gauge_winding",
-                              abs(gauge["winding"] + 2.0)))
+        checks += [_scored(v, "gauge_closedness", gauge["closedness"]),
+                   _scored(v, "gauge_winding", abs(gauge["winding"] + 2.0))]
         extras["winding"] = gauge["winding"]
     return checks, extras
 
 
-def _build_family(cfg, field, keys):
-    """The sphere family a scenario object `cfg` with `keys` describes."""
-    if not isinstance(cfg, dict) or "family" not in cfg:
-        raise ScenarioError(field, "each family needs a 'family' key")
-    _refuse_unread(cfg, keys, f"{field}.")
-    name = cfg["family"]
-    nodes = _simpson_counts(cfg.get("nodes", [65, 65]), f"{field}.nodes", 3,
-                            MAX_FAMILY_NODES)
-    if name == "round-sphere":
-        return round_sphere(*nodes)
-    if name == "cap":
-        theta = _real(cfg.get("theta"), f"{field}.theta")
-        try:
-            return cap(theta, *nodes)
-        except ValueError as exc:   # an angle outside (0, π) is bad input
-            raise ScenarioError(f"{field}.theta", str(exc)) from None
-    raise ScenarioError(field, f"unknown family {name!r}; registry has "
-                               f"{sorted(FAMILIES)}")
-
-
-def _run_transgress(scenario, seed):
-    geom = EXAMPLES["hopf-flat"](_scenario_f(scenario, "x", "x"))
-    x0 = _fiber_point(scenario, [0.3], geom.space.fiber)
-    families = scenario.get("families", [])
-    if not isinstance(families, list):
-        raise ScenarioError("families", f"expected a list of families, got "
-                                        f"{families!r}")
-    fams = [_build_family(cfg, f"families[{i}]", OBJECT_KEYS["families"])
-            for i, cfg in enumerate(families)]
+def _run_transgress(v, seed):
+    geom = EXAMPLES["hopf-flat"](v.f)
     checks, extras = [], {}
-    if "area" in scenario:
-        area_cfg = scenario["area"]
-        fam = _build_family(area_cfg, "area", OBJECT_KEYS["area"])
-        expected = _constant(area_cfg.get("expected", "4*pi"),
-                             "area.expected", nonzero=True)
-
+    if v.area is not None:
         def round_two_form(p, vt, ve):
             s = 1.0 + p[0] * p[0] + p[1] * p[1]
             return 4.0 / (s * s) * (vt[0] * ve[1] - vt[1] * ve[0])
 
-        area = fam.signed_area(round_two_form)
-        extras["area"] = area
-        checks.append(_scored(scenario, "sphere_area",
-                              abs(area - expected) / abs(expected)))
-    for fam in fams:
-        endpoint = transgress(geom, fam, x0).endpoint()[0]
-        oracle = transgress_flat(geom, fam, x0)[0]
+        area = extras["area"] = _sphere_family(v.area).signed_area(
+            round_two_form)
+        checks.append(_scored(v, "sphere_area", abs(area - v.area.expected)
+                              / abs(v.area.expected)))
+    for fam in map(_sphere_family, v.families):
+        endpoint = transgress(geom, fam, v.x0).endpoint()[0]
+        oracle = transgress_flat(geom, fam, v.x0)[0]
         scale = max(1.0, abs(oracle))
         checks.append(_check(f"oracle_{fam.name}",
                              abs(endpoint - oracle) / scale,
-                             _tol(scenario, "oracle")))
-    if not checks:
-        raise ScenarioError("checks", "a transgress scenario needs an "
-                                      "'area' block or a 'families' list")
+                             v.tolerances.oracle))
     return checks, extras
 
 
-def _run_so3_integrability(scenario, seed):
-    _require(scenario, "f", str)
-    f_fn = _scenario_f(scenario, "r", None)
-    radii = _reals(scenario.get("radii", [0.5, 1.0, 1.5]), "radii")
-    for i, r in enumerate(radii):
-        try:
-            lattice_point(r)
-        except ValueError as exc:
-            raise ScenarioError(f"radii[{i}]", str(exc)) from None
-    if not any(r > 0.0 for r in radii):
-        raise ScenarioError("radii", "at least one positive radius is "
-                                     "required")
-    try:
-        slope = scenario.get("exact_slope")
-        slope = None if slope is None else exact_rational(slope)
-    except TypeError as exc:
-        raise ScenarioError("exact_slope", str(exc)) from None
-    expected = None
-    if "expected_generator" in scenario:
-        expected = _constant(scenario["expected_generator"],
-                             "expected_generator")
-    want = scenario.get("expected_verdict")
-    if "expected_verdict" in scenario and want not in VERDICTS:
-        raise ScenarioError("expected_verdict", f"expected one of "
-                                                f"{list(VERDICTS)}, got "
-                                                f"{want!r}")
-    if _flag(scenario, "include_origin") and 0.0 not in radii:
-        radii = radii + [0.0]
-    grid = _simpson_counts(scenario.get("grid", [64, 64]), "grid", 2,
-                           MAX_LATTICE_GRID)
-    constancy = _tol(scenario, "generator_constancy")
-    report = so3_lattice(f_fn, radii=radii, grid=tuple(grid),
+def _run_so3_integrability(v, seed):
+    rs = v.radii + [0.0] if v.include_origin and 0.0 not in v.radii \
+        else v.radii
+    constancy = v.tolerances.generator_constancy
+    report = so3_lattice(v.f, radii=rs, grid=tuple(v.grid),
                          constancy_tol=constancy)
-    checks, extras = [], {}
-    checks.append(_check("generator_constancy", report.relative_deviation,
-                         constancy))
+    checks, extras = [_check("generator_constancy",
+                             report.relative_deviation, constancy)], {}
     if report.has_degenerate_origin:
-        checks.append(_scored(scenario, "origin_degenerate",
-                              report.origin_pi))
-    if expected is not None:
-        deviation = worst(abs(c - expected) / max(1.0, abs(expected))
+        checks.append(_scored(v, "origin_degenerate", report.origin_pi))
+    if v.expected_generator is not None:
+        deviation = worst(abs(c - v.expected_generator)
+                          / max(1.0, abs(v.expected_generator))
                           for c in report.radial_components)
-        checks.append(_scored(scenario, "generator_value", deviation))
+        checks.append(_scored(v, "generator_value", deviation))
     try:
-        verdict = integrability_verdict(report, slope)
+        verdict = integrability_verdict(report, v.exact_slope)
     except ValueError as exc:
         checks.append(_failed("slope_consistency", exc))
         verdict = VERDICT_INCONCLUSIVE
     extras["integrability"] = verdict
     extras["generators"] = [float(g) for g in report.radial_components]
-    if "expected_verdict" in scenario:
-        checks.append(_check("verdict_match", 0.0 if verdict == want
-                             else 1.0, 0.5))
+    if v.expected_verdict is not None:
+        checks.append(_check("verdict_match", 0.0
+                             if verdict == v.expected_verdict else 1.0, 0.5))
     return checks, extras
 
 
-def _run_apath(scenario, seed):
-    step = _real(scenario.get("step", 1e-3), "step", positive=True)
-    if step < MIN_APATH_STEP:
-        raise ScenarioError("step", f"expected a step >= {MIN_APATH_STEP}, "
-                                    f"got {step!r}")
-    eps = _real(scenario.get("eps", 0.3), "eps")
+def _run_apath(v, seed):
     fiber = HamiltonianFiber.coadjoint_so3()
-    x0 = _fiber_point(scenario, [0.6, 0.0, 0.8], fiber.domain)
-    halving = _flag(scenario, "halving")
-    alpha_exprs = scenario.get("alpha", [
-        "(3+e)*sin(2*pi*t)", "2.5*cos(3*pi*t)-e*t", "1.5*sin(5*t+e)"])
-    if not isinstance(alpha_exprs, list) or len(alpha_exprs) != 3:
-        raise ScenarioError("alpha", f"the so(3) coefficient curve needs a "
-                                     f"list of three expressions, got "
-                                     f"{alpha_exprs!r}")
-    fns = [compile_expression(e, ["t", "e"], field=f"alpha[{i}]")
-           for i, e in enumerate(alpha_exprs)]
-    alpha = lambda t, e: [f([t, e]) for f in fns]
-    r1 = flow_commutation_residual(fiber, alpha, x0, eps=eps, step=step)
-    checks = [_scored(scenario, "flow_commutation", r1)]
+    alpha = lambda t, e: [f([t, e]) for f in v.alpha]
+    r1 = flow_commutation_residual(fiber, alpha, v.x0, eps=v.eps,
+                                   step=v.step)
+    checks = [_scored(v, "flow_commutation", r1)]
     extras = {"residual_at_step": r1}
-    if halving:
-        r2 = flow_commutation_residual(fiber, alpha, x0, eps=eps,
-                                       step=step / 2.0)
+    if v.halving:
+        r2 = flow_commutation_residual(fiber, alpha, v.x0, eps=v.eps,
+                                       step=v.step / 2.0)
         floor = 1e-13   # below this both residuals sit at roundoff
         if not (math.isfinite(r1) and math.isfinite(r2)):
             gain = math.nan
         else:
             gain = r2 / r1 if r1 > floor else 0.0
-        checks.append(_scored(scenario, "halving_gain", gain))
+        checks.append(_scored(v, "halving_gain", gain))
         extras["residual_at_half_step"] = r2
     return checks, extras
 
@@ -676,116 +637,155 @@ def _groupoid_instance(name):
     space = FiberedSpace(base, fiber, name=name)
     omega = HorizontalForm(space, 2, lambda p: [1.5], name="const-omega")
     pi_v = VerticalBivector(space, lambda p: [2.0], name="const-pi")
-    if name == "split-product":
-        conn = FlatConnection(space)
-    elif name == "twisted-product":
-        conn = Connection(space, lambda b, x: [[0.3, -0.1], [0.2, 0.4]],
-                          name="const-mixing")
-    else:
-        raise ScenarioError("instance", f"unknown groupoid instance "
-                                        f"{name!r}; use 'split-product' or "
-                                        f"'twisted-product'")
+    conn = FlatConnection(space) if name == "split-product" else \
+        Connection(space, lambda b, x: [[0.3, -0.1], [0.2, 0.4]],
+                   name="const-mixing")
     return GeometricData(space, conn, pi_v, omega, name=name)
 
 
-def _run_groupoid_check(scenario, seed):
-    geom = _groupoid_instance(scenario.get("instance", "split-product"))
-    samples = _count(scenario.get("samples", 6), "samples", 1, MAX_SAMPLES)
-    checks, extras = [], {}
+def _run_groupoid_check(v, seed):
+    geom = _groupoid_instance(v.instance)
     gpd = PairGroupoid(geom.space.dim)
-    checks.append(_scored(scenario, "axioms", gpd.axioms_residual(seed=seed)))
+    checks = [_scored(v, "axioms", gpd.axioms_residual(seed=seed))]
     form = pair_form(coupling_form(geom))
-    checks.append(_scored(scenario, "multiplicativity",
+    checks.append(_scored(v, "multiplicativity",
                           multiplicativity_residual(form.value,
                                                     geom.space.dim, seed=seed)))
-    report = integrated_data_check(geom, count=samples, seed=seed)
+    report = integrated_data_check(geom, count=v.samples, seed=seed)
     checks.append(_check("fiber_nondegeneracy",
                          float(report["fiber_nondegeneracy_dim"]), 0.5))
-    checks += [_scored(scenario, key, report[key])
+    checks += [_scored(v, key, report[key])
                for key in ("horizontal_identity", "hor_projection",
                            "hor_vertical_orthogonality")]
-    checks.append(_scored(scenario, "source_target_orthogonality",
+    checks.append(_scored(v, "source_target_orthogonality",
                           source_target_orthogonality(geom, form, seed=seed)))
-    return checks, extras
+    return checks, {}
 
+
+# -- the scenario kinds ---------------------------------------------------------------
 
 #: each scenario kind, stated once: its runner, the default of every
 #: tolerance its checks score (a scenario may set only these; `oracle`
-#: scores each oracle_<family>), and the keys it reads besides COMMON_KEYS
+#: scores each oracle_<family>), and the declaration (type, default) of
+#: every key it reads
 Kind = namedtuple("Kind", "run tolerances keys")
-KINDS = {
-    "coupling-check": Kind(
+
+
+def _kind(run, tolerances, keys):
+    """A kind reading `keys` and those every kind takes."""
+    positive = real(0.0, math.inf, False, (0.0, 1.0))
+    return Kind(run, tolerances, {
+        "name": (text, REQUIRED), "kind": (enum(KINDS), REQUIRED),
+        "seed": (count(0, MAX_SEED, MAX_SEED), 0),
+        "tolerances": (obj({name: (positive, default)
+                            for name, default in tolerances.items()}), {}),
+        **keys})
+
+
+KINDS = {}   # filled below, where each kind's `kind` key is read against it
+KINDS.update({
+    "coupling-check": _kind(
         _run_coupling_check,
         {**dict.fromkeys(CONDITION_NAMES, 1e-8), "dirac_closure": 1e-6,
          "oracle_agreement": 1e-6, "leaf_form_match": 1e-8,
          "splitting_brackets": 1e-6},
-        ("chart", "checks", "example", "f", "fields", "samples")),
-    "ymh-build": Kind(
+        {**_MODEL, "samples": (SAMPLES, 64),
+         "checks": (listing(enum(("conditions", "closure",
+                                  "oracle-agreement", "leaf-form",
+                                  "splitting")), 1, math.inf),
+                    ["conditions"])}),
+    "ymh-build": _kind(
         _run_ymh_build,
         {"structure_jacobi": 1e-12, "bianchi": 1e-10, "prehamiltonian": 1e-10,
          "coupling_conditions": 1e-8, "gauge_closedness": 1e-8,
          "gauge_winding": 1e-6},
-        ("chart", "example", "f", "fields", "samples")),
-    "transgress": Kind(
+        {**_MODEL, "samples": (SAMPLES, 32)}),
+    "transgress": _kind(
         _run_transgress, {"sphere_area": 1e-6, "oracle": 1e-4},
-        ("area", "f", "families", "x0")),
-    "so3-integrability": Kind(
+        {"area": (union("family", {
+            name: {**keys, "expected": (constant(True), "4*pi")}
+            for name, keys in FAMILY_KEYS.items()}), None),
+         "f": (F_OF_X, "x"),
+         "families": (listing(union("family", FAMILY_KEYS), 0, math.inf),
+                      []),
+         # the fiber chart of the hopf-flat model, |x| <= 1.5
+         "x0": (point(HamiltonianFiber.scaled_line(None).domain), [0.3])}),
+    "so3-integrability": _kind(
         _run_so3_integrability,
         {"generator_constancy": 1e-3, "origin_degenerate": 1e-8,
          "generator_value": 1e-4},
-        ("exact_slope", "expected_generator", "expected_verdict", "f",
-         "grid", "include_origin", "radii")),
-    "apath": Kind(
+        {"exact_slope": (rational, None),
+         "expected_generator": (constant(False), None),
+         "expected_verdict": (enum(VERDICTS), None),
+         "f": (expression(("r",)), REQUIRED),
+         "grid": (simpson(2, MAX_LATTICE_GRID, 8), [64, 64]),
+         "include_origin": (flag, True),
+         "radii": (listing(radius, 1, math.inf), [0.5, 1.0, 1.5])}),
+    "apath": _kind(
         _run_apath, {"flow_commutation": 1e-6, "halving_gain": 0.125},
-        ("alpha", "eps", "halving", "step", "x0")),
-    "groupoid-check": Kind(
+        {"alpha": (listing(expression(("t", "e")), 3, 3),
+                   ["(3+e)*sin(2*pi*t)", "2.5*cos(3*pi*t)-e*t",
+                    "1.5*sin(5*t+e)"]),
+         "eps": (real(-math.inf, math.inf, True, (-3.0, 3.0)), 0.3),
+         "halving": (flag, True),
+         # a run costs one RK4 step per `step` of time: fuzz at >= 0.05
+         "step": (real(MIN_APATH_STEP, math.inf, True, (0.05, 1.0)), 1e-3),
+         "x0": (point(HamiltonianFiber.coadjoint_so3().domain),
+                [0.6, 0.0, 0.8])}),
+    "groupoid-check": _kind(
         _run_groupoid_check,
         {"axioms": 1e-14, "multiplicativity": 1e-12,
          "horizontal_identity": 1e-8, "hor_projection": 1e-10,
          "hor_vertical_orthogonality": 1e-10,
          "source_target_orthogonality": 1e-10},
-        ("instance", "samples")),
-}
+        {"instance": (enum(("split-product", "twisted-product")),
+                      "split-product"),
+         "samples": (SAMPLES, 6)}),
+})
+
+
+def parse(scenario):
+    """The scenario's values, typed by its kind's declarations, defaults
+    filled, or the ScenarioError naming the first key that fails them: the
+    one place a scenario is read.  It also applies the rules that span
+    keys."""
+    kind = scenario.get("kind")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ScenarioError("kind", f"unknown scenario kind {kind!r}; one "
+                                    f"of {list(KINDS)} expected")
+    v = _read(scenario, KINDS[kind].keys, "")
+    if kind == "transgress" and v.area is None and not v.families:
+        raise ScenarioError("families", "a transgress scenario needs an "
+                                        "'area' or a non-empty 'families'")
+    if kind == "so3-integrability" and not any(r > 0.0 for r in v.radii):
+        raise ScenarioError("radii", "at least one radius must be positive")
+    if "fields" in KINDS[kind].keys:
+        v.geom = _model(v)
+    return v
 
 
 # -- report assembly ------------------------------------------------------------------
 
 def run_scenario(scenario):
-    """Execute a validated scenario dict; returns (report, exit_code)."""
-    name = _require(scenario, "name", str)
-    kind = _require(scenario, "kind", str)
-    if kind not in KINDS:
-        raise ScenarioError("kind", f"unknown scenario kind {kind!r}; one "
-                                    f"of {list(KINDS)} expected")
-    _refuse_unread(scenario, COMMON_KEYS + KINDS[kind].keys, "")
-    _validate_tolerances(scenario, kind)
-    seed = _count(scenario.get("seed", 0), "seed", 0, MAX_SEED)
-    start = time.perf_counter()
+    """Parse and run a scenario dict; returns (report, exit_code)."""
+    v = parse(scenario)
+    start, extras = time.perf_counter(), {}
     try:
         # on array sample points a domain error is a NaN residual: a FAIL
         with np.errstate(all="ignore"):
-            checks, extras = KINDS[kind].run(scenario, seed)
+            checks, extras = KINDS[v.kind].run(v, v.seed)
     except IncompleteTransportError as exc:
         checks = [_failed("numerical-escape", exc)]
-        extras = {}
     except (ValueError, ZeroDivisionError, OverflowError, MemoryError,
             np.linalg.LinAlgError) as exc:
         checks = [_failed("evaluation-error", exc)]
-        extras = {}
     wall_ms = int(round(1000.0 * (time.perf_counter() - start)))
     verdict = "PASS" if all(c["verdict"] == "PASS" for c in checks) \
         else "FAIL"
-    report = {
-        "scenario": name,
-        "kind": kind,
-        "checks": checks,
-        "verdict": verdict,
-        "grid": scenario.get("grid"),
-        "seed": seed,
-        "tool_version": __version__,
-        "wall_ms": wall_ms,
-    }
-    report.update(extras)
+    report = {"scenario": v.name, "kind": v.kind, "checks": checks,
+              "verdict": verdict, "grid": getattr(v, "grid", None),
+              "seed": v.seed, "tool_version": __version__,
+              "wall_ms": wall_ms, **extras}
     return report, (0 if verdict == "PASS" else 1)
 
 
@@ -823,12 +823,10 @@ def _cmd_check(args):
 
 
 def _cmd_examples(args):
-    registry = dict(EXAMPLE_NOTES)
     needle = (args.filter or "").lower()
-    for name in sorted(registry):
-        if needle and needle not in name.lower():
-            continue
-        print(f"{name:15s} {registry[name]}")
+    for name in sorted(EXAMPLE_NOTES):
+        if needle in name.lower():
+            print(f"{name:15s} {EXAMPLE_NOTES[name]}")
     return 0
 
 

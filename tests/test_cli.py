@@ -1,5 +1,6 @@
 """Expression compiler, scenario runner, exit codes, and report shape."""
 
+import copy
 import json
 import math
 import warnings
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import (HealthCheck, Phase, given, settings,
+                        strategies as st)
 
 from fiberdirac import __version__, cli, monodromy
 from fiberdirac.cli import ScenarioError, compile_expression, run_scenario
@@ -65,6 +67,8 @@ def test_compiles_arithmetic_and_library_calls():
     "sin(x, 1)",        # wrong arity
     "x if x else 0",    # node type outside the grammar
     "__import__('os')",
+    "True",             # a bool is no numeric literal
+    "False*x",
 ])
 def test_rejects_sources_outside_the_grammar(src):
     with pytest.raises(ScenarioError):
@@ -351,28 +355,52 @@ KEYS_IN_USE = {
 }
 
 
+def bundled(kind):
+    """The first bundled scenario of `kind`."""
+    return next(json.loads(p.read_text())
+                for p in sorted(SCENARIOS.glob("*.json"))
+                if json.loads(p.read_text())["kind"] == kind)
+
+
 def test_every_tolerance_key_in_use_is_accepted():
     for p in SCENARIOS.glob("*.json"):
         scenario = json.loads(p.read_text())
         assert set(scenario.get("tolerances", {})) <= set(
             KEYS_IN_USE[scenario["kind"]]), p.name
     for kind, keys in KEYS_IN_USE.items():
-        cli._validate_tolerances(
-            {"tolerances": {key: 1e-6 for key in keys}}, kind)
+        tolerances = {key: 1e-6 + k for k, key in enumerate(keys)}
+        parsed = cli.parse(dict(bundled(kind), tolerances=tolerances))
+        assert {key: getattr(parsed.tolerances, key)
+                for key in keys} == tolerances
+
+
+class ReadTolerances:
+    """Parsed tolerances that record each name a runner reads."""
+
+    def __init__(self, parsed, read):
+        self.parsed, self.read = parsed, read
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.parsed, name)
 
 
 def test_the_tolerance_table_is_what_each_runner_reads(monkeypatch):
     # the bundled scenarios reach every scored check of every kind: each
-    # kind reads exactly the tolerances it declares, and a name it does not
-    # declare has no default, so `_tol` raises KeyError on it
+    # kind reads exactly the tolerances it declares, and the parsed
+    # tolerances hold no name it does not declare
     read = {kind: set() for kind in cli.KINDS}
-    tol = cli._tol
+    parse = cli.parse
 
-    def recording(scenario, name):
-        read[scenario["kind"]].add(name)
-        return tol(scenario, name)
+    def recording(scenario):
+        parsed = parse(scenario)
+        assert set(vars(parsed.tolerances)) == set(
+            cli.KINDS[parsed.kind].tolerances)
+        parsed.tolerances = ReadTolerances(parsed.tolerances,
+                                           read[parsed.kind])
+        return parsed
 
-    monkeypatch.setattr(cli, "_tol", recording)
+    monkeypatch.setattr(cli, "parse", recording)
     for p in SCENARIOS.glob("*.json"):
         run_scenario(json.loads(p.read_text()))
     assert read == {kind: set(declared.tolerances)
@@ -558,6 +586,22 @@ NAMED_INPUT_ERRORS = [
     ({"name": "a", "kind": "transgress",
       "area": {"family": "round-sphere",
                "nodes": [9, cli.MAX_FAMILY_NODES + 2]}}, "area.nodes"),
+    # a JSON boolean is no constant, though Python reads True as 1
+    (sphere_area(True), "area.expected"),
+    (dict(LATTICE, expected_generator=True), "expected_generator"),
+    # a key the other keys leave unread: a round sphere has no angle, and
+    # a sphere base no bounds
+    ({"name": "t", "kind": "transgress",
+      "families": [{"family": "round-sphere", "theta": 0.5}]},
+     "families[0].theta"),
+    ({"name": "a", "kind": "transgress",
+      "area": {"family": "round-sphere", "theta": "abc", "nodes": [9, 9]}},
+     "area.theta"),
+    (dict(inline(base_chart="sphere", base_bounds="junk"),
+          checks=["leaf-form"]), "fields.base_bounds"),
+    # a key that is present holds a value of its type, and null is none
+    (dict(LATTICE, exact_slope=None), "exact_slope"),
+    (inline(pi=None), "fields.pi"),
 ]
 
 
@@ -747,56 +791,283 @@ def test_a_generator_that_is_not_finite_is_inconclusive(radii):
     assert checks["verdict_match"] == "FAIL"
 
 
-# bounds and their entries of every JSON kind, nested up to two lists
-# deep, and valid boxes of one and two axes
-BOUND = st.one_of(st.integers(-3, 3), st.floats(), st.booleans(),
-                  st.text(max_size=3), st.none())
-BOUNDS = st.one_of(
-    st.sampled_from([[[-1.0, 1.0]], [[-1.0, 1.0], [0, 2]]]), BOUND,
-    st.lists(st.one_of(BOUND, st.lists(BOUND, max_size=3)), max_size=3))
-# steps stay at or above 0.05: an RK4 run costs one step per `step` of time
-SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
-                   st.floats(0.05, 3.0), st.sampled_from(
-                       [0.0, -1.0, math.nan, math.inf, "2", "1/3", "1/0",
-                        "abc", "", [], [1.0]]))
+# -- fuzzing every declared key -------------------------------------------------------
+# The strategy is built from `cli.KINDS`: each key path a kind admits is set,
+# in a cheap valid scenario that holds it, to a value drawn from its
+# declared type, valid (at and inside its bounds, within its `fuzz` range)
+# or invalid (another JSON type, NaN, ±inf, out of bounds, an expression
+# outside the grammar).
 
 
-@st.composite
-def fuzzed_scenarios(draw):
-    def put(cfg, key, value):
-        if value is not None:
-            cfg[key] = value
-        return cfg
-
-    kind = draw(st.sampled_from(["fields", "lattice", "cap", "apath"]))
-    if kind == "fields":
-        cfg = put({"omega": ["1.0"] * draw(st.integers(0, 3))},
-                  "base_chart", draw(st.sampled_from([None, "sphere",
-                                                      "torus", 2])))
-        put(cfg, "base_bounds", draw(BOUNDS))
-        put(cfg, "fiber_bounds", draw(BOUNDS))
-        return {"name": "f", "kind": "coupling-check", "fields": cfg,
-                "samples": 1}
-    if kind == "lattice":
-        scenario = put(dict(LATTICE), "exact_slope", draw(SCALAR))
-        return put(scenario, "include_origin", draw(SCALAR))
-    if kind == "cap":
-        family = put({"family": "cap", "nodes": [3, 3]}, "theta",
-                     draw(SCALAR))
-        return {"name": "t", "kind": "transgress", "families": [family]}
-    scenario = put({"name": "a", "kind": "apath"}, "step", draw(SCALAR))
-    return put(scenario, "halving", draw(SCALAR))
+def key_paths(keys, prefix=""):
+    """(key path, type) for every key the declarations `keys` admit,
+    those inside their objects too; a list stands for its entries by
+    index 0."""
+    for key, (typ, _) in keys.items():
+        yield prefix + key, typ
+        yield from inner_paths(typ, prefix + key)
 
 
-@given(fuzzed_scenarios())
-@settings(max_examples=60, deadline=None)
-def test_fuzzed_scenario_inputs_exit_cleanly(scenario):
-    # a scenario either runs to an exit code or is refused as input
+def inner_paths(typ, path):
+    name, *args = typ.spec
+    if name == "object":
+        yield from key_paths(args[0], path + ".")
+    elif name == "union":
+        tag, variants = args
+        yield f"{path}.{tag}", cli.enum([k for k in variants if k])
+        for keys in variants.values():
+            yield from key_paths(keys, path + ".")
+    elif name == "list":
+        yield from inner_paths(args[0], path + "[0]")
+
+
+DECLARED = sorted({(kind, path): typ for kind, declared in cli.KINDS.items()
+                   for path, typ in key_paths(declared.keys)}.items(),
+                  key=lambda pair: pair[0])
+
+INLINE_BOX = {"name": "box", "base_bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+              "fiber_bounds": [[-1.0, 1.0], [-1.0, 1.0]],
+              "connection": [["0", "0.1*x1"], ["0", "0"]],
+              "pi": ["2.0"], "omega": ["1.0 + b1*x1"]}
+INLINE_SPHERE = {"base_chart": "sphere", "fiber_bounds": [[-1.5, 1.5]],
+                 "omega": ["1.0"]}
+ROUND, CAP = {"family": "round-sphere", "nodes": [3, 3]}, \
+    {"family": "cap", "theta": 0.8, "nodes": [3, 3]}
+
+def fuzz_bases(*bases):
+    """The bases named, the first of each kind with a seed and every
+    tolerance that kind declares."""
+    kinds = set()
+    for base in bases:
+        out = dict(base, name="fuzz")
+        if base["kind"] not in kinds:
+            kinds.add(base["kind"])
+            out.update(seed=1, tolerances=dict(
+                cli.KINDS[base["kind"]].tolerances))
+        yield out
+
+
+#: cheap valid scenarios that together hold every declared key path
+FUZZ_BASES = list(fuzz_bases(
+    {"kind": "coupling-check", "example": "hopf", "samples": 1},
+    {"kind": "coupling-check", "example": "hopf", "chart": 1, "f": "2*x+1",
+     "checks": ["conditions", "leaf-form"], "samples": 1},
+    {"kind": "coupling-check", "fields": INLINE_BOX, "samples": 1},
+    {"kind": "coupling-check", "fields": INLINE_SPHERE, "samples": 1},
+    {"kind": "ymh-build", "example": "hopf", "samples": 1},
+    {"kind": "ymh-build", "example": "hopf", "chart": 1, "f": "2*x+1",
+     "samples": 1},
+    {"kind": "ymh-build", "fields": INLINE_BOX, "samples": 1},
+    {"kind": "ymh-build", "fields": INLINE_SPHERE, "samples": 1},
+    {"kind": "transgress", "f": "2*x+1", "x0": [0.3],
+     "area": dict(ROUND, expected="4*pi"), "families": [ROUND]},
+    {"kind": "transgress", "area": dict(CAP, theta=1.0), "families": [CAP]},
+    {"kind": "so3-integrability", "f": "2*r+1", "radii": [0.5],
+     "grid": [2, 2], "include_origin": True, "exact_slope": "2",
+     "expected_generator": "8*pi",
+     "expected_verdict": "INTEGRABLE-CANDIDATE"},
+    {"kind": "apath", "alpha": ["sin(t)+e", "t", "e*t"], "eps": 0.3,
+     "step": 0.1, "halving": True, "x0": [0.6, 0.0, 0.8]},
+    {"kind": "groupoid-check", "instance": "split-product", "samples": 1}))
+
+
+def steps(path):
+    return [int(step) if step.isdigit() else step
+            for step in path.replace("[0]", ".0").split(".")]
+
+
+def lookup(scenario, path):
+    """The value at `path`, or KeyError when the scenario holds none."""
+    node = scenario
+    for step in steps(path):
+        try:
+            node = node[step]
+        except (KeyError, IndexError, TypeError):
+            raise KeyError(path) from None
+    return node
+
+
+def with_value(scenario, path, value):
+    out = copy.deepcopy(scenario)
+    *head, last = steps(path)
+    node = out
+    for step in head:
+        node = node[step]
+    node[last] = value
+    return out
+
+
+def holds(scenario, path):
     try:
-        _, code = run_scenario(scenario)
-    except ScenarioError:
-        return
-    assert code in (0, 1)
+        lookup(scenario, path)
+    except KeyError:
+        return False
+    return True
+
+
+NOT_NUMBERS = [None, True, False, "1", [], {}, math.nan, math.inf,
+               -math.inf, 10 ** 400]
+NOT_OBJECTS = [None, 5, "abc", [], True]
+NOT_LISTS = [None, 5, "abc", {}, True]
+
+
+def expressions(v, w):
+    """Sources in the variables v and w within the grammar, some undefined
+    or overflowing somewhere or raising, and sources outside it."""
+    return ([f"2*{v}+1", v, f"sin({v})*{w}", f"log({v})", f"1/({v}-0.3)",
+             f"exp(1000*{v})", "1/0", "pi",
+             f"1e200*1e200*{v} - 1e200*1e200*{w}"],
+            ["q + 1", "2*", "", "True", f"False*{v}", f"{v} if {v} else 0",
+             "__import__('os')", f"sin({v}, 1)", 3.0, None, []])
+
+
+def draws(typ, base):
+    """(valid, invalid): strategies for the value of a key of type `typ`
+    whose fuzz base holds `base` there."""
+    name, *args = typ.spec
+    one_of = st.sampled_from
+    if name == "real":
+        lo, hi, closed, (flo, fhi) = args
+
+        def inside(x):
+            return lo <= x <= hi if closed else lo < x < hi
+        ends = [x for x in (lo, hi) if flo <= x <= fhi and inside(x)]
+        valid = st.floats(flo, fhi).filter(inside)
+        return (valid | one_of(ends) if ends else valid,
+                one_of([x for x in (lo, hi, lo - 1, hi + 1, lo / 2)
+                        if math.isfinite(x) and not inside(x)] + NOT_NUMBERS))
+    if name == "count":
+        lo, hi, fuzz = args
+        return (st.integers(lo, min(hi, fuzz)),
+                one_of([lo - 1, hi + 1, float(lo)] + NOT_NUMBERS))
+    if name == "simpson":
+        lo, hi, fuzz = args
+        count = st.integers(0, (fuzz - lo) // 2).map(lambda k: lo + 2 * k)
+        return (st.lists(count, min_size=2, max_size=2),
+                one_of([[lo + 1, lo], [lo], [lo] * 3, [float(lo), lo],
+                        [lo - 2, lo], [hi + 2, lo], [lo, True]]
+                       + NOT_NUMBERS))
+    if name == "enum":
+        return one_of(sorted(args[0])), one_of(["zzz", "", 5, None, True, []])
+    if name == "flag":
+        return st.booleans(), one_of([None, 1, 0, "true", []])
+    if name == "text":
+        return one_of(["", "a", "fuzz name"]), one_of([None, 5, True, [], {}])
+    if name in ("source", "expression"):
+        variables = args[0] if args else ("b1", "x1")
+        return tuple(map(one_of, expressions(variables[0], variables[-1])))
+    if name == "constant":
+        zero = ["0", 0, "0*pi"]
+        return (one_of(["4*pi", "1", 2.5, 3, "-2", "sqrt(2)"]
+                       + zero * (not args[0])),
+                one_of(["1/0", "sqrt(-1)", "1e200*1e200", "abc", True, None,
+                        [], math.nan, math.inf, 10 ** 400] + zero * args[0]))
+    if name == "rational":
+        return (one_of(["2", 2, "5/2", "-1/3", 0]),
+                one_of([2.0, "abc", "1/0", "1e400", 10 ** 400, True, None,
+                        []]))
+    if name == "point":
+        (lo, hi), dim = args[0].bounds[0], args[0].dim
+        coordinate = st.floats(lo, hi) | one_of([lo, hi])
+        return (st.lists(coordinate, min_size=dim, max_size=dim),
+                one_of([[hi + 0.5] * dim, [lo - 0.5] * dim, [math.nan] * dim,
+                        [0.0] * (dim + 1), ["abc"] * dim, [True] * dim,
+                        [10 ** 400] * dim, None, 5]))
+    if name == "pair":
+        return (st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2,
+                         unique=True).map(sorted),
+                one_of([[1.0, -1.0], [1.0, 1.0], [1.0], "ab", [math.nan, 1.0],
+                        ["a", "b"], [True, 2.0], None]))
+    if name == "radius":
+        return (st.floats(0.0, 3.125) | one_of([0.0, 3.125]),
+                one_of([-1.0, 3.2, math.nan, math.inf, "abc", None, True]))
+    if name == "list":
+        item, lo, hi = args
+        if item.spec[0] in ("object", "union"):
+            return (one_of([base] + [[]] * (lo == 0)),
+                    one_of([[5], [None], ["abc"]] + NOT_LISTS))
+        valid, invalid = draws(item, base[0])
+        # lengths the scenario's other keys fix (a list of expressions per
+        # coordinate pair, say) stay those of the base
+        sizes = [lo - 1, hi + 1] if lo == hi else [lo - 1] if lo else []
+        return (st.lists(valid, min_size=len(base), max_size=len(base)),
+                invalid.map(lambda x: [x] + base[1:]) | one_of(
+                    [[base[0]] * n for n in sizes] + NOT_LISTS))
+    assert name in ("object", "union"), name
+    return st.just(base), one_of([dict(base, junk=1)] + NOT_OBJECTS)
+
+
+@given(st.data())
+@settings(max_examples=8, deadline=None, phases=[Phase.generate],
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_scenario_inputs_exit_cleanly(data):
+    # every (kind, key path) the declarations admit gets one drawn value:
+    # an invalid one exits 2 naming that key (or a place inside it), and a
+    # valid one runs to 0 or 1, with every NaN residual a FAIL, or exits 2
+    # the same way when the scenario's other keys rule it out.  A failure
+    # names its key and value, and an example is a hundred runs, so it is
+    # not shrunk
+    drawn = set()
+    for (kind, path), typ in DECLARED:
+        bases = [b for b in FUZZ_BASES if b["kind"] == kind
+                 and holds(b, path)]
+        if not bases:
+            continue
+        valid = data.draw(st.booleans(), label=f"{kind} {path} valid")
+        value = data.draw(draws(typ, lookup(bases[0], path))[not valid],
+                          label=f"{kind} {path}")
+        if valid and path == "kind":
+            bases = [b for b in FUZZ_BASES if b["kind"] == value]
+        elif valid and typ.spec[0] == "enum":
+            # a value that selects other keys is tried where they are set
+            bases = [b for b in bases if lookup(b, path) == value] or bases
+        scenario = with_value(bases[0], path, value)
+        drawn.add((kind, path))
+        try:
+            report, code = run_scenario(scenario)
+        except ScenarioError as err:
+            assert err.field == path or err.field.startswith(
+                (path + ".", path + "[")), (kind, path, value, err.field,
+                                            str(err))
+            continue
+        assert valid, (kind, path, value, "an invalid value ran")
+        assert code == (0 if {c["verdict"] for c in report["checks"]}
+                        == {"PASS"} else 1), report
+        assert all(c["verdict"] == "FAIL" for c in report["checks"]
+                   if c["residual"] is not None
+                   and math.isnan(c["residual"])), report
+    assert drawn == {pair for pair, _ in DECLARED}, \
+        {pair for pair, _ in DECLARED} - drawn
+
+
+def declared_rows():
+    """README's table rows for the declarations: each kind's own keys, and
+    the keys of each object per value of the key that selects them."""
+    def names(keys):
+        return ", ".join(f"`{key}`" for key in sorted(keys))
+
+    common = set.intersection(*(set(k.keys) for k in cli.KINDS.values()))
+    rows = set()
+    for kind, declared in cli.KINDS.items():
+        rows.add(f"| `{kind}` | {names(set(declared.keys) - common)} |")
+        for key, (typ, _) in declared.keys.items():
+            name, *args = typ.spec
+            if name == "list":
+                key, (name, *args) = f"{key}[i]", args[0].spec
+            if name == "union":
+                tag, variants = args
+                rows |= {f"| `{key}` | "
+                         + (f'`"{tag}": "{value}"` | {names([tag, *keys])}'
+                            if value else f"no `{tag}` | {names(keys)}")
+                         + " |" for value, keys in variants.items()}
+    return rows
+
+
+def test_the_readme_key_tables_are_the_declarations():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("### Scenario files")[1].split("\n## ")[0]
+    assert {line for line in section.splitlines()
+            if line.startswith("| `")} == declared_rows()
 
 
 def test_missing_file_exits_two(capsys, tmp_path):

@@ -221,8 +221,9 @@ def once_at_sample(count, seed, index, value, elsewhere):
 
 
 def test_a_vertical_structure_undefined_at_one_sample_is_rejected():
-    # |det| < 1e-10 is False for a NaN determinant, and `>=` is too: the
-    # check names π_V instead of letting the NaN reach the coupling form
+    # a NaN π_V at one sample is refused as not finite before its rank is
+    # read by `_numerics._rank`: the check names π_V instead of letting
+    # the NaN reach the coupling form
     geom = product_geometry(twist=True)
     geom.pi_v = VerticalBivector(geom.space,
                                  once_at_sample(12, 0, 5, np.nan, 2.0),

@@ -19,7 +19,10 @@ a memo of the last time (a function named `…memo…`, or one decorated
 the literal 6.0.  A
 least-squares distance is `_numerics.lstsq_residual`, one stacked QR
 factorization: no other module names `lstsq`, `qr` or numpy's
-`_umath_linalg`.  There
+`_umath_linalg`.  A scenario
+is read in one place, `cli.parse`: no other function of `cli` subscripts or
+`.get`s the raw scenario or its `fields`, `area` or `families` objects;
+the runners read the values `parse` returns.  There
 is no linter in the toolchain, so this parses the package with `ast`,
 next to the import audit in `test_imports.py`.
 """
@@ -167,3 +170,50 @@ def test_the_scan_sees_a_planted_copy():
 def test_module_leaves_the_rules_to_their_home(path):
     assert [rule for rule in hand_rolled(path.read_text(encoding="utf-8"))
             if HOMES[rule] != path.stem] == []
+
+
+#: the objects inside a scenario that only the parser reads
+SCENARIO_OBJECTS = {"fields", "area", "families"}
+
+
+def _reads_scenario(node):
+    """Whether `node` reads through a subscript or `.get` the raw scenario,
+    named `scenario`, or one of its objects by name (a report's key of the
+    same name is written, not read)."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+        target, index = node.value, node.slice
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr == "get"):
+        target, index = node.func.value, (node.args or [None])[0]
+    else:
+        return False
+    return (isinstance(target, ast.Name) and target.id == "scenario") or (
+        isinstance(index, ast.Constant) and index.value in SCENARIO_OBJECTS)
+
+
+def scenario_reads(source):
+    """The top-level functions other than `parse` that read a scenario
+    themselves, in source order."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name != "parse"
+            and any(map(_reads_scenario, ast.walk(node)))]
+
+
+def test_the_scan_sees_a_scenario_read_outside_the_parser():
+    planted = ("def run(scenario, seed):\n    return scenario['samples']\n"
+               "def ran(v, seed):\n    return v.samples\n"
+               "def parse(scenario):\n    return scenario.get('seed', 0)\n"
+               "def build(cfg):\n    return cfg.get('fields')\n"
+               "def area(s):\n    return s['area']['expected']\n"
+               "def echo(v):\n    return scenario.get('grid')\n"
+               "def tol(v, name):\n    return v.tolerances[name]\n"
+               "def report(v, extras):\n    extras['area'] = v.area\n"
+               "def nested(v):\n    def inner(scenario):\n"
+               "        return scenario['f']\n    return inner\n")
+    assert scenario_reads(planted) == ["run", "build", "area", "echo",
+                                       "nested"]
+
+
+def test_only_the_parser_reads_a_scenario():
+    assert scenario_reads((PACKAGE / "cli.py").read_text(
+        encoding="utf-8")) == []
