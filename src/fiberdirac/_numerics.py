@@ -21,7 +21,7 @@ walks that list.  What a right-hand side reads that depends on time alone
 coefficient curve) comes from a `time_table`: one array call over that
 grid, whose rows the RK4 stages look up.  A linear run z' = M(t) z takes
 no `rk4_step`: `linear_rk4` folds its RK4 step matrices, from M over the
-grid as whole arrays (`time_columns`).
+grid as whole arrays (`time_columns`); `linear_state` reads one anywhere.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import itertools
 import math
 import threading
 from array import array
+from bisect import bisect_right
 
 import numpy as np
 
@@ -186,6 +187,20 @@ def linear_rk4(matrices, t0, t1, step, state=None):
             if nodes is not None:
                 nodes.append(state)
     return state if nodes is None else np.array(nodes)
+
+
+def linear_state(run, matrices, t):
+    """The state at a time t of a `linear_rk4` run over [0, 1] kept as
+    ``run`` = (node times, node states): a node's within rounding, else
+    one partial RK4 step from the node below, M one call ``matrices(T)``."""
+    times, states = run
+    tol = 1e-12 / (len(times) - 1)
+    k = max(bisect_right(times, t + tol) - 1, 0)   # the node at or below t
+    if abs(times[k] - t) <= tol:
+        return states[k]
+    h = abs(t - times[k])
+    tail = matrices(rk4_times(times[k], t, h)).__getitem__
+    return linear_rk4(tail, times[k], t, h, states[k])
 
 
 def stacked_matrix(rows, t):

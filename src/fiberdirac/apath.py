@@ -19,17 +19,15 @@ where φ_{s,t} transports the fiber over γ_B(t) to the fiber over γ_B(s).
 Split, unsplit, inverse and concatenation all move split data by this one
 gauge rule, in `_carried`, each between its own pair of times: a point by
 φ, a covector by pullback through dφ⁻¹, a rate by dφ.  Every φ and dφ
-comes from a `fibration.Transport` along the base path.  For a fiber-linear
-connection (every Yang–Mills–Higgs coupling) that is one propagator per
-base path, integrated on first use, so a query costs matrix products
-instead of RK4 transports; any other connection transports directly,
-point by point.  Building a path and every transport behind these
-constructors take RK4 steps of `DEFAULT_RK4_STEP`; only the
-flow-commutation check varies its step.  Every RK4 run here reads what
-depends on time alone (the base path's point and velocity, the covector
-curve, α) from one array evaluation over the run's RK4 times
-(`_numerics.time_table`, `time_columns`), so base paths, covector curves
-and α must accept an array of times.
+comes from a `fibration.Transport` along the base path: one propagator
+per base path for a fiber-linear connection (every Yang–Mills–Higgs
+coupling), direct RK4 transports otherwise.  `build_apath` makes the same
+split for the anchor ODE, which is linear when π_V declares a `generator`
+too.  Every RK4 run here takes steps of `DEFAULT_RK4_STEP`, apart from
+the flow-commutation check's, and reads what depends on time alone (the
+base path's jet, the covector curve, α) from one array evaluation over
+the run's RK4 times (`_numerics.time_columns`), so base paths, covector
+curves and α must accept an array of times.
 
 The evolution solver integrates, for a two-parameter coefficient curve
 α^ε(t) in a finite-dimensional algebra acting linearly with generator G,
@@ -56,9 +54,10 @@ import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, dot, halves, linear_rk4, matvec,
-                        rk4_integrate, rk4_step, rk4_times, smoothstep,
-                        stacked_matrix, time_columns, time_table, worst)
+from ._numerics import (DEFAULT_RK4_STEP, dot, halves, linear_rk4,
+                        linear_state, matvec, rk4_integrate, rk4_step,
+                        rk4_times, smoothstep, stacked_matrix, time_columns,
+                        time_table, worst)
 from .fibration import BasePath, Transport
 
 
@@ -105,55 +104,66 @@ class AlgebroidPath:
 
 def build_apath(geom, base_path, x0, covector_path, name=""):
     """Construct an anchor-compatible path by integrating the fiber ODE
-    from x0 with the given covector curve.  The states at the nodes of one
-    RK4 run over [0, 1] (every other time of `rk4_times`) are kept: node k
-    is stepped from node k − 1 by `rk4_step`, only as far as a query
-    reaches.  A time between nodes is answered by one short run from the
-    node below, so every answer is at integrator accuracy and the same
-    whatever was asked before.  Building the path evaluates the base path
-    and `covector_path` once, at the array of the run's RK4 times, and each
-    short run once at its own, so `covector_path(t)` must accept one: each
-    entry a number or an array over the times."""
-    space = geom.space
-    n = space.n_base
+    from x0 with the given covector curve: one RK4 run over [0, 1], kept
+    at its nodes (every other time of `rk4_times`).  When the connection
+    and π_V declare generators K and L, the ODE is x' = M(t)x with
+    M = K(γ, γ̇) + L(a_V), one `_numerics.linear_rk4`; other data step node
+    k from node k − 1 by `rk4_step`, as far as a query reaches.  A time
+    between nodes takes one partial step from the node below, so no answer
+    depends on earlier queries.  The base path and `covector_path` are
+    evaluated over the run's RK4 times, each partial step's and (linear
+    route) a dual time, so both must accept an array of times."""
+    n = geom.space.n_base
+    if None not in (geom.connection.generator, geom.pi_v.generator):
+        def entry(t):   # M = K(γ, γ̇) + L(a_V), one time-only entry
+            (b, u), a = base_path.jet(t), covector_path(t)
+            return [stacked_matrix(geom.connection.generator(b, u), t)
+                    + stacked_matrix(geom.pi_v.generator(b, a), t)]
 
-    def drive(t):   # γ_B(t), γ̇_B(t), then a_V(t)
-        return [c for part in base_path.jet(t) for c in part] + list(
-            covector_path(t))
+        matrices = lambda times: time_columns(entry, times)[0]
+        times = rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)
+        run = times[::2], linear_rk4(matrices(times).__getitem__, 0.0, 1.0,
+                                     DEFAULT_RK4_STEP) @ np.array(x0, float)
 
-    def anchor_rhs(t0, t1):
-        table = time_table(drive, t0, t1, DEFAULT_RK4_STEP)
+        def state(tv):   # x(t) and a thunk of x'(t) = M(t)x(t)
+            x = linear_state(run, matrices, tv)
+            return x.tolist(), lambda: (matrices([tv])[0] @ x).tolist()
+    else:
+        def drive(t):   # γ_B(t), γ̇_B(t), then a_V(t)
+            return [c for part in base_path.jet(t) for c in part] + list(
+                covector_path(t))
 
-        def rhs(t, x):
-            row = table(t)
-            pt = space.join(row[:n], x)
-            return [p + q for p, q in
-                    zip(matvec(geom.conn_matrix(pt), row[n:2 * n]),
-                        matvec(geom.pi_matrix(pt), row[2 * n:]))]
+        def anchor_rhs(t0, t1):
+            table = time_table(drive, t0, t1, DEFAULT_RK4_STEP)
 
-        return rhs
+            def rhs(t, x):
+                row = table(t)
+                pt = geom.space.join(row[:n], x)
+                return [p + q for p, q in
+                        zip(matvec(geom.conn_matrix(pt), row[n:2 * n]),
+                            matvec(geom.pi_matrix(pt), row[2 * n:]))]
 
-    node_times = rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)[::2]
-    h = 1.0 / (len(node_times) - 1)
-    run = anchor_rhs(0.0, 1.0)
-    nodes = [list(x0)]
+            return rhs
+
+        node_times = rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)[::2]
+        h = 1.0 / (len(node_times) - 1)
+        full = anchor_rhs(0.0, 1.0)
+        nodes = [list(x0)]
+
+        def state(tv):
+            k = max(bisect_right(node_times, tv) - 1, 0)
+            for j in range(len(nodes) - 1, k):
+                nodes.append(rk4_step(full, node_times[j], nodes[j], h))
+            rhs, x = full, list(nodes[k])
+            if tv != node_times[k]:
+                rhs = anchor_rhs(node_times[k], tv)
+                x = rk4_integrate(rhs, x, node_times[k], tv)
+            return x, lambda: rhs(tv, x)
 
     def fiber_path(t):
-        tv = dm.value_of(t)
-        k = max(bisect_right(node_times, tv) - 1, 0)
-        for j in range(len(nodes) - 1, k):
-            nodes.append(rk4_step(run, node_times[j], nodes[j], h))
-        rhs = run
-        if tv == node_times[k]:
-            x = list(nodes[k])
-        else:
-            rhs = anchor_rhs(node_times[k], tv)
-            x = rk4_integrate(rhs, nodes[k], node_times[k], tv)
-        if not isinstance(t, Dual):
-            return x
-        # dual time: one extra evaluation for the velocity channel
-        vel = rhs(tv, x)
-        return [Dual(b, v * t.eps) for b, v in zip(x, vel)]
+        x, velocity = state(dm.value_of(t))
+        return [Dual(b, v * t.eps) for b, v in zip(x, velocity())] \
+            if isinstance(t, Dual) else x
 
     return AlgebroidPath(geom, base_path, fiber_path, covector_path,
                          name=name or "integrated-apath")

@@ -11,9 +11,9 @@ byte-identical JSON apart from the wall-time field.
 
 Exit codes: 0 when every check passes, 1 when any check fails (including
 numerical escapes and evaluator errors — a domain error, a division by
-zero, an overflow or a failed factorization — which appear as a named
-failing check), 2 on input errors (parse or validation problems, reported
-with line/field context).
+zero, an overflow, a failed factorization or an expression nested too
+deeply to evaluate — which appear as a named failing check), 2 on input
+errors (parse or validation problems, reported with line/field context).
 """
 
 from __future__ import annotations
@@ -106,12 +106,6 @@ def compile_expression(src, variables, field="expression"):
     if not isinstance(src, str):
         raise ScenarioError(field, f"expected an expression string, got "
                                    f"{type(src).__name__}")
-    try:
-        tree = ast.parse(src, mode="eval")
-    except SyntaxError as exc:
-        raise ScenarioError(
-            field, f"cannot parse {src!r}: {exc.msg} (offset "
-                   f"{exc.offset})") from None
     index = {name: i for i, name in enumerate(variables)}
 
     def build(node):
@@ -154,7 +148,14 @@ def compile_expression(src, variables, field="expression"):
         raise ScenarioError(field, f"disallowed syntax in {src!r}: "
                                    f"{type(node).__name__}")
 
-    return build(tree.body)
+    try:
+        return build(ast.parse(src, mode="eval").body)
+    except SyntaxError as exc:
+        raise ScenarioError(
+            field, f"cannot parse {src!r}: {exc.msg} (offset "
+                   f"{exc.offset})") from None
+    except RecursionError:
+        raise ScenarioError(field, "nested too deeply to compile") from None
 
 
 # -- declared value types -------------------------------------------------------------
@@ -263,7 +264,8 @@ def constant(nonzero):
         src = str(value) if type(value) in (int, float) else value
         try:
             const = compile_expression(src, [], field)([])
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError,
+                RecursionError) as exc:
             raise ScenarioError(field, f"cannot evaluate {value!r}: {exc}") \
                 from None
         return _ok(math.isfinite(const) and (const != 0.0 or not nonzero),
@@ -318,9 +320,15 @@ def listing(item, lo, hi):
     return _typed("list", item, lo, hi)(parse)
 
 
+def _declared(keys):
+    """`keys` (key → (type, default)), each default parsed once, here."""
+    return {key: (parse, d if d is None or d is REQUIRED else parse(d, key))
+            for key, (parse, d) in keys.items()}
+
+
 def _read(raw, keys, field):
-    """`raw` read under the declarations `keys` (key → (type, default)):
-    absent keys defaulted, undeclared ones, which nothing reads, refused."""
+    """`raw` read under `_declared` keys: absent keys take the shared
+    default (no runner mutates it), undeclared ones, read by none, refused."""
     _ok(isinstance(raw, dict), None, field, "an object", raw)
     prefix = f"{field}." if field else ""
     for key in raw:
@@ -329,27 +337,24 @@ def _read(raw, keys, field):
                                               f"accepted: {sorted(keys)}")
     values = {}
     for key, (parse, default) in keys.items():
-        if key in raw:
-            values[key] = parse(raw[key], prefix + key)
-        elif default is REQUIRED:
+        if key not in raw and default is REQUIRED:
             raise ScenarioError(prefix + key, "required key is missing")
-        else:
-            values[key] = None if default is None else parse(default,
-                                                             prefix + key)
+        values[key] = parse(raw[key], prefix + key) if key in raw else default
     return SimpleNamespace(**values)
 
 
 def obj(keys):
     """An object with the declared `keys`."""
+    parsed = _declared(keys)
     return _typed("object", keys)(lambda value, field:
-                                  _read(value, keys, field))
+                                  _read(value, parsed, field))
 
 
 def union(tag, variants):
     """An object whose declared keys are `variants[its tag's value]` (None:
     the tag absent)."""
     expected = f"one of {sorted(filter(None, variants))}"
-    tagged = {name: {tag: (text, None), **keys}
+    tagged = {name: _declared({tag: (text, None), **keys})
               for name, keys in variants.items()}
 
     def parse(value, field):
@@ -674,12 +679,12 @@ Kind = namedtuple("Kind", "run tolerances keys")
 def _kind(run, tolerances, keys):
     """A kind reading `keys` and those every kind takes."""
     positive = real(0.0, math.inf, False, (0.0, 1.0))
-    return Kind(run, tolerances, {
+    return Kind(run, tolerances, _declared({
         "name": (text, REQUIRED), "kind": (enum(KINDS), REQUIRED),
         "seed": (count(0, MAX_SEED, MAX_SEED), 0),
         "tolerances": (obj({name: (positive, default)
                             for name, default in tolerances.items()}), {}),
-        **keys})
+        **keys}))
 
 
 KINDS = {}   # filled below, where each kind's `kind` key is read against it
@@ -777,7 +782,7 @@ def run_scenario(scenario):
     except IncompleteTransportError as exc:
         checks = [_failed("numerical-escape", exc)]
     except (ValueError, ZeroDivisionError, OverflowError, MemoryError,
-            np.linalg.LinAlgError) as exc:
+            RecursionError, np.linalg.LinAlgError) as exc:
         checks = [_failed("evaluation-error", exc)]
     wall_ms = int(round(1000.0 * (time.perf_counter() - start)))
     verdict = "PASS" if all(c["verdict"] == "PASS" for c in checks) \

@@ -29,10 +29,10 @@ import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, combos, det, linear_rk4, matvec,
-                        rk4_integrate, rk4_times, sample_unit_cube,
-                        skew_matrix, stacked_matrix, time_columns,
-                        time_table)
+from ._numerics import (DEFAULT_RK4_STEP, combos, det, linear_rk4,
+                        linear_state, matvec, rk4_integrate, rk4_times,
+                        sample_unit_cube, skew_matrix, stacked_matrix,
+                        time_columns, time_table)
 
 
 class IncompleteTransportError(RuntimeError):
@@ -219,19 +219,17 @@ class Transport:
     P(t1)·P(t0)⁻¹, where the propagator solves P' = K(γ(t), γ̇(t))·P,
     P(0) = I, and dφ is the same matrix.  P is integrated on the first
     query, as the running product of the RK4 step matrices of a direct
-    transport from 0 to 1, with K evaluated once over all their times, and
-    kept on the path for every later `Transport` of the same connection; a
-    time between two grid nodes takes one partial step (one step matrix)
-    from the node below.  A path made by
+    transport from 0 to 1, and kept on the path for every later `Transport`
+    of the same connection; a time between nodes takes one partial step
+    from the node below (`_numerics.linear_state`).  A path made by
     `BasePath.reversed` integrates no propagator of its own: it reads the
     original's, φ^rev_{t0→t1} = φ_{1−t0→1−t1}, which agrees with its own up
-    to rounding.
-    The chart guard checks the transported point at every grid
-    node between t0 and t1 in one array pass.  From t0 = 0 it raises the
-    direct route's `IncompleteTransportError`, with the same `t_escape` and
-    point; from another grid node, or on a reversed path, the same up to
-    rounding; from a time between nodes, the direct route steps on its own
-    grid, so the two escape times lie within one step of each other.
+    to rounding.  The chart guard checks the transported point at every
+    grid node between t0 and t1 in one array pass.  From t0 = 0 it raises
+    the direct route's `IncompleteTransportError`, with the same `t_escape`
+    and point; from another grid node, or on a reversed path, the same up
+    to rounding; from a time between nodes, the direct route steps on its
+    own grid, so the two escape times lie within one step of each other.
     Escape times are in the path's own time.
 
     Every other connection takes the direct route: one RK4 transport per
@@ -263,8 +261,8 @@ class Transport:
         for t in (t0, t1):
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"transport time {t!r} lies outside [0, 1]")
-        back = np.linalg.inv(self._at(self._grid_time(t0)))
-        jac = self._at(self._grid_time(t1)) @ back
+        back = np.linalg.inv(self._at(t0))
+        jac = self._at(t1) @ back
         self._guard(x, back @ np.array(x), t0, t1, jac @ np.array(x))
         return jac.tolist()
 
@@ -287,30 +285,19 @@ class Transport:
         as one array of shape (nodes, n_F, n_F), the running product of
         the step matrices of P' = K P."""
         times = rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)
-        k = time_columns(self._generators, times)[0]
-        return times[::2], linear_rk4(k.__getitem__, 0.0, 1.0,
-                                      DEFAULT_RK4_STEP)
+        return times[::2], linear_rk4(self._generators(times).__getitem__,
+                                      0.0, 1.0, DEFAULT_RK4_STEP)
 
     def _generators(self, t):
-        """K(γ(t), γ̇(t)) along the propagator's path as one time-only
-        entry: a float array of shape np.shape(t) + (n_F, n_F)."""
-        return [stacked_matrix(self.connection.generator(*self._along.jet(t)),
-                               t)]
+        """K(γ(t), γ̇(t)) along the propagator's path over an array of times
+        t (`time_columns`): shape np.shape(t) + (n_F, n_F)."""
+        return time_columns(lambda s: [stacked_matrix(
+            self.connection.generator(*self._along.jet(s)), s)], t)[0]
 
     def _at(self, t):
-        """P(t) at a time of the propagator's path: a node's propagator, or
-        one partial RK4 step from the node below, one step matrix whose K
-        is one array call at its three times.  A time within rounding of a
-        node is that node."""
-        times, props = self._grid()
-        last = len(times) - 1
-        k = min(int(round(t * last)), last)
-        if abs(times[k] - t) <= 1e-12 / last:
-            return props[k]
-        k = min(max(bisect_right(times, t) - 1, 0), last - 1)
-        h = abs(t - times[k])
-        gen = time_columns(self._generators, rk4_times(times[k], t, h))[0]
-        return linear_rk4(gen.__getitem__, times[k], t, h, props[k])
+        """P at the time t of this path (`linear_state`)."""
+        return linear_state(self._grid(), self._generators,
+                            self._grid_time(t))
 
     def _guard(self, x0, y, t0, t1, x1):
         """Raise at the first grid state outside the fiber chart, walking
@@ -389,13 +376,16 @@ class HorizontalForm:
 
 class VerticalBivector:
     """A vertical bivector: components over sorted fiber-index pairs,
-    coefficients smooth functions of the full point."""
+    coefficients smooth functions of the full point.  `generator`, when
+    given, declares π_V linear in the fiber point, as a connection's does:
+    generator(b, a) is the n_F × n_F matrix L with π_V(b, x)^♯a = L x."""
 
-    def __init__(self, space, comps, name=""):
+    def __init__(self, space, comps, name="", generator=None):
         self.space = space
         self.comps = comps
         self.name = name or "pi_V"
         self.pairs = combos(space.n_fiber, 2)
+        self.generator = generator
 
     def __call__(self, point):
         return self.comps(point)

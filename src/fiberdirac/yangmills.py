@@ -150,7 +150,8 @@ class HamiltonianFiber:
     the assembled connection transports by matrices.  The constant
     matrices `generators`, one per basis vector of the Lie algebra, are
     read off the action once, at construction: column k of G(e_i) is
-    ρ(e_i)(e_k).
+    ρ(e_i)(e_k).  So must the Poisson tensor be: its π(e_k) are kept as
+    `pi_basis` for π_V's `generator`, checked only by `anchor_residual`.
     """
 
     def __init__(self, group, domain, pi_comps, hamiltonian, action,
@@ -166,6 +167,7 @@ class HamiltonianFiber:
             [list(row) for row in zip(*(action(dm.unit(group.dim, i), e)
                                         for e in e_fiber))]
             for i in range(group.dim)]
+        self.pi_basis = [self.pi_matrix(e) for e in e_fiber]
 
     def pi_matrix(self, x):
         return skew_matrix(self.domain.dim, self.pi_comps(x))
@@ -261,8 +263,11 @@ def ymh_geometric_data(principal, fiber, base_form=None, name=""):
 
     conn = Connection(space, coeff, name=f"{principal.name}-transport",
                       generator=generator)
-    pi_v = VerticalBivector(space, lambda pt: fiber.pi_comps(pt[nb:]),
-                            name=fiber.name)
+    # π_V(b, x)^♯a = L(a)x, column k of L(a) being π(e_k)^♯a
+    pi_v = VerticalBivector(
+        space, lambda pt: fiber.pi_comps(pt[nb:]), name=fiber.name,
+        generator=lambda b, a: [list(row) for row in zip(
+            *(matvec(p, a) for p in fiber.pi_basis))])
 
     def om_comps(pt):
         b, x = pt[:nb], pt[nb:]

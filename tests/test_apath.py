@@ -2,6 +2,7 @@
 inverses/concatenations, the coefficient-evolution solver, and the
 flow-commutation identity."""
 
+import itertools
 import math
 import random
 import warnings
@@ -19,12 +20,14 @@ from fiberdirac.apath import (build_apath, concat_base, concat_split,
                               flow_commutation_residual, inverse_split,
                               solve_evolution, split_apath, unsplit_apath)
 from fiberdirac.charts import CoordinateDomain
+from fiberdirac.coupling import GeometricData
 from fiberdirac.fibration import (DEFAULT_RK4_STEP, BasePath, Connection,
                                   FiberedSpace,
                                   IncompleteTransportError, Transport,
-                                  parallel_transport)
+                                  VerticalBivector, parallel_transport)
 from fiberdirac.cli import compile_expression
-from fiberdirac.yangmills import HamiltonianFiber, so3_coadjoint_example
+from fiberdirac.yangmills import (HamiltonianFiber, so3_coadjoint_example,
+                                  ymh_geometric_data)
 from reference import (dual_state_evolution, dual_state_flow_commutation,
                        reparameterized)
 
@@ -417,15 +420,62 @@ def test_round_trip_queries_build_each_propagator_once(monkeypatch, geom):
 
 
 def count_rk4_steps(monkeypatch):
-    """A list that grows by one entry per RK4 step taken."""
+    """A list that grows by one entry per RK4 step taken, through
+    `rk4_integrate` or by a built path's own `rk4_step` call."""
     step, steps = _numerics.rk4_step, []
 
     def counted(*args):
         steps.append(None)
         return step(*args)
 
-    monkeypatch.setattr(_numerics, "rk4_step", counted)
+    for module in (_numerics, apath_module):
+        monkeypatch.setattr(module, "rk4_step", counted)
     return steps
+
+
+def node_route(geom):
+    """The same triple with π_V's `generator` left out, so that
+    `build_apath` steps the anchor ODE node by node."""
+    pi_v = VerticalBivector(geom.space, geom.pi_v.comps, name="undeclared")
+    return GeometricData(geom.space, geom.connection, pi_v, geom.omega_h)
+
+
+#: node, off-node and dual times of a built path, off-node ones included
+BUILT_PATH_TIMES = (0.0, 0.3, 0.4004, 0.7, 0.9995, 1.0, dm.Dual(0.225, 1.0),
+                    dm.Dual(0.4004, 1.0), dm.Dual(0.7, 1.0))
+
+
+def test_the_linear_route_matches_the_node_route(monkeypatch, geom):
+    # so(3)* declares K and L, so its anchor ODE is one linear run with no
+    # RK4 step; without L the same path is stepped node by node
+    steps = count_rk4_steps(monkeypatch)
+    linear = loop_apath(geom)
+    got = [linear.fiber_path(t) for t in BUILT_PATH_TIMES]
+    assert steps == []
+    stepped = loop_apath(node_route(geom))
+    want = [stepped.fiber_path(t) for t in BUILT_PATH_TIMES]
+    assert len(steps) > 700
+    for t, xs, ys in zip(BUILT_PATH_TIMES, got, want):
+        for x, y in zip(xs, ys):
+            assert isinstance(x, dm.Dual) == isinstance(t, dm.Dual)
+            assert abs(dm.value_of(x) - dm.value_of(y)) <= 1e-12, t
+            assert abs(dm.tangent(x) - dm.tangent(y)) <= 1e-12, t
+
+
+def test_a_wrong_linearity_declaration_shows_in_the_anchor_residual(geom):
+    # π(x) ∝ x² breaks the fiber's contract of a linear tensor: the linear
+    # route integrates the tensor read off at the unit vectors, and
+    # `anchor_residual`, which recomputes the anchor from `pi_matrix` and
+    # never reads the declaration, sees it
+    so3 = HamiltonianFiber.coadjoint_so3()
+    quadratic = HamiltonianFiber(
+        so3.group, so3.domain,
+        lambda x: [-2.0 * x[2] * x[2], 2.0 * x[1] * x[1], -2.0 * x[0] * x[0]],
+        so3.hamiltonian, so3.action)
+    wrong = ymh_geometric_data(geom.principal, quadratic)
+    assert wrong.pi_v.generator is not None
+    assert loop_apath(wrong).anchor_residual() > 0.1
+    assert loop_apath(node_route(wrong)).anchor_residual() < ANCHOR_TOL
 
 
 def test_flow_commutation_evaluates_alpha_once_per_segment(monkeypatch):
@@ -472,34 +522,38 @@ def test_curved_transport_evaluates_its_path_once(monkeypatch, geom,
 def test_built_path_evaluates_its_drive_once_per_integration(geom, apath):
     # building the path evaluates the drive once, at the 2001 RK4 times of
     # the run over [0, 1]; a time between nodes evaluates it once more, on
-    # the three times of its short run, and a node time not at all
-    calls, covectors = [], []
-    cov = lambda t: covectors.append(np.shape(t)) or [0.2 + 0.1 * t,
-                                                      -0.3 * t * t, 0.05]
-    built = build_apath(geom, counted_path(apath.base_path, calls),
-                        X_START, cov)
-    built.fiber_path(0.0)      # node 0: x0 itself
-    assert calls == covectors == [(2001,)]
-    built.fiber_path(0.4004)   # between nodes 400 and 401
-    built.fiber_path(rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)[2 * 300])
-    built.fiber_path(0.4004)
-    assert calls == covectors == [(2001,), (3,), (3,)]
+    # the three times of its short run, and a node time not at all, on the
+    # linear route and on the node route alike
+    for data in (geom, node_route(geom)):
+        calls, covectors = [], []
+        cov = lambda t: covectors.append(np.shape(t)) or [
+            0.2 + 0.1 * t, -0.3 * t * t, 0.05]
+        built = build_apath(data, counted_path(apath.base_path, calls),
+                            X_START, cov)
+        built.fiber_path(0.0)      # node 0: x0 itself
+        assert calls == covectors == [(2001,)]
+        built.fiber_path(0.4004)   # between nodes 400 and 401
+        built.fiber_path(rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)[2 * 300])
+        built.fiber_path(0.4004)
+        assert calls == covectors == [(2001,), (3,), (3,)], data.pi_v.name
 
 
 def test_a_built_path_answers_independently_of_query_order(geom):
     # every answer is read off the nodes of the one run over [0, 1], so a
-    # time gives the same bits whatever was asked before it
+    # time gives the same bits whatever was asked before it, on the linear
+    # route and on the node route alike
     def hexes(path, t):
         return [v.hex() for c in path.fiber_path(t)
                 for v in ((c.re, c.eps) if isinstance(c, dm.Dual) else (c,))]
 
-    for t in (0.7, dm.Dual(0.7, 1.0)):
-        fresh = hexes(loop_apath(geom), t)
+    for data, t in itertools.product((geom, node_route(geom)),
+                                     (0.7, dm.Dual(0.7, 1.0))):
+        fresh = hexes(loop_apath(data), t)
         for earlier in ((0.3,), (0.9,), (0.3, dm.Dual(0.5, 1.0), 0.69)):
-            path = loop_apath(geom)
+            path = loop_apath(data)
             for s in earlier:
                 path.fiber_path(s)
-            assert hexes(path, t) == fresh, earlier
+            assert hexes(path, t) == fresh, (data.pi_v.name, earlier)
 
 
 # -- the time tables against the per-time route they replace -------------------------

@@ -128,7 +128,8 @@ def test_escaped_transport_maps_to_failing_check(monkeypatch):
     ValueError("math domain error"), ZeroDivisionError("float division by zero"),
     OverflowError("math range error"),
     np.linalg.LinAlgError("SVD did not converge"),
-    MemoryError("Unable to allocate 7.28 TiB for an array")])
+    MemoryError("Unable to allocate 7.28 TiB for an array"),
+    RecursionError("maximum recursion depth exceeded")])
 def test_evaluator_errors_map_to_failing_check(monkeypatch, exc):
     def boom(scenario, seed):
         raise exc
@@ -141,6 +142,28 @@ def test_evaluator_errors_map_to_failing_check(monkeypatch, exc):
     assert check["name"] == "evaluation-error"
     assert check["verdict"] == "FAIL" and check["residual"] is None
     assert check["error"] == str(exc)
+
+
+def test_an_expression_too_deep_to_evaluate_fails_its_run():
+    # the deepest f that still compiles overflows the stack when the checks
+    # evaluate it a few frames further down: a classified evaluation error,
+    # not a traceback; one term more exits 2 naming f
+    def scenario(terms):
+        return {"name": "deep", "kind": "coupling-check", "example": "hopf",
+                "f": "+".join(["x"] * terms), "samples": 1}
+
+    lo, hi = 1, 4000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            run_scenario(scenario(mid))
+            lo = mid
+        except ScenarioError as err:
+            assert err.field == "f" and "nested too deeply" in str(err)
+            hi = mid
+    report, code = run_scenario(scenario(lo))
+    assert code == 1
+    assert [c["name"] for c in report["checks"]] == ["evaluation-error"]
 
 
 # -- command-line front end -----------------------------------------------------------
@@ -362,6 +385,22 @@ def bundled(kind):
                 if json.loads(p.read_text())["kind"] == kind)
 
 
+def test_defaults_are_parsed_once_when_the_kinds_are_built(monkeypatch):
+    # a key left out costs a run no parse: every run shares the value its
+    # default was parsed to when `KINDS` was built (here the apath
+    # coefficient curve, and a transgression's f and reference area)
+    compiled, compile_ = [], cli.compile_expression
+    monkeypatch.setattr(cli, "compile_expression",
+                        lambda *args: compiled.append(args) or compile_(*args))
+    first = cli.parse({"name": "a", "kind": "apath"})
+    again = cli.parse({"name": "a", "kind": "apath", "eps": 0.1})
+    area = cli.parse({"name": "t", "kind": "transgress",
+                      "area": {"family": "round-sphere"}})
+    assert compiled == []
+    assert first.alpha is again.alpha and first.tolerances is again.tolerances
+    assert area.area.expected == 4 * math.pi and area.f(0.5) == 0.5
+
+
 def test_every_tolerance_key_in_use_is_accepted():
     for p in SCENARIOS.glob("*.json"):
         scenario = json.loads(p.read_text())
@@ -457,6 +496,12 @@ def sphere_area(expected):
     return {"name": "a", "kind": "transgress",
             "area": {"family": "round-sphere", "nodes": [9, 9],
                      "expected": expected}}
+
+
+def deep(term):
+    """A sum of 3,000 copies of `term`: an expression nested too deeply to
+    compile."""
+    return "+".join([term] * 3000)
 
 
 # (scenario, the field its error names)
@@ -602,6 +647,11 @@ NAMED_INPUT_ERRORS = [
     # a key that is present holds a value of its type, and null is none
     (dict(LATTICE, exact_slope=None), "exact_slope"),
     (inline(pi=None), "fields.pi"),
+    # an expression nested too deeply for the compiler's recursion
+    ({"name": "h", "kind": "coupling-check", "example": "hopf",
+      "f": deep("x")}, "f"),
+    (inline(omega=[deep("b1")]), "fields.omega[0]"),
+    (sphere_area(deep("1")), "area.expected"),
 ]
 
 
@@ -918,7 +968,7 @@ def expressions(v, w):
              f"exp(1000*{v})", "1/0", "pi",
              f"1e200*1e200*{v} - 1e200*1e200*{w}"],
             ["q + 1", "2*", "", "True", f"False*{v}", f"{v} if {v} else 0",
-             "__import__('os')", f"sin({v}, 1)", 3.0, None, []])
+             "__import__('os')", f"sin({v}, 1)", 3.0, None, [], deep(v)])
 
 
 def draws(typ, base):
@@ -961,7 +1011,8 @@ def draws(typ, base):
         return (one_of(["4*pi", "1", 2.5, 3, "-2", "sqrt(2)"]
                        + zero * (not args[0])),
                 one_of(["1/0", "sqrt(-1)", "1e200*1e200", "abc", True, None,
-                        [], math.nan, math.inf, 10 ** 400] + zero * args[0]))
+                        [], math.nan, math.inf, 10 ** 400, deep("1")]
+                       + zero * args[0]))
     if name == "rational":
         return (one_of(["2", 2, "5/2", "-1/3", 0]),
                 one_of([2.0, "abc", "1/0", "1e400", 10 ** 400, True, None,

@@ -172,6 +172,21 @@ def test_ymh_generator_reproduces_the_connection_coefficient():
             assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
+@pytest.mark.parametrize("geom", [so3_coadjoint_example(),
+                                  hopf_example(lambda x: 2.0 * x + 1.0)],
+                         ids=["so3", "hopf"])
+def test_ymh_pi_generator_reproduces_the_vertical_bivector(geom):
+    # both shipped fibers have a linear Poisson tensor (so(3)*, and the
+    # zero tensor of the line): L(a) x must be π_V(b, x)^♯a
+    for pt in unstack(geom.space.sample(count=6, seed=5), 6):
+        b, x = geom.space.split(pt)
+        for a in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, -0.6, 0.8]):
+            a = a[:geom.space.n_fiber]
+            want = matvec(geom.pi_matrix(pt), a)
+            got = matvec(geom.pi_v.generator(b, a), x)
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
 def test_scaled_line_fiber_is_prehamiltonian():
     fib = HamiltonianFiber.scaled_line(lambda x: 2.0 * x + 1.0)
     assert fib.prehamiltonian_residual(count=8) < 1e-12
