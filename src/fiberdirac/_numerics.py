@@ -105,10 +105,9 @@ def time_table(fn, t0, t1, step):
     `rk4_integrate` run from t0 to t1, from one `time_columns` call on the
     whole grid of `rk4_times`.  The returned lookup gives a time its row,
     the list of the entries at that time: a Python float for a number or
-    1-D entry, an array view otherwise.  A time off the grid (a partial
-    step) is answered by the same call on a one-entry array.  The columns
-    are kept as `time_columns` returns them, and a row is built when it
-    is looked up."""
+    1-D entry, an array view otherwise; a time off the grid is an error.
+    The columns are kept as `time_columns` returns them, and a row is
+    built when it is looked up."""
     times = array("d", rk4_times(t0, t1, step))
     columns = time_columns(fn, times)
     last = len(times) - 1
@@ -118,7 +117,7 @@ def time_table(fn, t0, t1, step):
         k = round((t - t0) / half)
         if 0 <= k <= last and times[k] == t:
             return [c[k] for c in columns]
-        return [c[0] for c in time_columns(fn, [t])]
+        raise ValueError(f"time {t!r} is not a time of the RK4 run")
 
     return row
 

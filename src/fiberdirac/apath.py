@@ -21,13 +21,15 @@ gauge rule, in `_carried`, each between its own pair of times: a point by
 φ, a covector by pullback through dφ⁻¹, a rate by dφ.  Every φ and dφ
 comes from a `fibration.Transport` along the base path: one propagator
 per base path for a fiber-linear connection (every Yang–Mills–Higgs
-coupling), direct RK4 transports otherwise.  `build_apath` makes the same
-split for the anchor ODE, which is linear when π_V declares a `generator`
-too.  Every RK4 run here takes steps of `DEFAULT_RK4_STEP`, apart from
-the flow-commutation check's, and reads what depends on time alone (the
-base path's jet, the covector curve, α) from one array evaluation over
-the run's RK4 times (`_numerics.time_columns`), so base paths, covector
-curves and α must accept an array of times.
+coupling; an inverse's reversed base path integrates its own), direct
+RK4 transports otherwise.  `build_apath` makes the same split for the
+anchor ODE, which is linear when π_V declares a `generator` too, and
+integrates it over [0, 1] once, when the path is built.  Every RK4 run
+here takes steps of `DEFAULT_RK4_STEP`, apart from the flow-commutation
+check's, and reads what depends on time alone (the base path's jet, the
+covector curve, α) from one array evaluation over the run's RK4 times
+(`_numerics.time_columns`), so base paths, covector curves and α must
+accept an array of times.
 
 The evolution solver integrates, for a two-parameter coefficient curve
 α^ε(t) in a finite-dimensional algebra acting linearly with generator G,
@@ -55,9 +57,9 @@ import numpy as np
 from . import dual as dm
 from .dual import Dual
 from ._numerics import (DEFAULT_RK4_STEP, dot, halves, linear_rk4,
-                        linear_state, matvec, rk4_integrate, rk4_step,
-                        rk4_times, smoothstep, stacked_matrix, time_columns,
-                        time_table, worst)
+                        linear_state, matvec, rk4_integrate, rk4_times,
+                        smoothstep, stacked_matrix, time_columns, time_table,
+                        worst)
 from .fibration import BasePath, Transport
 
 
@@ -107,13 +109,13 @@ def build_apath(geom, base_path, x0, covector_path, name=""):
     from x0 with the given covector curve: one RK4 run over [0, 1], kept
     at its nodes (every other time of `rk4_times`).  When the connection
     and π_V declare generators K and L, the ODE is x' = M(t)x with
-    M = K(γ, γ̇) + L(a_V), one `_numerics.linear_rk4`; other data step node
-    k from node k − 1 by `rk4_step`, as far as a query reaches.  A time
-    between nodes takes one partial step from the node below, so no answer
-    depends on earlier queries.  The base path and `covector_path` are
+    M = K(γ, γ̇) + L(a_V), one `_numerics.linear_rk4`; other data take one
+    `rk4_integrate` run, whose observer keeps the nodes.  A time between
+    nodes takes one partial step from the node below, so no answer depends
+    on earlier queries.  The base path and `covector_path` are
     evaluated over the run's RK4 times, each partial step's and (linear
     route) a dual time, so both must accept an array of times."""
-    n = geom.space.n_base
+    n, times = geom.space.n_base, rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)
     if None not in (geom.connection.generator, geom.pi_v.generator):
         def entry(t):   # M = K(γ, γ̇) + L(a_V), one time-only entry
             (b, u), a = base_path.jet(t), covector_path(t)
@@ -121,7 +123,6 @@ def build_apath(geom, base_path, x0, covector_path, name=""):
                     + stacked_matrix(geom.pi_v.generator(b, a), t)]
 
         matrices = lambda times: time_columns(entry, times)[0]
-        times = rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)
         run = times[::2], linear_rk4(matrices(times).__getitem__, 0.0, 1.0,
                                      DEFAULT_RK4_STEP) @ np.array(x0, float)
 
@@ -145,15 +146,12 @@ def build_apath(geom, base_path, x0, covector_path, name=""):
 
             return rhs
 
-        node_times = rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)[::2]
-        h = 1.0 / (len(node_times) - 1)
-        full = anchor_rhs(0.0, 1.0)
-        nodes = [list(x0)]
+        full, node_times, nodes = anchor_rhs(0.0, 1.0), times[::2], []
+        rk4_integrate(full, x0, 0.0, 1.0,
+                      observer=lambda _, x: nodes.append(x))
 
         def state(tv):
             k = max(bisect_right(node_times, tv) - 1, 0)
-            for j in range(len(nodes) - 1, k):
-                nodes.append(rk4_step(full, node_times[j], nodes[j], h))
             rhs, x = full, list(nodes[k])
             if tv != node_times[k]:
                 rhs = anchor_rhs(node_times[k], tv)

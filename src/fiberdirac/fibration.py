@@ -75,7 +75,6 @@ class FiberedSpace:
 
 class BasePath:
     """A smooth path [0,1] → B given by an evaluator; velocity via duals.
-    A path made by `reversed` names the path it reverses in `reverses`.
 
     `fn(t)` must accept a number, a Dual and a 1-D numpy array of times, or
     a Dual of one: at an array every coordinate is a number (it does not
@@ -86,7 +85,6 @@ class BasePath:
     def __init__(self, fn, name=""):
         self.fn = fn
         self.name = name
-        self.reverses = None
         self._propagators = {}   # connection ↦ a `Transport` grid
 
     def __call__(self, t):
@@ -102,9 +100,7 @@ class BasePath:
         return self.jet(t)[1]
 
     def reversed(self):
-        rev = BasePath(lambda t: self.fn(1.0 - t), name=f"{self.name}~")
-        rev.reverses = self
-        return rev
+        return BasePath(lambda t: self.fn(1.0 - t), name=f"{self.name}~")
 
 
 class Connection:
@@ -221,31 +217,27 @@ class Transport:
     query, as the running product of the RK4 step matrices of a direct
     transport from 0 to 1, and kept on the path for every later `Transport`
     of the same connection; a time between nodes takes one partial step
-    from the node below (`_numerics.linear_state`).  A path made by
-    `BasePath.reversed` integrates no propagator of its own: it reads the
-    original's, φ^rev_{t0→t1} = φ_{1−t0→1−t1}, which agrees with its own up
-    to rounding.  The chart guard checks the transported point at every
-    grid node between t0 and t1 in one array pass.  From t0 = 0 it raises
-    the direct route's `IncompleteTransportError`, with the same `t_escape`
-    and point; from another grid node, or on a reversed path, the same up
-    to rounding; from a time between nodes, the direct route steps on its
-    own grid, so the two escape times lie within one step of each other.
-    Escape times are in the path's own time.
+    from the node below (`_numerics.linear_state`).  Every path, a
+    reversed one too, integrates its own P.  The chart guard checks the
+    transported point at every grid node between t0 and t1 in one array
+    pass.  From t0 = 0 it raises the direct route's
+    `IncompleteTransportError`, with the same `t_escape` and point; from
+    another grid node, the same up to rounding; from a time between nodes,
+    the direct route steps on its own grid, so the two escape times lie
+    within one step of each other.
 
     Every other connection takes the direct route: one RK4 transport per
-    map, and one dual-seeded transport per Jacobian column.
+    map, and one dual-seeded transport per Jacobian column.  Either route
+    refuses a time outside [0, 1].
     """
 
     def __init__(self, connection, path):
         self.connection = connection
         self.path = path
-        # the path whose propagator this reads, and whether backwards
-        self._flip = (connection.generator is not None
-                      and path.reverses is not None)
-        self._along = path.reverses if self._flip else path
 
     def map(self, x, t0, t1):
         """φ_{t0→t1}(x), the transported point."""
+        _check_times(t0, t1)
         if self.connection.generator is None:
             return _transport(self.connection, self.path, x, t0, t1,
                               DEFAULT_RK4_STEP)
@@ -253,29 +245,20 @@ class Transport:
 
     def jacobian(self, x, t0, t1):
         """dφ_{t0→t1} at x as rows: J[i][k] = ∂(φ x)_i / ∂x_k."""
+        _check_times(t0, t1)
         x = [dm.value_of(c) for c in x]
         if self.connection.generator is None:
-            return dm.jacobian(
-                lambda y: _transport(self.connection, self.path, y, t0, t1,
-                                     DEFAULT_RK4_STEP), x)
-        for t in (t0, t1):
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"transport time {t!r} lies outside [0, 1]")
+            return dm.jacobian(lambda y: self.map(y, t0, t1), x)
         back = np.linalg.inv(self._at(t0))
         jac = self._at(t1) @ back
         self._guard(x, back @ np.array(x), t0, t1, jac @ np.array(x))
         return jac.tolist()
 
-    def _grid_time(self, t):
-        """The time on the propagator's path of the time t on this path,
-        and back: the map is its own inverse."""
-        return 1.0 - t if self._flip else t
-
     def _grid(self):
         # kept on the path, not here: a path that held its Transport would
         # make a reference cycle, and the arrays would wait for a full
         # garbage collection
-        grids = self._along._propagators
+        grids = self.path._propagators
         if self.connection not in grids:
             grids[self.connection] = self._build()
         return grids[self.connection]
@@ -289,33 +272,37 @@ class Transport:
                                       0.0, 1.0, DEFAULT_RK4_STEP)
 
     def _generators(self, t):
-        """K(γ(t), γ̇(t)) along the propagator's path over an array of times
-        t (`time_columns`): shape np.shape(t) + (n_F, n_F)."""
+        """K(γ(t), γ̇(t)) along the path over an array of times t
+        (`time_columns`): shape np.shape(t) + (n_F, n_F)."""
         return time_columns(lambda s: [stacked_matrix(
-            self.connection.generator(*self._along.jet(s)), s)], t)[0]
+            self.connection.generator(*self.path.jet(s)), s)], t)[0]
 
     def _at(self, t):
-        """P at the time t of this path (`linear_state`)."""
-        return linear_state(self._grid(), self._generators,
-                            self._grid_time(t))
+        """P at the time t (`linear_state`)."""
+        return linear_state(self._grid(), self._generators, t)
 
     def _guard(self, x0, y, t0, t1, x1):
         """Raise at the first grid state outside the fiber chart, walking
-        from t0 to t1 (times on this path).  y is x0 carried back to the
-        fiber over the propagator path's start."""
+        from t0 to t1.  y is x0 carried back to the fiber over the path's
+        start."""
         times, props = self._grid()
-        s0, s1 = self._grid_time(t0), self._grid_time(t1)
-        a = bisect_right(times, min(s0, s1))
-        b = bisect_left(times, max(s0, s1))
+        a = bisect_right(times, min(t0, t1))
+        b = bisect_left(times, max(t0, t1))
         inner, stamps = props[a:b] @ y, times[a:b]
-        if s1 < s0:
+        if t1 < t0:
             inner, stamps = inner[::-1], stamps[::-1]
         states = np.vstack([[x0], inner, [x1]])
         outside = ~self.connection.space.fiber.inside(list(states.T))
         if outside.any():
             j = int(np.flatnonzero(outside)[0])
-            when = [t0] + [self._grid_time(s) for s in stamps] + [t1]
+            when = [t0, *stamps, t1]
             raise IncompleteTransportError(when[j], point=states[j].tolist())
+
+
+def _check_times(*times):
+    for t in times:
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"transport time {t!r} lies outside [0, 1]")
 
 
 # -- curvature ------------------------------------------------------------------

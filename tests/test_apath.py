@@ -334,13 +334,20 @@ def test_engine_escapes_backwards_where_direct_transport_does(geom, apath, t0,
 
 @pytest.mark.parametrize("t0,t1", GRID_INTERVALS + OFF_GRID_INTERVALS)
 def test_reversed_path_reads_the_original_propagator(geom, apath, t0, t1):
+    # the reversed path integrates its own propagator; its transport is the
+    # direct one, and the original's read backwards, φ^rev_{t0→t1} =
+    # φ_{1−t0→1−t1}, map and differential alike
     bp = apath.base_path
-    rev = bp.reversed()
-    direct = parallel_transport(geom.connection, rev, X_START, t0, t1)
-    got = Transport(geom.connection, rev).map(X_START, t0, t1)
+    forward = Transport(geom.connection, bp)
+    rev = Transport(geom.connection, bp.reversed())
+    got = rev.map(X_START, t0, t1)
+    direct = parallel_transport(geom.connection, rev.path, X_START, t0, t1)
     assert max_entry_diff(got, direct) < ENGINE_TOL
-    assert rev._propagators == {}
-    assert list(bp._propagators) == [geom.connection]
+    assert max_entry_diff(got, forward.map(X_START, 1.0 - t0, 1.0 - t1)) \
+        < ENGINE_TOL
+    got = rev.jacobian(X_START, t0, t1)
+    want = forward.jacobian(X_START, 1.0 - t0, 1.0 - t1)
+    assert max(max_entry_diff(r, q) for r, q in zip(got, want)) < ENGINE_TOL
 
 
 @pytest.mark.parametrize("t0,t1", ((0.75, 0.3), (0.0, WARPED[1]),
@@ -368,16 +375,18 @@ def test_reversed_path_escapes_in_its_own_time(geom, apath, x, t0, t1):
     assert max_entry_diff(got.point, want.point) < ENGINE_TOL
 
 
-def test_affine_connection_keeps_the_direct_route(geom, apath):
-    # a constant term makes the coefficient affine in the fiber point, so no
-    # propagator matrix represents its transport
-    linear = geom.connection
-
+def affine_connection(geom):
+    """The so(3)* connection plus a constant term: its coefficient is affine
+    in the fiber point, so no propagator matrix represents its transport."""
     def coeff(b, x):
-        rows = linear.coeff(b, x)
+        rows = geom.connection.coeff(b, x)
         return [[c + 0.3 for c in row] for row in rows]
 
-    affine = Connection(geom.space, coeff, name="affine")
+    return Connection(geom.space, coeff, name="affine")
+
+
+def test_affine_connection_keeps_the_direct_route(geom, apath):
+    linear, affine = geom.connection, affine_connection(geom)
     bp = apath.base_path
     tr = Transport(affine, bp)
     direct = parallel_transport(affine, bp, X_START, 0.0, 0.7)
@@ -388,12 +397,24 @@ def test_affine_connection_keeps_the_direct_route(geom, apath):
         lambda y: parallel_transport(affine, bp, y, 0.7, 0.2), X_START)
 
 
+@pytest.mark.parametrize("t0,t1", ((0.0, 1.5), (-0.25, 0.5), (1.0, 1.0001)))
+@pytest.mark.parametrize("linear", (True, False), ids=("so3", "affine"))
+def test_transport_refuses_a_time_outside_the_unit_interval(geom, apath, t0,
+                                                            t1, linear):
+    conn = geom.connection if linear else affine_connection(geom)
+    tr = Transport(conn, apath.base_path)
+    bad = t0 if not 0.0 <= t0 <= 1.0 else t1
+    for query in (tr.map, tr.jacobian):
+        with pytest.raises(ValueError, match=repr(bad)):
+            query(X_START, t0, t1)
+
+
 # -- work counters ------------------------------------------------------------------
 
 def test_round_trip_queries_build_each_propagator_once(monkeypatch, geom):
     """The query sequence of the benchmark's round-trip op makes no
-    dual-state transport, and integrates one propagator: the path's, which
-    its reverse reads backwards."""
+    dual-state transport, and integrates one propagator per distinct base
+    path: the path's, and its reverse's for the inverse."""
     apath = loop_apath(geom)    # the fixture's path has its propagator
     transport, build = fibration._transport, Transport._build
     dual_states, builds = [], []
@@ -416,20 +437,19 @@ def test_round_trip_queries_build_each_propagator_once(monkeypatch, geom):
     inv = unsplit_apath(inverse_split(split_apath(apath)))
     inv.fiber_path(dm.Dual(0.225, 1.0))
     assert dual_states == []
-    assert len(builds) == 1   # the reversed path reads the original's
+    assert [path.name for _, path in builds] == ["loopish", "loopish~"]
 
 
 def count_rk4_steps(monkeypatch):
-    """A list that grows by one entry per RK4 step taken, through
-    `rk4_integrate` or by a built path's own `rk4_step` call."""
+    """A list that grows by one entry per RK4 step taken: every step is an
+    `rk4_integrate` one (`test_one_home`)."""
     step, steps = _numerics.rk4_step, []
 
     def counted(*args):
         steps.append(None)
         return step(*args)
 
-    for module in (_numerics, apath_module):
-        monkeypatch.setattr(module, "rk4_step", counted)
+    monkeypatch.setattr(_numerics, "rk4_step", counted)
     return steps
 
 

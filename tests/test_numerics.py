@@ -81,7 +81,7 @@ def test_rk4_times_of_an_empty_run_is_its_start():
     assert asked_times(0.4, 0.4, 1e-3) == []
 
 
-def test_time_table_evaluates_once_and_answers_off_grid_times():
+def test_time_table_evaluates_once_and_refuses_off_grid_times():
     calls = []
 
     def fn(t):
@@ -95,9 +95,10 @@ def test_time_table_evaluates_once_and_answers_off_grid_times():
     assert got[1] == 2.0
     assert got[2].tolist() == [0.375, 1.125]
     assert calls == [9]
-    off = row(0.3)     # not an RK4 time: one more call, on one entry
-    assert calls == [9, 1]
-    assert off[0] == math.sin(0.3) and off[2].tolist() == [0.3, 3.0 * 0.3]
+    for off in (0.3, -0.125, 1.125):   # not RK4 times of the run
+        with pytest.raises(ValueError, match=repr(off)):
+            row(off)
+    assert calls == [9]
 
 
 def test_time_table_ignores_numpy_warnings_past_an_escape():

@@ -16,7 +16,9 @@ on time alone comes from a `_numerics.time_table`, so no module defines
 a memo of the last time (a function named `…memo…`, or one decorated
 `lru_cache` / `cache`).  RK4's weights h/6 are written once, in
 `_numerics.rk4_step` and its step matrices: no other module divides by
-the literal 6.0.  A
+the literal 6.0.  No other module names `rk4_step` either, so every RK4
+run goes through `rk4_integrate` or `linear_rk4` on the `rk4_times`
+grid.  A
 least-squares distance is `_numerics.lstsq_residual`, one stacked QR
 factorization: no other module names `lstsq`, `qr` or numpy's
 `_umath_linalg`.  A scenario
@@ -39,7 +41,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 HOMES = {"combinations": "_numerics", "unit vector": "dual",
          "complex step": "_numerics", "per-point map": None,
          "rk4 grid": "_numerics", "time memo": None,
-         "rk4 weights": "_numerics",
+         "rk4 weights": "_numerics", "rk4 step": "_numerics",
          "least squares": "_numerics", "re-stacked sample": None}
 
 LSTSQ_NAMES = {"lstsq", "qr", "_umath_linalg"}
@@ -99,6 +101,10 @@ def hand_rolled(source):
         elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
               and _is_number(node.right, 6.0)):
             found.append("rk4 weights")
+        elif "rk4_step" in (getattr(node, "id", None),
+                            getattr(node, "attr", None),
+                            getattr(node, "name", None)):
+            found.append("rk4 step")
         elif (isinstance(node, ast.Call) and _decorator_name(node) == "ceil"
               and "step" in set().union(*map(_names, node.args))):
             found.append("rk4 grid")
@@ -135,6 +141,10 @@ def test_the_scan_sees_a_planted_copy():
                "n = math.ceil(span / h)\n"
                "y = x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)\n"
                "w = h / 6 + h / 3.0\n"
+               "from ._numerics import rk4_integrate, rk4_step\n"
+               "y = _numerics.rk4_step(f, t, y, h)\n"
+               "step = rk4_step\n"
+               "y = rk4_integrate(f, y, 0.0, 1.0)\n"
                "def last_time_memo(fn):\n    return fn\n"
                "@functools.lru_cache(maxsize=None)\n"
                "def drive(t):\n    return t\n"
@@ -161,7 +171,8 @@ def test_the_scan_sees_a_planted_copy():
         "least squares", "least squares", "least squares", "per-point map",
         "per-point map",
         "re-stacked sample", "re-stacked sample", "re-stacked sample",
-        "re-stacked sample", "rk4 grid", "rk4 grid", "rk4 weights",
+        "re-stacked sample", "rk4 grid", "rk4 grid", "rk4 step",
+        "rk4 step", "rk4 step", "rk4 weights",
         "time memo",
         "time memo", "time memo", "unit vector"]
 
