@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import inspect
 import json
 import math
 import operator
@@ -44,8 +45,8 @@ from .apath import flow_commutation_residual
 from .groupoid import (PairGroupoid, coupling_form, integrated_data_check,
                        multiplicativity_residual, pair_form,
                        source_target_orthogonality)
-from .monodromy import (VERDICT_INCONCLUSIVE, VERDICTS, cap, exact_rational,
-                        integrability_verdict, lattice_point, round_sphere,
+from .monodromy import (FAMILIES, VERDICT_INCONCLUSIVE, VERDICTS,
+                        exact_rational, integrability_verdict, lattice_point,
                         so3_lattice, transgress, transgress_flat)
 from .yangmills import EXAMPLES, HamiltonianFiber, gauge_transition_check
 
@@ -66,19 +67,6 @@ MAX_FAMILY_NODES = 1025
 MAX_LATTICE_GRID = 1024
 
 MAX_SEED = 2 ** 32 - 1   # the largest seed numpy's RandomState accepts
-
-EXAMPLE_NOTES = {
-    "hopf": "monopole bundle over a sphere chart; one-dimensional fiber, "
-            "horizontal form f(x)·(round area)",
-    "hopf-flat": "flat trivialized variant of the sphere model (the "
-                 "transgression-oracle setting)",
-    "so3-coadjoint": "so(3)* coadjoint fiber over a planar base with a "
-                     "nonabelian potential",
-    "trivial-torus": "flat abelian model over a square torus chart",
-    "round-sphere": "degree-one sphere family with full boundary collapse",
-    "cap": "based loop family sweeping a spherical cap of angle theta",
-}
-
 
 class ScenarioError(Exception):
     """Validation problem in a scenario file; `field` names the offender."""
@@ -418,26 +406,30 @@ def _failed(name, exc):
 
 def _model(v):
     """The coupling triple of inline `fields` or of an `example`, once what
-    that choice leaves unread is refused."""
+    that choice leaves unread is refused.  An example's builder states what
+    it reads in its signature: a scenario's `f` and `chart` reach it only
+    if it takes them, and an `f` it requires defaults to SPHERE_F."""
     checks = getattr(v, "checks", ())   # a ymh-build scores no leaf form
-    if v.chart is not None and v.example != "hopf":
-        raise ScenarioError("chart", "only the hopf example has charts")
+    takes = inspect.signature(EXAMPLES[v.example]).parameters \
+        if v.example else {}
+    if v.chart is not None and "chart" not in takes:
+        raise ScenarioError("chart", "only an example whose builder takes "
+                                     "a chart has charts")
     if (v.fields is None) == (v.example is None):
         raise ScenarioError("example", "a scenario gives either an example "
                                        "or inline fields")
     if v.f is not None and not ("leaf-form" in checks if v.fields else
-                                v.example in ("hopf", "hopf-flat",
-                                              "trivial-torus")):
-        raise ScenarioError("f", "no check reads f here: only the sphere and "
-                                 "torus examples and inline leaf forms do")
-    if v.f is None and v.example in ("hopf", "hopf-flat"):
+                                "f" in takes):
+        raise ScenarioError("f", "no check reads f here: only the examples "
+                                 "built from an f and inline leaf forms do")
+    if v.f is None and "f" in takes and takes["f"].default is takes["f"].empty:
         v.f = F_OF_X(SPHERE_F, "f")
     if v.fields is not None:
         geom = _inline_geometry(v.fields)
-    elif v.example == "hopf":
-        geom = EXAMPLES["hopf"](v.f, chart=v.chart or 0)
     else:
-        geom = EXAMPLES[v.example](*(() if v.f is None else (v.f,)))
+        geom = EXAMPLES[v.example](**{key: getattr(v, key)
+                                      for key in ("f", "chart")
+                                      if getattr(v, key) is not None})
     if "leaf-form" in checks:
         if geom.space.base.kind != SPHERE_STEREO or geom.space.n_fiber != 1:
             raise ScenarioError("checks", "the leaf-form check applies to the "
@@ -492,9 +484,12 @@ def _inline_geometry(cfg):
 
 
 def _sphere_family(cfg):
-    """The sphere family a parsed `area` or `families` entry describes."""
-    return cap(cfg.theta, *cfg.nodes) if cfg.family == "cap" else \
-        round_sphere(*cfg.nodes)
+    """The sphere family a parsed `area` or `families` entry describes: its
+    `FAMILIES` builder, given `nodes` as (n_t, n_eps) and the family's other
+    declared keys by name."""
+    keys = {key: getattr(cfg, key) for key in FAMILY_KEYS[cfg.family]}
+    n_t, n_eps = keys.pop("nodes")
+    return FAMILIES[cfg.family](n_t=n_t, n_eps=n_eps, **keys)
 
 
 # -- kind runners ---------------------------------------------------------------------
@@ -530,7 +525,7 @@ def _run_coupling_check(v, seed):
 
 def _leaf_residual(v, seed):
     """Distance of the leaf form to f(x)·(the chart's round area form)."""
-    sign = -1.0 if v.example == "hopf" and v.chart == 1 else 1.0
+    sign = -1.0 if v.chart == 1 else 1.0   # chart 1's area form is −4/s²
     pt = v.geom.sample_points(8, seed=seed)
     _, leaf = leaf_two_form(assemble_dirac(v.geom, pt))
     u, w, x = pt
@@ -828,10 +823,13 @@ def _cmd_check(args):
 
 
 def _cmd_examples(args):
+    """Each registered builder whose name holds the filter, with its note:
+    the first paragraph of its docstring."""
     needle = (args.filter or "").lower()
-    for name in sorted(EXAMPLE_NOTES):
+    for name, builder in sorted({**EXAMPLES, **FAMILIES}.items()):
         if needle in name.lower():
-            print(f"{name:15s} {EXAMPLE_NOTES[name]}")
+            note = (inspect.getdoc(builder) or "").split("\n\n")[0]
+            print(f"{name:15s} {' '.join(note.split())}")
     return 0
 
 

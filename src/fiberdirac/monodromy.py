@@ -122,6 +122,11 @@ def _collapse_or_raise(family):
 
 # -- built-in families -------------------------------------------------------------
 
+#: the two-chart sphere whose transition, the plane inversion, carries a
+#: family's inverse-chart point into chart 0
+_SPHERE = CoordinateDomain.sphere()
+
+
 def _stretch(u):
     """Bijection [0,1] → [-∞,∞] with vanishing derivative at the ends
     (smoothstep flattening keeps boundary partials exactly zero)."""
@@ -129,23 +134,26 @@ def _stretch(u):
 
 
 def round_sphere(n_t=65, n_eps=65):
-    """Degree-one cover of the round sphere in inverse-chart coordinates,
+    """degree-one sphere family with full boundary collapse
+
+    A degree-one cover of the round sphere in inverse-chart coordinates,
     oriented so the round area form integrates to +4π.  The constant
     offsets keep every grid node away from the chart pole."""
 
     def fn(t, eps):
         z1 = _stretch(eps) + 1.0 / math.sqrt(2.0)
         z2 = _stretch(t) + 1.0 / math.sqrt(3.0)
-        norm = z1 * z1 + z2 * z2
-        return [z1 / norm, z2 / norm]
+        return _SPHERE.transition([z1, z2])
 
     return SphereFamily(fn, n_t=n_t, n_eps=n_eps, closed=True,
                         name="round-sphere")
 
 
 def cap(theta, n_t=65, n_eps=65):
-    """Based family sweeping a spherical cap of opening angle θ ∈ (0, π):
-    loops through the base point fill the cap, signed area 2π(1 − cos θ)."""
+    """based loop family sweeping a spherical cap of angle theta
+
+    The opening angle is θ ∈ (0, π): loops through the base point fill the
+    cap, of signed area 2π(1 − cos θ)."""
     if not 0.0 < theta < math.pi:
         raise ValueError("cap opening angle must lie strictly in (0, pi)")
     c0 = -1.0 / math.tan(theta)
@@ -155,8 +163,7 @@ def cap(theta, n_t=65, n_eps=65):
         # stays finite in floating point (the loop degenerates there)
         z1 = c0 - dm.tan(0.5 * math.pi * (1.0 - smoothstep(eps)))
         z2 = _stretch(t) + 1.0 / math.sqrt(5.0)
-        norm = z1 * z1 + z2 * z2
-        return [z1 / norm, z2 / norm]
+        return _SPHERE.transition([z1, z2])
 
     return SphereFamily(fn, n_t=n_t, n_eps=n_eps, closed=False,
                         name=f"cap({theta:.6g})")
@@ -180,6 +187,8 @@ def concat_families(first, second):
                         name=f"{second.name}*{first.name}")
 
 
+#: the sphere families by name; as with `yangmills.EXAMPLES`, a builder's
+#: first docstring paragraph is its note in `fiberdirac examples`
 FAMILIES = {"round-sphere": round_sphere, "cap": cap}
 
 

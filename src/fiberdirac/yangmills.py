@@ -305,8 +305,11 @@ def monopole_potential(chart=0):
 
 
 def hopf_example(f, chart=0, name=""):
-    """Coupling data of the monopole bundle with a one-dimensional fiber:
-    flat Poisson fiber, ω_H = f(x)·(round area form of the chart).
+    """monopole bundle over a sphere chart; one-dimensional fiber,
+    horizontal form f(x)·(round area)
+
+    Coupling data of the monopole bundle on chart 0 or 1: flat Poisson
+    fiber, ω_H = f(x)·(round area form of the chart).
 
     `f` must be smooth and dual-compatible (use the function library in
     `fiberdirac.dual` for transcendentals).
@@ -319,9 +322,12 @@ def hopf_example(f, chart=0, name=""):
 
 
 def hopf_flat_example(f, name="hopf-flat"):
-    """Trivialized variant of the one-dimensional-fiber sphere model: the
-    same ω_H = f(x)·(round area form) but with the flat connection, the
-    standing setting for the transgression oracle.
+    """flat trivialized variant of the sphere model (the
+    transgression-oracle setting)
+
+    The same ω_H = f(x)·(round area form) as `hopf_example` on chart 0, but
+    with the flat connection, the standing setting for the transgression
+    oracle.
 
     ω_H is written directly (the trivial potential has zero field
     strength, so the assembly route would produce ω_H ≡ 0)."""
@@ -347,8 +353,11 @@ def hopf_flat_example(f, name="hopf-flat"):
 
 
 def so3_coadjoint_example(name="so3-coadjoint"):
-    """Nonabelian example: so(3)* coadjoint fiber over the flat planar
-    base [−1, 1]² with a b-dependent potential (nonzero field strength)."""
+    """so(3)* coadjoint fiber over a planar base with a nonabelian
+    potential
+
+    The base is the flat box [−1, 1]², and the potential depends on b, so
+    its field strength is nonzero."""
     base = CoordinateDomain.box([(-1.0, 1.0)] * 2, name="plane")
     a0 = (0.3, -0.5, 0.7)
     d0 = (0.5, 0.1, -0.3)
@@ -364,8 +373,10 @@ def so3_coadjoint_example(name="so3-coadjoint"):
 
 
 def trivial_torus_example(f=None, name="trivial-torus"):
-    """Flat abelian model over a square torus chart: zero potential, fiber
-    scaling f (defaults to 1 + x²/4), ω_H = f(x)·db₁∧db₂."""
+    """flat abelian model over a square torus chart
+
+    Zero potential, fiber scaling f (defaults to 1 + x²/4), and
+    ω_H = f(x)·db₁∧db₂."""
     if f is None:
         f = lambda x: 1.0 + 0.25 * x * x
     base = CoordinateDomain.box([(0.0, 2.0 * math.pi)] * 2, name="torus-chart")
@@ -379,6 +390,9 @@ def trivial_torus_example(f=None, name="trivial-torus"):
     return geom
 
 
+#: the example models by name.  A builder's first docstring paragraph is
+#: its note in `fiberdirac examples`, and its signature says whether it
+#: takes a scenario's `f` (required or not) and `chart`.
 EXAMPLES = {
     "hopf": hopf_example,
     "hopf-flat": hopf_flat_example,

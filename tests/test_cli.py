@@ -15,7 +15,8 @@ from fiberdirac import __version__, cli, monodromy
 from fiberdirac.cli import ScenarioError, compile_expression, run_scenario
 from fiberdirac.dual import Dual
 from fiberdirac.fibration import IncompleteTransportError
-from fiberdirac.monodromy import lattice_model_data
+from fiberdirac.monodromy import FAMILIES, lattice_model_data
+from fiberdirac.yangmills import EXAMPLES, hopf_example
 from test_coupling import undefined_at_one_sampled_point
 
 SCENARIOS = Path(cli.__file__).parent / "scenarios"
@@ -315,6 +316,34 @@ def test_a_form_undefined_at_one_oracle_point_fails_without_traceback(
     assert math.isnan(check["residual"])
 
 
+def test_a_registered_builder_is_listed_and_given_its_keys(monkeypatch,
+                                                           capsys):
+    # a builder added to EXAMPLES is listed with its note and receives the
+    # f and chart its signature takes, and never the scenario's name; an f
+    # it requires defaults to the sphere models' 2x + 1
+    calls = []
+
+    def charted(f, chart=0, name=""):
+        """a model on two charts
+
+        Only the first paragraph is the note."""
+        calls.append((f(0.5), chart, name))
+        return hopf_example(f, chart=chart)
+
+    monkeypatch.setitem(cli.EXAMPLES, "charted", charted)
+    code, out, _ = run_main(capsys, ["examples", "charted"])
+    assert code == 0 and out == "charted         a model on two charts\n"
+    scenario = {"name": "s", "kind": "coupling-check", "example": "charted",
+                "samples": 1}
+    run_scenario(scenario)
+    assert calls.pop() == (2.0, 0, "")
+    # on chart 1 the leaf form is −f·(round area): its sign follows `chart`
+    report, code = run_scenario(dict(scenario, f="3*x", chart=1,
+                                     checks=["leaf-form"]))
+    assert calls.pop() == (1.5, 1, "") and code == 0
+    assert report["checks"][0]["name"] == "leaf_form_match"
+
+
 def test_a_domain_error_in_the_flat_oracle_fails_without_traceback(
         capsys, tmp_path):
     # log of a negative fiber coordinate: NaN on both routes, not a
@@ -549,6 +578,8 @@ NAMED_INPUT_ERRORS = [
     (dict(LATTICE, radii=[0.5, 3.2]), "radii[1]"),
     # a family list and a coefficient curve are JSON lists
     ({"name": "t", "kind": "transgress", "families": 5}, "families"),
+    # a transgress scenario with neither an area nor a family checks nothing
+    ({"name": "t", "kind": "transgress", "families": []}, "families"),
     ({"name": "a", "kind": "apath", "alpha": 5}, "alpha"),
     # a reference constant evaluates to a finite real, and an area that a
     # residual is relative to is nonzero
@@ -1126,12 +1157,25 @@ def test_missing_file_exits_two(capsys, tmp_path):
     assert code == 2 and "field 'file'" in err
 
 
+@pytest.mark.parametrize("document", ["[]", '"x"', "5"])
+def test_a_scenario_that_is_no_json_object_exits_two(capsys, tmp_path,
+                                                     document):
+    path = tmp_path / "scenario.json"
+    path.write_text(document)
+    code, out, err = run_main(capsys, ["check", str(path)])
+    assert code == 2 and out == ""
+    assert "field 'file'" in err and "JSON object" in err
+
+
 def test_examples_listing_and_filter(capsys):
+    # one line per registered builder, its note beside its name, so that a
+    # builder added to a registry cannot go unlisted
     code, out, _ = run_main(capsys, ["examples"])
     assert code == 0
-    for name in ("hopf", "hopf-flat", "so3-coadjoint", "trivial-torus",
-                 "round-sphere", "cap"):
-        assert name in out
+    builders = sorted({**EXAMPLES, **FAMILIES})
+    lines = out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == builders
+    assert all(line.split(" ", 1)[1].strip() for line in lines)
 
     code, out, _ = run_main(capsys, ["examples", "cap"])
     assert code == 0

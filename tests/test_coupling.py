@@ -596,6 +596,19 @@ def test_an_empty_sample_is_refused(check):
         check(so3_coadjoint_example(), count=0)
 
 
+def test_a_triple_of_the_wrong_types_is_refused():
+    # π_V is a vertical bivector and ω_H a horizontal two-form: the two
+    # swapped, or a horizontal form of another degree, are no triple
+    good = constant_split()
+    one_form = HorizontalForm(good.space, 1, lambda p: [1.0, 0.0])
+    for pi_v, omega_h, message in [
+            (good.omega_h, good.omega_h, "pi_v must be a VerticalBivector"),
+            (good.pi_v, good.pi_v, "omega_h must be a degree-2"),
+            (good.pi_v, one_form, "omega_h must be a degree-2")]:
+        with pytest.raises(TypeError, match=message):
+            GeometricData(good.space, good.connection, pi_v, omega_h)
+
+
 def undefined_at_one_sampled_point(count, seed, index):
     """A constant split triple whose ω_H is NaN at sample `index` of
     `sample_points(count, seed)` and 1.5 everywhere else."""

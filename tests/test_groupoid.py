@@ -234,8 +234,10 @@ def test_a_vertical_structure_undefined_at_one_sample_is_rejected():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_a_coupling_form_undefined_at_one_arrow_is_rejected(value):
-    # an infinite entry gives NaN singular values, rank 0 and an
-    # intersection of dimension 0: it must never read as nondegenerate
+    # fiber nondegeneracy is the kernel of Ω's vertical block, counted by
+    # singular values: a NaN or infinite entry would give NaN singular
+    # values, none below the threshold, and a kernel that reads 0, so the
+    # check refuses a coupling form that is not finite before any SVD
     geom = product_geometry(twist=True)
     geom.omega_h = HorizontalForm(geom.space, 2,
                                   once_at_sample(12, 0, 5, value, 1.5),
