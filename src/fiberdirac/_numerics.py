@@ -21,7 +21,7 @@ walks that list.  What a right-hand side reads that depends on time alone
 coefficient curve) comes from a `time_table`: one array call over that
 grid, whose rows the RK4 stages look up.  A linear run z' = M(t) z takes
 no `rk4_step`: `linear_rk4` folds its RK4 step matrices, from M over the
-grid as whole arrays (`time_columns`); `linear_state` reads one anywhere.
+grid as whole arrays (`time_columns`); a `LinearRun` keeps one at its nodes.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ def linear_rk4(matrices, t0, t1, step, state=None):
     for lo in range(0, n, RK4_BLOCK):
         block = step_matrices(
             matrices(slice(2 * lo, 2 * min(lo + RK4_BLOCK, n) + 1)), h)
-        if state is None:
-            state = np.eye(block.shape[-1])
+        if state is None:   # the identity of each item of a batched M
+            state = np.broadcast_to(np.eye(block.shape[-1]), block.shape[1:])
             nodes.append(state)
         for s in block:
             state = s @ state
@@ -188,18 +188,30 @@ def linear_rk4(matrices, t0, t1, step, state=None):
     return state if nodes is None else np.array(nodes)
 
 
-def linear_state(run, matrices, t):
-    """The state at a time t of a `linear_rk4` run over [0, 1] kept as
-    ``run`` = (node times, node states): a node's within rounding, else
-    one partial RK4 step from the node below, M one call ``matrices(T)``."""
-    times, states = run
-    tol = 1e-12 / (len(times) - 1)
-    k = max(bisect_right(times, t + tol) - 1, 0)   # the node at or below t
-    if abs(times[k] - t) <= tol:
-        return states[k]
-    h = abs(t - times[k])
-    tail = matrices(rk4_times(times[k], t, h)).__getitem__
-    return linear_rk4(tail, times[k], t, h, states[k])
+class LinearRun:
+    """The `linear_rk4` run of z' = M(t) z over [0, 1], M = ``entry(T)`` at
+    an array T of times, kept at its nodes (every other RK4 time): the step
+    matrix products, times ``state`` if given.  Steps: `DEFAULT_RK4_STEP`."""
+
+    def __init__(self, entry, state=None):
+        self.entry, times = entry, rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)
+        self.times, nodes = times[::2], linear_rk4(
+            self.matrix(times).__getitem__, 0.0, 1.0, DEFAULT_RK4_STEP)
+        self.states = nodes if state is None else nodes @ state
+
+    def matrix(self, times):
+        """M at `times`, one `entry` call (`time_columns`)."""
+        return time_columns(lambda t: [self.entry(t)], times)[0]
+
+    def at(self, t):
+        """The state at t: a node's, else one RK4 step from the node below."""
+        tol = 1e-12 / (len(self.times) - 1)
+        k = max(bisect_right(self.times, t + tol) - 1, 0)   # at or below t
+        t0, h = self.times[k], abs(t - self.times[k])
+        if h <= tol:   # t is the node, up to rounding
+            return self.states[k]
+        return linear_rk4(self.matrix(rk4_times(t0, t, h)).__getitem__, t0,
+                          t, h, self.states[k])
 
 
 def stacked_matrix(rows, t):

@@ -24,12 +24,12 @@ per base path for a fiber-linear connection (every Yang–Mills–Higgs
 coupling; an inverse's reversed base path integrates its own), direct
 RK4 transports otherwise.  `build_apath` makes the same split for the
 anchor ODE, which is linear when π_V declares a `generator` too, and
-integrates it over [0, 1] once, when the path is built.  Every RK4 run
-here takes steps of `DEFAULT_RK4_STEP`, apart from the flow-commutation
-check's, and reads what depends on time alone (the base path's jet, the
-covector curve, α) from one array evaluation over the run's RK4 times
-(`_numerics.time_columns`), so base paths, covector curves and α must
-accept an array of times.
+integrates it over [0, 1] once, when the path is built; either linear run
+is a `_numerics.LinearRun`.  Every RK4 run here takes steps of
+`DEFAULT_RK4_STEP`, apart from the flow-commutation check's, and reads
+what depends on time alone (the base path's jet, the covector curve, α)
+from one array evaluation over the run's RK4 times, so base paths,
+covector curves and α must accept an array of times.
 
 The evolution solver integrates, for a two-parameter coefficient curve
 α^ε(t) in a finite-dimensional algebra acting linearly with generator G,
@@ -56,8 +56,8 @@ import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, dot, halves, linear_rk4,
-                        linear_state, matvec, rk4_integrate, rk4_times,
+from ._numerics import (DEFAULT_RK4_STEP, LinearRun, dot, halves,
+                        linear_rk4, matvec, rk4_integrate, rk4_times,
                         smoothstep, stacked_matrix, time_columns, time_table,
                         worst)
 from .fibration import BasePath, Transport
@@ -76,20 +76,16 @@ class AlgebroidPath:
     def point(self, t):
         return self.geom.space.join(self.base_path(t), self.fiber_path(t))
 
-    def fiber_velocity(self, t):
-        return dm.tangent(self.fiber_path(Dual(t, 1.0)))
-
     def anchor_residual(self, n_nodes=33):
         """max |dγ_F/dt − A(γ) γ̇_B − P(γ) a_V| over a uniform t-grid."""
         def defects(t):
-            pt = self.point(t)
-            a_mat = self.geom.conn_matrix(pt)
-            p_mat = self.geom.pi_matrix(pt)
-            u = self.base_path.velocity(t)
-            rhs = [x + y for x, y in zip(matvec(a_mat, u),
-                                         matvec(p_mat, self.covector_path(t)))]
+            pt, u = self.point(t), self.base_path.velocity(t)
+            rhs = [x + y for x, y in zip(
+                matvec(self.geom.conn_matrix(pt), u),
+                matvec(self.geom.pi_matrix(pt), self.covector_path(t)))]
+            lhs = dm.tangent(self.fiber_path(Dual(t, 1.0)))
             return [abs(dm.value_of(l) - dm.value_of(r))
-                    for l, r in zip(self.fiber_velocity(t), rhs)]
+                    for l, r in zip(lhs, rhs)]
 
         return worst(d for k in range(n_nodes)
                      for d in defects(k / (n_nodes - 1)))
@@ -109,26 +105,24 @@ def build_apath(geom, base_path, x0, covector_path, name=""):
     from x0 with the given covector curve: one RK4 run over [0, 1], kept
     at its nodes (every other time of `rk4_times`).  When the connection
     and π_V declare generators K and L, the ODE is x' = M(t)x with
-    M = K(γ, γ̇) + L(a_V), one `_numerics.linear_rk4`; other data take one
+    M = K(γ, γ̇) + L(a_V), one `_numerics.LinearRun`; other data take one
     `rk4_integrate` run, whose observer keeps the nodes.  A time between
     nodes takes one partial step from the node below, so no answer depends
     on earlier queries.  The base path and `covector_path` are
     evaluated over the run's RK4 times, each partial step's and (linear
     route) a dual time, so both must accept an array of times."""
-    n, times = geom.space.n_base, rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)
+    n = geom.space.n_base
     if None not in (geom.connection.generator, geom.pi_v.generator):
-        def entry(t):   # M = K(γ, γ̇) + L(a_V), one time-only entry
+        def entry(t):   # M = K(γ, γ̇) + L(a_V)
             (b, u), a = base_path.jet(t), covector_path(t)
-            return [stacked_matrix(geom.connection.generator(b, u), t)
-                    + stacked_matrix(geom.pi_v.generator(b, a), t)]
+            return (stacked_matrix(geom.connection.generator(b, u), t)
+                    + stacked_matrix(geom.pi_v.generator(b, a), t))
 
-        matrices = lambda times: time_columns(entry, times)[0]
-        run = times[::2], linear_rk4(matrices(times).__getitem__, 0.0, 1.0,
-                                     DEFAULT_RK4_STEP) @ np.array(x0, float)
+        run = LinearRun(entry, np.array(x0, float))
 
         def state(tv):   # x(t) and a thunk of x'(t) = M(t)x(t)
-            x = linear_state(run, matrices, tv)
-            return x.tolist(), lambda: (matrices([tv])[0] @ x).tolist()
+            x = run.at(tv)
+            return x.tolist(), lambda: (run.matrix([tv])[0] @ x).tolist()
     else:
         def drive(t):   # γ_B(t), γ̇_B(t), then a_V(t)
             return [c for part in base_path.jet(t) for c in part] + list(
@@ -146,9 +140,9 @@ def build_apath(geom, base_path, x0, covector_path, name=""):
 
             return rhs
 
-        full, node_times, nodes = anchor_rhs(0.0, 1.0), times[::2], []
-        rk4_integrate(full, x0, 0.0, 1.0,
-                      observer=lambda _, x: nodes.append(x))
+        full, node_times, nodes = anchor_rhs(0.0, 1.0), [], []
+        rk4_integrate(full, x0, 0.0, 1.0, observer=lambda t, x: (
+            node_times.append(t), nodes.append(x)))
 
         def state(tv):
             k = max(bisect_right(node_times, tv) - 1, 0)

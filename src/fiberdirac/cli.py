@@ -27,6 +27,7 @@ import operator
 import sys
 import time
 from collections import namedtuple
+from collections.abc import Mapping
 from types import SimpleNamespace
 
 import numpy as np
@@ -339,20 +340,18 @@ def obj(keys):
 
 
 def union(tag, variants):
-    """An object whose declared keys are `variants[its tag's value]` (None:
-    the tag absent)."""
-    expected = f"one of {sorted(filter(None, variants))}"
-    tagged = {name: _declared({tag: (text, None), **keys})
-              for name, keys in variants.items()}
-
+    """An object whose `_declared` keys are `variants[its tag's value]`
+    (None: the tag absent), looked up at parse time (a registry may grow)."""
     def parse(value, field):
         choice = value.get(tag) if isinstance(value, dict) else None
         # a null tag is a value of no type, not the tag left out
         named = isinstance(choice, str) or not (isinstance(value, dict)
                                                 and tag in value)
-        _ok(not isinstance(value, dict) or named and choice in tagged, None,
-            f"{field}.{tag}", expected, choice)
-        return _read(value, tagged.get(choice, {}), field)
+        _ok(not isinstance(value, dict) or named and choice in variants,
+            None, f"{field}.{tag}", f"one of {sorted(filter(None, variants))}",
+            choice)
+        return _read(value, {tag: (text, None), **variants.get(choice, {})},
+                     field)
     return _typed("union", tag, variants)(parse)
 
 
@@ -366,16 +365,31 @@ F_OF_X = expression(("x",))
 _FIELDS = {"connection": (listing(SOURCES, 0, math.inf), None),
            "fiber_bounds": (BOUNDS, REQUIRED), "name": (text, "inline"),
            "omega": (SOURCES, REQUIRED), "pi": (SOURCES, None)}
-FIELDS = union("base_chart", {None: {"base_bounds": (BOUNDS, REQUIRED),
-                                     **_FIELDS},
-                              "sphere": _FIELDS})
+FIELDS = union("base_chart", {
+    None: _declared({"base_bounds": (BOUNDS, REQUIRED), **_FIELDS}),
+    "sphere": _declared(_FIELDS)})
 
-#: a sphere family, per family: only a cap has an angle θ ∈ (0, π)
-_NODES = (simpson(3, MAX_FAMILY_NODES, 9), [65, 65])
-FAMILY_KEYS = {"round-sphere": {"nodes": _NODES},
-               "cap": {"nodes": _NODES,
-                       "theta": (real(0.0, math.pi, False, (0.0, math.pi)),
-                                 REQUIRED)}}
+_NODES = _declared({"nodes": (simpson(3, MAX_FAMILY_NODES, 9), [65, 65])})
+
+
+class _FamilyKeys(Mapping):
+    """The keys of each family in `FAMILIES`, at parse time: `nodes`, a
+    number in its interval per declared parameter, and `extra`."""
+
+    def __init__(self, **extra):
+        self.extra = _declared(extra)
+
+    def __getitem__(self, name):
+        bounds = getattr(FAMILIES[name], "parameters", {})
+        return {**_NODES, **{k: (real(lo, hi, False, (lo, hi)), REQUIRED)
+                             for k, (lo, hi) in bounds.items()}, **self.extra}
+
+    def __iter__(self):
+        return iter(FAMILIES)
+
+    def __len__(self):
+        return len(FAMILIES)
+
 
 #: the model of a coupling-check or a ymh-build: an example or inline
 #: fields (`_model` refuses the keys the choice leaves unread)
@@ -487,7 +501,7 @@ def _sphere_family(cfg):
     """The sphere family a parsed `area` or `families` entry describes: its
     `FAMILIES` builder, given `nodes` as (n_t, n_eps) and the family's other
     declared keys by name."""
-    keys = {key: getattr(cfg, key) for key in FAMILY_KEYS[cfg.family]}
+    keys = {key: getattr(cfg, key) for key in _FamilyKeys()[cfg.family]}
     n_t, n_eps = keys.pop("nodes")
     return FAMILIES[cfg.family](n_t=n_t, n_eps=n_eps, **keys)
 
@@ -702,11 +716,10 @@ KINDS.update({
         {**_MODEL, "samples": (SAMPLES, 32)}),
     "transgress": _kind(
         _run_transgress, {"sphere_area": 1e-6, "oracle": 1e-4},
-        {"area": (union("family", {
-            name: {**keys, "expected": (constant(True), "4*pi")}
-            for name, keys in FAMILY_KEYS.items()}), None),
+        {"area": (union("family", _FamilyKeys(
+            expected=(constant(True), "4*pi"))), None),
          "f": (F_OF_X, "x"),
-         "families": (listing(union("family", FAMILY_KEYS), 0, math.inf),
+         "families": (listing(union("family", _FamilyKeys()), 0, math.inf),
                       []),
          # the fiber chart of the hopf-flat model, |x| <= 1.5
          "x0": (point(HamiltonianFiber.scaled_line(None).domain), [0.3])}),

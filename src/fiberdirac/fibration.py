@@ -16,23 +16,23 @@ path at an array of all the RK4 times, seeded `Dual(T, 1)`.
 
 A connection that is linear in the fiber point, A(b, x)v = K(b, v)x,
 declares its generator K.  Transport along one path is then one matrix
-propagator, and a `Transport` integrates it once, a product of RK4 step
-matrices, and answers every transport and transport differential along
-that path from it; K is evaluated once over its RK4 times, as one array.
+propagator, a `_numerics.LinearRun` of P' = K P that a `Transport` builds
+once per path and answers every transport and transport differential
+along that path from.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from . import dual as dm
 from .dual import Dual
-from ._numerics import (DEFAULT_RK4_STEP, combos, det, linear_rk4,
-                        linear_state, matvec, rk4_integrate, rk4_times,
-                        sample_unit_cube, skew_matrix, stacked_matrix,
-                        time_columns, time_table)
+from ._numerics import (DEFAULT_RK4_STEP, LinearRun, combos, det, matvec,
+                        rk4_integrate, sample_unit_cube, skew_matrix,
+                        stacked_matrix, time_table)
 
 
 class IncompleteTransportError(RuntimeError):
@@ -85,7 +85,7 @@ class BasePath:
     def __init__(self, fn, name=""):
         self.fn = fn
         self.name = name
-        self._propagators = {}   # connection ↦ a `Transport` grid
+        self._propagators = {}   # connection ↦ its `Transport` propagator
 
     def __call__(self, t):
         return self.fn(t)
@@ -213,18 +213,15 @@ class Transport:
 
     A connection with a `generator` K transports linearly: φ is the matrix
     P(t1)·P(t0)⁻¹, where the propagator solves P' = K(γ(t), γ̇(t))·P,
-    P(0) = I, and dφ is the same matrix.  P is integrated on the first
-    query, as the running product of the RK4 step matrices of a direct
-    transport from 0 to 1, and kept on the path for every later `Transport`
-    of the same connection; a time between nodes takes one partial step
-    from the node below (`_numerics.linear_state`).  Every path, a
-    reversed one too, integrates its own P.  The chart guard checks the
-    transported point at every grid node between t0 and t1 in one array
-    pass.  From t0 = 0 it raises the direct route's
-    `IncompleteTransportError`, with the same `t_escape` and point; from
-    another grid node, the same up to rounding; from a time between nodes,
-    the direct route steps on its own grid, so the two escape times lie
-    within one step of each other.
+    P(0) = I, and dφ is the same matrix.  P is a `_numerics.LinearRun`,
+    built on the first query and kept on the path for every later
+    `Transport` of the same connection; every path, a reversed one too,
+    has its own.  The chart guard checks the transported point at every
+    node between t0 and t1 in one array pass.  From t0 = 0 it raises the
+    direct route's `IncompleteTransportError`, with the same `t_escape`
+    and point; from another node, the same up to rounding; from a time
+    between nodes, the direct route steps on its own grid, so the two
+    escape times lie within one step of each other.
 
     Every other connection takes the direct route: one RK4 transport per
     map, and one dual-seeded transport per Jacobian column.  Either route
@@ -249,46 +246,30 @@ class Transport:
         x = [dm.value_of(c) for c in x]
         if self.connection.generator is None:
             return dm.jacobian(lambda y: self.map(y, t0, t1), x)
-        back = np.linalg.inv(self._at(t0))
-        jac = self._at(t1) @ back
-        self._guard(x, back @ np.array(x), t0, t1, jac @ np.array(x))
+        run = self._propagator()
+        back = np.linalg.inv(run.at(t0))
+        jac = run.at(t1) @ back
+        self._guard(run, x, back @ np.array(x), t0, t1, jac @ np.array(x))
         return jac.tolist()
 
-    def _grid(self):
-        # kept on the path, not here: a path that held its Transport would
-        # make a reference cycle, and the arrays would wait for a full
-        # garbage collection
-        grids = self.path._propagators
-        if self.connection not in grids:
-            grids[self.connection] = self._build()
-        return grids[self.connection]
+    def _propagator(self):
+        """P, the `LinearRun` of P' = K(γ, γ̇) P, kept on the path: a path
+        that held its Transport, or a run its path, would make a reference
+        cycle, and the arrays would wait for a full garbage collection."""
+        runs, generator = self.path._propagators, self.connection.generator
+        if self.connection not in runs:
+            path = weakref.proxy(self.path)
+            runs[self.connection] = LinearRun(lambda t: stacked_matrix(
+                generator(*path.jet(t)), t))
+        return runs[self.connection]
 
-    def _build(self):
-        """Integrate P over [0, 1]: the RK4 node times, and P at each node
-        as one array of shape (nodes, n_F, n_F), the running product of
-        the step matrices of P' = K P."""
-        times = rk4_times(0.0, 1.0, DEFAULT_RK4_STEP)
-        return times[::2], linear_rk4(self._generators(times).__getitem__,
-                                      0.0, 1.0, DEFAULT_RK4_STEP)
-
-    def _generators(self, t):
-        """K(γ(t), γ̇(t)) along the path over an array of times t
-        (`time_columns`): shape np.shape(t) + (n_F, n_F)."""
-        return time_columns(lambda s: [stacked_matrix(
-            self.connection.generator(*self.path.jet(s)), s)], t)[0]
-
-    def _at(self, t):
-        """P at the time t (`linear_state`)."""
-        return linear_state(self._grid(), self._generators, t)
-
-    def _guard(self, x0, y, t0, t1, x1):
-        """Raise at the first grid state outside the fiber chart, walking
-        from t0 to t1.  y is x0 carried back to the fiber over the path's
-        start."""
-        times, props = self._grid()
-        a = bisect_right(times, min(t0, t1))
-        b = bisect_left(times, max(t0, t1))
-        inner, stamps = props[a:b] @ y, times[a:b]
+    def _guard(self, run, x0, y, t0, t1, x1):
+        """Raise at the first node state of `run` outside the fiber chart,
+        walking from t0 to t1.  y is x0 carried back to the fiber over the
+        path's start."""
+        a = bisect_right(run.times, min(t0, t1))
+        b = bisect_left(run.times, max(t0, t1))
+        inner, stamps = run.states[a:b] @ y, run.times[a:b]
         if t1 < t0:
             inner, stamps = inner[::-1], stamps[::-1]
         states = np.vstack([[x0], inner, [x1]])

@@ -78,9 +78,6 @@ class SphereFamily:
     def d_eps(self, t, eps):
         return dm.tangent(self.fn(t, Dual(eps, 1.0)))
 
-    def base_point(self):
-        return [dm.value_of(c) for c in self.fn(0.0, 0.0)]
-
     def eps_slice(self, eps):
         return BasePath(lambda t: self.fn(t, eps),
                         name=f"{self.name}@eps={eps:.3g}")
@@ -88,7 +85,7 @@ class SphereFamily:
     def collapse_residual(self):
         """Max chart distance of the collapsed edges from the base point,
         probed at 33 points per edge: one array call of `fn` per edge."""
-        b = self.base_point()
+        b = [dm.value_of(c) for c in self.fn(0.0, 0.0)]   # the base point
         u = np.arange(33) / 32
         edges = [(u, 0.0), (0.0, u), (1.0, u)]
         if self.closed:
@@ -188,7 +185,9 @@ def concat_families(first, second):
 
 
 #: the sphere families by name; as with `yangmills.EXAMPLES`, a builder's
-#: first docstring paragraph is its note in `fiberdirac examples`
+#: first docstring paragraph is its note in `fiberdirac examples`, and its
+#: `parameters`, if set, map each parameter but n_t, n_eps to an open interval
+cap.parameters = {"theta": (0.0, math.pi)}
 FAMILIES = {"round-sphere": round_sphere, "cap": cap}
 
 

@@ -416,7 +416,7 @@ def test_round_trip_queries_build_each_propagator_once(monkeypatch, geom):
     dual-state transport, and integrates one propagator per distinct base
     path: the path's, and its reverse's for the inverse."""
     apath = loop_apath(geom)    # the fixture's path has its propagator
-    transport, build = fibration._transport, Transport._build
+    transport, build = fibration._transport, fibration.LinearRun
     dual_states, builds = [], []
 
     def counted_transport(connection, path, x0, *args):
@@ -424,12 +424,12 @@ def test_round_trip_queries_build_each_propagator_once(monkeypatch, geom):
             dual_states.append(path)
         return transport(connection, path, x0, *args)
 
-    def counted_build(self):
-        builds.append((self.connection, self.path))
-        return build(self)
+    def counted_build(entry):
+        builds.append(build(entry))
+        return builds[-1]
 
     monkeypatch.setattr(fibration, "_transport", counted_transport)
-    monkeypatch.setattr(Transport, "_build", counted_build)
+    monkeypatch.setattr(fibration, "LinearRun", counted_build)
     back = unsplit_apath(split_apath(apath))
     for t in (0.125, 0.425):
         back.fiber_path(t)
@@ -437,7 +437,9 @@ def test_round_trip_queries_build_each_propagator_once(monkeypatch, geom):
     inv = unsplit_apath(inverse_split(split_apath(apath)))
     inv.fiber_path(dm.Dual(0.225, 1.0))
     assert dual_states == []
-    assert [path.name for _, path in builds] == ["loopish", "loopish~"]
+    paths = (apath.base_path, inv.base_path)
+    assert [path.name for path in paths] == ["loopish", "loopish~"]
+    assert builds == [path._propagators[geom.connection] for path in paths]
 
 
 def count_rk4_steps(monkeypatch):
@@ -603,6 +605,7 @@ def per_time_columns(fn, times):
 def per_time_route(monkeypatch):
     for module in (fibration, apath_module):
         monkeypatch.setattr(module, "time_table", memo_table)
+    for module in (_numerics, apath_module):   # `LinearRun`, `_linear_run`
         monkeypatch.setattr(module, "time_columns", per_time_columns)
 
 
@@ -634,7 +637,8 @@ def round_trip_numbers(geom, inputs):
     inv = unsplit_apath(inverse_split(split_apath(ap)))
     out += [c for d in inv.fiber_path(dm.Dual(0.225, 1.0)) for c in
             (d.re, d.eps)]
-    out += Transport(geom.connection, bp)._grid()[1].ravel().tolist()
+    propagator = Transport(geom.connection, bp)._propagator()
+    out += propagator.states.ravel().tolist()
     out += parallel_transport(geom.connection, bp, X_START, 0.0, 0.7)
     return [float(c) for c in out]
 

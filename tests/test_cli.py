@@ -344,6 +344,43 @@ def test_a_registered_builder_is_listed_and_given_its_keys(monkeypatch,
     assert report["checks"][0]["name"] == "leaf_form_match"
 
 
+def test_a_registered_family_is_given_its_declared_keys(monkeypatch, capsys):
+    # a family added to FAMILIES, its parameter declared on the builder,
+    # is listed, and a transgress scenario reads that parameter in its
+    # interval, for an area and in `families`
+    calls = []
+
+    def lens(width, n_t=65, n_eps=65):
+        """cap of half the width
+
+        Only the first paragraph is the note."""
+        calls.append((width, n_t, n_eps))
+        return monodromy.cap(0.5 * width, n_t=n_t, n_eps=n_eps)
+
+    lens.parameters = {"width": (0.0, 2.0 * math.pi)}
+    monkeypatch.setitem(monodromy.FAMILIES, "lens", lens)
+    code, out, _ = run_main(capsys, ["examples", "lens"])
+    assert code == 0 and out == "lens            cap of half the width\n"
+    scenario = {"name": "lens", "kind": "transgress",
+                "area": {"family": "lens", "width": 2.0,
+                         "expected": "2*pi*(1-cos(1))"},
+                "families": [{"family": "lens", "width": 1.6,
+                              "nodes": [9, 9]}]}
+    report, code = run_scenario(scenario)
+    assert calls == [(2.0, 65, 65), (1.6, 9, 9)]
+    assert code == 0, report
+    assert [c["name"] for c in report["checks"]] == ["sphere_area",
+                                                     "oracle_cap(0.8)"]
+    for family, field in (({"width": 7.0}, "families[0].width"),
+                          ({"width": None}, "families[0].width"),
+                          ({}, "families[0].width"),
+                          ({"width": 1.0, "theta": 0.5}, "families[0].theta")):
+        entry = {"family": "lens", "nodes": [9, 9], **family}
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(dict(scenario, families=[entry]))
+        assert err.value.field == field
+
+
 def test_a_domain_error_in_the_flat_oracle_fails_without_traceback(
         capsys, tmp_path):
     # log of a negative fiber coordinate: NaN on both routes, not a

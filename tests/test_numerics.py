@@ -157,12 +157,58 @@ def test_the_block_fold_is_the_one_pass_fold_to_the_bit(monkeypatch, steps):
     assert blocked[1][0].tolist() == np.eye(5).tolist()
 
 
+def test_a_batched_run_is_its_slices_run_one_at_a_time():
+    # M of shape (2n + 1, slices, d, d): each slice's products start from
+    # its own identity
+    steps = 70
+    m = np.stack([linear_table(steps, 3, seed=s)[1] for s in (1, 2)], axis=1)
+    batched = linear_rk4(m.__getitem__, 0.0, 1.0, 1.0 / steps)
+    assert batched.shape == (steps + 1, 2, 3, 3)
+    for j in range(2):
+        alone = linear_rk4(m[:, j].__getitem__, 0.0, 1.0, 1.0 / steps)
+        assert np.max(np.abs(batched[:, j] - alone)) <= 1e-15
+
+
+#: z' = M z with M a rotation generator: z(t) = exp(tM) z(0)
+ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def rotation(t):
+    return np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+
+
+def test_a_linear_run_reads_its_nodes_and_steps_between_them():
+    run = _numerics.LinearRun(lambda t: ROTATION[None])
+    assert run.times == rk4_times(0.0, 1.0, _numerics.DEFAULT_RK4_STEP)[::2]
+    for k in (300, 512, 700, 999):
+        node, state = run.times[k], run.states[k].tobytes()
+        # a node time, and one within rounding of it, is the node's state
+        for t in (node, node - 1e-15, node + 1e-15):
+            assert run.at(t).tobytes() == state
+        # off a node: one RK4 step of the remaining time from the node below
+        t = node + 0.37 * (run.times[k + 1] - node)
+        m = run.matrix(rk4_times(node, t, t - node))
+        want = step_matrices(m, t - node)[0] @ run.states[k]
+        assert run.at(t).tobytes() == want.tobytes()
+    for t in (0.0, 0.3, 0.40037, 0.7, 0.99985, 1.0):
+        assert np.max(np.abs(run.at(t) - rotation(t))) <= 1e-12
+
+
+def test_a_linear_run_from_a_state_keeps_the_states():
+    x0 = [0.6, -0.8]
+    run = _numerics.LinearRun(lambda t: ROTATION[None], x0)
+    assert run.states.shape == (len(run.times), 2)
+    for t in (0.0, 0.25, 0.6004, 1.0):
+        assert np.max(np.abs(run.at(t) - rotation(t) @ x0)) <= 1e-12
+
+
 def test_the_propagator_is_the_stepped_route():
     geom = so3_coadjoint_example()
     path = BasePath(lambda t: [0.4 * dm.sin(2 * math.pi * t) * t,
                                0.3 * (1 - dm.cos(2 * math.pi * t))],
                     name="loopish")
-    times, props = Transport(geom.connection, path)._build()
+    run = Transport(geom.connection, path)._propagator()
+    times, props = run.times, run.states
     want = stepped_propagators(geom.connection, path)
     assert times == rk4_times(0.0, 1.0, _numerics.DEFAULT_RK4_STEP)[::2]
     assert props.shape == want.shape == (1001, 3, 3)

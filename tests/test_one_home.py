@@ -18,7 +18,9 @@ a memo of the last time (a function named `…memo…`, or one decorated
 `_numerics.rk4_step` and its step matrices: no other module divides by
 the literal 6.0.  No other module names `rk4_step` either, so every RK4
 run goes through `rk4_integrate` or `linear_rk4` on the `rk4_times`
-grid.  A
+grid.  A linear run kept at its nodes is a `_numerics.LinearRun`: no
+other module calls `linear_rk4` without a start state, which would return
+every node's product.  A
 least-squares distance is `_numerics.lstsq_residual`, one stacked QR
 factorization: no other module names `lstsq`, `qr` or numpy's
 `_umath_linalg`.  A scenario
@@ -42,7 +44,8 @@ HOMES = {"combinations": "_numerics", "unit vector": "dual",
          "complex step": "_numerics", "per-point map": None,
          "rk4 grid": "_numerics", "time memo": None,
          "rk4 weights": "_numerics", "rk4 step": "_numerics",
-         "least squares": "_numerics", "re-stacked sample": None}
+         "least squares": "_numerics", "re-stacked sample": None,
+         "linear run": "_numerics"}
 
 LSTSQ_NAMES = {"lstsq", "qr", "_umath_linalg"}
 
@@ -65,6 +68,18 @@ def _names(node):
 def _decorator_name(node):
     node = node.func if isinstance(node, ast.Call) else node
     return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _stateless_run(node):
+    """Whether `node` calls `linear_rk4` with no start state: no fifth
+    argument, or the literal None."""
+    if not (isinstance(node, ast.Call)
+            and _decorator_name(node) == "linear_rk4"):
+        return False
+    state = node.args[4:] + [k.value for k in node.keywords
+                             if k.arg == "state"]
+    return not state or (isinstance(state[0], ast.Constant)
+                         and state[0].value is None)
 
 
 def hand_rolled(source):
@@ -90,6 +105,8 @@ def hand_rolled(source):
               and any(isinstance(a, ast.Call)
                       and _decorator_name(a) in SAMPLERS for a in node.args)):
             found.append("re-stacked sample")
+        elif _stateless_run(node):
+            found.append("linear run")
         elif isinstance(node, ast.Call) and "parallel_map" in (
                 getattr(node.func, "id", None),
                 getattr(node.func, "attr", None)):
@@ -164,11 +181,16 @@ def test_the_scan_sees_a_planted_copy():
                "u = stack(sample_unit_cube(6, 2))\n"
                "v = stack(_box_points(6, 2))\n"
                "pt = stack(points)\n"
-               "pt = stack([sample(p) for p in points])\n")
+               "pt = stack([sample(p) for p in points])\n"
+               "props = linear_rk4(m.__getitem__, 0.0, 1.0, h)\n"
+               "props = _numerics.linear_rk4(m, 0.0, 1.0, h, state=None)\n"
+               "z = linear_rk4(m, 0.0, 1.0, h, z)\n"
+               "z = _numerics.linear_rk4(m, t0, t1, step, state=x0)\n")
     assert sorted(hand_rolled(planted)) == [
         "combinations", "combinations", "complex step", "complex step",
         "complex step", "complex step", "least squares", "least squares",
-        "least squares", "least squares", "least squares", "per-point map",
+        "least squares", "least squares", "least squares", "linear run",
+        "linear run", "per-point map",
         "per-point map",
         "re-stacked sample", "re-stacked sample", "re-stacked sample",
         "re-stacked sample", "rk4 grid", "rk4 grid", "rk4 step",
