@@ -60,7 +60,7 @@ from ._numerics import (DEFAULT_RK4_STEP, LinearRun, dot, halves,
                         linear_rk4, matvec, rk4_integrate, rk4_times,
                         smoothstep, stacked_matrix, time_columns, time_table,
                         worst)
-from .fibration import BasePath, Transport
+from .fibration import BasePath, Transport, _check_times
 
 
 class AlgebroidPath:
@@ -108,9 +108,10 @@ def build_apath(geom, base_path, x0, covector_path, name=""):
     M = K(γ, γ̇) + L(a_V), one `_numerics.LinearRun`; other data take one
     `rk4_integrate` run, whose observer keeps the nodes.  A time between
     nodes takes one partial step from the node below, so no answer depends
-    on earlier queries.  The base path and `covector_path` are
-    evaluated over the run's RK4 times, each partial step's and (linear
-    route) a dual time, so both must accept an array of times."""
+    on earlier queries; a time outside [0, 1] raises `ValueError`, as in a
+    `Transport`.  The base path and `covector_path` are evaluated over the
+    run's RK4 times, each partial step's and (linear route) a dual time, so
+    both must accept an array of times."""
     n = geom.space.n_base
     if None not in (geom.connection.generator, geom.pi_v.generator):
         def entry(t):   # M = K(γ, γ̇) + L(a_V)
@@ -153,6 +154,7 @@ def build_apath(geom, base_path, x0, covector_path, name=""):
             return x, lambda: rhs(tv, x)
 
     def fiber_path(t):
+        _check_times(dm.value_of(t))
         x, velocity = state(dm.value_of(t))
         return [Dual(b, v * t.eps) for b, v in zip(x, velocity())] \
             if isinstance(t, Dual) else x

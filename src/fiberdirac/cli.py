@@ -59,8 +59,9 @@ SPHERE_F = "2*x+1"   # the f of the sphere models when a scenario sets none
 MIN_APATH_STEP = 1e-4
 
 #: bounds on counts, since a check holds arrays over all of them at once
-#: (2-vCPU Xeon): a groupoid check peaks near 0.1 GB of resident memory at
-#: 2**16 samples (0.17 GB at 2**17), a transgression near 0.13 GB at
+#: (2-vCPU Xeon): at 2**16 samples a groupoid check peaks near 0.1 GB of
+#: resident memory on 2 + 2 coordinates and near 0.35 GB on 8 (2 + 6; 4 + 4
+#: reads 0.29 GB), in about 1 s, a transgression near 0.13 GB at
 #: 1025 × 1025 nodes, and a lattice of 1024 × 1024 intervals takes 0.24 s;
 #: the last two grow with n_t·n_ε
 MAX_SAMPLES = 2 ** 16
@@ -420,9 +421,12 @@ def _failed(name, exc):
 
 def _model(v):
     """The coupling triple of inline `fields` or of an `example`, once what
-    that choice leaves unread is refused.  An example's builder states what
-    it reads in its signature: a scenario's `f` and `chart` reach it only
-    if it takes them, and an `f` it requires defaults to SPHERE_F."""
+    that choice leaves unread is refused; a kind that declares no `example`
+    reads its fields alone.  An example's builder states what it reads in
+    its signature: a scenario's `f` and `chart` reach it only if it takes
+    them, and an `f` it requires defaults to SPHERE_F."""
+    if not hasattr(v, "example"):
+        return _inline_geometry(v.fields)
     checks = getattr(v, "checks", ())   # a ymh-build scores no leaf form
     takes = inspect.signature(EXAMPLES[v.example]).parameters \
         if v.example else {}
@@ -645,27 +649,16 @@ def _run_apath(v, seed):
     return checks, extras
 
 
-def _groupoid_instance(name):
-    base = CoordinateDomain.box([(-1.0, 1.0)] * 2, name="plane")
-    fiber = CoordinateDomain.box([(-1.0, 1.0)] * 2, name="fiber")
-    space = FiberedSpace(base, fiber, name=name)
-    omega = HorizontalForm(space, 2, lambda p: [1.5], name="const-omega")
-    pi_v = VerticalBivector(space, lambda p: [2.0], name="const-pi")
-    conn = FlatConnection(space) if name == "split-product" else \
-        Connection(space, lambda b, x: [[0.3, -0.1], [0.2, 0.4]],
-                   name="const-mixing")
-    return GeometricData(space, conn, pi_v, omega, name=name)
-
-
 def _run_groupoid_check(v, seed):
-    geom = _groupoid_instance(v.instance)
+    geom = v.geom
+    # first: a π_V without inverse is refused by name before it is inverted
+    report = integrated_data_check(geom, count=v.samples, seed=seed)
     gpd = PairGroupoid(geom.space.dim)
     checks = [_scored(v, "axioms", gpd.axioms_residual(seed=seed))]
     form = pair_form(coupling_form(geom))
     checks.append(_scored(v, "multiplicativity",
                           multiplicativity_residual(form.value,
                                                     geom.space.dim, seed=seed)))
-    report = integrated_data_check(geom, count=v.samples, seed=seed)
     checks.append(_check("fiber_nondegeneracy",
                          float(report["fiber_nondegeneracy_dim"]), 0.5))
     checks += [_scored(v, key, report[key])
@@ -751,8 +744,10 @@ KINDS.update({
          "horizontal_identity": 1e-8, "hor_projection": 1e-10,
          "hor_vertical_orthogonality": 1e-10,
          "source_target_orthogonality": 1e-10},
-        {"instance": (enum(("split-product", "twisted-product")),
-                      "split-product"),
+        # the split product: constant ω_H and π_V, flat over the plane
+        {"fields": (FIELDS, {"base_bounds": [[-1, 1], [-1, 1]],
+                             "fiber_bounds": [[-1, 1], [-1, 1]],
+                             "omega": ["1.5"], "pi": ["2"]}),
          "samples": (SAMPLES, 6)}),
 })
 

@@ -151,8 +151,10 @@ def cap(theta, n_t=65, n_eps=65):
 
     The opening angle is θ ∈ (0, π): loops through the base point fill the
     cap, of signed area 2π(1 − cos θ)."""
-    if not 0.0 < theta < math.pi:
-        raise ValueError("cap opening angle must lie strictly in (0, pi)")
+    lo, hi = cap.parameters["theta"]
+    if not lo < theta < hi:
+        raise ValueError(f"cap opening angle must lie strictly in "
+                         f"({lo:.6g}, {hi:.6g})")
     c0 = -1.0 / math.tan(theta)
 
     def fn(t, eps):

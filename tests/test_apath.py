@@ -484,6 +484,18 @@ def test_the_linear_route_matches_the_node_route(monkeypatch, geom):
             assert abs(dm.tangent(x) - dm.tangent(y)) <= 1e-12, t
 
 
+@pytest.mark.parametrize("t", (1.2, -0.3, dm.Dual(1.2, 1.0)),
+                         ids=("past", "before", "dual"))
+@pytest.mark.parametrize("route", (lambda geom: geom, node_route),
+                         ids=("linear", "node"))
+def test_a_built_path_refuses_a_time_outside_the_unit_interval(geom, t,
+                                                               route):
+    # both routes refuse what a Transport refuses, rather than each
+    # answering past its last node in its own way
+    with pytest.raises(ValueError, match="outside"):
+        loop_apath(route(geom)).fiber_path(t)
+
+
 def test_a_wrong_linearity_declaration_shows_in_the_anchor_residual(geom):
     # π(x) ∝ x² breaks the fiber's contract of a linear tensor: the linear
     # route integrates the tensor read off at the unit vectors, and

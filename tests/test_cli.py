@@ -293,6 +293,22 @@ def test_evaluator_errors_fail_without_traceback(capfd, tmp_path, fields,
         assert math.isnan(named[failing]["residual"])
 
 
+def test_a_singular_inline_pi_fails_the_groupoid_check_without_traceback(
+        capfd, tmp_path):
+    # π_V = 0 has no inverse, so the coupling form of the twisted product
+    # cannot be built: the run ends as one failing check that names the
+    # refusal, not a traceback
+    scenario = json.loads((SCENARIOS / "groupoid-twisted.json").read_text())
+    scenario["fields"]["pi"] = ["0"]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_main(capfd, ["check", str(path)])
+    assert code == 1 and err == ""
+    [check] = json.loads(out)["checks"]
+    assert check["name"] == "evaluation-error" and check["verdict"] == "FAIL"
+    assert "the coupling form needs invertible π_V" in check["error"]
+
+
 def test_a_form_undefined_at_one_oracle_point_fails_without_traceback(
         capfd, monkeypatch, tmp_path):
     # ω_H is NaN at one of the oracle's 16 points: its bracket rows hold
@@ -379,6 +395,34 @@ def test_a_registered_family_is_given_its_declared_keys(monkeypatch, capsys):
         with pytest.raises(ScenarioError) as err:
             run_scenario(dict(scenario, families=[entry]))
         assert err.value.field == field
+
+
+def refused_cap(capsys, tmp_path, theta):
+    """Both the `cap` builder and a `transgress` scenario refuse `theta`."""
+    with pytest.raises(ValueError):
+        monodromy.cap(theta)
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({
+        "name": "t", "kind": "transgress",
+        "families": [{"family": "cap", "theta": theta, "nodes": [9, 9]}]}))
+    code, out, err = run_main(capsys, ["check", str(path)])
+    assert code == 2 and out == ""
+    assert "field 'families[0].theta'" in err
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi, 3.2])
+def test_the_cap_builder_and_the_parser_read_one_interval(capsys, tmp_path,
+                                                          theta):
+    refused_cap(capsys, tmp_path, theta)
+
+
+def test_a_narrowed_cap_interval_moves_both_refusals(monkeypatch, capsys,
+                                                     tmp_path):
+    # `cap.parameters` states the interval of θ once, so narrowing it in a
+    # session moves the builder's refusal and the parser's together
+    monkeypatch.setitem(monodromy.cap.parameters, "theta", (1.0, 2.0))
+    refused_cap(capsys, tmp_path, 0.8)
+    assert monodromy.cap(1.5).name == "cap(1.5)"
 
 
 def test_a_domain_error_in_the_flat_oracle_fails_without_traceback(
@@ -715,6 +759,9 @@ NAMED_INPUT_ERRORS = [
     # a key that is present holds a value of its type, and null is none
     (dict(LATTICE, exact_slope=None), "exact_slope"),
     (inline(pi=None), "fields.pi"),
+    # a groupoid check reads its triple from `fields` alone
+    ({"name": "g", "kind": "groupoid-check", "instance": "split-product"},
+     "instance"),
     # an expression nested too deeply for the compiler's recursion
     ({"name": "h", "kind": "coupling-check", "example": "hopf",
       "f": deep("x")}, "f"),
@@ -986,7 +1033,8 @@ FUZZ_BASES = list(fuzz_bases(
      "expected_verdict": "INTEGRABLE-CANDIDATE"},
     {"kind": "apath", "alpha": ["sin(t)+e", "t", "e*t"], "eps": 0.3,
      "step": 0.1, "halving": True, "x0": [0.6, 0.0, 0.8]},
-    {"kind": "groupoid-check", "instance": "split-product", "samples": 1}))
+    {"kind": "groupoid-check", "fields": INLINE_BOX, "samples": 1},
+    {"kind": "groupoid-check", "fields": INLINE_SPHERE, "samples": 1}))
 
 
 def steps(path):

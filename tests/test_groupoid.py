@@ -1,20 +1,22 @@
 """Pair-groupoid algebra, multiplicative two-forms, and the integrated
 coupling data on product models."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fiberdirac import dual as dm
-from fiberdirac import fields
+from fiberdirac import cli, fields
 from fiberdirac._numerics import (bilinear, intersection_dimension,
                                   lstsq_residual, matvec, nullspace,
                                   sample_unit_cube, stacked_matrix, unstack,
                                   worst)
 from fiberdirac.charts import CoordinateDomain
-from fiberdirac.cli import KINDS, _groupoid_instance
+from fiberdirac.cli import KINDS, parse
 from fiberdirac.coupling import GeometricData, frame_rows
 from fiberdirac.fibration import (Connection, FiberedSpace, FlatConnection,
                                   HorizontalForm, VerticalBivector)
@@ -24,6 +26,8 @@ from fiberdirac.groupoid import (PairForm, PairGroupoid, _box_points,
                                  presymplectic_nondegeneracy,
                                  source_target_orthogonality)
 from reference import fiber_intersection_dim
+
+SCENARIOS = Path(cli.__file__).parent / "scenarios"
 
 X = [0.1, -0.4]
 Y = [0.7, 0.2]
@@ -35,18 +39,10 @@ def symplectic_plane(comps=(1.0,)):
 
 
 def product_geometry(twist=False):
-    base = CoordinateDomain.box([(-1.0, 1.0)] * 2, name="plane")
-    fiber = CoordinateDomain.box([(-1.0, 1.0)] * 2, name="torus-patch")
-    space = FiberedSpace(base, fiber)
-    if twist:
-        conn = Connection(space, lambda b, x: [[0.3, -0.1], [0.2, 0.4]],
-                          name="constant-twist")
-    else:
-        conn = FlatConnection(space)
-    pi_v = VerticalBivector(space, lambda p: [2.0], name="const-pi")
-    om = HorizontalForm(space, 2, lambda p: [1.5], name="const-omega")
-    return GeometricData(space, conn, pi_v, om,
-                         name="twisted-product" if twist else "split-product")
+    """The triple of a bundled groupoid scenario, as `cli.parse` reads it:
+    the split product, or with `twist` the twisted product."""
+    name = "groupoid-twisted" if twist else "groupoid-split"
+    return parse(json.loads((SCENARIOS / f"{name}.json").read_text())).geom
 
 
 def test_pair_groupoid_structure_maps():
@@ -516,7 +512,7 @@ def test_the_coupling_form_integrates_the_structure_of_minus_pi(instance):
     # the graph rows e_i ‖ Ω(e_i, ·) of ω_H ⊕ π_V⁻¹ span the Dirac frame of
     # (−π_V, Γ, ω_H), and lie far from the frame of (π_V, Γ, ω_H): the
     # fiber block π_V⁻¹ integrates the coupling structure of −π_V
-    geom = _groupoid_instance(instance)
+    geom = product_geometry(twist=instance == "twisted-product")
     pt = geom.sample_points(8, seed=0)
     n = geom.space.dim
     omega = stacked_matrix(fields.antisym_matrix(coupling_form(geom), pt),
